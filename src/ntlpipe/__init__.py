@@ -14,6 +14,7 @@ from .analysis import (
     ReportRow,
     build_report,
     correlate_method,
+    drop_samples,
     filter_zones,
     pearson,
     select_case_study_zones,
@@ -72,6 +73,7 @@ from .synthetic import (
     TruthRow,
     generate_scene,
     oracle_check,
+    recovered_pccs,
     tile_zones,
 )
 from .timeseries import (
@@ -83,6 +85,7 @@ from .timeseries import (
     percent_change,
     read_series_csv,
     rolling_baseline,
+    series_by_config,
     write_series_csv,
 )
 from .zones import (

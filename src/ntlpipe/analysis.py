@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, ReportError, StatsError
 from .preprocess import enumerate_configs
+from .timeseries import event_drop
 
 __all__ = [
     "DropSample",
@@ -26,6 +27,7 @@ __all__ = [
     "CorrelationReport",
     "pearson",
     "filter_zones",
+    "drop_samples",
     "select_case_study_zones",
     "correlate_method",
     "build_report",
@@ -113,6 +115,14 @@ def filter_zones(samples, min_damage=0.01):
         else:
             kept.append(sample)
     return kept, excluded
+
+
+def drop_samples(zones, series, window, hurricane=""):
+    """One DropSample per zone, from the event drop of its series in window."""
+    return [
+        DropSample(zone.zone_id, zone.damage_ratio, event_drop(s, window), hurricane, zone.population)
+        for zone, s in zip(zones, series)
+    ]
 
 
 def _population_band(zones, lo, hi):

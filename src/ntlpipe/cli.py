@@ -31,7 +31,6 @@ identical files.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import re
@@ -43,15 +42,14 @@ import numpy as np
 
 from .analysis import (
     CorrelationReport,
-    DropSample,
-    build_report,
     correlate_method,
+    drop_samples,
     select_case_study_zones,
     write_report_csv,
 )
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError, PipelineError, StatsError
 from .grid import GridSpec, IntRaster, as_float, read_grid, write_grid
-from .preprocess import config_from_label, enumerate_configs, run_pipeline
+from .preprocess import config_from_label, enumerate_configs
 from .quality import Dataset, high_quality_mask
 from .stack import MonthIndex, RasterStack
 from .synthetic import (
@@ -60,16 +58,15 @@ from .synthetic import (
     NoiseSpec,
     SceneSpec,
     generate_scene,
-    oracle_check,
+    recovered_pccs,
     tile_zones,
 )
 from .timeseries import (
     EventWindow,
-    build_zone_series,
-    event_drop,
     monthly_median_composite,
     percent_change,
     read_series_csv,
+    series_by_config,
     write_series_csv,
 )
 from .zones import Zone, rasterize_zone, read_zones, rect_ring, write_zones
@@ -110,7 +107,6 @@ class RunConfig:
     config_labels: object  # "all" or tuple of labels
     output_dir: Path
     min_damage: float = 0.01
-    jobs: int = 1
     months_before: int = 12
     months_after: int = 12
     case_study_k: int = 3
@@ -143,6 +139,21 @@ def _dataset_kind(text, where):
     except ValueError:
         names = ", ".join(repr(d.value) for d in Dataset)
         raise ConfigError(f"{where}: unknown dataset kind {text!r} (expected {names})") from None
+
+
+def _check_names(names, where):
+    """Names that become output path components: unique, one component each."""
+    if len(set(names)) != len(names):
+        raise ConfigError(f"{where} must be unique, got {names}")
+    for name in names:
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ConfigError(f"{where}: {name!r} is not a single path component")
+
+
+def _read_zones(path):
+    zones = read_zones(path)
+    _check_names([zone.zone_id for zone in zones], f"{path}: zone ids")
+    return zones
 
 
 def _load_json(path):
@@ -185,9 +196,7 @@ def parse_run_config(path):
         )
     if not datasets:
         raise ConfigError(f"{path}: at least one dataset is required")
-    names = [d.name for d in datasets]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"{path}: dataset names must be unique, got {names}")
+    _check_names([d.name for d in datasets], f"{path}: dataset names")
 
     hurricanes = []
     for i, entry in enumerate(doc.get("hurricanes") or []):
@@ -199,9 +208,7 @@ def parse_run_config(path):
         hurricanes.append(Hurricane(name=str(_require(entry, "name", where)), event_month=month))
     if not hurricanes:
         raise ConfigError(f"{path}: at least one hurricane is required")
-    hurricane_names = [h.name for h in hurricanes]
-    if len(set(hurricane_names)) != len(hurricane_names):
-        raise ConfigError(f"{path}: hurricane names must be unique, got {hurricane_names}")
+    _check_names([h.name for h in hurricanes], f"{path}: hurricane names")
 
     labels = doc.get("configs", "all")
     if labels != "all":
@@ -224,15 +231,12 @@ def parse_run_config(path):
         config_labels=labels,
         output_dir=root / doc.get("output_dir", "out"),
         min_damage=float(doc.get("min_damage", 0.01)),
-        jobs=int(doc.get("jobs", 1)),
         months_before=int(doc.get("months_before", 12)),
         months_after=int(doc.get("months_after", 12)),
         case_study_k=int(doc.get("case_study_k", 3)),
         population_band=band,
         tunables=dict(doc.get("tunables") or {}),
     )
-    if config.jobs < 1:
-        raise ConfigError(f"{path}: jobs must be a positive integer, got {config.jobs}")
     if config.months_before < 0 or config.months_after < 0:
         raise ConfigError(f"{path}: window extents must be non-negative")
     return config
@@ -375,7 +379,7 @@ def cmd_validate(args):
     issues = []
 
     try:
-        zones = read_zones(run.zones_path) if run.zones_path.is_file() else None
+        zones = _read_zones(run.zones_path) if run.zones_path.is_file() else None
         if zones is None:
             _print_issue(issues, f"zones file not found: {run.zones_path}")
         elif not zones:
@@ -385,8 +389,8 @@ def cmd_validate(args):
         _print_issue(issues, f"zones file invalid: {exc}")
 
     month_lo, month_hi = _wanted_month_range(run)
-    needs_quality = _any_config_needs_quality(run)
     for dataset in run.datasets:
+        configs = expand_configs(run, dataset.kind)
         if not dataset.raster_dir.is_dir():
             _print_issue(issues, f"{dataset.name}: raster directory not found: {dataset.raster_dir}")
             continue
@@ -400,28 +404,11 @@ def cmd_validate(args):
 
         spec = dataset.expected_grid
         spec_source = "configured grid"
-        month_paths = [
-            p
-            for month in sorted(radiance_files)
-            for p in (
-                radiance_files[month]
-                if isinstance(radiance_files[month], list)
-                else [radiance_files[month]]
-            )
-        ]
-        quality_paths = [
-            p
-            for month in sorted(quality_files)
-            for p in (
-                quality_files[month]
-                if isinstance(quality_files[month], list)
-                else [quality_files[month]]
-            )
-        ]
+        month_paths = _scanned_paths(radiance_files)
         built_path = dataset.raster_dir / BUILT_FRACTION_FILENAME
         if built_path.is_file():
             month_paths.append(built_path)
-        for p in month_paths + quality_paths:
+        for p in month_paths + _scanned_paths(quality_files):
             try:
                 grid = read_grid(p)
             except PipelineError as exc:
@@ -444,7 +431,7 @@ def cmd_validate(args):
                     f"{dataset.name}: event month {hurricane.event_month} of {hurricane.name} "
                     f"outside available range {available[0]}..{available[-1]}",
                 )
-        if needs_quality:
+        if any(c.quality_filter for c in configs):
             missing_q = [
                 str(month)
                 for month in available
@@ -455,7 +442,7 @@ def cmd_validate(args):
                     issues,
                     f"{dataset.name}: quality files missing for months: {', '.join(missing_q)}",
                 )
-        if _any_config_needs_built(run) and not built_path.is_file():
+        if any(c.built_mask for c in configs) and not built_path.is_file():
             _print_issue(
                 issues,
                 f"{dataset.name}: built masking requested but {built_path} not found",
@@ -477,16 +464,10 @@ def cmd_validate(args):
     return 0
 
 
-def _any_config_needs_quality(run):
-    return any(
-        config.quality_filter for d in run.datasets for config in expand_configs(run, d.kind)
-    )
-
-
-def _any_config_needs_built(run):
-    return any(
-        config.built_mask for d in run.datasets for config in expand_configs(run, d.kind)
-    )
+def _scanned_paths(files):
+    """Every path of a scan_dataset_dir mapping, in month order."""
+    entries = (files[month] for month in sorted(files))
+    return [p for entry in entries for p in (entry if isinstance(entry, list) else [entry])]
 
 
 def _series_path(out_dir, dataset, label, hurricane, zone_id):
@@ -497,9 +478,7 @@ def cmd_extract(args):
     """Write one processed series CSV per (dataset, config, hurricane, zone)."""
     run = parse_run_config(args.config)
     out_dir = Path(args.out) if args.out else run.output_dir
-    jobs = args.jobs if args.jobs else run.jobs
-    zones = read_zones(run.zones_path)
-    windows = dict(zip([h.name for h in run.hurricanes], _windows(run)))
+    zones = _read_zones(run.zones_path)
     month_lo, month_hi = _wanted_month_range(run)
     failures = []
     written = 0
@@ -520,38 +499,22 @@ def cmd_extract(args):
                     file=sys.stderr,
                 )
 
-        for config in configs:
-            try:
-                processed = run_pipeline(radiance, quality, built, config)
-            except PipelineError as exc:
-                failures.append(f"{dataset.name}/{config.label}: {exc}")
+        chain = series_by_config(radiance, quality, built, masks, configs, _windows(run))
+        for config, result in chain:
+            if isinstance(result, PipelineError):
+                failures.append(f"{dataset.name}/{config.label}: {result}")
                 continue
-
-            tasks = [
-                (hurricane, zone)
-                for hurricane in run.hurricanes
-                for zone in zones
-            ]
-
-            def write_one(task, config=config, processed=processed, dataset=dataset):
-                hurricane, zone = task
-                path = _series_path(out_dir, dataset, config.label, hurricane.name, zone.zone_id)
-                if path.exists() and not args.force:
-                    return f"{path}: exists (use --force to overwrite)"
-                series = build_zone_series(
-                    processed, masks[zone.zone_id], windows[hurricane.name], zone.zone_id
-                )
-                path.parent.mkdir(parents=True, exist_ok=True)
-                write_series_csv(series, path)
-                return None
-
-            if jobs > 1:
-                with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(write_one, tasks))
-            else:
-                results = [write_one(task) for task in tasks]
-            failures.extend(r for r in results if r is not None)
-            written += sum(1 for r in results if r is None)
+            for hurricane, window_series in zip(run.hurricanes, result):
+                for series in window_series:
+                    path = _series_path(
+                        out_dir, dataset, config.label, hurricane.name, series.zone_id
+                    )
+                    if path.exists() and not args.force:
+                        failures.append(f"{path}: exists (use --force to overwrite)")
+                        continue
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    write_series_csv(series, path)
+                    written += 1
 
     print(f"extract: wrote {written} series file(s) under {out_dir}")
     if failures:
@@ -571,7 +534,7 @@ def cmd_report(args):
     """Correlate extracted drops into report.csv; emit case_study.csv."""
     run = parse_run_config(args.config)
     out_dir = Path(args.out) if args.out else run.output_dir
-    zones = read_zones(run.zones_path)
+    zones = _read_zones(run.zones_path)
     windows = dict(zip([h.name for h in run.hurricanes], _windows(run)))
     report_path = out_dir / "report.csv"
     case_path = out_dir / "case_study.csv"
@@ -595,55 +558,33 @@ def cmd_report(args):
         shown = ", ".join(absent[:8]) + (" ..." if len(absent) > 8 else "")
         raise ConfigError(f"missing extraction outputs ({len(absent)}): {shown}")
 
-    damage = {zone.zone_id: zone.damage_ratio for zone in zones}
-    population = {zone.zone_id: zone.population for zone in zones}
-
-    samples_by_config = {}
+    rows = []
     for dataset in run.datasets:
         for config in expand_configs(run, dataset.kind):
-            samples = []
-            for hurricane in run.hurricanes:
-                for zone in zones:
-                    series = series_by_key[dataset.name, config.label, hurricane.name, zone.zone_id]
-                    samples.append(
-                        DropSample(
-                            zone_id=zone.zone_id,
-                            damage_ratio=damage[zone.zone_id],
-                            drop=event_drop(series, windows[hurricane.name]),
-                            hurricane=hurricane.name,
-                            population=population[zone.zone_id],
-                        )
-                    )
-            samples_by_config[dataset.kind, config.label] = samples
-
-    hurricane_names = tuple(h.name for h in run.hurricanes)
-    if run.config_labels == "all":
-        report = build_report(
-            samples_by_config,
-            [d.kind for d in run.datasets],
-            hurricanes=hurricane_names,
-            min_damage=run.min_damage,
-        )
-    else:
-        rows = tuple(
-            correlate_method(
-                samples_by_config[dataset.kind, config.label],
-                dataset.kind,
-                config.label,
-                run.min_damage,
-            )
-            for dataset in run.datasets
-            for config in expand_configs(run, dataset.kind)
-        )
-        report = CorrelationReport(rows=rows, hurricanes=hurricane_names, min_damage=run.min_damage)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_report_csv(report, report_path)
-
+            samples = [
+                sample
+                for h in run.hurricanes
+                for sample in drop_samples(
+                    zones,
+                    [series_by_key[dataset.name, config.label, h.name, z.zone_id] for z in zones],
+                    windows[h.name],
+                    h.name,
+                )
+            ]
+            rows.append(correlate_method(samples, dataset.kind, config.label, run.min_damage))
+    report = CorrelationReport(
+        rows=tuple(rows),
+        hurricanes=tuple(h.name for h in run.hurricanes),
+        min_damage=run.min_damage,
+    )
+    # select before writing: a failed selection must not leave report.csv behind
     band = run.population_band or (None, None)
     top, bottom = select_case_study_zones(
         zones, run.case_study_k, population_lo=band[0], population_hi=band[1]
     )
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_report_csv(report, report_path)
     _write_case_study_csv(case_path, run, windows, top, bottom, series_by_key)
 
     print(f"report: {len(report.rows)} correlation row(s) -> {report_path}")
@@ -790,13 +731,14 @@ def cmd_simulate(args):
     with open(oracle_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["config", "recovered_pcc"])
-        for config in enumerate_configs(spec.dataset):
-            try:
-                recovered, _ = oracle_check(scene, config)
-                writer.writerow([config.label, repr(recovered)])
-            except PipelineError as exc:
-                failures.append(f"{config.label}: {exc}")
+        for config, recovered in recovered_pccs(scene, enumerate_configs(spec.dataset)):
+            if isinstance(recovered, PipelineError):
+                # a StatsError from correlate_method already names the config
+                prefix = "" if isinstance(recovered, StatsError) else f"{config.label}: "
+                failures.append(f"{prefix}{recovered}")
                 writer.writerow([config.label, ""])
+            else:
+                writer.writerow([config.label, repr(recovered)])
 
     print(f"simulate: wrote {len(spec.months.months()) * 2} raster(s) under {dataset_dir}")
     print(f"simulate: oracle results -> {oracle_path}")
@@ -812,7 +754,6 @@ def build_parser():
     common.add_argument("--config", required=True, help="path to the JSON config file")
     common.add_argument("--out", help="output directory (overrides the config)")
     common.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    common.add_argument("--jobs", type=int, help="worker cap for independent work items")
 
     parser = argparse.ArgumentParser(
         prog="ntlpipe",

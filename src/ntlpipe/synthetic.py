@@ -37,13 +37,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import DropSample, filter_zones, pearson
-from .errors import ConfigError
+from .analysis import correlate_method, drop_samples, pearson
+from .errors import ConfigError, PipelineError, StatsError
 from .grid import GridSpec, IntRaster, RasterGrid
-from .preprocess import run_pipeline
 from .quality import Dataset
 from .stack import RasterStack
-from .timeseries import EventWindow, build_zone_series, event_drop
+from .timeseries import EventWindow, series_by_config
 from .zones import Zone, rasterize_zone, rect_ring
 
 __all__ = [
@@ -53,6 +52,7 @@ __all__ = [
     "GeneratedScene",
     "tile_zones",
     "generate_scene",
+    "recovered_pccs",
     "oracle_check",
     "VNP46A2_HIGH_QUALITY_CODE",
     "VNP46A2_LOW_QUALITY_CODE",
@@ -127,6 +127,9 @@ class SceneSpec:
         if not zones:
             raise ConfigError("scene needs at least one zone")
         object.__setattr__(self, "zones", zones)
+        ids = [z.zone_id for z in zones]
+        if len(set(ids)) != len(ids):
+            raise ConfigError(f"scene zone ids must be unique, got {ids}")
         bases = self.base_radiance
         bases = tuple(float(b) for b in bases) if np.iterable(bases) else (float(bases),) * len(zones)
         if len(bases) != len(zones):
@@ -272,6 +275,32 @@ def generate_scene(spec):
     )
 
 
+def recovered_pccs(scene, configs, min_damage=0.01):
+    """Yield (config, recovered_pcc) per config, or (config, PipelineError).
+
+    The recovered pcc correlates per-zone event drops with damage ratios.
+    With fewer than three distinct damage ratios it is not meaningful, and
+    every config yields a ConfigError.
+    """
+    spec = scene.spec
+    if len({z.damage_ratio for z in spec.zones}) < 3:
+        error = ConfigError("oracle needs at least 3 distinct damage ratios")
+        yield from ((config, error) for config in configs)
+        return
+    masks = {zone.zone_id: rasterize_zone(zone, spec.grid) for zone in spec.zones}
+    chain = series_by_config(
+        scene.radiance, scene.quality, scene.built_fraction, masks, configs, (spec.months,)
+    )
+    for config, result in chain:
+        if not isinstance(result, PipelineError):
+            samples = drop_samples(spec.zones, result[0], spec.months)
+            try:
+                result = correlate_method(samples, spec.dataset, config.label, min_damage).pcc
+            except StatsError as exc:
+                result = exc
+        yield config, result
+
+
 def oracle_check(scene, config, min_damage=0.01):
     """Run the full pipeline on a scene and score it against the truth.
 
@@ -282,24 +311,9 @@ def oracle_check(scene, config, min_damage=0.01):
     with three distinct damage ratios, or neither correlation is
     meaningful.
     """
-    spec = scene.spec
-    if len({z.damage_ratio for z in spec.zones}) < 3:
-        raise ConfigError("oracle needs at least 3 distinct damage ratios")
-    processed = run_pipeline(scene.radiance, scene.quality, scene.built_fraction, config)
-    samples = []
-    for zone in spec.zones:
-        mask = rasterize_zone(zone, spec.grid)
-        series = build_zone_series(processed, mask, spec.months, zone.zone_id)
-        samples.append(
-            DropSample(
-                zone_id=zone.zone_id,
-                damage_ratio=zone.damage_ratio,
-                drop=event_drop(series, spec.months),
-                population=zone.population,
-            )
-        )
-    kept, _ = filter_zones(samples, min_damage)
-    recovered = pearson([s.drop for s in kept], [s.damage_ratio for s in kept])
+    [(_, recovered)] = recovered_pccs(scene, (config,), min_damage)
+    if isinstance(recovered, PipelineError):
+        raise recovered
     truth = pearson(
         [row.true_drop_percent for row in scene.truth],
         [row.damage_ratio for row in scene.truth],

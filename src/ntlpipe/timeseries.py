@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PipelineError
 from .grid import RasterGrid
+from .preprocess import run_pipeline
 from .stack import MonthIndex
 from .zones import zonal_mean
 
@@ -30,6 +32,7 @@ __all__ = [
     "ZoneSeries",
     "monthly_median_composite",
     "build_zone_series",
+    "series_by_config",
     "rolling_baseline",
     "percent_change",
     "event_drop",
@@ -136,6 +139,27 @@ def build_zone_series(stack, mask, window, zone_id):
         grid = stack.get(month)
         values.append(zonal_mean(grid, mask) if grid is not None else float("nan"))
     return ZoneSeries(zone_id, window.months(), tuple(values))
+
+
+def series_by_config(radiance, quality, built, masks, configs, windows):
+    """Run each config's pipeline and yield ``(config, series)`` in order.
+
+    ``masks`` maps zone_id to ZoneMask; ``series[i][j]`` is the j-th zone's
+    ZoneSeries over ``windows[i]``. A config whose pipeline raises a
+    PipelineError yields ``(config, error)`` and the rest still run.
+    """
+    for config in configs:
+        try:
+            processed = run_pipeline(radiance, quality, built, config)
+        except PipelineError as exc:
+            yield config, exc
+            continue
+        series = tuple(
+            tuple(build_zone_series(processed, mask, w, zone_id) for zone_id, mask in masks.items())
+            for w in windows
+        )
+        del processed  # else it stays alive through the next config's pipeline
+        yield config, series
 
 
 def rolling_baseline(series, t, w=6):

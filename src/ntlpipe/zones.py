@@ -177,20 +177,25 @@ def read_zones(path):
 
     Each feature must be a Polygon or MultiPolygon carrying properties
     ``zone_id`` (string), ``damage_ratio`` (in [0, 1]) and ``population``
-    (integer >= 0). MultiPolygon parts merge into one polygon set. Errors
-    name the offending feature by zone_id when present, index otherwise.
+    (integer >= 0). Zone ids must be unique. MultiPolygon parts merge into
+    one polygon set. Errors name the offending feature by zone_id when
+    present, index otherwise.
     """
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ZoneValidationError(f"{path}: expected a GeoJSON FeatureCollection")
     zones = []
+    seen = set()
     for i, feature in enumerate(doc.get("features", [])):
         props = feature.get("properties") or {}
         where = f"feature {props['zone_id']!r}" if "zone_id" in props else f"feature #{i}"
         for key in ("zone_id", "damage_ratio", "population"):
             if key not in props:
                 raise ZoneValidationError(f"{where}: missing property {key!r}")
+        if str(props["zone_id"]) in seen:
+            raise ZoneValidationError(f"{where}: duplicate zone_id")
+        seen.add(str(props["zone_id"]))
         geom = feature.get("geometry") or {}
         gtype = geom.get("type")
         coords = geom.get("coordinates")

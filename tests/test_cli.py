@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ntlpipe import MonthIndex, read_series_csv
+from ntlpipe import Dataset, MonthIndex, enumerate_configs, read_series_csv
 from ntlpipe.cli import main
 
 VSC_SCENE = {
@@ -181,17 +181,6 @@ class TestPipelineRoundTrip:
         assert main(["report", "--config", str(config), "--force"]) == 0
         assert tree_digest(root / "out") == before
 
-    def test_parallel_extract_is_byte_identical(self, pipeline_run):
-        root, config, _ = pipeline_run
-        out2 = root / "out_parallel"
-        assert main(["extract", "--config", str(config), "--out", str(out2), "--jobs", "4"]) == 0
-        reference = {
-            name: digest
-            for name, digest in tree_digest(root / "out").items()
-            if name.endswith(".csv") and not name.endswith(("report.csv", "case_study.csv"))
-        }
-        assert tree_digest(out2) == reference
-
 
 class TestSimulateDeterminism:
     def test_same_spec_same_bytes(self, tmp_path):
@@ -227,12 +216,89 @@ class TestValidate:
         assert "2030-01" in capsys.readouterr().out
 
     def test_single_dataset_run_validates(self, tmp_path):
-        scene = write_json(tmp_path / "scene.json", VSC_SCENE)
-        main(["simulate", "--config", str(scene), "--out", str(tmp_path / "simv")])
-        doc = run_config_doc()
-        doc["datasets"] = [doc["datasets"][0]]
-        config = write_json(tmp_path / "run.json", doc)
+        # a leftover "jobs" key from older configs is ignored
+        config = simulated_vsc_run(tmp_path, jobs=2)
         assert main(["validate", "--config", str(config)]) == 0
+
+
+def simulated_vsc_run(root, **overrides):
+    """Simulate the VSC-NTL scene under root; return its one-dataset run config."""
+    scene = write_json(root / "scene.json", VSC_SCENE)
+    assert main(["simulate", "--config", str(scene), "--out", str(root / "simv")]) == 0
+    doc = run_config_doc()
+    doc["datasets"] = [doc["datasets"][0]]
+    doc.update(overrides)
+    return write_json(root / "run.json", doc)
+
+
+class TestExtractFailures:
+    def test_missing_built_grid_fails_only_the_built_configs(self, tmp_path, capsys):
+        config = simulated_vsc_run(tmp_path)
+        (tmp_path / "simv" / "VSC-NTL" / "built_fraction.asc").unlink()
+        assert main(["extract", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        for pipeline in enumerate_configs(Dataset.VSC_NTL):
+            written = sorted(
+                p.name for p in (tmp_path / "out" / "VSC-NTL" / pipeline.label).rglob("*.csv")
+            )
+            if pipeline.built_mask:
+                assert written == []
+                assert f"VSC-NTL/{pipeline.label}: built masking" in err
+            else:
+                assert written == [f"Z0{i}.csv" for i in range(1, 7)]
+
+
+class TestReportWritesNothingOnFailure:
+    def test_failed_case_study_selection_leaves_no_report(self, tmp_path, capsys):
+        config = simulated_vsc_run(tmp_path, configs=["raw"], case_study_k=40)
+        assert main(["extract", "--config", str(config)]) == 0
+        assert main(["report", "--config", str(config)]) == 1
+        assert "case study needs at least 80 zones" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.csv").exists()
+        assert not (tmp_path / "out" / "case_study.csv").exists()
+        # with a satisfiable k the rerun needs no --force
+        write_json(config, {**json.loads(config.read_text()), "case_study_k": 3})
+        assert main(["report", "--config", str(config)]) == 0
+
+
+class TestUnsafeNames:
+    def rename_zone(self, root, zone_id):
+        path = root / "simv" / "zones.geojson"
+        doc = json.loads(path.read_text())
+        doc["features"][1]["properties"]["zone_id"] = zone_id
+        path.write_text(json.dumps(doc))
+
+    def test_duplicate_zone_id_rejected(self, tmp_path, capsys):
+        config = simulated_vsc_run(tmp_path)
+        self.rename_zone(tmp_path, "Z01")
+        assert main(["validate", "--config", str(config)]) == 1
+        assert "duplicate zone_id" in capsys.readouterr().out
+        assert main(["extract", "--config", str(config), "--force"]) == 1
+        assert "duplicate zone_id" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("zone_id", ["../../escaped", "a/b", "..", "."])
+    def test_zone_id_must_be_one_path_component(self, tmp_path, capsys, zone_id):
+        config = simulated_vsc_run(tmp_path)
+        self.rename_zone(tmp_path, zone_id)
+        assert main(["validate", "--config", str(config)]) == 1
+        assert "not a single path component" in capsys.readouterr().out
+        assert main(["extract", "--config", str(config)]) == 1
+        assert "not a single path component" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "escaped.csv").exists()
+
+    @pytest.mark.parametrize(
+        "section, name", [("hurricanes", "../up"), ("hurricanes", ".."), ("datasets", "a/b"), ("datasets", "")]
+    )
+    def test_hurricane_and_dataset_names_must_be_one_path_component(
+        self, tmp_path, capsys, section, name
+    ):
+        doc = run_config_doc()
+        doc[section][0]["name"] = name
+        config = write_json(tmp_path / "run.json", doc)
+        assert main(["validate", "--config", str(config)]) == 1
+        assert "not a single path component" in capsys.readouterr().err
 
 
 class TestDailyAggregation:

@@ -10,16 +10,20 @@ from ntlpipe import (
     ConfigError,
     Dataset,
     EventWindow,
+    GeneratedScene,
     GridSpec,
     MonthIndex,
     NoiseSpec,
     PipelineConfig,
     RasterGrid,
     SceneSpec,
+    Zone,
     decode_vnp46a2_quality,
     generate_scene,
     is_high_quality_vnp46a2,
+    enumerate_configs,
     oracle_check,
+    recovered_pccs,
     tile_zones,
 )
 
@@ -95,6 +99,12 @@ class TestSceneSpec:
         with pytest.raises(ConfigError):
             make_spec(noise=NoiseSpec(cloud_rate=tuple([0.1] * 24)))
         make_spec(noise=NoiseSpec(cloud_rate=tuple([0.1] * 25)))
+
+    def test_duplicate_zone_ids_rejected(self):
+        zones = tile_zones(make_grid(), 2, 1, (0.1, 0.2))
+        twin = (zones[0], Zone(zones[0].zone_id, zones[1].rings, damage_ratio=0.2))
+        with pytest.raises(ConfigError, match="unique"):
+            SceneSpec(seed=0, grid=make_grid(), zones=twin, months=EventWindow(EVENT), base_radiance=10.0)
 
     def test_zoneless_scene_rejected(self):
         grid = make_grid()
@@ -289,3 +299,16 @@ class TestOracleCheck:
         scene = generate_scene(spec)
         with pytest.raises(ConfigError):
             oracle_check(scene, PipelineConfig(Dataset.VSC_NTL))
+
+    def test_recovered_pccs_keep_a_failing_config_to_itself(self):
+        # without a built-fraction grid only the built configs can fail
+        scene = generate_scene(make_spec(seed=3, noise=NoiseSpec(gaussian_sigma=0.05)))
+        scene = GeneratedScene(scene.spec, scene.radiance, scene.quality, scene.truth, None)
+        configs = enumerate_configs(Dataset.VSC_NTL)
+        results = list(recovered_pccs(scene, configs))
+        assert [config for config, _ in results] == list(configs)
+        for config, pcc in results:
+            if config.built_mask:
+                assert isinstance(pcc, ConfigError) and "built" in str(pcc)
+            else:
+                assert pcc == oracle_check(scene, config)[0]

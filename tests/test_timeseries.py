@@ -4,21 +4,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntlpipe import (
+    Dataset,
     EventWindow,
     GridSpec,
     MonthIndex,
+    NoiseSpec,
+    PipelineError,
     RasterGrid,
     RasterStack,
+    SceneSpec,
+    Zone,
     ZoneMask,
     ZoneSeries,
     build_zone_series,
+    enumerate_configs,
     event_drop,
+    generate_scene,
     monthly_median_composite,
     percent_change,
+    rasterize_zone,
     read_series_csv,
+    rect_ring,
     rolling_baseline,
+    run_pipeline,
+    series_by_config,
+    tile_zones,
     write_series_csv,
 )
 
@@ -188,6 +202,68 @@ class TestBuildZoneSeries:
         assert series.values[0] == 1.0
         assert math.isnan(series.values[1])
         assert math.isnan(series.values[2])
+
+
+@st.composite
+def chain_inputs(draw, dataset):
+    """A small noisy scene, its zones plus an off-grid one, two windows, built grid or None."""
+    n = draw(st.integers(3, 8))
+    grid = GridSpec(ncols=n, nrows=n, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    damages = draw(st.lists(st.floats(0.0, 0.9), min_size=nx * ny, max_size=nx * ny))
+    window = EventWindow(
+        MonthIndex(2018, 10), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    )
+    built_map = RasterGrid(grid, np.random.default_rng(draw(st.integers(0, 99))).random(grid.shape))
+    noise = NoiseSpec(
+        gaussian_sigma=draw(st.sampled_from((0.0, 0.1))),
+        cloud_rate=draw(st.sampled_from((0.0, 0.3, 0.9))),
+        corruption_scale=1.5,
+        bloom_rate=draw(st.sampled_from((0.0, 0.2))),
+        built_fraction_map=built_map,
+    )
+    spec = SceneSpec(
+        seed=draw(st.integers(0, 2**16)),
+        grid=grid,
+        zones=tile_zones(grid, nx, ny, damages),
+        months=window,
+        base_radiance=draw(st.floats(0.5, 40.0)),
+        dataset=dataset,
+        noise=noise,
+    )
+    scene = generate_scene(spec)
+    zones = spec.zones + (Zone("OFF", (rect_ring(50.0, 50.0, 51.0, 51.0),), 0.1),)
+    # the second window runs past the stack's end, so some months are absent
+    windows = (window, EventWindow(window.end, 1, 2))
+    return scene, zones, windows, draw(st.sampled_from((built_map, None)))
+
+
+class TestSeriesByConfig:
+    @pytest.mark.parametrize("dataset", list(Dataset))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_config_reference(self, dataset, data):
+        scene, zones, windows, built = data.draw(chain_inputs(dataset))
+        configs = enumerate_configs(dataset)
+        masks = {zone.zone_id: rasterize_zone(zone, scene.spec.grid) for zone in zones}
+        chain = list(series_by_config(scene.radiance, scene.quality, built, masks, configs, windows))
+        assert [config for config, _ in chain] == list(configs)
+        for config, result in chain:
+            try:
+                processed = run_pipeline(scene.radiance, scene.quality, built, config)
+            except PipelineError as exc:
+                assert type(result) is type(exc) and str(result) == str(exc)
+                continue
+            assert len(result) == len(windows)
+            for window, window_series in zip(windows, result):
+                expected = [
+                    build_zone_series(processed, rasterize_zone(zone, scene.spec.grid), window, zone.zone_id)
+                    for zone in zones
+                ]
+                assert [s.zone_id for s in window_series] == [e.zone_id for e in expected]
+                for got, want in zip(window_series, expected):
+                    assert got.months == want.months
+                    assert np.array_equal(got.values, want.values, equal_nan=True)
 
 
 class TestRollingBaseline:

@@ -328,3 +328,10 @@ class TestZoneFileRoundTrip:
         )
         with pytest.raises(ZoneValidationError, match="feature #0"):
             read_zones(path)
+
+    def test_duplicate_zone_id_rejected(self, tmp_path):
+        zones = self.make_zones()
+        path = tmp_path / "zones.geojson"
+        write_zones([zones[0], Zone("Z01", zones[1].rings, damage_ratio=0.5)], path)
+        with pytest.raises(ZoneValidationError, match="duplicate zone_id"):
+            read_zones(path)
