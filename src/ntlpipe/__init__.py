@@ -71,6 +71,7 @@ from .synthetic import (
     NoiseSpec,
     SceneSpec,
     TruthRow,
+    check_scorable,
     generate_scene,
     oracle_check,
     recovered_pccs,

@@ -2,8 +2,8 @@
 
 Four subcommands share one JSON config convention:
 
-* ``validate`` checks a run config: referenced paths, zone geometry,
-  per-month grid consistency, event months inside the available range.
+* ``validate`` checks a run config: zone geometry, names, event months
+  inside the available range, and that ``extract`` can load every dataset.
 * ``extract`` runs every configured pre-processing combination and writes
   one monthly series CSV per (dataset, combination, hurricane, zone).
 * ``report`` correlates extracted event drops against damage ratios into
@@ -13,14 +13,8 @@ Four subcommands share one JSON config convention:
   it in the standard dataset layout, and scores every combination against
   the truth in ``oracle.csv``.
 
-Dataset directories follow a fixed layout: ``<dir>/<YYYY-MM>.asc`` monthly
-radiance, ``<dir>/<YYYY-MM>.qf.asc`` monthly quality, daily
-``<dir>/<YYYY-MM-DD>.asc`` and ``<dir>/<YYYY-MM-DD>.qf.asc`` (VNP46A2
-only), and ``<dir>/built_fraction.asc``. Daily radiance aggregates to a
-monthly median composite; daily quality aggregates by majority vote over
-the observed days (a pixel is monthly-high-quality when more than half of
-its observed days are). An explicit monthly file always wins over daily
-files for the same month.
+Dataset directories follow the layout of :mod:`ntlpipe.layout`, which
+also holds the one loader ``validate`` and ``extract`` share.
 
 Relative paths inside a config resolve against the config file's
 directory. Commands exit 0 only when every work item succeeded; failures
@@ -33,7 +27,6 @@ identical files.
 import argparse
 import csv
 import json
-import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,23 +40,22 @@ from .analysis import (
     select_case_study_zones,
     write_report_csv,
 )
-from .errors import ConfigError, PipelineError, StatsError
-from .grid import GridSpec, IntRaster, as_float, read_grid, write_grid
+from .errors import ConfigError, PipelineError, ReportError, StatsError
+from .grid import GridSpec, as_float, read_grid, write_grid
+from .layout import DatasetConfig, dataset_files, load_dataset, scan_dataset_dir
 from .preprocess import config_from_label, enumerate_configs
-from .quality import Dataset, high_quality_mask
-from .stack import MonthIndex, RasterStack
+from .quality import Dataset
+from .stack import MonthIndex
 from .synthetic import (
-    VNP46A2_HIGH_QUALITY_CODE,
-    VNP46A2_LOW_QUALITY_CODE,
     NoiseSpec,
     SceneSpec,
+    check_scorable,
     generate_scene,
     recovered_pccs,
     tile_zones,
 )
 from .timeseries import (
     EventWindow,
-    monthly_median_composite,
     percent_change,
     read_series_csv,
     series_by_config,
@@ -73,28 +65,11 @@ from .zones import Zone, rasterize_zone, read_zones, rect_ring, write_zones
 
 __all__ = ["main"]
 
-_MONTHLY_RE = re.compile(r"^(\d{4}-\d{2})\.asc$")
-_MONTHLY_QF_RE = re.compile(r"^(\d{4}-\d{2})\.qf\.asc$")
-_DAILY_RE = re.compile(r"^(\d{4}-\d{2})-(\d{2})\.asc$")
-_DAILY_QF_RE = re.compile(r"^(\d{4}-\d{2})-(\d{2})\.qf\.asc$")
-BUILT_FRACTION_FILENAME = "built_fraction.asc"
-
 
 @dataclass(frozen=True)
 class Hurricane:
     name: str
     event_month: MonthIndex
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    """One dataset directory and how to interpret it."""
-
-    name: str
-    kind: Dataset
-    raster_dir: Path
-    quality_dir: Path
-    expected_grid: GridSpec = None
 
 
 @dataclass(frozen=True)
@@ -266,108 +241,6 @@ def _wanted_month_range(run):
     return lo, hi
 
 
-def scan_dataset_dir(dataset):
-    """Discover month-keyed files in a dataset directory.
-
-    Returns (radiance, quality) dicts mapping MonthIndex to either a Path
-    (monthly file) or a sorted list of Paths (daily files needing
-    aggregation). Monthly files shadow daily ones for the same month.
-    Daily layouts are only recognized for VNP46A2.
-    """
-    radiance = {}
-    quality = {}
-    daily_radiance = {}
-    daily_quality = {}
-    for entry in sorted(dataset.raster_dir.iterdir() if dataset.raster_dir.is_dir() else []):
-        name = entry.name
-        if m := _MONTHLY_RE.match(name):
-            radiance[MonthIndex.parse(m.group(1))] = entry
-        elif (m := _DAILY_RE.match(name)) and dataset.kind is Dataset.VNP46A2:
-            daily_radiance.setdefault(MonthIndex.parse(m.group(1)), []).append(entry)
-    for entry in sorted(dataset.quality_dir.iterdir() if dataset.quality_dir.is_dir() else []):
-        name = entry.name
-        if m := _MONTHLY_QF_RE.match(name):
-            quality[MonthIndex.parse(m.group(1))] = entry
-        elif (m := _DAILY_QF_RE.match(name)) and dataset.kind is Dataset.VNP46A2:
-            daily_quality.setdefault(MonthIndex.parse(m.group(1)), []).append(entry)
-    for month, paths in daily_radiance.items():
-        radiance.setdefault(month, paths)
-    for month, paths in daily_quality.items():
-        quality.setdefault(month, paths)
-    return radiance, quality
-
-
-def _majority_quality_composite(daily_quality_grids):
-    """Monthly quality from daily quality words by per-pixel majority vote.
-
-    A pixel is monthly-high-quality when more than half of the days it was
-    observed decode high-quality; pixels observed on no day are missing.
-    The result uses one canonical high- and one canonical low-quality word.
-    """
-    spec = daily_quality_grids[0].spec
-    if any(g.spec != spec for g in daily_quality_grids):
-        raise ValueError("daily quality rasters disagree on grid geometry")
-    observed = np.zeros(spec.shape, dtype=np.int64)
-    high = np.zeros(spec.shape, dtype=np.int64)
-    for grid in daily_quality_grids:
-        observed += grid.valid
-        high += high_quality_mask(grid, Dataset.VNP46A2)
-    words = np.where(high * 2 > observed, VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE)
-    return IntRaster(spec, words, observed == 0)
-
-
-def load_dataset(dataset, month_lo, month_hi, need_quality):
-    """Load a dataset's stacks for months within [month_lo, month_hi].
-
-    Returns (radiance stack, quality stack or None, built fraction or
-    None). Daily files aggregate to monthly composites. Radiance grids are
-    coerced to real-valued rasters so integer-looking files behave the
-    same as any other radiance.
-    """
-    radiance_files, quality_files = scan_dataset_dir(dataset)
-    rad_pairs = []
-    for month in sorted(radiance_files):
-        if not month_lo <= month <= month_hi:
-            continue
-        source = radiance_files[month]
-        if isinstance(source, list):
-            grid = monthly_median_composite([as_float(read_grid(p)) for p in source])
-        else:
-            grid = as_float(read_grid(source))
-        rad_pairs.append((month, grid))
-    if not rad_pairs:
-        raise ConfigError(
-            f"{dataset.name}: no radiance months found in {dataset.raster_dir} "
-            f"within {month_lo}..{month_hi}"
-        )
-    radiance = RasterStack.from_pairs(rad_pairs)
-
-    quality = None
-    if need_quality:
-        q_pairs = []
-        absent = []
-        for month, _ in rad_pairs:
-            source = quality_files.get(month)
-            if source is None:
-                absent.append(str(month))
-                continue
-            if isinstance(source, list):
-                grid = _majority_quality_composite([read_grid(p) for p in source])
-            else:
-                grid = read_grid(source)
-            q_pairs.append((month, grid))
-        if absent:
-            raise ConfigError(
-                f"{dataset.name}: quality filtering requested but quality files are missing "
-                f"for months: {', '.join(absent)}"
-            )
-        quality = RasterStack.from_pairs(q_pairs)
-
-    built_path = dataset.raster_dir / BUILT_FRACTION_FILENAME
-    built = as_float(read_grid(built_path)) if built_path.is_file() else None
-    return radiance, quality, built
-
-
 def _print_issue(issues, message):
     issues.append(message)
     print(f"  problem: {message}")
@@ -391,38 +264,10 @@ def cmd_validate(args):
     month_lo, month_hi = _wanted_month_range(run)
     for dataset in run.datasets:
         configs = expand_configs(run, dataset.kind)
-        if not dataset.raster_dir.is_dir():
-            _print_issue(issues, f"{dataset.name}: raster directory not found: {dataset.raster_dir}")
-            continue
-        if not dataset.quality_dir.is_dir():
-            _print_issue(issues, f"{dataset.name}: quality directory not found: {dataset.quality_dir}")
-            continue
         radiance_files, quality_files = scan_dataset_dir(dataset)
         if not radiance_files:
             _print_issue(issues, f"{dataset.name}: no radiance files in {dataset.raster_dir}")
             continue
-
-        spec = dataset.expected_grid
-        spec_source = "configured grid"
-        month_paths = _scanned_paths(radiance_files)
-        built_path = dataset.raster_dir / BUILT_FRACTION_FILENAME
-        if built_path.is_file():
-            month_paths.append(built_path)
-        for p in month_paths + _scanned_paths(quality_files):
-            try:
-                grid = read_grid(p)
-            except PipelineError as exc:
-                _print_issue(issues, f"{dataset.name}: unreadable grid {p.name}: {exc}")
-                continue
-            if spec is None:
-                spec = grid.spec
-                spec_source = p.name
-            elif grid.spec != spec:
-                _print_issue(
-                    issues,
-                    f"{dataset.name}: grid of {p.name} does not match {spec_source}",
-                )
-
         available = sorted(radiance_files)
         for hurricane in run.hurricanes:
             if not available[0] <= hurricane.event_month <= available[-1]:
@@ -431,22 +276,17 @@ def cmd_validate(args):
                     f"{dataset.name}: event month {hurricane.event_month} of {hurricane.name} "
                     f"outside available range {available[0]}..{available[-1]}",
                 )
-        if any(c.quality_filter for c in configs):
-            missing_q = [
-                str(month)
-                for month in available
-                if month_lo <= month <= month_hi and month not in quality_files
-            ]
-            if missing_q:
+        need_quality = any(c.quality_filter for c in configs)
+        try:
+            _, _, built = load_dataset(dataset, month_lo, month_hi, need_quality)
+        except PipelineError as exc:
+            _print_issue(issues, f"{dataset.name}: {exc}")
+        else:
+            if built is None and any(c.built_mask for c in configs):
                 _print_issue(
                     issues,
-                    f"{dataset.name}: quality files missing for months: {', '.join(missing_q)}",
+                    f"{dataset.name}: built masking requested but {dataset.built_path} not found",
                 )
-        if any(c.built_mask for c in configs) and not built_path.is_file():
-            _print_issue(
-                issues,
-                f"{dataset.name}: built masking requested but {built_path} not found",
-            )
         print(
             f"dataset {dataset.name}: {len(radiance_files)} radiance months "
             f"({available[0]}..{available[-1]}), {len(quality_files)} quality months"
@@ -462,12 +302,6 @@ def cmd_validate(args):
         return 1
     print("validation ok")
     return 0
-
-
-def _scanned_paths(files):
-    """Every path of a scan_dataset_dir mapping, in month order."""
-    entries = (files[month] for month in sorted(files))
-    return [p for entry in entries for p in (entry if isinstance(entry, list) else [entry])]
 
 
 def _series_path(out_dir, dataset, label, hurricane, zone_id):
@@ -552,7 +386,7 @@ def cmd_report(args):
                         absent.append(str(path.relative_to(out_dir)))
                         continue
                     series_by_key[dataset.name, config.label, hurricane.name, zone.zone_id] = (
-                        read_series_csv(path)
+                        _read_series(path)
                     )
     if absent:
         shown = ", ".join(absent[:8]) + (" ..." if len(absent) > 8 else "")
@@ -592,6 +426,16 @@ def cmd_report(args):
     return 0
 
 
+def _read_series(path):
+    """read_series_csv, with a file it cannot parse reported as a ReportError."""
+    try:
+        return read_series_csv(path)
+    except KeyError as exc:
+        raise ReportError(f"{path}: missing column {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ReportError(f"{path}: {str(exc).removeprefix(f'{path}: ')}") from None
+
+
 def _write_case_study_csv(path, run, windows, top, bottom, series_by_key):
     """Percent-change rows for the selected zones, every config and month."""
     groups = [("top", zone) for zone in top] + [("bottom", zone) for zone in bottom]
@@ -625,9 +469,7 @@ def _write_case_study_csv(path, run, windows, top, bottom, series_by_key):
 
 
 def _zone_from_json(obj, where):
-    for key in ("zone_id", "damage_ratio"):
-        if key not in obj:
-            raise ConfigError(f"{where}: missing required key {key!r}")
+    zone_id, damage_ratio = _require(obj, "zone_id", where), _require(obj, "damage_ratio", where)
     if "rect" in obj:
         x0, y0, x1, y1 = (float(v) for v in obj["rect"])
         rings = (rect_ring(x0, y0, x1, y1),)
@@ -636,9 +478,9 @@ def _zone_from_json(obj, where):
     else:
         raise ConfigError(f"{where}: zone needs either 'rect' or 'rings'")
     return Zone(
-        zone_id=str(obj["zone_id"]),
+        zone_id=str(zone_id),
         rings=rings,
-        damage_ratio=float(obj["damage_ratio"]),
+        damage_ratio=float(damage_ratio),
         population=int(obj.get("population", 0)),
     )
 
@@ -706,25 +548,20 @@ def cmd_simulate(args):
     spec = parse_scene_spec(args.config)
     if not args.out:
         raise ConfigError("simulate requires --out <directory>")
+    check_scorable(spec)
     out_dir = Path(args.out)
     scene = generate_scene(spec)
 
     dataset_dir = out_dir / spec.dataset.value
     oracle_path = out_dir / "oracle.csv"
     zones_path = out_dir / "zones.geojson"
-    targets = [oracle_path, zones_path, dataset_dir / BUILT_FRACTION_FILENAME]
-    for month in spec.months.months():
-        targets.append(dataset_dir / f"{month}.asc")
-        targets.append(dataset_dir / f"{month}.qf.asc")
-    for target in targets:
+    files = dataset_files(dataset_dir, scene.radiance, scene.quality, scene.built_fraction)
+    for target in [oracle_path, zones_path] + [path for path, _ in files]:
         _guard_overwrite(target, args.force)
 
     dataset_dir.mkdir(parents=True, exist_ok=True)
-    for month, grid in scene.radiance:
-        write_grid(grid, dataset_dir / f"{month}.asc")
-    for month, grid in scene.quality:
-        write_grid(grid, dataset_dir / f"{month}.qf.asc")
-    write_grid(scene.built_fraction, dataset_dir / BUILT_FRACTION_FILENAME)
+    for path, grid in files:
+        write_grid(grid, path)
     write_zones(spec.zones, zones_path)
 
     failures = []
@@ -740,7 +577,7 @@ def cmd_simulate(args):
             else:
                 writer.writerow([config.label, repr(recovered)])
 
-    print(f"simulate: wrote {len(spec.months.months()) * 2} raster(s) under {dataset_dir}")
+    print(f"simulate: wrote {len(files)} raster(s) under {dataset_dir}")
     print(f"simulate: oracle results -> {oracle_path}")
     if failures:
         for failure in failures:
@@ -760,18 +597,13 @@ def build_parser():
         description="nighttime-light pre-processing, extraction, and damage correlation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common], help="check a run config and its data").set_defaults(
-        func=cmd_validate
-    )
-    sub.add_parser("extract", parents=[common], help="write per-zone series CSVs").set_defaults(
-        func=cmd_extract
-    )
-    sub.add_parser("report", parents=[common], help="correlate drops against damage").set_defaults(
-        func=cmd_report
-    )
-    sub.add_parser("simulate", parents=[common], help="generate a synthetic scene").set_defaults(
-        func=cmd_simulate
-    )
+    for name, func, help_text in (
+        ("validate", cmd_validate, "check a run config and its data"),
+        ("extract", cmd_extract, "write per-zone series CSVs"),
+        ("report", cmd_report, "correlate drops against damage"),
+        ("simulate", cmd_simulate, "generate a synthetic scene"),
+    ):
+        sub.add_parser(name, parents=[common], help=help_text).set_defaults(func=func)
     return parser
 
 

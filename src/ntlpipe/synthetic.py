@@ -52,6 +52,7 @@ __all__ = [
     "GeneratedScene",
     "tile_zones",
     "generate_scene",
+    "check_scorable",
     "recovered_pccs",
     "oracle_check",
     "VNP46A2_HIGH_QUALITY_CODE",
@@ -275,18 +276,24 @@ def generate_scene(spec):
     )
 
 
+def check_scorable(spec):
+    """Raise ConfigError unless the oracle can score a scene of this spec.
+
+    The recovered pcc correlates per-zone event drops with damage ratios;
+    with fewer than three distinct damage ratios it is not meaningful.
+    """
+    if len({z.damage_ratio for z in spec.zones}) < 3:
+        raise ConfigError("oracle needs at least 3 distinct damage ratios")
+
+
 def recovered_pccs(scene, configs, min_damage=0.01):
     """Yield (config, recovered_pcc) per config, or (config, PipelineError).
 
     The recovered pcc correlates per-zone event drops with damage ratios.
-    With fewer than three distinct damage ratios it is not meaningful, and
-    every config yields a ConfigError.
+    A scene check_scorable refuses raises its ConfigError instead.
     """
     spec = scene.spec
-    if len({z.damage_ratio for z in spec.zones}) < 3:
-        error = ConfigError("oracle needs at least 3 distinct damage ratios")
-        yield from ((config, error) for config in configs)
-        return
+    check_scorable(spec)
     masks = {zone.zone_id: rasterize_zone(zone, spec.grid) for zone in spec.zones}
     chain = series_by_config(
         scene.radiance, scene.quality, scene.built_fraction, masks, configs, (spec.months,)

@@ -7,7 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from ntlpipe import Dataset, MonthIndex, enumerate_configs, read_series_csv
+from ntlpipe import (
+    Dataset,
+    GridSpec,
+    IntRaster,
+    MonthIndex,
+    RasterGrid,
+    enumerate_configs,
+    read_series_csv,
+    write_grid,
+)
 from ntlpipe.cli import main
 
 VSC_SCENE = {
@@ -195,6 +204,17 @@ class TestSimulateDeterminism:
         assert "out" in capsys.readouterr().err
 
 
+class TestSimulateRefusesUnscorableScene:
+    def test_two_damage_ratios_fail_before_anything_is_written(self, tmp_path, capsys):
+        doc = dict(VSC_SCENE, zones={"nx": 2, "ny": 1, "damage_ratios": [0.1, 0.2]})
+        doc["base_radiance"] = 20.0
+        scene = write_json(tmp_path / "scene.json", doc)
+        assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("at least 3 distinct damage ratios") == 1
+        assert not (tmp_path / "sim").exists()
+
+
 class TestValidate:
     def test_missing_dataset_dir_fails(self, tmp_path, capsys):
         scene = write_json(tmp_path / "scene.json", VSC_SCENE)
@@ -246,6 +266,64 @@ class TestExtractFailures:
                 assert f"VSC-NTL/{pipeline.label}: built masking" in err
             else:
                 assert written == [f"Z0{i}.csv" for i in range(1, 7)]
+
+
+class TestGridMismatch:
+    """validate and extract both refuse a dataset whose grids disagree, naming the file."""
+
+    OFF_GRID = GridSpec(ncols=12, nrows=11, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+
+    @pytest.mark.parametrize(
+        "filename, raster",
+        [
+            ("2018-05.asc", RasterGrid(OFF_GRID, [[20.0] * 12] * 11)),
+            ("2018-05.qf.asc", IntRaster(OFF_GRID, [[1] * 12] * 11)),
+            ("built_fraction.asc", RasterGrid(OFF_GRID, [[1.0] * 12] * 11)),
+        ],
+    )
+    def test_file_off_the_first_grid_is_named(self, tmp_path, capsys, filename, raster):
+        config = simulated_vsc_run(tmp_path)
+        write_grid(raster, tmp_path / "simv" / "VSC-NTL" / filename)
+        expected = f"VSC-NTL: grid of {filename} does not match 2017-10.asc"
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config)]) == 1
+        assert expected in capsys.readouterr().out
+        assert main(["extract", "--config", str(config)]) == 1
+        assert f"failed: {expected}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_extract_honours_the_configured_grid(self, tmp_path, capsys):
+        config = simulated_vsc_run(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["datasets"][0]["grid"] = dict(VSC_SCENE["grid"], x_origin=5.0)
+        write_json(config, doc)
+        expected = "VSC-NTL: grid of 2017-10.asc does not match configured grid"
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config)]) == 1
+        assert expected in capsys.readouterr().out
+        assert main(["extract", "--config", str(config)]) == 1
+        assert f"failed: {expected}" in capsys.readouterr().err
+
+
+class TestReportUnreadableSeries:
+    @pytest.mark.parametrize(
+        "content, detail",
+        [
+            ("", "empty series file"),
+            ("zone_id,year,month,mean_radiance,percent_change\n", "empty series file"),
+            ("zone,year,month\nZ01,2018,1\n", "missing column 'zone_id'"),
+        ],
+    )
+    def test_unparsable_csv_is_an_error_naming_the_file(self, tmp_path, capsys, content, detail):
+        config = simulated_vsc_run(tmp_path, configs=["raw"])
+        assert main(["extract", "--config", str(config)]) == 0
+        path = tmp_path / "out" / "VSC-NTL" / "raw" / "TestStorm" / "Z03.csv"
+        path.write_text(content)
+        capsys.readouterr()
+        assert main(["report", "--config", str(config)]) == 1
+        assert f"error: {path}: {detail}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.csv").exists()
+        assert not (tmp_path / "out" / "case_study.csv").exists()
 
 
 class TestReportWritesNothingOnFailure:
@@ -363,6 +441,16 @@ class TestDailyAggregation:
         # low-quality there and refills from September's 10.0; the other
         # three pixels keep the daily median 3.0
         assert series.get(MonthIndex(2018, 10)) == pytest.approx((10.0 + 3.0 * 3) / 4)
+
+    def test_daily_file_off_the_grid_is_named(self, tmp_path, capsys):
+        config = self.build_dataset(tmp_path)
+        off_grid = GridSpec(ncols=2, nrows=1, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+        write_grid(RasterGrid(off_grid, [[3.0, 3.0]]), tmp_path / "data" / "VNP46A2" / "2018-10-02.asc")
+        expected = "VNP46A2: grid of 2018-10-02.asc does not match 2018-09.asc"
+        assert main(["validate", "--config", str(config)]) == 1
+        assert expected in capsys.readouterr().out
+        assert main(["extract", "--config", str(config)]) == 1
+        assert f"failed: {expected}" in capsys.readouterr().err
 
     def test_monthly_file_shadows_daily_files(self, tmp_path):
         config = self.build_dataset(tmp_path)
