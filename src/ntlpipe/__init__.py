@@ -50,6 +50,8 @@ from .preprocess import (
     threshold,
 )
 from .quality import (
+    VNP46A2_HIGH_QUALITY_CODE,
+    VNP46A2_LOW_QUALITY_CODE,
     Background,
     CloudConfidence,
     CloudMaskQuality,
@@ -64,8 +66,6 @@ from .quality import (
 )
 from .stack import MonthIndex, RasterStack
 from .synthetic import (
-    VNP46A2_HIGH_QUALITY_CODE,
-    VNP46A2_LOW_QUALITY_CODE,
     VSCNTL_HIGH_QUALITY_COUNT,
     GeneratedScene,
     NoiseSpec,

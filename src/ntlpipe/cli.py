@@ -28,7 +28,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .analysis import (
 from .errors import ConfigError, PipelineError, ReportError, StatsError
 from .grid import GridSpec, as_float, read_grid, write_grid
 from .layout import DatasetConfig, dataset_files, load_dataset, scan_dataset_dir
-from .preprocess import config_from_label, enumerate_configs
+from .preprocess import PipelineConfig, config_from_label, enumerate_configs
 from .quality import Dataset
 from .stack import MonthIndex
 from .synthetic import (
@@ -69,57 +70,125 @@ __all__ = ["main"]
 @dataclass(frozen=True)
 class Hurricane:
     name: str
-    event_month: MonthIndex
+    window: EventWindow
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed run configuration (see README for the JSON schema)."""
+    """A parsed run configuration (see README for the JSON schema).
+
+    ``datasets`` pairs each DatasetConfig with the PipelineConfigs the run
+    asks of it. ``load_range`` is the (lo, hi) month range every command
+    loads: all event windows plus the imputation lead-in.
+    """
 
     datasets: tuple
     zones_path: Path
     hurricanes: tuple
-    config_labels: object  # "all" or tuple of labels
     output_dir: Path
-    min_damage: float = 0.01
-    months_before: int = 12
-    months_after: int = 12
-    case_study_k: int = 3
-    population_band: tuple = None
-    tunables: dict = field(default_factory=dict)
+    load_range: tuple
+    min_damage: float
+    case_study_k: int
+    population_band: tuple
 
 
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return mapping[key]
+_REQUIRED = object()
 
 
-def _grid_spec_from_json(obj, where):
+class _ItemError(ConfigError):
+    """A ConfigError about one array item; it reads ``[i]: ...``."""
+
+
+def _require(doc, key, convert=None, default=_REQUIRED):
+    """Read ``doc[key]`` through ``convert``: the one reader of config values.
+
+    ``doc`` is a JSON object read by name, or a JSON array read by index.
+    An absent name gives ``default``, or is an error when there is none. A
+    value that ``convert`` rejects with TypeError, ValueError, LookupError,
+    OSError or a PipelineError is an error too. Each error is a ConfigError
+    ``<key>: <reason>``. Nested values are read inside ``convert``, so each
+    level adds its key and the message names the whole path to the value,
+    such as ``datasets[0]: kind: ...``; the parser adds the file name.
+    """
+    by_index = isinstance(key, int)
+    if not isinstance(doc, list if by_index else dict):
+        expected = "an array" if by_index else "an object"
+        raise ConfigError(f"expected {expected}, got {type(doc).__name__}")
+    if not by_index and key not in doc:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
     try:
-        return GridSpec(
-            ncols=int(_require(obj, "ncols", where)),
-            nrows=int(_require(obj, "nrows", where)),
-            x_origin=float(_require(obj, "x_origin", where)),
-            y_origin=float(_require(obj, "y_origin", where)),
-            cell_size=float(_require(obj, "cell_size", where)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        return doc[key] if convert is None else convert(doc[key])
+    except (TypeError, ValueError, LookupError, OSError, PipelineError) as exc:
+        # an item's error joins its array's key directly: "datasets" + "[0]: ..."
+        separator = "" if isinstance(exc, _ItemError) else ": "
+        if by_index:
+            raise _ItemError(f"[{key}]{separator}{exc}") from None
+        raise ConfigError(f"{key}{separator}{exc}") from None
 
 
-def _dataset_kind(text, where):
+def _each(convert):
+    """Converter for a JSON array: ``convert`` on every item, as a tuple."""
+    return lambda items: tuple(_require(items, i, convert) for i in range(len(items)))
+
+
+def _count(value):
+    """Converter for a non-negative integer."""
+    if int(value) < 0:
+        raise ValueError(f"must be non-negative, got {value}")
+    return int(value)
+
+
+def _numbers(value):
+    """Converter for a number or a list of numbers."""
+    return tuple(float(v) for v in value) if isinstance(value, list) else float(value)
+
+
+def _dataset_kind(text):
+    names = [d.value for d in Dataset]
+    if text not in names:
+        raise ValueError(f"unknown dataset kind {text!r} (expected one of {names})")
+    return Dataset(text)
+
+
+def _grid_spec_from_json(obj):
+    return GridSpec(
+        ncols=_require(obj, "ncols", int),
+        nrows=_require(obj, "nrows", int),
+        x_origin=_require(obj, "x_origin", float),
+        y_origin=_require(obj, "y_origin", float),
+        cell_size=_require(obj, "cell_size", float),
+    )
+
+
+def _event_window(doc):
+    """Converter for an event month into its EventWindow, sized by doc."""
+    before = _require(doc, "months_before", _count, 12)
+    after = _require(doc, "months_after", _count, 12)
+    return lambda text: EventWindow(MonthIndex.parse(text), before, after)
+
+
+def _parse_json(path, parse):
+    """``parse(doc, directory)`` for the JSON file at path; errors name the file."""
+    path = Path(path)
     try:
-        return Dataset(text)
-    except ValueError:
-        names = ", ".join(repr(d.value) for d in Dataset)
-        raise ConfigError(f"{where}: unknown dataset kind {text!r} (expected {names})") from None
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    try:
+        return parse(doc, path.parent)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _check_names(names, where):
     """Names that become output path components: unique, one component each."""
     if len(set(names)) != len(names):
-        raise ConfigError(f"{where} must be unique, got {names}")
+        raise ConfigError(f"{where} contain duplicates: {names}")
     for name in names:
         if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
             raise ConfigError(f"{where}: {name!r} is not a single path component")
@@ -131,114 +200,84 @@ def _read_zones(path):
     return zones
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+def _tunables(obj):
+    """A run's tunables: numeric PipelineConfig fields, each read as its type."""
+    types = {f.name: f.type for f in fields(PipelineConfig) if f.type in (int, float)}
+    tunables = {key: _require(obj, key, types.get(key)) for key in obj}
+    enumerate_configs(Dataset.VSC_NTL, **tunables)  # rejects unknown keys and bad values
+    return tunables
+
+
+def _configs(kind, labels, tunables):
+    """The PipelineConfigs a run asks of one dataset kind, in order."""
+    if labels == "all":
+        return enumerate_configs(kind, **tunables)
+    if not isinstance(labels, list) or not labels:
+        raise ValueError("must be 'all' or a non-empty list of labels")
+    configs = tuple(config_from_label(kind, str(label), **tunables) for label in labels)
+    if len({config.label for config in configs}) != len(configs):
+        raise ValueError(f"{labels} names one combination twice")
+    return configs
+
+
+def _dataset_from_json(entry, root):
+    kind = _require(entry, "kind", _dataset_kind)
+    raster_dir = _require(entry, "raster_dir", root.joinpath)
+    return DatasetConfig(
+        name=_require(entry, "name", str, kind.value),
+        kind=kind,
+        raster_dir=raster_dir,
+        quality_dir=_require(entry, "quality_dir", root.joinpath, raster_dir),
+        expected_grid=_require(entry, "grid", _grid_spec_from_json, None),
+    )
+
+
+def _population_band(band):
+    low, high = band
+    return int(low), int(high)
+
+
+def _run_config(doc, root):
+    datasets = _require(doc, "datasets", _each(lambda entry: _dataset_from_json(entry, root)), ())
+    if not datasets:
+        raise ConfigError("at least one dataset is required")
+    _check_names([d.kind.value for d in datasets], "dataset kinds")
+    _check_names([d.name for d in datasets], "dataset names")
+
+    event_window = _event_window(doc)
+
+    def hurricane(entry):
+        return Hurricane(_require(entry, "name", str), _require(entry, "event_month", event_window))
+
+    hurricanes = _require(doc, "hurricanes", _each(hurricane), ())
+    if not hurricanes:
+        raise ConfigError("at least one hurricane is required")
+    _check_names([h.name for h in hurricanes], "hurricane names")
+
+    tunables = _require(doc, "tunables", _tunables, {})
+
+    def with_configs(labels):
+        return tuple((d, _configs(d.kind, labels, tunables)) for d in datasets)
+
+    lead = PipelineConfig(Dataset.VSC_NTL, **tunables).imputation_window_months
+    return RunConfig(
+        datasets=_require(doc, "configs", with_configs, with_configs("all")),
+        zones_path=_require(doc, "zones", root.joinpath),
+        hurricanes=hurricanes,
+        output_dir=_require(doc, "output_dir", root.joinpath, root / "out"),
+        load_range=(
+            min(h.window.start for h in hurricanes) - lead,
+            max(h.window.end for h in hurricanes),
+        ),
+        min_damage=_require(doc, "min_damage", float, 0.01),
+        case_study_k=_require(doc, "case_study_k", int, 3),
+        population_band=_require(doc, "population_band", _population_band, (None, None)),
+    )
 
 
 def parse_run_config(path):
-    """Parse and structurally validate a run config JSON file."""
-    path = Path(path)
-    doc = _load_json(path)
-    root = path.parent
-
-    datasets = []
-    seen_kinds = set()
-    for i, entry in enumerate(doc.get("datasets") or []):
-        where = f"datasets[{i}]"
-        kind = _dataset_kind(_require(entry, "kind", where), where)
-        if kind in seen_kinds:
-            raise ConfigError(f"{where}: duplicate dataset kind {kind.value!r}")
-        seen_kinds.add(kind)
-        raster_dir = root / _require(entry, "raster_dir", where)
-        quality_dir = root / entry["quality_dir"] if "quality_dir" in entry else raster_dir
-        expected = (
-            _grid_spec_from_json(entry["grid"], f"{where}.grid") if "grid" in entry else None
-        )
-        datasets.append(
-            DatasetConfig(
-                name=str(entry.get("name", kind.value)),
-                kind=kind,
-                raster_dir=raster_dir,
-                quality_dir=quality_dir,
-                expected_grid=expected,
-            )
-        )
-    if not datasets:
-        raise ConfigError(f"{path}: at least one dataset is required")
-    _check_names([d.name for d in datasets], f"{path}: dataset names")
-
-    hurricanes = []
-    for i, entry in enumerate(doc.get("hurricanes") or []):
-        where = f"hurricanes[{i}]"
-        try:
-            month = MonthIndex.parse(_require(entry, "event_month", where))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        hurricanes.append(Hurricane(name=str(_require(entry, "name", where)), event_month=month))
-    if not hurricanes:
-        raise ConfigError(f"{path}: at least one hurricane is required")
-    _check_names([h.name for h in hurricanes], f"{path}: hurricane names")
-
-    labels = doc.get("configs", "all")
-    if labels != "all":
-        labels = tuple(str(lab) for lab in labels)
-        if not labels:
-            raise ConfigError(f"{path}: configs must be 'all' or a non-empty list of labels")
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"{path}: configs list contains duplicates")
-
-    band = doc.get("population_band")
-    if band is not None:
-        if len(band) != 2:
-            raise ConfigError(f"{path}: population_band must be [low, high]")
-        band = (int(band[0]), int(band[1]))
-
-    config = RunConfig(
-        datasets=tuple(datasets),
-        zones_path=root / _require(doc, "zones", str(path)),
-        hurricanes=tuple(hurricanes),
-        config_labels=labels,
-        output_dir=root / doc.get("output_dir", "out"),
-        min_damage=float(doc.get("min_damage", 0.01)),
-        months_before=int(doc.get("months_before", 12)),
-        months_after=int(doc.get("months_after", 12)),
-        case_study_k=int(doc.get("case_study_k", 3)),
-        population_band=band,
-        tunables=dict(doc.get("tunables") or {}),
-    )
-    if config.months_before < 0 or config.months_after < 0:
-        raise ConfigError(f"{path}: window extents must be non-negative")
-    return config
-
-
-def expand_configs(run, dataset_kind):
-    """The pipeline configs a run requests for one dataset, in order."""
-    if run.config_labels == "all":
-        return enumerate_configs(dataset_kind, **run.tunables)
-    return tuple(
-        config_from_label(dataset_kind, label, **run.tunables) for label in run.config_labels
-    )
-
-
-def _windows(run):
-    return [
-        EventWindow(h.event_month, run.months_before, run.months_after) for h in run.hurricanes
-    ]
-
-
-def _wanted_month_range(run):
-    """Months worth loading: all windows plus imputation lead-in."""
-    windows = _windows(run)
-    lead = int(run.tunables.get("imputation_window_months", 12))
-    lo = min(w.start for w in windows) - lead
-    hi = max(w.end for w in windows)
-    return lo, hi
+    """Parse a run config JSON file, resolving configs, windows and load range."""
+    return _parse_json(path, _run_config)
 
 
 def _print_issue(issues, message):
@@ -252,33 +291,30 @@ def cmd_validate(args):
     issues = []
 
     try:
-        zones = _read_zones(run.zones_path) if run.zones_path.is_file() else None
-        if zones is None:
-            _print_issue(issues, f"zones file not found: {run.zones_path}")
-        elif not zones:
+        zones = _read_zones(run.zones_path)
+        if not zones:
             _print_issue(issues, f"zones file has no features: {run.zones_path}")
     except PipelineError as exc:
         zones = None
         _print_issue(issues, f"zones file invalid: {exc}")
 
-    month_lo, month_hi = _wanted_month_range(run)
-    for dataset in run.datasets:
-        configs = expand_configs(run, dataset.kind)
+    for dataset, configs in run.datasets:
         radiance_files, quality_files = scan_dataset_dir(dataset)
         if not radiance_files:
             _print_issue(issues, f"{dataset.name}: no radiance files in {dataset.raster_dir}")
             continue
         available = sorted(radiance_files)
         for hurricane in run.hurricanes:
-            if not available[0] <= hurricane.event_month <= available[-1]:
+            event_month = hurricane.window.event_month
+            if not available[0] <= event_month <= available[-1]:
                 _print_issue(
                     issues,
-                    f"{dataset.name}: event month {hurricane.event_month} of {hurricane.name} "
+                    f"{dataset.name}: event month {event_month} of {hurricane.name} "
                     f"outside available range {available[0]}..{available[-1]}",
                 )
         need_quality = any(c.quality_filter for c in configs)
         try:
-            _, _, built = load_dataset(dataset, month_lo, month_hi, need_quality)
+            _, _, built = load_dataset(dataset, *run.load_range, need_quality)
         except PipelineError as exc:
             _print_issue(issues, f"{dataset.name}: {exc}")
         else:
@@ -294,8 +330,8 @@ def cmd_validate(args):
 
     if zones is not None:
         print(f"zones: {len(zones)} from {run.zones_path.name}")
-    print(f"hurricanes: {', '.join(f'{h.name} ({h.event_month})' for h in run.hurricanes)}")
-    n_configs = sum(len(expand_configs(run, d.kind)) for d in run.datasets)
+    print(f"hurricanes: {', '.join(f'{h.name} ({h.window.event_month})' for h in run.hurricanes)}")
+    n_configs = sum(len(configs) for _, configs in run.datasets)
     print(f"pipeline configs: {n_configs} across {len(run.datasets)} dataset(s)")
     if issues:
         print(f"validation failed with {len(issues)} problem(s)")
@@ -313,15 +349,13 @@ def cmd_extract(args):
     run = parse_run_config(args.config)
     out_dir = Path(args.out) if args.out else run.output_dir
     zones = _read_zones(run.zones_path)
-    month_lo, month_hi = _wanted_month_range(run)
     failures = []
     written = 0
 
-    for dataset in run.datasets:
-        configs = expand_configs(run, dataset.kind)
+    for dataset, configs in run.datasets:
         need_quality = any(c.quality_filter for c in configs)
         try:
-            radiance, quality, built = load_dataset(dataset, month_lo, month_hi, need_quality)
+            radiance, quality, built = load_dataset(dataset, *run.load_range, need_quality)
         except PipelineError as exc:
             failures.append(f"{dataset.name}: {exc}")
             continue
@@ -333,7 +367,8 @@ def cmd_extract(args):
                     file=sys.stderr,
                 )
 
-        chain = series_by_config(radiance, quality, built, masks, configs, _windows(run))
+        windows = [h.window for h in run.hurricanes]
+        chain = series_by_config(radiance, quality, built, masks, configs, windows)
         for config, result in chain:
             if isinstance(result, PipelineError):
                 failures.append(f"{dataset.name}/{config.label}: {result}")
@@ -369,7 +404,6 @@ def cmd_report(args):
     run = parse_run_config(args.config)
     out_dir = Path(args.out) if args.out else run.output_dir
     zones = _read_zones(run.zones_path)
-    windows = dict(zip([h.name for h in run.hurricanes], _windows(run)))
     report_path = out_dir / "report.csv"
     case_path = out_dir / "case_study.csv"
     _guard_overwrite(report_path, args.force)
@@ -377,8 +411,8 @@ def cmd_report(args):
 
     series_by_key = {}
     absent = []
-    for dataset in run.datasets:
-        for config in expand_configs(run, dataset.kind):
+    for dataset, configs in run.datasets:
+        for config in configs:
             for hurricane in run.hurricanes:
                 for zone in zones:
                     path = _series_path(out_dir, dataset, config.label, hurricane.name, zone.zone_id)
@@ -393,15 +427,15 @@ def cmd_report(args):
         raise ConfigError(f"missing extraction outputs ({len(absent)}): {shown}")
 
     rows = []
-    for dataset in run.datasets:
-        for config in expand_configs(run, dataset.kind):
+    for dataset, configs in run.datasets:
+        for config in configs:
             samples = [
                 sample
                 for h in run.hurricanes
                 for sample in drop_samples(
                     zones,
                     [series_by_key[dataset.name, config.label, h.name, z.zone_id] for z in zones],
-                    windows[h.name],
+                    h.window,
                     h.name,
                 )
             ]
@@ -412,14 +446,14 @@ def cmd_report(args):
         min_damage=run.min_damage,
     )
     # select before writing: a failed selection must not leave report.csv behind
-    band = run.population_band or (None, None)
+    band_lo, band_hi = run.population_band
     top, bottom = select_case_study_zones(
-        zones, run.case_study_k, population_lo=band[0], population_hi=band[1]
+        zones, run.case_study_k, population_lo=band_lo, population_hi=band_hi
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(report, report_path)
-    _write_case_study_csv(case_path, run, windows, top, bottom, series_by_key)
+    _write_case_study_csv(case_path, run, top, bottom, series_by_key)
 
     print(f"report: {len(report.rows)} correlation row(s) -> {report_path}")
     print(f"report: case study for {len(top) + len(bottom)} zone(s) -> {case_path}")
@@ -436,7 +470,7 @@ def _read_series(path):
         raise ReportError(f"{path}: {str(exc).removeprefix(f'{path}: ')}") from None
 
 
-def _write_case_study_csv(path, run, windows, top, bottom, series_by_key):
+def _write_case_study_csv(path, run, top, bottom, series_by_key):
     """Percent-change rows for the selected zones, every config and month."""
     groups = [("top", zone) for zone in top] + [("bottom", zone) for zone in bottom]
     with open(path, "w", newline="") as fh:
@@ -444,103 +478,68 @@ def _write_case_study_csv(path, run, windows, top, bottom, series_by_key):
         writer.writerow(
             ["dataset", "methods", "hurricane", "group", "zone_id", "year", "month", "percent_change"]
         )
-        for dataset in run.datasets:
-            for config in expand_configs(run, dataset.kind):
-                for hurricane in run.hurricanes:
-                    window = windows[hurricane.name]
-                    for group, zone in groups:
-                        series = series_by_key[
-                            dataset.name, config.label, hurricane.name, zone.zone_id
-                        ]
-                        for month in window.months():
-                            change = percent_change(series, month)
-                            writer.writerow(
-                                [
-                                    dataset.name,
-                                    config.label,
-                                    hurricane.name,
-                                    group,
-                                    zone.zone_id,
-                                    month.year,
-                                    month.month,
-                                    "" if np.isnan(change) else repr(change),
-                                ]
-                            )
+        for dataset, configs in run.datasets:
+            for config, hurricane, (group, zone) in product(configs, run.hurricanes, groups):
+                series = series_by_key[dataset.name, config.label, hurricane.name, zone.zone_id]
+                columns = [dataset.name, config.label, hurricane.name, group, zone.zone_id]
+                for month in hurricane.window.months():
+                    change = percent_change(series, month)
+                    text = "" if np.isnan(change) else repr(change)
+                    writer.writerow(columns + [month.year, month.month, text])
 
 
-def _zone_from_json(obj, where):
-    zone_id, damage_ratio = _require(obj, "zone_id", where), _require(obj, "damage_ratio", where)
-    if "rect" in obj:
-        x0, y0, x1, y1 = (float(v) for v in obj["rect"])
-        rings = (rect_ring(x0, y0, x1, y1),)
-    elif "rings" in obj:
-        rings = tuple(tuple((float(x), float(y)) for x, y in ring) for ring in obj["rings"])
-    else:
-        raise ConfigError(f"{where}: zone needs either 'rect' or 'rings'")
+def _zone_from_json(obj):
+    rect = _require(obj, "rect", lambda rect: rect_ring(*map(float, rect)), None)
     return Zone(
-        zone_id=str(zone_id),
-        rings=rings,
-        damage_ratio=float(damage_ratio),
-        population=int(obj.get("population", 0)),
+        zone_id=_require(obj, "zone_id", str),
+        rings=(rect,) if rect is not None else _require(obj, "rings"),
+        damage_ratio=_require(obj, "damage_ratio", float),
+        population=_require(obj, "population", int, 0),
+    )
+
+
+def _scene_zones(zones, grid):
+    """Converter for a scene's zones: an nx by ny tiling, or a list of zones."""
+    if not isinstance(zones, dict):
+        return _each(_zone_from_json)(zones)
+    return tile_zones(
+        grid,
+        _require(zones, "nx", int),
+        _require(zones, "ny", int),
+        _require(zones, "damage_ratios"),
+        _require(zones, "populations", default=None),
+    )
+
+
+def _noise_from_json(obj, root):
+    return NoiseSpec(
+        gaussian_sigma=_require(obj, "gaussian_sigma", float, 0.0),
+        cloud_rate=_require(obj, "cloud_rate", _numbers, 0.0),
+        corruption_scale=_require(obj, "corruption_scale", float, 0.0),
+        bloom_rate=_require(obj, "bloom_rate", float, 0.0),
+        bloom_lo=_require(obj, "bloom_lo", float, 60.0),
+        bloom_hi=_require(obj, "bloom_hi", float, 500.0),
+        built_fraction_map=_require(obj, "built_fraction", lambda p: as_float(read_grid(root / p)), None),
+    )
+
+
+def _scene_spec(doc, root):
+    grid = _require(doc, "grid", _grid_spec_from_json)
+    return SceneSpec(
+        seed=_require(doc, "seed", _count),
+        grid=grid,
+        zones=_require(doc, "zones", lambda zones: _scene_zones(zones, grid)),
+        months=_require(doc, "event_month", _event_window(doc)),
+        base_radiance=_require(doc, "base_radiance", _numbers),
+        dataset=_require(doc, "dataset", _dataset_kind, Dataset.VSC_NTL),
+        drop_gain=_require(doc, "drop_gain", float, 1.0),
+        noise=_require(doc, "noise", lambda noise: _noise_from_json(noise, root), NoiseSpec()),
     )
 
 
 def parse_scene_spec(path):
     """Parse a scene spec JSON file into a SceneSpec."""
-    path = Path(path)
-    doc = _load_json(path)
-    where = str(path)
-    grid = _grid_spec_from_json(_require(doc, "grid", where), f"{where}.grid")
-    try:
-        event_month = MonthIndex.parse(_require(doc, "event_month", where))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    window = EventWindow(
-        event_month,
-        int(doc.get("months_before", 12)),
-        int(doc.get("months_after", 12)),
-    )
-
-    zones_doc = _require(doc, "zones", where)
-    if isinstance(zones_doc, dict):
-        zones = tile_zones(
-            grid,
-            int(_require(zones_doc, "nx", f"{where}.zones")),
-            int(_require(zones_doc, "ny", f"{where}.zones")),
-            _require(zones_doc, "damage_ratios", f"{where}.zones"),
-            zones_doc.get("populations"),
-        )
-    else:
-        zones = tuple(
-            _zone_from_json(obj, f"{where}.zones[{i}]") for i, obj in enumerate(zones_doc)
-        )
-
-    noise_doc = doc.get("noise") or {}
-    built = None
-    if noise_doc.get("built_fraction"):
-        built = as_float(read_grid(path.parent / noise_doc["built_fraction"]))
-    cloud_rate = noise_doc.get("cloud_rate", 0.0)
-    noise = NoiseSpec(
-        gaussian_sigma=float(noise_doc.get("gaussian_sigma", 0.0)),
-        cloud_rate=tuple(float(r) for r in cloud_rate)
-        if isinstance(cloud_rate, (list, tuple))
-        else float(cloud_rate),
-        corruption_scale=float(noise_doc.get("corruption_scale", 0.0)),
-        bloom_rate=float(noise_doc.get("bloom_rate", 0.0)),
-        bloom_lo=float(noise_doc.get("bloom_lo", 60.0)),
-        bloom_hi=float(noise_doc.get("bloom_hi", 500.0)),
-        built_fraction_map=built,
-    )
-    return SceneSpec(
-        seed=int(_require(doc, "seed", where)),
-        grid=grid,
-        zones=zones,
-        months=window,
-        base_radiance=_require(doc, "base_radiance", where),
-        dataset=_dataset_kind(doc.get("dataset", Dataset.VSC_NTL.value), where),
-        drop_gain=float(doc.get("drop_gain", 1.0)),
-        noise=noise,
-    )
+    return _parse_json(path, _scene_spec)
 
 
 def cmd_simulate(args):

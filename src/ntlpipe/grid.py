@@ -288,10 +288,6 @@ def read_grid(path):
     return RasterGrid(spec, values, missing)
 
 
-def _float_token(v):
-    return repr(float(v))
-
-
 def write_grid(grid, path, nodata=-9999.0):
     """Write a raster to an ASCII grid file.
 
@@ -306,7 +302,7 @@ def write_grid(grid, path, nodata=-9999.0):
             raise ValueError(f"integer raster needs an integer nodata, got {nodata}")
         nodata_tok = str(int(nodata))
     else:
-        nodata_tok = _float_token(nodata)
+        nodata_tok = repr(float(nodata))
     if np.any(grid.values[grid.valid] == nodata):
         raise ValueError(f"grid contains valid cells equal to the nodata sentinel {nodata}")
 
@@ -314,18 +310,14 @@ def write_grid(grid, path, nodata=-9999.0):
     lines = [
         f"ncols {spec.ncols}",
         f"nrows {spec.nrows}",
-        f"xllcorner {_float_token(spec.x_origin)}",
-        f"yllcorner {_float_token(spec.y_origin)}",
-        f"cellsize {_float_token(spec.cell_size)}",
+        f"xllcorner {float(spec.x_origin)!r}",
+        f"yllcorner {float(spec.y_origin)!r}",
+        f"cellsize {float(spec.cell_size)!r}",
         f"NODATA_value {nodata_tok}",
     ]
-    fmt = (lambda v: str(int(v))) if is_int else _float_token
-    for r in range(spec.nrows):
-        row = [
-            nodata_tok if grid.missing[r, c] else fmt(grid.values[r, c])
-            for c in range(spec.ncols)
-        ]
-        lines.append(" ".join(row))
+    fmt = str if is_int else repr  # on the Python ints and floats tolist gives
+    for values, missing in zip(grid.values.tolist(), grid.missing.tolist()):
+        lines.append(" ".join(nodata_tok if m else fmt(v) for v, m in zip(values, missing)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, GridParseError
 from .grid import GridSpec, IntRaster, as_float, read_grid
-from .quality import Dataset, high_quality_mask
+from .quality import VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE, Dataset, high_quality_mask
 from .stack import MonthIndex, RasterStack
-from .synthetic import VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
 from .timeseries import monthly_median_composite
 
 __all__ = ["BUILT_FRACTION_FILENAME", "DatasetConfig", "scan_dataset_dir", "load_dataset", "dataset_files"]

@@ -47,7 +47,14 @@ __all__ = [
     "is_high_quality_vnp46a2",
     "is_high_quality_vscntl",
     "high_quality_mask",
+    "VNP46A2_HIGH_QUALITY_CODE",
+    "VNP46A2_LOW_QUALITY_CODE",
 ]
+
+# night, land-no-desert background, high mask quality, confident clear
+VNP46A2_HIGH_QUALITY_CODE = 50
+# same word with cloud confidence forced to confident-cloudy
+VNP46A2_LOW_QUALITY_CODE = 242
 
 
 class Dataset(enum.Enum):

@@ -79,12 +79,6 @@ class RasterStack:
         object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "_by_month", dict(zip(months, grids)))
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        """Build from (month, grid) pairs in any order."""
-        items = sorted(pairs, key=lambda mg: mg[0])
-        return cls(tuple(m for m, _ in items), tuple(g for _, g in items))
-
     @property
     def spec(self):
         if not self.grids:

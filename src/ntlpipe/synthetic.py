@@ -40,7 +40,7 @@ import numpy as np
 from .analysis import correlate_method, drop_samples, pearson
 from .errors import ConfigError, PipelineError, StatsError
 from .grid import GridSpec, IntRaster, RasterGrid
-from .quality import Dataset
+from .quality import VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE, Dataset
 from .stack import RasterStack
 from .timeseries import EventWindow, series_by_config
 from .zones import Zone, rasterize_zone, rect_ring
@@ -60,10 +60,6 @@ __all__ = [
     "VSCNTL_HIGH_QUALITY_COUNT",
 ]
 
-# night, land-no-desert background, high mask quality, confident clear
-VNP46A2_HIGH_QUALITY_CODE = 50
-# same word with cloud confidence forced to confident-cloudy
-VNP46A2_LOW_QUALITY_CODE = 242
 VSCNTL_HIGH_QUALITY_COUNT = 1
 
 
@@ -149,6 +145,9 @@ class SceneSpec:
             )
         # validates any per-month cloud-rate list against the window length
         self.noise.monthly_cloud_rates(len(self.months))
+        built = self.noise.built_fraction_map
+        if built is not None and built.spec != self.grid:
+            raise ConfigError(f"built_fraction_map grid {built.spec} is not the scene grid {self.grid}")
 
 
 @dataclass(frozen=True)

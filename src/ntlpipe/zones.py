@@ -179,10 +179,16 @@ def read_zones(path):
     ``zone_id`` (string), ``damage_ratio`` (in [0, 1]) and ``population``
     (integer >= 0). Zone ids must be unique. MultiPolygon parts merge into
     one polygon set. Errors name the offending feature by zone_id when
-    present, index otherwise.
+    present, index otherwise; a file that cannot be read or is not JSON
+    raises ZoneValidationError naming the path.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ZoneValidationError(f"cannot read zones file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # invalid JSON, or text that is not UTF-8
+        raise ZoneValidationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ZoneValidationError(f"{path}: expected a GeoJSON FeatureCollection")
     zones = []

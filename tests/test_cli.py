@@ -462,6 +462,84 @@ class TestDailyAggregation:
         assert series.get(MonthIndex(2018, 10)) == 7.0
 
 
+class TestMalformedValues:
+    """A malformed config value is one error line naming the file and the key."""
+
+    def assert_one_error(self, err, path, key):
+        assert err.startswith(f"error: {path}: {key}: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("tunables", {"sparkle_gain": 2.0}, "tunables"),
+            ("tunables", {"imputation_window_months": "x"}, "tunables: imputation_window_months"),
+            ("tunables", {"threshold_lo": "a"}, "tunables: threshold_lo"),
+            ("months_before", "x", "months_before"),
+            ("min_damage", "lots", "min_damage"),
+            ("population_band", ["a", "b"], "population_band"),
+            ("hurricanes", [{"name": "S", "event_month": 201810}], "hurricanes[0]: event_month"),
+            ("case_study_k", "x", "case_study_k"),
+        ],
+    )
+    def test_run_config_value(self, tmp_path, capsys, key, value, named):
+        config = write_json(tmp_path / "run.json", {**run_config_doc(), key: value})
+        for command in ("validate", "extract", "report"):
+            assert main([command, "--config", str(config)]) == 1
+            self.assert_one_error(capsys.readouterr().err, config, named)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("seed", "x", "seed"),
+            ("months_before", "x", "months_before"),
+            ("months_before", -1, "months_before"),
+            ("drop_gain", "x", "drop_gain"),
+            ("noise", {"gaussian_sigma": "x"}, "noise: gaussian_sigma"),
+            ("event_month", 201810, "event_month"),
+            ("zones", [{"zone_id": "A", "damage_ratio": 0.1, "rect": [0, 0, 4]}], "zones[0]: rect"),
+            ("noise", {"built_fraction": "nowhere.asc"}, "noise: built_fraction"),
+        ],
+    )
+    def test_scene_spec_value_writes_nothing(self, tmp_path, capsys, key, value, named):
+        scene = write_json(tmp_path / "scene.json", {**VSC_SCENE, key: value})
+        assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 1
+        self.assert_one_error(capsys.readouterr().err, scene, named)
+        assert not (tmp_path / "sim").exists()
+
+    def test_built_fraction_map_off_the_scene_grid_writes_nothing(self, tmp_path, capsys):
+        off_grid = GridSpec(ncols=4, nrows=4, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+        write_grid(RasterGrid(off_grid, [[1.0] * 4] * 4), tmp_path / "built.asc")
+        doc = dict(VSC_SCENE, noise={"built_fraction": "built.asc"})
+        scene = write_json(tmp_path / "scene.json", doc)
+        assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 1
+        assert "built_fraction_map grid" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+
+class TestUnreadableZonesFile:
+    def test_missing_zones_file_is_an_error(self, tmp_path, capsys):
+        config = simulated_vsc_run(tmp_path, zones="nowhere.geojson")
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config)]) == 1
+        assert "nowhere.geojson" in capsys.readouterr().out
+        for command in ("extract", "report"):
+            assert main([command, "--config", str(config)]) == 1
+            assert f"error: cannot read zones file {tmp_path / 'nowhere.geojson'}" in capsys.readouterr().err
+
+    def test_invalid_zones_json_is_an_error(self, tmp_path, capsys):
+        config = simulated_vsc_run(tmp_path)
+        (tmp_path / "simv" / "zones.geojson").write_text("{not json")
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config)]) == 1
+        assert "zones file invalid" in capsys.readouterr().out
+        for command in ("extract", "report"):
+            assert main([command, "--config", str(config)]) == 1
+            assert "zones.geojson: invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigErrors:
     def test_missing_config_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent/run.json"]) == 1
@@ -503,8 +581,12 @@ class TestConfigErrors:
         doc["datasets"] = [doc["datasets"][0]]
         doc["configs"] = ["raw", "sparkle"]
         config = write_json(tmp_path / "run.json", doc)
-        assert main(["validate", "--config", str(config)]) == 1
-        assert "sparkle" in capsys.readouterr().err
+        capsys.readouterr()
+        # labels resolve at parse time, so every command refuses them alike
+        for command in ("validate", "extract", "report"):
+            assert main([command, "--config", str(config)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {config}: configs: unknown method 'sparkle'")
+        assert not (tmp_path / "out").exists()
 
     def test_threshold_label_for_vnp46a2_rejected(self, tmp_path, capsys):
         doc = run_config_doc()

@@ -183,9 +183,12 @@ class TestGridFileRoundTrip:
         assert back == grid
 
     def test_missing_cells_round_trip(self, spec, tmp_path):
-        grid = RasterGrid(spec, np.arange(6, dtype=float) + 0.5, missing=[True, False, False, True, False, True])
+        values = [0.5, -0.0, 5e-324, 3.5, 1e308, 5.5]
+        grid = RasterGrid(spec, values, missing=[True, False, False, True, False, True])
         path = tmp_path / "grid.asc"
         write_grid(grid, path)
+        # each valid cell is written as repr of its float, edge values included
+        assert path.read_text().splitlines()[6:] == ["-9999.0 -0.0 5e-324", "-9999.0 1e+308 -9999.0"]
         back = read_grid(path)
         assert np.array_equal(back.missing, grid.missing)
         assert back == grid

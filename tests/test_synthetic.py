@@ -100,6 +100,11 @@ class TestSceneSpec:
             make_spec(noise=NoiseSpec(cloud_rate=tuple([0.1] * 24)))
         make_spec(noise=NoiseSpec(cloud_rate=tuple([0.1] * 25)))
 
+    def test_built_fraction_map_off_the_scene_grid_rejected(self):
+        built = RasterGrid(make_grid(4), np.ones((4, 4)))
+        with pytest.raises(ConfigError, match="built_fraction_map"):
+            make_spec(noise=NoiseSpec(built_fraction_map=built))
+
     def test_duplicate_zone_ids_rejected(self):
         zones = tile_zones(make_grid(), 2, 1, (0.1, 0.2))
         twin = (zones[0], Zone(zones[0].zone_id, zones[1].rings, damage_ratio=0.2))

@@ -329,6 +329,14 @@ class TestZoneFileRoundTrip:
         with pytest.raises(ZoneValidationError, match="feature #0"):
             read_zones(path)
 
+    def test_unreadable_file_named(self, tmp_path):
+        with pytest.raises(ZoneValidationError, match="nowhere.geojson"):
+            read_zones(tmp_path / "nowhere.geojson")
+        path = tmp_path / "zones.geojson"
+        path.write_text('{"type": "FeatureCollection", ')
+        with pytest.raises(ZoneValidationError, match="invalid JSON"):
+            read_zones(path)
+
     def test_duplicate_zone_id_rejected(self, tmp_path):
         zones = self.make_zones()
         path = tmp_path / "zones.geojson"
