@@ -41,7 +41,7 @@ from .analysis import (
     select_case_study_zones,
     write_report_csv,
 )
-from .errors import ConfigError, PipelineError, ReportError, StatsError
+from .errors import ConfigError, PipelineError, StatsError
 from .grid import GridSpec, as_float, read_grid, write_grid
 from .layout import DatasetConfig, dataset_files, load_dataset, scan_dataset_dir
 from .preprocess import PipelineConfig, config_from_label, enumerate_configs
@@ -133,11 +133,19 @@ def _each(convert):
     return lambda items: tuple(_require(items, i, convert) for i in range(len(items)))
 
 
-def _count(value):
-    """Converter for a non-negative integer."""
-    if int(value) < 0:
-        raise ValueError(f"must be non-negative, got {value}")
-    return int(value)
+def _integer(minimum=None):
+    """Converter for an integer >= minimum; a bool, a string or a fraction is refused, not truncated."""
+
+    def convert(value):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return convert
 
 
 def _numbers(value):
@@ -154,8 +162,8 @@ def _dataset_kind(text):
 
 def _grid_spec_from_json(obj):
     return GridSpec(
-        ncols=_require(obj, "ncols", int),
-        nrows=_require(obj, "nrows", int),
+        ncols=_require(obj, "ncols", _integer()),
+        nrows=_require(obj, "nrows", _integer()),
         x_origin=_require(obj, "x_origin", float),
         y_origin=_require(obj, "y_origin", float),
         cell_size=_require(obj, "cell_size", float),
@@ -164,8 +172,8 @@ def _grid_spec_from_json(obj):
 
 def _event_window(doc):
     """Converter for an event month into its EventWindow, sized by doc."""
-    before = _require(doc, "months_before", _count, 12)
-    after = _require(doc, "months_after", _count, 12)
+    before = _require(doc, "months_before", _integer(0), 12)
+    after = _require(doc, "months_after", _integer(0), 12)
     return lambda text: EventWindow(MonthIndex.parse(text), before, after)
 
 
@@ -202,7 +210,7 @@ def _read_zones(path):
 
 def _tunables(obj):
     """A run's tunables: numeric PipelineConfig fields, each read as its type."""
-    types = {f.name: f.type for f in fields(PipelineConfig) if f.type in (int, float)}
+    types = {f.name: {int: _integer(), float: float}.get(f.type) for f in fields(PipelineConfig)}
     tunables = {key: _require(obj, key, types.get(key)) for key in obj}
     enumerate_configs(Dataset.VSC_NTL, **tunables)  # rejects unknown keys and bad values
     return tunables
@@ -233,8 +241,10 @@ def _dataset_from_json(entry, root):
 
 
 def _population_band(band):
-    low, high = band
-    return int(low), int(high)
+    low, high = map(_integer(), band)
+    if low > high:
+        raise ValueError(f"low {low} is above high {high}")
+    return low, high
 
 
 def _run_config(doc, root):
@@ -270,7 +280,7 @@ def _run_config(doc, root):
             max(h.window.end for h in hurricanes),
         ),
         min_damage=_require(doc, "min_damage", float, 0.01),
-        case_study_k=_require(doc, "case_study_k", int, 3),
+        case_study_k=_require(doc, "case_study_k", _integer(1), 3),
         population_band=_require(doc, "population_band", _population_band, (None, None)),
     )
 
@@ -360,12 +370,9 @@ def cmd_extract(args):
             failures.append(f"{dataset.name}: {exc}")
             continue
         masks = {zone.zone_id: rasterize_zone(zone, radiance.spec) for zone in zones}
-        for zone in zones:
-            if masks[zone.zone_id].count == 0:
-                print(
-                    f"warning: zone {zone.zone_id} covers no {dataset.name} pixel-centers",
-                    file=sys.stderr,
-                )
+        for zone_id, mask in masks.items():
+            if mask.count == 0:
+                print(f"warning: zone {zone_id} covers no {dataset.name} pixel-centers", file=sys.stderr)
 
         windows = [h.window for h in run.hurricanes]
         chain = series_by_config(radiance, quality, built, masks, configs, windows)
@@ -412,16 +419,12 @@ def cmd_report(args):
     series_by_key = {}
     absent = []
     for dataset, configs in run.datasets:
-        for config in configs:
-            for hurricane in run.hurricanes:
-                for zone in zones:
-                    path = _series_path(out_dir, dataset, config.label, hurricane.name, zone.zone_id)
-                    if not path.is_file():
-                        absent.append(str(path.relative_to(out_dir)))
-                        continue
-                    series_by_key[dataset.name, config.label, hurricane.name, zone.zone_id] = (
-                        _read_series(path)
-                    )
+        for config, hurricane, zone in product(configs, run.hurricanes, zones):
+            path = _series_path(out_dir, dataset, config.label, hurricane.name, zone.zone_id)
+            if not path.is_file():
+                absent.append(str(path.relative_to(out_dir)))
+                continue
+            series_by_key[dataset.name, config.label, hurricane.name, zone.zone_id] = read_series_csv(path)
     if absent:
         shown = ", ".join(absent[:8]) + (" ..." if len(absent) > 8 else "")
         raise ConfigError(f"missing extraction outputs ({len(absent)}): {shown}")
@@ -429,16 +432,10 @@ def cmd_report(args):
     rows = []
     for dataset, configs in run.datasets:
         for config in configs:
-            samples = [
-                sample
-                for h in run.hurricanes
-                for sample in drop_samples(
-                    zones,
-                    [series_by_key[dataset.name, config.label, h.name, z.zone_id] for z in zones],
-                    h.window,
-                    h.name,
-                )
-            ]
+            samples = []
+            for h in run.hurricanes:
+                series = [series_by_key[dataset.name, config.label, h.name, z.zone_id] for z in zones]
+                samples += drop_samples(zones, series, h.window, h.name)
             rows.append(correlate_method(samples, dataset.kind, config.label, run.min_damage))
     report = CorrelationReport(
         rows=tuple(rows),
@@ -458,16 +455,6 @@ def cmd_report(args):
     print(f"report: {len(report.rows)} correlation row(s) -> {report_path}")
     print(f"report: case study for {len(top) + len(bottom)} zone(s) -> {case_path}")
     return 0
-
-
-def _read_series(path):
-    """read_series_csv, with a file it cannot parse reported as a ReportError."""
-    try:
-        return read_series_csv(path)
-    except KeyError as exc:
-        raise ReportError(f"{path}: missing column {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ReportError(f"{path}: {str(exc).removeprefix(f'{path}: ')}") from None
 
 
 def _write_case_study_csv(path, run, top, bottom, series_by_key):
@@ -494,7 +481,7 @@ def _zone_from_json(obj):
         zone_id=_require(obj, "zone_id", str),
         rings=(rect,) if rect is not None else _require(obj, "rings"),
         damage_ratio=_require(obj, "damage_ratio", float),
-        population=_require(obj, "population", int, 0),
+        population=_require(obj, "population", _integer(), 0),
     )
 
 
@@ -504,10 +491,10 @@ def _scene_zones(zones, grid):
         return _each(_zone_from_json)(zones)
     return tile_zones(
         grid,
-        _require(zones, "nx", int),
-        _require(zones, "ny", int),
+        _require(zones, "nx", _integer()),
+        _require(zones, "ny", _integer()),
         _require(zones, "damage_ratios"),
-        _require(zones, "populations", default=None),
+        _require(zones, "populations", _each(_integer()), None),
     )
 
 
@@ -526,7 +513,7 @@ def _noise_from_json(obj, root):
 def _scene_spec(doc, root):
     grid = _require(doc, "grid", _grid_spec_from_json)
     return SceneSpec(
-        seed=_require(doc, "seed", _count),
+        seed=_require(doc, "seed", _integer(0)),
         grid=grid,
         zones=_require(doc, "zones", lambda zones: _scene_zones(zones, grid)),
         months=_require(doc, "event_month", _event_window(doc)),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PipelineError
+from .errors import PipelineError, ReportError
 from .grid import RasterGrid
 from .preprocess import run_pipeline
 from .stack import MonthIndex
@@ -73,42 +73,26 @@ class EventWindow:
 
 @dataclass(frozen=True)
 class ZoneSeries:
-    """One zone's monthly mean radiance over a contiguous month range."""
+    """One zone's monthly mean radiance: ``values[i]`` is month ``start + i``."""
 
     zone_id: str
-    months: tuple
+    start: MonthIndex
     values: tuple
 
     def __post_init__(self):
-        months = tuple(self.months)
         values = tuple(float(v) for v in self.values)
-        if len(months) != len(values):
-            raise ValueError(f"{len(months)} months vs {len(values)} values")
-        if not months:
+        if not values:
             raise ValueError("series needs at least one month")
-        if any(b - a != 1 for a, b in zip(months, months[1:])):
-            raise ValueError("series months must be contiguous")
-        object.__setattr__(self, "months", months)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_observations(cls, zone_id, observations):
-        """Build from a month -> value mapping; interior gaps become NaN."""
-        if not observations:
-            raise ValueError("series needs at least one month")
-        lo = min(observations)
-        hi = max(observations)
-        months = tuple(lo + i for i in range(hi - lo + 1))
-        return cls(zone_id, months, tuple(observations.get(m, float("nan")) for m in months))
-
     @property
-    def observations(self):
-        return dict(zip(self.months, self.values))
+    def months(self):
+        return tuple(self.start + i for i in range(len(self.values)))
 
     def get(self, month):
         """Value at a month; NaN when the month is missing or out of range."""
-        offset = month - self.months[0]
-        if 0 <= offset < len(self.months):
+        offset = month - self.start
+        if 0 <= offset < len(self.values):
             return self.values[offset]
         return float("nan")
 
@@ -134,11 +118,9 @@ def monthly_median_composite(daily_rasters):
 
 def build_zone_series(stack, mask, window, zone_id):
     """Zonal mean per window month; absent months and empty means are NaN."""
-    values = []
-    for month in window.months():
-        grid = stack.get(month)
-        values.append(zonal_mean(grid, mask) if grid is not None else float("nan"))
-    return ZoneSeries(zone_id, window.months(), tuple(values))
+    grids = (stack.get(month) for month in window.months())
+    values = [zonal_mean(grid, mask) if grid is not None else float("nan") for grid in grids]
+    return ZoneSeries(zone_id, window.start, values)
 
 
 def series_by_config(radiance, quality, built, masks, configs, windows):
@@ -170,8 +152,9 @@ def rolling_baseline(series, t, w=6):
     """
     if w < 1:
         raise ValueError(f"baseline window must be positive, got {w}")
-    history = [series.get(t - d) for d in range(w, 0, -1)]
-    usable = [v for v in history if not np.isnan(v)]
+    i = t - series.start
+    # values[i - w:i], oldest first, clamped at 0: a negative bound would wrap round
+    usable = [v for v in series.values[max(i - w, 0) : max(i, 0)] if not np.isnan(v)]
     if not usable:
         return float("nan")
     return float(np.mean(usable))
@@ -210,30 +193,49 @@ def write_series_csv(series, path, w=6):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["zone_id", "year", "month", "mean_radiance", "percent_change"])
-        for month in series.months:
+        for month, value in zip(series.months, series.values):
             writer.writerow(
                 [
                     series.zone_id,
                     month.year,
                     month.month,
-                    _field(series.get(month)),
+                    _field(value),
                     _field(percent_change(series, month, w)),
                 ]
             )
 
 
+def _series_row(row):
+    """(zone_id, month, radiance) of one series CSV row; an empty radiance is NaN."""
+    zone_id, year, month, field = (row[key] for key in ("zone_id", "year", "month", "mean_radiance"))
+    if None in row.values():
+        raise ValueError("short row")
+    return zone_id, MonthIndex(int(year), int(month)), float(field) if field else float("nan")
+
+
 def read_series_csv(path):
-    """Read a series CSV back into a ZoneSeries (radiance column only)."""
+    """Read a series CSV back into a ZoneSeries (radiance column only).
+
+    Each row lands at its month's offset from the earliest month, so a
+    month the file skips reads back as NaN. A file that is empty, holds
+    several zones, lacks a column or has a short row or a bad field raises
+    ReportError naming the path.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        try:
+            rows = [_series_row(row) for row in reader]
+        except KeyError as exc:
+            raise ReportError(f"{path}: missing column {exc}") from None
+        except ValueError as exc:
+            raise ReportError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
-        raise ValueError(f"{path}: empty series file")
-    zone_ids = {row["zone_id"] for row in rows}
-    if len(zone_ids) != 1:
-        raise ValueError(f"{path}: expected one zone per file, found {sorted(zone_ids)}")
-    observations = {}
-    for row in rows:
-        month = MonthIndex(int(row["year"]), int(row["month"]))
-        field = row["mean_radiance"]
-        observations[month] = float(field) if field else float("nan")
-    return ZoneSeries.from_observations(zone_ids.pop(), observations)
+        raise ReportError(f"{path}: empty series file")
+    zone_ids, months, radiances = zip(*rows)
+    if len(set(zone_ids)) != 1:
+        raise ReportError(f"{path}: expected one zone per file, found {sorted(set(zone_ids))}")
+    start = min(months)
+    values = [float("nan")] * (max(months) - start + 1)
+    for month, value in zip(months, radiances):
+        values[month - start] = value
+    return ZoneSeries(zone_ids[0], start, values)

@@ -172,15 +172,26 @@ def _ring_from_geojson(ring, where):
     return pts
 
 
+def _member(feature, key, where):
+    """``feature[key]`` as an object (absent or null reads as empty); errors name the feature."""
+    if not isinstance(feature, dict):
+        raise ZoneValidationError(f"{where}: expected an object, got {type(feature).__name__}")
+    value = feature.get(key) or {}
+    if not isinstance(value, dict):
+        raise ZoneValidationError(f"{where}: {key} must be an object, got {type(value).__name__}")
+    return value
+
+
 def read_zones(path):
     """Read zones from a GeoJSON FeatureCollection.
 
     Each feature must be a Polygon or MultiPolygon carrying properties
     ``zone_id`` (string), ``damage_ratio`` (in [0, 1]) and ``population``
     (integer >= 0). Zone ids must be unique. MultiPolygon parts merge into
-    one polygon set. Errors name the offending feature by zone_id when
-    present, index otherwise; a file that cannot be read or is not JSON
-    raises ZoneValidationError naming the path.
+    one polygon set. Every malformed feature, including a value of the
+    wrong type, raises ZoneValidationError naming the feature by zone_id
+    when present, index otherwise; a file that cannot be read, is not JSON
+    or whose ``features`` is not an array names the path.
     """
     try:
         with open(path) as fh:
@@ -191,10 +202,13 @@ def read_zones(path):
         raise ZoneValidationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ZoneValidationError(f"{path}: expected a GeoJSON FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise ZoneValidationError(f"{path}: features must be an array, got {type(features).__name__}")
     zones = []
     seen = set()
-    for i, feature in enumerate(doc.get("features", [])):
-        props = feature.get("properties") or {}
+    for i, feature in enumerate(features):
+        props = _member(feature, "properties", f"feature #{i}")
         where = f"feature {props['zone_id']!r}" if "zone_id" in props else f"feature #{i}"
         for key in ("zone_id", "damage_ratio", "population"):
             if key not in props:
@@ -202,28 +216,24 @@ def read_zones(path):
         if str(props["zone_id"]) in seen:
             raise ZoneValidationError(f"{where}: duplicate zone_id")
         seen.add(str(props["zone_id"]))
-        geom = feature.get("geometry") or {}
+        geom = _member(feature, "geometry", where)
         gtype = geom.get("type")
-        coords = geom.get("coordinates")
-        if gtype == "Polygon":
-            parts = [coords]
-        elif gtype == "MultiPolygon":
-            parts = coords
-        else:
+        if gtype not in ("Polygon", "MultiPolygon"):
             raise ZoneValidationError(f"{where}: geometry must be Polygon or MultiPolygon, got {gtype!r}")
-        rings = tuple(
-            _ring_from_geojson(ring, f"{where}, part {p}, ring {r}")
-            for p, part in enumerate(parts)
-            for r, ring in enumerate(part)
-        )
-        zones.append(
-            Zone(
-                zone_id=str(props["zone_id"]),
-                rings=rings,
-                damage_ratio=float(props["damage_ratio"]),
-                population=int(props["population"]),
+        coords = geom.get("coordinates")
+        try:
+            rings = tuple(
+                _ring_from_geojson(ring, f"{where}, part {p}, ring {r}")
+                for p, part in enumerate([coords] if gtype == "Polygon" else coords)
+                for r, ring in enumerate(part)
             )
-        )
+        except (TypeError, ValueError) as exc:
+            raise ZoneValidationError(f"{where}: coordinates: {exc}") from None
+        try:
+            damage_ratio, population = float(props["damage_ratio"]), int(props["population"])
+        except (TypeError, ValueError) as exc:
+            raise ZoneValidationError(f"{where}: {exc}") from None
+        zones.append(Zone(str(props["zone_id"]), rings, damage_ratio, population))
     return zones
 
 

@@ -130,7 +130,7 @@ def make_stack(spec, start, frames, missing=None):
 
 
 def flat_series(values, start=MonthIndex(2018, 1), zone_id="Z"):
-    return ZoneSeries(zone_id, month_range(start, len(values)), values)
+    return ZoneSeries(zone_id, start, values)
 
 
 def square_zone(zone_id, damage, population=0):

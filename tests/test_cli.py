@@ -312,6 +312,11 @@ class TestReportUnreadableSeries:
             ("", "empty series file"),
             ("zone_id,year,month,mean_radiance,percent_change\n", "empty series file"),
             ("zone,year,month\nZ01,2018,1\n", "missing column 'zone_id'"),
+            ("zone_id,year,month,mean_radiance,percent_change\nZ03,2018\n", "line 2: short row"),
+            (
+                "zone_id,year,month,mean_radiance,percent_change\nZ03,2018,1,bright,\n",
+                "line 2: could not convert string to float: 'bright'",
+            ),
         ],
     )
     def test_unparsable_csv_is_an_error_naming_the_file(self, tmp_path, capsys, content, detail):
@@ -480,6 +485,13 @@ class TestMalformedValues:
             ("population_band", ["a", "b"], "population_band"),
             ("hurricanes", [{"name": "S", "event_month": 201810}], "hurricanes[0]: event_month"),
             ("case_study_k", "x", "case_study_k"),
+            ("months_before", 2.7, "months_before"),
+            ("months_after", True, "months_after"),
+            ("tunables", {"imputation_window_months": 3.5}, "tunables: imputation_window_months"),
+            ("case_study_k", 2.9, "case_study_k"),
+            ("case_study_k", 0, "case_study_k"),
+            ("population_band", [50000, 10], "population_band"),
+            ("population_band", [0.5, 10], "population_band"),
         ],
     )
     def test_run_config_value(self, tmp_path, capsys, key, value, named):
@@ -500,6 +512,16 @@ class TestMalformedValues:
             ("event_month", 201810, "event_month"),
             ("zones", [{"zone_id": "A", "damage_ratio": 0.1, "rect": [0, 0, 4]}], "zones[0]: rect"),
             ("noise", {"built_fraction": "nowhere.asc"}, "noise: built_fraction"),
+            ("seed", 1.5, "seed"),
+            ("seed", True, "seed"),
+            ("grid", {**VSC_SCENE["grid"], "ncols": 12.5}, "grid: ncols"),
+            ("zones", {**VSC_SCENE["zones"], "nx": 3.5}, "zones: nx"),
+            ("zones", {**VSC_SCENE["zones"], "populations": [1.5] * 6}, "zones: populations[0]"),
+            (
+                "zones",
+                [{"zone_id": "A", "damage_ratio": 0.1, "rect": [0, 0, 4, 4], "population": 2.5}],
+                "zones[0]: population",
+            ),
         ],
     )
     def test_scene_spec_value_writes_nothing(self, tmp_path, capsys, key, value, named):
@@ -537,6 +559,22 @@ class TestUnreadableZonesFile:
         for command in ("extract", "report"):
             assert main([command, "--config", str(config)]) == 1
             assert "zones.geojson: invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+    def test_malformed_feature_value_is_a_problem(self, tmp_path, capsys):
+        config = simulated_vsc_run(tmp_path)
+        path = tmp_path / "simv" / "zones.geojson"
+        doc = json.loads(path.read_text())
+        doc["features"][0]["properties"]["damage_ratio"] = "x"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config)]) == 1
+        message = "feature 'Z01': could not convert string to float: 'x'"
+        assert f"  problem: zones file invalid: {message}" in capsys.readouterr().out
+        for command in ("extract", "report"):
+            assert main([command, "--config", str(config)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
 

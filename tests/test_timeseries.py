@@ -16,6 +16,7 @@ from ntlpipe import (
     PipelineError,
     RasterGrid,
     RasterStack,
+    ReportError,
     SceneSpec,
     Zone,
     ZoneMask,
@@ -40,8 +41,7 @@ SPEC = GridSpec(ncols=2, nrows=2, x_origin=0.0, y_origin=0.0, cell_size=1.0)
 
 
 def series_from(start, values, zone_id="Z"):
-    months = tuple(start + i for i in range(len(values)))
-    return ZoneSeries(zone_id, months, tuple(values))
+    return ZoneSeries(zone_id, start, tuple(values))
 
 
 class TestMonthIndex:
@@ -100,32 +100,10 @@ class TestEventWindow:
 
 
 class TestZoneSeries:
-    def test_contiguity_enforced(self):
-        m = MonthIndex(2018, 1)
-        with pytest.raises(ValueError):
-            ZoneSeries("Z", (m, m + 2), (1.0, 2.0))
-
-    def test_length_mismatch_rejected(self):
-        m = MonthIndex(2018, 1)
-        with pytest.raises(ValueError):
-            ZoneSeries("Z", (m, m + 1), (1.0,))
-
-    def test_from_observations_fills_gaps_with_nan(self):
-        m = MonthIndex(2018, 1)
-        series = ZoneSeries.from_observations("Z", {m: 1.0, m + 2: 3.0})
-        assert len(series.months) == 3
-        assert series.get(m) == 1.0
-        assert math.isnan(series.get(m + 1))
-        assert series.get(m + 2) == 3.0
-
     def test_get_outside_range_is_nan(self):
         series = series_from(MonthIndex(2018, 1), [1.0, 2.0])
         assert math.isnan(series.get(MonthIndex(2017, 12)))
         assert math.isnan(series.get(MonthIndex(2018, 3)))
-
-    def test_observations_round_trip(self):
-        series = series_from(MonthIndex(2018, 1), [1.0, 2.0, 3.0])
-        assert ZoneSeries.from_observations("Z", series.observations) == series
 
 
 class TestMonthlyMedianComposite:
@@ -310,6 +288,45 @@ class TestRollingBaseline:
                 assert min(usable) <= baseline <= max(usable)
 
 
+def month_keyed_baseline(series, t, w):
+    """The definition: mean of the non-missing series.get(t - d), d = w..1."""
+    usable = [v for v in (series.get(t - d) for d in range(w, 0, -1)) if not math.isnan(v)]
+    return float(np.mean(usable)) if usable else float("nan")
+
+
+def month_keyed_percent_change(series, t, w):
+    x = series.get(t)
+    baseline = month_keyed_baseline(series, t, w)
+    if math.isnan(x) or math.isnan(baseline) or baseline <= 1e-6:
+        return float("nan")
+    return 100.0 * (x - baseline) / baseline
+
+
+radiances = st.one_of(
+    st.just(float("nan")),
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e-5),
+    st.floats(min_value=0.0, max_value=500.0),
+)
+
+
+class TestPositionalSliceMatchesMonthKeyedDefinition:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(radiances, min_size=1, max_size=30),
+        start=st.builds(MonthIndex, st.integers(2000, 2030), st.integers(1, 12)),
+        data=st.data(),
+    )
+    def test_bit_identical(self, values, start, data):
+        series = series_from(start, values)
+        n = len(values)
+        w = data.draw(st.integers(1, n + 5), label="w")
+        # t before the start, inside the series and past its end
+        t = start + data.draw(st.integers(-w - 3, n + w + 3), label="offset")
+        assert rolling_baseline(series, t, w).hex() == month_keyed_baseline(series, t, w).hex()
+        assert percent_change(series, t, w).hex() == month_keyed_percent_change(series, t, w).hex()
+
+
 class TestPercentChange:
     def test_forty_percent_drop(self):
         start = MonthIndex(2018, 1)
@@ -390,11 +407,21 @@ class TestSeriesCsv:
         path.write_text(
             "zone_id,year,month,mean_radiance,percent_change\nA,2018,1,1.0,\nB,2018,2,2.0,\n"
         )
-        with pytest.raises(ValueError, match="one zone"):
+        with pytest.raises(ReportError, match="one zone"):
             read_series_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "zone.csv"
         path.write_text("zone_id,year,month,mean_radiance,percent_change\n")
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ReportError, match="empty"):
             read_series_csv(path)
+
+    def test_csv_skipping_a_month_reads_it_as_nan(self, tmp_path):
+        path = tmp_path / "zone.csv"
+        path.write_text("zone_id,year,month,mean_radiance,percent_change\nZ,2018,3,3.0,\nZ,2018,1,1.0,\n")
+        series = read_series_csv(path)
+        m = MonthIndex(2018, 1)
+        assert len(series.months) == 3
+        assert series.get(m) == 1.0
+        assert math.isnan(series.get(m + 1))
+        assert series.get(m + 2) == 3.0

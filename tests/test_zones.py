@@ -1,6 +1,8 @@
 """Tests for zone geometry: membership, rasterization, zonal means, GeoJSON I/O."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from ntlpipe import (
 )
 
 UNIT_SQUARE = rect_ring(0.0, 0.0, 1.0, 1.0)
+SQUARE = {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]}
+PROPS = {"zone_id": "Z1", "damage_ratio": 0.1, "population": 5}
 
 
 def winding_inside(px, py, ring):
@@ -335,6 +339,37 @@ class TestZoneFileRoundTrip:
         path = tmp_path / "zones.geojson"
         path.write_text('{"type": "FeatureCollection", ')
         with pytest.raises(ZoneValidationError, match="invalid JSON"):
+            read_zones(path)
+
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            (
+                [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "damage_ratio": "x"}}],
+                "feature 'Z1': could not convert string to float: 'x'",
+            ),
+            (
+                [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "population": "many"}}],
+                "feature 'Z1': invalid literal for int()",
+            ),
+            ([5], "feature #0: expected an object"),
+            (5, "features must be an array"),
+            (
+                [{"type": "Feature", "geometry": {"type": "Polygon", "coordinates": 5}, "properties": PROPS}],
+                "feature 'Z1': coordinates: ",
+            ),
+            (
+                [{"type": "Feature", "geometry": {"type": "MultiPolygon", "coordinates": 5}, "properties": PROPS}],
+                "feature 'Z1': coordinates: ",
+            ),
+            ([{"type": "Feature", "geometry": SQUARE, "properties": 5}], "feature #0: properties must be an object"),
+            ([{"type": "Feature", "geometry": 5, "properties": PROPS}], "feature 'Z1': geometry must be an object"),
+        ],
+    )
+    def test_malformed_value_names_the_feature(self, tmp_path, features, message):
+        path = tmp_path / "zones.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        with pytest.raises(ZoneValidationError, match=re.escape(message)):
             read_zones(path)
 
     def test_duplicate_zone_id_rejected(self, tmp_path):
