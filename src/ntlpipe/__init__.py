@@ -47,6 +47,7 @@ from .preprocess import (
     impute_pixel,
     quality_filter_and_impute,
     run_pipeline,
+    run_stage_tree,
     threshold,
 )
 from .quality import (
@@ -84,20 +85,24 @@ from .timeseries import (
     event_drop,
     monthly_median_composite,
     percent_change,
+    percent_changes,
     read_series_csv,
     rolling_baseline,
+    rolling_baselines,
     series_by_config,
     write_series_csv,
 )
 from .zones import (
     Zone,
     ZoneMask,
+    flat_indices,
     point_in_polygon,
     rasterize_zone,
     read_zones,
     rect_ring,
     write_zones,
     zonal_mean,
+    zonal_means,
 )
 
 __version__ = "0.1.0"

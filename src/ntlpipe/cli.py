@@ -57,7 +57,7 @@ from .synthetic import (
 )
 from .timeseries import (
     EventWindow,
-    percent_change,
+    percent_changes,
     read_series_csv,
     series_by_config,
     write_series_csv,
@@ -148,9 +148,16 @@ def _integer(minimum=None):
     return convert
 
 
+def _number(value):
+    """Converter for a number; a bool or a string is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _numbers(value):
     """Converter for a number or a list of numbers."""
-    return tuple(float(v) for v in value) if isinstance(value, list) else float(value)
+    return _each(_number)(value) if isinstance(value, list) else _number(value)
 
 
 def _dataset_kind(text):
@@ -164,9 +171,9 @@ def _grid_spec_from_json(obj):
     return GridSpec(
         ncols=_require(obj, "ncols", _integer()),
         nrows=_require(obj, "nrows", _integer()),
-        x_origin=_require(obj, "x_origin", float),
-        y_origin=_require(obj, "y_origin", float),
-        cell_size=_require(obj, "cell_size", float),
+        x_origin=_require(obj, "x_origin", _number),
+        y_origin=_require(obj, "y_origin", _number),
+        cell_size=_require(obj, "cell_size", _number),
     )
 
 
@@ -210,7 +217,7 @@ def _read_zones(path):
 
 def _tunables(obj):
     """A run's tunables: numeric PipelineConfig fields, each read as its type."""
-    types = {f.name: {int: _integer(), float: float}.get(f.type) for f in fields(PipelineConfig)}
+    types = {f.name: {int: _integer(), float: _number}.get(f.type) for f in fields(PipelineConfig)}
     tunables = {key: _require(obj, key, types.get(key)) for key in obj}
     enumerate_configs(Dataset.VSC_NTL, **tunables)  # rejects unknown keys and bad values
     return tunables
@@ -279,7 +286,7 @@ def _run_config(doc, root):
             min(h.window.start for h in hurricanes) - lead,
             max(h.window.end for h in hurricanes),
         ),
-        min_damage=_require(doc, "min_damage", float, 0.01),
+        min_damage=_require(doc, "min_damage", _number, 0.01),
         case_study_k=_require(doc, "case_study_k", _integer(1), 3),
         population_band=_require(doc, "population_band", _population_band, (None, None)),
     )
@@ -469,18 +476,21 @@ def _write_case_study_csv(path, run, top, bottom, series_by_key):
             for config, hurricane, (group, zone) in product(configs, run.hurricanes, groups):
                 series = series_by_key[dataset.name, config.label, hurricane.name, zone.zone_id]
                 columns = [dataset.name, config.label, hurricane.name, group, zone.zone_id]
-                for month in hurricane.window.months():
-                    change = percent_change(series, month)
+                changes = percent_changes(series).tolist()
+                first = hurricane.window.start - series.start
+                for i, month in enumerate(hurricane.window.months(), first):
+                    # a month outside the series has no value, so no change
+                    change = changes[i] if 0 <= i < len(changes) else float("nan")
                     text = "" if np.isnan(change) else repr(change)
                     writer.writerow(columns + [month.year, month.month, text])
 
 
 def _zone_from_json(obj):
-    rect = _require(obj, "rect", lambda rect: rect_ring(*map(float, rect)), None)
+    rect = _require(obj, "rect", lambda rect: rect_ring(*map(_number, rect)), None)
     return Zone(
         zone_id=_require(obj, "zone_id", str),
         rings=(rect,) if rect is not None else _require(obj, "rings"),
-        damage_ratio=_require(obj, "damage_ratio", float),
+        damage_ratio=_require(obj, "damage_ratio", _number),
         population=_require(obj, "population", _integer(), 0),
     )
 
@@ -500,12 +510,12 @@ def _scene_zones(zones, grid):
 
 def _noise_from_json(obj, root):
     return NoiseSpec(
-        gaussian_sigma=_require(obj, "gaussian_sigma", float, 0.0),
+        gaussian_sigma=_require(obj, "gaussian_sigma", _number, 0.0),
         cloud_rate=_require(obj, "cloud_rate", _numbers, 0.0),
-        corruption_scale=_require(obj, "corruption_scale", float, 0.0),
-        bloom_rate=_require(obj, "bloom_rate", float, 0.0),
-        bloom_lo=_require(obj, "bloom_lo", float, 60.0),
-        bloom_hi=_require(obj, "bloom_hi", float, 500.0),
+        corruption_scale=_require(obj, "corruption_scale", _number, 0.0),
+        bloom_rate=_require(obj, "bloom_rate", _number, 0.0),
+        bloom_lo=_require(obj, "bloom_lo", _number, 60.0),
+        bloom_hi=_require(obj, "bloom_hi", _number, 500.0),
         built_fraction_map=_require(obj, "built_fraction", lambda p: as_float(read_grid(root / p)), None),
     )
 
@@ -519,7 +529,7 @@ def _scene_spec(doc, root):
         months=_require(doc, "event_month", _event_window(doc)),
         base_radiance=_require(doc, "base_radiance", _numbers),
         dataset=_require(doc, "dataset", _dataset_kind, Dataset.VSC_NTL),
-        drop_gain=_require(doc, "drop_gain", float, 1.0),
+        drop_gain=_require(doc, "drop_gain", _number, 1.0),
         noise=_require(doc, "noise", lambda noise: _noise_from_json(noise, root), NoiseSpec()),
     )
 

@@ -15,6 +15,8 @@ quality/imputation first (it needs each pixel's temporal history before
 anything discards data), then thresholding (it catches blooming, including
 any extreme imputed value), then the purely spatial built mask. The order
 is fixed, not configurable, so every method combination is reproducible.
+It also makes the combinations a tree: run_stage_tree runs each distinct
+stage prefix once and shares it between the configs below it.
 
 A PipelineConfig names one dataset plus one combination of stages, and
 carries every tunable. Enumerating all combinations for a dataset yields
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, PipelineError
 from .quality import Dataset, high_quality_mask
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "impute_pixel",
     "quality_filter_and_impute",
     "run_pipeline",
+    "run_stage_tree",
     "enumerate_configs",
     "config_from_label",
 ]
@@ -210,6 +213,29 @@ def quality_filter_and_impute(stack, quality_stack, dataset, window=12):
     return stack.with_grids(out)
 
 
+def _quality_stage(stack, quality_stack, config):
+    if quality_stack is None:
+        raise ConfigError("quality filtering is enabled but no quality stack was given")
+    return quality_filter_and_impute(
+        stack, quality_stack, config.dataset, config.imputation_window_months
+    )
+
+
+def _threshold_stage(stack, config):
+    return stack.with_grids(
+        threshold(g, config.threshold_mode, config.threshold_lo, config.threshold_hi)
+        for g in stack.grids
+    )
+
+
+def _built_stage(stack, built_fraction, config):
+    if built_fraction is None:
+        raise ConfigError("built masking is enabled but no built-fraction grid was given")
+    return stack.with_grids(
+        apply_built_mask(g, built_fraction, config.built_fraction_threshold) for g in stack.grids
+    )
+
+
 def run_pipeline(stack, quality_stack, built_fraction, config):
     """Apply a config's enabled stages to a radiance stack, canonical order.
 
@@ -219,24 +245,64 @@ def run_pipeline(stack, quality_stack, built_fraction, config):
     """
     out = stack
     if config.quality_filter:
-        if quality_stack is None:
-            raise ConfigError("quality filtering is enabled but no quality stack was given")
-        out = quality_filter_and_impute(
-            out, quality_stack, config.dataset, config.imputation_window_months
-        )
+        out = _quality_stage(out, quality_stack, config)
     if config.threshold_mode is not ThresholdMode.NONE:
-        out = out.with_grids(
-            threshold(g, config.threshold_mode, config.threshold_lo, config.threshold_hi)
-            for g in out.grids
-        )
+        out = _threshold_stage(out, config)
     if config.built_mask:
-        if built_fraction is None:
-            raise ConfigError("built masking is enabled but no built-fraction grid was given")
-        out = out.with_grids(
-            apply_built_mask(g, built_fraction, config.built_fraction_threshold)
-            for g in out.grids
-        )
+        out = _built_stage(out, built_fraction, config)
     return out
+
+
+def _stage_keys(config):
+    """What each stage of a config computes from: quality, threshold, built; None when off."""
+    return (
+        (config.dataset, config.imputation_window_months) if config.quality_filter else None,
+        (config.threshold_mode, config.threshold_lo, config.threshold_hi)
+        if config.threshold_mode is not ThresholdMode.NONE
+        else None,
+        config.built_fraction_threshold if config.built_mask else None,
+    )
+
+
+def run_stage_tree(stack, quality_stack, built_fraction, configs):
+    """Run the pipelines of many configs, sharing the stages they have in common.
+
+    The canonical stage order makes the configs a tree: each distinct
+    quality pass runs once, each threshold once below it, the built mask
+    last. Yields ``(group, processed)`` per distinct stage combination, in
+    tree order, where ``group`` lists the configs asking for it in their
+    given order and ``processed`` equals ``run_pipeline`` for each of them;
+    a stage that raises a PipelineError yields ``(group, error)`` for every
+    config below it instead. At most one quality result and one branch
+    below it are alive at a time, and the quality result is dropped after
+    the last config that needs it.
+    """
+    tree = {}
+    for config in configs:
+        quality, thresh, built = _stage_keys(config)
+        tree.setdefault(quality, {}).setdefault(thresh, {}).setdefault(built, []).append(config)
+    for by_threshold in tree.values():
+        below = [c for by_built in by_threshold.values() for group in by_built.values() for c in group]
+        try:
+            base = _quality_stage(stack, quality_stack, below[0]) if below[0].quality_filter else stack
+        except PipelineError as exc:
+            yield below, exc
+            continue
+        for by_built in by_threshold.values():
+            first = next(iter(by_built.values()))[0]
+            thresholded = first.threshold_mode is not ThresholdMode.NONE
+            branch = _threshold_stage(base, first) if thresholded else base
+            for group in by_built.values():
+                try:
+                    leaf = _built_stage(branch, built_fraction, group[0]) if group[0].built_mask else branch
+                except PipelineError as exc:
+                    yield group, exc
+                    continue
+                yield group, leaf
+                # each result goes once served, else it lives on while the next one is built
+                del leaf
+            del branch
+        del base
 
 
 def enumerate_configs(dataset, **tunables):

@@ -14,18 +14,30 @@ instead of dividing by a near-zero.
 
 The event drop is the negated percent change at the single event month:
 positive numbers mean the lights dimmed.
+
+series_by_config is the one "stack -> cleaned stack -> zone series" chain.
+It walks the configs' stage tree, so the quality pass runs once and every
+threshold and built branch below it shares its result, and it gathers
+each zone's pixels by flat index, one sum per zone-month. The CSV
+writer and the case study take a whole series' percent changes at once
+through percent_changes: a sliding-window sum for baseline windows of up
+to 7 months, the scalar rolling_baseline for longer ones. zonal_mean,
+build_zone_series, rolling_baseline and percent_change stay as the scalar
+definitions the batch paths equal bit for bit.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PipelineError, ReportError
 from .grid import RasterGrid
-from .preprocess import run_pipeline
+from .preprocess import run_stage_tree
 from .stack import MonthIndex
-from .zones import zonal_mean
+from .zones import flat_indices, zonal_mean, zonal_means
 
 __all__ = [
     "EventWindow",
@@ -34,7 +46,9 @@ __all__ = [
     "build_zone_series",
     "series_by_config",
     "rolling_baseline",
+    "rolling_baselines",
     "percent_change",
+    "percent_changes",
     "event_drop",
     "write_series_csv",
     "read_series_csv",
@@ -123,25 +137,43 @@ def build_zone_series(stack, mask, window, zone_id):
     return ZoneSeries(zone_id, window.start, values)
 
 
+def _series_by_window(stack, zone_ids, indices, windows):
+    """``series[i][j]``: zone j's ZoneSeries over windows[i], from one cleaned stack."""
+    wanted = {month for window in windows for month in window.months()}
+    means = {month: zonal_means(grid, indices) for month, grid in stack if month in wanted}
+    absent = (float("nan"),) * len(zone_ids)
+    return tuple(
+        tuple(
+            ZoneSeries(zone_id, window.start, values)
+            for zone_id, values in zip(zone_ids, zip(*(means.get(m, absent) for m in window.months())))
+        )
+        for window in windows
+    )
+
+
 def series_by_config(radiance, quality, built, masks, configs, windows):
-    """Run each config's pipeline and yield ``(config, series)`` in order.
+    """Run each config's pipeline and yield ``(config, series)`` in the order given.
 
     ``masks`` maps zone_id to ZoneMask; ``series[i][j]`` is the j-th zone's
-    ZoneSeries over ``windows[i]``. A config whose pipeline raises a
-    PipelineError yields ``(config, error)`` and the rest still run.
+    ZoneSeries over ``windows[i]``, equal to build_zone_series on the
+    config's run_pipeline result. A config whose pipeline raises a
+    PipelineError yields ``(config, error)`` and the rest still run. The
+    pipelines run as one run_stage_tree walk; a config finished ahead of its
+    turn waits as its (small) series, never as a stack.
     """
-    for config in configs:
-        try:
-            processed = run_pipeline(radiance, quality, built, config)
-        except PipelineError as exc:
-            yield config, exc
-            continue
-        series = tuple(
-            tuple(build_zone_series(processed, mask, w, zone_id) for zone_id, mask in masks.items())
-            for w in windows
-        )
-        del processed  # else it stays alive through the next config's pipeline
-        yield config, series
+    zone_ids = tuple(masks)
+    # every stage keeps the radiance grid, so one geometry check covers every stack
+    indices = flat_indices(masks.values(), radiance.spec) if len(radiance) else ()
+    order = list(configs)
+    done = {}
+    for group, result in run_stage_tree(radiance, quality, built, order):
+        if not isinstance(result, PipelineError):
+            # rebinding drops this frame's reference to the stack before the next is built
+            result = _series_by_window(result, zone_ids, indices, windows)
+        done.update(dict.fromkeys(group, result))
+        while order and order[0] in done:
+            config = order.pop(0)
+            yield config, done[config] if config in order else done.pop(config)
 
 
 def rolling_baseline(series, t, w=6):
@@ -173,6 +205,42 @@ def percent_change(series, t, w=6):
     return 100.0 * (x - baseline) / baseline
 
 
+# A window sum equals np.mean's only while np.add.reduce sums sequentially,
+# which it does below 8 elements; from 8 on it switches to pairwise
+# summation with 8 accumulators, so longer windows take rolling_baseline.
+BATCH_MAX_WINDOW = 7
+
+
+def rolling_baselines(series, w=6):
+    """rolling_baseline(series, m, w) for every month m of the series, as an array.
+
+    Bit-identical to the scalar: each window's usable values are summed in
+    the same order, with -0.0 (the exact identity of float addition) in
+    place of missing and pre-start months, and divided by their count.
+    """
+    if w < 1:
+        raise ValueError(f"baseline window must be positive, got {w}")
+    if w > BATCH_MAX_WINDOW:
+        return np.array([rolling_baseline(series, month, w) for month in series.months])
+    values = np.array(series.values)
+    # row i is values[i - w:i], oldest first
+    windows = sliding_window_view(np.concatenate((np.full(w, np.nan), values)), w)[:-1]
+    usable = ~np.isnan(windows)
+    sums = np.where(usable, windows, -0.0).sum(axis=1)
+    counts = usable.sum(axis=1)
+    return np.divide(sums, counts, out=np.full(len(values), np.nan), where=counts > 0)
+
+
+def percent_changes(series, w=6):
+    """percent_change(series, m, w) for every month m of the series, bit-identical, as an array."""
+    values = np.array(series.values)
+    baselines = rolling_baselines(series, w)
+    defined = ~np.isnan(values) & (baselines > BASELINE_EPSILON)  # a NaN baseline compares false
+    changes = np.full(len(values), np.nan)
+    changes[defined] = 100.0 * (values[defined] - baselines[defined]) / baselines[defined]
+    return changes
+
+
 def event_drop(series, window, w=6):
     """Negated percent change at the event month: positive = lights dimmed."""
     change = percent_change(series, window.event_month, w)
@@ -180,7 +248,7 @@ def event_drop(series, window, w=6):
 
 
 def _field(value):
-    return "" if np.isnan(value) else repr(float(value))
+    return "" if math.isnan(value) else repr(value)
 
 
 def write_series_csv(series, path, w=6):
@@ -190,19 +258,15 @@ def write_series_csv(series, path, w=6):
     column uses the trailing baseline of ``w`` months, so early rows with
     no history are empty too.
     """
+    ordinal = series.start.ordinal  # row i is month ordinal + i, as MonthIndex.from_ordinal splits it
+    rows = [
+        [series.zone_id, (ordinal + i) // 12, (ordinal + i) % 12 + 1, _field(value), _field(change)]
+        for i, (value, change) in enumerate(zip(series.values, percent_changes(series, w).tolist()))
+    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["zone_id", "year", "month", "mean_radiance", "percent_change"])
-        for month, value in zip(series.months, series.values):
-            writer.writerow(
-                [
-                    series.zone_id,
-                    month.year,
-                    month.month,
-                    _field(value),
-                    _field(percent_change(series, month, w)),
-                ]
-            )
+        writer.writerows(rows)
 
 
 def _series_row(row):

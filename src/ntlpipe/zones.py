@@ -30,6 +30,8 @@ __all__ = [
     "point_in_polygon",
     "rasterize_zone",
     "zonal_mean",
+    "flat_indices",
+    "zonal_means",
     "read_zones",
     "write_zones",
 ]
@@ -163,6 +165,36 @@ def zonal_mean(raster, mask):
     return float(np.mean(raster.values[take]))
 
 
+def flat_indices(masks, spec):
+    """Each mask's inside cells as row-major flat indices, for zonal_means on ``spec``.
+
+    A mask on another grid raises ValueError, as zonal_mean does.
+    """
+    for mask in masks:
+        if mask.spec != spec:
+            raise ValueError(f"raster grid {spec} does not match mask grid {mask.spec}")
+    return tuple(np.flatnonzero(mask.inside) for mask in masks)
+
+
+def zonal_means(raster, indices):
+    """zonal_mean of each zone, given as flat_indices on the raster's grid.
+
+    The valid values are summed in the same row-major order as in
+    zonal_mean, with np.mean's own arithmetic (np.add.reduce in float64,
+    then one division by the count) minus its per-call overhead, so each
+    mean is bit-identical to it. The geometry check is flat_indices's, made
+    once for all the rasters of a stack.
+    """
+    values = raster.values.ravel()
+    missing = raster.missing.ravel()
+    means = []
+    for index in indices:
+        kept = values[index][~missing[index]]
+        total = float(np.add.reduce(kept, dtype=np.float64))
+        means.append(total / kept.size if kept.size else float("nan"))
+    return means
+
+
 def _ring_from_geojson(ring, where):
     pts = np.asarray(ring, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
@@ -187,11 +219,12 @@ def read_zones(path):
 
     Each feature must be a Polygon or MultiPolygon carrying properties
     ``zone_id`` (string), ``damage_ratio`` (in [0, 1]) and ``population``
-    (integer >= 0). Zone ids must be unique. MultiPolygon parts merge into
-    one polygon set. Every malformed feature, including a value of the
-    wrong type, raises ZoneValidationError naming the feature by zone_id
-    when present, index otherwise; a file that cannot be read, is not JSON
-    or whose ``features`` is not an array names the path.
+    (integer >= 0); a boolean, or a fractional population, is refused
+    rather than converted. Zone ids must be unique. MultiPolygon parts
+    merge into one polygon set. Every malformed feature, including a value
+    of the wrong type, raises ZoneValidationError naming the feature by
+    zone_id when present, index otherwise; a file that cannot be read, is
+    not JSON or whose ``features`` is not an array names the path.
     """
     try:
         with open(path) as fh:
@@ -229,8 +262,13 @@ def read_zones(path):
             )
         except (TypeError, ValueError) as exc:
             raise ZoneValidationError(f"{where}: coordinates: {exc}") from None
+        damage_ratio, population = props["damage_ratio"], props["population"]
+        if isinstance(damage_ratio, bool):
+            raise ZoneValidationError(f"{where}: damage_ratio must be a number, got {damage_ratio!r}")
+        if isinstance(population, bool) or isinstance(population, float) and not population.is_integer():
+            raise ZoneValidationError(f"{where}: population must be an integer, got {population!r}")
         try:
-            damage_ratio, population = float(props["damage_ratio"]), int(props["population"])
+            damage_ratio, population = float(damage_ratio), int(population)
         except (TypeError, ValueError) as exc:
             raise ZoneValidationError(f"{where}: {exc}") from None
         zones.append(Zone(str(props["zone_id"]), rings, damage_ratio, population))

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,11 @@ from ntlpipe import (
     MonthIndex,
     RasterGrid,
     enumerate_configs,
+    percent_change,
     read_series_csv,
     write_grid,
 )
+from ntlpipe import preprocess
 from ntlpipe.cli import main
 
 VSC_SCENE = {
@@ -249,6 +252,43 @@ def simulated_vsc_run(root, **overrides):
     doc["datasets"] = [doc["datasets"][0]]
     doc.update(overrides)
     return write_json(root / "run.json", doc)
+
+
+class TestQualityPassRunsOncePerDataset:
+    def test_twelve_and_four_configs_share_one_quality_pass(self, tmp_path, monkeypatch):
+        for name, scene in (("simv", VSC_SCENE), ("simn", VNP_SCENE)):
+            path = write_json(tmp_path / f"{name}.json", scene)
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        config = write_json(tmp_path / "run.json", run_config_doc())
+        calls = []
+        original = preprocess.quality_filter_and_impute
+
+        def counting(stack, quality_stack, dataset, window=12):
+            calls.append(dataset)
+            return original(stack, quality_stack, dataset, window)
+
+        monkeypatch.setattr(preprocess, "quality_filter_and_impute", counting)
+        assert main(["extract", "--config", str(config)]) == 0
+        assert sorted(calls, key=lambda d: d.value) == [Dataset.VNP46A2, Dataset.VSC_NTL]
+        assert len(list((tmp_path / "out").rglob("*.csv"))) == (12 + 4) * 6
+
+
+class TestCaseStudy:
+    def test_changes_equal_the_scalar_percent_change(self, tmp_path):
+        config = simulated_vsc_run(tmp_path)
+        assert main(["extract", "--config", str(config)]) == 0
+        # a series file that starts late and ends early: the window months outside it have no change
+        path = tmp_path / "out" / "VSC-NTL" / "clip+quality" / "TestStorm" / "Z01.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1] + lines[4:-2]))
+        assert main(["report", "--config", str(config)]) == 0
+        with open(tmp_path / "out" / "case_study.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 12 * 6 * 25
+        for row in rows:
+            path = tmp_path / "out" / row["dataset"] / row["methods"] / row["hurricane"] / f"{row['zone_id']}.csv"
+            change = percent_change(read_series_csv(path), MonthIndex(int(row["year"]), int(row["month"])))
+            assert row["percent_change"] == ("" if math.isnan(change) else repr(change))
 
 
 class TestExtractFailures:
@@ -492,6 +532,9 @@ class TestMalformedValues:
             ("case_study_k", 0, "case_study_k"),
             ("population_band", [50000, 10], "population_band"),
             ("population_band", [0.5, 10], "population_band"),
+            ("min_damage", True, "min_damage"),
+            ("min_damage", "0.5", "min_damage"),
+            ("tunables", {"threshold_hi": True}, "tunables: threshold_hi"),
         ],
     )
     def test_run_config_value(self, tmp_path, capsys, key, value, named):
@@ -522,6 +565,10 @@ class TestMalformedValues:
                 [{"zone_id": "A", "damage_ratio": 0.1, "rect": [0, 0, 4, 4], "population": 2.5}],
                 "zones[0]: population",
             ),
+            ("grid", {**VSC_SCENE["grid"], "cell_size": "1.0"}, "grid: cell_size"),
+            ("noise", {"bloom_rate": True}, "noise: bloom_rate"),
+            ("noise", {"cloud_rate": [0.1, "0.2"]}, "noise: cloud_rate[1]"),
+            ("drop_gain", True, "drop_gain"),
         ],
     )
     def test_scene_spec_value_writes_nothing(self, tmp_path, capsys, key, value, named):

@@ -1,5 +1,6 @@
 """Tests for month arithmetic, zone time series, baselines, and drop metrics."""
 
+import csv
 import math
 
 import numpy as np
@@ -22,15 +23,18 @@ from ntlpipe import (
     ZoneMask,
     ZoneSeries,
     build_zone_series,
+    config_from_label,
     enumerate_configs,
     event_drop,
     generate_scene,
     monthly_median_composite,
     percent_change,
+    percent_changes,
     rasterize_zone,
     read_series_csv,
     rect_ring,
     rolling_baseline,
+    rolling_baselines,
     run_pipeline,
     series_by_config,
     tile_zones,
@@ -216,32 +220,62 @@ def chain_inputs(draw, dataset):
     return scene, zones, windows, draw(st.sampled_from((built_map, None)))
 
 
+def assert_chain_matches_reference(scene, zones, windows, built, configs):
+    """series_by_config yields configs in the given order, each equal to run_pipeline + build_zone_series."""
+    masks = {zone.zone_id: rasterize_zone(zone, scene.spec.grid) for zone in zones}
+    chain = list(series_by_config(scene.radiance, scene.quality, built, masks, configs, windows))
+    assert [config for config, _ in chain] == list(configs)
+    for config, result in chain:
+        try:
+            processed = run_pipeline(scene.radiance, scene.quality, built, config)
+        except PipelineError as exc:
+            assert type(result) is type(exc) and str(result) == str(exc)
+            continue
+        assert len(result) == len(windows)
+        for window, window_series in zip(windows, result):
+            expected = [
+                build_zone_series(processed, rasterize_zone(zone, scene.spec.grid), window, zone.zone_id)
+                for zone in zones
+            ]
+            assert [s.zone_id for s in window_series] == [e.zone_id for e in expected]
+            for got, want in zip(window_series, expected):
+                assert got.months == want.months
+                assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
+
+
 class TestSeriesByConfig:
     @pytest.mark.parametrize("dataset", list(Dataset))
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_matches_per_config_reference(self, dataset, data):
         scene, zones, windows, built = data.draw(chain_inputs(dataset))
-        configs = enumerate_configs(dataset)
-        masks = {zone.zone_id: rasterize_zone(zone, scene.spec.grid) for zone in zones}
-        chain = list(series_by_config(scene.radiance, scene.quality, built, masks, configs, windows))
-        assert [config for config, _ in chain] == list(configs)
-        for config, result in chain:
-            try:
-                processed = run_pipeline(scene.radiance, scene.quality, built, config)
-            except PipelineError as exc:
-                assert type(result) is type(exc) and str(result) == str(exc)
-                continue
-            assert len(result) == len(windows)
-            for window, window_series in zip(windows, result):
-                expected = [
-                    build_zone_series(processed, rasterize_zone(zone, scene.spec.grid), window, zone.zone_id)
-                    for zone in zones
-                ]
-                assert [s.zone_id for s in window_series] == [e.zone_id for e in expected]
-                for got, want in zip(window_series, expected):
-                    assert got.months == want.months
-                    assert np.array_equal(got.values, want.values, equal_nan=True)
+        canonical = enumerate_configs(dataset)
+        # configs in any order, repeated, or with other tunables, whose stages must not be shared
+        tuned = enumerate_configs(
+            dataset,
+            imputation_window_months=2,
+            threshold_lo=1.0,
+            threshold_hi=30.0,
+            built_fraction_threshold=0.7,
+        )
+        mixed = st.lists(st.sampled_from(canonical + tuned), min_size=1, max_size=len(canonical) + 2)
+        configs = data.draw(st.one_of(st.just(canonical), mixed), label="configs")
+        assert_chain_matches_reference(scene, zones, windows, built, configs)
+
+    def test_labels_out_of_canonical_order(self):
+        grid = GridSpec(ncols=6, nrows=6, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+        window = EventWindow(MonthIndex(2018, 10), 3, 2)
+        spec = SceneSpec(
+            seed=5,
+            grid=grid,
+            zones=tile_zones(grid, 2, 2, [0.1, 0.3, 0.5, 0.7]),
+            months=window,
+            base_radiance=20.0,
+            noise=NoiseSpec(cloud_rate=0.3, corruption_scale=1.5, bloom_rate=0.2),
+        )
+        scene = generate_scene(spec)
+        configs = [config_from_label(Dataset.VSC_NTL, label) for label in ("clip+quality", "raw", "quality")]
+        assert_chain_matches_reference(scene, spec.zones, (window,), scene.built_fraction, configs)
 
 
 class TestRollingBaseline:
@@ -305,6 +339,8 @@ def month_keyed_percent_change(series, t, w):
 radiances = st.one_of(
     st.just(float("nan")),
     st.just(0.0),
+    st.just(-0.0),
+    st.just(1e-6),
     st.floats(min_value=0.0, max_value=1e-5),
     st.floats(min_value=0.0, max_value=500.0),
 )
@@ -325,6 +361,30 @@ class TestPositionalSliceMatchesMonthKeyedDefinition:
         t = start + data.draw(st.integers(-w - 3, n + w + 3), label="offset")
         assert rolling_baseline(series, t, w).hex() == month_keyed_baseline(series, t, w).hex()
         assert percent_change(series, t, w).hex() == month_keyed_percent_change(series, t, w).hex()
+
+
+class TestBatchMatchesScalar:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(radiances, min_size=1, max_size=30),
+        start=st.builds(MonthIndex, st.integers(2000, 2030), st.integers(1, 12)),
+        w=st.integers(1, 13),
+    )
+    def test_bit_identical(self, values, start, w):
+        # w above 7 takes the scalar fallback
+        series = series_from(start, values)
+        baselines = [rolling_baseline(series, month, w).hex() for month in series.months]
+        changes = [percent_change(series, month, w).hex() for month in series.months]
+        assert [float(b).hex() for b in rolling_baselines(series, w)] == baselines
+        assert [float(c).hex() for c in percent_changes(series, w)] == changes
+
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_bad_window_rejected(self, w):
+        series = series_from(MonthIndex(2018, 1), [1.0, 2.0])
+        with pytest.raises(ValueError):
+            rolling_baselines(series, w)
+        with pytest.raises(ValueError):
+            percent_changes(series, w)
 
 
 class TestPercentChange:
@@ -425,3 +485,39 @@ class TestSeriesCsv:
         assert series.get(m) == 1.0
         assert math.isnan(series.get(m + 1))
         assert series.get(m + 2) == 3.0
+
+
+def row_by_row_series_csv(series, path, w):
+    """The series CSV as written one row at a time through the scalar percent_change."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["zone_id", "year", "month", "mean_radiance", "percent_change"])
+        for month, value in zip(series.months, series.values):
+            change = percent_change(series, month, w)
+            writer.writerow(
+                [
+                    series.zone_id,
+                    month.year,
+                    month.month,
+                    "" if math.isnan(value) else repr(float(value)),
+                    "" if math.isnan(change) else repr(change),
+                ]
+            )
+
+
+class TestSeriesCsvMatchesRowByRowWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        zone_id=st.one_of(
+            st.just('a,"b'), st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)
+        ),
+        values=st.lists(radiances, min_size=1, max_size=30),
+        start=st.builds(MonthIndex, st.integers(1, 9999), st.integers(1, 12)),
+        w=st.integers(1, 13),
+    )
+    def test_same_bytes(self, tmp_path_factory, zone_id, values, start, w):
+        root = tmp_path_factory.mktemp("csv")
+        series = series_from(start, values, zone_id)
+        write_series_csv(series, root / "batch.csv", w)
+        row_by_row_series_csv(series, root / "rows.csv", w)
+        assert (root / "batch.csv").read_bytes() == (root / "rows.csv").read_bytes()

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntlpipe import (
     GridSpec,
@@ -13,12 +15,14 @@ from ntlpipe import (
     Zone,
     ZoneMask,
     ZoneValidationError,
+    flat_indices,
     point_in_polygon,
     rasterize_zone,
     read_zones,
     rect_ring,
     write_zones,
     zonal_mean,
+    zonal_means,
 )
 
 UNIT_SQUARE = rect_ring(0.0, 0.0, 1.0, 1.0)
@@ -251,6 +255,35 @@ class TestZonalMean:
                 assert values[take].min() <= mean <= values[take].max()
 
 
+@st.composite
+def rasters_and_masks(draw):
+    """A raster with a random missing pattern and a few random masks on its grid."""
+    nrows, ncols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    spec = GridSpec(ncols=ncols, nrows=nrows, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+    cells = st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=spec.size, max_size=spec.size
+    )
+    flags = st.lists(st.booleans(), min_size=spec.size, max_size=spec.size)
+    raster = RasterGrid(spec, draw(cells), draw(flags))
+    masks = [ZoneMask(spec, np.reshape(draw(flags), spec.shape)) for _ in range(draw(st.integers(0, 4)))]
+    return raster, masks
+
+
+class TestZonalMeansMatchZonalMean:
+    @settings(max_examples=200, deadline=None)
+    @given(case=rasters_and_masks())
+    def test_bit_identical(self, case):
+        raster, masks = case
+        got = zonal_means(raster, flat_indices(masks, raster.spec))
+        assert [v.hex() for v in got] == [zonal_mean(raster, m).hex() for m in masks]
+
+    def test_mask_off_the_grid_rejected(self):
+        spec = GridSpec(ncols=2, nrows=2, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+        other = GridSpec(ncols=2, nrows=2, x_origin=1.0, y_origin=0.0, cell_size=1.0)
+        with pytest.raises(ValueError, match="does not match mask grid"):
+            flat_indices([ZoneMask(other, np.ones((2, 2), dtype=bool))], spec)
+
+
 class TestZoneFileRoundTrip:
     def make_zones(self):
         return [
@@ -364,6 +397,14 @@ class TestZoneFileRoundTrip:
             ),
             ([{"type": "Feature", "geometry": SQUARE, "properties": 5}], "feature #0: properties must be an object"),
             ([{"type": "Feature", "geometry": 5, "properties": PROPS}], "feature 'Z1': geometry must be an object"),
+            (
+                [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "population": 2.5}}],
+                "feature 'Z1': population must be an integer, got 2.5",
+            ),
+            (
+                [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "damage_ratio": True}}],
+                "feature 'Z1': damage_ratio must be a number, got True",
+            ),
         ],
     )
     def test_malformed_value_names_the_feature(self, tmp_path, features, message):
