@@ -58,6 +58,11 @@ def _normalize_ring(ring, where):
     return pts
 
 
+def _is_path_component(name):
+    """Whether name can be one output path component: not empty, ``.`` or ``..``, no separator or NUL."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
 @dataclass(frozen=True)
 class Zone:
     """One analysis unit: polygon set + damage ratio + population.
@@ -73,8 +78,8 @@ class Zone:
     population: int = 0
 
     def __post_init__(self):
-        if not self.zone_id:
-            raise ZoneValidationError("zone_id must be a non-empty string")
+        if not _is_path_component(self.zone_id):
+            raise ZoneValidationError(f"zone {self.zone_id!r}: zone_id is not a single path component")
         if not self.rings:
             raise ZoneValidationError(f"zone {self.zone_id!r}: needs at least one ring")
         norm = tuple(
@@ -218,13 +223,14 @@ def read_zones(path):
     """Read zones from a GeoJSON FeatureCollection.
 
     Each feature must be a Polygon or MultiPolygon carrying properties
-    ``zone_id`` (string), ``damage_ratio`` (in [0, 1]) and ``population``
-    (integer >= 0); a boolean, or a fractional population, is refused
-    rather than converted. Zone ids must be unique. MultiPolygon parts
-    merge into one polygon set. Every malformed feature, including a value
-    of the wrong type, raises ZoneValidationError naming the feature by
-    zone_id when present, index otherwise; a file that cannot be read, is
-    not JSON or whose ``features`` is not an array names the path.
+    ``zone_id`` (one path component, see Zone), ``damage_ratio`` (in
+    [0, 1]) and ``population`` (integer >= 0); a boolean, a string or a
+    fractional population is refused rather than converted. Zone ids must
+    be unique. MultiPolygon parts merge into one polygon set. Every
+    malformed feature, including a value of the wrong type, raises
+    ZoneValidationError naming the feature by zone_id when present, index
+    otherwise; a file that cannot be read, is not JSON or whose
+    ``features`` is not an array names the path.
     """
     try:
         with open(path) as fh:
@@ -263,15 +269,13 @@ def read_zones(path):
         except (TypeError, ValueError) as exc:
             raise ZoneValidationError(f"{where}: coordinates: {exc}") from None
         damage_ratio, population = props["damage_ratio"], props["population"]
-        if isinstance(damage_ratio, bool):
+        if isinstance(damage_ratio, bool) or not isinstance(damage_ratio, (int, float)):
             raise ZoneValidationError(f"{where}: damage_ratio must be a number, got {damage_ratio!r}")
-        if isinstance(population, bool) or isinstance(population, float) and not population.is_integer():
+        if isinstance(population, float) and population.is_integer():
+            population = int(population)
+        if isinstance(population, bool) or not isinstance(population, int):
             raise ZoneValidationError(f"{where}: population must be an integer, got {population!r}")
-        try:
-            damage_ratio, population = float(damage_ratio), int(population)
-        except (TypeError, ValueError) as exc:
-            raise ZoneValidationError(f"{where}: {exc}") from None
-        zones.append(Zone(str(props["zone_id"]), rings, damage_ratio, population))
+        zones.append(Zone(str(props["zone_id"]), rings, float(damage_ratio), population))
     return zones
 
 

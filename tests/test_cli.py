@@ -273,6 +273,25 @@ class TestQualityPassRunsOncePerDataset:
         assert len(list((tmp_path / "out").rglob("*.csv"))) == (12 + 4) * 6
 
 
+class TestExtractDirectories:
+    def test_each_series_directory_is_made_once(self, tmp_path, monkeypatch):
+        config = simulated_vsc_run(tmp_path)
+        made = []
+        original = Path.mkdir
+
+        def recording(path, *args, **kwargs):
+            made.append((path, kwargs.get("parents")))
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", recording)
+        assert main(["extract", "--config", str(config)]) == 0
+        series_dirs = {path.parent for path in (tmp_path / "out").rglob("*.csv")}
+        assert len(series_dirs) == 12
+        # pathlib itself makes the missing parents, then retries the leaf with parents=False
+        asked = [path for path, parents in made if parents and path in series_dirs]
+        assert sorted(asked) == sorted(series_dirs)
+
+
 class TestCaseStudy:
     def test_changes_equal_the_scalar_percent_change(self, tmp_path):
         config = simulated_vsc_run(tmp_path)
@@ -422,6 +441,17 @@ class TestUnsafeNames:
         config = write_json(tmp_path / "run.json", doc)
         assert main(["validate", "--config", str(config)]) == 1
         assert "not a single path component" in capsys.readouterr().err
+
+    def test_scene_zone_id_must_be_one_path_component(self, tmp_path, capsys):
+        zones = [
+            {"zone_id": zone_id, "damage_ratio": damage, "rect": [x0, 0, x0 + 4, 12]}
+            for zone_id, damage, x0 in (("A", 0.1, 0), ("a/b", 0.3, 4), ("C", 0.5, 8))
+        ]
+        scene = write_json(tmp_path / "scene.json", {**VSC_SCENE, "zones": zones, "base_radiance": 20.0})
+        assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 1
+        message = "zones[1]: zone 'a/b': zone_id is not a single path component"
+        assert capsys.readouterr().err == f"error: {scene}: {message}\n"
+        assert not (tmp_path / "sim").exists()
 
 
 class TestDailyAggregation:
@@ -617,7 +647,7 @@ class TestUnreadableZonesFile:
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["validate", "--config", str(config)]) == 1
-        message = "feature 'Z01': could not convert string to float: 'x'"
+        message = "feature 'Z01': damage_ratio must be a number, got 'x'"
         assert f"  problem: zones file invalid: {message}" in capsys.readouterr().out
         for command in ("extract", "report"):
             assert main([command, "--config", str(config)]) == 1

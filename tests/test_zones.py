@@ -81,6 +81,16 @@ class TestZoneValidation:
         with pytest.raises(ZoneValidationError):
             Zone("", (UNIT_SQUARE,), damage_ratio=0.1)
 
+    @pytest.mark.parametrize("zone_id", ["a/b", "a\\b", "a\0b", ".", "..", ""])
+    def test_id_must_be_one_path_component(self, zone_id):
+        message = f"zone {zone_id!r}: zone_id is not a single path component"
+        with pytest.raises(ZoneValidationError, match=re.escape(message)):
+            Zone(zone_id, (UNIT_SQUARE,), damage_ratio=0.1)
+
+    def test_dotted_id_is_one_path_component(self):
+        for zone_id in ("a.b", "...", ".z", "Z 01"):
+            assert Zone(zone_id, (UNIT_SQUARE,), damage_ratio=0.1).zone_id == zone_id
+
     def test_no_rings_rejected(self):
         with pytest.raises(ZoneValidationError):
             Zone("A", (), damage_ratio=0.1)
@@ -379,11 +389,11 @@ class TestZoneFileRoundTrip:
         [
             (
                 [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "damage_ratio": "x"}}],
-                "feature 'Z1': could not convert string to float: 'x'",
+                "feature 'Z1': damage_ratio must be a number, got 'x'",
             ),
             (
                 [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "population": "many"}}],
-                "feature 'Z1': invalid literal for int()",
+                "feature 'Z1': population must be an integer, got 'many'",
             ),
             ([5], "feature #0: expected an object"),
             (5, "features must be an array"),
@@ -404,6 +414,14 @@ class TestZoneFileRoundTrip:
             (
                 [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "damage_ratio": True}}],
                 "feature 'Z1': damage_ratio must be a number, got True",
+            ),
+            (
+                [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "damage_ratio": "0.5"}}],
+                "feature 'Z1': damage_ratio must be a number, got '0.5'",
+            ),
+            (
+                [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "population": "5"}}],
+                "feature 'Z1': population must be an integer, got '5'",
             ),
         ],
     )
