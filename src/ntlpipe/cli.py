@@ -112,6 +112,14 @@ def cmd_validate(args):
     return 0
 
 
+def _read_run_zones(run):
+    """The run's zones; a zones file with no features is an error, as in validate."""
+    zones = read_zones(run.zones_path)
+    if not zones:
+        raise ConfigError(f"zones file has no features: {run.zones_path}")
+    return zones
+
+
 def _series_dir(out_dir, dataset, label, hurricane):
     """The directory of one (dataset, config, hurricane): one ``<zone_id>.csv`` per zone."""
     return out_dir / dataset.name / label / hurricane
@@ -121,7 +129,7 @@ def cmd_extract(args):
     """Write one processed series CSV per (dataset, config, hurricane, zone)."""
     run = parse_run_config(args.config)
     out_dir = Path(args.out) if args.out else run.output_dir
-    zones = read_zones(run.zones_path)
+    zones = _read_run_zones(run)
     failures = []
     written = 0
 
@@ -172,7 +180,7 @@ def cmd_report(args):
     """Correlate extracted drops into report.csv; emit case_study.csv."""
     run = parse_run_config(args.config)
     out_dir = Path(args.out) if args.out else run.output_dir
-    zones = read_zones(run.zones_path)
+    zones = _read_run_zones(run)
     report_path = out_dir / "report.csv"
     case_path = out_dir / "case_study.csv"
     _guard_overwrite(report_path, args.force)

@@ -111,6 +111,13 @@ def _number(value):
     return float(value)
 
 
+def _string(value):
+    """Converter for a string; any other value is refused, not converted."""
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
 def _numbers(value):
     """Converter for a number or a list of numbers."""
     return _each(_number)(value) if isinstance(value, list) else _number(value)
@@ -165,12 +172,6 @@ def _check_names(names, where):
             raise ConfigError(f"{where}: {name!r} is not a single path component")
 
 
-def _read_zones(path):
-    zones = read_zones(path)
-    _check_names([zone.zone_id for zone in zones], f"{path}: zone ids")
-    return zones
-
-
 def _tunables(obj):
     """A run's tunables: numeric PipelineConfig fields, each read as its type."""
     types = {f.name: {int: _integer(), float: _number}.get(f.type) for f in fields(PipelineConfig)}
@@ -195,7 +196,7 @@ def _dataset_from_json(entry, root):
     kind = _require(entry, "kind", _dataset_kind)
     raster_dir = _require(entry, "raster_dir", root.joinpath)
     return DatasetConfig(
-        name=_require(entry, "name", str, kind.value),
+        name=_require(entry, "name", _string, kind.value),
         kind=kind,
         raster_dir=raster_dir,
         quality_dir=_require(entry, "quality_dir", root.joinpath, raster_dir),
@@ -220,7 +221,7 @@ def _run_config(doc, root):
     event_window = _event_window(doc)
 
     def hurricane(entry):
-        return Hurricane(_require(entry, "name", str), _require(entry, "event_month", event_window))
+        return Hurricane(_require(entry, "name", _string), _require(entry, "event_month", event_window))
 
     hurricanes = _require(doc, "hurricanes", _each(hurricane), ())
     if not hurricanes:
@@ -256,7 +257,7 @@ def parse_run_config(path):
 def _zone_from_json(obj):
     rect = _require(obj, "rect", lambda rect: rect_ring(*map(_number, rect)), None)
     return Zone(
-        zone_id=_require(obj, "zone_id", str),
+        zone_id=_require(obj, "zone_id", _string),
         rings=(rect,) if rect is not None else _require(obj, "rings"),
         damage_ratio=_require(obj, "damage_ratio", _number),
         population=_require(obj, "population", _integer(), 0),

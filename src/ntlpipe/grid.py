@@ -209,6 +209,8 @@ _HEADER_KEYS = {
 }
 
 _INT_TOKEN = re.compile(r"^[+-]?\d+$")
+# a row's tokens, joined by single spaces, are all integer literals; the same \d as _INT_TOKEN
+_INT_ROW = re.compile(r"[+-]?\d+(?: [+-]?\d+)*")
 
 
 def read_grid(path):
@@ -218,6 +220,9 @@ def read_grid(path):
     an IntRaster when every data token is an integer literal, otherwise a
     RasterGrid. Raises GridParseError (with a 1-based line number) on any
     malformed header or data line.
+
+    A well-formed body is converted in one step; any other body goes to
+    the line-by-line loop, which finds the first fault and names its line.
     """
     path = Path(path)
     numbered = [
@@ -257,15 +262,49 @@ def read_grid(path):
         )
     except ValueError as exc:
         raise GridParseError(str(exc), header_lines["cellsize"]) from None
-    nodata = header["nodata_value"]
 
     data_lines = numbered[pos:]
+    body = _convert_body(spec, data_lines)
+    if body is None:
+        body = _parse_body(spec, data_lines)
+    values, all_int = body
+    missing = values == header["nodata_value"]
+    if all_int:
+        return IntRaster(spec, values.astype(np.int64), missing)
+    return RasterGrid(spec, values, missing)
+
+
+def _convert_body(spec, data_lines):
+    """(values, all_int) of a well-formed body in one conversion; None if any check fails.
+
+    np.array reads each token with float()'s rules, so a body that passes
+    every check here gets the same bits as from _parse_body; the
+    differential tests in tests/test_grid.py hold the two together.
+    """
+    rows = [tokens for _, tokens in data_lines]
+    if len(rows) != spec.nrows or any(len(row) != spec.ncols for row in rows):
+        return None
+    try:
+        values = np.array(rows, dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    # row by row: one match over a whole body keeps backtracking state for every token
+    return values, all(_INT_ROW.fullmatch(" ".join(row)) for row in rows)
+
+
+def _parse_body(spec, data_lines):
+    """(values, all_int) of the data lines, token by token; raises GridParseError at the first fault.
+
+    The reference for _convert_body, and the path that names a malformed
+    body's line.
+    """
     if len(data_lines) != spec.nrows:
         raise GridParseError(
             f"expected {spec.nrows} data rows, found {len(data_lines)}",
             data_lines[spec.nrows][0] if len(data_lines) > spec.nrows else None,
         )
-
     values = np.empty(spec.shape, dtype=np.float64)
     all_int = True
     for r, (lineno, tokens) in enumerate(data_lines):
@@ -281,11 +320,7 @@ def read_grid(path):
             values[r, c] = v
             if all_int and not _INT_TOKEN.match(tok):
                 all_int = False
-
-    missing = values == nodata
-    if all_int:
-        return IntRaster(spec, values.astype(np.int64), missing)
-    return RasterGrid(spec, values, missing)
+    return values, all_int
 
 
 def write_grid(grid, path, nodata=-9999.0):

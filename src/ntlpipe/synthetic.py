@@ -163,13 +163,18 @@ class TruthRow:
 
 @dataclass(frozen=True)
 class GeneratedScene:
-    """A generated scene: stacks, per-zone truth, and its originating spec."""
+    """A generated scene: stacks, per-zone truth, and its originating spec.
+
+    ``zone_masks`` maps each zone id to its ZoneMask on the scene grid, in
+    the order of ``spec.zones``; the oracle reuses them.
+    """
 
     spec: SceneSpec
     radiance: RasterStack
     quality: RasterStack
     truth: tuple
     built_fraction: RasterGrid
+    zone_masks: dict
 
 
 def tile_zones(grid, nx, ny, damage_ratios, populations=None, id_prefix="Z"):
@@ -222,15 +227,15 @@ def generate_scene(spec):
     event_index = spec.months.months_before
     noise = spec.noise
 
-    zone_masks = [rasterize_zone(z, grid).inside for z in spec.zones]
+    zone_masks = {zone.zone_id: rasterize_zone(zone, grid) for zone in spec.zones}
     ambient = float(np.mean(spec.base_radiance))
     pixel_base = np.full(grid.shape, ambient)
     event_frame = np.full(grid.shape, ambient)
     truth = []
-    for zone, mask, base in zip(spec.zones, zone_masks, spec.base_radiance):
-        pixel_base[mask] = base
+    for zone, mask, base in zip(spec.zones, zone_masks.values(), spec.base_radiance):
+        pixel_base[mask.inside] = base
         dropped = base * (1.0 - spec.drop_gain * zone.damage_ratio)
-        event_frame[mask] = dropped
+        event_frame[mask.inside] = dropped
         truth.append(
             TruthRow(
                 zone_id=zone.zone_id,
@@ -271,7 +276,12 @@ def generate_scene(spec):
     quality = RasterStack(months, tuple(IntRaster(grid, quality_cube[t]) for t in range(n_months)))
     built = noise.built_fraction_map if noise.built_fraction_map is not None else _default_built_fraction(grid)
     return GeneratedScene(
-        spec=spec, radiance=radiance, quality=quality, truth=tuple(truth), built_fraction=built
+        spec=spec,
+        radiance=radiance,
+        quality=quality,
+        truth=tuple(truth),
+        built_fraction=built,
+        zone_masks=zone_masks,
     )
 
 
@@ -293,9 +303,8 @@ def recovered_pccs(scene, configs, min_damage=0.01):
     """
     spec = scene.spec
     check_scorable(spec)
-    masks = {zone.zone_id: rasterize_zone(zone, spec.grid) for zone in spec.zones}
     chain = series_by_config(
-        scene.radiance, scene.quality, scene.built_fraction, masks, configs, (spec.months,)
+        scene.radiance, scene.quality, scene.built_fraction, scene.zone_masks, configs, (spec.months,)
     )
     for config, result in chain:
         if not isinstance(result, PipelineError):

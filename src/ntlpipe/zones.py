@@ -145,15 +145,49 @@ def point_in_polygon(point, rings):
     return bool(_crossing_parity(rings, np.float64(x), np.float64(y)))
 
 
+def _scanline_parity(rings, xs, ys):
+    """_crossing_parity at the centres xs × ys (xs ascending), row by row.
+
+    Each edge is tested against the row centres ys only. A straddling
+    (edge, row) pair has the same x_int as in _crossing_parity, and lies
+    right of the centres in columns [0, k), k being the number of xs below
+    it; so a row's crossing counts are a running sum of +1 at column 0 and
+    -1 at column k per pair.
+    """
+    ends = np.zeros((len(ys), len(xs) + 1), dtype=np.int64)
+    for ring in rings:
+        x1, y1 = ring[:, 0], ring[:, 1]
+        x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+        e, r = np.nonzero((y1[:, None] < ys) != (y2[:, None] < ys))
+        x_int = x1[e] + (ys[r] - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
+        np.add.at(ends, (r, 0), 1)
+        np.add.at(ends, (r, np.searchsorted(xs, x_int)), -1)
+    return (np.cumsum(ends[:, :-1], axis=1) & 1).astype(bool)
+
+
 def rasterize_zone(zone, spec):
     """Mask of grid cells whose pixel-center lies inside the zone.
 
-    A zone overlapping no pixel-centers yields an all-false mask; whether
-    that is an error is the caller's call.
+    Only centres inside the bounding box of the zone's vertices, padded by
+    one cell on each side, are tested; every other cell is outside. That is
+    exact: no edge straddles a centre above or below the box, and a centre
+    a cell or more left or right of it has every crossing of its row on one
+    side, an even count, even with x_int rounded. A zone overlapping no
+    pixel-centers yields an all-false mask; whether that is an error is the
+    caller's call.
     """
-    xs = spec.center_xs()[None, :]
-    ys = spec.center_ys()[:, None]
-    return ZoneMask(spec, _crossing_parity(zone.rings, xs, ys))
+    xs = spec.center_xs()
+    ys = spec.center_ys()
+    vertices = np.concatenate(zone.rings)
+    x_lo, y_lo = vertices.min(axis=0) - spec.cell_size
+    x_hi, y_hi = vertices.max(axis=0) + spec.cell_size
+    cols = np.flatnonzero((x_lo <= xs) & (xs <= x_hi))
+    rows = np.flatnonzero((y_lo <= ys) & (ys <= y_hi))
+    inside = np.zeros(spec.shape, dtype=bool)
+    if cols.size and rows.size:
+        box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+        inside[box] = _scanline_parity(zone.rings, xs[box[1]], ys[box[0]])
+    return ZoneMask(spec, inside)
 
 
 def zonal_mean(raster, mask):
@@ -223,14 +257,15 @@ def read_zones(path):
     """Read zones from a GeoJSON FeatureCollection.
 
     Each feature must be a Polygon or MultiPolygon carrying properties
-    ``zone_id`` (one path component, see Zone), ``damage_ratio`` (in
-    [0, 1]) and ``population`` (integer >= 0); a boolean, a string or a
-    fractional population is refused rather than converted. Zone ids must
+    ``zone_id`` (a string, one path component, see Zone), ``damage_ratio``
+    (in [0, 1]) and ``population`` (integer >= 0); a value of another type,
+    such as a zone_id that is a number or null, a boolean, a string or a
+    fractional population, is refused rather than converted. Zone ids must
     be unique. MultiPolygon parts merge into one polygon set. Every
     malformed feature, including a value of the wrong type, raises
-    ZoneValidationError naming the feature by zone_id when present, index
-    otherwise; a file that cannot be read, is not JSON or whose
-    ``features`` is not an array names the path.
+    ZoneValidationError naming the feature by zone_id when that is a
+    string, by index otherwise; a file that cannot be read, is not JSON or
+    whose ``features`` is not an array names the path.
     """
     try:
         with open(path) as fh:
@@ -248,13 +283,16 @@ def read_zones(path):
     seen = set()
     for i, feature in enumerate(features):
         props = _member(feature, "properties", f"feature #{i}")
-        where = f"feature {props['zone_id']!r}" if "zone_id" in props else f"feature #{i}"
+        zone_id = props.get("zone_id")
+        where = f"feature {zone_id!r}" if isinstance(zone_id, str) else f"feature #{i}"
         for key in ("zone_id", "damage_ratio", "population"):
             if key not in props:
                 raise ZoneValidationError(f"{where}: missing property {key!r}")
-        if str(props["zone_id"]) in seen:
+        if not isinstance(zone_id, str):
+            raise ZoneValidationError(f"{where}: zone_id must be a string, got {zone_id!r}")
+        if zone_id in seen:
             raise ZoneValidationError(f"{where}: duplicate zone_id")
-        seen.add(str(props["zone_id"]))
+        seen.add(zone_id)
         geom = _member(feature, "geometry", where)
         gtype = geom.get("type")
         if gtype not in ("Polygon", "MultiPolygon"):
@@ -275,7 +313,7 @@ def read_zones(path):
             population = int(population)
         if isinstance(population, bool) or not isinstance(population, int):
             raise ZoneValidationError(f"{where}: population must be an integer, got {population!r}")
-        zones.append(Zone(str(props["zone_id"]), rings, float(damage_ratio), population))
+        zones.append(Zone(zone_id, rings, float(damage_ratio), population))
     return zones
 
 

@@ -19,7 +19,7 @@ from ntlpipe import (
     read_series_csv,
     write_grid,
 )
-from ntlpipe import preprocess
+from ntlpipe import cli, preprocess
 from ntlpipe.cli import main
 
 VSC_SCENE = {
@@ -565,6 +565,8 @@ class TestMalformedValues:
             ("min_damage", True, "min_damage"),
             ("min_damage", "0.5", "min_damage"),
             ("tunables", {"threshold_hi": True}, "tunables: threshold_hi"),
+            ("hurricanes", [{"name": 7, "event_month": "2018-10"}], "hurricanes[0]: name"),
+            ("datasets", [{"kind": "VSC-NTL", "raster_dir": "simv/VSC-NTL", "name": None}], "datasets[0]: name"),
         ],
     )
     def test_run_config_value(self, tmp_path, capsys, key, value, named):
@@ -599,6 +601,8 @@ class TestMalformedValues:
             ("noise", {"bloom_rate": True}, "noise: bloom_rate"),
             ("noise", {"cloud_rate": [0.1, "0.2"]}, "noise: cloud_rate[1]"),
             ("drop_gain", True, "drop_gain"),
+            ("zones", [{"zone_id": None, "damage_ratio": 0.1, "rect": [0, 0, 4, 4]}], "zones[0]: zone_id"),
+            ("zones", [{"zone_id": 7, "damage_ratio": 0.1, "rect": [0, 0, 4, 4]}], "zones[0]: zone_id"),
         ],
     )
     def test_scene_spec_value_writes_nothing(self, tmp_path, capsys, key, value, named):
@@ -652,6 +656,22 @@ class TestUnreadableZonesFile:
         for command in ("extract", "report"):
             assert main([command, "--config", str(config)]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+    def test_zones_file_without_features_is_an_error(self, tmp_path, capsys, monkeypatch):
+        config = simulated_vsc_run(tmp_path)
+        path = tmp_path / "simv" / "zones.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": []}))
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config)]) == 1
+        assert f"  problem: zones file has no features: {path}" in capsys.readouterr().out
+        loaded = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *args: loaded.append(args))
+        for command in ("extract", "report"):
+            assert main([command, "--config", str(config)]) == 1
+            assert capsys.readouterr().err == f"error: zones file has no features: {path}\n"
+        assert loaded == []
         assert not (tmp_path / "out").exists()
 
 

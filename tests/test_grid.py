@@ -1,8 +1,13 @@
 """Tests for the grid data model, ASCII grid I/O, and class-fraction resampling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ntlpipe import grid as grid_module
 from ntlpipe import (
     GridParseError,
     GridSpec,
@@ -343,6 +348,115 @@ class TestGridParsing:
         )
         grid = read_grid(path)
         assert grid.values[0, 0] == 1
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_rejected_with_line(self, tmp_path, token):
+        path = self.write(
+            tmp_path,
+            f"ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n1 2\n\n3 {token}\n",
+        )
+        with pytest.raises(GridParseError) as raised:
+            read_grid(path)
+        assert str(raised.value) == f"line 9: non-finite cell value {token!r}"
+        assert raised.value.line == 9
+
+
+def read_grid_by_lines(path):
+    """read_grid with its one-conversion path declined, so the line-by-line loop parses every body."""
+    with mock.patch.object(grid_module, "_convert_body", lambda spec, data_lines: None):
+        return read_grid(path)
+
+
+def parse_outcome(read, path):
+    """What a reader makes of a file: the raster bit for bit, or its GridParseError."""
+    try:
+        grid = read(path)
+    except GridParseError as exc:
+        return type(exc), str(exc), exc.line
+    values = [v.hex() if isinstance(v, float) else v for v in grid.values.ravel().tolist()]
+    return type(grid), grid.spec, values, grid.missing.tolist()
+
+
+# tokens float() reads; the integer literals among them include a sign, digit
+# separators and non-ASCII decimal digits, which _INT_TOKEN's \d also matches.
+# They are non-negative, as an IntRaster's valid cells must be.
+CELL_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["-0.0", "-0", "+7", "1_0", "1_000.5", "\u0661\u0662", "\uff17", "0.1e-3", "5E+2", ".5", "7."]),
+)
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\xa0", " \u2003 "])
+BLANK_LINES = st.lists(st.sampled_from(["", " ", "\t", "\xa0"]), max_size=2)
+
+
+@st.composite
+def grid_files(draw):
+    """The text of a well-formed grid file, as header lines and rows of cell tokens."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    nodata = draw(st.sampled_from(["-9999", "-9999.0", "0", "-1e30"]))
+    header = [
+        f"ncols {ncols}",
+        f"nrows {nrows}",
+        "xllcorner 0.5",
+        "yllcorner -2",
+        f"cellsize {draw(st.sampled_from(['1', '0.25', '30.0']))}",
+        f"NODATA_value {nodata}",
+    ]
+    cells = st.one_of(CELL_TOKENS, st.just(nodata))
+    rows = [[draw(cells) for _ in range(ncols)] for _ in range(nrows)]
+    return header, rows
+
+
+def grid_text(draw, header, rows):
+    """header and rows as file text, with random separators, blank lines and line endings."""
+    lines = []
+    for line in header + [draw(SEPARATORS).join(row) for row in rows]:
+        lines += draw(BLANK_LINES) + [line]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+class TestOneConversionMatchesLineByLine:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_valid_files_read_the_same(self, tmp_path_factory, data):
+        header, rows = data.draw(grid_files())
+        path = tmp_path_factory.mktemp("grid") / "grid.asc"
+        path.write_text(grid_text(data.draw, header, rows), newline="")
+        expected = parse_outcome(read_grid_by_lines, path)
+        assert expected[0] in (RasterGrid, IntRaster)
+        assert parse_outcome(read_grid, path) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_malformed_files_fail_the_same(self, tmp_path_factory, data):
+        header, rows = data.draw(grid_files())
+        for _ in range(data.draw(st.integers(1, 3))):
+            r = data.draw(st.integers(0, len(rows) - 1))
+            c = data.draw(st.integers(0, len(rows[r]) - 1)) if rows[r] else 0
+            fault = data.draw(
+                st.sampled_from(["short row", "long row", "lost row", "extra row", "bad token", "NUL"])
+            )
+            if fault == "short row":
+                del rows[r][c:]
+            elif fault == "long row":
+                rows[r].append(data.draw(CELL_TOKENS))
+            elif fault == "lost row":
+                del rows[r]
+            elif fault == "extra row":
+                rows.insert(r, list(rows[r]))
+            elif fault == "bad token" and rows[r]:
+                rows[r][c] = data.draw(
+                    st.sampled_from(["abc", "1.2.3", "0x10", "1__0", "_1", "nan", "inf", "-Infinity", "1e999"])
+                )
+            elif rows[r]:
+                rows[r][c] = data.draw(st.sampled_from(["\0", "{}\0", "\0{}", "1\0{}"])).format(rows[r][c])
+            if not rows:
+                break
+        path = tmp_path_factory.mktemp("grid") / "grid.asc"
+        path.write_text(grid_text(data.draw, header, rows), newline="")
+        expected = parse_outcome(read_grid_by_lines, path)
+        assume(expected[0] is GridParseError)  # a lost row and an extra row can cancel
+        assert parse_outcome(read_grid, path) == expected
 
 
 class TestClassFractionResample:

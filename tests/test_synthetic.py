@@ -1,5 +1,7 @@
 """Tests for synthetic scene generation and the ground-truth oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from ntlpipe import (
     ConfigError,
     Dataset,
     EventWindow,
-    GeneratedScene,
     GridSpec,
     MonthIndex,
     NoiseSpec,
@@ -26,6 +27,7 @@ from ntlpipe import (
     recovered_pccs,
     tile_zones,
 )
+from ntlpipe import synthetic
 
 EVENT = MonthIndex(2018, 10)
 
@@ -308,7 +310,7 @@ class TestOracleCheck:
     def test_recovered_pccs_keep_a_failing_config_to_itself(self):
         # without a built-fraction grid only the built configs can fail
         scene = generate_scene(make_spec(seed=3, noise=NoiseSpec(gaussian_sigma=0.05)))
-        scene = GeneratedScene(scene.spec, scene.radiance, scene.quality, scene.truth, None)
+        scene = dataclasses.replace(scene, built_fraction=None)
         configs = enumerate_configs(Dataset.VSC_NTL)
         results = list(recovered_pccs(scene, configs))
         assert [config for config, _ in results] == list(configs)
@@ -317,3 +319,17 @@ class TestOracleCheck:
                 assert isinstance(pcc, ConfigError) and "built" in str(pcc)
             else:
                 assert pcc == oracle_check(scene, config)[0]
+
+    def test_each_zone_is_rasterized_once(self, monkeypatch):
+        # the oracle reuses the masks generate_scene drew the zones with
+        rasterized = []
+        rasterize_zone = synthetic.rasterize_zone
+
+        def counted(zone, grid):
+            rasterized.append(zone.zone_id)
+            return rasterize_zone(zone, grid)
+
+        monkeypatch.setattr(synthetic, "rasterize_zone", counted)
+        spec = make_spec(seed=4)
+        list(recovered_pccs(generate_scene(spec), enumerate_configs(Dataset.VSC_NTL)))
+        assert rasterized == [zone.zone_id for zone in spec.zones]

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ntlpipe import (
@@ -24,6 +24,7 @@ from ntlpipe import (
     zonal_mean,
     zonal_means,
 )
+from ntlpipe.zones import _crossing_parity
 
 UNIT_SQUARE = rect_ring(0.0, 0.0, 1.0, 1.0)
 SQUARE = {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]}
@@ -221,6 +222,72 @@ class TestRasterizeZone:
         spec = GridSpec(ncols=2, nrows=2, x_origin=0.0, y_origin=0.0, cell_size=1.0)
         with pytest.raises(ValueError):
             ZoneMask(spec, np.ones((3, 2), dtype=bool))
+
+
+@st.composite
+def grids_and_zones(draw):
+    """A grid and a zone of 1-3 rings near it, often with vertices on or next to pixel centres, or on corners.
+
+    Zones can be partly or wholly off the grid, smaller than a cell, or
+    have a ring inside another (a hole).
+    """
+    cell = draw(st.sampled_from([0.25, 0.5, 0.7, 1.0, 3.0]))
+    nrows, ncols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    spec = GridSpec(
+        ncols=ncols,
+        nrows=nrows,
+        x_origin=draw(st.integers(-4, 4)) * cell / 2,
+        y_origin=draw(st.integers(-4, 4)) * cell / 2,
+        cell_size=cell,
+    )
+
+    def coordinate(origin, n):
+        centre = st.integers(-3, n + 2).map(lambda i: origin + (i + 0.5) * cell)
+        return st.one_of(
+            centre,
+            st.tuples(centre, st.sampled_from([-np.inf, np.inf])).map(lambda c: float(np.nextafter(*c))),
+            st.integers(-3, n + 3).map(lambda i: origin + i * cell),  # a cell corner
+            st.floats(origin - 3 * cell, origin + (n + 3) * cell),
+        )
+
+    point = st.tuples(coordinate(spec.x_origin, ncols), coordinate(spec.y_origin, nrows))
+    rings = []
+    for _ in range(draw(st.integers(1, 3))):
+        ring = draw(st.lists(point, min_size=3, max_size=10, unique=True))
+        shape = draw(st.sampled_from(["as drawn", "hole", "tiny", "off the grid"]))
+        cx, cy = np.mean(ring, axis=0)
+        if shape == "hole":  # the ring and a half-size copy inside it
+            rings.append(ring)
+            ring = [(cx + (x - cx) / 2, cy + (y - cy) / 2) for x, y in ring]
+        elif shape == "tiny":  # scaled to well under a cell
+            span = max(np.ptp(ring, axis=0).max(), 1e-9)
+            ring = [(cx + (x - cx) * 0.3 * cell / span, cy + (y - cy) * 0.3 * cell / span) for x, y in ring]
+        elif shape == "off the grid":
+            ring = [(x + (ncols + 4) * cell, y) for x, y in ring]
+        rings.append(ring)
+    assume(all(len({tuple(p) for p in ring}) >= 3 for ring in rings))
+    return spec, Zone("A", tuple(rings), damage_ratio=0.1)
+
+
+# x_int of the edge ending an ulp right of the centre rounds to left of it,
+# so the centre counts one crossing although it lies left of every vertex
+ROUNDED_PAST_THE_VERTICES = (
+    GridSpec(ncols=1, nrows=1, x_origin=0.0, y_origin=0.0, cell_size=0.25),
+    Zone("A", ([(0.375, 0.125), (0.625, 0.375), (0.12500000000000003, 0.12499999999999999)],), damage_ratio=0.1),
+)
+
+
+class TestRasterizeZoneMatchesFullGrid:
+    @settings(max_examples=500, deadline=None)
+    @given(case=grids_and_zones())
+    @example(case=ROUNDED_PAST_THE_VERTICES)
+    def test_equals_crossing_parity_at_every_centre(self, case):
+        spec, zone = case
+        # the full grid also divides at centres an edge does not straddle and
+        # discards those values, which overflow when the edge is nearly flat
+        with np.errstate(over="ignore"):
+            full = _crossing_parity(zone.rings, spec.center_xs()[None, :], spec.center_ys()[:, None])
+        assert np.array_equal(rasterize_zone(zone, spec).inside, full)
 
 
 class TestZonalMean:
@@ -422,6 +489,14 @@ class TestZoneFileRoundTrip:
             (
                 [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "population": "5"}}],
                 "feature 'Z1': population must be an integer, got '5'",
+            ),
+            (
+                [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "zone_id": None}}],
+                "feature #0: zone_id must be a string, got None",
+            ),
+            (
+                [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "zone_id": 7}}],
+                "feature #0: zone_id must be a string, got 7",
             ),
         ],
     )
