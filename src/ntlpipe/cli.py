@@ -40,7 +40,7 @@ from .analysis import (
     write_report_csv,
 )
 from .config import parse_run_config, parse_scene_spec
-from .errors import ConfigError, PipelineError, StatsError
+from .errors import ConfigError, PipelineError, ReportError, StatsError
 # read_grid is not called here: the bench tracer's test looks it up as ntlpipe.cli.read_grid
 from .grid import read_grid, write_grid  # noqa: F401
 from .layout import dataset_files, load_dataset, scan_dataset_dir
@@ -154,12 +154,13 @@ def cmd_extract(args):
             for hurricane, window_series in zip(run.hurricanes, result):
                 series_dir = _series_dir(out_dir, dataset, config.label, hurricane.name)
                 series_dir.mkdir(parents=True, exist_ok=True)
-                for series in window_series:
+                changes = percent_changes([series.values for series in window_series]).tolist()
+                for series, series_changes in zip(window_series, changes):
                     path = series_dir / f"{series.zone_id}.csv"
                     if path.exists() and not args.force:
                         failures.append(f"{path}: exists (use --force to overwrite)")
                         continue
-                    write_series_csv(series, path)
+                    write_series_csv(series, path, changes=series_changes)
                     written += 1
 
     print(f"extract: wrote {written} series file(s) under {out_dir}")
@@ -194,7 +195,10 @@ def cmd_report(args):
             if not path.is_file():
                 absent.append(str(path.relative_to(out_dir)))
                 continue
-            series_by_key[dataset.name, config.label, hurricane.name, zone.zone_id] = read_series_csv(path)
+            series = read_series_csv(path)
+            if series.zone_id != zone.zone_id:
+                raise ReportError(f"{path}: rows name zone {series.zone_id!r}, expected {zone.zone_id!r}")
+            series_by_key[dataset.name, config.label, hurricane.name, zone.zone_id] = series
     if absent:
         shown = ", ".join(absent[:8]) + (" ..." if len(absent) > 8 else "")
         raise ConfigError(f"missing extraction outputs ({len(absent)}): {shown}")

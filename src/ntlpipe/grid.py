@@ -15,9 +15,10 @@ File interchange uses the ASCII grid layout: six header lines (``ncols``,
 ``nrows``, ``xllcorner``, ``yllcorner``, ``cellsize``, ``NODATA_value``,
 case-insensitive, any order) followed by ``nrows`` lines of ``ncols``
 whitespace-separated tokens, northernmost row first. Grids whose data tokens
-are all integer literals read back as :class:`IntRaster`, everything else as
-:class:`RasterGrid`. Only square cells are supported; headers describing
-rectangular cells (``dx``/``dy`` variants) are rejected at parse time.
+are all integer literals, with no negative valid cell, read back as
+:class:`IntRaster`, everything else as :class:`RasterGrid`. Only square
+cells are supported; headers describing rectangular cells (``dx``/``dy``
+variants) are rejected at parse time.
 
 No projection or datum handling is done anywhere: all rasters and polygons
 used together are assumed co-registered in a single planar frame.
@@ -217,9 +218,9 @@ def read_grid(path):
     """Parse an ASCII grid file into a RasterGrid or IntRaster.
 
     Cells equal to the declared NODATA value become missing. The raster is
-    an IntRaster when every data token is an integer literal, otherwise a
-    RasterGrid. Raises GridParseError (with a 1-based line number) on any
-    malformed header or data line.
+    an IntRaster when every data token is an integer literal and no valid
+    cell is negative, otherwise a RasterGrid. Raises GridParseError (with a
+    1-based line number) on any malformed header or data line.
 
     A well-formed body is converted in one step; any other body goes to
     the line-by-line loop, which finds the first fault and names its line.
@@ -269,7 +270,8 @@ def read_grid(path):
         body = _parse_body(spec, data_lines)
     values, all_int = body
     missing = values == header["nodata_value"]
-    if all_int:
+    # an IntRaster's valid cells are non-negative, so a negative one makes the body real-valued
+    if all_int and not (values[~missing] < 0).any():
         return IntRaster(spec, values.astype(np.int64), missing)
     return RasterGrid(spec, values, missing)
 

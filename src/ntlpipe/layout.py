@@ -97,8 +97,9 @@ def load_dataset(dataset, month_lo, month_hi, need_quality):
     None). Daily files aggregate to monthly composites. Radiance grids are
     coerced to real-valued rasters so integer-looking files behave the
     same as any other radiance. Raises ConfigError naming the file when a
-    grid it reads is malformed or off the dataset's geometry; messages
-    leave naming the dataset to the caller.
+    grid it reads is malformed or off the dataset's geometry, or a quality
+    grid holds a negative value; messages leave naming the dataset to the
+    caller.
     """
     radiance_files, quality_files = scan_dataset_dir(dataset)
     reference, source = dataset.expected_grid, "configured grid"
@@ -113,6 +114,13 @@ def load_dataset(dataset, month_lo, month_hi, need_quality):
             reference, source = grid.spec, path.name
         elif grid.spec != reference:
             raise ConfigError(f"grid of {path.name} does not match {source}")
+        return grid
+
+    def read_quality(path):
+        grid = read(path)
+        # quality words and cloud-free counts are never negative
+        if (grid.values[grid.valid] < 0).any():
+            raise ConfigError(f"negative quality value in {path.name}")
         return grid
 
     months = tuple(m for m in sorted(radiance_files) if month_lo <= m <= month_hi)
@@ -135,7 +143,7 @@ def load_dataset(dataset, month_lo, month_hi, need_quality):
             )
         quality = RasterStack(
             months,
-            [_month_grid(quality_files[m], read, _majority_quality_composite) for m in months],
+            [_month_grid(quality_files[m], read_quality, _majority_quality_composite) for m in months],
         )
 
     built = as_float(read(dataset.built_path)) if dataset.built_path.is_file() else None

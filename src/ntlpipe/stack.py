@@ -12,9 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["MonthIndex", "RasterStack"]
+__all__ = ["MonthIndex", "RasterStack", "month_ordinal"]
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+
+
+def month_ordinal(year, month):
+    """Months since year 0, January, of (year, month); raises ValueError unless month is 1-12."""
+    if not 1 <= month <= 12:
+        raise ValueError(f"month must be 1-12, got {month}")
+    return year * 12 + month - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -25,13 +32,12 @@ class MonthIndex:
     month: int
 
     def __post_init__(self):
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month must be 1-12, got {self.month}")
+        month_ordinal(self.year, self.month)  # the month check
 
     @property
     def ordinal(self):
         """Months since year 0, January; the subtraction basis."""
-        return self.year * 12 + self.month - 1
+        return month_ordinal(self.year, self.month)
 
     @classmethod
     def from_ordinal(cls, ordinal):

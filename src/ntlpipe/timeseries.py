@@ -18,17 +18,24 @@ positive numbers mean the lights dimmed.
 series_by_config is the one "stack -> cleaned stack -> zone series" chain.
 It walks the configs' stage tree, so the quality pass runs once and every
 threshold and built branch below it shares its result, and it gathers
-each zone's pixels by flat index, one sum per zone-month. The CSV
-writer and the case study take a whole series' percent changes at once
-through percent_changes: a sliding-window sum for baseline windows of up
-to 7 months, the scalar rolling_baseline for longer ones. zonal_mean,
-build_zone_series, rolling_baseline and percent_change stay as the scalar
-definitions the batch paths equal bit for bit.
+each zone's pixels by flat index, one sum per zone-month.
+percent_changes takes the percent changes of a whole series, or of every
+row of a (zones x months) array, at once: a sliding-window sum for
+baseline windows of up to 7 months, the scalar baseline for longer ones.
+zonal_mean, build_zone_series, rolling_baseline and percent_change stay
+as the scalar definitions the batch paths equal bit for bit.
+
+The series CSV is written as one string per file and read with
+csv.reader and integer month ordinals; tests hold the bytes to
+csv.writer's and the rows and errors to csv.DictReader's.
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,7 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import PipelineError, ReportError
 from .grid import RasterGrid
 from .preprocess import run_stage_tree
-from .stack import MonthIndex
+from .stack import MonthIndex, month_ordinal
 from .zones import flat_indices, zonal_mean, zonal_means
 
 __all__ = [
@@ -184,9 +191,13 @@ def rolling_baseline(series, t, w=6):
     """
     if w < 1:
         raise ValueError(f"baseline window must be positive, got {w}")
-    i = t - series.start
+    return _baseline_at(series.values, t - series.start, w)
+
+
+def _baseline_at(values, i, w):
+    """rolling_baseline at position i of a sequence of values."""
     # values[i - w:i], oldest first, clamped at 0: a negative bound would wrap round
-    usable = [v for v in series.values[max(i - w, 0) : max(i, 0)] if not np.isnan(v)]
+    usable = [v for v in values[max(i - w, 0) : max(i, 0)] if not np.isnan(v)]
     if not usable:
         return float("nan")
     return float(np.mean(usable))
@@ -211,32 +222,45 @@ def percent_change(series, t, w=6):
 BATCH_MAX_WINDOW = 7
 
 
-def rolling_baselines(series, w=6):
-    """rolling_baseline(series, m, w) for every month m of the series, as an array.
+def _as_rows(series):
+    """A ZoneSeries' values as a 1-D array; any other array-like, one series per row, as float64."""
+    if isinstance(series, ZoneSeries):
+        return np.array(series.values)
+    return np.asarray(series, dtype=np.float64)
 
-    Bit-identical to the scalar: each window's usable values are summed in
-    the same order, with -0.0 (the exact identity of float addition) in
-    place of missing and pre-start months, and divided by their count.
+
+def rolling_baselines(series, w=6):
+    """rolling_baseline(series, m, w) at every month m, as an array.
+
+    ``series`` is a ZoneSeries or an array of series values, one series
+    per row (zones x months); the result has its shape. Bit-identical to
+    the scalar: each window's usable values are summed in the same order,
+    with -0.0 (the exact identity of float addition) in place of missing
+    and pre-start months, and divided by their count.
     """
     if w < 1:
         raise ValueError(f"baseline window must be positive, got {w}")
+    values = _as_rows(series)
     if w > BATCH_MAX_WINDOW:
-        return np.array([rolling_baseline(series, month, w) for month in series.months])
-    values = np.array(series.values)
-    # row i is values[i - w:i], oldest first
-    windows = sliding_window_view(np.concatenate((np.full(w, np.nan), values)), w)[:-1]
+        rows = values.reshape(-1, values.shape[-1]).tolist()
+        return np.array([[_baseline_at(row, i, w) for i in range(len(row))] for row in rows]).reshape(
+            values.shape
+        )
+    padded = np.concatenate((np.full(values.shape[:-1] + (w,), np.nan), values), axis=-1)
+    # windows[..., i, :] is values[..., i - w:i], oldest first
+    windows = sliding_window_view(padded, w, axis=-1)[..., :-1, :]
     usable = ~np.isnan(windows)
-    sums = np.where(usable, windows, -0.0).sum(axis=1)
-    counts = usable.sum(axis=1)
-    return np.divide(sums, counts, out=np.full(len(values), np.nan), where=counts > 0)
+    sums = np.where(usable, windows, -0.0).sum(axis=-1)
+    counts = usable.sum(axis=-1)
+    return np.divide(sums, counts, out=np.full(values.shape, np.nan), where=counts > 0)
 
 
 def percent_changes(series, w=6):
-    """percent_change(series, m, w) for every month m of the series, bit-identical, as an array."""
-    values = np.array(series.values)
-    baselines = rolling_baselines(series, w)
+    """percent_change(series, m, w) at every month m, bit-identical, shaped as rolling_baselines."""
+    values = _as_rows(series)
+    baselines = rolling_baselines(values, w)
     defined = ~np.isnan(values) & (baselines > BASELINE_EPSILON)  # a NaN baseline compares false
-    changes = np.full(len(values), np.nan)
+    changes = np.full(values.shape, np.nan)
     changes[defined] = 100.0 * (values[defined] - baselines[defined]) / baselines[defined]
     return changes
 
@@ -247,34 +271,50 @@ def event_drop(series, window, w=6):
     return -change if not np.isnan(change) else float("nan")
 
 
+_SERIES_HEADER = "zone_id,year,month,mean_radiance,percent_change\r\n"
+_READ_COLUMNS = ("zone_id", "year", "month", "mean_radiance")
+
+
 def _field(value):
     return "" if math.isnan(value) else repr(value)
 
 
-def write_series_csv(series, path, w=6):
+def _csv_field(text):
+    """``text`` as csv.writer writes it inside a row: quoted, quotes doubled, only when it must be."""
+    buffer = io.StringIO()
+    # a second field: csv.writer quotes an empty field only when it is a row's only one
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[: -len(",\r\n")]
+
+
+@lru_cache(maxsize=16)
+def _month_fields(ordinal, n):
+    """The ``year,month`` text of n months from an ordinal; every series of a window shares it."""
+    return tuple(f"{m // 12},{m % 12 + 1}" for m in range(ordinal, ordinal + n))
+
+
+def write_series_csv(series, path, w=6, changes=None):
     """Write a series as CSV rows of zone_id, year, month, radiance, change.
 
     Missing and undefined entries are empty fields. The percent-change
     column uses the trailing baseline of ``w`` months, so early rows with
-    no history are empty too.
+    no history are empty too. A caller that has the series' row of
+    percent_changes for ``w`` already passes it as ``changes``.
+
+    The bytes are csv.writer's (excel dialect: CRLF rows, the zone id
+    quoted only when it must be), built as one string.
     """
-    ordinal = series.start.ordinal  # row i is month ordinal + i, as MonthIndex.from_ordinal splits it
-    rows = [
-        [series.zone_id, (ordinal + i) // 12, (ordinal + i) % 12 + 1, _field(value), _field(change)]
-        for i, (value, change) in enumerate(zip(series.values, percent_changes(series, w).tolist()))
+    if changes is None:
+        changes = percent_changes(series, w).tolist()
+    zone = _csv_field(series.zone_id)
+    months = _month_fields(series.start.ordinal, len(series.values))
+    lines = [_SERIES_HEADER]
+    lines += [
+        f"{zone},{month},{_field(value)},{_field(change)}\r\n"
+        for month, value, change in zip(months, series.values, changes)
     ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["zone_id", "year", "month", "mean_radiance", "percent_change"])
-        writer.writerows(rows)
-
-
-def _series_row(row):
-    """(zone_id, month, radiance) of one series CSV row; an empty radiance is NaN."""
-    zone_id, year, month, field = (row[key] for key in ("zone_id", "year", "month", "mean_radiance"))
-    if None in row.values():
-        raise ValueError("short row")
-    return zone_id, MonthIndex(int(year), int(month)), float(field) if field else float("nan")
+        fh.write("".join(lines))
 
 
 def read_series_csv(path):
@@ -284,22 +324,41 @@ def read_series_csv(path):
     month the file skips reads back as NaN. A file that is empty, holds
     several zones, lacks a column or has a short row or a bad field raises
     ReportError naming the path.
+
+    Reads as csv.DictReader would: the first line is the header (a
+    repeated name means its last column), blank lines are skipped, a row
+    longer than the header is accepted, and within a row the checks run
+    in the order short row, year, month, month range, radiance.
     """
+    zone_ids = set()
+    ordinals = []
+    radiances = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        position = {name: i for i, name in enumerate(header)}
+        absent = next((key for key in _READ_COLUMNS if key not in position), None)
+        pick = None if absent else itemgetter(*(position[key] for key in _READ_COLUMNS))
         try:
-            rows = [_series_row(row) for row in reader]
-        except KeyError as exc:
-            raise ReportError(f"{path}: missing column {exc}") from None
+            for row in reader:
+                if not row:
+                    continue
+                if pick is None:
+                    raise ReportError(f"{path}: missing column {absent!r}")
+                if len(row) < len(header):
+                    raise ValueError("short row")
+                zone_id, year, month, field = pick(row)
+                ordinals.append(month_ordinal(int(year), int(month)))
+                radiances.append(float(field) if field else float("nan"))
+                zone_ids.add(zone_id)
         except ValueError as exc:
             raise ReportError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
+    if not ordinals:
         raise ReportError(f"{path}: empty series file")
-    zone_ids, months, radiances = zip(*rows)
-    if len(set(zone_ids)) != 1:
-        raise ReportError(f"{path}: expected one zone per file, found {sorted(set(zone_ids))}")
-    start = min(months)
-    values = [float("nan")] * (max(months) - start + 1)
-    for month, value in zip(months, radiances):
-        values[month - start] = value
-    return ZoneSeries(zone_ids[0], start, values)
+    if len(zone_ids) != 1:
+        raise ReportError(f"{path}: expected one zone per file, found {sorted(zone_ids)}")
+    first = min(ordinals)
+    values = [float("nan")] * (max(ordinals) - first + 1)
+    for ordinal, value in zip(ordinals, radiances):
+        values[ordinal - first] = value
+    return ZoneSeries(zone_ids.pop(), MonthIndex.from_ordinal(first), values)

@@ -390,6 +390,98 @@ class TestReportUnreadableSeries:
         assert not (tmp_path / "out" / "case_study.csv").exists()
 
 
+class TestReportZoneMismatch:
+    def test_series_file_naming_another_zone_is_refused(self, tmp_path, capsys):
+        config = simulated_vsc_run(tmp_path, configs=["raw"])
+        assert main(["extract", "--config", str(config)]) == 0
+        path = tmp_path / "out" / "VSC-NTL" / "raw" / "TestStorm" / "Z01.csv"
+        path.write_text(path.read_text().replace("\nZ01,", "\nZ02,"))
+        capsys.readouterr()
+        assert main(["report", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: rows name zone 'Z02', expected 'Z01'\n"
+        assert not (tmp_path / "out" / "report.csv").exists()
+        assert not (tmp_path / "out" / "case_study.csv").exists()
+
+
+class TestSeriesFileCalls:
+    """extract and report handle each series file in one call, the path as a positional argument."""
+
+    def test_one_call_per_series_file(self, tmp_path, monkeypatch):
+        config = simulated_vsc_run(tmp_path, configs=["raw", "clip+quality"])
+        written, read = [], []
+        write, read_back = cli.write_series_csv, cli.read_series_csv
+
+        def recording_write(*args, **kwargs):
+            written.append(args[1])
+            return write(*args, **kwargs)
+
+        def recording_read(*args, **kwargs):
+            read.append(args[0])
+            return read_back(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_series_csv", recording_write)
+        monkeypatch.setattr(cli, "read_series_csv", recording_read)
+        assert main(["extract", "--config", str(config)]) == 0
+        series_files = sorted((tmp_path / "out").rglob("*.csv"))
+        assert len(series_files) == 2 * 6
+        assert sorted(written) == series_files
+        assert main(["report", "--config", str(config)]) == 0
+        assert sorted(read) == series_files
+
+
+class TestNegativeCells:
+    """A negative cell in an all-integer grid reads as a real-valued raster."""
+
+    HEADER = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+
+    def build_run(self, root, kind, body, quality=None):
+        data = root / "data"
+        data.mkdir()
+        for month in ("2018-09", "2018-10", "2018-11"):
+            (data / f"{month}.asc").write_text(self.HEADER + body(month) + "\n")
+            if quality is not None:
+                (data / f"{month}.qf.asc").write_text(self.HEADER + quality(month) + "\n")
+        zone = {
+            "type": "Feature",
+            "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [2, 0], [2, 1], [0, 1], [0, 0]]]},
+            "properties": {"zone_id": "Z1", "damage_ratio": 0.5, "population": 10},
+        }
+        write_json(root / "zones.geojson", {"type": "FeatureCollection", "features": [zone]})
+        return write_json(
+            root / "run.json",
+            {
+                "datasets": [{"kind": kind, "raster_dir": "data"}],
+                "zones": "zones.geojson",
+                "hurricanes": [{"name": "S", "event_month": "2018-10"}],
+                "configs": ["raw"] if quality is None else ["raw", "quality"],
+                "months_before": 1,
+                "months_after": 1,
+                "output_dir": "out",
+            },
+        )
+
+    def test_negative_radiance_cell_extracts(self, tmp_path):
+        config = self.build_run(tmp_path, "VSC-NTL", lambda month: "3 -4" if month == "2018-10" else "3 5")
+        assert main(["validate", "--config", str(config)]) == 0
+        assert main(["extract", "--config", str(config)]) == 0
+        series = read_series_csv(tmp_path / "out" / "VSC-NTL" / "raw" / "S" / "Z1.csv")
+        assert series.values == (4.0, -0.5, 4.0)
+
+    def test_negative_quality_word_fails_extract_in_one_line(self, tmp_path, capsys):
+        config = self.build_run(
+            tmp_path,
+            "VNP46A2",
+            lambda month: "3 5",
+            quality=lambda month: "50 -4" if month == "2018-10" else "50 50",
+        )
+        message = "VNP46A2: negative quality value in 2018-10.qf.asc"
+        assert main(["validate", "--config", str(config)]) == 1
+        assert f"  problem: {message}" in capsys.readouterr().out
+        assert main(["extract", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "failed:" in line] == [f"  failed: {message}"]
+
+
 class TestReportWritesNothingOnFailure:
     def test_failed_case_study_selection_leaves_no_report(self, tmp_path, capsys):
         config = simulated_vsc_run(tmp_path, configs=["raw"], case_study_k=40)

@@ -237,6 +237,12 @@ class TestGridFileRoundTrip:
             write_grid(grid, tmp_path / "g.asc", nodata=-0.5)
 
 
+def read_grid_by_lines(path):
+    """read_grid with its one-conversion path declined, so the line-by-line loop parses every body."""
+    with mock.patch.object(grid_module, "_convert_body", lambda spec, data_lines: None):
+        return read_grid(path)
+
+
 class TestGridParsing:
     def write(self, tmp_path, text):
         path = tmp_path / "grid.asc"
@@ -271,6 +277,27 @@ class TestGridParsing:
             "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n3 4.0\n",
         )
         assert type(read_grid(path)) is RasterGrid
+
+    @pytest.mark.parametrize("read", [read_grid, read_grid_by_lines])
+    def test_negative_integer_cell_gives_float_raster(self, tmp_path, read):
+        path = self.write(
+            tmp_path,
+            "ncols 3\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n3 -4 -9999\n",
+        )
+        grid = read(path)
+        assert type(grid) is RasterGrid
+        assert grid.values[0, :2].tolist() == [3.0, -4.0]
+        assert grid.missing[0].tolist() == [False, False, True]
+
+    @pytest.mark.parametrize("read", [read_grid, read_grid_by_lines])
+    def test_negative_nodata_keeps_an_int_raster(self, tmp_path, read):
+        path = self.write(
+            tmp_path,
+            "ncols 3\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n3 -9999 -0\n",
+        )
+        grid = read(path)
+        assert type(grid) is IntRaster
+        assert grid.missing[0].tolist() == [False, True, False]
 
     def test_nodata_cells_become_missing(self, tmp_path):
         path = self.write(
@@ -361,12 +388,6 @@ class TestGridParsing:
         assert raised.value.line == 9
 
 
-def read_grid_by_lines(path):
-    """read_grid with its one-conversion path declined, so the line-by-line loop parses every body."""
-    with mock.patch.object(grid_module, "_convert_body", lambda spec, data_lines: None):
-        return read_grid(path)
-
-
 def parse_outcome(read, path):
     """What a reader makes of a file: the raster bit for bit, or its GridParseError."""
     try:
@@ -379,10 +400,12 @@ def parse_outcome(read, path):
 
 # tokens float() reads; the integer literals among them include a sign, digit
 # separators and non-ASCII decimal digits, which _INT_TOKEN's \d also matches.
-# They are non-negative, as an IntRaster's valid cells must be.
+# A negative one makes the file a RasterGrid, as an IntRaster's valid cells
+# are non-negative.
 CELL_TOKENS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(0, 10**6).map(str),
+    st.integers(-50, -1).map(str),
     st.sampled_from(["-0.0", "-0", "+7", "1_0", "1_000.5", "\u0661\u0662", "\uff17", "0.1e-3", "5E+2", ".5", "7."]),
 )
 SEPARATORS = st.sampled_from([" ", "  ", "\t", "\xa0", " \u2003 "])

@@ -61,3 +61,22 @@ def test_names_outside_the_layout_are_ignored(tmp_path):
         (tmp_path / name).write_text("not a grid\n")
     radiance, quality = scan_dataset_dir(dataset)
     assert sorted(radiance) == list(WINDOW.months()) == sorted(quality)
+
+
+def test_negative_integer_radiance_loads_as_real_values(tmp_path):
+    scene, dataset = written_scene(tmp_path, Dataset.VSC_NTL)
+    header = "ncols 6\nnrows 5\nxllcorner 10.0\nyllcorner -3.0\ncellsize 0.5\nNODATA_value -9999\n"
+    (tmp_path / "2018-10.asc").write_text(header + "\n".join(["3 -4 5 6 7 8"] * 5) + "\n")
+    radiance, _, _ = load_dataset(dataset, WINDOW.start, WINDOW.end, need_quality=True)
+    grid = radiance.get(MonthIndex(2018, 10))
+    assert grid.values[:, :2].tolist() == [[3.0, -4.0]] * 5
+    assert radiance.get(MonthIndex(2018, 9)) == scene.radiance.get(MonthIndex(2018, 9))
+
+
+@pytest.mark.parametrize("kind", list(Dataset))
+def test_negative_quality_value_is_named(tmp_path, kind):
+    _, dataset = written_scene(tmp_path, kind)
+    header = "ncols 6\nnrows 5\nxllcorner 10.0\nyllcorner -3.0\ncellsize 0.5\nNODATA_value -9999\n"
+    (tmp_path / "2018-09.qf.asc").write_text(header + "\n".join(["1 -4 5 6 7 8"] * 5) + "\n")
+    with pytest.raises(ConfigError, match=r"^negative quality value in 2018-09\.qf\.asc$"):
+        load_dataset(dataset, WINDOW.start, WINDOW.end, need_quality=True)

@@ -1,11 +1,12 @@
 """Tests for month arithmetic, zone time series, baselines, and drop metrics."""
 
 import csv
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ntlpipe import (
@@ -387,6 +388,33 @@ class TestBatchMatchesScalar:
             percent_changes(series, w)
 
 
+class TestMatrixMatchesScalar:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n_months=st.integers(1, 30),
+        start=st.builds(MonthIndex, st.integers(2000, 2030), st.integers(1, 12)),
+        w=st.integers(1, 13),
+    )
+    def test_bit_identical(self, data, n_months, start, w):
+        # (zones x months), NaN-bearing; w above 7 takes the scalar fallback row by row
+        row = st.lists(radiances, min_size=n_months, max_size=n_months)
+        rows = data.draw(st.lists(row, min_size=1, max_size=6))
+        baselines = rolling_baselines(np.array(rows), w)
+        changes = percent_changes(rows, w)
+        assert baselines.shape == changes.shape == (len(rows), n_months)
+        for row, row_baselines, row_changes in zip(rows, baselines.tolist(), changes.tolist()):
+            series = series_from(start, row)
+            months = series.months
+            assert [b.hex() for b in row_baselines] == [rolling_baseline(series, m, w).hex() for m in months]
+            assert [c.hex() for c in row_changes] == [percent_change(series, m, w).hex() for m in months]
+
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_bad_window_rejected(self, w):
+        with pytest.raises(ValueError):
+            percent_changes(np.ones((2, 3)), w)
+
+
 class TestPercentChange:
     def test_forty_percent_drop(self):
         start = MonthIndex(2018, 1)
@@ -509,7 +537,8 @@ class TestSeriesCsvMatchesRowByRowWriter:
     @settings(max_examples=100, deadline=None)
     @given(
         zone_id=st.one_of(
-            st.just('a,"b'), st.text(st.characters(blacklist_categories=("Cs",)), min_size=1)
+            st.sampled_from(['a,"b', "\r", "\n", "a\r\nb", '"', '""', '"q"', " edge ", "  ", "\tz\t"]),
+            st.text(st.characters(blacklist_categories=("Cs",)), min_size=1),
         ),
         values=st.lists(radiances, min_size=1, max_size=30),
         start=st.builds(MonthIndex, st.integers(1, 9999), st.integers(1, 12)),
@@ -521,3 +550,175 @@ class TestSeriesCsvMatchesRowByRowWriter:
         write_series_csv(series, root / "batch.csv", w)
         row_by_row_series_csv(series, root / "rows.csv", w)
         assert (root / "batch.csv").read_bytes() == (root / "rows.csv").read_bytes()
+        # as extract writes it: the series' row of a (zones x months) computation
+        changes = percent_changes([series.values, series.values[::-1]], w)[0].tolist()
+        write_series_csv(series, root / "matrix.csv", w, changes=changes)
+        assert (root / "matrix.csv").read_bytes() == (root / "rows.csv").read_bytes()
+
+
+def _dict_series_row(row):
+    zone_id, year, month, field = (row[key] for key in ("zone_id", "year", "month", "mean_radiance"))
+    if None in row.values():
+        raise ValueError("short row")
+    return zone_id, MonthIndex(int(year), int(month)), float(field) if field else float("nan")
+
+
+def read_series_csv_by_dicts(path):
+    """The series CSV reader as it was written on csv.DictReader, one MonthIndex per row."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            rows = [_dict_series_row(row) for row in reader]
+        except KeyError as exc:
+            raise ReportError(f"{path}: missing column {exc}") from None
+        except ValueError as exc:
+            raise ReportError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ReportError(f"{path}: empty series file")
+    zone_ids, months, radiances = zip(*rows)
+    if len(set(zone_ids)) != 1:
+        raise ReportError(f"{path}: expected one zone per file, found {sorted(set(zone_ids))}")
+    start = min(months)
+    values = [float("nan")] * (max(months) - start + 1)
+    for month, value in zip(months, radiances):
+        values[month - start] = value
+    return ZoneSeries(zone_ids[0], start, values)
+
+
+def read_outcome(read, path):
+    """What a reader makes of a file: the series bit for bit, or its error's class and message."""
+    try:
+        series = read(path)
+    except Exception as exc:  # the class is part of the outcome
+        return type(exc), str(exc)
+    return series.zone_id, series.start, [v.hex() for v in series.values]
+
+
+COLUMNS = ["zone_id", "year", "month", "mean_radiance", "percent_change"]
+CSV_ZONE_IDS = st.one_of(
+    st.sampled_from(["Z01", 'a,"b', "x\ry", "x\ny", "a\r\nb", '"', " edge ", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), min_size=1, max_size=8),
+)
+# few distinct years, so rows repeat and skip months as well as come out of order
+YEAR_TEXT = st.one_of(
+    st.integers(2017, 2019).map(str),
+    st.sampled_from(["+2018", " 2018", "2018 ", "0002018", "\u0662\u0660\u0661\u0668"]),
+)
+MONTH_TEXT = st.one_of(st.integers(1, 12).map(str), st.sampled_from(["07", "+3", " 12", "1_2"]))
+RADIANCE_TEXT = st.one_of(
+    st.just(""),
+    radiances.map(repr),
+    st.sampled_from(["1e3", " 2.5", "+1", "-0.0", "nan", "inf", "1_0.5"]),
+)
+
+
+@st.composite
+def series_csv_files(draw):
+    """A valid series CSV as header and rows: columns in any order, extra and repeated columns."""
+    header = draw(st.permutations(COLUMNS))
+    header += draw(st.lists(st.sampled_from(COLUMNS + ["note"]), max_size=2))
+    last = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+    zone_id = draw(CSV_ZONE_IDS)
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        fields = {
+            "zone_id": zone_id,
+            "year": draw(YEAR_TEXT),
+            "month": draw(MONTH_TEXT),
+            "mean_radiance": draw(RADIANCE_TEXT),
+        }
+        # a column no one reads holds anything
+        unread = st.sampled_from(["", "x", "1"])
+        row = [
+            fields[name] if last[name] == i and name in fields else draw(unread) for i, name in enumerate(header)
+        ]
+        rows.append(row + draw(st.lists(st.sampled_from(["", "extra", "9"]), max_size=2)))  # long rows
+    return header, rows
+
+
+def series_csv_text(draw, header, rows):
+    """header and rows as csv text, with blank lines between rows and a random line ending."""
+    ending = draw(st.sampled_from(["\r\n", "\n", "\r"]))
+    buffer = io.StringIO()
+    # minimal quoting protects a \r or \n in a field only when both are in the line ending
+    quoting = csv.QUOTE_MINIMAL if ending == "\r\n" else csv.QUOTE_ALL
+    writer = csv.writer(buffer, lineterminator=ending, quoting=quoting)
+    writer.writerow(header)
+    for row in rows:
+        buffer.write(ending * draw(st.integers(0, 2)))
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+BAD_FIELDS = {
+    "several zones": ("zone_id", CSV_ZONE_IDS),
+    "bad year": ("year", st.sampled_from(["x", "2O18", "1.5", ""])),
+    "bad month": ("month", st.sampled_from(["x", "1.5", ""])),
+    "month range": ("month", st.sampled_from(["0", "13", "-1"])),
+    "bad radiance": ("mean_radiance", st.sampled_from(["bright", "1.2.3", "--1"])),
+}
+
+
+class TestReaderMatchesDictReader:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_valid_files_read_the_same(self, tmp_path_factory, data):
+        header, rows = data.draw(series_csv_files())
+        path = tmp_path_factory.mktemp("series") / "Z.csv"
+        path.write_text(series_csv_text(data.draw, header, rows), newline="")
+        expected = read_outcome(read_series_csv_by_dicts, path)
+        assert expected[0] is not ReportError
+        assert read_outcome(read_series_csv, path) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_malformed_files_fail_the_same(self, tmp_path_factory, data):
+        header, rows = data.draw(series_csv_files())
+        for _ in range(data.draw(st.integers(1, 3))):
+            r = data.draw(st.integers(0, len(rows) - 1))
+            fault = data.draw(st.sampled_from(["missing column", "short row", "rows", *BAD_FIELDS]))
+            row = rows[r]
+            if fault == "missing column":
+                name = data.draw(st.sampled_from(COLUMNS[:4]))
+                header = [("zone" if h == name else h) for h in header]
+            elif fault == "short row":
+                del row[data.draw(st.integers(0, len(header) - 1)) :]
+            elif fault == "rows":
+                del rows[r:]  # header only, once every row is gone
+            else:
+                name, bad = BAD_FIELDS[fault]
+                # the column read is the last of its name
+                i = max((j for j, h in enumerate(header) if h == name), default=len(row))
+                if i < len(row):
+                    row[i] = data.draw(bad)
+            if not rows:
+                break
+        text = series_csv_text(data.draw, header, rows)
+        start = data.draw(st.sampled_from(["as is", "empty", "blank first line"]))
+        if start == "empty":
+            text = ""
+        elif start == "blank first line":
+            text = "\r\n" + text  # the header is then the blank line
+        path = tmp_path_factory.mktemp("series") / "Z.csv"
+        path.write_text(text, newline="")
+        expected = read_outcome(read_series_csv_by_dicts, path)
+        assume(expected[0] is ReportError)  # a fault can leave the file valid
+        assert read_outcome(read_series_csv, path) == expected
+
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            ("Z,x,13,bright", "short row"),
+            ("Z,x,13,bright,", "invalid literal for int() with base 10: 'x'"),
+            ("Z,2018,x,bright,", "invalid literal for int() with base 10: 'x'"),
+            ("Z,2018,13,bright,", "month must be 1-12, got 13"),
+            ("Z,2018,0,bright,", "month must be 1-12, got 0"),
+            ("Z,2018,12,bright,", "could not convert string to float: 'bright'"),
+        ],
+    )
+    def test_checks_within_a_row_keep_their_order(self, tmp_path, row, detail):
+        path = tmp_path / "Z.csv"
+        path.write_text(f"zone_id,year,month,mean_radiance,percent_change\nZ,2018,1,1.0,\n\n{row}\n")
+        expected = (ReportError, f"{path}: line 4: {detail}")
+        assert read_outcome(read_series_csv_by_dicts, path) == expected
+        assert read_outcome(read_series_csv, path) == expected
