@@ -27,6 +27,7 @@ used together are assumed co-registered in a single planar frame.
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -210,8 +211,6 @@ _HEADER_KEYS = {
 }
 
 _INT_TOKEN = re.compile(r"^[+-]?\d+$")
-# a row's tokens, joined by single spaces, are all integer literals; the same \d as _INT_TOKEN
-_INT_ROW = re.compile(r"[+-]?\d+(?: [+-]?\d+)*")
 
 
 def read_grid(path):
@@ -227,9 +226,9 @@ def read_grid(path):
     """
     path = Path(path)
     numbered = [
-        (lineno, line.split())
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
-        if line.strip()
+        (lineno, tokens)
+        for lineno, tokens in enumerate(map(str.split, path.read_text().splitlines()), start=1)
+        if tokens  # a line is blank when it splits into no tokens
     ]
     header = {}
     header_lines = {}
@@ -284,7 +283,7 @@ def _convert_body(spec, data_lines):
     differential tests in tests/test_grid.py hold the two together.
     """
     rows = [tokens for _, tokens in data_lines]
-    if len(rows) != spec.nrows or any(len(row) != spec.ncols for row in rows):
+    if len(rows) != spec.nrows or set(map(len, rows)) != {spec.ncols}:
         return None
     try:
         values = np.array(rows, dtype=np.float64)
@@ -292,8 +291,13 @@ def _convert_body(spec, data_lines):
         return None
     if not np.isfinite(values).all():
         return None
-    # row by row: one match over a whole body keeps backtracking state for every token
-    return values, all(_INT_ROW.fullmatch(" ".join(row)) for row in rows)
+    if (values != np.floor(values)).any():
+        return values, False  # an integer literal converts to an integral value
+    # every token converted, so a sign is a token's first character or follows an
+    # exponent's e, which isdecimal refuses; isdecimal and _INT_TOKEN's \d both
+    # mean Unicode category Nd
+    digits = "".join(chain.from_iterable(rows)).replace("+", "").replace("-", "")
+    return values, digits.isdecimal()
 
 
 def _parse_body(spec, data_lines):

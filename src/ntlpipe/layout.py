@@ -12,15 +12,16 @@ Every grid one load reads shares one geometry: the dataset's configured
 grid when it has one, else that of the first radiance file read.
 """
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GridParseError
+from .errors import ConfigError, GridParseError, QualityDecodeError
 from .grid import GridSpec, IntRaster, as_float, read_grid
-from .quality import VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE, Dataset, high_quality_mask
+from .quality import VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE, Dataset, vnp46a2_high_quality
 from .stack import MonthIndex, RasterStack
 from .timeseries import monthly_median_composite
 
@@ -64,12 +65,13 @@ def scan_dataset_dir(dataset):
 
 def _scan(directory, pattern, daily):
     monthly, days = {}, {}
-    for entry in sorted(directory.iterdir() if directory.is_dir() else []):
-        m = pattern.match(entry.name)
+    # names sort as the entries' Paths would: every entry has the same parent
+    for name in sorted(os.listdir(directory) if directory.is_dir() else []):
+        m = pattern.match(name)
         if m and not m.group(2):
-            monthly[MonthIndex.parse(m.group(1))] = entry
+            monthly[MonthIndex.parse(m.group(1))] = directory / name
         elif m and daily:
-            days.setdefault(MonthIndex.parse(m.group(1)), []).append(entry)
+            days.setdefault(MonthIndex.parse(m.group(1)), []).append(directory / name)
     return {**days, **monthly}
 
 
@@ -79,15 +81,21 @@ def _majority_quality_composite(daily_quality_grids):
     A pixel is monthly-high-quality when more than half of the days it was
     observed decode high-quality; pixels observed on no day are missing.
     The result uses one canonical high- and one canonical low-quality word.
+    Each distinct word of the month is decoded once; a reserved word
+    raises QualityDecodeError for the smallest reserved word of the first
+    day that holds one.
     """
-    spec = daily_quality_grids[0].spec
-    observed = np.zeros(spec.shape, dtype=np.int64)
-    high = np.zeros(spec.shape, dtype=np.int64)
-    for grid in daily_quality_grids:
-        observed += grid.valid
-        high += high_quality_mask(grid, Dataset.VNP46A2)
-    words = np.where(high * 2 > observed, VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE)
-    return IntRaster(spec, words, observed == 0)
+    words = np.stack([grid.values for grid in daily_quality_grids])
+    valid = ~np.stack([grid.missing for grid in daily_quality_grids])
+    try:
+        high = vnp46a2_high_quality(words, valid)
+    except QualityDecodeError:
+        for grid in daily_quality_grids:  # the first day holding a reserved word raises its error
+            vnp46a2_high_quality(grid.values, grid.valid)
+        raise
+    observed = valid.sum(axis=0)
+    monthly = np.where(high.sum(axis=0) * 2 > observed, VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE)
+    return IntRaster(daily_quality_grids[0].spec, monthly, observed == 0)
 
 
 def load_dataset(dataset, month_lo, month_hi, need_quality):
@@ -118,9 +126,12 @@ def load_dataset(dataset, month_lo, month_hi, need_quality):
 
     def read_quality(path):
         grid = read(path)
+        values = grid.values[grid.valid]
         # quality words and cloud-free counts are never negative
-        if (grid.values[grid.valid] < 0).any():
+        if (values < 0).any():
             raise ConfigError(f"negative quality value in {path.name}")
+        if dataset.kind is Dataset.VNP46A2 and (values >= 1 << 16).any():
+            raise ConfigError(f"quality word of 2^16 or more in {path.name}")
         return grid
 
     months = tuple(m for m in sorted(radiance_files) if month_lo <= m <= month_hi)

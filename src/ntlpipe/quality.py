@@ -47,6 +47,7 @@ __all__ = [
     "is_high_quality_vnp46a2",
     "is_high_quality_vscntl",
     "high_quality_mask",
+    "vnp46a2_high_quality",
     "VNP46A2_HIGH_QUALITY_CODE",
     "VNP46A2_LOW_QUALITY_CODE",
 ]
@@ -166,17 +167,20 @@ def high_quality_mask(quality, dataset):
     ``quality`` is an IntRaster of VNP46A2 words or VSC-NTL cloud-free
     counts depending on ``dataset``. Cells with no quality observation are
     low-quality: an unvouched-for value cannot be trusted. VNP46A2 words
-    are decoded once per distinct code, so decode errors surface for
-    reserved codes anywhere in the raster.
+    go through vnp46a2_high_quality.
     """
     if dataset is Dataset.VSC_NTL:
-        hq = quality.values > 0
-    else:
-        codes = np.unique(quality.values[quality.valid])
-        good = {
-            int(code)
-            for code in codes
-            if is_high_quality_vnp46a2(decode_vnp46a2_quality(int(code)))
-        }
-        hq = np.isin(quality.values, sorted(good))
-    return hq & quality.valid
+        return (quality.values > 0) & quality.valid
+    return vnp46a2_high_quality(quality.values, quality.valid)
+
+
+def vnp46a2_high_quality(words, valid):
+    """High-quality booleans for an array of VNP46A2 words of any shape, False where not ``valid``.
+
+    Each distinct valid word is decoded once, smallest first, so a
+    reserved word anywhere raises QualityDecodeError for the smallest one.
+    """
+    codes = np.unique(words[valid])
+    # int(code): a fractional word such as 50.5 matches no decoded word, so it is low-quality
+    good = [int(code) for code in codes.tolist() if is_high_quality_vnp46a2(decode_vnp46a2_quality(code))]
+    return np.isin(words, good) & valid

@@ -121,20 +121,31 @@ class ZoneSeries:
 def monthly_median_composite(daily_rasters):
     """Per-pixel median of daily rasters from one calendar month.
 
-    Only valid daily values enter each pixel's median; an even count takes
-    the mean of the two middle values; a pixel valid on no day is missing.
+    Only valid daily values enter each pixel's median: the middle value
+    of an odd count, the mean of the middle pair of an even one (each
+    halved before adding when their sum would overflow); a zero median is
+    +0.0, and a pixel valid on no day is missing. The days are sorted once
+    per pixel, so wherever np.nanmedian's median is finite this one
+    equals it bit for bit.
     """
     grids = list(daily_rasters)
     if not grids:
         raise ValueError("composite needs at least one daily raster")
     if any(g.spec != grids[0].spec for g in grids):
         raise ValueError("daily rasters disagree on grid geometry")
-    cube = np.stack([g.masked_values() for g in grids])
-    all_missing = np.all(np.isnan(cube), axis=0)
-    # dummy zeros where every day is missing keep nanmedian warning-free;
-    # those pixels are masked out right below
-    median = np.nanmedian(np.where(all_missing[None, :, :], 0.0, cube), axis=0)
-    return RasterGrid(grids[0].spec, median, all_missing)
+    cube = np.stack([g.values for g in grids], dtype=np.float64)  # IntRaster days too
+    missing = np.stack([g.missing for g in grids])
+    cube[missing] = np.nan  # NaN sorts last
+    counts = len(grids) - missing.sum(axis=0)
+    # positions of the middle pair; an odd count's middle value is both
+    middle = np.stack([np.maximum(counts - 1, 0) // 2, counts // 2])
+    low, high = np.take_along_axis(np.sort(cube, axis=0), middle, axis=0)
+    # np.nanmedian sums the pair as np.add.reduce does, where two zeros of
+    # either sign give +0.0, and halves the sum; + 0.0 does the same here
+    with np.errstate(over="ignore"):
+        median = (low + high + 0.0) / 2
+    median = np.where(np.isinf(median), low / 2 + high / 2, median)
+    return RasterGrid(grids[0].spec, median, counts == 0)
 
 
 def build_zone_series(stack, mask, window, zone_id):
@@ -323,7 +334,8 @@ def read_series_csv(path):
     Each row lands at its month's offset from the earliest month, so a
     month the file skips reads back as NaN. A file that is empty, holds
     several zones, lacks a column or has a short row or a bad field raises
-    ReportError naming the path.
+    ReportError naming the path, as does a field longer than
+    csv.field_size_limit() (131,072 characters by default).
 
     Reads as csv.DictReader would: the first line is the header (a
     repeated name means its last column), blank lines are skipped, a row
@@ -335,11 +347,11 @@ def read_series_csv(path):
     radiances = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        position = {name: i for i, name in enumerate(header)}
-        absent = next((key for key in _READ_COLUMNS if key not in position), None)
-        pick = None if absent else itemgetter(*(position[key] for key in _READ_COLUMNS))
         try:
+            header = next(reader, [])
+            position = {name: i for i, name in enumerate(header)}
+            absent = next((key for key in _READ_COLUMNS if key not in position), None)
+            pick = None if absent else itemgetter(*(position[key] for key in _READ_COLUMNS))
             for row in reader:
                 if not row:
                     continue
@@ -351,7 +363,7 @@ def read_series_csv(path):
                 ordinals.append(month_ordinal(int(year), int(month)))
                 radiances.append(float(field) if field else float("nan"))
                 zone_ids.add(zone_id)
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:  # csv.Error: say, a field over csv.field_size_limit()
             raise ReportError(f"{path}: line {reader.line_num}: {exc}") from None
     if not ordinals:
         raise ReportError(f"{path}: empty series file")

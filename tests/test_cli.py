@@ -376,6 +376,11 @@ class TestReportUnreadableSeries:
                 "zone_id,year,month,mean_radiance,percent_change\nZ03,2018,1,bright,\n",
                 "line 2: could not convert string to float: 'bright'",
             ),
+            pytest.param(
+                f"zone_id,year,month,mean_radiance,percent_change\nZ03,2018,1,{'1' * 131_073},\n",
+                "line 2: field larger than field limit (131072)",
+                id="field-over-the-csv-limit",
+            ),
         ],
     )
     def test_unparsable_csv_is_an_error_naming_the_file(self, tmp_path, capsys, content, detail):
@@ -477,6 +482,21 @@ class TestNegativeCells:
         message = "VNP46A2: negative quality value in 2018-10.qf.asc"
         assert main(["validate", "--config", str(config)]) == 1
         assert f"  problem: {message}" in capsys.readouterr().out
+        assert main(["extract", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "failed:" in line] == [f"  failed: {message}"]
+
+    def test_quality_word_of_16_bits_or_more_fails_in_one_line(self, tmp_path, capsys):
+        config = self.build_run(
+            tmp_path,
+            "VNP46A2",
+            lambda month: "3 5",
+            quality=lambda month: "50 70000" if month == "2018-10" else "50 50",
+        )
+        message = "VNP46A2: quality word of 2^16 or more in 2018-10.qf.asc"
+        assert main(["validate", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if "problem:" in line] == [f"  problem: {message}"]
         assert main(["extract", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if "failed:" in line] == [f"  failed: {message}"]
@@ -618,6 +638,24 @@ class TestDailyAggregation:
         assert expected in capsys.readouterr().out
         assert main(["extract", "--config", str(config)]) == 1
         assert f"failed: {expected}" in capsys.readouterr().err
+
+    def test_daily_quality_word_of_16_bits_or_more_is_one_problem(self, tmp_path, capsys):
+        config = self.build_dataset(tmp_path)
+        self.write_asc(tmp_path / "data" / "VNP46A2" / "2018-10-02.qf.asc", [[50, 70000], [50, 50]])
+        message = "VNP46A2: quality word of 2^16 or more in 2018-10-02.qf.asc"
+        assert main(["validate", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if "problem:" in line] == [f"  problem: {message}"]
+        assert main(["extract", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "failed:" in line] == [f"  failed: {message}"]
+
+    def test_huge_daily_values_validate(self, tmp_path, capsys):
+        config = self.build_dataset(tmp_path)
+        for day in ("01", "02", "03"):
+            self.write_asc(tmp_path / "data" / "VNP46A2" / f"2018-10-{day}.asc", [[1e308, 1.0], [1.0, 1.0]])
+        assert main(["validate", "--config", str(config)]) == 0
+        assert "validation ok" in capsys.readouterr().out
 
     def test_monthly_file_shadows_daily_files(self, tmp_path):
         config = self.build_dataset(tmp_path)

@@ -481,6 +481,29 @@ class TestOneConversionMatchesLineByLine:
         assume(expected[0] is GridParseError)  # a lost row and an extra row can cancel
         assert parse_outcome(read_grid, path) == expected
 
+    @pytest.mark.parametrize(
+        "row, kind",
+        [
+            ("+7 -0 0 12", IntRaster),
+            ("+7 -3 0 12", RasterGrid),
+            ("1_0 2 3 4", RasterGrid),
+            ("\u0661\u0662 \uff17 +\u0663 4", IntRaster),
+            ("-\u0663 1 2 3", RasterGrid),
+            ("1.0 2 3 4", RasterGrid),
+            ("2 3 4 1.0", RasterGrid),
+            ("2 1e3 4 5", RasterGrid),
+            ("2 3 4 -1E+0", RasterGrid),
+            ("2 3 4 5.5", RasterGrid),
+        ],
+    )
+    def test_integer_check_matches_line_by_line(self, tmp_path, row, kind):
+        header = "ncols 4\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+        path = tmp_path / "grid.asc"
+        path.write_text(f"{header}{row}\n5 6 7 8\n")
+        expected = parse_outcome(read_grid_by_lines, path)
+        assert expected[0] is kind
+        assert parse_outcome(read_grid, path) == expected
+
 
 class TestClassFractionResample:
     def test_identical_grids_give_pure_fractions(self):

@@ -1,23 +1,34 @@
 """Tests for the dataset-directory layout: the simulate writer and the loader."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntlpipe import (
+    VNP46A2_HIGH_QUALITY_CODE,
+    VNP46A2_LOW_QUALITY_CODE,
     ConfigError,
     Dataset,
     EventWindow,
     GridSpec,
+    IntRaster,
     MonthIndex,
     NoiseSpec,
+    QualityDecodeError,
     SceneSpec,
+    decode_vnp46a2_quality,
     generate_scene,
+    is_high_quality_vnp46a2,
     tile_zones,
     write_grid,
 )
+from ntlpipe import layout, quality
 from ntlpipe.layout import DatasetConfig, dataset_files, load_dataset, scan_dataset_dir
 
 GRID = GridSpec(ncols=6, nrows=5, x_origin=10.0, y_origin=-3.0, cell_size=0.5)
 WINDOW = EventWindow(MonthIndex(2018, 10), 3, 2)
+HEADER = "ncols 6\nnrows 5\nxllcorner 10.0\nyllcorner -3.0\ncellsize 0.5\nNODATA_value -9999\n"
 
 
 def written_scene(directory, kind):
@@ -63,6 +74,14 @@ def test_names_outside_the_layout_are_ignored(tmp_path):
     assert sorted(radiance) == list(WINDOW.months()) == sorted(quality)
 
 
+def test_daily_files_are_listed_in_name_order(tmp_path):
+    for day in ("12", "03", "30", "01"):
+        (tmp_path / f"2018-10-{day}.asc").write_text("")
+    radiance, _ = scan_dataset_dir(DatasetConfig("VNP46A2", Dataset.VNP46A2, tmp_path, tmp_path))
+    assert radiance == {MonthIndex(2018, 10): sorted(tmp_path.iterdir())}
+    assert [p.name[-6:-4] for p in radiance[MonthIndex(2018, 10)]] == ["01", "03", "12", "30"]
+
+
 def test_negative_integer_radiance_loads_as_real_values(tmp_path):
     scene, dataset = written_scene(tmp_path, Dataset.VSC_NTL)
     header = "ncols 6\nnrows 5\nxllcorner 10.0\nyllcorner -3.0\ncellsize 0.5\nNODATA_value -9999\n"
@@ -80,3 +99,134 @@ def test_negative_quality_value_is_named(tmp_path, kind):
     (tmp_path / "2018-09.qf.asc").write_text(header + "\n".join(["1 -4 5 6 7 8"] * 5) + "\n")
     with pytest.raises(ConfigError, match=r"^negative quality value in 2018-09\.qf\.asc$"):
         load_dataset(dataset, WINDOW.start, WINDOW.end, need_quality=True)
+
+
+@pytest.mark.parametrize("name", ["2018-09.qf.asc", "2018-09-14.qf.asc"])
+def test_vnp46a2_quality_word_of_16_bits_or_more_is_named(tmp_path, name):
+    _, dataset = written_scene(tmp_path, Dataset.VNP46A2)
+    (tmp_path / "2018-09.qf.asc").unlink()
+    (tmp_path / name).write_text(HEADER + "\n".join(["50 65536 50 50 50 50"] * 5) + "\n")
+    with pytest.raises(ConfigError) as raised:
+        load_dataset(dataset, WINDOW.start, WINDOW.end, need_quality=True)
+    assert str(raised.value) == f"quality word of 2^16 or more in {name}"
+
+
+def test_largest_16_bit_word_loads(tmp_path):
+    _, dataset = written_scene(tmp_path, Dataset.VNP46A2)
+    (tmp_path / "2018-09.qf.asc").write_text(HEADER + "\n".join(["50 65535 50 50 50 50"] * 5) + "\n")
+    _, quality_stack, _ = load_dataset(dataset, WINDOW.start, WINDOW.end, need_quality=True)
+    assert quality_stack.get(MonthIndex(2018, 9)).values[0, 1] == 65535
+
+
+def daily_month(directory, radiance_rows, quality_rows):
+    """A VNP46A2 dataset of one month, 2018-10, as one daily radiance and quality file per row pair."""
+    for day, (radiance, words) in enumerate(zip(radiance_rows, quality_rows), start=1):
+        (directory / f"2018-10-{day:02d}.asc").write_text(HEADER + "\n".join([radiance] * 5) + "\n")
+        (directory / f"2018-10-{day:02d}.qf.asc").write_text(HEADER + "\n".join([words] * 5) + "\n")
+    return DatasetConfig("VNP46A2", Dataset.VNP46A2, directory, directory)
+
+
+class TestDailyMonth:
+    def test_each_distinct_word_is_decoded_once_per_month(self, tmp_path, monkeypatch):
+        dataset = daily_month(
+            tmp_path,
+            ["1.5 2.5 3.5 4.5 5.5 6.5"] * 3,
+            ["50 242 50 242 50 242", "242 242 50 50 50 50", "50 50 50 50 242 -9999"],
+        )
+        decoded, read = [], []
+        decode, read_grid = quality.decode_vnp46a2_quality, layout.read_grid
+        monkeypatch.setattr(quality, "decode_vnp46a2_quality", lambda qf: decoded.append(qf) or decode(qf))
+        monkeypatch.setattr(layout, "read_grid", lambda path: read.append(path.name) or read_grid(path))
+        month = MonthIndex(2018, 10)
+        _, quality_stack, _ = load_dataset(dataset, month, month, need_quality=True)
+        assert sorted(decoded) == [50, 242]
+        assert sorted(read) == sorted(p.name for p in tmp_path.iterdir())
+        assert len(read) == 6
+        high, low = VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
+        assert quality_stack.get(month).values[0].tolist() == [high, low, high, high, high, low]
+
+    def test_integer_daily_radiance_composites_as_real_values(self, tmp_path):
+        rows = ["3 5 -9999 1 2 -9999", "7 5 2 1 2 -9999", "4 -9999 -9999 1 8 -9999"]
+        dataset = daily_month(tmp_path, rows, ["50 50 50 50 50 50"] * 3)
+        month = MonthIndex(2018, 10)
+        radiance, _, _ = load_dataset(dataset, month, month, need_quality=False)
+        composite = radiance.get(month)
+        assert composite.values.dtype == np.float64
+        assert composite.values[0, :5].tolist() == [4.0, 5.0, 2.0, 1.0, 2.0]
+        assert composite.missing[0].tolist() == [False] * 5 + [True]
+
+    def test_fractional_daily_quality_word_is_low_quality(self, tmp_path):
+        words = ["50.5 50 50 50 50 50", "50.5 50 50 50 50 50", "50 50 50 50 50 50.5"]
+        dataset = daily_month(tmp_path, ["1.5 2.5 3.5 4.5 5.5 6.5"] * 3, words)
+        month = MonthIndex(2018, 10)
+        _, quality_stack, _ = load_dataset(dataset, month, month, need_quality=True)
+        high, low = VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
+        assert quality_stack.get(month).values[0].tolist() == [low, high, high, high, high, high]
+
+    def test_huge_daily_radiance_composites_to_a_finite_month(self, tmp_path):
+        dataset = daily_month(tmp_path, ["1e308 1 1 1 1 1"] * 3, ["50 50 50 50 50 50"] * 3)
+        month = MonthIndex(2018, 10)
+        radiance, _, _ = load_dataset(dataset, month, month, need_quality=False)
+        assert radiance.get(month).values[:, 0].tolist() == [1e308] * 5
+
+
+# high-quality words (50, 51, 114, 115), valid low-quality ones, and reserved ones
+# (background codes 4, 6 and 7; bits 11-15)
+QUALITY_WORDS = st.one_of(
+    st.sampled_from([50, 51, 114, 115, 0, 242, 370, 1074]),
+    st.sampled_from([8, 12, 14, 2048, 2098, 65535]),
+    st.integers(0, 2047),
+)
+
+
+def day_mask(grid):
+    """One day's high-quality mask, written apart from quality.py: np.unique, decode, np.isin."""
+    codes = np.unique(grid.values[grid.valid])
+    good = {int(code) for code in codes if is_high_quality_vnp46a2(decode_vnp46a2_quality(int(code)))}
+    return np.isin(grid.values, sorted(good)) & grid.valid
+
+
+def vote_by_days(grids):
+    """The majority vote as a loop over days, one day_mask per day."""
+    spec = grids[0].spec
+    observed = np.zeros(spec.shape, dtype=np.int64)
+    high = np.zeros(spec.shape, dtype=np.int64)
+    for grid in grids:
+        observed += grid.valid
+        high += day_mask(grid)
+    words = np.where(high * 2 > observed, VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE)
+    return IntRaster(spec, words, observed == 0)
+
+
+def vote_outcome(vote, grids):
+    try:
+        return vote(grids)
+    except QualityDecodeError as exc:
+        return type(exc), str(exc), exc.qf
+
+
+class TestVoteMatchesDayByDay:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_month_or_same_error(self, data):
+        ncols, nrows = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        spec = GridSpec(ncols=ncols, nrows=nrows, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+        n_days = data.draw(st.integers(1, 12))
+        # days that may hold reserved words; on the others they become a valid low-quality word
+        dirty = data.draw(st.sets(st.integers(0, n_days - 1), max_size=2))
+        grids = []
+        for day in range(n_days):
+            words = data.draw(st.lists(QUALITY_WORDS, min_size=spec.size, max_size=spec.size))
+            if day not in dirty:
+                words = [w if quality_word_is_valid(w) else 242 for w in words]
+            missing = data.draw(st.lists(st.booleans(), min_size=spec.size, max_size=spec.size))
+            grids.append(IntRaster(spec, words, missing))
+        assert vote_outcome(layout._majority_quality_composite, grids) == vote_outcome(vote_by_days, grids)
+
+
+def quality_word_is_valid(word):
+    try:
+        quality.decode_vnp46a2_quality(word)
+    except QualityDecodeError:
+        return False
+    return True

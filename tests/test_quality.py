@@ -15,6 +15,7 @@ from ntlpipe import (
     IntRaster,
     QualityDecodeError,
     QualityFlags,
+    RasterGrid,
     decode_vnp46a2_quality,
     encode_vnp46a2_quality,
     high_quality_mask,
@@ -186,6 +187,11 @@ class TestHighQualityMask:
         mask = high_quality_mask(counts, Dataset.VSC_NTL)
         assert np.array_equal(mask, [[True, False], [True, False]])
         words = IntRaster(spec, [114, 114, 114, 114], missing=[False, True, False, True])
+        mask = high_quality_mask(words, Dataset.VNP46A2)
+        assert np.array_equal(mask, [[True, False], [True, False]])
+
+    def test_fractional_word_is_low_quality(self, spec):
+        words = RasterGrid(spec, [114.0, 114.5, 50.0, 50.25])
         mask = high_quality_mask(words, Dataset.VNP46A2)
         assert np.array_equal(mask, [[True, False], [True, False]])
 

@@ -165,6 +165,66 @@ class TestMonthlyMedianComposite:
                         assert out.values[r, c] == np.median(column)
 
 
+    def test_odd_count_of_huge_values_keeps_the_middle_value(self):
+        days = [RasterGrid(SPEC, np.full(SPEC.shape, 1e308)) for _ in range(3)]
+        assert np.all(monthly_median_composite(days).values == 1e308)
+
+    def test_middle_pair_whose_sum_overflows_is_halved_first(self):
+        days = [RasterGrid(SPEC, np.full(SPEC.shape, v)) for v in (-1e308, 1e308, 1.5e308, 1.7e308)]
+        assert np.all(monthly_median_composite(days).values == 1e308 / 2 + 1.5e308 / 2)
+
+    def test_zero_median_is_positive_zero(self):
+        days = [RasterGrid(SPEC, np.full(SPEC.shape, v)) for v in (-0.0, -0.0, -1.0)]
+        assert [v.hex() for v in monthly_median_composite(days).values.ravel().tolist()] == ["0x0.0p+0"] * 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_nanmedian_bit_for_bit(self, data):
+        ncols, nrows = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        spec = GridSpec(ncols=ncols, nrows=nrows, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+        days = [
+            RasterGrid(
+                spec,
+                data.draw(st.lists(MEDIAN_VALUES, min_size=spec.size, max_size=spec.size)),
+                data.draw(st.lists(st.booleans(), min_size=spec.size, max_size=spec.size)),
+            )
+            for _ in range(data.draw(st.integers(1, 12)))
+        ]
+        out = monthly_median_composite(days)
+        expected, all_missing = nanmedian_composite(days)
+        assert out.missing.tolist() == all_missing.tolist()
+        for got, want, column in zip(out.values.ravel().tolist(), expected.ravel().tolist(), valid_columns(days)):
+            if not column:
+                assert got == 0.0
+            elif math.isfinite(want):
+                assert got.hex() == want.hex()
+            else:  # the middle pair's sum overflowed in np.nanmedian
+                low, high = column[(len(column) - 1) // 2], column[len(column) // 2]
+                assert got == (low if low == high else low / 2 + high / 2)
+
+
+# ties, signed zeros, subnormals and values whose sum overflows
+MEDIAN_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5, -1.5, 1e308, -1e308, 1.7976931348623157e308]),
+)
+
+
+def nanmedian_composite(days):
+    """(median, all-missing) as the composite computed them with np.nanmedian."""
+    cube = np.stack([d.masked_values() for d in days])
+    all_missing = np.all(np.isnan(cube), axis=0)
+    with np.errstate(over="ignore"):
+        median = np.nanmedian(np.where(all_missing[None, :, :], 0.0, cube), axis=0)
+    return median, all_missing
+
+
+def valid_columns(days):
+    """Each pixel's sorted valid daily values, in row-major order."""
+    cube = np.stack([d.masked_values() for d in days])
+    return [sorted(v for v in column if not math.isnan(v)) for column in cube.reshape(len(days), -1).T.tolist()]
+
+
 class TestBuildZoneSeries:
     def test_window_months_map_to_zonal_means(self):
         start = MonthIndex(2018, 1)
@@ -722,3 +782,12 @@ class TestReaderMatchesDictReader:
         expected = (ReportError, f"{path}: line 4: {detail}")
         assert read_outcome(read_series_csv_by_dicts, path) == expected
         assert read_outcome(read_series_csv, path) == expected
+
+
+class TestOverlongField:
+    def test_field_over_the_csv_limit_is_a_report_error(self, tmp_path):
+        path = tmp_path / "Z.csv"
+        path.write_text(f"zone_id,year,month,mean_radiance,percent_change\nZ,2018,1,{'1' * 131_073},\n")
+        with pytest.raises(ReportError) as raised:
+            read_series_csv(path)
+        assert str(raised.value) == f"{path}: line 2: field larger than field limit (131072)"
