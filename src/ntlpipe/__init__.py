@@ -95,7 +95,6 @@ from .timeseries import (
 from .zones import (
     Zone,
     ZoneMask,
-    flat_indices,
     point_in_polygon,
     rasterize_zone,
     read_zones,
@@ -103,6 +102,7 @@ from .zones import (
     write_zones,
     zonal_mean,
     zonal_means,
+    zone_columns,
 )
 
 __version__ = "0.1.0"

@@ -47,7 +47,7 @@ from .layout import dataset_files, load_dataset, scan_dataset_dir
 from .preprocess import enumerate_configs
 from .synthetic import check_scorable, generate_scene, recovered_pccs
 from .timeseries import percent_changes, read_series_csv, series_by_config, write_series_csv
-from .zones import rasterize_zone, read_zones, write_zones
+from .zones import read_zones, write_zones
 
 __all__ = ["main"]
 
@@ -86,7 +86,8 @@ def cmd_validate(args):
                 )
         need_quality = any(c.quality_filter for c in configs)
         try:
-            _, _, built = load_dataset(dataset, *run.load_range, need_quality)
+            # every check of a load is on whole files, so no zone's cells need keeping
+            _, _, built, _ = load_dataset(dataset, *run.load_range, need_quality, ())
         except PipelineError as exc:
             _print_issue(issues, f"{dataset.name}: {exc}")
         else:
@@ -136,17 +137,18 @@ def cmd_extract(args):
     for dataset, configs in run.datasets:
         need_quality = any(c.quality_filter for c in configs)
         try:
-            radiance, quality, built = load_dataset(dataset, *run.load_range, need_quality)
+            radiance, quality, built, positions = load_dataset(
+                dataset, *run.load_range, need_quality, zones
+            )
         except PipelineError as exc:
             failures.append(f"{dataset.name}: {exc}")
             continue
-        masks = {zone.zone_id: rasterize_zone(zone, radiance.spec) for zone in zones}
-        for zone_id, mask in masks.items():
-            if mask.count == 0:
+        for zone_id, zone_positions in positions.items():
+            if not zone_positions.size:
                 print(f"warning: zone {zone_id} covers no {dataset.name} pixel-centers", file=sys.stderr)
 
         windows = [h.window for h in run.hurricanes]
-        chain = series_by_config(radiance, quality, built, masks, configs, windows)
+        chain = series_by_config(radiance, quality, built, positions, configs, windows)
         for config, result in chain:
             if isinstance(result, PipelineError):
                 failures.append(f"{dataset.name}/{config.label}: {result}")

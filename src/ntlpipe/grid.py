@@ -15,10 +15,10 @@ File interchange uses the ASCII grid layout: six header lines (``ncols``,
 ``nrows``, ``xllcorner``, ``yllcorner``, ``cellsize``, ``NODATA_value``,
 case-insensitive, any order) followed by ``nrows`` lines of ``ncols``
 whitespace-separated tokens, northernmost row first. Grids whose data tokens
-are all integer literals, with no negative valid cell, read back as
-:class:`IntRaster`, everything else as :class:`RasterGrid`. Only square
-cells are supported; headers describing rectangular cells (``dx``/``dy``
-variants) are rejected at parse time.
+are all integer literals, with no valid cell negative or of 2^63 or more,
+read back as :class:`IntRaster`, everything else as :class:`RasterGrid`.
+Only square cells are supported; headers describing rectangular cells
+(``dx``/``dy`` variants) are rejected at parse time.
 
 No projection or datum handling is done anywhere: all rasters and polygons
 used together are assumed co-registered in a single planar frame.
@@ -110,7 +110,7 @@ def _normalize_raster(spec, values, missing, dtype):
     if dtype == np.int64 and np.issubdtype(vals.dtype, np.floating):
         if not np.all(vals[~miss] == np.floor(vals[~miss])):
             raise ValueError("integer raster given non-integral values")
-    vals = vals.astype(dtype)
+    vals = vals.astype(dtype, copy=False)  # vals is already a copy
     if dtype == np.float64 and not np.all(np.isfinite(vals[~miss])):
         raise ValueError("non-finite value in a valid cell")
     if dtype == np.int64 and np.any(vals[~miss] < 0):
@@ -218,8 +218,9 @@ def read_grid(path):
 
     Cells equal to the declared NODATA value become missing. The raster is
     an IntRaster when every data token is an integer literal and no valid
-    cell is negative, otherwise a RasterGrid. Raises GridParseError (with a
-    1-based line number) on any malformed header or data line.
+    cell is negative or of 2^63 or more (past int64), otherwise a
+    RasterGrid. Raises GridParseError (with a 1-based line number) on any
+    malformed header or data line.
 
     A well-formed body is converted in one step; any other body goes to
     the line-by-line loop, which finds the first fault and names its line.
@@ -269,8 +270,12 @@ def read_grid(path):
         body = _parse_body(spec, data_lines)
     values, all_int = body
     missing = values == header["nodata_value"]
-    # an IntRaster's valid cells are non-negative, so a negative one makes the body real-valued
-    if all_int and not (values[~missing] < 0).any():
+    if all_int:
+        # an IntRaster's valid cells are non-negative int64s, so a negative cell, or
+        # one astype would wrap, makes the body real-valued
+        valid = values[~missing]
+        all_int = not ((valid < 0) | (valid >= 2.0**63)).any()
+    if all_int:
         return IntRaster(spec, values.astype(np.int64), missing)
     return RasterGrid(spec, values, missing)
 

@@ -9,7 +9,11 @@ monthly-high-quality when more than half of its observed days are). An
 explicit monthly file always wins over daily files for the same month.
 
 Every grid one load reads shares one geometry: the dataset's configured
-grid when it has one, else that of the first radiance file read.
+grid when it has one, else that of the first radiance file read. The
+loader checks each file whole, then keeps only the cells some zone
+covers: the chain's stages are all pixel-local, so a month is carried as
+one row of those cells, and a zone as its positions within the row. A
+cell outside every zone is read and checked, never held.
 """
 
 import os
@@ -21,9 +25,17 @@ import numpy as np
 
 from .errors import ConfigError, GridParseError, QualityDecodeError
 from .grid import GridSpec, IntRaster, as_float, read_grid
-from .quality import VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE, Dataset, vnp46a2_high_quality
+from .quality import (
+    VNP46A2_HIGH_QUALITY_CODE,
+    VNP46A2_LOW_QUALITY_CODE,
+    Dataset,
+    decode_vnp46a2_quality,
+    vnp46a2_high_quality,
+    vnp46a2_reserved,
+)
 from .stack import MonthIndex, RasterStack
 from .timeseries import monthly_median_composite
+from .zones import zone_columns
 
 __all__ = ["BUILT_FRACTION_FILENAME", "DatasetConfig", "scan_dataset_dir", "load_dataset", "dataset_files"]
 
@@ -82,38 +94,61 @@ def _majority_quality_composite(daily_quality_grids):
     observed decode high-quality; pixels observed on no day are missing.
     The result uses one canonical high- and one canonical low-quality word.
     Each distinct word of the month is decoded once; a reserved word
-    raises QualityDecodeError for the smallest reserved word of the first
-    day that holds one.
+    raises QualityDecodeError for the smallest reserved word of the month.
     """
     words = np.stack([grid.values for grid in daily_quality_grids])
     valid = ~np.stack([grid.missing for grid in daily_quality_grids])
-    try:
-        high = vnp46a2_high_quality(words, valid)
-    except QualityDecodeError:
-        for grid in daily_quality_grids:  # the first day holding a reserved word raises its error
-            vnp46a2_high_quality(grid.values, grid.valid)
-        raise
+    high = vnp46a2_high_quality(words, valid)
     observed = valid.sum(axis=0)
     monthly = np.where(high.sum(axis=0) * 2 > observed, VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE)
     return IntRaster(daily_quality_grids[0].spec, monthly, observed == 0)
 
 
-def load_dataset(dataset, month_lo, month_hi, need_quality):
-    """Load a dataset's stacks for months within [month_lo, month_hi].
+def _check_quality(grid, name, kind):
+    """Raise ConfigError naming the file unless every valid cell of a whole quality grid is usable."""
+    values = grid.values[grid.valid]
+    # quality words and cloud-free counts are never negative
+    if (values < 0).any():
+        raise ConfigError(f"negative quality value in {name}")
+    if kind is Dataset.VNP46A2:
+        if (values >= 1 << 16).any():
+            raise ConfigError(f"quality word of 2^16 or more in {name}")
+        reserved = vnp46a2_reserved(values)
+        if reserved.any():
+            try:
+                decode_vnp46a2_quality(values[reserved].min())  # only the smallest is decoded
+            except QualityDecodeError as exc:
+                raise ConfigError(f"{exc} in {name}") from None
 
-    Returns (radiance stack, quality stack or None, built fraction or
-    None). Daily files aggregate to monthly composites. Radiance grids are
+
+def load_dataset(dataset, month_lo, month_hi, need_quality, zones):
+    """Load a dataset's months within [month_lo, month_hi], kept only where a zone lies.
+
+    Every file is read and checked whole, then cut down to the cells of
+    zone_columns(zones, reference grid), daily files before they are
+    composited: each raster returned is one row of those cells, in the
+    grid's row-major order, at the reference grid's origin and cell
+    size. Returns (radiance stack, quality stack or None, built fraction
+    or None, positions), where positions maps each zone_id to its cells'
+    positions within that row. Every stage of the chain, the daily
+    composites included, is pixel-local, so the cells no zone covers are
+    never needed.
+
+    Daily files aggregate to monthly composites. Radiance grids are
     coerced to real-valued rasters so integer-looking files behave the
     same as any other radiance. Raises ConfigError naming the file when a
     grid it reads is malformed or off the dataset's geometry, or a quality
-    grid holds a negative value; messages leave naming the dataset to the
-    caller.
+    grid holds a negative value anywhere, or, for VNP46A2, a word of 2^16
+    or more or one with a reserved field; messages leave naming the
+    dataset to the caller.
     """
     radiance_files, quality_files = scan_dataset_dir(dataset)
     reference, source = dataset.expected_grid, "configured grid"
+    columns = None  # (row spec, cells, positions) once the reference grid is known
 
-    def read(path):
-        nonlocal reference, source
+    def read(path, check=None):
+        """The file's grid, checked whole, then cut down to the cells some zone covers."""
+        nonlocal reference, source, columns
         try:
             grid = read_grid(path)
         except GridParseError as exc:
@@ -122,17 +157,17 @@ def load_dataset(dataset, month_lo, month_hi, need_quality):
             reference, source = grid.spec, path.name
         elif grid.spec != reference:
             raise ConfigError(f"grid of {path.name} does not match {source}")
-        return grid
+        if check is not None:
+            check(grid, path.name, dataset.kind)
+        if columns is None:
+            cells, positions = zone_columns(zones, reference)
+            row = GridSpec(cells.size, 1, reference.x_origin, reference.y_origin, reference.cell_size)
+            columns = row, cells, positions
+        row, cells, _ = columns
+        return type(grid)(row, grid.values.ravel()[cells], grid.missing.ravel()[cells])
 
     def read_quality(path):
-        grid = read(path)
-        values = grid.values[grid.valid]
-        # quality words and cloud-free counts are never negative
-        if (values < 0).any():
-            raise ConfigError(f"negative quality value in {path.name}")
-        if dataset.kind is Dataset.VNP46A2 and (values >= 1 << 16).any():
-            raise ConfigError(f"quality word of 2^16 or more in {path.name}")
-        return grid
+        return read(path, _check_quality)
 
     months = tuple(m for m in sorted(radiance_files) if month_lo <= m <= month_hi)
     if not months:
@@ -158,7 +193,7 @@ def load_dataset(dataset, month_lo, month_hi, need_quality):
         )
 
     built = as_float(read(dataset.built_path)) if dataset.built_path.is_file() else None
-    return radiance, quality, built
+    return radiance, quality, built, columns[2]
 
 
 def _month_grid(source, read, composite):

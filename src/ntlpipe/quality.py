@@ -16,7 +16,8 @@ VNP46A2 ships a 16-bit quality word per pixel. The layout decoded here:
 
 Reserved background codes and reserved high bits raise QualityDecodeError
 (carrying the raw word); a word outside [0, 2^16) violates the call
-contract and raises ValueError instead.
+contract and raises ValueError instead. vnp46a2_reserved finds the words
+holding a reserved field across a whole array without decoding them.
 
 VSC-NTL carries no bit mask, only a per-pixel count of cloud-free
 observations entering the monthly composite; any positive count marks the
@@ -48,6 +49,7 @@ __all__ = [
     "is_high_quality_vscntl",
     "high_quality_mask",
     "vnp46a2_high_quality",
+    "vnp46a2_reserved",
     "VNP46A2_HIGH_QUALITY_CODE",
     "VNP46A2_LOW_QUALITY_CODE",
 ]
@@ -106,6 +108,8 @@ class QualityFlags:
 
 
 _BACKGROUND_BY_CODE = {member.value: member for member in Background}
+# indexed by a word's bits 0-3: whether its background code, bits 1-3, is reserved (4, 6 or 7)
+_RESERVED_BACKGROUND = np.array([low >> 1 not in _BACKGROUND_BY_CODE for low in range(16)])
 
 
 def decode_vnp46a2_quality(qf):
@@ -184,3 +188,14 @@ def vnp46a2_high_quality(words, valid):
     # int(code): a fractional word such as 50.5 matches no decoded word, so it is low-quality
     good = [int(code) for code in codes.tolist() if is_high_quality_vnp46a2(decode_vnp46a2_quality(code))]
     return np.isin(words, good) & valid
+
+
+def vnp46a2_reserved(words):
+    """Whether each word holds a reserved field, as decode_vnp46a2_quality would find.
+
+    ``words`` is an array of values in [0, 2^16), truncated to integers as
+    int() truncates them; a word is reserved when any of bits 11-15 is set
+    or its background code is 4, 6 or 7. Nothing is decoded.
+    """
+    words = np.asarray(words).astype(np.int64, copy=False)
+    return (words >= 1 << 11) | _RESERVED_BACKGROUND[words & 0b1111]

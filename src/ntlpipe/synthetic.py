@@ -303,8 +303,9 @@ def recovered_pccs(scene, configs, min_damage=0.01):
     """
     spec = scene.spec
     check_scorable(spec)
+    cells = {zone_id: np.flatnonzero(mask.inside) for zone_id, mask in scene.zone_masks.items()}
     chain = series_by_config(
-        scene.radiance, scene.quality, scene.built_fraction, scene.zone_masks, configs, (spec.months,)
+        scene.radiance, scene.quality, scene.built_fraction, cells, configs, (spec.months,)
     )
     for config, result in chain:
         if not isinstance(result, PipelineError):

@@ -10,7 +10,9 @@ excludes the month itself (an inclusive baseline would contaminate itself
 with the very drop being measured). Baselines skip missing months rather
 than failing, so one cloudy month does not sever the series, and a
 baseline at or below 1e-6 nW/cm^2/sr makes the percent change undefined
-instead of dividing by a near-zero.
+instead of dividing by a near-zero. A change that comes out infinite or
+NaN, from radiance near the float limit, is undefined as well: NaN, an
+empty cell in a CSV.
 
 The event drop is the negated percent change at the single event month:
 positive numbers mean the lights dimmed.
@@ -18,7 +20,8 @@ positive numbers mean the lights dimmed.
 series_by_config is the one "stack -> cleaned stack -> zone series" chain.
 It walks the configs' stage tree, so the quality pass runs once and every
 threshold and built branch below it shares its result, and it gathers
-each zone's pixels by flat index, one sum per zone-month.
+each zone's pixels by flat index, one sum per zone-month. It runs as well
+on the rows of zone cells load_dataset returns as on whole grids.
 percent_changes takes the percent changes of a whole series, or of every
 row of a (zones x months) array, at once: a sliding-window sum for
 baseline windows of up to 7 months, the scalar baseline for longer ones.
@@ -44,7 +47,7 @@ from .errors import PipelineError, ReportError
 from .grid import RasterGrid
 from .preprocess import run_stage_tree
 from .stack import MonthIndex, month_ordinal
-from .zones import flat_indices, zonal_mean, zonal_means
+from .zones import zonal_mean, zonal_means
 
 __all__ = [
     "EventWindow",
@@ -169,19 +172,21 @@ def _series_by_window(stack, zone_ids, indices, windows):
     )
 
 
-def series_by_config(radiance, quality, built, masks, configs, windows):
+def series_by_config(radiance, quality, built, zone_cells, configs, windows):
     """Run each config's pipeline and yield ``(config, series)`` in the order given.
 
-    ``masks`` maps zone_id to ZoneMask; ``series[i][j]`` is the j-th zone's
-    ZoneSeries over ``windows[i]``, equal to build_zone_series on the
-    config's run_pipeline result. A config whose pipeline raises a
+    ``zone_cells`` maps zone_id to the zone's cells as ascending flat
+    indices into the stacks' rasters: a whole grid's row-major inside
+    cells, or load_dataset's positions on rasters cut down to the cells
+    some zone covers. ``series[i][j]`` is the j-th zone's ZoneSeries over
+    ``windows[i]``, equal to build_zone_series on the config's
+    run_pipeline result over whole grids. A config whose pipeline raises a
     PipelineError yields ``(config, error)`` and the rest still run. The
-    pipelines run as one run_stage_tree walk; a config finished ahead of its
-    turn waits as its (small) series, never as a stack.
+    pipelines run as one run_stage_tree walk; a config finished ahead of
+    its turn waits as its (small) series, never as a stack.
     """
-    zone_ids = tuple(masks)
-    # every stage keeps the radiance grid, so one geometry check covers every stack
-    indices = flat_indices(masks.values(), radiance.spec) if len(radiance) else ()
+    zone_ids = tuple(zone_cells)
+    indices = tuple(zone_cells.values())
     order = list(configs)
     done = {}
     for group, result in run_stage_tree(radiance, quality, built, order):
@@ -198,7 +203,8 @@ def rolling_baseline(series, t, w=6):
     """Mean of the non-missing observations in [t-w, t-1]; NaN if none.
 
     Trailing and exclusive of t itself, so the baseline can never contain
-    the event month it is judging.
+    the event month it is judging. The mean is np.mean's, so a sum past
+    the float range makes it inf, without a warning.
     """
     if w < 1:
         raise ValueError(f"baseline window must be positive, got {w}")
@@ -211,7 +217,8 @@ def _baseline_at(values, i, w):
     usable = [v for v in values[max(i - w, 0) : max(i, 0)] if not np.isnan(v)]
     if not usable:
         return float("nan")
-    return float(np.mean(usable))
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, its change undefined
+        return float(np.mean(usable))
 
 
 def percent_change(series, t, w=6):
@@ -219,12 +226,15 @@ def percent_change(series, t, w=6):
 
     Unusable means x_t missing, baseline undefined, or baseline at or
     below 1e-6 nW/cm^2/sr (near-dark zones divide to noise, not signal).
+    A change that is not finite, as when radiance near the float limit
+    overflows it or the baseline's sum, is undefined too: NaN.
     """
     x = series.get(t)
     baseline = rolling_baseline(series, t, w)
     if np.isnan(x) or np.isnan(baseline) or baseline <= BASELINE_EPSILON:
         return float("nan")
-    return 100.0 * (x - baseline) / baseline
+    change = 100.0 * (x - baseline) / baseline
+    return change if math.isfinite(change) else float("nan")
 
 
 # A window sum equals np.mean's only while np.add.reduce sums sequentially,
@@ -261,7 +271,8 @@ def rolling_baselines(series, w=6):
     # windows[..., i, :] is values[..., i - w:i], oldest first
     windows = sliding_window_view(padded, w, axis=-1)[..., :-1, :]
     usable = ~np.isnan(windows)
-    sums = np.where(usable, windows, -0.0).sum(axis=-1)
+    with np.errstate(over="ignore"):  # as in _baseline_at
+        sums = np.where(usable, windows, -0.0).sum(axis=-1)
     counts = usable.sum(axis=-1)
     return np.divide(sums, counts, out=np.full(values.shape, np.nan), where=counts > 0)
 
@@ -272,7 +283,10 @@ def percent_changes(series, w=6):
     baselines = rolling_baselines(values, w)
     defined = ~np.isnan(values) & (baselines > BASELINE_EPSILON)  # a NaN baseline compares false
     changes = np.full(values.shape, np.nan)
-    changes[defined] = 100.0 * (values[defined] - baselines[defined]) / baselines[defined]
+    # an overflow gives inf, and an inf baseline inf / inf = NaN; either change is undefined
+    with np.errstate(over="ignore", invalid="ignore"):
+        changes[defined] = 100.0 * (values[defined] - baselines[defined]) / baselines[defined]
+    changes[np.isinf(changes)] = np.nan
     return changes
 
 

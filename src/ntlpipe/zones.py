@@ -30,7 +30,7 @@ __all__ = [
     "point_in_polygon",
     "rasterize_zone",
     "zonal_mean",
-    "flat_indices",
+    "zone_columns",
     "zonal_means",
     "read_zones",
     "write_zones",
@@ -204,25 +204,38 @@ def zonal_mean(raster, mask):
     return float(np.mean(raster.values[take]))
 
 
-def flat_indices(masks, spec):
-    """Each mask's inside cells as row-major flat indices, for zonal_means on ``spec``.
+def zone_columns(zones, spec):
+    """The cells some zone covers on a grid, and where each zone's cells lie among them.
 
-    A mask on another grid raises ValueError, as zonal_mean does.
+    Returns ``(cells, positions)``. ``cells`` is the sorted union of the
+    zones' row-major flat indices on ``spec``, the inside cells of
+    rasterize_zone. ``positions`` maps each zone_id, in zone order, to the
+    zone's inside cells as ascending positions within ``cells``. Taking
+    ``cells`` keeps row-major order, so zonal_means on a raster cut down
+    to ``cells`` sums each zone's values in zonal_mean's order. When no
+    zone covers a pixel-centre, ``cells`` is cell 0 alone, named by no
+    zone, so a raster cut down to it still has a cell.
+
+    Zones are rasterized one at a time; only index arrays are kept.
     """
-    for mask in masks:
-        if mask.spec != spec:
-            raise ValueError(f"raster grid {spec} does not match mask grid {mask.spec}")
-    return tuple(np.flatnonzero(mask.inside) for mask in masks)
+    covered = np.zeros(spec.size, dtype=bool)
+    inside = {}
+    for zone in zones:
+        inside[zone.zone_id] = index = np.flatnonzero(rasterize_zone(zone, spec).inside)
+        covered[index] = True
+    cells = np.flatnonzero(covered) if covered.any() else np.zeros(1, dtype=np.intp)
+    return cells, {zone_id: np.searchsorted(cells, index) for zone_id, index in inside.items()}
 
 
 def zonal_means(raster, indices):
-    """zonal_mean of each zone, given as flat_indices on the raster's grid.
+    """zonal_mean of each zone, given as ascending flat indices into the raster's cells.
 
-    The valid values are summed in the same row-major order as in
-    zonal_mean, with np.mean's own arithmetic (np.add.reduce in float64,
-    then one division by the count) minus its per-call overhead, so each
-    mean is bit-identical to it. The geometry check is flat_indices's, made
-    once for all the rasters of a stack.
+    The indices are a whole grid's row-major inside cells, or
+    zone_columns' positions on a raster cut down to its cells. The valid
+    values are summed in the same row-major order as in zonal_mean, with
+    np.mean's own arithmetic (np.add.reduce in float64, then one division
+    by the count) minus its per-call overhead, so each mean is
+    bit-identical to it.
     """
     values = raster.values.ravel()
     missing = raster.missing.ravel()

@@ -16,6 +16,7 @@ from ntlpipe import (
     RasterGrid,
     enumerate_configs,
     percent_change,
+    read_grid,
     read_series_csv,
     write_grid,
 )
@@ -500,6 +501,133 @@ class TestNegativeCells:
         assert main(["extract", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if "failed:" in line] == [f"  failed: {message}"]
+
+
+class TestWholeGridChecks:
+    """Cells outside every zone are never kept, yet a fault there fails validate and extract alike."""
+
+    HEADER = "ncols 4\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+
+    def build_run(self, root, kind):
+        data = root / "data"
+        data.mkdir()
+        for month in ("2018-09", "2018-10", "2018-11"):
+            (data / f"{month}.asc").write_text(self.HEADER + "3 5 7 9\n")
+            (data / f"{month}.qf.asc").write_text(self.HEADER + "50 50 50 50\n")
+        (data / "built_fraction.asc").write_text(self.HEADER + "1 1 1 1\n")
+        # the zone covers the first cell alone
+        zone = {
+            "type": "Feature",
+            "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]]},
+            "properties": {"zone_id": "Z1", "damage_ratio": 0.5, "population": 10},
+        }
+        write_json(root / "zones.geojson", {"type": "FeatureCollection", "features": [zone]})
+        return write_json(
+            root / "run.json",
+            {
+                "datasets": [{"kind": kind, "raster_dir": "data"}],
+                "zones": "zones.geojson",
+                "hurricanes": [{"name": "S", "event_month": "2018-10"}],
+                "configs": "all",
+                "months_before": 1,
+                "months_after": 1,
+                "output_dir": "out",
+            },
+        )
+
+    def assert_one_line_failure(self, config, message, capsys):
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if "problem:" in line] == [f"  problem: {message}"]
+        assert main(["extract", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "failed:" in line] == [f"  failed: {message}"]
+        assert "Traceback" not in out + err
+        assert not (config.parent / "out").exists()
+
+    def test_clean_run_extracts_the_zone_cell(self, tmp_path):
+        config = self.build_run(tmp_path, "VNP46A2")
+        assert main(["validate", "--config", str(config)]) == 0
+        assert main(["extract", "--config", str(config)]) == 0
+        assert read_series_csv(tmp_path / "out" / "VNP46A2" / "raw" / "S" / "Z1.csv").values == (3.0,) * 3
+
+    @pytest.mark.parametrize("kind", ["VSC-NTL", "VNP46A2"])
+    def test_negative_quality_cell(self, tmp_path, capsys, kind):
+        config = self.build_run(tmp_path, kind)
+        (tmp_path / "data" / "2018-10.qf.asc").write_text(self.HEADER + "50 50 50 -1\n")
+        self.assert_one_line_failure(config, f"{kind}: negative quality value in 2018-10.qf.asc", capsys)
+
+    @pytest.mark.parametrize(
+        "word, detail",
+        [
+            ("8", "reserved background code 4 (raw value 8)"),
+            ("12.5", "reserved background code 6 (raw value 12)"),
+            ("2098", "reserved bits 11-15 are set (raw value 2098)"),
+        ],
+    )
+    def test_reserved_quality_word(self, tmp_path, capsys, word, detail):
+        config = self.build_run(tmp_path, "VNP46A2")
+        (tmp_path / "data" / "2018-09.qf.asc").write_text(self.HEADER + f"50 50 {word} 30000\n")
+        # the smallest reserved word of the file is named
+        self.assert_one_line_failure(config, f"VNP46A2: {detail} in 2018-09.qf.asc", capsys)
+
+    def test_reserved_daily_quality_word(self, tmp_path, capsys):
+        config = self.build_run(tmp_path, "VNP46A2")
+        for day, words in (("01", "50 50 50 50"), ("02", "50 50 14 8")):
+            (tmp_path / "data" / f"2018-12-{day}.asc").write_text(self.HEADER + "3 5 7 9\n")
+            (tmp_path / "data" / f"2018-12-{day}.qf.asc").write_text(self.HEADER + words + "\n")
+        doc = json.loads(config.read_text())
+        doc["months_after"] = 2
+        write_json(config, doc)
+        self.assert_one_line_failure(
+            config, "VNP46A2: reserved background code 4 (raw value 8) in 2018-12-02.qf.asc", capsys
+        )
+
+    @pytest.mark.parametrize("filename", ["2018-10.asc", "2018-10.qf.asc", "built_fraction.asc"])
+    def test_non_numeric_token(self, tmp_path, capsys, filename):
+        config = self.build_run(tmp_path, "VSC-NTL")
+        (tmp_path / "data" / filename).write_text(self.HEADER + "1 1 1 x\n")
+        message = f"VSC-NTL: unreadable grid {filename}: line 7: non-numeric cell token 'x'"
+        self.assert_one_line_failure(config, message, capsys)
+
+    @pytest.mark.parametrize("filename", ["2018-10.asc", "2018-10.qf.asc", "built_fraction.asc"])
+    def test_file_off_the_geometry(self, tmp_path, capsys, filename):
+        config = self.build_run(tmp_path, "VSC-NTL")
+        # one more column, past the zone: the zone's cell reads the same on either grid
+        header = self.HEADER.replace("ncols 4", "ncols 5")
+        (tmp_path / "data" / filename).write_text(header + "1 1 1 1 1\n")
+        self.assert_one_line_failure(config, f"VSC-NTL: grid of {filename} does not match 2018-09.asc", capsys)
+
+    def test_integer_past_int64_is_one_problem(self, tmp_path, capsys):
+        config = self.build_run(tmp_path, "VNP46A2")
+        (tmp_path / "data" / "2018-10.qf.asc").write_text(self.HEADER + "50 50 99999999999999999999 5\n")
+        self.assert_one_line_failure(config, "VNP46A2: quality word of 2^16 or more in 2018-10.qf.asc", capsys)
+
+    def test_integer_radiance_past_int64_extracts(self, tmp_path):
+        config = self.build_run(tmp_path, "VSC-NTL")
+        (tmp_path / "data" / "2018-10.asc").write_text(self.HEADER + "99999999999999999999 5 7 9\n")
+        assert main(["validate", "--config", str(config)]) == 0
+        assert main(["extract", "--config", str(config)]) == 0
+        series = read_series_csv(tmp_path / "out" / "VSC-NTL" / "raw" / "S" / "Z1.csv")
+        assert series.values == (3.0, 1e20, 3.0)
+
+
+class TestOverflowingChange:
+    def test_change_past_the_float_range_is_an_empty_cell(self, tmp_path):
+        config = simulated_vsc_run(tmp_path)
+        path = tmp_path / "simv" / "VSC-NTL" / "2018-10.asc"
+        grid = read_grid(path)
+        values = grid.values.copy()
+        values[0, 0] = 1e308  # in Z01, whose event-month mean is then near 4e306
+        write_grid(grid.with_values(values, grid.missing), path)
+        assert main(["extract", "--config", str(config)]) == 0
+        rows = (tmp_path / "out" / "VSC-NTL" / "raw" / "TestStorm" / "Z01.csv").read_text().splitlines()
+        event = next(row.split(",") for row in rows if row.startswith("Z01,2018,10,"))
+        assert float(event[3]) > 1e306 and event[4] == ""
+        assert main(["report", "--config", str(config)]) == 0
+        for name in ("case_study.csv", "report.csv"):
+            assert "inf" not in (tmp_path / "out" / name).read_text()
 
 
 class TestReportWritesNothingOnFailure:

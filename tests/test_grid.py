@@ -290,6 +290,19 @@ class TestGridParsing:
         assert grid.missing[0].tolist() == [False, False, True]
 
     @pytest.mark.parametrize("read", [read_grid, read_grid_by_lines])
+    @pytest.mark.parametrize("token", ["9223372036854775808", "99999999999999999999", "9223372036854775807"])
+    def test_integer_cell_past_int64_gives_float_raster(self, tmp_path, read, token):
+        # 2^63 - 1 reads as the float 2^63, which int64 cannot hold either
+        path = self.write(
+            tmp_path,
+            f"ncols 3\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n{token} 5 -9999\n",
+        )
+        grid = read(path)
+        assert type(grid) is RasterGrid
+        assert grid.values[0, :2].tolist() == [float(token), 5.0]
+        assert grid.missing[0].tolist() == [False, False, True]
+
+    @pytest.mark.parametrize("read", [read_grid, read_grid_by_lines])
     def test_negative_nodata_keeps_an_int_raster(self, tmp_path, read):
         path = self.write(
             tmp_path,
@@ -400,11 +413,12 @@ def parse_outcome(read, path):
 
 # tokens float() reads; the integer literals among them include a sign, digit
 # separators and non-ASCII decimal digits, which _INT_TOKEN's \d also matches.
-# A negative one makes the file a RasterGrid, as an IntRaster's valid cells
-# are non-negative.
+# A negative one, or one of 2^63 or more, makes the file a RasterGrid, as an
+# IntRaster's valid cells are non-negative int64s.
 CELL_TOKENS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(0, 10**6).map(str),
+    st.integers(2**63 - 2**10, 10**30).map(str),
     st.integers(-50, -1).map(str),
     st.sampled_from(["-0.0", "-0", "+7", "1_0", "1_000.5", "\u0661\u0662", "\uff17", "0.1e-3", "5E+2", ".5", "7."]),
 )

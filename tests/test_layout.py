@@ -16,10 +16,13 @@ from ntlpipe import (
     MonthIndex,
     NoiseSpec,
     QualityDecodeError,
+    RasterGrid,
     SceneSpec,
+    Zone,
     decode_vnp46a2_quality,
     generate_scene,
     is_high_quality_vnp46a2,
+    rect_ring,
     tile_zones,
     write_grid,
 )
@@ -29,6 +32,27 @@ from ntlpipe.layout import DatasetConfig, dataset_files, load_dataset, scan_data
 GRID = GridSpec(ncols=6, nrows=5, x_origin=10.0, y_origin=-3.0, cell_size=0.5)
 WINDOW = EventWindow(MonthIndex(2018, 10), 3, 2)
 HEADER = "ncols 6\nnrows 5\nxllcorner 10.0\nyllcorner -3.0\ncellsize 0.5\nNODATA_value -9999\n"
+# covers every cell of GRID, so a load keeps the whole grid as one row
+WHOLE = (Zone("ALL", (rect_ring(10.0, -3.0, 13.0, -0.5),), 0.1),)
+# the one row a load holds for WHOLE: every cell, at GRID's origin and cell size
+ROW = GridSpec(ncols=GRID.size, nrows=1, x_origin=10.0, y_origin=-3.0, cell_size=0.5)
+
+
+def load(dataset, month_lo=WINDOW.start, month_hi=WINDOW.end, need_quality=True):
+    """load_dataset with the whole-grid zone."""
+    radiance, quality_stack, built, positions = load_dataset(dataset, month_lo, month_hi, need_quality, WHOLE)
+    assert positions["ALL"].tolist() == list(range(GRID.size))
+    return radiance, quality_stack, built
+
+
+def as_row(grid):
+    """A raster on GRID as a WHOLE load holds it: its cells in row-major order, as one row on ROW."""
+    return type(grid)(ROW, grid.values.ravel(), grid.missing.ravel())
+
+
+def cells(grid):
+    """A whole-grid load's row of cells on GRID's shape."""
+    return grid.values.reshape(GRID.shape)
 
 
 def written_scene(directory, kind):
@@ -51,19 +75,19 @@ def written_scene(directory, kind):
 @pytest.mark.parametrize("kind", list(Dataset))
 def test_written_scene_loads_back_exactly(tmp_path, kind):
     scene, dataset = written_scene(tmp_path, kind)
-    radiance, quality, built = load_dataset(dataset, WINDOW.start, WINDOW.end, need_quality=True)
+    radiance, quality, built = load(dataset)
     assert radiance.months == scene.radiance.months
-    assert radiance.grids == scene.radiance.grids
+    assert radiance.grids == tuple(map(as_row, scene.radiance.grids))
     assert quality.months == scene.quality.months
-    assert quality.grids == scene.quality.grids
-    assert built == scene.built_fraction
+    assert quality.grids == tuple(map(as_row, scene.quality.grids))
+    assert built == as_row(scene.built_fraction)
 
 
 def test_malformed_grid_is_named(tmp_path):
     _, dataset = written_scene(tmp_path, Dataset.VSC_NTL)
     (tmp_path / "2018-09.qf.asc").write_text("ncols 6\n")
     with pytest.raises(ConfigError, match=r"unreadable grid 2018-09\.qf\.asc: "):
-        load_dataset(dataset, WINDOW.start, WINDOW.end, need_quality=True)
+        load(dataset)
 
 
 def test_names_outside_the_layout_are_ignored(tmp_path):
@@ -86,10 +110,9 @@ def test_negative_integer_radiance_loads_as_real_values(tmp_path):
     scene, dataset = written_scene(tmp_path, Dataset.VSC_NTL)
     header = "ncols 6\nnrows 5\nxllcorner 10.0\nyllcorner -3.0\ncellsize 0.5\nNODATA_value -9999\n"
     (tmp_path / "2018-10.asc").write_text(header + "\n".join(["3 -4 5 6 7 8"] * 5) + "\n")
-    radiance, _, _ = load_dataset(dataset, WINDOW.start, WINDOW.end, need_quality=True)
-    grid = radiance.get(MonthIndex(2018, 10))
-    assert grid.values[:, :2].tolist() == [[3.0, -4.0]] * 5
-    assert radiance.get(MonthIndex(2018, 9)) == scene.radiance.get(MonthIndex(2018, 9))
+    radiance, _, _ = load(dataset)
+    assert cells(radiance.get(MonthIndex(2018, 10)))[:, :2].tolist() == [[3.0, -4.0]] * 5
+    assert radiance.get(MonthIndex(2018, 9)) == as_row(scene.radiance.get(MonthIndex(2018, 9)))
 
 
 @pytest.mark.parametrize("kind", list(Dataset))
@@ -98,7 +121,7 @@ def test_negative_quality_value_is_named(tmp_path, kind):
     header = "ncols 6\nnrows 5\nxllcorner 10.0\nyllcorner -3.0\ncellsize 0.5\nNODATA_value -9999\n"
     (tmp_path / "2018-09.qf.asc").write_text(header + "\n".join(["1 -4 5 6 7 8"] * 5) + "\n")
     with pytest.raises(ConfigError, match=r"^negative quality value in 2018-09\.qf\.asc$"):
-        load_dataset(dataset, WINDOW.start, WINDOW.end, need_quality=True)
+        load(dataset)
 
 
 @pytest.mark.parametrize("name", ["2018-09.qf.asc", "2018-09-14.qf.asc"])
@@ -107,15 +130,17 @@ def test_vnp46a2_quality_word_of_16_bits_or_more_is_named(tmp_path, name):
     (tmp_path / "2018-09.qf.asc").unlink()
     (tmp_path / name).write_text(HEADER + "\n".join(["50 65536 50 50 50 50"] * 5) + "\n")
     with pytest.raises(ConfigError) as raised:
-        load_dataset(dataset, WINDOW.start, WINDOW.end, need_quality=True)
+        load(dataset)
     assert str(raised.value) == f"quality word of 2^16 or more in {name}"
 
 
-def test_largest_16_bit_word_loads(tmp_path):
+def test_largest_16_bit_word_is_named_as_reserved(tmp_path):
+    # below 2^16, so the reserved-field check, not the width check, refuses it
     _, dataset = written_scene(tmp_path, Dataset.VNP46A2)
     (tmp_path / "2018-09.qf.asc").write_text(HEADER + "\n".join(["50 65535 50 50 50 50"] * 5) + "\n")
-    _, quality_stack, _ = load_dataset(dataset, WINDOW.start, WINDOW.end, need_quality=True)
-    assert quality_stack.get(MonthIndex(2018, 9)).values[0, 1] == 65535
+    with pytest.raises(ConfigError) as raised:
+        load(dataset)
+    assert str(raised.value) == "reserved bits 11-15 are set (raw value 65535) in 2018-09.qf.asc"
 
 
 def daily_month(directory, radiance_rows, quality_rows):
@@ -138,36 +163,36 @@ class TestDailyMonth:
         monkeypatch.setattr(quality, "decode_vnp46a2_quality", lambda qf: decoded.append(qf) or decode(qf))
         monkeypatch.setattr(layout, "read_grid", lambda path: read.append(path.name) or read_grid(path))
         month = MonthIndex(2018, 10)
-        _, quality_stack, _ = load_dataset(dataset, month, month, need_quality=True)
+        _, quality_stack, _ = load(dataset, month, month, need_quality=True)
         assert sorted(decoded) == [50, 242]
         assert sorted(read) == sorted(p.name for p in tmp_path.iterdir())
         assert len(read) == 6
         high, low = VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
-        assert quality_stack.get(month).values[0].tolist() == [high, low, high, high, high, low]
+        assert cells(quality_stack.get(month))[0].tolist() == [high, low, high, high, high, low]
 
     def test_integer_daily_radiance_composites_as_real_values(self, tmp_path):
         rows = ["3 5 -9999 1 2 -9999", "7 5 2 1 2 -9999", "4 -9999 -9999 1 8 -9999"]
         dataset = daily_month(tmp_path, rows, ["50 50 50 50 50 50"] * 3)
         month = MonthIndex(2018, 10)
-        radiance, _, _ = load_dataset(dataset, month, month, need_quality=False)
+        radiance, _, _ = load(dataset, month, month, need_quality=False)
         composite = radiance.get(month)
         assert composite.values.dtype == np.float64
-        assert composite.values[0, :5].tolist() == [4.0, 5.0, 2.0, 1.0, 2.0]
-        assert composite.missing[0].tolist() == [False] * 5 + [True]
+        assert cells(composite)[0, :5].tolist() == [4.0, 5.0, 2.0, 1.0, 2.0]
+        assert composite.missing.reshape(GRID.shape)[0].tolist() == [False] * 5 + [True]
 
     def test_fractional_daily_quality_word_is_low_quality(self, tmp_path):
         words = ["50.5 50 50 50 50 50", "50.5 50 50 50 50 50", "50 50 50 50 50 50.5"]
         dataset = daily_month(tmp_path, ["1.5 2.5 3.5 4.5 5.5 6.5"] * 3, words)
         month = MonthIndex(2018, 10)
-        _, quality_stack, _ = load_dataset(dataset, month, month, need_quality=True)
+        _, quality_stack, _ = load(dataset, month, month, need_quality=True)
         high, low = VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
-        assert quality_stack.get(month).values[0].tolist() == [low, high, high, high, high, high]
+        assert cells(quality_stack.get(month))[0].tolist() == [low, high, high, high, high, high]
 
     def test_huge_daily_radiance_composites_to_a_finite_month(self, tmp_path):
         dataset = daily_month(tmp_path, ["1e308 1 1 1 1 1"] * 3, ["50 50 50 50 50 50"] * 3)
         month = MonthIndex(2018, 10)
-        radiance, _, _ = load_dataset(dataset, month, month, need_quality=False)
-        assert radiance.get(month).values[:, 0].tolist() == [1e308] * 5
+        radiance, _, _ = load(dataset, month, month, need_quality=False)
+        assert cells(radiance.get(month))[:, 0].tolist() == [1e308] * 5
 
 
 # high-quality words (50, 51, 114, 115), valid low-quality ones, and reserved ones
@@ -187,13 +212,19 @@ def day_mask(grid):
 
 
 def vote_by_days(grids):
-    """The majority vote as a loop over days, one day_mask per day."""
+    """The majority vote as a loop over days, one day_mask per day; a reserved word names the month's smallest."""
     spec = grids[0].spec
     observed = np.zeros(spec.shape, dtype=np.int64)
     high = np.zeros(spec.shape, dtype=np.int64)
+    errors = []
     for grid in grids:
         observed += grid.valid
-        high += day_mask(grid)
+        try:
+            high += day_mask(grid)
+        except QualityDecodeError as exc:
+            errors.append(exc)
+    if errors:  # the month's smallest reserved word
+        raise min(errors, key=lambda exc: exc.qf)
     words = np.where(high * 2 > observed, VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE)
     return IntRaster(spec, words, observed == 0)
 
@@ -230,3 +261,24 @@ def quality_word_is_valid(word):
     except QualityDecodeError:
         return False
     return True
+
+
+def test_load_holds_only_the_zone_cells(tmp_path):
+    """A 3x3 zone on a 200x200 grid: every file is read whole, every month held as 9 cells."""
+    spec = GridSpec(ncols=200, nrows=200, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+    values = np.arange(spec.size, dtype=np.float64).reshape(spec.shape)
+    for month in ("2018-09", "2018-10"):
+        write_grid(RasterGrid(spec, values), tmp_path / f"{month}.asc")
+        write_grid(IntRaster(spec, np.full(spec.shape, VNP46A2_HIGH_QUALITY_CODE)), tmp_path / f"{month}.qf.asc")
+    write_grid(RasterGrid(spec, np.ones(spec.shape)), tmp_path / layout.BUILT_FRACTION_FILENAME)
+    dataset = DatasetConfig("VNP46A2", Dataset.VNP46A2, tmp_path, tmp_path)
+    # centres of rows 196-198, columns 100-102
+    zone = Zone("Z", (rect_ring(100.0, 1.0, 103.0, 4.0),), 0.1)
+    radiance, quality_stack, built, positions = load_dataset(
+        dataset, MonthIndex(2018, 9), MonthIndex(2018, 10), True, (zone,)
+    )
+    assert positions["Z"].tolist() == list(range(9))
+    for grid in radiance.grids + quality_stack.grids + (built,):
+        assert grid.values.shape == grid.missing.shape == (1, 9)
+    flat = [row * 200 + col for row in range(196, 199) for col in range(100, 103)]
+    assert radiance.grids[0].values.ravel().tolist() == [float(i) for i in flat]

@@ -22,6 +22,7 @@ from ntlpipe import (
     is_high_quality_vnp46a2,
     is_high_quality_vscntl,
 )
+from ntlpipe.quality import vnp46a2_reserved
 
 
 def all_valid_flag_combinations():
@@ -75,6 +76,17 @@ class TestDecode:
             with pytest.raises(QualityDecodeError) as exc_info:
                 decode_vnp46a2_quality(code << 1)
             assert str(code << 1) in str(exc_info.value)
+
+    def test_reserved_table_agrees_with_decode_on_every_word(self):
+        reserved = []
+        for word in range(1 << 16):
+            try:
+                decode_vnp46a2_quality(word)
+            except QualityDecodeError:
+                reserved.append(word)
+        assert np.flatnonzero(vnp46a2_reserved(np.arange(1 << 16))).tolist() == reserved
+        # fractional words truncate as int() does
+        assert vnp46a2_reserved(np.array([8.9, 50.5, 12.0])).tolist() == [True, False, True]
 
     def test_reserved_high_bits_rejected(self):
         for bit in range(11, 16):

@@ -1,8 +1,12 @@
 """Tests for month arithmetic, zone time series, baselines, and drop metrics."""
 
 import csv
+import dataclasses
 import io
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from ntlpipe import (
     Zone,
     ZoneMask,
     ZoneSeries,
+    as_float,
     build_zone_series,
     config_from_label,
     enumerate_configs,
@@ -39,8 +44,10 @@ from ntlpipe import (
     run_pipeline,
     series_by_config,
     tile_zones,
+    write_grid,
     write_series_csv,
 )
+from ntlpipe.layout import BUILT_FRACTION_FILENAME, DatasetConfig, _majority_quality_composite, load_dataset
 
 SPEC = GridSpec(ncols=2, nrows=2, x_origin=0.0, y_origin=0.0, cell_size=1.0)
 
@@ -281,10 +288,15 @@ def chain_inputs(draw, dataset):
     return scene, zones, windows, draw(st.sampled_from((built_map, None)))
 
 
-def assert_chain_matches_reference(scene, zones, windows, built, configs):
-    """series_by_config yields configs in the given order, each equal to run_pipeline + build_zone_series."""
-    masks = {zone.zone_id: rasterize_zone(zone, scene.spec.grid) for zone in zones}
-    chain = list(series_by_config(scene.radiance, scene.quality, built, masks, configs, windows))
+def assert_chain_matches_reference(scene, zones, windows, built, configs, chain=None):
+    """series_by_config yields configs in the given order, each equal to run_pipeline + build_zone_series.
+
+    ``chain`` is series_by_config's output; by default, on the scene's whole grids.
+    """
+    if chain is None:
+        cells = {zone.zone_id: np.flatnonzero(rasterize_zone(zone, scene.spec.grid).inside) for zone in zones}
+        chain = series_by_config(scene.radiance, scene.quality, built, cells, configs, windows)
+    chain = list(chain)
     assert [config for config, _ in chain] == list(configs)
     for config, result in chain:
         try:
@@ -337,6 +349,101 @@ class TestSeriesByConfig:
         scene = generate_scene(spec)
         configs = [config_from_label(Dataset.VSC_NTL, label) for label in ("clip+quality", "raw", "quality")]
         assert_chain_matches_reference(scene, spec.zones, (window,), scene.built_fraction, configs)
+
+
+@st.composite
+def loaded_chain_inputs(draw, dataset):
+    """chain_inputs with months left out, nodata cells, and zones that overlap, cover part of the grid or none of it.
+
+    Returns (scene, zones, windows, built, files): ``files`` are the
+    (file name, grid) pairs of the dataset directory. For VNP46A2 some
+    months are written as daily files instead, and the scene holds their
+    whole-grid composites.
+    """
+    scene, zones, windows, built = draw(chain_inputs(dataset))
+    grid = scene.spec.grid
+    # overlaps the tiles and runs off the grid's lower-left edge
+    over = Zone("OVER", (rect_ring(-2.0, -1.0, grid.ncols / 2 + 0.3, grid.nrows / 2),), 0.2)
+    # any of the tiles, in any order, with or without OVER and the off-grid zone;
+    # with no tile and no OVER, no zone covers a pixel-centre
+    tiles, off = zones[:-1], zones[-1:]
+    picked = draw(st.lists(st.sampled_from(range(len(tiles))), unique=True), label="tiles")
+    zones = (
+        tuple(tiles[i] for i in picked)
+        + draw(st.sampled_from(((), (over,))), label="over")
+        + draw(st.sampled_from(((), off)), label="off")
+    )
+    months = scene.radiance.months
+    dropped = draw(st.sets(st.sampled_from(months), max_size=len(months) - 1), label="dropped")
+    kept = [m for m in months if m not in dropped]
+    # nodata cells in every kind of file
+    rng = np.random.default_rng(draw(st.integers(0, 99), label="nodata seed"))
+    rate = draw(st.sampled_from((0.0, 0.2)), label="nodata rate")
+
+    def holed(grid):
+        return grid.with_values(grid.values, rng.random(grid.spec.shape) < rate)
+
+    built = holed(built) if built is not None else None
+    radiance = {m: holed(scene.radiance.get(m)) for m in kept}
+    quality = {m: holed(scene.quality.get(m)) for m in kept}
+    daily = draw(st.sets(st.sampled_from(kept)) if dataset is Dataset.VNP46A2 else st.just(set()), label="daily")
+    files = []
+    for month in daily:
+        # 1-4 days around the month's grid, each with its own nodata cells and, on some cells, another word
+        n_days = draw(st.integers(1, 4), label="days")
+        month_radiance, month_quality = radiance[month], quality[month]
+        days = [
+            holed(month_radiance.with_values(month_radiance.values * rng.uniform(0.5, 1.5, grid.shape)))
+            for _ in range(n_days)
+        ]
+        words = [
+            holed(
+                month_quality.with_values(
+                    np.where(rng.random(grid.shape) < 0.5, month_quality.values, rng.choice([50, 242, 114, 370], grid.shape))
+                )
+            )
+            for _ in range(n_days)
+        ]
+        for day, (day_radiance, day_words) in enumerate(zip(days, words), start=1):
+            files += [(f"{month}-{day:02d}.asc", day_radiance), (f"{month}-{day:02d}.qf.asc", day_words)]
+        radiance[month] = as_float(monthly_median_composite(days))
+        quality[month] = _majority_quality_composite(words)
+    monthly = [month for month in kept if month not in daily]
+    files += [(f"{month}.asc", radiance[month]) for month in monthly]
+    files += [(f"{month}.qf.asc", quality[month]) for month in monthly]
+    if built is not None:
+        files.append((BUILT_FRACTION_FILENAME, built))
+    scene = dataclasses.replace(
+        scene,
+        radiance=RasterStack(kept, [radiance[m] for m in kept]),
+        quality=RasterStack(kept, [quality[m] for m in kept]),
+        built_fraction=built if built is not None else scene.built_fraction,
+    )
+    return scene, zones, windows, built, files
+
+
+class TestLoadedColumnsMatchWholeGrids:
+    """load_dataset -> zone cells -> series_by_config equals run_pipeline -> zonal_mean on whole grids."""
+
+    @pytest.mark.parametrize("dataset", list(Dataset))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical(self, dataset, data):
+        scene, zones, windows, built, files = data.draw(loaded_chain_inputs(dataset))
+        configs = enumerate_configs(dataset)
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            for name, grid in files:
+                write_grid(grid, directory / name)
+            months = scene.radiance.months
+            loaded = load_dataset(
+                DatasetConfig(dataset.value, dataset, directory, directory), months[0], months[-1], True, zones
+            )
+        radiance, quality, loaded_built, positions = loaded
+        assert list(positions) == [zone.zone_id for zone in zones]
+        assert radiance.spec.size <= max(sum(p.size for p in positions.values()), 1)
+        chain = series_by_config(radiance, quality, loaded_built, positions, configs, windows)
+        assert_chain_matches_reference(scene, zones, windows, built, configs, chain)
 
 
 class TestRollingBaseline:
@@ -407,6 +514,14 @@ radiances = st.one_of(
 )
 
 
+# radiance near the float limit, of either sign, whose baselines and changes overflow
+extreme_radiances = st.one_of(
+    radiances,
+    st.floats(min_value=1e300, max_value=sys.float_info.max),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestPositionalSliceMatchesMonthKeyedDefinition:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -427,7 +542,7 @@ class TestPositionalSliceMatchesMonthKeyedDefinition:
 class TestBatchMatchesScalar:
     @settings(max_examples=300, deadline=None)
     @given(
-        values=st.lists(radiances, min_size=1, max_size=30),
+        values=st.lists(extreme_radiances, min_size=1, max_size=30),
         start=st.builds(MonthIndex, st.integers(2000, 2030), st.integers(1, 12)),
         w=st.integers(1, 13),
     )
@@ -435,9 +550,11 @@ class TestBatchMatchesScalar:
         # w above 7 takes the scalar fallback
         series = series_from(start, values)
         baselines = [rolling_baseline(series, month, w).hex() for month in series.months]
-        changes = [percent_change(series, month, w).hex() for month in series.months]
+        changes = [percent_change(series, month, w) for month in series.months]
         assert [float(b).hex() for b in rolling_baselines(series, w)] == baselines
-        assert [float(c).hex() for c in percent_changes(series, w)] == changes
+        assert [float(c).hex() for c in percent_changes(series, w)] == [c.hex() for c in changes]
+        # a change is finite or undefined
+        assert not any(math.isinf(c) for c in changes)
 
     @pytest.mark.parametrize("w", [0, -1])
     def test_bad_window_rejected(self, w):
@@ -458,11 +575,12 @@ class TestMatrixMatchesScalar:
     )
     def test_bit_identical(self, data, n_months, start, w):
         # (zones x months), NaN-bearing; w above 7 takes the scalar fallback row by row
-        row = st.lists(radiances, min_size=n_months, max_size=n_months)
+        row = st.lists(extreme_radiances, min_size=n_months, max_size=n_months)
         rows = data.draw(st.lists(row, min_size=1, max_size=6))
         baselines = rolling_baselines(np.array(rows), w)
         changes = percent_changes(rows, w)
         assert baselines.shape == changes.shape == (len(rows), n_months)
+        assert not np.isinf(changes).any()
         for row, row_baselines, row_changes in zip(rows, baselines.tolist(), changes.tolist()):
             series = series_from(start, row)
             months = series.months

@@ -15,7 +15,6 @@ from ntlpipe import (
     Zone,
     ZoneMask,
     ZoneValidationError,
-    flat_indices,
     point_in_polygon,
     rasterize_zone,
     read_zones,
@@ -23,6 +22,7 @@ from ntlpipe import (
     write_zones,
     zonal_mean,
     zonal_means,
+    zone_columns,
 )
 from ntlpipe.zones import _crossing_parity
 
@@ -351,14 +351,43 @@ class TestZonalMeansMatchZonalMean:
     @given(case=rasters_and_masks())
     def test_bit_identical(self, case):
         raster, masks = case
-        got = zonal_means(raster, flat_indices(masks, raster.spec))
-        assert [v.hex() for v in got] == [zonal_mean(raster, m).hex() for m in masks]
+        want = [zonal_mean(raster, m).hex() for m in masks]
+        whole = zonal_means(raster, [np.flatnonzero(m.inside) for m in masks])
+        assert [v.hex() for v in whole] == want
+        # the same raster cut down to one row of the cells some mask covers, as load_dataset holds it
+        covered = sorted({i for m in masks for i in np.flatnonzero(m.inside).tolist()})
+        if covered:
+            row = GridSpec(ncols=len(covered), nrows=1, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+            cut = RasterGrid(row, raster.values.ravel()[covered], raster.missing.ravel()[covered])
+            positions = [
+                np.array([covered.index(i) for i in np.flatnonzero(m.inside)], dtype=np.intp) for m in masks
+            ]
+            assert [v.hex() for v in zonal_means(cut, positions)] == want
 
-    def test_mask_off_the_grid_rejected(self):
-        spec = GridSpec(ncols=2, nrows=2, x_origin=0.0, y_origin=0.0, cell_size=1.0)
-        other = GridSpec(ncols=2, nrows=2, x_origin=1.0, y_origin=0.0, cell_size=1.0)
-        with pytest.raises(ValueError, match="does not match mask grid"):
-            flat_indices([ZoneMask(other, np.ones((2, 2), dtype=bool))], spec)
+
+class TestZoneColumns:
+    SPEC = GridSpec(ncols=7, nrows=5, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+
+    def test_positions_pick_each_zones_inside_cells(self):
+        zones = [
+            Zone("A", (rect_ring(0.0, 0.0, 3.0, 2.0),), 0.1),
+            Zone("B", (rect_ring(2.0, 1.0, 5.0, 4.0),), 0.2),  # overlaps A
+            Zone("C", (rect_ring(6.0, 4.0, 9.0, 9.0),), 0.3),  # runs off the grid's corner
+            Zone("D", (rect_ring(20.0, 20.0, 21.0, 21.0),), 0.4),  # covers no pixel-centre
+        ]
+        cells, positions = zone_columns(zones, self.SPEC)
+        inside = {zone.zone_id: np.flatnonzero(rasterize_zone(zone, self.SPEC).inside) for zone in zones}
+        assert list(positions) == ["A", "B", "C", "D"]
+        assert cells.tolist() == sorted(set(np.concatenate(list(inside.values())).tolist()))
+        for zone_id, index in inside.items():
+            assert cells[positions[zone_id]].tolist() == index.tolist()
+        assert positions["D"].size == 0
+
+    @pytest.mark.parametrize("zones", [[], [Zone("D", (rect_ring(20.0, 20.0, 21.0, 21.0),), 0.4)]])
+    def test_no_covered_cell_keeps_cell_zero(self, zones):
+        cells, positions = zone_columns(zones, self.SPEC)
+        assert cells.tolist() == [0]
+        assert [p.size for p in positions.values()] == [0] * len(zones)
 
 
 class TestZoneFileRoundTrip:
