@@ -46,7 +46,7 @@ from .grid import read_grid, write_grid  # noqa: F401
 from .layout import dataset_files, load_dataset, scan_dataset_dir
 from .preprocess import enumerate_configs
 from .synthetic import check_scorable, generate_scene, recovered_pccs
-from .timeseries import percent_changes, read_series_csv, series_by_config, write_series_csv
+from .timeseries import BASELINE_MONTHS, percent_changes, read_series_csv, series_by_config, write_series_csv
 from .zones import read_zones, write_zones
 
 __all__ = ["main"]
@@ -78,11 +78,20 @@ def cmd_validate(args):
         available = sorted(radiance_files)
         for hurricane in run.hurricanes:
             event_month = hurricane.window.event_month
+            # the drop's baseline: the months before the event that its series holds
+            before = min(BASELINE_MONTHS, hurricane.window.months_before)
+            baseline = [event_month - k for k in range(1, before + 1)]
             if not available[0] <= event_month <= available[-1]:
                 _print_issue(
                     issues,
                     f"{dataset.name}: event month {event_month} of {hurricane.name} "
                     f"outside available range {available[0]}..{available[-1]}",
+                )
+            elif not any(month in radiance_files for month in baseline):
+                _print_issue(
+                    issues,
+                    f"{dataset.name}: no radiance file in the {len(baseline)} baseline months before event "
+                    f"month {event_month} of {hurricane.name}, so every zone's drop is undefined",
                 )
         need_quality = any(c.quality_filter for c in configs)
         try:

@@ -27,7 +27,6 @@ used together are assumed co-registered in a single planar frame.
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -222,23 +221,24 @@ def read_grid(path):
     RasterGrid. Raises GridParseError (with a 1-based line number) on any
     malformed header or data line.
 
-    A well-formed body is converted in one step; any other body goes to
-    the line-by-line loop, which finds the first fault and names its line.
+    Only the header lines are split into tokens. A well-formed body goes
+    through numpy's C text reader in one call; any other body goes to the
+    line-by-line loop, which finds the first fault and names its line.
     """
     path = Path(path)
-    numbered = [
-        (lineno, tokens)
-        for lineno, tokens in enumerate(map(str.split, path.read_text().splitlines()), start=1)
-        if tokens  # a line is blank when it splits into no tokens
-    ]
+    lines = path.read_text().splitlines()
     header = {}
     header_lines = {}
     pos = 0
     while len(header) < len(_HEADER_KEYS):
-        if pos >= len(numbered):
+        if pos >= len(lines):
             missing = sorted(set(_HEADER_KEYS) - set(header))
             raise GridParseError(f"incomplete header, missing {', '.join(missing)}")
-        lineno, tokens = numbered[pos]
+        tokens = lines[pos].split()
+        pos += 1
+        lineno = pos
+        if not tokens:
+            continue  # a line is blank when it splits into no tokens
         if len(tokens) != 2:
             raise GridParseError(f"expected 'key value' header line, got {len(tokens)} tokens", lineno)
         key = tokens[0].lower()
@@ -251,7 +251,6 @@ def read_grid(path):
         except ValueError:
             raise GridParseError(f"malformed value {tokens[1]!r} for header key {tokens[0]!r}", lineno) from None
         header_lines[key] = lineno
-        pos += 1
 
     try:
         spec = GridSpec(
@@ -264,9 +263,14 @@ def read_grid(path):
     except ValueError as exc:
         raise GridParseError(str(exc), header_lines["cellsize"]) from None
 
-    data_lines = numbered[pos:]
-    body = _convert_body(spec, data_lines)
+    body_lines = lines[pos:]
+    body = _convert_body(spec, body_lines)
     if body is None:
+        data_lines = [
+            (lineno, tokens)
+            for lineno, tokens in enumerate(map(str.split, body_lines), start=pos + 1)
+            if tokens
+        ]
         body = _parse_body(spec, data_lines)
     values, all_int = body
     missing = values == header["nodata_value"]
@@ -280,29 +284,30 @@ def read_grid(path):
     return RasterGrid(spec, values, missing)
 
 
-def _convert_body(spec, data_lines):
-    """(values, all_int) of a well-formed body in one conversion; None if any check fails.
+def _convert_body(spec, body_lines):
+    """(values, all_int) of a well-formed body in one np.loadtxt call; None if any check fails.
 
-    np.array reads each token with float()'s rules, so a body that passes
-    every check here gets the same bits as from _parse_body; the
-    differential tests in tests/test_grid.py hold the two together.
+    body_lines come from str.splitlines, so rows end where they end for
+    _parse_body. loadtxt splits a line where str.split does and converts
+    each token with PyOS_string_to_double, as float() does, but only plain
+    ASCII tokens: no '_', non-ASCII digit or surrounding junk. So a body
+    that passes every check here gets the same bits as from _parse_body;
+    the differential tests in tests/test_grid.py hold the two together.
     """
-    rows = [tokens for _, tokens in data_lines]
-    if len(rows) != spec.nrows or set(map(len, rows)) != {spec.ncols}:
-        return None
+    if not any(map(str.strip, body_lines)):
+        return None  # no data row; loadtxt would warn, and _parse_body names the fault
     try:
-        values = np.array(rows, dtype=np.float64)
+        values = np.loadtxt(body_lines, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
-    if not np.isfinite(values).all():
+    if values.shape != spec.shape or not np.isfinite(values).all():
         return None
     if (values != np.floor(values)).any():
         return values, False  # an integer literal converts to an integral value
-    # every token converted, so a sign is a token's first character or follows an
-    # exponent's e, which isdecimal refuses; isdecimal and _INT_TOKEN's \d both
-    # mean Unicode category Nd
-    digits = "".join(chain.from_iterable(rows)).replace("+", "").replace("-", "")
-    return values, digits.isdecimal()
+    # loadtxt's tokens are [+-]digits, with a fraction or exponent or both, or
+    # inf and nan spelled out, which the finite check refused
+    text = "".join(body_lines)
+    return values, not ("." in text or "e" in text or "E" in text)
 
 
 def _parse_body(spec, data_lines):

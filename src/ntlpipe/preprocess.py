@@ -123,6 +123,13 @@ def apply_built_mask(raster, built_fraction, built_fraction_threshold=0.5):
     return raster.with_values(raster.values, raster.missing | ~keep)
 
 
+# Where a weighted sum of finite values overflows float64, it is summed again
+# scaled by this exact power of two. The weights 1/d of distinct months add up
+# to less than 2^8 for fewer than e^255 contributors, so the scaled sum cannot
+# overflow.
+_SUM_SCALE = 2.0**-8
+
+
 def impute_pixel(history, t, window=12):
     """Refill one pixel at month ``t`` from its trusted recent history.
 
@@ -134,7 +141,9 @@ def impute_pixel(history, t, window=12):
     (trusted observations are never imputed over). The result always lies
     within [min, max] of the contributing values: the exact weighted mean
     does by construction, and accumulation rounding is clamped away so a
-    constant history imputes exactly that constant.
+    constant history imputes exactly that constant. A weighted sum that
+    overflows is summed again, scaled, so values near the float64 limit
+    still impute their weighted mean.
     """
     if window < 1:
         raise ValueError(f"imputation window must be positive, got {window}")
@@ -142,6 +151,7 @@ def impute_pixel(history, t, window=12):
     den = 0.0
     lo = math.inf
     hi = -math.inf
+    terms = []
     prev = None
     for m, value, high_quality in history:
         if prev is not None and m <= prev:
@@ -156,9 +166,13 @@ def impute_pixel(history, t, window=12):
         den += w
         lo = min(lo, value)
         hi = max(hi, value)
+        terms.append((w, value))
     if den <= 0.0:
         return float("nan")
-    return min(max(num / den, lo), hi)
+    mean = num / den
+    if not math.isfinite(mean):
+        mean = math.fsum(w * (value * _SUM_SCALE) for w, value in terms) / den / _SUM_SCALE
+    return min(max(mean, lo), hi)
 
 
 def quality_filter_and_impute(stack, quality_stack, dataset, window=12):
@@ -192,22 +206,31 @@ def quality_filter_and_impute(stack, quality_stack, dataset, window=12):
         vsum = np.zeros(shape)
         lo = np.full(shape, np.inf)
         hi = np.full(shape, -np.inf)
-        for j in range(i - 1, -1, -1):
-            dist = ordinals[i] - ordinals[j]
-            if dist > window:
-                break
-            w = np.where(trusted[j], 1.0 / dist, 0.0)
-            wsum += w
-            vsum += w * values[j]
-            lo = np.where(trusted[j], np.minimum(lo, values[j]), lo)
-            hi = np.where(trusted[j], np.maximum(hi, values[j]), hi)
-        refillable = target & (wsum > 0.0)
-        new_values = values[i].copy()
-        # clamp accumulation rounding back into the contributor envelope,
-        # matching the scalar impute_pixel contract
-        new_values[refillable] = np.clip(
-            vsum[refillable] / wsum[refillable], lo[refillable], hi[refillable]
-        )
+        lookback = []  # (j, dist) in the window; a weight array is rebuilt only where a sum overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(i - 1, -1, -1):
+                dist = ordinals[i] - ordinals[j]
+                if dist > window:
+                    break
+                lookback.append((j, dist))
+                w = np.where(trusted[j], 1.0 / dist, 0.0)
+                wsum += w
+                vsum += w * values[j]
+                lo = np.where(trusted[j], np.minimum(lo, values[j]), lo)
+                hi = np.where(trusted[j], np.maximum(hi, values[j]), hi)
+            refillable = target & (wsum > 0.0)
+            new_values = values[i].copy()
+            mean = vsum[refillable] / wsum[refillable]
+            over = ~np.isfinite(mean)
+            if over.any():
+                # the weighted sum overflowed at these pixels: sum it again, scaled
+                scaled = sum(
+                    np.where(trusted[j], 1.0 / dist, 0.0) * (values[j] * _SUM_SCALE) for j, dist in lookback
+                )[refillable]
+                mean[over] = scaled[over] / wsum[refillable][over] / _SUM_SCALE
+            # clamp accumulation rounding back into the contributor envelope,
+            # matching the scalar impute_pixel contract
+            new_values[refillable] = np.clip(mean, lo[refillable], hi[refillable])
         new_missing = np.where(target, ~refillable, missing[i])
         out.append(grid.with_values(new_values, new_missing))
     return stack.with_grids(out)

@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 BASELINE_EPSILON = 1e-6
+BASELINE_MONTHS = 6  # an event month's change is against the mean of this many months before it
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def series_by_config(radiance, quality, built, zone_cells, configs, windows):
             yield config, done[config] if config in order else done.pop(config)
 
 
-def rolling_baseline(series, t, w=6):
+def rolling_baseline(series, t, w=BASELINE_MONTHS):
     """Mean of the non-missing observations in [t-w, t-1]; NaN if none.
 
     Trailing and exclusive of t itself, so the baseline can never contain
@@ -221,7 +222,7 @@ def _baseline_at(values, i, w):
         return float(np.mean(usable))
 
 
-def percent_change(series, t, w=6):
+def percent_change(series, t, w=BASELINE_MONTHS):
     """100 * (x_t - baseline) / baseline; NaN when either side is unusable.
 
     Unusable means x_t missing, baseline undefined, or baseline at or
@@ -250,7 +251,7 @@ def _as_rows(series):
     return np.asarray(series, dtype=np.float64)
 
 
-def rolling_baselines(series, w=6):
+def rolling_baselines(series, w=BASELINE_MONTHS):
     """rolling_baseline(series, m, w) at every month m, as an array.
 
     ``series`` is a ZoneSeries or an array of series values, one series
@@ -277,7 +278,7 @@ def rolling_baselines(series, w=6):
     return np.divide(sums, counts, out=np.full(values.shape, np.nan), where=counts > 0)
 
 
-def percent_changes(series, w=6):
+def percent_changes(series, w=BASELINE_MONTHS):
     """percent_change(series, m, w) at every month m, bit-identical, shaped as rolling_baselines."""
     values = _as_rows(series)
     baselines = rolling_baselines(values, w)
@@ -290,7 +291,7 @@ def percent_changes(series, w=6):
     return changes
 
 
-def event_drop(series, window, w=6):
+def event_drop(series, window, w=BASELINE_MONTHS):
     """Negated percent change at the event month: positive = lights dimmed."""
     change = percent_change(series, window.event_month, w)
     return -change if not np.isnan(change) else float("nan")
@@ -318,7 +319,7 @@ def _month_fields(ordinal, n):
     return tuple(f"{m // 12},{m % 12 + 1}" for m in range(ordinal, ordinal + n))
 
 
-def write_series_csv(series, path, w=6, changes=None):
+def write_series_csv(series, path, w=BASELINE_MONTHS, changes=None):
     """Write a series as CSV rows of zone_id, year, month, radiance, change.
 
     Missing and undefined entries are empty fields. The percent-change

@@ -16,6 +16,7 @@ with; nothing here knows about projections.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,7 +202,21 @@ def zonal_mean(raster, mask):
     take = mask.inside & raster.valid
     if not np.any(take):
         return float("nan")
-    return float(np.mean(raster.values[take]))
+    kept = raster.values[take]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(kept))
+        return mean if math.isfinite(mean) else _overflowed_mean(kept)
+
+
+def _overflowed_mean(kept):
+    """Mean of finite values whose float64 sum overflowed: the sum of value / count.
+
+    The exact sum of the terms is the mean, which lies within [min, max];
+    only rounding can carry the computed sum past them, even to inf, and
+    the clamp takes that back. Call it where overflow warnings are off.
+    """
+    mean = float(np.add.reduce(kept / kept.size))
+    return min(max(mean, float(kept.min())), float(kept.max()))
 
 
 def zone_columns(zones, spec):
@@ -235,15 +250,19 @@ def zonal_means(raster, indices):
     values are summed in the same row-major order as in zonal_mean, with
     np.mean's own arithmetic (np.add.reduce in float64, then one division
     by the count) minus its per-call overhead, so each mean is
-    bit-identical to it.
+    bit-identical to it, overflow included.
     """
     values = raster.values.ravel()
     missing = raster.missing.ravel()
     means = []
-    for index in indices:
-        kept = values[index][~missing[index]]
-        total = float(np.add.reduce(kept, dtype=np.float64))
-        means.append(total / kept.size if kept.size else float("nan"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index in indices:
+            kept = values[index][~missing[index]]
+            total = float(np.add.reduce(kept, dtype=np.float64))
+            if math.isfinite(total):
+                means.append(total / kept.size if kept.size else float("nan"))
+            else:
+                means.append(_overflowed_mean(kept))
     return means
 
 

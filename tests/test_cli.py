@@ -244,6 +244,32 @@ class TestValidate:
         config = simulated_vsc_run(tmp_path, jobs=2)
         assert main(["validate", "--config", str(config)]) == 0
 
+    def test_event_month_without_baseline_months_fails(self, tmp_path, capsys):
+        config = simulated_vsc_run(tmp_path)
+        radiance = tmp_path / "simv" / "VSC-NTL"
+        for month in ("2018-04", "2018-05", "2018-06", "2018-07", "2018-08"):
+            (radiance / f"{month}.asc").unlink()
+        capsys.readouterr()
+        # one baseline month left is enough
+        assert main(["validate", "--config", str(config)]) == 0
+        (radiance / "2018-09.asc").unlink()
+        assert main(["validate", "--config", str(config)]) == 1
+        problems = [line for line in capsys.readouterr().out.splitlines() if "problem:" in line]
+        assert problems == [
+            "  problem: VSC-NTL: no radiance file in the 6 baseline months before event month "
+            "2018-10 of TestStorm, so every zone's drop is undefined"
+        ]
+
+    @pytest.mark.parametrize("months_before, code", [(0, 1), (1, 1), (2, 1), (3, 0)])
+    def test_baseline_is_the_window_months_before_the_event(self, tmp_path, capsys, months_before, code):
+        # a series holds only its window, so a file before the window's start is no baseline
+        config = simulated_vsc_run(tmp_path, months_before=months_before)
+        for month in ("2018-08", "2018-09"):
+            (tmp_path / "simv" / "VSC-NTL" / f"{month}.asc").unlink()
+        assert main(["validate", "--config", str(config)]) == code
+        problem = f"no radiance file in the {months_before} baseline months before event month 2018-10"
+        assert (problem in capsys.readouterr().out) == bool(code)
+
 
 def simulated_vsc_run(root, **overrides):
     """Simulate the VSC-NTL scene under root; return its one-dataset run config."""

@@ -401,29 +401,45 @@ class TestGridParsing:
         assert raised.value.line == 9
 
 
+def grid_bits(grid):
+    """A raster bit for bit: its type, spec, values (floats as float.hex) and mask."""
+    values = [v.hex() if isinstance(v, float) else v for v in grid.values.ravel().tolist()]
+    return type(grid), grid.spec, values, grid.missing.tolist()
+
+
 def parse_outcome(read, path):
     """What a reader makes of a file: the raster bit for bit, or its GridParseError."""
     try:
         grid = read(path)
     except GridParseError as exc:
         return type(exc), str(exc), exc.line
-    values = [v.hex() if isinstance(v, float) else v for v in grid.values.ravel().tolist()]
-    return type(grid), grid.spec, values, grid.missing.tolist()
+    return grid_bits(grid)
 
 
 # tokens float() reads; the integer literals among them include a sign, digit
 # separators and non-ASCII decimal digits, which _INT_TOKEN's \d also matches.
 # A negative one, or one of 2^63 or more, makes the file a RasterGrid, as an
-# IntRaster's valid cells are non-negative int64s.
+# IntRaster's valid cells are non-negative int64s. np.loadtxt refuses the ones
+# with '_' or a non-ASCII digit, so those bodies take the line-by-line loop.
 CELL_TOKENS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(0, 10**6).map(str),
     st.integers(2**63 - 2**10, 10**30).map(str),
     st.integers(-50, -1).map(str),
-    st.sampled_from(["-0.0", "-0", "+7", "1_0", "1_000.5", "\u0661\u0662", "\uff17", "0.1e-3", "5E+2", ".5", "7."]),
+    st.sampled_from(
+        ["-0.0", "-0", "+7", "1_0", "1_000.5", "\u0661", "\u0661\u0662", "\uff17", "0.1e-3", "5E+2", ".5", "7."]
+    ),
 )
-SEPARATORS = st.sampled_from([" ", "  ", "\t", "\xa0", " \u2003 "])
-BLANK_LINES = st.lists(st.sampled_from(["", " ", "\t", "\xa0"]), max_size=2)
+# tokens float() refuses, some of which a text reader might take: a comment
+# mark, quotes, hex, a doubled sign, a bare exponent, Fortran's d exponent
+BAD_TOKENS = st.sampled_from(
+    ["abc", "1.2.3", "0x10", "1__0", "_1", "#", "'1'", '"1"', "+-1", "1e", "1d5", "nan", "inf", "-Infinity", "1e999"]
+)
+# whitespace inside a line: str.split splits on all of it, \x1f included
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\xa0", " \u2003 ", "\x1f"])
+BLANK_LINES = st.lists(st.sampled_from(["", " ", "\t", "\xa0", "\u2003", " \x1f"]), max_size=2)
+# every line boundary of str.splitlines; "\r" and "\r\n" also pass read_text's newline translation
+LINE_ENDINGS = st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
 
 
 @st.composite
@@ -449,7 +465,7 @@ def grid_text(draw, header, rows):
     lines = []
     for line in header + [draw(SEPARATORS).join(row) for row in rows]:
         lines += draw(BLANK_LINES) + [line]
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    return "".join(line + draw(LINE_ENDINGS) for line in lines)
 
 
 class TestOneConversionMatchesLineByLine:
@@ -471,20 +487,22 @@ class TestOneConversionMatchesLineByLine:
             r = data.draw(st.integers(0, len(rows) - 1))
             c = data.draw(st.integers(0, len(rows[r]) - 1)) if rows[r] else 0
             fault = data.draw(
-                st.sampled_from(["short row", "long row", "lost row", "extra row", "bad token", "NUL"])
+                st.sampled_from(["short row", "broken row", "long row", "lost row", "extra row", "bad token", "NUL"])
             )
             if fault == "short row":
                 del rows[r][c:]
+            elif fault == "broken row":
+                # a line boundary inside a row: a text reader that ended lines only
+                # at \n or \r would read the two parts as one row again
+                rows[r : r + 1] = [rows[r][:c], rows[r][c:]]
             elif fault == "long row":
-                rows[r].append(data.draw(CELL_TOKENS))
+                rows[r].append(data.draw(st.one_of(CELL_TOKENS, BAD_TOKENS)))
             elif fault == "lost row":
                 del rows[r]
             elif fault == "extra row":
                 rows.insert(r, list(rows[r]))
             elif fault == "bad token" and rows[r]:
-                rows[r][c] = data.draw(
-                    st.sampled_from(["abc", "1.2.3", "0x10", "1__0", "_1", "nan", "inf", "-Infinity", "1e999"])
-                )
+                rows[r][c] = data.draw(BAD_TOKENS)
             elif rows[r]:
                 rows[r][c] = data.draw(st.sampled_from(["\0", "{}\0", "\0{}", "1\0{}"])).format(rows[r][c])
             if not rows:
@@ -517,6 +535,77 @@ class TestOneConversionMatchesLineByLine:
         expected = parse_outcome(read_grid_by_lines, path)
         assert expected[0] is kind
         assert parse_outcome(read_grid, path) == expected
+
+    HEADER_1X4 = "ncols 4\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+
+    @pytest.mark.parametrize("boundary", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_line_boundary_inside_a_row_ends_it(self, tmp_path, boundary):
+        # read from the file handle, np.loadtxt would take "1 2<boundary>3 4" as one 1x4 row
+        path = tmp_path / "grid.asc"
+        path.write_text(f"{self.HEADER_1X4}1 2{boundary}3 4\n", newline="")
+        expected = parse_outcome(read_grid_by_lines, path)
+        assert expected == (GridParseError, "line 8: expected 1 data rows, found 2", 8)
+        assert parse_outcome(read_grid, path) == expected
+
+    @pytest.mark.parametrize("body", ["", "\n", " \n\t\n", "\xa0\n\u2003\x1f\n", "\x85\u2028"])
+    def test_body_without_a_data_line(self, tmp_path, body):
+        # np.loadtxt warns on no data, and pytest's filterwarnings makes that an error
+        path = tmp_path / "grid.asc"
+        path.write_text(f"{self.HEADER_1X4}{body}", newline="")
+        expected = parse_outcome(read_grid_by_lines, path)
+        assert expected == (GridParseError, "expected 1 data rows, found 0", None)
+        assert parse_outcome(read_grid, path) == expected
+
+    @pytest.mark.parametrize(
+        "token", ["#", "'1'", '"1"', "1_0", "\u0661", "0x10", "+-1", "1e", "1d5", "\0", "1\0", "9223372036854775808"]
+    )
+    def test_token_reads_as_line_by_line(self, tmp_path, token):
+        path = tmp_path / "grid.asc"
+        path.write_text(f"{self.HEADER_1X4}1 {token} 3 4\n")
+        assert parse_outcome(read_grid, path) == parse_outcome(read_grid_by_lines, path)
+        # a fifth token: a reader that took '#' as a comment or a quote as a field mark could drop it
+        path.write_text(f"{self.HEADER_1X4}1 2 3 4 {token}\n")
+        assert parse_outcome(read_grid, path) == parse_outcome(read_grid_by_lines, path)
+
+
+def read_grid_fast_path_only(path):
+    """read_grid with the line-by-line loop made to fail, so a body that would fall back raises."""
+    with mock.patch.object(grid_module, "_parse_body", side_effect=AssertionError("fell back to _parse_body")):
+        return read_grid(path)
+
+
+class TestFastPathReadsEveryWrittenGrid:
+    """Every file write_grid writes takes the one-call path: a silent fallback would be a slowdown no other test sees."""
+
+    EDGE_VALUES = [0.5, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 3.141592653589793, 1e-7, 7.0]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 8), (8, 1), (3, 5)])
+    @pytest.mark.parametrize("nodata", [-9999.0, -1e30, 0.25])
+    def test_float_grid(self, tmp_path, shape, nodata):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        spec = make_spec(ncols=shape[1], nrows=shape[0])
+        values = rng.choice(self.EDGE_VALUES + list(rng.uniform(-1e6, 1e6, 8)), size=shape)
+        missing = rng.random(shape) < 0.3
+        grid = RasterGrid(spec, values, missing)
+        write_grid(grid, tmp_path / "g.asc", nodata=nodata)
+        assert grid_bits(read_grid_fast_path_only(tmp_path / "g.asc")) == grid_bits(grid)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 8), (8, 1), (3, 5)])
+    @pytest.mark.parametrize("nodata", [-9999, 0, 2**40])
+    def test_int_grid(self, tmp_path, shape, nodata):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        spec = make_spec(ncols=shape[1], nrows=shape[0])
+        values = rng.choice([1, 50, 242, 65535, 2**53, 2**62], size=shape)
+        missing = rng.random(shape) < 0.3
+        grid = IntRaster(spec, values, missing)
+        write_grid(grid, tmp_path / "g.asc", nodata=nodata)
+        assert grid_bits(read_grid_fast_path_only(tmp_path / "g.asc")) == grid_bits(grid)
+
+    def test_all_missing_grids(self, tmp_path):
+        spec = make_spec(ncols=3, nrows=2)
+        for grid in (RasterGrid(spec, np.zeros(6), np.ones(6, bool)), IntRaster(spec, np.zeros(6), np.ones(6, bool))):
+            write_grid(grid, tmp_path / "g.asc", nodata=-9999)
+            assert grid_bits(read_grid_fast_path_only(tmp_path / "g.asc")) == grid_bits(grid)
 
 
 class TestClassFractionResample:

@@ -1,9 +1,12 @@
 """Tests for thresholding, built masking, quality imputation, and pipeline wiring."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntlpipe import (
     ConfigError,
@@ -197,6 +200,11 @@ class TestImputePixel:
         history = [(m, 42.0, True) for m in range(5, 12)]
         assert impute_pixel(history, t=12) == 42.0
 
+    def test_weighted_sum_past_the_float_range_still_gives_the_mean(self):
+        # (0.5 * 1e308 + 1.5e308) / 1.5 overflows in the numerator; clamping inf gives 1.5e308
+        assert impute_pixel([(0, 1e308, True), (1, 1.5e308, True)], t=2) == pytest.approx(1e308 / 3 * 4, rel=1e-15)
+        assert impute_pixel([(0, -1e308, True), (1, -1.5e308, True)], t=2) == pytest.approx(-1e308 / 3 * 4, rel=1e-15)
+
 
 class TestQualityFilterAndImpute:
     def test_trusted_pixels_pass_through_bit_exact(self):
@@ -289,6 +297,47 @@ class TestQualityFilterAndImpute:
                             assert out.grids[i].missing[r, c]
                         else:
                             assert out.grids[i].values[r, c] == pytest.approx(expected, abs=1e-12)
+
+    def test_weighted_sum_past_the_float_range_still_gives_the_mean(self):
+        start = MonthIndex(2018, 1)
+        spec = GridSpec(ncols=2, nrows=1, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+        stack = make_stack(spec, start, [[1e308, 1.0], [1.5e308, 2.0], [7.0, 3.0]])
+        quality = vsc_quality_stack(spec, start, [[1, 1], [1, 1], [0, 0]])
+        out = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL).grids[2].values
+        assert out[0, 0] == pytest.approx(1e308 / 3 * 4, rel=1e-15)
+        # a pixel whose sum does not overflow keeps the plain weighted mean's bits
+        assert out[0, 1] == (0.5 * 1.0 + 1.0 * 2.0) / 1.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_impute_near_the_float_limit(self, data):
+        n, k = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+        spec = GridSpec(ncols=k, nrows=1, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+        limit = 1.7976931348623157e308
+        low = data.draw(st.sampled_from([0.0, -limit]))
+        frames = [data.draw(st.lists(st.floats(low, limit), min_size=k, max_size=k)) for _ in range(n)]
+        counts = [data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)) for _ in range(n)]
+        window = data.draw(st.integers(1, 8))
+        start = MonthIndex(2019, 1)
+        out = quality_filter_and_impute(
+            make_stack(spec, start, frames), vsc_quality_stack(spec, start, counts), Dataset.VSC_NTL, window
+        )
+        for i in range(n):
+            for c in range(k):
+                if counts[i][c]:
+                    continue
+                history = [(j, frames[j][c], counts[j][c] > 0) for j in range(i)]
+                expected = impute_pixel(history, i, window)
+                if math.isnan(expected):
+                    assert out.grids[i].missing[0, c]
+                    continue
+                got = out.grids[i].values[0, c]
+                contributors = [(Fraction(1.0 / (i - j)), v) for j, v, hq in history if hq and i - j <= window]
+                exact = sum(w * Fraction(v) for w, v in contributors) / sum(w for w, _ in contributors)
+                scale = max(abs(v) for _, v in contributors)
+                for value in (expected, got):
+                    assert min(v for _, v in contributors) <= value <= max(v for _, v in contributors)
+                    assert abs(value - float(exact)) <= 1e-12 * scale
 
     def test_misaligned_stacks_rejected(self):
         start = MonthIndex(2018, 1)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -331,14 +332,35 @@ class TestZonalMean:
             else:
                 assert values[take].min() <= mean <= values[take].max()
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("value", [1e308, -1e308, 1.7976931348623157e308])
+    def test_sum_past_the_float_range_still_gives_the_mean(self, value, n):
+        # np.mean would be inf, with an overflow warning that pytest makes an error; three
+        # times the largest float, each divided by 3 first, still rounds past it
+        spec = GridSpec(ncols=n, nrows=1, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+        raster = RasterGrid(spec, [value] * n)
+        assert zonal_mean(raster, ZoneMask(spec, np.ones((1, n), dtype=bool))) == value
+        assert zonal_means(raster, [np.arange(n)]) == [value]
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-1.7976931348623157e308, 1.7976931348623157e308), min_size=1, max_size=20))
+    def test_mean_near_the_float_limit_is_close_to_exact(self, values):
+        spec = GridSpec(ncols=len(values), nrows=1, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+        mean = zonal_mean(RasterGrid(spec, values), ZoneMask(spec, np.ones((1, len(values)), dtype=bool)))
+        exact = float(sum(map(Fraction, values)) / len(values))
+        assert math.isfinite(mean)
+        assert abs(mean - exact) <= 1e-12 * max(map(abs, values))
+
 
 @st.composite
 def rasters_and_masks(draw):
     """A raster with a random missing pattern and a few random masks on its grid."""
     nrows, ncols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     spec = GridSpec(ncols=ncols, nrows=nrows, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+    # values near the float limit make some zone sums overflow
+    limit = draw(st.sampled_from([1e6, 1.7976931348623157e308]))
     cells = st.lists(
-        st.floats(-1e6, 1e6, allow_nan=False), min_size=spec.size, max_size=spec.size
+        st.floats(-limit, limit, allow_nan=False), min_size=spec.size, max_size=spec.size
     )
     flags = st.lists(st.booleans(), min_size=spec.size, max_size=spec.size)
     raster = RasterGrid(spec, draw(cells), draw(flags))
