@@ -94,6 +94,7 @@ from .timeseries import (
 )
 from .zones import (
     Zone,
+    ZoneColumns,
     ZoneMask,
     point_in_polygon,
     rasterize_zone,

@@ -284,11 +284,15 @@ def cmd_simulate(args):
         write_grid(grid, path)
     write_zones(spec.zones, zones_path)
 
+    n_files = len(files)
+    results = recovered_pccs(scene, enumerate_configs(spec.dataset))
+    # the oracle runs on its own cut to the zones' cells: release the whole grids first
+    del scene, files
     failures = []
     with open(oracle_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["config", "recovered_pcc"])
-        for config, recovered in recovered_pccs(scene, enumerate_configs(spec.dataset)):
+        for config, recovered in results:
             if isinstance(recovered, PipelineError):
                 # a StatsError from correlate_method already names the config
                 prefix = "" if isinstance(recovered, StatsError) else f"{config.label}: "
@@ -297,7 +301,7 @@ def cmd_simulate(args):
             else:
                 writer.writerow([config.label, repr(recovered)])
 
-    print(f"simulate: wrote {len(files)} raster(s) under {dataset_dir}")
+    print(f"simulate: wrote {n_files} raster(s) under {dataset_dir}")
     print(f"simulate: oracle results -> {oracle_path}")
     if failures:
         for failure in failures:

@@ -125,14 +125,14 @@ def load_dataset(dataset, month_lo, month_hi, need_quality, zones):
     """Load a dataset's months within [month_lo, month_hi], kept only where a zone lies.
 
     Every file is read and checked whole, then cut down to the cells of
-    zone_columns(zones, reference grid), daily files before they are
-    composited: each raster returned is one row of those cells, in the
-    grid's row-major order, at the reference grid's origin and cell
-    size. Returns (radiance stack, quality stack or None, built fraction
-    or None, positions), where positions maps each zone_id to its cells'
-    positions within that row. Every stage of the chain, the daily
-    composites included, is pixel-local, so the cells no zone covers are
-    never needed.
+    zone_columns(zones, reference grid) by its cut, as simulate's oracle
+    cuts its scene, daily files before they are composited: each raster
+    returned is one row of those cells, in the grid's row-major order, at
+    the reference grid's origin and cell size. Returns (radiance stack,
+    quality stack or None, built fraction or None, positions), where
+    positions maps each zone_id to its cells' positions within that row.
+    Every stage of the chain, the daily composites included, is
+    pixel-local, so the cells no zone covers are never needed.
 
     Daily files aggregate to monthly composites. Radiance grids are
     coerced to real-valued rasters so integer-looking files behave the
@@ -144,7 +144,7 @@ def load_dataset(dataset, month_lo, month_hi, need_quality, zones):
     """
     radiance_files, quality_files = scan_dataset_dir(dataset)
     reference, source = dataset.expected_grid, "configured grid"
-    columns = None  # (row spec, cells, positions) once the reference grid is known
+    columns = None  # zone_columns on the reference grid, once that is known
 
     def read(path, check=None):
         """The file's grid, checked whole, then cut down to the cells some zone covers."""
@@ -160,11 +160,8 @@ def load_dataset(dataset, month_lo, month_hi, need_quality, zones):
         if check is not None:
             check(grid, path.name, dataset.kind)
         if columns is None:
-            cells, positions = zone_columns(zones, reference)
-            row = GridSpec(cells.size, 1, reference.x_origin, reference.y_origin, reference.cell_size)
-            columns = row, cells, positions
-        row, cells, _ = columns
-        return type(grid)(row, grid.values.ravel()[cells], grid.missing.ravel()[cells])
+            columns = zone_columns(zones, reference)
+        return columns.cut(grid)
 
     def read_quality(path):
         return read(path, _check_quality)
@@ -193,7 +190,7 @@ def load_dataset(dataset, month_lo, month_hi, need_quality, zones):
         )
 
     built = as_float(read(dataset.built_path)) if dataset.built_path.is_file() else None
-    return radiance, quality, built, columns[2]
+    return radiance, quality, built, columns.positions
 
 
 def _month_grid(source, read, composite):

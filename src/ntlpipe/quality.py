@@ -184,7 +184,9 @@ def vnp46a2_high_quality(words, valid):
     Each distinct valid word is decoded once, smallest first, so a
     reserved word anywhere raises QualityDecodeError for the smallest one.
     """
-    codes = np.unique(words[valid])
+    # sorted distinct words; np.unique would import numpy.ma
+    codes = np.sort(words[valid])
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))] if codes.size else codes
     # int(code): a fractional word such as 50.5 matches no decoded word, so it is low-quality
     good = [int(code) for code in codes.tolist() if is_high_quality_vnp46a2(decode_vnp46a2_quality(code))]
     return np.isin(words, good) & valid

@@ -31,6 +31,12 @@ then bloom flags, then bloom uniforms, each as one (months, rows, cols)
 block, skipping channels whose rate or scale is zero. Identical specs
 therefore produce bit-identical scenes. Scenes are reproducible across
 versions of this package but not across unrelated implementations.
+
+Each channel's block is applied to the radiance cube in place and freed
+before the next block is drawn, and the quality words are built month by
+month, so generation peaks at about 1.3 times the scene's own arrays. The
+arithmetic is that of the expression form (``values * exp(sigma * Z)``,
+then ``np.where(flagged, corrupted, values)``), so the bits are too.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +49,7 @@ from .grid import GridSpec, IntRaster, RasterGrid
 from .quality import VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE, Dataset
 from .stack import RasterStack
 from .timeseries import EventWindow, series_by_config
-from .zones import Zone, rasterize_zone, rect_ring
+from .zones import Zone, ZoneColumns, rect_ring, zone_columns
 
 __all__ = [
     "NoiseSpec",
@@ -165,8 +171,10 @@ class TruthRow:
 class GeneratedScene:
     """A generated scene: stacks, per-zone truth, and its originating spec.
 
-    ``zone_masks`` maps each zone id to its ZoneMask on the scene grid, in
-    the order of ``spec.zones``; the oracle reuses them.
+    ``columns`` is zone_columns of the zones on the scene grid: the cells
+    some zone covers and each zone's positions among them, in the order of
+    ``spec.zones``. generate_scene rasterized each zone once to build it;
+    the oracle cuts the stacks down to those cells with it.
     """
 
     spec: SceneSpec
@@ -174,7 +182,7 @@ class GeneratedScene:
     quality: RasterStack
     truth: tuple
     built_fraction: RasterGrid
-    zone_masks: dict
+    columns: ZoneColumns
 
 
 def tile_zones(grid, nx, ny, damage_ratios, populations=None, id_prefix="Z"):
@@ -227,15 +235,16 @@ def generate_scene(spec):
     event_index = spec.months.months_before
     noise = spec.noise
 
-    zone_masks = {zone.zone_id: rasterize_zone(zone, grid) for zone in spec.zones}
+    columns = zone_columns(spec.zones, grid)
     ambient = float(np.mean(spec.base_radiance))
     pixel_base = np.full(grid.shape, ambient)
     event_frame = np.full(grid.shape, ambient)
     truth = []
-    for zone, mask, base in zip(spec.zones, zone_masks.values(), spec.base_radiance):
-        pixel_base[mask.inside] = base
+    for zone, base in zip(spec.zones, spec.base_radiance):
+        inside = columns.cells[columns.positions[zone.zone_id]]
+        pixel_base.flat[inside] = base
         dropped = base * (1.0 - spec.drop_gain * zone.damage_ratio)
-        event_frame[mask.inside] = dropped
+        event_frame.flat[inside] = dropped
         truth.append(
             TruthRow(
                 zone_id=zone.zone_id,
@@ -249,31 +258,37 @@ def generate_scene(spec):
     values = np.broadcast_to(pixel_base, (n_months,) + grid.shape).copy()
     values[event_index] = event_frame
 
+    # each channel's block is applied in place and freed before the next is drawn
     rng = np.random.default_rng(spec.seed)
     shape = (n_months,) + grid.shape
     if noise.gaussian_sigma > 0:
-        values *= np.exp(noise.gaussian_sigma * rng.standard_normal(shape))
+        gain = rng.standard_normal(shape)
+        gain *= noise.gaussian_sigma
+        values *= np.exp(gain, out=gain)
+        del gain
     rates = noise.monthly_cloud_rates(n_months)
     if np.any(rates > 0):
         flagged = rng.random(shape) < rates[:, None, None]
-        corrupted = pixel_base[None, :, :] * (
-            1.0 + noise.corruption_scale * rng.uniform(-1.0, 1.0, shape)
-        )
-        values = np.where(flagged, corrupted, values)
+        corrupted = rng.uniform(-1.0, 1.0, shape)
+        corrupted *= noise.corruption_scale
+        corrupted += 1.0
+        corrupted *= pixel_base
+        np.copyto(values, corrupted, where=flagged)
+        del corrupted
     else:
         flagged = np.zeros(shape, dtype=bool)
     if noise.bloom_rate > 0:
         bloomed = rng.random(shape) < noise.bloom_rate
-        values = np.where(bloomed, rng.uniform(noise.bloom_lo, noise.bloom_hi, shape), values)
+        np.copyto(values, rng.uniform(noise.bloom_lo, noise.bloom_hi, shape), where=bloomed)
+        del bloomed
 
+    radiance = RasterStack(months, tuple(RasterGrid(grid, month) for month in values))
+    del values  # the rasters hold their own copies
     if spec.dataset is Dataset.VNP46A2:
         good, bad = VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
     else:
         good, bad = VSCNTL_HIGH_QUALITY_COUNT, 0
-    quality_cube = np.where(flagged, bad, good)
-
-    radiance = RasterStack(months, tuple(RasterGrid(grid, values[t]) for t in range(n_months)))
-    quality = RasterStack(months, tuple(IntRaster(grid, quality_cube[t]) for t in range(n_months)))
+    quality = RasterStack(months, tuple(IntRaster(grid, np.where(month, bad, good)) for month in flagged))
     built = noise.built_fraction_map if noise.built_fraction_map is not None else _default_built_fraction(grid)
     return GeneratedScene(
         spec=spec,
@@ -281,7 +296,7 @@ def generate_scene(spec):
         quality=quality,
         truth=tuple(truth),
         built_fraction=built,
-        zone_masks=zone_masks,
+        columns=columns,
     )
 
 
@@ -296,17 +311,28 @@ def check_scorable(spec):
 
 
 def recovered_pccs(scene, configs, min_damage=0.01):
-    """Yield (config, recovered_pcc) per config, or (config, PipelineError).
+    """An iterator of (config, recovered_pcc) per config, or (config, PipelineError).
 
     The recovered pcc correlates per-zone event drops with damage ratios.
-    A scene check_scorable refuses raises its ConfigError instead.
+    The chain runs on the scene's stacks and built fraction cut down to
+    ``scene.columns`` by ZoneColumns.cut, as load_dataset cuts what it
+    reads; every stage is pixel-local, so each pcc equals the chain's on
+    the whole grids. The cut is made before this returns, and the
+    iterator holds no reference to the scene, so a caller can release the
+    whole grids before the chain runs. A scene check_scorable refuses
+    raises its ConfigError instead.
     """
     spec = scene.spec
     check_scorable(spec)
-    cells = {zone_id: np.flatnonzero(mask.inside) for zone_id, mask in scene.zone_masks.items()}
-    chain = series_by_config(
-        scene.radiance, scene.quality, scene.built_fraction, cells, configs, (spec.months,)
-    )
+    cut = scene.columns.cut
+    radiance = scene.radiance.with_grids(map(cut, scene.radiance.grids))
+    quality = scene.quality.with_grids(map(cut, scene.quality.grids))
+    built = None if scene.built_fraction is None else cut(scene.built_fraction)
+    chain = series_by_config(radiance, quality, built, scene.columns.positions, configs, (spec.months,))
+    return _scored(spec, chain, min_damage)
+
+
+def _scored(spec, chain, min_damage):
     for config, result in chain:
         if not isinstance(result, PipelineError):
             samples = drop_samples(spec.zones, result[0], spec.months)

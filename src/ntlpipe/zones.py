@@ -32,6 +32,7 @@ __all__ = [
     "rasterize_zone",
     "zonal_mean",
     "zone_columns",
+    "ZoneColumns",
     "zonal_means",
     "read_zones",
     "write_zones",
@@ -53,7 +54,8 @@ def _normalize_ring(ring, where):
         raise ZoneValidationError(f"{where}: ring contains a non-finite coordinate")
     if np.array_equal(pts[0], pts[-1]):
         pts = pts[:-1]  # store rings open; closure is implicit
-    if len(np.unique(pts, axis=0)) < 3:
+    # a set of coordinate tuples counts -0.0 and 0.0 as one, as == does
+    if len(set(map(tuple, pts.tolist()))) < 3:
         raise ZoneValidationError(f"{where}: ring needs at least 3 distinct vertices")
     pts.flags.writeable = False
     return pts
@@ -219,17 +221,32 @@ def _overflowed_mean(kept):
     return min(max(mean, float(kept.min())), float(kept.max()))
 
 
+@dataclass(frozen=True)
+class ZoneColumns:
+    """The cells some zone covers on a grid, laid out as one row; see zone_columns."""
+
+    row: GridSpec
+    cells: np.ndarray
+    positions: dict
+
+    def cut(self, grid):
+        """A raster on the zones' grid, cut down to ``cells``: one of the same type on ``row``."""
+        return type(grid)(self.row, grid.values.ravel()[self.cells], grid.missing.ravel()[self.cells])
+
+
 def zone_columns(zones, spec):
     """The cells some zone covers on a grid, and where each zone's cells lie among them.
 
-    Returns ``(cells, positions)``. ``cells`` is the sorted union of the
-    zones' row-major flat indices on ``spec``, the inside cells of
+    Returns a ZoneColumns. ``cells`` is the sorted union of the zones'
+    row-major flat indices on ``spec``, the inside cells of
     rasterize_zone. ``positions`` maps each zone_id, in zone order, to the
-    zone's inside cells as ascending positions within ``cells``. Taking
-    ``cells`` keeps row-major order, so zonal_means on a raster cut down
-    to ``cells`` sums each zone's values in zonal_mean's order. When no
-    zone covers a pixel-centre, ``cells`` is cell 0 alone, named by no
-    zone, so a raster cut down to it still has a cell.
+    zone's inside cells as ascending positions within ``cells``. ``row``
+    is the one-row GridSpec of ``cells``, at the grid's origin and cell
+    size, and ``cut`` takes a raster on ``spec`` down to it. Taking
+    ``cells`` keeps row-major order, so zonal_means on a cut raster sums
+    each zone's values in zonal_mean's order. When no zone covers a
+    pixel-centre, ``cells`` is cell 0 alone, named by no zone, so a cut
+    raster still has a cell.
 
     Zones are rasterized one at a time; only index arrays are kept.
     """
@@ -239,7 +256,8 @@ def zone_columns(zones, spec):
         inside[zone.zone_id] = index = np.flatnonzero(rasterize_zone(zone, spec).inside)
         covered[index] = True
     cells = np.flatnonzero(covered) if covered.any() else np.zeros(1, dtype=np.intp)
-    return cells, {zone_id: np.searchsorted(cells, index) for zone_id, index in inside.items()}
+    row = GridSpec(cells.size, 1, spec.x_origin, spec.y_origin, spec.cell_size)
+    return ZoneColumns(row, cells, {zone_id: np.searchsorted(cells, index) for zone_id, index in inside.items()})
 
 
 def zonal_means(raster, indices):

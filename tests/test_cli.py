@@ -4,6 +4,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -20,6 +24,7 @@ from ntlpipe import (
     read_series_csv,
     write_grid,
 )
+import ntlpipe
 from ntlpipe import cli, preprocess
 from ntlpipe.cli import main
 
@@ -193,6 +198,55 @@ class TestPipelineRoundTrip:
         assert main(["extract", "--config", str(config), "--force"]) == 0
         assert main(["report", "--config", str(config), "--force"]) == 0
         assert tree_digest(root / "out") == before
+
+
+# runs one command in a fresh interpreter, then names the numpy submodules it loaded
+LOADED_MODULES = """
+import sys
+from ntlpipe.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(name for name in ("numpy.ma", "numpy.random") if name in sys.modules))
+"""
+
+
+class TestImportsPerCommand:
+    def run_command(self, root, *argv):
+        path = [str(Path(ntlpipe.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        command = [sys.executable, "-c", LOADED_MODULES, *argv]
+        done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, check=True)
+        return done.stdout.splitlines()[-1].split()
+
+    def test_only_simulate_draws_and_no_command_loads_numpy_ma(self, tmp_path):
+        # numpy.ma costs each process 10-14 ms and 1.3 MiB; np.unique would import it
+        for name, scene in (("simv", VSC_SCENE), ("simn", VNP_SCENE)):
+            path = write_json(tmp_path / f"{name}.json", scene)
+            loaded = self.run_command(tmp_path, "simulate", "--config", str(path), "--out", str(tmp_path / name))
+            assert loaded == ["0", "numpy.random"]
+        config = str(write_json(tmp_path / "run.json", run_config_doc()))
+        for command in ("validate", "extract", "report"):
+            assert self.run_command(tmp_path, command, "--config", config) == ["0"]
+
+
+class TestSimulateMemory:
+    def test_whole_scene_is_released_before_the_oracle_runs(self, tmp_path, monkeypatch):
+        alive = []
+        recovered_pccs = cli.recovered_pccs
+
+        def recording(scene, configs):
+            whole = weakref.ref(scene.radiance.grids[0])
+            results = recovered_pccs(scene, configs)
+
+            def checked():
+                alive.append(whole() is not None)
+                yield from results
+
+            return checked()
+
+        monkeypatch.setattr(cli, "recovered_pccs", recording)
+        scene = write_json(tmp_path / "scene.json", VSC_SCENE)
+        assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 0
+        assert alive == [False]
 
 
 class TestSimulateDeterminism:

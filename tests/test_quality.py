@@ -212,6 +212,16 @@ class TestHighQualityMask:
         with pytest.raises(QualityDecodeError):
             high_quality_mask(words, Dataset.VNP46A2)
 
+    def test_smallest_reserved_word_is_raised(self, spec):
+        words = IntRaster(spec, [2048, 14, 8, 14])  # background codes 7 and 4, high bit 11
+        with pytest.raises(QualityDecodeError) as raised:
+            high_quality_mask(words, Dataset.VNP46A2)
+        assert raised.value.qf == 8
+
+    def test_no_valid_word_is_all_low_quality(self, spec):
+        words = IntRaster(spec, [8, 8, 114, 114], missing=[True] * 4)
+        assert not high_quality_mask(words, Dataset.VNP46A2).any()
+
     def test_reserved_code_under_mask_is_ignored(self, spec):
         words = IntRaster(spec, [114, 8, 114, 114], missing=[False, True, False, False])
         mask = high_quality_mask(words, Dataset.VNP46A2)

@@ -1,9 +1,13 @@
 """Tests for synthetic scene generation and the ground-truth oracle."""
 
 import dataclasses
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntlpipe import (
     VNP46A2_HIGH_QUALITY_CODE,
@@ -13,21 +17,31 @@ from ntlpipe import (
     Dataset,
     EventWindow,
     GridSpec,
+    IntRaster,
     MonthIndex,
     NoiseSpec,
     PipelineConfig,
+    PipelineError,
     RasterGrid,
+    RasterStack,
     SceneSpec,
+    TruthRow,
     Zone,
+    build_zone_series,
+    correlate_method,
     decode_vnp46a2_quality,
+    drop_samples,
     generate_scene,
     is_high_quality_vnp46a2,
     enumerate_configs,
     oracle_check,
+    rasterize_zone,
     recovered_pccs,
+    rect_ring,
+    run_pipeline,
     tile_zones,
 )
-from ntlpipe import synthetic
+import ntlpipe.zones
 
 EVENT = MonthIndex(2018, 10)
 
@@ -321,15 +335,253 @@ class TestOracleCheck:
                 assert pcc == oracle_check(scene, config)[0]
 
     def test_each_zone_is_rasterized_once(self, monkeypatch):
-        # the oracle reuses the masks generate_scene drew the zones with
+        # generate_scene rasterizes each zone once for its columns; the oracle reuses them
         rasterized = []
-        rasterize_zone = synthetic.rasterize_zone
 
         def counted(zone, grid):
             rasterized.append(zone.zone_id)
             return rasterize_zone(zone, grid)
 
-        monkeypatch.setattr(synthetic, "rasterize_zone", counted)
+        monkeypatch.setattr(ntlpipe.zones, "rasterize_zone", counted)
         spec = make_spec(seed=4)
         list(recovered_pccs(generate_scene(spec), enumerate_configs(Dataset.VSC_NTL)))
         assert rasterized == [zone.zone_id for zone in spec.zones]
+
+
+def expression_scene(spec):
+    """generate_scene in its expression form: whole-cube temporaries and an int64 quality cube.
+
+    Returns (radiance, quality, truth) as generate_scene builds them, from
+    the same draws in the same order; the in-place generator must match it
+    bit for bit.
+    """
+    grid = spec.grid
+    months = spec.months.months()
+    n_months = len(months)
+    event_index = spec.months.months_before
+    noise = spec.noise
+
+    ambient = float(np.mean(spec.base_radiance))
+    pixel_base = np.full(grid.shape, ambient)
+    event_frame = np.full(grid.shape, ambient)
+    truth = []
+    for zone, base in zip(spec.zones, spec.base_radiance):
+        inside = rasterize_zone(zone, grid).inside
+        pixel_base[inside] = base
+        dropped = base * (1.0 - spec.drop_gain * zone.damage_ratio)
+        event_frame[inside] = dropped
+        true_drop = 100.0 * spec.drop_gain * zone.damage_ratio
+        truth.append(TruthRow(zone.zone_id, zone.damage_ratio, base, dropped, true_drop))
+
+    values = np.broadcast_to(pixel_base, (n_months,) + grid.shape).copy()
+    values[event_index] = event_frame
+
+    rng = np.random.default_rng(spec.seed)
+    shape = (n_months,) + grid.shape
+    if noise.gaussian_sigma > 0:
+        values *= np.exp(noise.gaussian_sigma * rng.standard_normal(shape))
+    rates = noise.monthly_cloud_rates(n_months)
+    if np.any(rates > 0):
+        flagged = rng.random(shape) < rates[:, None, None]
+        corrupted = pixel_base[None, :, :] * (1.0 + noise.corruption_scale * rng.uniform(-1.0, 1.0, shape))
+        values = np.where(flagged, corrupted, values)
+    else:
+        flagged = np.zeros(shape, dtype=bool)
+    if noise.bloom_rate > 0:
+        bloomed = rng.random(shape) < noise.bloom_rate
+        values = np.where(bloomed, rng.uniform(noise.bloom_lo, noise.bloom_hi, shape), values)
+
+    if spec.dataset is Dataset.VNP46A2:
+        good, bad = VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
+    else:
+        good, bad = VSCNTL_HIGH_QUALITY_COUNT, 0
+    quality_cube = np.where(flagged, bad, good)
+    radiance = RasterStack(months, tuple(RasterGrid(grid, values[t]) for t in range(n_months)))
+    quality = RasterStack(months, tuple(IntRaster(grid, quality_cube[t]) for t in range(n_months)))
+    return radiance, quality, tuple(truth)
+
+
+def assert_same_bits(stack, want):
+    assert stack.months == want.months
+    for grid, expected in zip(stack.grids, want.grids, strict=True):
+        assert type(grid) is type(expected) and grid.spec == expected.spec
+        assert grid.values.dtype == expected.values.dtype
+        assert grid.values.tobytes() == expected.values.tobytes()
+        assert grid.missing.tobytes() == expected.missing.tobytes()
+
+
+@st.composite
+def scene_specs(draw):
+    """Small scenes over every noise channel, on or off, and both datasets."""
+    ncols, nrows = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    x_origin, cell_size = draw(st.sampled_from([0.0, -3.5])), draw(st.sampled_from([0.5, 1.0, 1.3]))
+    grid = GridSpec(ncols, nrows, x_origin, 0.0, cell_size)
+    window = EventWindow(EVENT, draw(st.integers(0, 4)), draw(st.integers(0, 3)))
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    damage = st.floats(0.0, 1.0)
+    zones = tile_zones(grid, nx, ny, draw(st.lists(damage, min_size=nx * ny, max_size=nx * ny)))
+    if draw(st.booleans()):
+        # one more zone, overlapping the tiles and maybe running off the grid
+        x0 = grid.x_origin + draw(st.floats(-2.0, 6.0)) * grid.cell_size
+        y0 = grid.y_origin + draw(st.floats(-2.0, 6.0)) * grid.cell_size
+        size = draw(st.floats(0.3, 6.0)) * grid.cell_size
+        zones += (Zone("X", (rect_ring(x0, y0, x0 + size, y0 + size),), draw(damage)),)
+    n_months = len(window)
+    rate = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    off_or = lambda strategy: st.one_of(st.just(0.0), strategy)  # noqa: E731
+    noise = NoiseSpec(
+        gaussian_sigma=draw(off_or(st.floats(0.01, 0.5))),
+        cloud_rate=draw(st.one_of(rate, st.lists(rate, min_size=n_months, max_size=n_months).map(tuple))),
+        corruption_scale=draw(off_or(st.floats(0.01, 2.0))),
+        bloom_rate=draw(off_or(st.floats(0.0, 1.0))),
+        bloom_lo=draw(st.sampled_from([60.0, 0.5])),
+    )
+    return SceneSpec(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        grid=grid,
+        zones=zones,
+        months=window,
+        base_radiance=draw(st.lists(st.floats(0.5, 80.0), min_size=len(zones), max_size=len(zones))),
+        dataset=draw(st.sampled_from(list(Dataset))),
+        drop_gain=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        noise=noise,
+    )
+
+
+class TestGenerateSceneMatchesExpressionForm:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=scene_specs())
+    def test_in_place_draws_give_the_expression_forms_bits(self, spec):
+        scene = generate_scene(spec)
+        radiance, quality, truth = expression_scene(spec)
+        assert_same_bits(scene.radiance, radiance)
+        assert_same_bits(scene.quality, quality)
+        assert scene.truth == truth
+
+
+def whole_grid_pccs(scene, configs, min_damage=0.01):
+    """(config, pcc or PipelineError) from the chain on the whole grids, one config at a time."""
+    spec = scene.spec
+    masks = [rasterize_zone(zone, spec.grid) for zone in spec.zones]
+    for config in configs:
+        try:
+            cleaned = run_pipeline(scene.radiance, scene.quality, scene.built_fraction, config)
+            series = [build_zone_series(cleaned, m, spec.months, z.zone_id) for z, m in zip(spec.zones, masks)]
+            samples = drop_samples(spec.zones, series, spec.months)
+            yield config, correlate_method(samples, spec.dataset, config.label, min_damage).pcc
+        except PipelineError as exc:
+            yield config, exc
+
+
+def comparable(result):
+    return (type(result).__name__, str(result)) if isinstance(result, PipelineError) else result.hex()
+
+
+# each layout is (nx, ny tiles over the grid or None, extra zones as (x0, y0, x1, y1))
+ZONE_LAYOUTS = {
+    "every-cell": ((3, 2), ()),
+    "part-of-the-grid": (
+        None,
+        ((1.0, 1.0, 6.0, 5.0), (9.0, 2.0, 15.0, 7.0), (3.0, 10.0, 8.0, 15.0), (12.0, 12.0, 20.0, 20.0)),
+    ),
+    "no-cell": (None, ((30.0, 30.0, 31.0, 31.0), (-5.0, 2.0, -1.0, 3.0), (40.0, 0.0, 41.0, 16.0))),
+    "overlapping": ((2, 2), ((4.0, 4.0, 12.0, 12.0), (0.0, 0.0, 16.0, 3.0), (14.5, 14.5, 30.0, 30.0))),
+}
+
+
+def layout_spec(dataset, layout, seed=11):
+    grid = GridSpec(16, 16, 0.0, 0.0, 1.0)
+    tiles, rects = ZONE_LAYOUTS[layout]
+    zones = tile_zones(grid, *tiles, [0.05 + 0.1 * i for i in range(tiles[0] * tiles[1])]) if tiles else ()
+    zones += tuple(Zone(f"R{i}", (rect_ring(*rect),), 0.12 + 0.13 * i) for i, rect in enumerate(rects))
+    built = RasterGrid(grid, np.random.default_rng(seed).uniform(0.0, 1.0, grid.shape))
+    noise = NoiseSpec(
+        gaussian_sigma=0.05,
+        cloud_rate=0.3,
+        corruption_scale=1.5,
+        bloom_rate=0.02,
+        built_fraction_map=built,
+    )
+    bases = [15.0 + 3.0 * i for i in range(len(zones))]
+    return SceneSpec(seed, grid, zones, EventWindow(EVENT), bases, dataset, noise=noise)
+
+
+class TestOracleOnZoneColumns:
+    @pytest.mark.parametrize("layout", list(ZONE_LAYOUTS))
+    @pytest.mark.parametrize("dataset", list(Dataset))
+    def test_recovered_pccs_equal_the_whole_grid_chain(self, dataset, layout):
+        scene = generate_scene(layout_spec(dataset, layout))
+        configs = enumerate_configs(dataset)
+        got = [(config, comparable(result)) for config, result in recovered_pccs(scene, configs)]
+        want = [(config, comparable(result)) for config, result in whole_grid_pccs(scene, configs)]
+        assert got == want
+        if layout == "no-cell":
+            assert all(isinstance(result, tuple) for _, result in got)
+        else:
+            assert not any(isinstance(result, tuple) for _, result in got)
+
+    @pytest.mark.parametrize("dataset", list(Dataset))
+    def test_without_a_built_fraction_only_the_built_configs_fail(self, dataset):
+        scene = generate_scene(layout_spec(dataset, "part-of-the-grid"))
+        scene = dataclasses.replace(scene, built_fraction=None)
+        configs = enumerate_configs(dataset)
+        got = [(config, comparable(result)) for config, result in recovered_pccs(scene, configs)]
+        assert got == [(config, comparable(result)) for config, result in whole_grid_pccs(scene, configs)]
+        assert [isinstance(result, tuple) for _, result in got] == [config.built_mask for config in configs]
+
+    def test_the_oracle_holds_no_reference_to_the_scene(self):
+        scene = generate_scene(layout_spec(Dataset.VNP46A2, "part-of-the-grid"))
+        configs = enumerate_configs(Dataset.VNP46A2)
+        want = [comparable(result) for _, result in recovered_pccs(scene, configs)]
+        whole = weakref.ref(scene.radiance.grids[0])
+        results = recovered_pccs(scene, configs)
+        del scene
+        assert whole() is None
+        assert [comparable(result) for _, result in results] == want
+
+
+def scene_nbytes(scene):
+    grids = scene.radiance.grids + scene.quality.grids
+    return sum(grid.values.nbytes + grid.missing.nbytes for grid in grids)
+
+
+def traced_peak(run):
+    """run()'s result, and the peak bytes of the allocations it made still live at one time."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def budget_spec(n=120):
+    """A VNP46A2 scene like the benchmark's large tile: every noise channel on, zones over 36% of the cells."""
+    grid = GridSpec(n, n, 0.0, 0.0, 1.0)
+    side = n / 3
+    corners = [(i * side, j * side) for j in range(3) for i in range(3)]
+    zones = tuple(
+        Zone(f"Z{k}", (rect_ring(x + 0.2 * side, y + 0.2 * side, x + 0.8 * side, y + 0.8 * side),), 0.05 * (k + 1))
+        for k, (x, y) in enumerate(corners)
+    )
+    noise = NoiseSpec(gaussian_sigma=0.05, cloud_rate=0.3, corruption_scale=1.5, bloom_rate=0.01)
+    return SceneSpec(5, grid, zones, EventWindow(EVENT, 6, 3), 25.0, Dataset.VNP46A2, noise=noise)
+
+
+class TestMemoryBudget:
+    @pytest.fixture(autouse=True)
+    def warm(self):
+        # first calls import and cache; they are not the scene's cost
+        scene = generate_scene(budget_spec(n=6))
+        list(recovered_pccs(scene, enumerate_configs(Dataset.VNP46A2)))
+
+    def test_generation_peaks_near_the_scene_size(self):
+        # the expression form peaks at 2.7 times this scene
+        scene, peak = traced_peak(lambda: generate_scene(budget_spec()))
+        assert peak <= 1.6 * scene_nbytes(scene)
+
+    def test_the_oracle_works_within_the_zones_cells(self):
+        # the chain on the whole grids peaks at 1.4 times this scene
+        scene = generate_scene(budget_spec())
+        _, peak = traced_peak(lambda: list(recovered_pccs(scene, enumerate_configs(Dataset.VNP46A2))))
+        assert peak <= 1.1 * scene_nbytes(scene)

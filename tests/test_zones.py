@@ -103,6 +103,11 @@ class TestZoneValidation:
         with pytest.raises(ZoneValidationError):
             Zone("A", (((0, 0), (1, 1), (0, 0), (1, 1)),), damage_ratio=0.1)
 
+    def test_signed_zeros_are_one_vertex(self):
+        with pytest.raises(ZoneValidationError, match="3 distinct vertices"):
+            Zone("A", (((0.0, 0.0), (1.0, 1.0), (-0.0, 0.0), (0.0, -0.0)),), damage_ratio=0.1)
+        Zone("A", (((0.0, 0.0), (1.0, 1.0), (-0.0, 1.0)),), damage_ratio=0.1)
+
     def test_nonfinite_coordinate_rejected(self):
         with pytest.raises(ZoneValidationError):
             Zone("A", (((0, 0), (1, 0), (float("nan"), 1)),), damage_ratio=0.1)
@@ -397,7 +402,8 @@ class TestZoneColumns:
             Zone("C", (rect_ring(6.0, 4.0, 9.0, 9.0),), 0.3),  # runs off the grid's corner
             Zone("D", (rect_ring(20.0, 20.0, 21.0, 21.0),), 0.4),  # covers no pixel-centre
         ]
-        cells, positions = zone_columns(zones, self.SPEC)
+        columns = zone_columns(zones, self.SPEC)
+        cells, positions = columns.cells, columns.positions
         inside = {zone.zone_id: np.flatnonzero(rasterize_zone(zone, self.SPEC).inside) for zone in zones}
         assert list(positions) == ["A", "B", "C", "D"]
         assert cells.tolist() == sorted(set(np.concatenate(list(inside.values())).tolist()))
@@ -407,9 +413,9 @@ class TestZoneColumns:
 
     @pytest.mark.parametrize("zones", [[], [Zone("D", (rect_ring(20.0, 20.0, 21.0, 21.0),), 0.4)]])
     def test_no_covered_cell_keeps_cell_zero(self, zones):
-        cells, positions = zone_columns(zones, self.SPEC)
-        assert cells.tolist() == [0]
-        assert [p.size for p in positions.values()] == [0] * len(zones)
+        columns = zone_columns(zones, self.SPEC)
+        assert columns.cells.tolist() == [0]
+        assert [p.size for p in columns.positions.values()] == [0] * len(zones)
 
 
 class TestZoneFileRoundTrip:
