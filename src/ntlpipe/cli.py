@@ -87,6 +87,12 @@ def cmd_validate(args):
                     f"{dataset.name}: event month {event_month} of {hurricane.name} "
                     f"outside available range {available[0]}..{available[-1]}",
                 )
+            elif not baseline:
+                _print_issue(
+                    issues,
+                    f"{dataset.name}: the window of {hurricane.name} holds no month before event "
+                    f"month {event_month}, so every zone's drop is undefined",
+                )
             elif not any(month in radiance_files for month in baseline):
                 _print_issue(
                     issues,
@@ -254,7 +260,7 @@ def _write_case_study_csv(path, run, top, bottom, series_by_key):
             for config, hurricane, (group, zone) in product(configs, run.hurricanes, groups):
                 series = series_by_key[dataset.name, config.label, hurricane.name, zone.zone_id]
                 columns = [dataset.name, config.label, hurricane.name, group, zone.zone_id]
-                changes = percent_changes(series).tolist()
+                changes = percent_changes(series.values).tolist()
                 first = hurricane.window.start - series.start
                 for i, month in enumerate(hurricane.window.months(), first):
                     # a month outside the series has no value, so no change

@@ -174,7 +174,7 @@ def high_quality_mask(quality, dataset):
     go through vnp46a2_high_quality.
     """
     if dataset is Dataset.VSC_NTL:
-        return (quality.values > 0) & quality.valid
+        return is_high_quality_vscntl(quality.values) & quality.valid
     return vnp46a2_high_quality(quality.values, quality.valid)
 
 

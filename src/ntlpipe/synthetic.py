@@ -185,7 +185,7 @@ class GeneratedScene:
     columns: ZoneColumns
 
 
-def tile_zones(grid, nx, ny, damage_ratios, populations=None, id_prefix="Z"):
+def tile_zones(grid, nx, ny, damage_ratios, populations=None):
     """Partition a grid's extent into nx * ny rectangular zones, row-major.
 
     Tiles are numbered left-to-right, top-to-bottom, with zero-padded ids
@@ -209,7 +209,7 @@ def tile_zones(grid, nx, ny, damage_ratios, populations=None, id_prefix="Z"):
             index = j * nx + i
             zones.append(
                 Zone(
-                    zone_id=f"{id_prefix}{index + 1:0{digits}d}",
+                    zone_id=f"Z{index + 1:0{digits}d}",
                     rings=(rect_ring(x0, y1 - height, x0 + width, y1),),
                     damage_ratio=ratios[index],
                     population=pops[index],

@@ -22,11 +22,12 @@ It walks the configs' stage tree, so the quality pass runs once and every
 threshold and built branch below it shares its result, and it gathers
 each zone's pixels by flat index, one sum per zone-month. It runs as well
 on the rows of zone cells load_dataset returns as on whole grids.
-percent_changes takes the percent changes of a whole series, or of every
-row of a (zones x months) array, at once: a sliding-window sum for
-baseline windows of up to 7 months, the scalar baseline for longer ones.
-zonal_mean, build_zone_series, rolling_baseline and percent_change stay
-as the scalar definitions the batch paths equal bit for bit.
+The baseline is always the BASELINE_MONTHS (six) months before the month
+it judges. percent_changes takes the percent changes of one series'
+values, or of every row of a (zones x months) array, at once, by a
+sliding-window sum. zonal_mean, build_zone_series, rolling_baseline and
+percent_change stay as the scalar definitions the batch paths equal bit
+for bit.
 
 The series CSV is written as one string per file and read with
 csv.reader and integer month ordinals; tests hold the bytes to
@@ -65,7 +66,11 @@ __all__ = [
 ]
 
 BASELINE_EPSILON = 1e-6
-BASELINE_MONTHS = 6  # an event month's change is against the mean of this many months before it
+# An event month's change is against the mean of this many months before
+# it. The batch baselines sum each window in order, which equals np.mean's
+# sum only while np.add.reduce sums sequentially: below 8 elements. From 8
+# on it sums pairwise with 8 accumulators, so this must stay at most 7.
+BASELINE_MONTHS = 6
 
 
 @dataclass(frozen=True)
@@ -200,29 +205,24 @@ def series_by_config(radiance, quality, built, zone_cells, configs, windows):
             yield config, done[config] if config in order else done.pop(config)
 
 
-def rolling_baseline(series, t, w=BASELINE_MONTHS):
-    """Mean of the non-missing observations in [t-w, t-1]; NaN if none.
+def rolling_baseline(series, t):
+    """Mean of the non-missing observations in the BASELINE_MONTHS before t; NaN if none.
 
     Trailing and exclusive of t itself, so the baseline can never contain
     the event month it is judging. The mean is np.mean's, so a sum past
     the float range makes it inf, without a warning.
     """
-    if w < 1:
-        raise ValueError(f"baseline window must be positive, got {w}")
-    return _baseline_at(series.values, t - series.start, w)
-
-
-def _baseline_at(values, i, w):
-    """rolling_baseline at position i of a sequence of values."""
-    # values[i - w:i], oldest first, clamped at 0: a negative bound would wrap round
-    usable = [v for v in values[max(i - w, 0) : max(i, 0)] if not np.isnan(v)]
+    i = t - series.start
+    # values[i - BASELINE_MONTHS:i], oldest first, clamped at 0: a negative bound would wrap round
+    window = series.values[max(i - BASELINE_MONTHS, 0) : max(i, 0)]
+    usable = [v for v in window if not np.isnan(v)]
     if not usable:
         return float("nan")
     with np.errstate(over="ignore"):  # a sum past the float range is inf, its change undefined
         return float(np.mean(usable))
 
 
-def percent_change(series, t, w=BASELINE_MONTHS):
+def percent_change(series, t):
     """100 * (x_t - baseline) / baseline; NaN when either side is unusable.
 
     Unusable means x_t missing, baseline undefined, or baseline at or
@@ -231,57 +231,38 @@ def percent_change(series, t, w=BASELINE_MONTHS):
     overflows it or the baseline's sum, is undefined too: NaN.
     """
     x = series.get(t)
-    baseline = rolling_baseline(series, t, w)
+    baseline = rolling_baseline(series, t)
     if np.isnan(x) or np.isnan(baseline) or baseline <= BASELINE_EPSILON:
         return float("nan")
     change = 100.0 * (x - baseline) / baseline
     return change if math.isfinite(change) else float("nan")
 
 
-# A window sum equals np.mean's only while np.add.reduce sums sequentially,
-# which it does below 8 elements; from 8 on it switches to pairwise
-# summation with 8 accumulators, so longer windows take rolling_baseline.
-BATCH_MAX_WINDOW = 7
+def rolling_baselines(values):
+    """rolling_baseline at every month of an array of series values, one series per row.
 
-
-def _as_rows(series):
-    """A ZoneSeries' values as a 1-D array; any other array-like, one series per row, as float64."""
-    if isinstance(series, ZoneSeries):
-        return np.array(series.values)
-    return np.asarray(series, dtype=np.float64)
-
-
-def rolling_baselines(series, w=BASELINE_MONTHS):
-    """rolling_baseline(series, m, w) at every month m, as an array.
-
-    ``series`` is a ZoneSeries or an array of series values, one series
-    per row (zones x months); the result has its shape. Bit-identical to
-    the scalar: each window's usable values are summed in the same order,
-    with -0.0 (the exact identity of float addition) in place of missing
-    and pre-start months, and divided by their count.
+    ``values`` is one series' values or a (zones x months) array; the
+    result has its shape. Bit-identical to the scalar: each window's
+    usable values are summed in the same order, with -0.0 (the exact
+    identity of float addition) in place of missing and pre-start months,
+    and divided by their count.
     """
-    if w < 1:
-        raise ValueError(f"baseline window must be positive, got {w}")
-    values = _as_rows(series)
-    if w > BATCH_MAX_WINDOW:
-        rows = values.reshape(-1, values.shape[-1]).tolist()
-        return np.array([[_baseline_at(row, i, w) for i in range(len(row))] for row in rows]).reshape(
-            values.shape
-        )
+    values = np.asarray(values, dtype=np.float64)
+    w = BASELINE_MONTHS
     padded = np.concatenate((np.full(values.shape[:-1] + (w,), np.nan), values), axis=-1)
     # windows[..., i, :] is values[..., i - w:i], oldest first
     windows = sliding_window_view(padded, w, axis=-1)[..., :-1, :]
     usable = ~np.isnan(windows)
-    with np.errstate(over="ignore"):  # as in _baseline_at
+    with np.errstate(over="ignore"):  # as in rolling_baseline
         sums = np.where(usable, windows, -0.0).sum(axis=-1)
     counts = usable.sum(axis=-1)
     return np.divide(sums, counts, out=np.full(values.shape, np.nan), where=counts > 0)
 
 
-def percent_changes(series, w=BASELINE_MONTHS):
-    """percent_change(series, m, w) at every month m, bit-identical, shaped as rolling_baselines."""
-    values = _as_rows(series)
-    baselines = rolling_baselines(values, w)
+def percent_changes(values):
+    """percent_change at every month of series values, bit-identical, shaped as rolling_baselines."""
+    values = np.asarray(values, dtype=np.float64)
+    baselines = rolling_baselines(values)
     defined = ~np.isnan(values) & (baselines > BASELINE_EPSILON)  # a NaN baseline compares false
     changes = np.full(values.shape, np.nan)
     # an overflow gives inf, and an inf baseline inf / inf = NaN; either change is undefined
@@ -291,9 +272,9 @@ def percent_changes(series, w=BASELINE_MONTHS):
     return changes
 
 
-def event_drop(series, window, w=BASELINE_MONTHS):
+def event_drop(series, window):
     """Negated percent change at the event month: positive = lights dimmed."""
-    change = percent_change(series, window.event_month, w)
+    change = percent_change(series, window.event_month)
     return -change if not np.isnan(change) else float("nan")
 
 
@@ -319,19 +300,19 @@ def _month_fields(ordinal, n):
     return tuple(f"{m // 12},{m % 12 + 1}" for m in range(ordinal, ordinal + n))
 
 
-def write_series_csv(series, path, w=BASELINE_MONTHS, changes=None):
+def write_series_csv(series, path, changes=None):
     """Write a series as CSV rows of zone_id, year, month, radiance, change.
 
     Missing and undefined entries are empty fields. The percent-change
-    column uses the trailing baseline of ``w`` months, so early rows with
-    no history are empty too. A caller that has the series' row of
-    percent_changes for ``w`` already passes it as ``changes``.
+    column uses the trailing baseline, so early rows with no history are
+    empty too. A caller that has the series' row of percent_changes
+    already passes it as ``changes``.
 
     The bytes are csv.writer's (excel dialect: CRLF rows, the zone id
     quoted only when it must be), built as one string.
     """
     if changes is None:
-        changes = percent_changes(series, w).tolist()
+        changes = percent_changes(series.values).tolist()
     zone = _csv_field(series.zone_id)
     months = _month_fields(series.start.ordinal, len(series.values))
     lines = [_SERIES_HEADER]

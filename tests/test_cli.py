@@ -321,7 +321,11 @@ class TestValidate:
         for month in ("2018-08", "2018-09"):
             (tmp_path / "simv" / "VSC-NTL" / f"{month}.asc").unlink()
         assert main(["validate", "--config", str(config)]) == code
-        problem = f"no radiance file in the {months_before} baseline months before event month 2018-10"
+        if months_before:
+            problem = f"no radiance file in the {months_before} baseline months before event month 2018-10"
+        else:
+            # no baseline month at all is not a missing file
+            problem = "the window of TestStorm holds no month before event month 2018-10, so every zone's drop is undefined"
         assert (problem in capsys.readouterr().out) == bool(code)
 
 

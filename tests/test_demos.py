@@ -39,3 +39,13 @@ def test_config_parses_the_cli_demo_configs_without_the_cli(tmp_path):
     proc = run_python(["-c", probe, str(demo_root / "run.json"), str(demo_root / "scene.json")], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1 6 False\n"
+
+
+def test_method_comparison_scores_every_config_against_one_truth(tmp_path):
+    proc = run_python([str(ROOT / "demos" / "04_method_comparison.py")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines.count("truth pcc: 1.000") == 1
+    table = lines[lines.index("methods          recovered") + 1 :]
+    labels = [line.split()[0] for line in table[: table.index("")]]
+    assert labels == ["raw", "built", "quality", "built+quality"]

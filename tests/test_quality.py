@@ -194,6 +194,13 @@ class TestHighQualityMask:
         mask = high_quality_mask(words, Dataset.VNP46A2)
         assert np.array_equal(mask, [[True, False], [False, True]])
 
+    def test_vscntl_mask_is_the_scalar_rule_on_valid_cells(self, spec):
+        values = [0, 1, 31, 2**40]
+        missing = [False, False, True, False]
+        mask = high_quality_mask(IntRaster(spec, values, missing=missing), Dataset.VSC_NTL)
+        expected = [is_high_quality_vscntl(v) and not m for v, m in zip(values, missing)]
+        assert mask.ravel().tolist() == expected
+
     def test_missing_quality_is_low_quality(self, spec):
         counts = IntRaster(spec, [3, 3, 3, 3], missing=[False, True, False, True])
         mask = high_quality_mask(counts, Dataset.VSC_NTL)

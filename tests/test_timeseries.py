@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import io
 import math
 import sys
@@ -48,6 +49,7 @@ from ntlpipe import (
     write_series_csv,
 )
 from ntlpipe.layout import BUILT_FRACTION_FILENAME, DatasetConfig, _majority_quality_composite, load_dataset
+from ntlpipe.timeseries import BASELINE_MONTHS
 
 SPEC = GridSpec(ncols=2, nrows=2, x_origin=0.0, y_origin=0.0, cell_size=1.0)
 
@@ -450,28 +452,23 @@ class TestRollingBaseline:
     def test_mean_of_trailing_window(self):
         start = MonthIndex(2018, 1)
         series = series_from(start, [8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 99.0])
-        assert rolling_baseline(series, start + 6, w=6) == 10.5
+        assert rolling_baseline(series, start + 6) == 10.5
 
     def test_event_month_is_excluded(self):
         start = MonthIndex(2018, 1)
         series = series_from(start, [10.0, 10.0, 500.0])
-        assert rolling_baseline(series, start + 2, w=2) == 10.0
+        assert rolling_baseline(series, start + 2) == 10.0
 
     def test_missing_months_skipped(self):
         start = MonthIndex(2018, 1)
         series = series_from(start, [8.0, float("nan"), 12.0, 0.0])
-        assert rolling_baseline(series, start + 3, w=3) == 10.0
+        assert rolling_baseline(series, start + 3) == 10.0
 
     def test_no_usable_history_gives_nan(self):
         start = MonthIndex(2018, 1)
         series = series_from(start, [float("nan"), float("nan"), 5.0])
-        assert math.isnan(rolling_baseline(series, start + 2, w=2))
-        assert math.isnan(rolling_baseline(series, start, w=6))
-
-    def test_bad_window_rejected(self):
-        series = series_from(MonthIndex(2018, 1), [1.0, 2.0])
-        with pytest.raises(ValueError):
-            rolling_baseline(series, MonthIndex(2018, 2), w=0)
+        assert math.isnan(rolling_baseline(series, start + 2))
+        assert math.isnan(rolling_baseline(series, start))
 
     def test_baseline_within_history_envelope(self):
         rng = np.random.default_rng(89)
@@ -480,9 +477,8 @@ class TestRollingBaseline:
             values = [float(v) if rng.random() > 0.3 else float("nan") for v in rng.uniform(0, 50, 14)]
             series = series_from(start, values)
             t = start + int(rng.integers(1, 14))
-            w = int(rng.integers(1, 8))
-            baseline = rolling_baseline(series, t, w)
-            history = [series.get(t - d) for d in range(1, w + 1)]
+            baseline = rolling_baseline(series, t)
+            history = [series.get(t - d) for d in range(1, BASELINE_MONTHS + 1)]
             usable = [v for v in history if not math.isnan(v)]
             if not usable:
                 assert math.isnan(baseline)
@@ -490,15 +486,15 @@ class TestRollingBaseline:
                 assert min(usable) <= baseline <= max(usable)
 
 
-def month_keyed_baseline(series, t, w):
-    """The definition: mean of the non-missing series.get(t - d), d = w..1."""
-    usable = [v for v in (series.get(t - d) for d in range(w, 0, -1)) if not math.isnan(v)]
+def month_keyed_baseline(series, t):
+    """The definition: mean of the non-missing series.get(t - d), d = BASELINE_MONTHS..1."""
+    usable = [v for v in (series.get(t - d) for d in range(BASELINE_MONTHS, 0, -1)) if not math.isnan(v)]
     return float(np.mean(usable)) if usable else float("nan")
 
 
-def month_keyed_percent_change(series, t, w):
+def month_keyed_percent_change(series, t):
     x = series.get(t)
-    baseline = month_keyed_baseline(series, t, w)
+    baseline = month_keyed_baseline(series, t)
     if math.isnan(x) or math.isnan(baseline) or baseline <= 1e-6:
         return float("nan")
     return 100.0 * (x - baseline) / baseline
@@ -531,12 +527,11 @@ class TestPositionalSliceMatchesMonthKeyedDefinition:
     )
     def test_bit_identical(self, values, start, data):
         series = series_from(start, values)
-        n = len(values)
-        w = data.draw(st.integers(1, n + 5), label="w")
+        n, w = len(values), BASELINE_MONTHS
         # t before the start, inside the series and past its end
         t = start + data.draw(st.integers(-w - 3, n + w + 3), label="offset")
-        assert rolling_baseline(series, t, w).hex() == month_keyed_baseline(series, t, w).hex()
-        assert percent_change(series, t, w).hex() == month_keyed_percent_change(series, t, w).hex()
+        assert rolling_baseline(series, t).hex() == month_keyed_baseline(series, t).hex()
+        assert percent_change(series, t).hex() == month_keyed_percent_change(series, t).hex()
 
 
 class TestBatchMatchesScalar:
@@ -544,25 +539,46 @@ class TestBatchMatchesScalar:
     @given(
         values=st.lists(extreme_radiances, min_size=1, max_size=30),
         start=st.builds(MonthIndex, st.integers(2000, 2030), st.integers(1, 12)),
-        w=st.integers(1, 13),
     )
-    def test_bit_identical(self, values, start, w):
-        # w above 7 takes the scalar fallback
+    def test_bit_identical(self, values, start):
         series = series_from(start, values)
-        baselines = [rolling_baseline(series, month, w).hex() for month in series.months]
-        changes = [percent_change(series, month, w) for month in series.months]
-        assert [float(b).hex() for b in rolling_baselines(series, w)] == baselines
-        assert [float(c).hex() for c in percent_changes(series, w)] == [c.hex() for c in changes]
+        baselines = [rolling_baseline(series, month).hex() for month in series.months]
+        changes = [percent_change(series, month) for month in series.months]
+        assert [float(b).hex() for b in rolling_baselines(series.values)] == baselines
+        assert [float(c).hex() for c in percent_changes(series.values)] == [c.hex() for c in changes]
         # a change is finite or undefined
         assert not any(math.isinf(c) for c in changes)
 
-    @pytest.mark.parametrize("w", [0, -1])
-    def test_bad_window_rejected(self, w):
-        series = series_from(MonthIndex(2018, 1), [1.0, 2.0])
-        with pytest.raises(ValueError):
-            rolling_baselines(series, w)
-        with pytest.raises(ValueError):
-            percent_changes(series, w)
+    def test_window_is_short_enough_to_sum_in_order(self):
+        # rolling_baselines sums each window in order, which equals np.mean's
+        # sum only below 8 values: from 8 on np.add.reduce sums pairwise
+        assert 1 <= BASELINE_MONTHS <= 7
+        for n, in_order in ((7, True), (8, False)):
+            values = [1e16] + [1.0] * (n - 1)  # 1e16 + 1.0 rounds back to 1e16; 1e16 + 2.0 does not
+            assert (np.mean(values) == np.cumsum(values)[-1] / n) == in_order
+
+    def test_batch_window_slides_over_the_last_six_months(self):
+        # early months average what history they have; the eighth drops the first
+        values = np.arange(1.0, 9.0)
+        assert rolling_baselines(values).tolist()[1:] == [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.5]
+        assert math.isnan(rolling_baselines(values)[0])
+        assert percent_changes(values).tolist()[1:] == [100.0] * 6 + [100.0 * (8.0 - 4.5) / 4.5]
+
+    def test_zero_month_rows_give_empty_results(self):
+        assert rolling_baselines(np.empty((3, 0))).shape == (3, 0)
+        assert percent_changes(np.empty((3, 0))).shape == (3, 0)
+
+    def test_no_public_function_takes_a_baseline_length(self):
+        for function, params in (
+            (rolling_baseline, ["series", "t"]),
+            (percent_change, ["series", "t"]),
+            (rolling_baselines, ["values"]),
+            (percent_changes, ["values"]),
+            (event_drop, ["series", "window"]),
+            # bench/tracing reads the CSV path as the second positional argument
+            (write_series_csv, ["series", "path", "changes"]),
+        ):
+            assert list(inspect.signature(function).parameters) == params
 
 
 class TestMatrixMatchesScalar:
@@ -571,26 +587,20 @@ class TestMatrixMatchesScalar:
         data=st.data(),
         n_months=st.integers(1, 30),
         start=st.builds(MonthIndex, st.integers(2000, 2030), st.integers(1, 12)),
-        w=st.integers(1, 13),
     )
-    def test_bit_identical(self, data, n_months, start, w):
-        # (zones x months), NaN-bearing; w above 7 takes the scalar fallback row by row
+    def test_bit_identical(self, data, n_months, start):
+        # (zones x months), NaN-bearing
         row = st.lists(extreme_radiances, min_size=n_months, max_size=n_months)
         rows = data.draw(st.lists(row, min_size=1, max_size=6))
-        baselines = rolling_baselines(np.array(rows), w)
-        changes = percent_changes(rows, w)
+        baselines = rolling_baselines(np.array(rows))
+        changes = percent_changes(rows)
         assert baselines.shape == changes.shape == (len(rows), n_months)
         assert not np.isinf(changes).any()
         for row, row_baselines, row_changes in zip(rows, baselines.tolist(), changes.tolist()):
             series = series_from(start, row)
             months = series.months
-            assert [b.hex() for b in row_baselines] == [rolling_baseline(series, m, w).hex() for m in months]
-            assert [c.hex() for c in row_changes] == [percent_change(series, m, w).hex() for m in months]
-
-    @pytest.mark.parametrize("w", [0, -1])
-    def test_bad_window_rejected(self, w):
-        with pytest.raises(ValueError):
-            percent_changes(np.ones((2, 3)), w)
+            assert [b.hex() for b in row_baselines] == [rolling_baseline(series, m).hex() for m in months]
+            assert [c.hex() for c in row_changes] == [percent_change(series, m).hex() for m in months]
 
 
 class TestPercentChange:
@@ -693,13 +703,13 @@ class TestSeriesCsv:
         assert series.get(m + 2) == 3.0
 
 
-def row_by_row_series_csv(series, path, w):
+def row_by_row_series_csv(series, path):
     """The series CSV as written one row at a time through the scalar percent_change."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["zone_id", "year", "month", "mean_radiance", "percent_change"])
         for month, value in zip(series.months, series.values):
-            change = percent_change(series, month, w)
+            change = percent_change(series, month)
             writer.writerow(
                 [
                     series.zone_id,
@@ -720,17 +730,16 @@ class TestSeriesCsvMatchesRowByRowWriter:
         ),
         values=st.lists(radiances, min_size=1, max_size=30),
         start=st.builds(MonthIndex, st.integers(1, 9999), st.integers(1, 12)),
-        w=st.integers(1, 13),
     )
-    def test_same_bytes(self, tmp_path_factory, zone_id, values, start, w):
+    def test_same_bytes(self, tmp_path_factory, zone_id, values, start):
         root = tmp_path_factory.mktemp("csv")
         series = series_from(start, values, zone_id)
-        write_series_csv(series, root / "batch.csv", w)
-        row_by_row_series_csv(series, root / "rows.csv", w)
+        write_series_csv(series, root / "batch.csv")
+        row_by_row_series_csv(series, root / "rows.csv")
         assert (root / "batch.csv").read_bytes() == (root / "rows.csv").read_bytes()
         # as extract writes it: the series' row of a (zones x months) computation
-        changes = percent_changes([series.values, series.values[::-1]], w)[0].tolist()
-        write_series_csv(series, root / "matrix.csv", w, changes=changes)
+        changes = percent_changes([series.values, series.values[::-1]])[0].tolist()
+        write_series_csv(series, root / "matrix.csv", changes=changes)
         assert (root / "matrix.csv").read_bytes() == (root / "rows.csv").read_bytes()
 
 
