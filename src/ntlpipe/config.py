@@ -7,13 +7,21 @@ directory.
 """
 
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, PipelineError
 from .grid import GridSpec, as_float, read_grid
 from .layout import DatasetConfig
-from .preprocess import PipelineConfig, config_from_label, enumerate_configs
+from .preprocess import (
+    BUILT_FRACTION_MIN,
+    IMPUTATION_WINDOW_MONTHS,
+    THRESHOLD_HI,
+    THRESHOLD_LO,
+    config_from_label,
+    enumerate_configs,
+)
 from .quality import Dataset
 from .stack import MonthIndex
 from .synthetic import NoiseSpec, SceneSpec, tile_zones
@@ -105,9 +113,11 @@ def _integer(minimum=None):
 
 
 def _number(value):
-    """Converter for a number; a bool or a string is refused, not converted."""
+    """Converter for a finite number; a bool, a string, NaN or an infinity is refused, not converted."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -172,21 +182,13 @@ def _check_names(names, where):
             raise ConfigError(f"{where}: {name!r} is not a single path component")
 
 
-def _tunables(obj):
-    """A run's tunables: numeric PipelineConfig fields, each read as its type."""
-    types = {f.name: {int: _integer(), float: _number}.get(f.type) for f in fields(PipelineConfig)}
-    tunables = {key: _require(obj, key, types.get(key)) for key in obj}
-    enumerate_configs(Dataset.VSC_NTL, **tunables)  # rejects unknown keys and bad values
-    return tunables
-
-
-def _configs(kind, labels, tunables):
+def _configs(kind, labels):
     """The PipelineConfigs a run asks of one dataset kind, in order."""
     if labels == "all":
-        return enumerate_configs(kind, **tunables)
+        return enumerate_configs(kind)
     if not isinstance(labels, list) or not labels:
         raise ValueError("must be 'all' or a non-empty list of labels")
-    configs = tuple(config_from_label(kind, str(label), **tunables) for label in labels)
+    configs = tuple(config_from_label(kind, str(label)) for label in labels)
     if len({config.label for config in configs}) != len(configs):
         raise ValueError(f"{labels} names one combination twice")
     return configs
@@ -228,19 +230,24 @@ def _run_config(doc, root):
         raise ConfigError("at least one hurricane is required")
     _check_names([h.name for h in hurricanes], "hurricane names")
 
-    tunables = _require(doc, "tunables", _tunables, {})
+    if "tunables" in doc:
+        # refused, not ignored: dropping it would change the results of a run that relied on it
+        raise ConfigError(
+            f"tunables: pre-processing settings are fixed (threshold [{THRESHOLD_LO}, {THRESHOLD_HI}], "
+            f"built fraction >= {BUILT_FRACTION_MIN}, imputation window {IMPUTATION_WINDOW_MONTHS} months); "
+            "remove this key"
+        )
 
     def with_configs(labels):
-        return tuple((d, _configs(d.kind, labels, tunables)) for d in datasets)
+        return tuple((d, _configs(d.kind, labels)) for d in datasets)
 
-    lead = PipelineConfig(Dataset.VSC_NTL, **tunables).imputation_window_months
     return RunConfig(
         datasets=_require(doc, "configs", with_configs, with_configs("all")),
         zones_path=_require(doc, "zones", root.joinpath),
         hurricanes=hurricanes,
         output_dir=_require(doc, "output_dir", root.joinpath, root / "out"),
         load_range=(
-            min(h.window.start for h in hurricanes) - lead,
+            min(h.window.start for h in hurricanes) - IMPUTATION_WINDOW_MONTHS,
             max(h.window.end for h in hurricanes),
         ),
         min_damage=_require(doc, "min_damage", _number, 0.01),

@@ -18,10 +18,12 @@ is fixed, not configurable, so every method combination is reproducible.
 It also makes the combinations a tree: run_stage_tree runs each distinct
 stage prefix once and shares it between the configs below it.
 
-A PipelineConfig names one dataset plus one combination of stages, and
-carries every tunable. Enumerating all combinations for a dataset yields
-the 12 (threshold × built × quality) or 4 (built × quality) canonical
-configs, labeled like ``raw``, ``clip+built``, ``built+quality``.
+A PipelineConfig names one dataset plus one combination of stages; the
+settings each stage runs at are the fixed constants below, so the paper's
+comparison is over combinations, not settings. Enumerating all
+combinations for a dataset yields the 12 (threshold × built × quality)
+or 4 (built × quality) canonical configs, labeled like ``raw``,
+``clip+built``, ``built+quality``.
 """
 
 import enum
@@ -34,6 +36,10 @@ from .errors import ConfigError, PipelineError
 from .quality import Dataset, high_quality_mask
 
 __all__ = [
+    "THRESHOLD_LO",
+    "THRESHOLD_HI",
+    "BUILT_FRACTION_MIN",
+    "IMPUTATION_WINDOW_MONTHS",
     "ThresholdMode",
     "PipelineConfig",
     "threshold",
@@ -46,6 +52,14 @@ __all__ = [
     "config_from_label",
 ]
 
+# The fixed pre-processing settings: the threshold band in nW/cm²/sr, the
+# built-up fraction a pixel needs to survive the built mask, and how many
+# calendar months back imputation looks.
+THRESHOLD_LO = 0.0
+THRESHOLD_HI = 50.0
+BUILT_FRACTION_MIN = 0.5
+IMPUTATION_WINDOW_MONTHS = 12
+
 
 class ThresholdMode(enum.Enum):
     NONE = "none"
@@ -55,33 +69,17 @@ class ThresholdMode(enum.Enum):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One dataset + one stage combination + all tunables."""
+    """One dataset + one stage combination."""
 
     dataset: Dataset
     threshold_mode: ThresholdMode = ThresholdMode.NONE
     built_mask: bool = False
-    built_fraction_threshold: float = 0.5
     quality_filter: bool = False
-    threshold_lo: float = 0.0
-    threshold_hi: float = 50.0
-    imputation_window_months: int = 12
 
     def __post_init__(self):
         object.__setattr__(self, "threshold_mode", ThresholdMode(self.threshold_mode))
         if self.dataset is Dataset.VNP46A2 and self.threshold_mode is not ThresholdMode.NONE:
             raise ConfigError("VNP46A2 pipelines cannot threshold (already filtered upstream)")
-        if not self.threshold_lo < self.threshold_hi:
-            raise ConfigError(
-                f"threshold_lo must be below threshold_hi, got [{self.threshold_lo}, {self.threshold_hi}]"
-            )
-        if not 0.0 <= self.built_fraction_threshold <= 1.0:
-            raise ConfigError(
-                f"built_fraction_threshold {self.built_fraction_threshold} outside [0, 1]"
-            )
-        if self.imputation_window_months < 1:
-            raise ConfigError(
-                f"imputation_window_months must be positive, got {self.imputation_window_months}"
-            )
 
     @property
     def label(self):
@@ -96,7 +94,7 @@ class PipelineConfig:
         return "+".join(parts) if parts else "raw"
 
 
-def threshold(raster, mode, lo=0.0, hi=50.0):
+def threshold(raster, mode, lo=THRESHOLD_LO, hi=THRESHOLD_HI):
     """Clip valid values into [lo, hi], or remove the ones outside it."""
     mode = ThresholdMode(mode)
     if mode is ThresholdMode.NONE:
@@ -109,7 +107,7 @@ def threshold(raster, mode, lo=0.0, hi=50.0):
     return raster.with_values(raster.values, raster.missing | out_of_range)
 
 
-def apply_built_mask(raster, built_fraction, built_fraction_threshold=0.5):
+def apply_built_mask(raster, built_fraction, built_fraction_threshold=BUILT_FRACTION_MIN):
     """Keep cells at least threshold-fraction built; all others go missing.
 
     Cells where the built fraction itself is missing are dropped too: with
@@ -130,7 +128,7 @@ def apply_built_mask(raster, built_fraction, built_fraction_threshold=0.5):
 _SUM_SCALE = 2.0**-8
 
 
-def impute_pixel(history, t, window=12):
+def impute_pixel(history, t, window=IMPUTATION_WINDOW_MONTHS):
     """Refill one pixel at month ``t`` from its trusted recent history.
 
     ``history`` is an ordered sequence of (month_index, value,
@@ -175,7 +173,7 @@ def impute_pixel(history, t, window=12):
     return min(max(mean, lo), hi)
 
 
-def quality_filter_and_impute(stack, quality_stack, dataset, window=12):
+def quality_filter_and_impute(stack, quality_stack, dataset, window=IMPUTATION_WINDOW_MONTHS):
     """Mask untrusted pixels in a monthly stack and impute them from history.
 
     Trusted pixels (high-quality flag and an actual observation) pass
@@ -236,27 +234,20 @@ def quality_filter_and_impute(stack, quality_stack, dataset, window=12):
     return stack.with_grids(out)
 
 
-def _quality_stage(stack, quality_stack, config):
+def _quality_stage(stack, quality_stack, dataset):
     if quality_stack is None:
         raise ConfigError("quality filtering is enabled but no quality stack was given")
-    return quality_filter_and_impute(
-        stack, quality_stack, config.dataset, config.imputation_window_months
-    )
+    return quality_filter_and_impute(stack, quality_stack, dataset)
 
 
-def _threshold_stage(stack, config):
-    return stack.with_grids(
-        threshold(g, config.threshold_mode, config.threshold_lo, config.threshold_hi)
-        for g in stack.grids
-    )
+def _threshold_stage(stack, mode):
+    return stack.with_grids(threshold(g, mode) for g in stack.grids)
 
 
-def _built_stage(stack, built_fraction, config):
+def _built_stage(stack, built_fraction):
     if built_fraction is None:
         raise ConfigError("built masking is enabled but no built-fraction grid was given")
-    return stack.with_grids(
-        apply_built_mask(g, built_fraction, config.built_fraction_threshold) for g in stack.grids
-    )
+    return stack.with_grids(apply_built_mask(g, built_fraction) for g in stack.grids)
 
 
 def run_pipeline(stack, quality_stack, built_fraction, config):
@@ -268,23 +259,12 @@ def run_pipeline(stack, quality_stack, built_fraction, config):
     """
     out = stack
     if config.quality_filter:
-        out = _quality_stage(out, quality_stack, config)
+        out = _quality_stage(out, quality_stack, config.dataset)
     if config.threshold_mode is not ThresholdMode.NONE:
-        out = _threshold_stage(out, config)
+        out = _threshold_stage(out, config.threshold_mode)
     if config.built_mask:
-        out = _built_stage(out, built_fraction, config)
+        out = _built_stage(out, built_fraction)
     return out
-
-
-def _stage_keys(config):
-    """What each stage of a config computes from: quality, threshold, built; None when off."""
-    return (
-        (config.dataset, config.imputation_window_months) if config.quality_filter else None,
-        (config.threshold_mode, config.threshold_lo, config.threshold_hi)
-        if config.threshold_mode is not ThresholdMode.NONE
-        else None,
-        config.built_fraction_threshold if config.built_mask else None,
-    )
 
 
 def run_stage_tree(stack, quality_stack, built_fraction, configs):
@@ -302,22 +282,21 @@ def run_stage_tree(stack, quality_stack, built_fraction, configs):
     """
     tree = {}
     for config in configs:
-        quality, thresh, built = _stage_keys(config)
-        tree.setdefault(quality, {}).setdefault(thresh, {}).setdefault(built, []).append(config)
-    for by_threshold in tree.values():
-        below = [c for by_built in by_threshold.values() for group in by_built.values() for c in group]
+        quality = config.dataset if config.quality_filter else None
+        by_built = tree.setdefault(quality, {}).setdefault(config.threshold_mode, {})
+        by_built.setdefault(config.built_mask, []).append(config)
+    for quality, by_threshold in tree.items():
         try:
-            base = _quality_stage(stack, quality_stack, below[0]) if below[0].quality_filter else stack
+            base = stack if quality is None else _quality_stage(stack, quality_stack, quality)
         except PipelineError as exc:
+            below = [c for by_built in by_threshold.values() for group in by_built.values() for c in group]
             yield below, exc
             continue
-        for by_built in by_threshold.values():
-            first = next(iter(by_built.values()))[0]
-            thresholded = first.threshold_mode is not ThresholdMode.NONE
-            branch = _threshold_stage(base, first) if thresholded else base
-            for group in by_built.values():
+        for mode, by_built in by_threshold.items():
+            branch = base if mode is ThresholdMode.NONE else _threshold_stage(base, mode)
+            for built, group in by_built.items():
                 try:
-                    leaf = _built_stage(branch, built_fraction, group[0]) if group[0].built_mask else branch
+                    leaf = _built_stage(branch, built_fraction) if built else branch
                 except PipelineError as exc:
                     yield group, exc
                     continue
@@ -328,14 +307,13 @@ def run_stage_tree(stack, quality_stack, built_fraction, configs):
         del base
 
 
-def enumerate_configs(dataset, **tunables):
+def enumerate_configs(dataset):
     """All method combinations for a dataset, in canonical report order.
 
     12 configs for VSC-NTL (3 threshold modes x built on/off x quality
     on/off), 4 for VNP46A2 (thresholding unavailable). The order walks
     quality slowest, built next, threshold fastest, so it starts at ``raw``
-    and ends at the all-stages config. Extra keyword arguments set shared
-    tunables on every config.
+    and ends at the all-stages config.
     """
     if dataset is Dataset.VNP46A2:
         modes = (ThresholdMode.NONE,)
@@ -347,7 +325,6 @@ def enumerate_configs(dataset, **tunables):
             threshold_mode=mode,
             built_mask=built,
             quality_filter=quality,
-            **tunables,
         )
         for quality in (False, True)
         for built in (False, True)
@@ -355,7 +332,7 @@ def enumerate_configs(dataset, **tunables):
     )
 
 
-def config_from_label(dataset, label, **tunables):
+def config_from_label(dataset, label):
     """Build the PipelineConfig for a method-combination label.
 
     Accepts parts in any order (``quality+clip`` equals ``clip+quality``);
@@ -385,5 +362,4 @@ def config_from_label(dataset, label, **tunables):
         threshold_mode=mode,
         built_mask=built,
         quality_filter=quality,
-        **tunables,
     )

@@ -27,6 +27,8 @@ from ntlpipe import (
 import ntlpipe
 from ntlpipe import cli, preprocess
 from ntlpipe.cli import main
+from ntlpipe.config import parse_run_config
+from ntlpipe.preprocess import IMPUTATION_WINDOW_MONTHS
 
 VSC_SCENE = {
     "seed": 7,
@@ -889,9 +891,8 @@ class TestMalformedValues:
     @pytest.mark.parametrize(
         "key, value, named",
         [
-            ("tunables", {"sparkle_gain": 2.0}, "tunables"),
-            ("tunables", {"imputation_window_months": "x"}, "tunables: imputation_window_months"),
-            ("tunables", {"threshold_lo": "a"}, "tunables: threshold_lo"),
+            ("tunables", {"threshold_hi": 60.0}, "tunables"),
+            ("tunables", {}, "tunables"),
             ("months_before", "x", "months_before"),
             ("min_damage", "lots", "min_damage"),
             ("population_band", ["a", "b"], "population_band"),
@@ -899,14 +900,14 @@ class TestMalformedValues:
             ("case_study_k", "x", "case_study_k"),
             ("months_before", 2.7, "months_before"),
             ("months_after", True, "months_after"),
-            ("tunables", {"imputation_window_months": 3.5}, "tunables: imputation_window_months"),
             ("case_study_k", 2.9, "case_study_k"),
             ("case_study_k", 0, "case_study_k"),
             ("population_band", [50000, 10], "population_band"),
             ("population_band", [0.5, 10], "population_band"),
             ("min_damage", True, "min_damage"),
             ("min_damage", "0.5", "min_damage"),
-            ("tunables", {"threshold_hi": True}, "tunables: threshold_hi"),
+            ("min_damage", math.nan, "min_damage"),
+            ("min_damage", -math.inf, "min_damage"),
             ("hurricanes", [{"name": 7, "event_month": "2018-10"}], "hurricanes[0]: name"),
             ("datasets", [{"kind": "VSC-NTL", "raster_dir": "simv/VSC-NTL", "name": None}], "datasets[0]: name"),
         ],
@@ -945,6 +946,13 @@ class TestMalformedValues:
             ("drop_gain", True, "drop_gain"),
             ("zones", [{"zone_id": None, "damage_ratio": 0.1, "rect": [0, 0, 4, 4]}], "zones[0]: zone_id"),
             ("zones", [{"zone_id": 7, "damage_ratio": 0.1, "rect": [0, 0, 4, 4]}], "zones[0]: zone_id"),
+            ("drop_gain", math.nan, "drop_gain"),
+            ("base_radiance", math.inf, "base_radiance"),
+            ("base_radiance", [18.0, -math.inf, 26.0, 30.0, 34.0, 38.0], "base_radiance[1]"),
+            ("noise", {"corruption_scale": math.inf, "cloud_rate": 0.2}, "noise: corruption_scale"),
+            ("noise", {"gaussian_sigma": math.nan}, "noise: gaussian_sigma"),
+            ("zones", [{"zone_id": "A", "damage_ratio": math.nan, "rect": [0, 0, 4, 4]}], "zones[0]: damage_ratio"),
+            ("zones", [{"zone_id": "A", "damage_ratio": 0.1, "rect": [0, 0, math.inf, 4]}], "zones[0]: rect"),
         ],
     )
     def test_scene_spec_value_writes_nothing(self, tmp_path, capsys, key, value, named):
@@ -952,6 +960,14 @@ class TestMalformedValues:
         assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 1
         self.assert_one_error(capsys.readouterr().err, scene, named)
         assert not (tmp_path / "sim").exists()
+
+    def test_tunables_key_names_the_fixed_values(self, tmp_path, capsys):
+        config = write_json(tmp_path / "run.json", {**run_config_doc(), "tunables": {"threshold_hi": 60.0}})
+        assert main(["validate", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: tunables: pre-processing settings are fixed (threshold [0.0, 50.0], "
+            "built fraction >= 0.5, imputation window 12 months); remove this key\n"
+        )
 
     def test_built_fraction_map_off_the_scene_grid_writes_nothing(self, tmp_path, capsys):
         off_grid = GridSpec(ncols=4, nrows=4, x_origin=0.0, y_origin=0.0, cell_size=1.0)
@@ -1081,3 +1097,20 @@ class TestConfigErrors:
         config = write_json(tmp_path / "run.json", doc)
         assert main(["report", "--config", str(config)]) == 1
         assert "missing extraction outputs" in capsys.readouterr().err
+
+
+class TestLoadRange:
+    def test_spans_every_window_plus_the_imputation_lead_in(self, tmp_path):
+        doc = {
+            **run_config_doc(),
+            "hurricanes": [{"name": "Late", "event_month": "2018-10"}, {"name": "Early", "event_month": "2017-09"}],
+            "months_before": 3,
+            "months_after": 2,
+        }
+        run = parse_run_config(write_json(tmp_path / "run.json", doc))
+        assert [(h.window.start, h.window.end) for h in run.hurricanes] == [
+            (MonthIndex(2018, 7), MonthIndex(2018, 12)),
+            (MonthIndex(2017, 6), MonthIndex(2017, 11)),
+        ]
+        assert run.load_range == (MonthIndex(2017, 6) - IMPUTATION_WINDOW_MONTHS, MonthIndex(2018, 12))
+        assert run.load_range[0] == MonthIndex(2016, 6)

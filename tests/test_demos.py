@@ -1,6 +1,7 @@
-"""Every demo script runs to completion as a standalone program."""
+"""Every demo script, and the README's quick start, runs to completion as a standalone program."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,4 +49,13 @@ def test_method_comparison_scores_every_config_against_one_truth(tmp_path):
     assert lines.count("truth pcc: 1.000") == 1
     table = lines[lines.index("methods          recovered") + 1 :]
     labels = [line.split()[0] for line in table[: table.index("")]]
+    assert labels == ["raw", "built", "quality", "built+quality"]
+
+
+def test_readme_quick_start_scores_every_vnp46a2_config(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"^```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    proc = run_python(["-c", example], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    labels = [line.split()[0] for line in proc.stdout.splitlines()]
     assert labels == ["raw", "built", "quality", "built+quality"]

@@ -1,5 +1,7 @@
 """Tests for thresholding, built masking, quality imputation, and pipeline wiring."""
 
+import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from ntlpipe import (
     run_pipeline,
     threshold,
 )
+from ntlpipe.preprocess import THRESHOLD_HI
 
 SPEC = GridSpec(ncols=2, nrows=2, x_origin=0.0, y_origin=0.0, cell_size=1.0)
 
@@ -363,13 +366,11 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(Dataset.VNP46A2, threshold_mode=ThresholdMode.REMOVE)
 
-    def test_tunable_validation(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(Dataset.VSC_NTL, threshold_lo=50.0, threshold_hi=50.0)
-        with pytest.raises(ConfigError):
-            PipelineConfig(Dataset.VSC_NTL, built_fraction_threshold=-0.1)
-        with pytest.raises(ConfigError):
-            PipelineConfig(Dataset.VSC_NTL, imputation_window_months=0)
+    def test_a_config_is_its_dataset_and_three_stage_switches(self):
+        fields = [f.name for f in dataclasses.fields(PipelineConfig)]
+        assert fields == ["dataset", "threshold_mode", "built_mask", "quality_filter"]
+        assert list(inspect.signature(enumerate_configs).parameters) == ["dataset"]
+        assert list(inspect.signature(config_from_label).parameters) == ["dataset", "label"]
 
     def test_enumerate_vsc_ntl_gives_twelve_in_canonical_order(self):
         labels = [c.label for c in enumerate_configs(Dataset.VSC_NTL)]
@@ -391,11 +392,6 @@ class TestPipelineConfig:
     def test_enumerate_vnp46a2_gives_four_in_canonical_order(self):
         labels = [c.label for c in enumerate_configs(Dataset.VNP46A2)]
         assert labels == ["raw", "built", "quality", "built+quality"]
-
-    def test_enumerate_passes_tunables_through(self):
-        configs = enumerate_configs(Dataset.VSC_NTL, threshold_hi=60.0, imputation_window_months=6)
-        assert all(c.threshold_hi == 60.0 for c in configs)
-        assert all(c.imputation_window_months == 6 for c in configs)
 
     def test_label_round_trip(self):
         for dataset in Dataset:
@@ -448,12 +444,15 @@ class TestRunPipeline:
             assert a == b
 
     def test_quality_imputed_value_is_thresholded(self):
-        # month 1 pixel (1,1) is untrusted; history value 31 exceeds hi=25,
-        # so the imputed value must be clipped after refilling
-        stack, quality, built = self.base_inputs()
-        config = PipelineConfig(Dataset.VSC_NTL, threshold_mode="clip", threshold_hi=25.0, quality_filter=True)
-        out = run_pipeline(stack, quality, None if not config.built_mask else built, config)
-        assert out.grids[1].values[1, 1] == 25.0
+        # month 1 pixel (1,1) is untrusted; its history value 80 exceeds
+        # THRESHOLD_HI, so the imputed value must be clipped after refilling
+        start = MonthIndex(2018, 1)
+        stack = make_stack(SPEC, start, [[10.0, 20.0, 30.0, 80.0], [11.0, 21.0, 31.0, 31.0]])
+        quality = vsc_quality_stack(SPEC, start, [np.ones((2, 2), dtype=int), np.array([[1, 1], [1, 0]])])
+        imputed = run_pipeline(stack, quality, None, PipelineConfig(Dataset.VSC_NTL, quality_filter=True))
+        assert imputed.grids[1].values[1, 1] == 80.0
+        config = PipelineConfig(Dataset.VSC_NTL, threshold_mode="clip", quality_filter=True)
+        assert run_pipeline(stack, quality, None, config).grids[1].values[1, 1] == THRESHOLD_HI
 
     def test_missing_stage_inputs_rejected(self):
         stack, quality, built = self.base_inputs()
