@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, ReportError, StatsError
 from .preprocess import enumerate_configs
-from .timeseries import event_drop
+from .timeseries import percent_changes
 
 __all__ = [
     "DropSample",
@@ -117,11 +117,21 @@ def filter_zones(samples, min_damage=0.01):
     return kept, excluded
 
 
-def drop_samples(zones, series, window, hurricane=""):
-    """One DropSample per zone, from the event drop of its series in window."""
+def drop_samples(zones, table, window, hurricane=""):
+    """One DropSample per zone, from its row of the window table over window.
+
+    ``table`` is a (zones x window months) table, as series_by_config
+    yields it, with one row per zone in ``zones`` order. Each drop is the
+    negated percent change at the event month, equal bit for bit to
+    event_drop on the row's series.
+    """
+    changes = percent_changes(table)
+    if changes.shape != (len(zones), len(window)):
+        raise ValueError(f"table of shape {changes.shape} for {len(zones)} zones over {len(window)} months")
+    drops = (-changes[:, window.months_before]).tolist()
     return [
-        DropSample(zone.zone_id, zone.damage_ratio, event_drop(s, window), hurricane, zone.population)
-        for zone, s in zip(zones, series)
+        DropSample(zone.zone_id, zone.damage_ratio, drop, hurricane, zone.population)
+        for zone, drop in zip(zones, drops)
     ]
 
 
@@ -165,18 +175,20 @@ def correlate_method(samples, dataset, label, min_damage=0.01):
     return ReportRow(dataset=dataset, methods=label, pcc=pcc, n_samples=len(kept))
 
 
-def build_report(samples_by_config, datasets, hurricanes=(), min_damage=0.01):
+def build_report(samples_by_config, datasets, hurricanes=(), min_damage=0.01, configs=None):
     """Correlate every configured method combination into one report.
 
     ``samples_by_config`` maps (dataset, canonical label) to that config's
-    pooled DropSamples. Rows come out in canonical enumeration order per
-    dataset. Combinations a dataset requires but the mapping lacks abort
-    the report, listed by name.
+    pooled DropSamples. Rows come out per dataset, in ``datasets`` order:
+    by default every combination in canonical enumeration order, or, for a
+    dataset that the optional ``configs`` mapping names, the
+    PipelineConfigs it lists, in that order. Combinations the report
+    expects but the mapping lacks abort it, listed by name.
     """
     expected = [
         (dataset, config.label)
         for dataset in datasets
-        for config in enumerate_configs(dataset)
+        for config in (configs or {}).get(dataset, enumerate_configs(dataset))
     ]
     absent = [key for key in expected if key not in samples_by_config]
     if absent:

@@ -32,13 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    CorrelationReport,
-    correlate_method,
-    drop_samples,
-    select_case_study_zones,
-    write_report_csv,
-)
+from .analysis import build_report, drop_samples, select_case_study_zones, write_report_csv
 from .config import parse_run_config, parse_scene_spec
 from .errors import ConfigError, PipelineError, ReportError, StatsError
 # read_grid is not called here: the bench tracer's test looks it up as ntlpipe.cli.read_grid
@@ -46,7 +40,14 @@ from .grid import read_grid, write_grid  # noqa: F401
 from .layout import dataset_files, load_dataset, scan_dataset_dir
 from .preprocess import enumerate_configs
 from .synthetic import check_scorable, generate_scene, recovered_pccs
-from .timeseries import BASELINE_MONTHS, percent_changes, read_series_csv, series_by_config, write_series_csv
+from .timeseries import (
+    BASELINE_MONTHS,
+    ZoneSeries,
+    percent_changes,
+    read_series_csv,
+    series_by_config,
+    write_series_csv,
+)
 from .zones import read_zones, write_zones
 
 __all__ = ["main"]
@@ -168,16 +169,16 @@ def cmd_extract(args):
             if isinstance(result, PipelineError):
                 failures.append(f"{dataset.name}/{config.label}: {result}")
                 continue
-            for hurricane, window_series in zip(run.hurricanes, result):
+            for hurricane, table in zip(run.hurricanes, result):
                 series_dir = _series_dir(out_dir, dataset, config.label, hurricane.name)
                 series_dir.mkdir(parents=True, exist_ok=True)
-                changes = percent_changes([series.values for series in window_series]).tolist()
-                for series, series_changes in zip(window_series, changes):
-                    path = series_dir / f"{series.zone_id}.csv"
+                rows = zip(positions, table.tolist(), percent_changes(table).tolist())
+                for zone_id, values, changes in rows:
+                    path = series_dir / f"{zone_id}.csv"
                     if path.exists() and not args.force:
                         failures.append(f"{path}: exists (use --force to overwrite)")
                         continue
-                    write_series_csv(series, path, changes=series_changes)
+                    write_series_csv(ZoneSeries(zone_id, hurricane.window.start, values), path, changes)
                     written += 1
 
     print(f"extract: wrote {written} series file(s) under {out_dir}")
@@ -194,6 +195,23 @@ def _guard_overwrite(path, force):
         raise ConfigError(f"{path}: exists (use --force to overwrite)")
 
 
+def _place_series(series, path, zone, hurricane, row):
+    """Copy a series read from path into its zone's row of the hurricane's window table."""
+    if series.zone_id != zone.zone_id:
+        raise ReportError(f"{path}: rows name zone {series.zone_id!r}, expected {zone.zone_id!r}")
+    window = hurricane.window
+    first = series.start - window.start
+    end = first + len(series.values)
+    if first < 0 or end > len(window):
+        # a file from a wider window: its drops and changes would differ from a fresh extract's
+        month = series.start if first < 0 else window.start + (end - 1)
+        raise ReportError(
+            f"{path}: month {month} is outside the window {window.start}..{window.end} "
+            f"of {hurricane.name}; re-run extract"
+        )
+    row[first:end] = series.values
+
+
 def cmd_report(args):
     """Correlate extracted drops into report.csv; emit case_study.csv."""
     run = parse_run_config(args.config)
@@ -204,35 +222,35 @@ def cmd_report(args):
     _guard_overwrite(report_path, args.force)
     _guard_overwrite(case_path, args.force)
 
-    series_by_key = {}
+    # one window table per (dataset, config, hurricane); a zone's months its file skips stay NaN
+    tables = {}
     absent = []
     for dataset, configs in run.datasets:
-        for config, hurricane, zone in product(configs, run.hurricanes, zones):
-            path = _series_dir(out_dir, dataset, config.label, hurricane.name) / f"{zone.zone_id}.csv"
-            if not path.is_file():
-                absent.append(str(path.relative_to(out_dir)))
-                continue
-            series = read_series_csv(path)
-            if series.zone_id != zone.zone_id:
-                raise ReportError(f"{path}: rows name zone {series.zone_id!r}, expected {zone.zone_id!r}")
-            series_by_key[dataset.name, config.label, hurricane.name, zone.zone_id] = series
+        for config, hurricane in product(configs, run.hurricanes):
+            series_dir = _series_dir(out_dir, dataset, config.label, hurricane.name)
+            table = np.full((len(zones), len(hurricane.window)), np.nan)
+            for zone, row in zip(zones, table):
+                path = series_dir / f"{zone.zone_id}.csv"
+                if path.is_file():
+                    _place_series(read_series_csv(path), path, zone, hurricane, row)
+                else:
+                    absent.append(str(path.relative_to(out_dir)))
+            tables[dataset.name, config.label, hurricane.name] = table
     if absent:
         shown = ", ".join(absent[:8]) + (" ..." if len(absent) > 8 else "")
         raise ConfigError(f"missing extraction outputs ({len(absent)}): {shown}")
 
-    rows = []
-    for dataset, configs in run.datasets:
-        for config in configs:
-            samples = []
-            for h in run.hurricanes:
-                series = [series_by_key[dataset.name, config.label, h.name, z.zone_id] for z in zones]
-                samples += drop_samples(zones, series, h.window, h.name)
-            rows.append(correlate_method(samples, dataset.kind, config.label, run.min_damage))
-    report = CorrelationReport(
-        rows=tuple(rows),
-        hurricanes=tuple(h.name for h in run.hurricanes),
-        min_damage=run.min_damage,
-    )
+    samples = {
+        (dataset.kind, config.label): [
+            sample
+            for h in run.hurricanes
+            for sample in drop_samples(zones, tables[dataset.name, config.label, h.name], h.window, h.name)
+        ]
+        for dataset, configs in run.datasets
+        for config in configs
+    }
+    by_kind = {dataset.kind: configs for dataset, configs in run.datasets}
+    report = build_report(samples, list(by_kind), [h.name for h in run.hurricanes], run.min_damage, by_kind)
     # select before writing: a failed selection must not leave report.csv behind
     band_lo, band_hi = run.population_band
     top, bottom = select_case_study_zones(
@@ -241,32 +259,31 @@ def cmd_report(args):
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(report, report_path)
-    _write_case_study_csv(case_path, run, top, bottom, series_by_key)
+    _write_case_study_csv(case_path, run, top, bottom, zones, tables)
 
     print(f"report: {len(report.rows)} correlation row(s) -> {report_path}")
     print(f"report: case study for {len(top) + len(bottom)} zone(s) -> {case_path}")
     return 0
 
 
-def _write_case_study_csv(path, run, top, bottom, series_by_key):
+def _write_case_study_csv(path, run, top, bottom, zones, tables):
     """Percent-change rows for the selected zones, every config and month."""
     groups = [("top", zone) for zone in top] + [("bottom", zone) for zone in bottom]
+    row_of = {zone.zone_id: i for i, zone in enumerate(zones)}
+    rows = [row_of[zone.zone_id] for _, zone in groups]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["dataset", "methods", "hurricane", "group", "zone_id", "year", "month", "percent_change"]
         )
         for dataset, configs in run.datasets:
-            for config, hurricane, (group, zone) in product(configs, run.hurricanes, groups):
-                series = series_by_key[dataset.name, config.label, hurricane.name, zone.zone_id]
-                columns = [dataset.name, config.label, hurricane.name, group, zone.zone_id]
-                changes = percent_changes(series.values).tolist()
-                first = hurricane.window.start - series.start
-                for i, month in enumerate(hurricane.window.months(), first):
-                    # a month outside the series has no value, so no change
-                    change = changes[i] if 0 <= i < len(changes) else float("nan")
-                    text = "" if np.isnan(change) else repr(change)
-                    writer.writerow(columns + [month.year, month.month, text])
+            for config, hurricane in product(configs, run.hurricanes):
+                changes = percent_changes(tables[dataset.name, config.label, hurricane.name][rows]).tolist()
+                for (group, zone), zone_changes in zip(groups, changes):
+                    columns = [dataset.name, config.label, hurricane.name, group, zone.zone_id]
+                    for month, change in zip(hurricane.window.months(), zone_changes):
+                        text = "" if np.isnan(change) else repr(change)
+                        writer.writerow(columns + [month.year, month.month, text])
 
 
 def cmd_simulate(args):

@@ -92,6 +92,20 @@ def _require(doc, key, convert=None, default=_REQUIRED):
         raise ConfigError(f"{key}{separator}{exc}") from None
 
 
+def _closed(doc, keys):
+    """Refuse the first key of the JSON object ``doc`` not in ``keys``, naming the closest known key.
+
+    A ``doc`` that is not an object is left to _require, which says so.
+    """
+    unknown = [key for key in doc if key not in keys] if isinstance(doc, dict) else []
+    if unknown:
+        import difflib  # only an error needs it; every command parses a config
+
+        close = difflib.get_close_matches(unknown[0], keys, n=1)
+        hint = f"did you mean {close[0]!r}?" if close else f"expected one of {', '.join(keys)}"
+        raise ConfigError(f"{unknown[0]}: unknown key; {hint}")
+
+
 def _each(convert):
     """Converter for a JSON array: ``convert`` on every item, as a tuple."""
     return lambda items: tuple(_require(items, i, convert) for i in range(len(items)))
@@ -194,7 +208,33 @@ def _configs(kind, labels):
     return configs
 
 
+_GRID_KEYS = ("ncols", "nrows", "x_origin", "y_origin", "cell_size")
+_DATASET_KEYS = ("kind", "raster_dir", "quality_dir", "name", "grid")
+_HURRICANE_KEYS = ("name", "event_month")
+# "jobs" is read by nothing; it is accepted for run configs that still carry it
+_RUN_KEYS = (
+    "datasets",
+    "zones",
+    "hurricanes",
+    "configs",
+    "output_dir",
+    "min_damage",
+    "case_study_k",
+    "months_before",
+    "months_after",
+    "population_band",
+    "tunables",
+    "jobs",
+)
+
+
+def _run_grid(obj):
+    _closed(obj, _GRID_KEYS)
+    return _grid_spec_from_json(obj)
+
+
 def _dataset_from_json(entry, root):
+    _closed(entry, _DATASET_KEYS)
     kind = _require(entry, "kind", _dataset_kind)
     raster_dir = _require(entry, "raster_dir", root.joinpath)
     return DatasetConfig(
@@ -202,7 +242,7 @@ def _dataset_from_json(entry, root):
         kind=kind,
         raster_dir=raster_dir,
         quality_dir=_require(entry, "quality_dir", root.joinpath, raster_dir),
-        expected_grid=_require(entry, "grid", _grid_spec_from_json, None),
+        expected_grid=_require(entry, "grid", _run_grid, None),
     )
 
 
@@ -214,6 +254,7 @@ def _population_band(band):
 
 
 def _run_config(doc, root):
+    _closed(doc, _RUN_KEYS)
     datasets = _require(doc, "datasets", _each(lambda entry: _dataset_from_json(entry, root)), ())
     if not datasets:
         raise ConfigError("at least one dataset is required")
@@ -223,6 +264,7 @@ def _run_config(doc, root):
     event_window = _event_window(doc)
 
     def hurricane(entry):
+        _closed(entry, _HURRICANE_KEYS)
         return Hurricane(_require(entry, "name", _string), _require(entry, "event_month", event_window))
 
     hurricanes = _require(doc, "hurricanes", _each(hurricane), ())

@@ -1,9 +1,10 @@
 """Per-zone monthly radiance series and event-drop metrics.
 
-A ZoneSeries holds one zone's mean radiance over a contiguous month range,
-with NaN marking months where no valid observation exists. Missing never
-becomes zero anywhere in this module: a fabricated zero would read as a
-radiance drop.
+A window table is a float64 (zones x months) array over one event
+window, one row per zone, with NaN marking months where no valid
+observation exists. A ZoneSeries holds one such row with its zone id and
+first month: the unit of one series CSV. Missing never becomes zero
+anywhere in this module: a fabricated zero would read as a radiance drop.
 
 The change metric compares each month against a trailing baseline that
 excludes the month itself (an inclusive baseline would contaminate itself
@@ -20,14 +21,15 @@ positive numbers mean the lights dimmed.
 series_by_config is the one "stack -> cleaned stack -> zone series" chain.
 It walks the configs' stage tree, so the quality pass runs once and every
 threshold and built branch below it shares its result, and it gathers
-each zone's pixels by flat index, one sum per zone-month. It runs as well
-on the rows of zone cells load_dataset returns as on whole grids.
-The baseline is always the BASELINE_MONTHS (six) months before the month
-it judges. percent_changes takes the percent changes of one series'
-values, or of every row of a (zones x months) array, at once, by a
-sliding-window sum. zonal_mean, build_zone_series, rolling_baseline and
-percent_change stay as the scalar definitions the batch paths equal bit
-for bit.
+each zone's pixels by flat index, one sum per zone-month, into one window
+table per event window. It runs as well on the rows of zone cells
+load_dataset returns as on whole grids. The baseline is always the
+BASELINE_MONTHS (six) months before the month it judges. percent_changes
+takes the percent changes of every row of a table at once, by a
+sliding-window sum, so the event drops of a window are one negated
+column of it (analysis.drop_samples). ZoneSeries, zonal_mean,
+build_zone_series, rolling_baseline, percent_change and event_drop stay
+as the scalar definitions the batch paths equal bit for bit.
 
 The series CSV is written as one string per file and read with
 csv.reader and integer month ordinals; tests hold the bytes to
@@ -164,41 +166,35 @@ def build_zone_series(stack, mask, window, zone_id):
     return ZoneSeries(zone_id, window.start, values)
 
 
-def _series_by_window(stack, zone_ids, indices, windows):
-    """``series[i][j]``: zone j's ZoneSeries over windows[i], from one cleaned stack."""
+def _series_by_window(stack, indices, windows):
+    """One (zones x window months) table per window, from one cleaned stack; absent months are NaN."""
     wanted = {month for window in windows for month in window.months()}
     means = {month: zonal_means(grid, indices) for month, grid in stack if month in wanted}
-    absent = (float("nan"),) * len(zone_ids)
-    return tuple(
-        tuple(
-            ZoneSeries(zone_id, window.start, values)
-            for zone_id, values in zip(zone_ids, zip(*(means.get(m, absent) for m in window.months())))
-        )
-        for window in windows
-    )
+    absent = [float("nan")] * len(indices)
+    return tuple(np.array([means.get(m, absent) for m in window.months()]).T.copy() for window in windows)
 
 
 def series_by_config(radiance, quality, built, zone_cells, configs, windows):
-    """Run each config's pipeline and yield ``(config, series)`` in the order given.
+    """Run each config's pipeline and yield ``(config, tables)`` in the order given.
 
     ``zone_cells`` maps zone_id to the zone's cells as ascending flat
     indices into the stacks' rasters: a whole grid's row-major inside
     cells, or load_dataset's positions on rasters cut down to the cells
-    some zone covers. ``series[i][j]`` is the j-th zone's ZoneSeries over
-    ``windows[i]``, equal to build_zone_series on the config's
-    run_pipeline result over whole grids. A config whose pipeline raises a
+    some zone covers. ``tables[i]`` is a float64 (zones x months) array
+    over ``windows[i]``, one row per zone in ``zone_cells`` order, each
+    row equal to build_zone_series' values on the config's run_pipeline
+    result over whole grids. A config whose pipeline raises a
     PipelineError yields ``(config, error)`` and the rest still run. The
     pipelines run as one run_stage_tree walk; a config finished ahead of
-    its turn waits as its (small) series, never as a stack.
+    its turn waits as its (small) tables, never as a stack.
     """
-    zone_ids = tuple(zone_cells)
     indices = tuple(zone_cells.values())
     order = list(configs)
     done = {}
     for group, result in run_stage_tree(radiance, quality, built, order):
         if not isinstance(result, PipelineError):
             # rebinding drops this frame's reference to the stack before the next is built
-            result = _series_by_window(result, zone_ids, indices, windows)
+            result = _series_by_window(result, indices, windows)
         done.update(dict.fromkeys(group, result))
         while order and order[0] in done:
             config = order.pop(0)
@@ -300,19 +296,16 @@ def _month_fields(ordinal, n):
     return tuple(f"{m // 12},{m % 12 + 1}" for m in range(ordinal, ordinal + n))
 
 
-def write_series_csv(series, path, changes=None):
+def write_series_csv(series, path, changes):
     """Write a series as CSV rows of zone_id, year, month, radiance, change.
 
-    Missing and undefined entries are empty fields. The percent-change
-    column uses the trailing baseline, so early rows with no history are
-    empty too. A caller that has the series' row of percent_changes
-    already passes it as ``changes``.
+    ``changes`` is the series' row of percent_changes, as Python floats.
+    Missing and undefined entries are empty fields, so early rows with no
+    history have an empty change.
 
     The bytes are csv.writer's (excel dialect: CRLF rows, the zone id
     quoted only when it must be), built as one string.
     """
-    if changes is None:
-        changes = percent_changes(series.values).tolist()
     zone = _csv_field(series.zone_id)
     months = _month_fields(series.start.ordinal, len(series.values))
     lines = [_SERIES_HEADER]

@@ -1,24 +1,35 @@
 """Tests for correlation math, sample filtering, and report assembly."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntlpipe import (
     ConfigError,
     CorrelationReport,
     Dataset,
     DropSample,
+    EventWindow,
+    MonthIndex,
     ReportError,
     ReportRow,
     StatsError,
+    Zone,
+    ZoneSeries,
     build_report,
+    config_from_label,
     correlate_method,
+    drop_samples,
     enumerate_configs,
+    event_drop,
     filter_zones,
     pearson,
+    rect_ring,
     select_case_study_zones,
     write_report_csv,
 )
@@ -242,6 +253,28 @@ class TestBuildReport:
         assert "VSC-NTL/clip+built" in message
         assert "VNP46A2/quality" in message
 
+    def test_configs_subset_in_the_requested_order(self):
+        vsc = [config_from_label(Dataset.VSC_NTL, label) for label in ("clip+quality", "raw", "built")]
+        report = build_report(
+            self.pooled_samples(), (Dataset.VSC_NTL, Dataset.VNP46A2), configs={Dataset.VSC_NTL: vsc}
+        )
+        # a dataset the mapping does not name keeps every combination, in canonical order
+        assert [(row.dataset, row.methods) for row in report.rows] == [
+            (Dataset.VSC_NTL, "clip+quality"),
+            (Dataset.VSC_NTL, "raw"),
+            (Dataset.VSC_NTL, "built"),
+        ] + [(Dataset.VNP46A2, config.label) for config in enumerate_configs(Dataset.VNP46A2)]
+
+    def test_absent_subset_config_is_named(self):
+        samples = self.pooled_samples()
+        del samples[(Dataset.VNP46A2, "built+quality")]
+        subset = [config_from_label(Dataset.VNP46A2, label) for label in ("quality", "built+quality")]
+        with pytest.raises(ReportError, match=r"^missing results for: VNP46A2/built\+quality$"):
+            build_report(samples, (Dataset.VNP46A2,), configs={Dataset.VNP46A2: subset})
+        # the same samples serve a subset that leaves the absent config out
+        report = build_report(samples, (Dataset.VNP46A2,), configs={Dataset.VNP46A2: subset[:1]})
+        assert [row.methods for row in report.rows] == ["quality"]
+
     def test_metadata_carried(self):
         report = build_report(
             self.pooled_samples(),
@@ -251,6 +284,62 @@ class TestBuildReport:
         )
         assert report.hurricanes == ("Michael", "Maria")
         assert report.min_damage == 0.02
+
+
+radiances = st.one_of(
+    st.just(float("nan")),
+    st.just(0.0),
+    st.just(-0.0),
+    st.just(1e-6),
+    st.floats(min_value=0.0, max_value=1e-5),
+    st.floats(min_value=0.0, max_value=500.0),
+    # sums and changes past the float range: undefined
+    st.floats(min_value=1e300, max_value=sys.float_info.max),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def placed_series(draw):
+    """(window, series, table): series files that may start late or end early, placed into the window's table."""
+    window = EventWindow(MonthIndex(2018, 10), draw(st.integers(0, 8)), draw(st.integers(0, 4)))
+    n = len(window)
+    series = []
+    for i in range(draw(st.integers(1, 5))):
+        first = draw(st.integers(0, n - 1), label="first")
+        end = draw(st.integers(first + 1, n), label="end")
+        values = draw(st.lists(radiances, min_size=end - first, max_size=end - first), label="values")
+        # a run of missing months, as a cloudy season leaves
+        run_start = draw(st.integers(0, len(values)), label="run start")
+        run_end = draw(st.integers(run_start, len(values)), label="run end")
+        values[run_start:run_end] = [float("nan")] * (run_end - run_start)
+        series.append(ZoneSeries(f"Z{i}", window.start + first, values))
+    table = np.full((len(series), n), np.nan)
+    for row, s in zip(table, series):
+        first = s.start - window.start
+        row[first : first + len(s.values)] = s.values
+    return window, series, table
+
+
+class TestDropSamplesMatchScalar:
+    @settings(max_examples=300, deadline=None)
+    @given(placed=placed_series())
+    def test_bit_identical_to_event_drop(self, placed):
+        window, series, table = placed
+        zones = [Zone(s.zone_id, (rect_ring(0.0, 0.0, 1.0, 1.0),), 0.5, 100) for s in series]
+        samples = drop_samples(zones, table, window, "H")
+        assert [(d.zone_id, d.damage_ratio, d.hurricane, d.population) for d in samples] == [
+            (z.zone_id, 0.5, "H", 100) for z in zones
+        ]
+        assert [d.drop.hex() for d in samples] == [event_drop(s, window).hex() for s in series]
+
+    def test_table_off_the_window_is_refused(self):
+        window = EventWindow(MonthIndex(2018, 10), 2, 1)
+        zones = [Zone("A", (rect_ring(0.0, 0.0, 1.0, 1.0),), 0.5)]
+        with pytest.raises(ValueError, match="shape"):
+            drop_samples(zones, np.ones((1, 5)), window)
+        with pytest.raises(ValueError, match="shape"):
+            drop_samples(zones, np.ones((2, 4)), window)
 
 
 class TestReportCsv:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -14,15 +15,20 @@ import pytest
 
 from ntlpipe import (
     Dataset,
+    DropSample,
     GridSpec,
     IntRaster,
     MonthIndex,
     RasterGrid,
+    build_report,
     enumerate_configs,
+    event_drop,
     percent_change,
     read_grid,
     read_series_csv,
+    read_zones,
     write_grid,
+    write_report_csv,
 )
 import ntlpipe
 from ntlpipe import cli, preprocess
@@ -716,6 +722,63 @@ class TestOverflowingChange:
             assert "inf" not in (tmp_path / "out" / name).read_text()
 
 
+class TestReportIsBuildReport:
+    def test_report_csv_equals_build_report_on_the_scalar_drops(self, tmp_path):
+        labels = ["clip+quality", "raw", "built"]
+        config = simulated_vsc_run(
+            tmp_path,
+            configs=labels,
+            hurricanes=[{"name": "TestStorm", "event_month": "2018-10"}, {"name": "Later", "event_month": "2018-12"}],
+            months_before=4,
+            months_after=3,
+            min_damage=0.08,
+        )
+        assert main(["extract", "--config", str(config)]) == 0
+        assert main(["report", "--config", str(config)]) == 0
+        run = parse_run_config(config)
+        zones = read_zones(run.zones_path)
+        [(dataset, configs)] = run.datasets
+        samples = {}
+        # each drop from the scalar event_drop on the series file as read
+        for pipeline, h, zone in itertools.product(configs, run.hurricanes, zones):
+            series = read_series_csv(tmp_path / "out" / "VSC-NTL" / pipeline.label / h.name / f"{zone.zone_id}.csv")
+            drop = event_drop(series, h.window)
+            sample = DropSample(zone.zone_id, zone.damage_ratio, drop, h.name, zone.population)
+            samples.setdefault((dataset.kind, pipeline.label), []).append(sample)
+        expected = build_report(
+            samples, [dataset.kind], [h.name for h in run.hurricanes], run.min_damage, {dataset.kind: configs}
+        )
+        write_report_csv(expected, tmp_path / "expected.csv")
+        report = (tmp_path / "out" / "report.csv").read_bytes()
+        assert report == (tmp_path / "expected.csv").read_bytes()
+        # rows in the run's order, not the canonical one
+        assert [line.split(b",")[1].decode() for line in report.splitlines()[1:]] == labels
+
+
+class TestReportRefusesStaleSeries:
+    """A series file holding a month outside its hurricane's window comes from another extract."""
+
+    @pytest.mark.parametrize(
+        "before, after, month, window",
+        [(3, 2, "2017-10", "2018-07..2018-12"), (12, 2, "2019-10", "2017-10..2018-12")],
+    )
+    def test_month_outside_the_window_writes_nothing(self, tmp_path, capsys, before, after, month, window):
+        config = simulated_vsc_run(tmp_path, configs=["raw"])
+        assert main(["extract", "--config", str(config)]) == 0
+        write_json(config, {**json.loads(config.read_text()), "months_before": before, "months_after": after})
+        capsys.readouterr()
+        assert main(["report", "--config", str(config)]) == 1
+        path = tmp_path / "out" / "VSC-NTL" / "raw" / "TestStorm" / "Z01.csv"
+        assert capsys.readouterr().err == (
+            f"error: {path}: month {month} is outside the window {window} of TestStorm; re-run extract\n"
+        )
+        assert not (tmp_path / "out" / "report.csv").exists()
+        assert not (tmp_path / "out" / "case_study.csv").exists()
+        # a fresh extract at the narrower window reports
+        assert main(["extract", "--config", str(config), "--force"]) == 0
+        assert main(["report", "--config", str(config)]) == 0
+
+
 class TestReportWritesNothingOnFailure:
     def test_failed_case_study_selection_leaves_no_report(self, tmp_path, capsys):
         config = simulated_vsc_run(tmp_path, configs=["raw"], case_study_k=40)
@@ -1030,6 +1093,42 @@ class TestUnreadableZonesFile:
             assert main([command, "--config", str(config)]) == 1
             assert capsys.readouterr().err == f"error: zones file has no features: {path}\n"
         assert loaded == []
+        assert not (tmp_path / "out").exists()
+
+
+class TestUnknownRunKeys:
+    """A key run.json does not read is refused at every level, naming the closest key it does read."""
+
+    @pytest.mark.parametrize(
+        "edit, path, hint",
+        [
+            (lambda doc: doc.update(min_damge=0.5), "min_damge", "did you mean 'min_damage'?"),
+            (lambda doc: doc["datasets"][1].update(raster_dri="x"), "datasets[1]: raster_dri", "did you mean 'raster_dir'?"),
+            (
+                lambda doc: doc["datasets"][0].update(grid={**VSC_SCENE["grid"], "ncol": 12}),
+                "datasets[0]: grid: ncol",
+                "did you mean 'ncols'?",
+            ),
+            (
+                lambda doc: doc["hurricanes"][0].update(event_mont="2018-10"),
+                "hurricanes[0]: event_mont",
+                "did you mean 'event_month'?",
+            ),
+            (
+                lambda doc: doc.update(zzz=1),
+                "zzz",
+                "expected one of datasets, zones, hurricanes, configs, output_dir, min_damage, case_study_k, "
+                "months_before, months_after, population_band, tunables, jobs",
+            ),
+        ],
+    )
+    def test_refused_by_every_command(self, tmp_path, capsys, edit, path, hint):
+        doc = run_config_doc()
+        edit(doc)
+        config = write_json(tmp_path / "run.json", doc)
+        for command in ("validate", "extract", "report"):
+            assert main([command, "--config", str(config)]) == 1
+            assert capsys.readouterr().err == f"error: {config}: {path}: unknown key; {hint}\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -15,6 +15,7 @@ from ntlpipe import (
     VSCNTL_HIGH_QUALITY_COUNT,
     ConfigError,
     Dataset,
+    DropSample,
     EventWindow,
     GridSpec,
     IntRaster,
@@ -30,7 +31,7 @@ from ntlpipe import (
     build_zone_series,
     correlate_method,
     decode_vnp46a2_quality,
-    drop_samples,
+    event_drop,
     generate_scene,
     is_high_quality_vnp46a2,
     enumerate_configs,
@@ -467,7 +468,11 @@ def whole_grid_pccs(scene, configs, min_damage=0.01):
         try:
             cleaned = run_pipeline(scene.radiance, scene.quality, scene.built_fraction, config)
             series = [build_zone_series(cleaned, m, spec.months, z.zone_id) for z, m in zip(spec.zones, masks)]
-            samples = drop_samples(spec.zones, series, spec.months)
+            # the scalar event_drop, not drop_samples' batch column: this is the reference
+            samples = [
+                DropSample(z.zone_id, z.damage_ratio, event_drop(s, spec.months), "", z.population)
+                for z, s in zip(spec.zones, series)
+            ]
             yield config, correlate_method(samples, spec.dataset, config.label, min_damage).pcc
         except PipelineError as exc:
             yield config, exc

@@ -307,15 +307,15 @@ def assert_chain_matches_reference(scene, zones, windows, built, configs, chain=
             assert type(result) is type(exc) and str(result) == str(exc)
             continue
         assert len(result) == len(windows)
-        for window, window_series in zip(windows, result):
+        for window, table in zip(windows, result):
             expected = [
                 build_zone_series(processed, rasterize_zone(zone, scene.spec.grid), window, zone.zone_id)
                 for zone in zones
             ]
-            assert [s.zone_id for s in window_series] == [e.zone_id for e in expected]
-            for got, want in zip(window_series, expected):
-                assert got.months == want.months
-                assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
+            # one row per zone, in zone order, over the window's months
+            assert table.dtype == np.float64 and table.shape == (len(zones), len(window))
+            for got, want in zip(table.tolist(), expected):
+                assert [v.hex() for v in got] == [v.hex() for v in want.values]
 
 
 class TestSeriesByConfig:
@@ -653,7 +653,7 @@ class TestSeriesCsv:
         start = MonthIndex(2017, 11)
         series = series_from(start, [10.0, 463.83, float("nan"), 0.25, 1e-7])
         path = tmp_path / "zone.csv"
-        write_series_csv(series, path)
+        write_series_csv(series, path, percent_changes(series.values).tolist())
         back = read_series_csv(path)
         assert back.zone_id == series.zone_id
         assert back.months == series.months
@@ -664,7 +664,7 @@ class TestSeriesCsv:
         start = MonthIndex(2018, 1)
         series = series_from(start, [10.0] * 6 + [6.0])
         path = tmp_path / "zone.csv"
-        write_series_csv(series, path)
+        write_series_csv(series, path, percent_changes(series.values).tolist())
         lines = path.read_text().splitlines()
         assert lines[0] == "zone_id,year,month,mean_radiance,percent_change"
         # first row has no trailing history, so percent_change is empty
@@ -727,7 +727,7 @@ class TestSeriesCsvMatchesRowByRowWriter:
     def test_same_bytes(self, tmp_path_factory, zone_id, values, start):
         root = tmp_path_factory.mktemp("csv")
         series = series_from(start, values, zone_id)
-        write_series_csv(series, root / "batch.csv")
+        write_series_csv(series, root / "batch.csv", percent_changes(series.values).tolist())
         row_by_row_series_csv(series, root / "rows.csv")
         assert (root / "batch.csv").read_bytes() == (root / "rows.csv").read_bytes()
         # as extract writes it: the series' row of a (zones x months) computation
