@@ -252,7 +252,7 @@ def cmd_report(args):
     by_kind = {dataset.kind: configs for dataset, configs in run.datasets}
     report = build_report(samples, list(by_kind), [h.name for h in run.hurricanes], run.min_damage, by_kind)
     # select before writing: a failed selection must not leave report.csv behind
-    band_lo, band_hi = run.population_band
+    band_lo, band_hi = run.population_band or (None, None)
     top, bottom = select_case_study_zones(
         zones, run.case_study_k, population_lo=band_lo, population_hi=band_hi
     )

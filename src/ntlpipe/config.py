@@ -2,12 +2,14 @@
 
 ``parse_run_config`` and ``parse_scene_spec`` read a whole file before any
 data; a malformed value is one ConfigError ``<file>: <key>: <reason>``.
-Relative paths inside a config resolve against the config file's
-directory.
+Each JSON object is read through one key table: every key it may hold,
+with its converter, default and doc, from which README's key tables are
+rendered. Relative paths resolve against the config file's directory.
 """
 
 import json
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,6 +46,7 @@ class RunConfig:
     ``datasets`` pairs each DatasetConfig with the PipelineConfigs the run
     asks of it. ``load_range`` is the (lo, hi) month range every command
     loads: all event windows plus the imputation lead-in.
+    ``population_band`` is (lo, hi), or None when the run sets no band.
     """
 
     datasets: tuple
@@ -57,31 +60,31 @@ class RunConfig:
 
 
 _REQUIRED = object()
+_ROOT = ContextVar("_ROOT")  # the directory of the config file _parse_json is parsing, set for that parse only
+
+
+class _Same(str):
+    """A default that is the named key's value in the same object, as written there."""
 
 
 class _ItemError(ConfigError):
     """A ConfigError about one array item; it reads ``[i]: ...``."""
 
 
-def _require(doc, key, convert=None, default=_REQUIRED):
+def _require(doc, key, convert):
     """Read ``doc[key]`` through ``convert``: the one reader of config values.
 
-    ``doc`` is a JSON object read by name, or a JSON array read by index.
-    An absent name gives ``default``, or is an error when there is none. A
-    value that ``convert`` rejects with TypeError, ValueError, LookupError,
-    OSError or a PipelineError is an error too. Each error is a ConfigError
-    ``<key>: <reason>``. Nested values are read inside ``convert``, so each
-    level adds its key and the message names the whole path to the value,
-    such as ``datasets[0]: kind: ...``; the parser adds the file name.
+    ``doc`` is a JSON object read by name, where an absent name is an
+    error, or a JSON array read by index. A value that ``convert`` rejects
+    with TypeError, ValueError, LookupError, OSError or a PipelineError is
+    an error too. Each error is a ConfigError ``<key>: <reason>``. Nested
+    values are read inside ``convert``, so each level adds its key and the
+    message names the whole path to the value, such as ``datasets[0]:
+    kind: ...``; the parser adds the file name.
     """
     by_index = isinstance(key, int)
-    if not isinstance(doc, list if by_index else dict):
-        expected = "an array" if by_index else "an object"
-        raise ConfigError(f"expected {expected}, got {type(doc).__name__}")
     if not by_index and key not in doc:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+        raise ConfigError(f"missing required key {key!r}")
     try:
         return doc[key] if convert is None else convert(doc[key])
     except (TypeError, ValueError, LookupError, OSError, PipelineError) as exc:
@@ -92,23 +95,46 @@ def _require(doc, key, convert=None, default=_REQUIRED):
         raise ConfigError(f"{key}{separator}{exc}") from None
 
 
-def _closed(doc, keys):
-    """Refuse the first key of the JSON object ``doc`` not in ``keys``, naming the closest known key.
+def _read(doc, table):
+    """{key: value} for every key of ``table``, which maps each to (converter, default, doc).
 
-    A ``doc`` that is not an object is left to _require, which says so.
+    A key of the JSON object ``doc`` is read by _require. An absent key is
+    its default, as JSON, through the converter: a _Same default is the
+    named key's value, None stays None, and _REQUIRED is an error. A key
+    not in ``table`` is refused, naming the closest one that is.
     """
-    unknown = [key for key in doc if key not in keys] if isinstance(doc, dict) else []
+    if not isinstance(doc, dict):
+        raise ConfigError(f"expected an object, got {type(doc).__name__}")
+    unknown = [key for key in doc if key not in table]
     if unknown:
         import difflib  # only an error needs it; every command parses a config
 
-        close = difflib.get_close_matches(unknown[0], keys, n=1)
-        hint = f"did you mean {close[0]!r}?" if close else f"expected one of {', '.join(keys)}"
+        close = difflib.get_close_matches(unknown[0], table, n=1)
+        hint = f"did you mean {close[0]!r}?" if close else f"expected one of {', '.join(table)}"
         raise ConfigError(f"{unknown[0]}: unknown key; {hint}")
+    got = dict.fromkeys(table)  # an absent key whose default is None stays None
+    for key, (convert, default, _) in table.items():
+        if key in doc or default is _REQUIRED:
+            got[key] = _require(doc, key, convert)
+        elif default is not None:
+            got[key] = convert(doc[default] if isinstance(default, _Same) else default)
+    return got
+
+
+def _object(table, build):
+    """Converter for a JSON object: ``build`` called with its keys, read through ``table``."""
+    return lambda value: build(**_read(value, table))
 
 
 def _each(convert):
     """Converter for a JSON array: ``convert`` on every item, as a tuple."""
-    return lambda items: tuple(_require(items, i, convert) for i in range(len(items)))
+
+    def convert_items(items):
+        if not isinstance(items, list):
+            raise ValueError(f"must be an array, got {items!r}")
+        return tuple(_require(items, i, convert) for i in range(len(items)))
+
+    return convert_items
 
 
 def _integer(minimum=None):
@@ -147,6 +173,11 @@ def _numbers(value):
     return _each(_number)(value) if isinstance(value, list) else _number(value)
 
 
+def _path(value):
+    """Converter for a path string, resolved against the directory of the config file."""
+    return _ROOT.get() / _string(value)
+
+
 def _dataset_kind(text):
     names = [d.value for d in Dataset]
     if text not in names:
@@ -154,25 +185,121 @@ def _dataset_kind(text):
     return Dataset(text)
 
 
-def _grid_spec_from_json(obj):
-    return GridSpec(
-        ncols=_require(obj, "ncols", _integer()),
-        nrows=_require(obj, "nrows", _integer()),
-        x_origin=_require(obj, "x_origin", _number),
-        y_origin=_require(obj, "y_origin", _number),
-        cell_size=_require(obj, "cell_size", _number),
+def _labels(value):
+    if value != "all" and not (isinstance(value, list) and value):
+        raise ValueError("must be 'all' or a non-empty list of labels")
+    return value
+
+
+def _population_band(band):
+    if not (isinstance(band, list) and len(band) == 2):
+        raise ValueError(f"must be an array of two integers, got {band!r}")
+    low, high = map(_integer(), band)
+    if low > high:
+        raise ValueError(f"low {low} is above high {high}")
+    return low, high
+
+
+def _fixed_settings(_):
+    """Refuses ``tunables``: ignoring it would change the results of a run that relied on it."""
+    raise ValueError(
+        f"pre-processing settings are fixed (threshold [{THRESHOLD_LO}, {THRESHOLD_HI}], "
+        f"built fraction >= {BUILT_FRACTION_MIN}, imputation window {IMPUTATION_WINDOW_MONTHS} months); "
+        "remove this key"
     )
 
 
-def _event_window(doc):
-    """Converter for an event month into its EventWindow, sized by doc."""
-    before = _require(doc, "months_before", _integer(0), 12)
-    after = _require(doc, "months_after", _integer(0), 12)
-    return lambda text: EventWindow(MonthIndex.parse(text), before, after)
+def _zone(zone_id, damage_ratio, rect, rings, population):
+    if (rect is None) == (rings is None):
+        raise ConfigError("missing required key 'rings'" if rect is None else "give rect or rings, not both")
+    return Zone(zone_id, (rect,) if rect is not None else rings, damage_ratio, population)
+
+
+def _zones(value):
+    """Converter for a scene's zones: an nx by ny tiling's keys, or a tuple of Zones."""
+    return _read(value, _TILING) if isinstance(value, dict) else _each(_object(_ZONE, _zone))(value)
+
+
+def _dataset(grid, **paths_and_names):
+    return DatasetConfig(expected_grid=grid, **paths_and_names)
+
+
+def _noise(built_fraction, **magnitudes):
+    return NoiseSpec(built_fraction_map=built_fraction, **magnitudes)
+
+
+_WINDOW = {
+    "months_before": (_integer(0), 12, "non-negative integer, the months of each window before its event"),
+    "months_after": (_integer(0), 12, "non-negative integer, the months of each window after its event"),
+}
+_GRID = {
+    "ncols": (_integer(), _REQUIRED, "integer, the grid's columns"),
+    "nrows": (_integer(), _REQUIRED, "integer, the grid's rows"),
+    "x_origin": (_number, _REQUIRED, "number, the x of the grid's lower-left corner"),
+    "y_origin": (_number, _REQUIRED, "number, the y of the grid's lower-left corner"),
+    "cell_size": (_number, _REQUIRED, "number, the side of a cell"),
+}
+_DATASET = {
+    "kind": (_dataset_kind, _REQUIRED, '`"VSC-NTL"` or `"VNP46A2"`'),
+    "raster_dir": (_path, _REQUIRED, "path string"),
+    "quality_dir": (_path, _Same("raster_dir"), "path string"),
+    "name": (_string, _Same("kind"), "string, the dataset's output directory name"),
+    "grid": (_object(_GRID, GridSpec), None, "object, the geometry every file of the dataset must have"),
+}
+_HURRICANE = {
+    "name": (_string, _REQUIRED, "string"),
+    "event_month": (MonthIndex.parse, _REQUIRED, '`"YYYY-MM"`'),
+}
+_RUN = {
+    "datasets": (_each(_object(_DATASET, _dataset)), _REQUIRED, "array of objects, at least one"),
+    "zones": (_path, _REQUIRED, "path string of the zones GeoJSON file"),
+    "hurricanes": (_each(_object(_HURRICANE, dict)), _REQUIRED, "array of objects, at least one"),
+    "configs": (_labels, "all", '`"all"` or a non-empty array of label strings'),
+    "output_dir": (_path, "out", "path string"),
+    "min_damage": (_number, 0.01, "number, the damage ratio below which a zone is left out"),
+    "case_study_k": (_integer(1), 3, "integer, at least 1, the zones at each end of the case study"),
+    **_WINDOW,
+    "population_band": (_population_band, None, "two integers `[lo, hi]`, `lo <= hi`, the case study's filter"),
+    "tunables": (_fixed_settings, None, "refused: the pre-processing settings are fixed"),
+    "jobs": (None, None, "ignored, accepted from older configs"),
+}
+_TILING = {
+    "nx": (_integer(1), _REQUIRED, "integer, the tiles across"),
+    "ny": (_integer(1), _REQUIRED, "integer, the tiles down"),
+    "damage_ratios": (_each(_number), _REQUIRED, "array of numbers, one per tile, row-major from top-left"),
+    "populations": (_each(_integer()), None, "array of integers, one per tile"),
+}
+_ZONE = {
+    "zone_id": (_string, _REQUIRED, "string"),
+    "damage_ratio": (_number, _REQUIRED, "number in [0, 1]"),
+    "rect": (lambda rect: rect_ring(*map(_number, rect)), None, "four numbers `[x0, y0, x1, y1]`"),
+    "rings": (_each(_each(_each(_number))), None, "array of rings of `[x, y]` numbers, in place of `rect`"),
+    "population": (_integer(), 0, "integer"),
+}
+_NOISE = {
+    "gaussian_sigma": (_number, 0.0, "number, the sigma of multiplicative sensor noise"),
+    "cloud_rate": (_numbers, 0.0, "number, or one per window month: the share of flagged, corrupted cells"),
+    "corruption_scale": (_number, 0.0, "number, the relative size of a flagged corruption"),
+    "bloom_rate": (_number, 0.0, "number, the share of unflagged blooming cells"),
+    "bloom_lo": (_number, 60.0, "number, a bloom's least radiance"),
+    "bloom_hi": (_number, 500.0, "number, a bloom's greatest radiance"),
+    "built_fraction": (lambda path: as_float(read_grid(_path(path))), None, "path of a grid on the scene's grid"),
+}
+_SCENE = {
+    "seed": (_integer(0), _REQUIRED, "non-negative integer"),
+    "dataset": (_dataset_kind, "VSC-NTL", '`"VSC-NTL"` or `"VNP46A2"`'),
+    "grid": (_object(_GRID, GridSpec), _REQUIRED, "object, the scene's geometry"),
+    "event_month": (MonthIndex.parse, _REQUIRED, '`"YYYY-MM"`'),
+    **_WINDOW,
+    "zones": (_zones, _REQUIRED, "object, an `nx` by `ny` tiling, or an array of zone objects"),
+    "base_radiance": (_numbers, _REQUIRED, "number, or an array of one number per zone"),
+    "drop_gain": (_number, 1.0, "number, the event month's drop per unit of damage ratio"),
+    "noise": (_object(_NOISE, _noise), {}, "object, the noise channels"),
+}
 
 
 def _parse_json(path, parse):
-    """``parse(doc, directory)`` for the JSON file at path; errors name the file."""
+    """``parse(doc)`` for the JSON file at path, paths resolving against its directory; errors name the file."""
     path = Path(path)
     try:
         with open(path) as fh:
@@ -181,10 +308,13 @@ def _parse_json(path, parse):
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    token = _ROOT.set(path.parent)
     try:
-        return parse(doc, path.parent)
+        return parse(doc)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    finally:
+        _ROOT.reset(token)
 
 
 def _check_names(names, where):
@@ -196,162 +326,52 @@ def _check_names(names, where):
             raise ConfigError(f"{where}: {name!r} is not a single path component")
 
 
-def _configs(kind, labels):
-    """The PipelineConfigs a run asks of one dataset kind, in order."""
+def _configs(dataset, labels):
+    """The PipelineConfigs a run asks of one dataset, in order."""
     if labels == "all":
-        return enumerate_configs(kind)
-    if not isinstance(labels, list) or not labels:
-        raise ValueError("must be 'all' or a non-empty list of labels")
-    configs = tuple(config_from_label(kind, str(label)) for label in labels)
+        return enumerate_configs(dataset.kind)
+    configs = tuple(config_from_label(dataset.kind, str(label)) for label in labels)
     if len({config.label for config in configs}) != len(configs):
         raise ValueError(f"{labels} names one combination twice")
     return configs
 
 
-_GRID_KEYS = ("ncols", "nrows", "x_origin", "y_origin", "cell_size")
-_DATASET_KEYS = ("kind", "raster_dir", "quality_dir", "name", "grid")
-_HURRICANE_KEYS = ("name", "event_month")
-# "jobs" is read by nothing; it is accepted for run configs that still carry it
-_RUN_KEYS = (
-    "datasets",
-    "zones",
-    "hurricanes",
-    "configs",
-    "output_dir",
-    "min_damage",
-    "case_study_k",
-    "months_before",
-    "months_after",
-    "population_band",
-    "tunables",
-    "jobs",
-)
-
-
-def _run_grid(obj):
-    _closed(obj, _GRID_KEYS)
-    return _grid_spec_from_json(obj)
-
-
-def _dataset_from_json(entry, root):
-    _closed(entry, _DATASET_KEYS)
-    kind = _require(entry, "kind", _dataset_kind)
-    raster_dir = _require(entry, "raster_dir", root.joinpath)
-    return DatasetConfig(
-        name=_require(entry, "name", _string, kind.value),
-        kind=kind,
-        raster_dir=raster_dir,
-        quality_dir=_require(entry, "quality_dir", root.joinpath, raster_dir),
-        expected_grid=_require(entry, "grid", _run_grid, None),
-    )
-
-
-def _population_band(band):
-    low, high = map(_integer(), band)
-    if low > high:
-        raise ValueError(f"low {low} is above high {high}")
-    return low, high
-
-
-def _run_config(doc, root):
-    _closed(doc, _RUN_KEYS)
-    datasets = _require(doc, "datasets", _each(lambda entry: _dataset_from_json(entry, root)), ())
+def _run_config(datasets, zones, hurricanes, configs, months_before, months_after, tunables, jobs, **values):
     if not datasets:
         raise ConfigError("at least one dataset is required")
     _check_names([d.kind.value for d in datasets], "dataset kinds")
     _check_names([d.name for d in datasets], "dataset names")
-
-    event_window = _event_window(doc)
-
-    def hurricane(entry):
-        _closed(entry, _HURRICANE_KEYS)
-        return Hurricane(_require(entry, "name", _string), _require(entry, "event_month", event_window))
-
-    hurricanes = _require(doc, "hurricanes", _each(hurricane), ())
+    hurricanes = tuple(
+        Hurricane(h["name"], EventWindow(h["event_month"], months_before, months_after)) for h in hurricanes
+    )
     if not hurricanes:
         raise ConfigError("at least one hurricane is required")
     _check_names([h.name for h in hurricanes], "hurricane names")
-
-    if "tunables" in doc:
-        # refused, not ignored: dropping it would change the results of a run that relied on it
-        raise ConfigError(
-            f"tunables: pre-processing settings are fixed (threshold [{THRESHOLD_LO}, {THRESHOLD_HI}], "
-            f"built fraction >= {BUILT_FRACTION_MIN}, imputation window {IMPUTATION_WINDOW_MONTHS} months); "
-            "remove this key"
-        )
-
-    def with_configs(labels):
-        return tuple((d, _configs(d.kind, labels)) for d in datasets)
-
     return RunConfig(
-        datasets=_require(doc, "configs", with_configs, with_configs("all")),
-        zones_path=_require(doc, "zones", root.joinpath),
+        datasets=_require(
+            {"configs": configs}, "configs", lambda labels: tuple((d, _configs(d, labels)) for d in datasets)
+        ),
+        zones_path=zones,
         hurricanes=hurricanes,
-        output_dir=_require(doc, "output_dir", root.joinpath, root / "out"),
         load_range=(
             min(h.window.start for h in hurricanes) - IMPUTATION_WINDOW_MONTHS,
             max(h.window.end for h in hurricanes),
         ),
-        min_damage=_require(doc, "min_damage", _number, 0.01),
-        case_study_k=_require(doc, "case_study_k", _integer(1), 3),
-        population_band=_require(doc, "population_band", _population_band, (None, None)),
+        **values,
     )
 
 
 def parse_run_config(path):
     """Parse a run config JSON file, resolving configs, windows and load range."""
-    return _parse_json(path, _run_config)
+    return _parse_json(path, _object(_RUN, _run_config))
 
 
-def _zone_from_json(obj):
-    rect = _require(obj, "rect", lambda rect: rect_ring(*map(_number, rect)), None)
-    return Zone(
-        zone_id=_require(obj, "zone_id", _string),
-        rings=(rect,) if rect is not None else _require(obj, "rings"),
-        damage_ratio=_require(obj, "damage_ratio", _number),
-        population=_require(obj, "population", _integer(), 0),
-    )
-
-
-def _scene_zones(zones, grid):
-    """Converter for a scene's zones: an nx by ny tiling, or a list of zones."""
-    if not isinstance(zones, dict):
-        return _each(_zone_from_json)(zones)
-    return tile_zones(
-        grid,
-        _require(zones, "nx", _integer()),
-        _require(zones, "ny", _integer()),
-        _require(zones, "damage_ratios"),
-        _require(zones, "populations", _each(_integer()), None),
-    )
-
-
-def _noise_from_json(obj, root):
-    return NoiseSpec(
-        gaussian_sigma=_require(obj, "gaussian_sigma", _number, 0.0),
-        cloud_rate=_require(obj, "cloud_rate", _numbers, 0.0),
-        corruption_scale=_require(obj, "corruption_scale", _number, 0.0),
-        bloom_rate=_require(obj, "bloom_rate", _number, 0.0),
-        bloom_lo=_require(obj, "bloom_lo", _number, 60.0),
-        bloom_hi=_require(obj, "bloom_hi", _number, 500.0),
-        built_fraction_map=_require(obj, "built_fraction", lambda p: as_float(read_grid(root / p)), None),
-    )
-
-
-def _scene_spec(doc, root):
-    grid = _require(doc, "grid", _grid_spec_from_json)
-    return SceneSpec(
-        seed=_require(doc, "seed", _integer(0)),
-        grid=grid,
-        zones=_require(doc, "zones", lambda zones: _scene_zones(zones, grid)),
-        months=_require(doc, "event_month", _event_window(doc)),
-        base_radiance=_require(doc, "base_radiance", _numbers),
-        dataset=_require(doc, "dataset", _dataset_kind, Dataset.VSC_NTL),
-        drop_gain=_require(doc, "drop_gain", _number, 1.0),
-        noise=_require(doc, "noise", lambda noise: _noise_from_json(noise, root), NoiseSpec()),
-    )
+def _scene_spec(grid, zones, event_month, months_before, months_after, **values):
+    zones = _require({"zones": zones}, "zones", lambda z: tile_zones(grid, **z) if isinstance(z, dict) else z)
+    months = EventWindow(event_month, months_before, months_after)
+    return SceneSpec(grid=grid, zones=zones, months=months, **values)
 
 
 def parse_scene_spec(path):
     """Parse a scene spec JSON file into a SceneSpec."""
-    return _parse_json(path, _scene_spec)
+    return _parse_json(path, _object(_SCENE, _scene_spec))

@@ -13,7 +13,8 @@ grid when it has one, else that of the first radiance file read. The
 loader checks each file whole, then keeps only the cells some zone
 covers: the chain's stages are all pixel-local, so a month is carried as
 one row of those cells, and a zone as its positions within the row. A
-cell outside every zone is read and checked, never held.
+cell outside every zone is read and checked, never held. When the zones
+cover every cell, a month is the grid as read.
 """
 
 import os
@@ -128,9 +129,11 @@ def load_dataset(dataset, month_lo, month_hi, need_quality, zones):
     zone_columns(zones, reference grid) by its cut, as simulate's oracle
     cuts its scene, daily files before they are composited: each raster
     returned is one row of those cells, in the grid's row-major order, at
-    the reference grid's origin and cell size. Returns (radiance stack,
-    quality stack or None, built fraction or None, positions), where
-    positions maps each zone_id to its cells' positions within that row.
+    the reference grid's origin and cell size, or, when the zones cover
+    every cell, the grid as read. Returns (radiance stack, quality stack
+    or None, built fraction or None, positions), where positions maps each
+    zone_id to its cells' positions within that row, or its row-major flat
+    indices on the whole grid.
     Every stage of the chain, the daily composites included, is
     pixel-local, so the cells no zone covers are never needed.
 

@@ -319,8 +319,9 @@ def recovered_pccs(scene, configs, min_damage=0.01):
     reads; every stage is pixel-local, so each pcc equals the chain's on
     the whole grids. The cut is made before this returns, and the
     iterator holds no reference to the scene, so a caller can release the
-    whole grids before the chain runs. A scene check_scorable refuses
-    raises its ConfigError instead.
+    whole grids before the chain runs; where the zones cover every cell,
+    the cut is the scene's own grids, and nothing is copied. A scene
+    check_scorable refuses raises its ConfigError instead.
     """
     spec = scene.spec
     check_scorable(spec)

@@ -230,7 +230,13 @@ class ZoneColumns:
     positions: dict
 
     def cut(self, grid):
-        """A raster on the zones' grid, cut down to ``cells``: one of the same type on ``row``."""
+        """A raster on the zones' grid, cut down to ``cells``: one of the same type on ``row``.
+
+        When ``cells`` is every cell of the grid, the cut is ``grid`` itself,
+        not a copy: its row-major flat indices are then the positions.
+        """
+        if self.cells.size == grid.spec.size:
+            return grid
         return type(grid)(self.row, grid.values.ravel()[self.cells], grid.missing.ravel()[self.cells])
 
 
@@ -242,7 +248,8 @@ def zone_columns(zones, spec):
     rasterize_zone. ``positions`` maps each zone_id, in zone order, to the
     zone's inside cells as ascending positions within ``cells``. ``row``
     is the one-row GridSpec of ``cells``, at the grid's origin and cell
-    size, and ``cut`` takes a raster on ``spec`` down to it. Taking
+    size, and ``cut`` takes a raster on ``spec`` down to it, or leaves it
+    whole when ``cells`` is every cell. Taking
     ``cells`` keeps row-major order, so zonal_means on a cut raster sums
     each zone's values in zonal_mean's order. When no zone covers a
     pixel-centre, ``cells`` is cell 0 alone, named by no zone, so a cut

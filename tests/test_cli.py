@@ -51,6 +51,9 @@ VSC_SCENE = {
     "noise": {"gaussian_sigma": 0.05, "cloud_rate": 0.1, "corruption_scale": 1.0},
 }
 
+TILE_DAMAGE = VSC_SCENE["zones"]["damage_ratios"]
+ZONE_A = {"zone_id": "A", "damage_ratio": 0.1}  # a scene zone without its rect or rings
+
 VNP_SCENE = {
     "seed": 8,
     "dataset": "VNP46A2",
@@ -237,7 +240,28 @@ class TestImportsPerCommand:
 
 
 class TestSimulateMemory:
-    def test_whole_scene_is_released_before_the_oracle_runs(self, tmp_path, monkeypatch):
+    # three zones along the bottom of the 12x12 grid: the oracle cuts the scene down to a third of it
+    PARTIAL_SCENE = dict(
+        VSC_SCENE,
+        base_radiance=20.0,
+        zones=[{"zone_id": f"P{i}", "damage_ratio": 0.1 * i + 0.1, "rect": [4 * i, 0, 4 * i + 4, 4]} for i in range(3)],
+    )
+
+    def test_whole_cover_cut_is_the_scene_itself(self, tmp_path, monkeypatch):
+        uncopied = []
+        recovered_pccs = cli.recovered_pccs
+
+        def recording(scene, configs):
+            grids = (*scene.radiance.grids, *scene.quality.grids, scene.built_fraction)
+            uncopied.extend(scene.columns.cut(grid) is grid for grid in grids)
+            return recovered_pccs(scene, configs)
+
+        monkeypatch.setattr(cli, "recovered_pccs", recording)
+        scene = write_json(tmp_path / "scene.json", VSC_SCENE)
+        assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 0
+        assert len(uncopied) == 51 and all(uncopied)
+
+    def test_cut_scene_is_released_before_the_oracle_runs(self, tmp_path, monkeypatch):
         alive = []
         recovered_pccs = cli.recovered_pccs
 
@@ -252,7 +276,7 @@ class TestSimulateMemory:
             return checked()
 
         monkeypatch.setattr(cli, "recovered_pccs", recording)
-        scene = write_json(tmp_path / "scene.json", VSC_SCENE)
+        scene = write_json(tmp_path / "scene.json", self.PARTIAL_SCENE)
         assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 0
         assert alive == [False]
 
@@ -997,6 +1021,7 @@ class TestMalformedValues:
             ("seed", True, "seed"),
             ("grid", {**VSC_SCENE["grid"], "ncols": 12.5}, "grid: ncols"),
             ("zones", {**VSC_SCENE["zones"], "nx": 3.5}, "zones: nx"),
+            ("zones", {"nx": 0, "ny": 2, "damage_ratios": []}, "zones: nx"),
             ("zones", {**VSC_SCENE["zones"], "populations": [1.5] * 6}, "zones: populations[0]"),
             (
                 "zones",
@@ -1016,12 +1041,47 @@ class TestMalformedValues:
             ("noise", {"gaussian_sigma": math.nan}, "noise: gaussian_sigma"),
             ("zones", [{"zone_id": "A", "damage_ratio": math.nan, "rect": [0, 0, 4, 4]}], "zones[0]: damage_ratio"),
             ("zones", [{"zone_id": "A", "damage_ratio": 0.1, "rect": [0, 0, math.inf, 4]}], "zones[0]: rect"),
+            ("zones", {**VSC_SCENE["zones"], "damage_ratios": ["0.05", *TILE_DAMAGE[1:]]}, "zones: damage_ratios[0]"),
+            ("zones", {**VSC_SCENE["zones"], "damage_ratios": [0.0, True, *TILE_DAMAGE[2:]]}, "zones: damage_ratios[1]"),
+            ("zones", [{**ZONE_A, "rings": [[[0, 0], [4, "0"], [4, 4]]]}], "zones[0]: rings[0][1][1]"),
+            ("zones", [{**ZONE_A, "rings": [[[0, 0], [4, 0], [True, 4]]]}], "zones[0]: rings[0][2][0]"),
+            ("zones", [{**ZONE_A, "rings": [[0, 0, 4, 4]]}], "zones[0]: rings[0][0]"),
         ],
     )
     def test_scene_spec_value_writes_nothing(self, tmp_path, capsys, key, value, named):
         scene = write_json(tmp_path / "scene.json", {**VSC_SCENE, key: value})
         assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 1
         self.assert_one_error(capsys.readouterr().err, scene, named)
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("population_band", 5, "population_band: must be an array of two integers, got 5"),
+            ("population_band", [1, 2, 3], "population_band: must be an array of two integers, got [1, 2, 3]"),
+            ("hurricanes", {"name": "S"}, "hurricanes: must be an array, got {'name': 'S'}"),
+        ],
+    )
+    def test_run_config_array_of_the_wrong_kind(self, tmp_path, capsys, key, value, message):
+        config = write_json(tmp_path / "run.json", {**run_config_doc(), key: value})
+        assert main(["validate", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "zones, message",
+        [
+            ({**VSC_SCENE["zones"], "damage_ratios": 0.5}, "zones: damage_ratios: must be an array, got 0.5"),
+            (
+                [{**ZONE_A, "rect": [0, 0, 4, 4], "rings": [[[0, 0], [4, 0], [4, 4]]]}],
+                "zones[0]: give rect or rings, not both",
+            ),
+            ([ZONE_A], "zones[0]: missing required key 'rings'"),
+        ],
+    )
+    def test_scene_zones_of_the_wrong_shape(self, tmp_path, capsys, zones, message):
+        scene = write_json(tmp_path / "scene.json", {**VSC_SCENE, "zones": zones})
+        assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 1
+        assert capsys.readouterr().err == f"error: {scene}: {message}\n"
         assert not (tmp_path / "sim").exists()
 
     def test_tunables_key_names_the_fixed_values(self, tmp_path, capsys):
@@ -1130,6 +1190,32 @@ class TestUnknownRunKeys:
             assert main([command, "--config", str(config)]) == 1
             assert capsys.readouterr().err == f"error: {config}: {path}: unknown key; {hint}\n"
         assert not (tmp_path / "out").exists()
+
+
+class TestUnknownSceneKeys:
+    """A key scene.json does not read is refused at every level, naming the closest key it does read."""
+
+    @pytest.mark.parametrize(
+        "edit, path, hint",
+        [
+            (lambda doc: doc.update(months_befor=3), "months_befor", "did you mean 'months_before'?"),
+            (lambda doc: doc["grid"].update(cellsize=1.0), "grid: cellsize", "did you mean 'cell_size'?"),
+            (lambda doc: doc["zones"].update(population=[1] * 6), "zones: population", "did you mean 'populations'?"),
+            (
+                lambda doc: doc.update(zones=[{**ZONE_A, "rect": [0, 0, 4, 4], "zoneid": "B"}]),
+                "zones[0]: zoneid",
+                "did you mean 'zone_id'?",
+            ),
+            (lambda doc: doc["noise"].update(gausian_sigma=0.5), "noise: gausian_sigma", "did you mean 'gaussian_sigma'?"),
+        ],
+    )
+    def test_simulate_writes_nothing(self, tmp_path, capsys, edit, path, hint):
+        doc = json.loads(json.dumps(VSC_SCENE))
+        edit(doc)
+        scene = write_json(tmp_path / "scene.json", doc)
+        assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 1
+        assert capsys.readouterr().err == f"error: {scene}: {path}: unknown key; {hint}\n"
+        assert not (tmp_path / "sim").exists()
 
 
 class TestConfigErrors:

@@ -32,10 +32,8 @@ from ntlpipe.layout import DatasetConfig, dataset_files, load_dataset, scan_data
 GRID = GridSpec(ncols=6, nrows=5, x_origin=10.0, y_origin=-3.0, cell_size=0.5)
 WINDOW = EventWindow(MonthIndex(2018, 10), 3, 2)
 HEADER = "ncols 6\nnrows 5\nxllcorner 10.0\nyllcorner -3.0\ncellsize 0.5\nNODATA_value -9999\n"
-# covers every cell of GRID, so a load keeps the whole grid as one row
+# covers every cell of GRID, so a load holds each grid as read, uncut
 WHOLE = (Zone("ALL", (rect_ring(10.0, -3.0, 13.0, -0.5),), 0.1),)
-# the one row a load holds for WHOLE: every cell, at GRID's origin and cell size
-ROW = GridSpec(ncols=GRID.size, nrows=1, x_origin=10.0, y_origin=-3.0, cell_size=0.5)
 
 
 def load(dataset, month_lo=WINDOW.start, month_hi=WINDOW.end, need_quality=True):
@@ -43,16 +41,6 @@ def load(dataset, month_lo=WINDOW.start, month_hi=WINDOW.end, need_quality=True)
     radiance, quality_stack, built, positions = load_dataset(dataset, month_lo, month_hi, need_quality, WHOLE)
     assert positions["ALL"].tolist() == list(range(GRID.size))
     return radiance, quality_stack, built
-
-
-def as_row(grid):
-    """A raster on GRID as a WHOLE load holds it: its cells in row-major order, as one row on ROW."""
-    return type(grid)(ROW, grid.values.ravel(), grid.missing.ravel())
-
-
-def cells(grid):
-    """A whole-grid load's row of cells on GRID's shape."""
-    return grid.values.reshape(GRID.shape)
 
 
 def written_scene(directory, kind):
@@ -77,10 +65,10 @@ def test_written_scene_loads_back_exactly(tmp_path, kind):
     scene, dataset = written_scene(tmp_path, kind)
     radiance, quality, built = load(dataset)
     assert radiance.months == scene.radiance.months
-    assert radiance.grids == tuple(map(as_row, scene.radiance.grids))
+    assert radiance.grids == scene.radiance.grids
     assert quality.months == scene.quality.months
-    assert quality.grids == tuple(map(as_row, scene.quality.grids))
-    assert built == as_row(scene.built_fraction)
+    assert quality.grids == scene.quality.grids
+    assert built == scene.built_fraction
 
 
 def test_malformed_grid_is_named(tmp_path):
@@ -111,8 +99,8 @@ def test_negative_integer_radiance_loads_as_real_values(tmp_path):
     header = "ncols 6\nnrows 5\nxllcorner 10.0\nyllcorner -3.0\ncellsize 0.5\nNODATA_value -9999\n"
     (tmp_path / "2018-10.asc").write_text(header + "\n".join(["3 -4 5 6 7 8"] * 5) + "\n")
     radiance, _, _ = load(dataset)
-    assert cells(radiance.get(MonthIndex(2018, 10)))[:, :2].tolist() == [[3.0, -4.0]] * 5
-    assert radiance.get(MonthIndex(2018, 9)) == as_row(scene.radiance.get(MonthIndex(2018, 9)))
+    assert radiance.get(MonthIndex(2018, 10)).values[:, :2].tolist() == [[3.0, -4.0]] * 5
+    assert radiance.get(MonthIndex(2018, 9)) == scene.radiance.get(MonthIndex(2018, 9))
 
 
 @pytest.mark.parametrize("kind", list(Dataset))
@@ -168,7 +156,7 @@ class TestDailyMonth:
         assert sorted(read) == sorted(p.name for p in tmp_path.iterdir())
         assert len(read) == 6
         high, low = VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
-        assert cells(quality_stack.get(month))[0].tolist() == [high, low, high, high, high, low]
+        assert quality_stack.get(month).values[0].tolist() == [high, low, high, high, high, low]
 
     def test_integer_daily_radiance_composites_as_real_values(self, tmp_path):
         rows = ["3 5 -9999 1 2 -9999", "7 5 2 1 2 -9999", "4 -9999 -9999 1 8 -9999"]
@@ -177,8 +165,8 @@ class TestDailyMonth:
         radiance, _, _ = load(dataset, month, month, need_quality=False)
         composite = radiance.get(month)
         assert composite.values.dtype == np.float64
-        assert cells(composite)[0, :5].tolist() == [4.0, 5.0, 2.0, 1.0, 2.0]
-        assert composite.missing.reshape(GRID.shape)[0].tolist() == [False] * 5 + [True]
+        assert composite.values[0, :5].tolist() == [4.0, 5.0, 2.0, 1.0, 2.0]
+        assert composite.missing[0].tolist() == [False] * 5 + [True]
 
     def test_fractional_daily_quality_word_is_low_quality(self, tmp_path):
         words = ["50.5 50 50 50 50 50", "50.5 50 50 50 50 50", "50 50 50 50 50 50.5"]
@@ -186,13 +174,13 @@ class TestDailyMonth:
         month = MonthIndex(2018, 10)
         _, quality_stack, _ = load(dataset, month, month, need_quality=True)
         high, low = VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
-        assert cells(quality_stack.get(month))[0].tolist() == [low, high, high, high, high, high]
+        assert quality_stack.get(month).values[0].tolist() == [low, high, high, high, high, high]
 
     def test_huge_daily_radiance_composites_to_a_finite_month(self, tmp_path):
         dataset = daily_month(tmp_path, ["1e308 1 1 1 1 1"] * 3, ["50 50 50 50 50 50"] * 3)
         month = MonthIndex(2018, 10)
         radiance, _, _ = load(dataset, month, month, need_quality=False)
-        assert cells(radiance.get(month))[:, 0].tolist() == [1e308] * 5
+        assert radiance.get(month).values[:, 0].tolist() == [1e308] * 5
 
 
 # high-quality words (50, 51, 114, 115), valid low-quality ones, and reserved ones

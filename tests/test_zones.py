@@ -411,6 +411,17 @@ class TestZoneColumns:
             assert cells[positions[zone_id]].tolist() == index.tolist()
         assert positions["D"].size == 0
 
+    def test_cut_keeps_a_whole_cover_grid_and_copies_a_partial_one(self):
+        grid = RasterGrid(self.SPEC, np.arange(self.SPEC.size, dtype=float), np.arange(self.SPEC.size) == 29)
+        whole = zone_columns([Zone("ALL", (rect_ring(0.0, 0.0, 7.0, 5.0),), 0.1)], self.SPEC)
+        assert whole.cut(grid) is grid
+        assert whole.positions["ALL"].tolist() == list(range(self.SPEC.size))
+        part = zone_columns([Zone("A", (rect_ring(0.0, 0.0, 3.0, 2.0),), 0.1)], self.SPEC)
+        cut = part.cut(grid)
+        assert cut.spec == part.row
+        assert cut.missing.ravel().tolist() == [False, False, False, False, True, False]
+        assert cut.values.ravel()[~cut.missing.ravel()].tolist() == [21.0, 22.0, 23.0, 28.0, 30.0]
+
     @pytest.mark.parametrize("zones", [[], [Zone("D", (rect_ring(20.0, 20.0, 21.0, 21.0),), 0.4)]])
     def test_no_covered_cell_keeps_cell_zero(self, zones):
         columns = zone_columns(zones, self.SPEC)
