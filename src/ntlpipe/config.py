@@ -200,6 +200,12 @@ def _population_band(band):
     return low, high
 
 
+def _rect(rect):
+    if not (isinstance(rect, list) and len(rect) == 4):
+        raise ValueError(f"must be an array of four numbers, got {rect!r}")
+    return rect_ring(*map(_number, rect))
+
+
 def _fixed_settings(_):
     """Refuses ``tunables``: ignoring it would change the results of a run that relied on it."""
     raise ValueError(
@@ -272,7 +278,7 @@ _TILING = {
 _ZONE = {
     "zone_id": (_string, _REQUIRED, "string"),
     "damage_ratio": (_number, _REQUIRED, "number in [0, 1]"),
-    "rect": (lambda rect: rect_ring(*map(_number, rect)), None, "four numbers `[x0, y0, x1, y1]`"),
+    "rect": (_rect, None, "four numbers `[x0, y0, x1, y1]`"),
     "rings": (_each(_each(_each(_number))), None, "array of rings of `[x, y]` numbers, in place of `rect`"),
     "population": (_integer(), 0, "integer"),
 }

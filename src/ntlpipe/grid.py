@@ -93,34 +93,53 @@ class GridSpec:
 
 
 def _normalize_raster(spec, values, missing, dtype):
-    vals = np.array(values, copy=True)
-    if vals.ndim == 1 and vals.size == spec.size:
-        vals = vals.reshape(spec.shape)
-    if vals.shape != spec.shape:
-        raise ValueError(f"values shape {vals.shape} does not match grid {spec.shape}")
+    """(values, missing) of a raster on ``spec``, or of a stack of rasters (months first), checked and frozen.
+
+    Works in place, on arrays that own their memory, so nothing can make them writeable again. Values under
+    missing cells are zeroed (they are never read), then every cell is checked, so no check copies the values.
+    """
+    if values.shape[-2:] != spec.shape or values.ndim > 3:
+        raise ValueError(f"values shape {values.shape} does not match grid {spec.shape}")
     if missing is None:
-        miss = np.zeros(spec.shape, dtype=bool)
-    else:
-        miss = np.array(missing, dtype=bool, copy=True)
-        if miss.ndim == 1 and miss.size == spec.size:
-            miss = miss.reshape(spec.shape)
-        if miss.shape != spec.shape:
-            raise ValueError(f"missing mask shape {miss.shape} does not match grid {spec.shape}")
-    if dtype == np.int64 and np.issubdtype(vals.dtype, np.floating):
-        if not np.all(vals[~miss] == np.floor(vals[~miss])):
-            raise ValueError("integer raster given non-integral values")
-    vals = vals.astype(dtype, copy=False)  # vals is already a copy
-    if dtype == np.float64 and not np.all(np.isfinite(vals[~miss])):
+        missing = np.zeros(values.shape, dtype=bool)
+    if missing.shape != values.shape:
+        raise ValueError(f"missing mask shape {missing.shape} does not match values {values.shape}")
+    np.copyto(values, 0, where=missing)  # so equal rasters compare bit-identically
+    if dtype == np.int64 and np.issubdtype(values.dtype, np.floating) and (values != np.floor(values)).any():
+        raise ValueError("integer raster given non-integral values")
+    values = values.astype(dtype, copy=False)
+    if dtype == np.float64 and not np.isfinite(values).all():
         raise ValueError("non-finite value in a valid cell")
-    if dtype == np.int64 and np.any(vals[~miss] < 0):
+    if dtype == np.int64 and (values < 0).any():
         raise ValueError("integer raster values must be non-negative")
-    vals[miss] = 0  # value under a missing cell is never read; zero for stable equality
-    vals.flags.writeable = False
-    miss.flags.writeable = False
-    return vals, miss
+    values.flags.writeable = False
+    missing.flags.writeable = False
+    return values, missing
+
+
+def _owned(array, spec, dtype=None):
+    """A copy of ``array`` for a raster on ``spec`` to own; a flat row-major array takes the grid's shape."""
+    array = np.asarray(array)
+    return np.array(array.reshape(spec.shape) if array.shape == (spec.size,) else array, dtype=dtype)
 
 
 class _RasterMixin:
+    def __post_init__(self):
+        missing = None if self.missing is None else _owned(self.missing, self.spec, bool)
+        values, missing = _normalize_raster(self.spec, _owned(self.values, self.spec), missing, self._dtype)
+        self.__dict__.update(values=values, missing=missing)
+
+    @classmethod
+    def _view(cls, spec, values, missing):
+        """A raster over arrays already checked and frozen, such as a month of a stack: shared, not copied."""
+        raster = object.__new__(cls)
+        raster.__dict__.update(spec=spec, values=values, missing=missing)
+        return raster
+
+    def with_values(self, values, missing=None):
+        """New raster of the same type on the same spec with replacement values/mask."""
+        return type(self)(self.spec, values, missing)
+
     @property
     def valid(self):
         """Boolean array, True where the cell holds a usable observation."""
@@ -165,15 +184,7 @@ class RasterGrid(_RasterMixin):
     spec: GridSpec
     values: np.ndarray
     missing: np.ndarray = None
-
-    def __post_init__(self):
-        vals, miss = _normalize_raster(self.spec, self.values, self.missing, np.float64)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "missing", miss)
-
-    def with_values(self, values, missing=None):
-        """New grid on the same spec with replacement values/mask."""
-        return RasterGrid(self.spec, values, missing)
+    _dtype = np.float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,14 +194,7 @@ class IntRaster(_RasterMixin):
     spec: GridSpec
     values: np.ndarray
     missing: np.ndarray = None
-
-    def __post_init__(self):
-        vals, miss = _normalize_raster(self.spec, self.values, self.missing, np.int64)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "missing", miss)
-
-    def with_values(self, values, missing=None):
-        return IntRaster(self.spec, values, missing)
+    _dtype = np.int64
 
 
 def as_float(grid):

@@ -11,10 +11,10 @@ explicit monthly file always wins over daily files for the same month.
 Every grid one load reads shares one geometry: the dataset's configured
 grid when it has one, else that of the first radiance file read. The
 loader checks each file whole, then keeps only the cells some zone
-covers: the chain's stages are all pixel-local, so a month is carried as
-one row of those cells, and a zone as its positions within the row. A
-cell outside every zone is read and checked, never held. When the zones
-cover every cell, a month is the grid as read.
+covers: the chain's stages are all pixel-local, so a stack is carried as
+one (months x cells) cube of those cells, and a zone as its positions
+within a month's row. A cell outside every zone is read and checked,
+never held. When the zones cover every cell, a month is the grid as read.
 """
 
 import os
@@ -127,14 +127,14 @@ def load_dataset(dataset, month_lo, month_hi, need_quality, zones):
 
     Every file is read and checked whole, then cut down to the cells of
     zone_columns(zones, reference grid) by its cut, as simulate's oracle
-    cuts its scene, daily files before they are composited: each raster
-    returned is one row of those cells, in the grid's row-major order, at
-    the reference grid's origin and cell size, or, when the zones cover
-    every cell, the grid as read. Returns (radiance stack, quality stack
-    or None, built fraction or None, positions), where positions maps each
-    zone_id to its cells' positions within that row, or its row-major flat
-    indices on the whole grid.
-    Every stage of the chain, the daily composites included, is
+    cuts its scene, daily files before they are composited, and copied
+    into a preallocated (months x cells) cube: a month is one row of those
+    cells, in the grid's row-major order, at the reference grid's origin
+    and cell size, or, when the zones cover every cell, the grid as read.
+    Returns (radiance stack, quality stack or None, built fraction or
+    None, positions), where positions maps each zone_id to its cells'
+    positions within that row, or its row-major flat indices on the whole
+    grid. Every stage of the chain, the daily composites included, is
     pixel-local, so the cells no zone covers are never needed.
 
     Daily files aggregate to monthly composites. Radiance grids are
@@ -166,18 +166,12 @@ def load_dataset(dataset, month_lo, month_hi, need_quality, zones):
             columns = zone_columns(zones, reference)
         return columns.cut(grid)
 
-    def read_quality(path):
-        return read(path, _check_quality)
-
     months = tuple(m for m in sorted(radiance_files) if month_lo <= m <= month_hi)
     if not months:
         raise ConfigError(
             f"no radiance months found in {dataset.raster_dir} within {month_lo}..{month_hi}"
         )
-    radiance = RasterStack(
-        months,
-        [as_float(_month_grid(radiance_files[m], read, monthly_median_composite)) for m in months],
-    )
+    radiance = _stack(months, radiance_files, lambda p: as_float(read(p)), monthly_median_composite)
 
     quality = None
     if need_quality:
@@ -187,18 +181,23 @@ def load_dataset(dataset, month_lo, month_hi, need_quality, zones):
                 f"quality filtering requested but quality files are missing "
                 f"for months: {', '.join(absent)}"
             )
-        quality = RasterStack(
-            months,
-            [_month_grid(quality_files[m], read_quality, _majority_quality_composite) for m in months],
-        )
+        quality = _stack(months, quality_files, lambda p: read(p, _check_quality), _majority_quality_composite)
 
     built = as_float(read(dataset.built_path)) if dataset.built_path.is_file() else None
     return radiance, quality, built, columns.positions
 
 
-def _month_grid(source, read, composite):
-    """A month's grid: its monthly file, or the composite of its daily files."""
-    return composite([read(p) for p in source]) if isinstance(source, list) else read(source)
+def _stack(months, files, read, composite):
+    """RasterStack of each month's file or daily composite, copied into one cube (np.stack's type) as read."""
+    for i, month in enumerate(months):
+        source = files[month]
+        grid = composite([read(p) for p in source]) if isinstance(source, list) else read(source)
+        if i == 0:
+            values = np.empty((len(months), *grid.spec.shape), grid.values.dtype)
+            missing = np.empty(values.shape, dtype=bool)
+        values = values.astype(np.promote_types(values.dtype, grid.values.dtype), copy=False)
+        values[i], missing[i] = grid.values, grid.missing
+    return RasterStack.from_cube(months, grid.spec, values, missing)
 
 
 def dataset_files(directory, radiance, quality, built):

@@ -95,7 +95,7 @@ class PipelineConfig:
 
 
 def threshold(raster, mode, lo=THRESHOLD_LO, hi=THRESHOLD_HI):
-    """Clip valid values into [lo, hi], or remove the ones outside it."""
+    """Clip valid values of a raster or of each month of a stack into [lo, hi], or remove the ones outside it."""
     mode = ThresholdMode(mode)
     if mode is ThresholdMode.NONE:
         raise ValueError("threshold mode must be clip or remove")
@@ -104,21 +104,23 @@ def threshold(raster, mode, lo=THRESHOLD_LO, hi=THRESHOLD_HI):
     if mode is ThresholdMode.CLIP:
         return raster.with_values(np.clip(raster.values, lo, hi), raster.missing)
     out_of_range = (raster.values < lo) | (raster.values > hi)
-    return raster.with_values(raster.values, raster.missing | out_of_range)
+    return raster.with_values(raster.values.copy(), raster.missing | out_of_range)
 
 
 def apply_built_mask(raster, built_fraction, built_fraction_threshold=BUILT_FRACTION_MIN):
-    """Keep cells at least threshold-fraction built; all others go missing.
+    """Keep cells at least threshold-fraction built, in a raster or each month of a stack; others go missing.
 
     Cells where the built fraction itself is missing are dropped too: with
     no land-cover evidence the built criterion cannot be met.
     """
+    if built_fraction is None:
+        raise ConfigError("built masking is enabled but no built-fraction grid was given")
     if raster.spec != built_fraction.spec:
         raise ValueError("raster and built-fraction grids disagree on geometry")
     if not 0.0 <= built_fraction_threshold <= 1.0:
         raise ValueError(f"built fraction threshold {built_fraction_threshold} outside [0, 1]")
     keep = built_fraction.valid & (built_fraction.values >= built_fraction_threshold)
-    return raster.with_values(raster.values, raster.missing | ~keep)
+    return raster.with_values(raster.values.copy(), raster.missing | ~keep)
 
 
 # Where a weighted sum of finite values overflows float64, it is summed again
@@ -177,33 +179,31 @@ def quality_filter_and_impute(stack, quality_stack, dataset, window=IMPUTATION_W
     """Mask untrusted pixels in a monthly stack and impute them from history.
 
     Trusted pixels (high-quality flag and an actual observation) pass
-    through bit-exact. Every other pixel-month is re-estimated from that
-    pixel's trusted observations in the preceding ``window`` calendar
-    months, weighted by inverse month distance; with no usable history it
-    becomes missing. The quality stack must cover the same months on the
-    same grid.
+    through bit-exact, and a stack with no other pixel comes back as
+    itself. Every other pixel-month is re-estimated from that pixel's
+    trusted observations in the preceding ``window`` calendar months,
+    weighted by inverse month distance; with no usable history it becomes
+    missing. The quality stack must cover the same months on the same grid.
     """
     if window < 1:
         raise ValueError(f"imputation window must be positive, got {window}")
-    if not stack.aligned_with(quality_stack):
+    if quality_stack is None:
+        raise ConfigError("quality filtering is enabled but no quality stack was given")
+    if (stack.months, stack.spec) != (quality_stack.months, quality_stack.spec):
         raise ValueError("radiance and quality stacks disagree on months or geometry")
-    values, missing = stack.cube()
-    trusted = np.stack(
-        [high_quality_mask(q, dataset) for q in quality_stack.grids]
-    ) & ~missing
+    values = stack.values
+    trusted = high_quality_mask(quality_stack, dataset) & ~stack.missing
+    if trusted.all():
+        return stack
     ordinals = [m.ordinal for m in stack.months]
-    shape = values.shape[1:]
 
-    out = []
-    for i, grid in enumerate(stack.grids):
-        target = ~trusted[i]
+    # every untrusted pixel-month goes missing unless its history refills it
+    new_values, new_missing = values.copy(), ~trusted
+    for i, target in enumerate(new_missing):
         if not target.any():
-            out.append(grid)
             continue
-        wsum = np.zeros(shape)
-        vsum = np.zeros(shape)
-        lo = np.full(shape, np.inf)
-        hi = np.full(shape, -np.inf)
+        wsum, vsum = np.zeros(stack.spec.shape), np.zeros(stack.spec.shape)
+        lo, hi = np.full(stack.spec.shape, np.inf), np.full(stack.spec.shape, -np.inf)
         lookback = []  # (j, dist) in the window; a weight array is rebuilt only where a sum overflows
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(i - 1, -1, -1):
@@ -217,7 +217,6 @@ def quality_filter_and_impute(stack, quality_stack, dataset, window=IMPUTATION_W
                 lo = np.where(trusted[j], np.minimum(lo, values[j]), lo)
                 hi = np.where(trusted[j], np.maximum(hi, values[j]), hi)
             refillable = target & (wsum > 0.0)
-            new_values = values[i].copy()
             mean = vsum[refillable] / wsum[refillable]
             over = ~np.isfinite(mean)
             if over.any():
@@ -228,26 +227,9 @@ def quality_filter_and_impute(stack, quality_stack, dataset, window=IMPUTATION_W
                 mean[over] = scaled[over] / wsum[refillable][over] / _SUM_SCALE
             # clamp accumulation rounding back into the contributor envelope,
             # matching the scalar impute_pixel contract
-            new_values[refillable] = np.clip(mean, lo[refillable], hi[refillable])
-        new_missing = np.where(target, ~refillable, missing[i])
-        out.append(grid.with_values(new_values, new_missing))
-    return stack.with_grids(out)
-
-
-def _quality_stage(stack, quality_stack, dataset):
-    if quality_stack is None:
-        raise ConfigError("quality filtering is enabled but no quality stack was given")
-    return quality_filter_and_impute(stack, quality_stack, dataset)
-
-
-def _threshold_stage(stack, mode):
-    return stack.with_grids(threshold(g, mode) for g in stack.grids)
-
-
-def _built_stage(stack, built_fraction):
-    if built_fraction is None:
-        raise ConfigError("built masking is enabled but no built-fraction grid was given")
-    return stack.with_grids(apply_built_mask(g, built_fraction) for g in stack.grids)
+            new_values[i][refillable] = np.clip(mean, lo[refillable], hi[refillable])
+        target[refillable] = False
+    return stack.with_values(new_values, new_missing)
 
 
 def run_pipeline(stack, quality_stack, built_fraction, config):
@@ -255,15 +237,16 @@ def run_pipeline(stack, quality_stack, built_fraction, config):
 
     Quality filtering requires ``quality_stack``; built masking requires
     ``built_fraction``; pass None for inputs whose stage is disabled. With
-    every stage disabled the stack comes back unchanged.
+    every stage disabled the stack comes back unchanged. Each stage is one
+    call on the whole stack.
     """
     out = stack
     if config.quality_filter:
-        out = _quality_stage(out, quality_stack, config.dataset)
+        out = quality_filter_and_impute(out, quality_stack, config.dataset)
     if config.threshold_mode is not ThresholdMode.NONE:
-        out = _threshold_stage(out, config.threshold_mode)
+        out = threshold(out, config.threshold_mode)
     if config.built_mask:
-        out = _built_stage(out, built_fraction)
+        out = apply_built_mask(out, built_fraction)
     return out
 
 
@@ -272,13 +255,14 @@ def run_stage_tree(stack, quality_stack, built_fraction, configs):
 
     The canonical stage order makes the configs a tree: each distinct
     quality pass runs once, each threshold once below it, the built mask
-    last. Yields ``(group, processed)`` per distinct stage combination, in
-    tree order, where ``group`` lists the configs asking for it in their
-    given order and ``processed`` equals ``run_pipeline`` for each of them;
-    a stage that raises a PipelineError yields ``(group, error)`` for every
-    config below it instead. At most one quality result and one branch
-    below it are alive at a time, and the quality result is dropped after
-    the last config that needs it.
+    last, each one call on a whole stack. Yields ``(group, processed)``
+    per distinct stage combination, in tree order, where ``group`` lists
+    the configs asking for it in their given order and ``processed``
+    equals ``run_pipeline`` for each of them; a stage that raises a
+    PipelineError yields ``(group, error)`` for every config below it
+    instead. At most one quality result and one branch below it are alive
+    at a time, and the quality result is dropped after the last config
+    that needs it.
     """
     tree = {}
     for config in configs:
@@ -287,16 +271,16 @@ def run_stage_tree(stack, quality_stack, built_fraction, configs):
         by_built.setdefault(config.built_mask, []).append(config)
     for quality, by_threshold in tree.items():
         try:
-            base = stack if quality is None else _quality_stage(stack, quality_stack, quality)
+            base = stack if quality is None else quality_filter_and_impute(stack, quality_stack, quality)
         except PipelineError as exc:
             below = [c for by_built in by_threshold.values() for group in by_built.values() for c in group]
             yield below, exc
             continue
         for mode, by_built in by_threshold.items():
-            branch = base if mode is ThresholdMode.NONE else _threshold_stage(base, mode)
+            branch = base if mode is ThresholdMode.NONE else threshold(base, mode)
             for built, group in by_built.items():
                 try:
-                    leaf = _built_stage(branch, built_fraction) if built else branch
+                    leaf = apply_built_mask(branch, built_fraction) if built else branch
                 except PipelineError as exc:
                     yield group, exc
                     continue

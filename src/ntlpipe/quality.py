@@ -166,16 +166,16 @@ def is_high_quality_vscntl(cloud_free_count):
 
 
 def high_quality_mask(quality, dataset):
-    """Per-cell high-quality booleans for a quality raster.
+    """Per-cell high-quality booleans for a quality raster, or for every month of a quality stack.
 
-    ``quality`` is an IntRaster of VNP46A2 words or VSC-NTL cloud-free
-    counts depending on ``dataset``. Cells with no quality observation are
-    low-quality: an unvouched-for value cannot be trusted. VNP46A2 words
-    go through vnp46a2_high_quality.
+    ``quality`` holds VNP46A2 words or VSC-NTL cloud-free counts depending
+    on ``dataset``. Cells with no quality observation are low-quality: an
+    unvouched-for value cannot be trusted. VNP46A2 words go through
+    vnp46a2_high_quality.
     """
     if dataset is Dataset.VSC_NTL:
-        return is_high_quality_vscntl(quality.values) & quality.valid
-    return vnp46a2_high_quality(quality.values, quality.valid)
+        return is_high_quality_vscntl(quality.values) & ~quality.missing
+    return vnp46a2_high_quality(quality.values, ~quality.missing)
 
 
 def vnp46a2_high_quality(words, valid):

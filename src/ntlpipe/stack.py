@@ -4,13 +4,17 @@ MonthIndex is a total order over (year, month) with exact month-difference
 arithmetic, so temporal windows and imputation distances never touch
 day-level calendars. A RasterStack maps strictly increasing months to
 rasters on one shared grid; gaps are allowed and simply read as absent
-months, never as zeros.
+months, never as zeros. A stack is one frozen (months x rows x cols) cube
+of ``values`` and one of ``missing`` flags, so each cleanup stage takes it
+in one call, as it takes a raster; a month of it is a read-only view.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .grid import GridSpec, IntRaster, RasterGrid, _normalize_raster
 
 __all__ = ["MonthIndex", "RasterStack", "month_ordinal"]
 
@@ -63,59 +67,59 @@ class MonthIndex:
         return MonthIndex.from_ordinal(self.ordinal - int(other))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RasterStack:
-    """Rasters keyed by strictly increasing months, all on one grid."""
+    """Rasters keyed by strictly increasing months on one grid, as one float64 or int64 cube; equal by value."""
 
     months: tuple
-    grids: tuple
-    _by_month: dict = field(init=False, repr=False, compare=False)
+    spec: GridSpec
+    values: np.ndarray
+    missing: np.ndarray
 
-    def __post_init__(self):
-        months = tuple(self.months)
-        grids = tuple(self.grids)
-        if len(months) != len(grids):
-            raise ValueError(f"{len(months)} months vs {len(grids)} grids")
+    def __init__(self, months, grids):
+        """Stacks the grids, copying each once; a float64 cube's months are RasterGrids, an int64's IntRasters."""
+        grids = tuple(grids)
+        if len({g.spec for g in grids}) != 1:
+            raise ValueError("stack grids disagree on grid geometry, or there are none")
+        values, missing = np.stack([g.values for g in grids]), np.stack([g.missing for g in grids])
+        self._take(months, grids[0].spec, values, missing)
+
+    @classmethod
+    def from_cube(cls, months, spec, values, missing):
+        """The stack of (months, nrows, ncols) arrays, taken over: checked as a raster's and frozen in place.
+
+        So hand over arrays that own their memory and nothing else writes to.
+        """
+        return cls.__new__(cls)._take(months, spec, values, missing)
+
+    def _take(self, months, spec, values, missing):
+        months = tuple(months)
+        if values.ndim != 3 or len(values) != len(months):
+            raise ValueError(f"{len(months)} months vs values of shape {values.shape}")
         if any(b - a <= 0 for a, b in zip(months, months[1:])):
             raise ValueError("stack months must be strictly increasing")
-        specs = {g.spec for g in grids}
-        if len(specs) > 1:
-            raise ValueError("stack grids disagree on grid geometry")
-        object.__setattr__(self, "months", months)
-        object.__setattr__(self, "grids", grids)
-        object.__setattr__(self, "_by_month", dict(zip(months, grids)))
+        dtype = np.int64 if values.dtype.kind in "iu" else np.float64
+        values, missing = _normalize_raster(spec, values, missing, dtype)
+        self.__dict__.update(months=months, spec=spec, values=values, missing=missing)
+        return self
 
-    @property
-    def spec(self):
-        if not self.grids:
-            raise ValueError("empty stack has no grid geometry")
-        return self.grids[0].spec
+    def with_values(self, values, missing):
+        """The same months on the same grid with a replacement cube, taken over as from_cube takes it."""
+        return RasterStack.from_cube(self.months, self.spec, values, missing)
 
-    def __len__(self):
-        return len(self.months)
+    def __eq__(self, other):
+        if type(other) is not RasterStack:
+            return NotImplemented
+        same = (self.months, self.spec, self.values.dtype) == (other.months, other.spec, other.values.dtype)
+        return same and np.array_equal(self.missing, other.missing) and np.array_equal(self.values, other.values)
+
+    __hash__ = None  # array payload; equality is by value, so not hashable
 
     def __iter__(self):
-        return iter(zip(self.months, self.grids))
+        """(month, raster) in month order, each raster a read-only view of the cube."""
+        raster = IntRaster if self.values.dtype == np.int64 else RasterGrid
+        return ((m, raster._view(self.spec, v, x)) for m, v, x in zip(self.months, self.values, self.missing))
 
     def get(self, month):
-        """The raster at a month, or None when the month is absent."""
-        return self._by_month.get(month)
-
-    def with_grids(self, grids):
-        """Same months, replacement rasters (one per month)."""
-        return RasterStack(self.months, tuple(grids))
-
-    def aligned_with(self, other):
-        """True when months and grid geometry both agree."""
-        return (
-            self.months == other.months
-            and bool(self.grids)
-            and bool(other.grids)
-            and self.spec == other.spec
-        )
-
-    def cube(self):
-        """(values, missing) as (T, nrows, ncols) arrays, time-major."""
-        values = np.stack([g.values for g in self.grids])
-        missing = np.stack([g.missing for g in self.grids])
-        return values, missing
+        """The raster at a month, a read-only view of the cube, or None when the month is absent."""
+        return dict(self).get(month)

@@ -33,10 +33,10 @@ therefore produce bit-identical scenes. Scenes are reproducible across
 versions of this package but not across unrelated implementations.
 
 Each channel's block is applied to the radiance cube in place and freed
-before the next block is drawn, and the quality words are built month by
-month, so generation peaks at about 1.3 times the scene's own arrays. The
-arithmetic is that of the expression form (``values * exp(sigma * Z)``,
-then ``np.where(flagged, corrupted, values)``), so the bits are too.
+before the next block is drawn, and the stacks take that cube and one cube
+of quality words over uncopied, so generation peaks at about 1.3 times the
+scene's own arrays. The arithmetic is that of the expression form
+(``values * exp(sigma * Z)``, then ``np.where(flagged, corrupted, values)``), so the bits are too.
 """
 
 from dataclasses import dataclass, field
@@ -45,7 +45,7 @@ import numpy as np
 
 from .analysis import correlate_method, drop_samples, pearson
 from .errors import ConfigError, PipelineError, StatsError
-from .grid import GridSpec, IntRaster, RasterGrid
+from .grid import GridSpec, RasterGrid
 from .quality import VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE, Dataset
 from .stack import RasterStack
 from .timeseries import EventWindow, series_by_config
@@ -218,10 +218,6 @@ def tile_zones(grid, nx, ny, damage_ratios, populations=None):
     return tuple(zones)
 
 
-def _default_built_fraction(grid):
-    return RasterGrid(grid, np.ones(grid.shape))
-
-
 def generate_scene(spec):
     """Build the radiance and quality stacks plus the ground-truth table.
 
@@ -231,7 +227,7 @@ def generate_scene(spec):
     """
     grid = spec.grid
     months = spec.months.months()
-    n_months = len(months)
+    shape = (len(months), *grid.shape)
     event_index = spec.months.months_before
     noise = spec.noise
 
@@ -255,18 +251,17 @@ def generate_scene(spec):
             )
         )
 
-    values = np.broadcast_to(pixel_base, (n_months,) + grid.shape).copy()
+    values = np.broadcast_to(pixel_base, shape).copy()
     values[event_index] = event_frame
 
     # each channel's block is applied in place and freed before the next is drawn
     rng = np.random.default_rng(spec.seed)
-    shape = (n_months,) + grid.shape
     if noise.gaussian_sigma > 0:
         gain = rng.standard_normal(shape)
         gain *= noise.gaussian_sigma
         values *= np.exp(gain, out=gain)
         del gain
-    rates = noise.monthly_cloud_rates(n_months)
+    rates = noise.monthly_cloud_rates(len(months))
     if np.any(rates > 0):
         flagged = rng.random(shape) < rates[:, None, None]
         corrupted = rng.uniform(-1.0, 1.0, shape)
@@ -282,14 +277,13 @@ def generate_scene(spec):
         np.copyto(values, rng.uniform(noise.bloom_lo, noise.bloom_hi, shape), where=bloomed)
         del bloomed
 
-    radiance = RasterStack(months, tuple(RasterGrid(grid, month) for month in values))
-    del values  # the rasters hold their own copies
+    radiance = RasterStack.from_cube(months, grid, values, np.zeros(shape, dtype=bool))
     if spec.dataset is Dataset.VNP46A2:
         good, bad = VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
     else:
         good, bad = VSCNTL_HIGH_QUALITY_COUNT, 0
-    quality = RasterStack(months, tuple(IntRaster(grid, np.where(month, bad, good)) for month in flagged))
-    built = noise.built_fraction_map if noise.built_fraction_map is not None else _default_built_fraction(grid)
+    quality = RasterStack.from_cube(months, grid, np.where(flagged, bad, good), np.zeros(shape, dtype=bool))
+    built = noise.built_fraction_map or RasterGrid(grid, np.ones(grid.shape))
     return GeneratedScene(
         spec=spec,
         radiance=radiance,
@@ -314,20 +308,19 @@ def recovered_pccs(scene, configs, min_damage=0.01):
     """An iterator of (config, recovered_pcc) per config, or (config, PipelineError).
 
     The recovered pcc correlates per-zone event drops with damage ratios.
-    The chain runs on the scene's stacks and built fraction cut down to
-    ``scene.columns`` by ZoneColumns.cut, as load_dataset cuts what it
-    reads; every stage is pixel-local, so each pcc equals the chain's on
-    the whole grids. The cut is made before this returns, and the
-    iterator holds no reference to the scene, so a caller can release the
-    whole grids before the chain runs; where the zones cover every cell,
-    the cut is the scene's own grids, and nothing is copied. A scene
-    check_scorable refuses raises its ConfigError instead.
+    The chain runs on the scene's built fraction and two stacks, each cube
+    cut down to ``scene.columns`` in one ZoneColumns.cut call, as
+    load_dataset cuts what it reads; every stage is pixel-local, so each
+    pcc equals the chain's on the whole grids. The cuts are made before
+    this returns, and the iterator holds no reference to the scene, so a
+    caller can release the whole cubes before the chain runs; where the
+    zones cover every cell, the cut is the scene's own stack, uncopied. A
+    scene check_scorable refuses raises its ConfigError instead.
     """
     spec = scene.spec
     check_scorable(spec)
     cut = scene.columns.cut
-    radiance = scene.radiance.with_grids(map(cut, scene.radiance.grids))
-    quality = scene.quality.with_grids(map(cut, scene.quality.grids))
+    radiance, quality = cut(scene.radiance), cut(scene.quality)
     built = None if scene.built_fraction is None else cut(scene.built_fraction)
     chain = series_by_config(radiance, quality, built, scene.columns.positions, configs, (spec.months,))
     return _scored(spec, chain, min_damage)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ZoneValidationError
 from .grid import GridSpec
+from .stack import RasterStack
 
 __all__ = [
     "Zone",
@@ -223,21 +224,29 @@ def _overflowed_mean(kept):
 
 @dataclass(frozen=True)
 class ZoneColumns:
-    """The cells some zone covers on a grid, laid out as one row; see zone_columns."""
+    """The cells some zone covers on a grid, as one row (a row per month of a stack); see zone_columns."""
 
     row: GridSpec
     cells: np.ndarray
     positions: dict
 
-    def cut(self, grid):
-        """A raster on the zones' grid, cut down to ``cells``: one of the same type on ``row``.
+    def cut(self, raster):
+        """A raster or a stack on the zones' grid, cut down to ``cells``: one of the same type on ``row``.
 
-        When ``cells`` is every cell of the grid, the cut is ``grid`` itself,
+        A stack is cut in one call, every month to the same cells. When
+        ``cells`` is every cell of the grid, the cut is ``raster`` itself,
         not a copy: its row-major flat indices are then the positions.
         """
-        if self.cells.size == grid.spec.size:
-            return grid
-        return type(grid)(self.row, grid.values.ravel()[self.cells], grid.missing.ravel()[self.cells])
+        if self.cells.size == raster.spec.size:
+            return raster
+        # take gives each month its one row, in an array of its own
+        values, missing = (
+            np.take(a.reshape(*a.shape[:-2], -1), self.cells[None, :], axis=-1)
+            for a in (raster.values, raster.missing)
+        )
+        if isinstance(raster, RasterStack):
+            return RasterStack.from_cube(raster.months, self.row, values, missing)
+        return type(raster)(self.row, values, missing)
 
 
 def zone_columns(zones, spec):
@@ -248,8 +257,8 @@ def zone_columns(zones, spec):
     rasterize_zone. ``positions`` maps each zone_id, in zone order, to the
     zone's inside cells as ascending positions within ``cells``. ``row``
     is the one-row GridSpec of ``cells``, at the grid's origin and cell
-    size, and ``cut`` takes a raster on ``spec`` down to it, or leaves it
-    whole when ``cells`` is every cell. Taking
+    size, and ``cut`` takes a raster or a stack on ``spec`` down to it, or
+    leaves it whole when ``cells`` is every cell. Taking
     ``cells`` keeps row-major order, so zonal_means on a cut raster sums
     each zone's values in zonal_mean's order. When no zone covers a
     pixel-centre, ``cells`` is cell 0 alone, named by no zone, so a cut

@@ -252,21 +252,21 @@ class TestSimulateMemory:
         recovered_pccs = cli.recovered_pccs
 
         def recording(scene, configs):
-            grids = (*scene.radiance.grids, *scene.quality.grids, scene.built_fraction)
-            uncopied.extend(scene.columns.cut(grid) is grid for grid in grids)
+            whole = (scene.radiance, scene.quality, scene.built_fraction)
+            uncopied.extend(scene.columns.cut(raster) is raster for raster in whole)
             return recovered_pccs(scene, configs)
 
         monkeypatch.setattr(cli, "recovered_pccs", recording)
         scene = write_json(tmp_path / "scene.json", VSC_SCENE)
         assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 0
-        assert len(uncopied) == 51 and all(uncopied)
+        assert uncopied == [True, True, True]
 
     def test_cut_scene_is_released_before_the_oracle_runs(self, tmp_path, monkeypatch):
         alive = []
         recovered_pccs = cli.recovered_pccs
 
         def recording(scene, configs):
-            whole = weakref.ref(scene.radiance.grids[0])
+            whole = weakref.ref(scene.radiance.values)  # the scene's radiance cube
             results = recovered_pccs(scene, configs)
 
             def checked():
@@ -1046,6 +1046,10 @@ class TestMalformedValues:
             ("zones", [{**ZONE_A, "rings": [[[0, 0], [4, "0"], [4, 4]]]}], "zones[0]: rings[0][1][1]"),
             ("zones", [{**ZONE_A, "rings": [[[0, 0], [4, 0], [True, 4]]]}], "zones[0]: rings[0][2][0]"),
             ("zones", [{**ZONE_A, "rings": [[0, 0, 4, 4]]}], "zones[0]: rings[0][0]"),
+            ("zones", [{**ZONE_A, "rect": 5}], "zones[0]: rect"),
+            ("zones", [{**ZONE_A, "rect": [0, 0, 4, 4, 5]}], "zones[0]: rect"),
+            ("zones", [{**ZONE_A, "rect": "abcd"}], "zones[0]: rect"),
+            ("zones", [{**ZONE_A, "rect": {"x0": 0}}], "zones[0]: rect"),
         ],
     )
     def test_scene_spec_value_writes_nothing(self, tmp_path, capsys, key, value, named):
@@ -1076,6 +1080,14 @@ class TestMalformedValues:
                 "zones[0]: give rect or rings, not both",
             ),
             ([ZONE_A], "zones[0]: missing required key 'rings'"),
+            ([{**ZONE_A, "rect": 5}], "zones[0]: rect: must be an array of four numbers, got 5"),
+            ([{**ZONE_A, "rect": [0, 0, 4]}], "zones[0]: rect: must be an array of four numbers, got [0, 0, 4]"),
+            (
+                [{**ZONE_A, "rect": [0, 0, 4, 4, 5]}],
+                "zones[0]: rect: must be an array of four numbers, got [0, 0, 4, 4, 5]",
+            ),
+            ([{**ZONE_A, "rect": "abcd"}], "zones[0]: rect: must be an array of four numbers, got 'abcd'"),
+            ([{**ZONE_A, "rect": [0, 0, "4", 4]}], "zones[0]: rect: must be a number, got '4'"),
         ],
     )
     def test_scene_zones_of_the_wrong_shape(self, tmp_path, capsys, zones, message):

@@ -64,10 +64,8 @@ def written_scene(directory, kind):
 def test_written_scene_loads_back_exactly(tmp_path, kind):
     scene, dataset = written_scene(tmp_path, kind)
     radiance, quality, built = load(dataset)
-    assert radiance.months == scene.radiance.months
-    assert radiance.grids == scene.radiance.grids
-    assert quality.months == scene.quality.months
-    assert quality.grids == scene.quality.grids
+    assert radiance == scene.radiance
+    assert quality == scene.quality
     assert built == scene.built_fraction
 
 
@@ -266,7 +264,7 @@ def test_load_holds_only_the_zone_cells(tmp_path):
         dataset, MonthIndex(2018, 9), MonthIndex(2018, 10), True, (zone,)
     )
     assert positions["Z"].tolist() == list(range(9))
-    for grid in radiance.grids + quality_stack.grids + (built,):
+    for grid in [g for _, g in radiance] + [g for _, g in quality_stack] + [built]:
         assert grid.values.shape == grid.missing.shape == (1, 9)
     flat = [row * 200 + col for row in range(196, 199) for col in range(100, 103)]
-    assert radiance.grids[0].values.ravel().tolist() == [float(i) for i in flat]
+    assert radiance.values[0].ravel().tolist() == [float(i) for i in flat]

@@ -20,13 +20,17 @@ from ntlpipe import (
     RasterGrid,
     RasterStack,
     ThresholdMode,
+    Zone,
     apply_built_mask,
     config_from_label,
     enumerate_configs,
+    high_quality_mask,
     impute_pixel,
     quality_filter_and_impute,
+    rect_ring,
     run_pipeline,
     threshold,
+    zone_columns,
 )
 from ntlpipe.preprocess import THRESHOLD_HI
 
@@ -215,9 +219,15 @@ class TestQualityFilterAndImpute:
         frames = [np.full(SPEC.shape, float(i + 1)) for i in range(3)]
         stack = make_stack(SPEC, start, frames)
         quality = vsc_quality_stack(SPEC, start, [np.ones(SPEC.shape, dtype=int)] * 3)
-        out = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL)
-        for before, after in zip(stack.grids, out.grids):
-            assert after is before
+        assert quality_filter_and_impute(stack, quality, Dataset.VSC_NTL) is stack
+        # one untrusted pixel: every trusted one still comes back with its own bits
+        frames = [np.array([[-0.0, 0.1], [1e-310, 3.0]]) * (i + 1) for i in range(3)]
+        stack = make_stack(SPEC, start, frames)
+        counts = [np.ones(SPEC.shape, dtype=int), np.ones(SPEC.shape, dtype=int), np.array([[1, 1], [1, 0]])]
+        out = quality_filter_and_impute(stack, vsc_quality_stack(SPEC, start, counts), Dataset.VSC_NTL)
+        trusted = np.array(counts) > 0
+        assert out.values[trusted].tobytes() == stack.values[trusted].tobytes()
+        assert not out.missing.any() and out.values[2, 1, 1] != stack.values[2, 1, 1]
 
     def test_untrusted_pixel_imputed_from_history(self):
         start = MonthIndex(2018, 1)
@@ -234,18 +244,18 @@ class TestQualityFilterAndImpute:
         stack = make_stack(SPEC, start, frames)
         quality = vsc_quality_stack(SPEC, start, counts)
         out = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL)
-        assert out.grids[2].values[0, 0] == 16.666666666666668
-        assert out.grids[2].valid[0, 0]
+        assert out.values[2, 0, 0] == 16.666666666666668
+        assert not out.missing[2, 0, 0]
         # the untouched pixels keep their original bits
-        assert np.array_equal(out.grids[2].values[0, 1:], stack.grids[2].values[0, 1:])
+        assert np.array_equal(out.values[2, 0, 1:], stack.values[2, 0, 1:])
 
     def test_untrusted_pixel_without_history_goes_missing(self):
         start = MonthIndex(2018, 1)
         stack = make_stack(SPEC, start, [[5.0, 1.0, 1.0, 1.0]])
         quality = vsc_quality_stack(SPEC, start, [np.array([[0, 1], [1, 1]])])
         out = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL)
-        assert out.grids[0].missing[0, 0]
-        assert not out.grids[0].missing[0, 1]
+        assert out.missing[0, 0, 0]
+        assert not out.missing[0, 0, 1]
 
     def test_missing_radiance_with_quality_history_is_refilled(self):
         start = MonthIndex(2018, 1)
@@ -254,8 +264,8 @@ class TestQualityFilterAndImpute:
         stack = make_stack(SPEC, start, frames, missing)
         quality = vsc_quality_stack(SPEC, start, [np.ones(SPEC.shape, dtype=int)] * 2)
         out = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL)
-        assert out.grids[1].valid[0, 0]
-        assert out.grids[1].values[0, 0] == 10.0
+        assert not out.missing[1, 0, 0]
+        assert out.values[1, 0, 0] == 10.0
 
     def test_window_limits_lookback(self):
         start = MonthIndex(2017, 1)
@@ -269,9 +279,9 @@ class TestQualityFilterAndImpute:
         quality = vsc_quality_stack(SPEC, start, counts)
         # distance from month 14 back to month 0 is 14 > 12: nothing usable
         out = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL, window=12)
-        assert out.grids[-1].missing[0, 0]
+        assert out.missing[-1, 0, 0]
         wide = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL, window=14)
-        assert wide.grids[-1].values[0, 0] == 10.0
+        assert wide.values[-1, 0, 0] == 10.0
 
     def test_matches_scalar_impute_on_random_stacks(self):
         rng = np.random.default_rng(79)
@@ -289,7 +299,7 @@ class TestQualityFilterAndImpute:
                     for i in range(n):
                         trusted = counts[i][r, c] > 0 and not missing[i][r, c]
                         if trusted:
-                            assert out.grids[i].values[r, c] == frames[i][r, c]
+                            assert out.values[i, r, c] == frames[i][r, c]
                             continue
                         history = [
                             (start.ordinal + j, float(frames[j][r, c]), counts[j][r, c] > 0 and not missing[j][r, c])
@@ -297,16 +307,16 @@ class TestQualityFilterAndImpute:
                         ]
                         expected = impute_pixel(history, start.ordinal + i)
                         if math.isnan(expected):
-                            assert out.grids[i].missing[r, c]
+                            assert out.missing[i, r, c]
                         else:
-                            assert out.grids[i].values[r, c] == pytest.approx(expected, abs=1e-12)
+                            assert out.values[i, r, c] == pytest.approx(expected, abs=1e-12)
 
     def test_weighted_sum_past_the_float_range_still_gives_the_mean(self):
         start = MonthIndex(2018, 1)
         spec = GridSpec(ncols=2, nrows=1, x_origin=0.0, y_origin=0.0, cell_size=1.0)
         stack = make_stack(spec, start, [[1e308, 1.0], [1.5e308, 2.0], [7.0, 3.0]])
         quality = vsc_quality_stack(spec, start, [[1, 1], [1, 1], [0, 0]])
-        out = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL).grids[2].values
+        out = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL).values[2]
         assert out[0, 0] == pytest.approx(1e308 / 3 * 4, rel=1e-15)
         # a pixel whose sum does not overflow keeps the plain weighted mean's bits
         assert out[0, 1] == (0.5 * 1.0 + 1.0 * 2.0) / 1.5
@@ -332,9 +342,9 @@ class TestQualityFilterAndImpute:
                 history = [(j, frames[j][c], counts[j][c] > 0) for j in range(i)]
                 expected = impute_pixel(history, i, window)
                 if math.isnan(expected):
-                    assert out.grids[i].missing[0, c]
+                    assert out.missing[i, 0, c]
                     continue
-                got = out.grids[i].values[0, c]
+                got = out.values[i, 0, c]
                 contributors = [(Fraction(1.0 / (i - j)), v) for j, v, hq in history if hq and i - j <= window]
                 exact = sum(w * Fraction(v) for w, v in contributors) / sum(w for w, _ in contributors)
                 scale = max(abs(v) for _, v in contributors)
@@ -348,6 +358,100 @@ class TestQualityFilterAndImpute:
         quality = vsc_quality_stack(SPEC, start + 1, [np.ones(SPEC.shape, dtype=int)])
         with pytest.raises(ValueError):
             quality_filter_and_impute(stack, quality, Dataset.VSC_NTL)
+
+
+# -0.0, values inside, on and beyond the clip band [THRESHOLD_LO, THRESHOLD_HI], and extremes
+STAGE_VALUES = [-0.0, 0.0, 5e-324, 3.25, -2.5, THRESHOLD_HI, np.nextafter(THRESHOLD_HI, 60.0), 75.0, 1e300, -1e300]
+
+
+def same_bits(got, want):
+    """Whether two rasters have the same type, grid, and values and mask bit for bit."""
+    return (
+        type(got) is type(want)
+        and got.spec == want.spec
+        and got.values.dtype == want.values.dtype
+        and got.values.tobytes() == want.values.tobytes()
+        and got.missing.tobytes() == want.missing.tobytes()
+    )
+
+
+@st.composite
+def stacks_and_grids(draw, cells=None):
+    """A RasterStack with missing cells, and the per-month rasters it was stacked from.
+
+    ``cells`` draws one value per pixel-month; by default radiance from
+    STAGE_VALUES and the float range, as RasterGrids.
+    """
+    n, nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    spec = GridSpec(ncols=ncols, nrows=nrows, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+    size = n * spec.size
+    cells = st.sampled_from(STAGE_VALUES) | st.floats(-1e3, 1e3) if cells is None else cells
+    values = np.array(draw(st.lists(cells, min_size=size, max_size=size))).reshape(n, *spec.shape)
+    missing = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(values.shape)
+    raster = IntRaster if values.dtype == np.int64 else RasterGrid
+    grids = [raster(spec, v, m) for v, m in zip(values, missing)]
+    months = [MonthIndex(2018, 1) + 2 * i for i in range(n)]  # gaps between the months are allowed
+    return RasterStack(months, grids), grids
+
+
+def assert_months_equal(stack, want):
+    """The stack's months, read through get and iteration, equal ``want`` bit for bit, as views of the cube."""
+    assert len(stack.months) == len(want)
+    for views in ([stack.get(m) for m in stack.months], [g for _, g in stack]):
+        assert all(same_bits(got, expected) for got, expected in zip(views, want, strict=True))
+        for view in views:
+            for array, cube in ((view.values, stack.values), (view.missing, stack.missing)):
+                assert np.shares_memory(array, cube) and not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array.flags.writeable = True
+
+
+class TestStagesOnStacksEqualStagesMonthByMonth:
+    """Each stage on a whole stack equals the same stage on each month's raster, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=stacks_and_grids(), mode=st.sampled_from([ThresholdMode.CLIP, ThresholdMode.REMOVE]))
+    def test_threshold(self, data, mode):
+        stack, grids = data
+        assert_months_equal(threshold(stack, mode), [threshold(grid, mode) for grid in grids])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=stacks_and_grids(), built=st.data())
+    def test_apply_built_mask(self, data, built):
+        stack, grids = data
+        size = stack.spec.size
+        fractions = built.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), min_size=size, max_size=size))
+        holes = built.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        built = RasterGrid(stack.spec, fractions, holes)
+        assert_months_equal(apply_built_mask(stack, built), [apply_built_mask(grid, built) for grid in grids])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=stacks_and_grids(st.integers(0, 3)))
+    def test_high_quality_mask_vsc_ntl(self, data):
+        stack, grids = data
+        want = np.stack([high_quality_mask(grid, Dataset.VSC_NTL) for grid in grids])
+        assert np.array_equal(high_quality_mask(stack, Dataset.VSC_NTL), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=stacks_and_grids(st.integers(0, 2047).filter(lambda word: (word >> 1) & 0b111 not in (4, 6, 7))))
+    def test_high_quality_mask_vnp46a2(self, data):
+        stack, grids = data
+        want = np.stack([high_quality_mask(grid, Dataset.VNP46A2) for grid in grids])
+        assert np.array_equal(high_quality_mask(stack, Dataset.VNP46A2), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=stacks_and_grids(), corners=st.data())
+    def test_zone_columns_cut(self, data, corners):
+        stack, grids = data
+        spec = stack.spec
+        x0, y0 = corners.draw(st.integers(0, spec.ncols - 1)), corners.draw(st.integers(0, spec.nrows - 1))
+        x1, y1 = corners.draw(st.integers(x0 + 1, spec.ncols)), corners.draw(st.integers(y0 + 1, spec.nrows))
+        part = zone_columns([Zone("P", (rect_ring(x0, y0, x1, y1),), 0.1)], spec)
+        cut = part.cut(stack)
+        assert cut.months == stack.months
+        assert_months_equal(cut, [part.cut(grid) for grid in grids])
+        whole = zone_columns([Zone("W", (rect_ring(0, 0, spec.ncols, spec.nrows),), 0.1)], spec)
+        assert whole.cut(stack) is stack
 
 
 class TestPipelineConfig:
@@ -437,11 +541,10 @@ class TestRunPipeline:
             Dataset.VSC_NTL, threshold_mode="clip", built_mask=True, quality_filter=True
         )
         out = run_pipeline(stack, quality, built, config)
-        manual = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL)
-        manual = manual.with_grids(threshold(g, "clip") for g in manual.grids)
-        manual = manual.with_grids(apply_built_mask(g, built) for g in manual.grids)
-        for a, b in zip(out.grids, manual.grids):
-            assert a == b
+        imputed = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL)
+        # month by month: threshold each imputed month, then built-mask it
+        manual = [apply_built_mask(threshold(grid, "clip"), built) for _, grid in imputed]
+        assert out.months == stack.months and [g for _, g in out] == manual
 
     def test_quality_imputed_value_is_thresholded(self):
         # month 1 pixel (1,1) is untrusted; its history value 80 exceeds
@@ -450,9 +553,9 @@ class TestRunPipeline:
         stack = make_stack(SPEC, start, [[10.0, 20.0, 30.0, 80.0], [11.0, 21.0, 31.0, 31.0]])
         quality = vsc_quality_stack(SPEC, start, [np.ones((2, 2), dtype=int), np.array([[1, 1], [1, 0]])])
         imputed = run_pipeline(stack, quality, None, PipelineConfig(Dataset.VSC_NTL, quality_filter=True))
-        assert imputed.grids[1].values[1, 1] == 80.0
+        assert imputed.values[1, 1, 1] == 80.0
         config = PipelineConfig(Dataset.VSC_NTL, threshold_mode="clip", quality_filter=True)
-        assert run_pipeline(stack, quality, None, config).grids[1].values[1, 1] == THRESHOLD_HI
+        assert run_pipeline(stack, quality, None, config).values[1, 1, 1] == THRESHOLD_HI
 
     def test_missing_stage_inputs_rejected(self):
         stack, quality, built = self.base_inputs()
@@ -465,5 +568,5 @@ class TestRunPipeline:
         stack, quality, built = self.base_inputs()
         out = run_pipeline(stack, None, None, PipelineConfig(Dataset.VSC_NTL, threshold_mode="remove"))
         assert out.months == stack.months
-        assert out.grids[0].missing[0, 0]  # 60 > 50 removed
-        assert out.grids[0].values[0, 1] == 10.0
+        assert out.missing[0, 0, 0]  # 60 > 50 removed
+        assert out.values[0, 0, 1] == 10.0

@@ -203,16 +203,13 @@ class TestGenerateScene:
         noise = NoiseSpec(gaussian_sigma=0.2, cloud_rate=0.3, corruption_scale=1.0, bloom_rate=0.05)
         a = generate_scene(make_spec(seed=77, noise=noise))
         b = generate_scene(make_spec(seed=77, noise=noise))
-        for ga, gb in zip(a.radiance.grids, b.radiance.grids):
-            assert ga == gb
-        for qa, qb in zip(a.quality.grids, b.quality.grids):
-            assert qa == qb
+        assert a.radiance == b.radiance and a.quality == b.quality
 
     def test_different_seeds_differ(self):
         noise = NoiseSpec(gaussian_sigma=0.2)
         a = generate_scene(make_spec(seed=1, noise=noise))
         b = generate_scene(make_spec(seed=2, noise=noise))
-        assert any(not np.array_equal(ga.values, gb.values) for ga, gb in zip(a.radiance.grids, b.radiance.grids))
+        assert not np.array_equal(a.radiance.values, b.radiance.values)
 
     def test_quality_flags_mark_exactly_the_corrupted_pixels(self):
         spec = make_spec(seed=5, noise=NoiseSpec(cloud_rate=0.4, corruption_scale=1.0))
@@ -221,23 +218,20 @@ class TestGenerateScene:
         # quality word is the low-quality code must differ from a clean
         # regeneration only at flagged positions
         clean = generate_scene(make_spec(seed=5))
-        n_low = 0
-        for grid, qgrid, base in zip(scene.radiance.grids, scene.quality.grids, clean.radiance.grids):
-            low = qgrid.values == 0
-            n_low += low.sum()
-            assert np.array_equal(grid.values[~low], base.values[~low])
-        assert n_low > 0
+        low = scene.quality.values == 0
+        assert np.array_equal(scene.radiance.values[~low], clean.radiance.values[~low])
+        assert low.sum() > 0
 
     def test_vscntl_quality_codes(self):
         spec = make_spec(seed=5, noise=NoiseSpec(cloud_rate=0.5))
         scene = generate_scene(spec)
-        codes = set(np.unique([q.values for q in scene.quality.grids]))
+        codes = set(np.unique(scene.quality.values))
         assert codes == {0, VSCNTL_HIGH_QUALITY_COUNT}
 
     def test_vnp46a2_quality_codes_decode_to_stated_quality(self):
         spec = make_spec(seed=5, dataset=Dataset.VNP46A2, noise=NoiseSpec(cloud_rate=0.5))
         scene = generate_scene(spec)
-        codes = set(np.unique([q.values for q in scene.quality.grids]))
+        codes = set(np.unique(scene.quality.values))
         assert codes == {VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE}
         assert is_high_quality_vnp46a2(decode_vnp46a2_quality(VNP46A2_HIGH_QUALITY_CODE))
         assert not is_high_quality_vnp46a2(decode_vnp46a2_quality(VNP46A2_LOW_QUALITY_CODE))
@@ -245,25 +239,19 @@ class TestGenerateScene:
     def test_cloud_rate_one_corrupts_everything(self):
         spec = make_spec(seed=5, noise=NoiseSpec(cloud_rate=1.0, corruption_scale=0.0))
         scene = generate_scene(spec)
-        for qgrid in scene.quality.grids:
-            assert np.all(qgrid.values == 0)
+        assert np.all(scene.quality.values == 0)
         # corruption at scale zero replaces values with the pixel base
-        for grid in scene.radiance.grids:
-            assert np.all(grid.values == 10.0)
+        assert np.all(scene.radiance.values == 10.0)
 
     def test_bloom_values_land_in_declared_range_and_stay_flagged_good(self):
         spec = make_spec(seed=9, noise=NoiseSpec(bloom_rate=0.2, bloom_lo=60.0, bloom_hi=500.0))
         scene = generate_scene(spec)
         clean = generate_scene(make_spec(seed=9))
-        bloomed_any = False
-        for grid, qgrid, base in zip(scene.radiance.grids, scene.quality.grids, clean.radiance.grids):
-            bloomed = grid.values != base.values
-            if bloomed.any():
-                bloomed_any = True
-                assert np.all(grid.values[bloomed] >= 60.0)
-                assert np.all(grid.values[bloomed] <= 500.0)
-            assert np.all(qgrid.values == VSCNTL_HIGH_QUALITY_COUNT)
-        assert bloomed_any
+        bloomed = scene.radiance.values != clean.radiance.values
+        assert bloomed.any()
+        assert np.all(scene.radiance.values[bloomed] >= 60.0)
+        assert np.all(scene.radiance.values[bloomed] <= 500.0)
+        assert np.all(scene.quality.values == VSCNTL_HIGH_QUALITY_COUNT)
 
     def test_ambient_pixels_take_mean_base(self):
         # zones covering half the grid leave ambient pixels at the base mean
@@ -275,8 +263,7 @@ class TestGenerateScene:
             seed=0, grid=grid, zones=zones, months=EventWindow(EVENT), base_radiance=(10.0, 30.0)
         )
         scene = generate_scene(spec)
-        first = scene.radiance.grids[0]
-        assert np.all(first.values[2:, :] == 20.0)
+        assert np.all(scene.radiance.values[0, 2:, :] == 20.0)
 
     def test_default_built_fraction_is_all_ones(self):
         scene = generate_scene(make_spec())
@@ -403,12 +390,9 @@ def expression_scene(spec):
 
 
 def assert_same_bits(stack, want):
-    assert stack.months == want.months
-    for grid, expected in zip(stack.grids, want.grids, strict=True):
-        assert type(grid) is type(expected) and grid.spec == expected.spec
-        assert grid.values.dtype == expected.values.dtype
-        assert grid.values.tobytes() == expected.values.tobytes()
-        assert grid.missing.tobytes() == expected.missing.tobytes()
+    assert stack.months == want.months and stack.spec == want.spec
+    for got, expected in ((stack.values, want.values), (stack.missing, want.missing)):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -538,7 +522,7 @@ class TestOracleOnZoneColumns:
         scene = generate_scene(layout_spec(Dataset.VNP46A2, "part-of-the-grid"))
         configs = enumerate_configs(Dataset.VNP46A2)
         want = [comparable(result) for _, result in recovered_pccs(scene, configs)]
-        whole = weakref.ref(scene.radiance.grids[0])
+        whole = weakref.ref(scene.radiance.values)  # the scene's radiance cube
         results = recovered_pccs(scene, configs)
         del scene
         assert whole() is None
@@ -546,8 +530,8 @@ class TestOracleOnZoneColumns:
 
 
 def scene_nbytes(scene):
-    grids = scene.radiance.grids + scene.quality.grids
-    return sum(grid.values.nbytes + grid.missing.nbytes for grid in grids)
+    stacks = (scene.radiance, scene.quality)
+    return sum(stack.values.nbytes + stack.missing.nbytes for stack in stacks)
 
 
 def traced_peak(run):

@@ -48,6 +48,7 @@ from ntlpipe import (
     write_grid,
     write_series_csv,
 )
+from ntlpipe import preprocess
 from ntlpipe.layout import BUILT_FRACTION_FILENAME, DatasetConfig, _majority_quality_composite, load_dataset
 from ntlpipe.timeseries import BASELINE_MONTHS
 
@@ -256,6 +257,16 @@ class TestBuildZoneSeries:
         assert math.isnan(series.values[2])
 
 
+def counted(calls, name, function):
+    """``function``, appending ``name`` to ``calls`` at each call."""
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+
+    return counting
+
+
 @st.composite
 def chain_inputs(draw, dataset):
     """A small noisy scene, its zones plus an off-grid one, two windows, built grid or None."""
@@ -344,6 +355,27 @@ class TestSeriesByConfig:
         scene = generate_scene(spec)
         configs = [config_from_label(Dataset.VSC_NTL, label) for label in ("clip+quality", "raw", "quality")]
         assert_chain_matches_reference(scene, spec.zones, (window,), scene.built_fraction, configs)
+
+    def test_each_stage_is_one_call_on_the_whole_stack(self, monkeypatch):
+        grid = GridSpec(ncols=6, nrows=6, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+        window = EventWindow(MonthIndex(2018, 10), 3, 2)
+        zones = tile_zones(grid, 2, 2, [0.1, 0.3, 0.5, 0.7])
+        noise = NoiseSpec(cloud_rate=0.3, corruption_scale=1.5, bloom_rate=0.2)
+        scene = generate_scene(SceneSpec(seed=5, grid=grid, zones=zones, months=window, base_radiance=20.0, noise=noise))
+        calls = []
+        for name in ("quality_filter_and_impute", "threshold", "apply_built_mask", "high_quality_mask"):
+            monkeypatch.setattr(preprocess, name, counted(calls, name, getattr(preprocess, name)))
+        cells = {zone.zone_id: np.flatnonzero(rasterize_zone(zone, grid).inside) for zone in zones}
+        configs = enumerate_configs(Dataset.VSC_NTL)
+        chain = series_by_config(scene.radiance, scene.quality, scene.built_fraction, cells, configs, (window,))
+        assert len(list(chain)) == 12
+        # one call per branch of the stage tree, never one per month: the stack has six
+        assert {name: calls.count(name) for name in set(calls)} == {
+            "quality_filter_and_impute": 1,
+            "threshold": 4,
+            "apply_built_mask": 6,
+            "high_quality_mask": 1,
+        }
 
 
 @st.composite
