@@ -100,18 +100,11 @@ def cmd_validate(args):
                     f"{dataset.name}: no radiance file in the {len(baseline)} baseline months before event "
                     f"month {event_month} of {hurricane.name}, so every zone's drop is undefined",
                 )
-        need_quality = any(c.quality_filter for c in configs)
         try:
             # every check of a load is on whole files, so no zone's cells need keeping
-            _, _, built, _ = load_dataset(dataset, *run.load_range, need_quality, ())
+            load_dataset(dataset, *run.load_range, configs, ())
         except PipelineError as exc:
             _print_issue(issues, f"{dataset.name}: {exc}")
-        else:
-            if built is None and any(c.built_mask for c in configs):
-                _print_issue(
-                    issues,
-                    f"{dataset.name}: built masking requested but {dataset.built_path} not found",
-                )
         print(
             f"dataset {dataset.name}: {len(radiance_files)} radiance months "
             f"({available[0]}..{available[-1]}), {len(quality_files)} quality months"
@@ -151,11 +144,8 @@ def cmd_extract(args):
     written = 0
 
     for dataset, configs in run.datasets:
-        need_quality = any(c.quality_filter for c in configs)
         try:
-            radiance, quality, built, positions = load_dataset(
-                dataset, *run.load_range, need_quality, zones
-            )
+            radiance, quality, built, positions = load_dataset(dataset, *run.load_range, configs, zones)
         except PipelineError as exc:
             failures.append(f"{dataset.name}: {exc}")
             continue
@@ -165,11 +155,8 @@ def cmd_extract(args):
 
         windows = [h.window for h in run.hurricanes]
         chain = series_by_config(radiance, quality, built, positions, configs, windows)
-        for config, result in chain:
-            if isinstance(result, PipelineError):
-                failures.append(f"{dataset.name}/{config.label}: {result}")
-                continue
-            for hurricane, table in zip(run.hurricanes, result):
+        for config, tables in chain:
+            for hurricane, table in zip(run.hurricanes, tables):
                 series_dir = _series_dir(out_dir, dataset, config.label, hurricane.name)
                 series_dir.mkdir(parents=True, exist_ok=True)
                 rows = zip(positions, table.tolist(), percent_changes(table).tolist())
@@ -316,10 +303,9 @@ def cmd_simulate(args):
         writer = csv.writer(fh)
         writer.writerow(["config", "recovered_pcc"])
         for config, recovered in results:
-            if isinstance(recovered, PipelineError):
-                # a StatsError from correlate_method already names the config
-                prefix = "" if isinstance(recovered, StatsError) else f"{config.label}: "
-                failures.append(f"{prefix}{recovered}")
+            if isinstance(recovered, StatsError):
+                # correlate_method's error already names the config
+                failures.append(str(recovered))
                 writer.writerow([config.label, ""])
             else:
                 writer.writerow([config.label, repr(recovered)])

@@ -94,8 +94,8 @@ def _majority_quality_composite(daily_quality_grids):
     A pixel is monthly-high-quality when more than half of the days it was
     observed decode high-quality; pixels observed on no day are missing.
     The result uses one canonical high- and one canonical low-quality word.
-    Each distinct word of the month is decoded once; a reserved word
-    raises QualityDecodeError for the smallest reserved word of the month.
+    No word is decoded but the smallest reserved word of the month, whose
+    QualityDecodeError is raised (vnp46a2_high_quality).
     """
     words = np.stack([grid.values for grid in daily_quality_grids])
     valid = ~np.stack([grid.missing for grid in daily_quality_grids])
@@ -122,7 +122,7 @@ def _check_quality(grid, name, kind):
                 raise ConfigError(f"{exc} in {name}") from None
 
 
-def load_dataset(dataset, month_lo, month_hi, need_quality, zones):
+def load_dataset(dataset, month_lo, month_hi, configs, zones):
     """Load a dataset's months within [month_lo, month_hi], kept only where a zone lies.
 
     Every file is read and checked whole, then cut down to the cells of
@@ -135,15 +135,17 @@ def load_dataset(dataset, month_lo, month_hi, need_quality, zones):
     None, positions), where positions maps each zone_id to its cells'
     positions within that row, or its row-major flat indices on the whole
     grid. Every stage of the chain, the daily composites included, is
-    pixel-local, so the cells no zone covers are never needed.
+    pixel-local, so the cells no zone covers are never needed. The
+    quality stack is loaded only when one of ``configs`` filters by quality.
 
     Daily files aggregate to monthly composites. Radiance grids are
     coerced to real-valued rasters so integer-looking files behave the
     same as any other radiance. Raises ConfigError naming the file when a
     grid it reads is malformed or off the dataset's geometry, or a quality
     grid holds a negative value anywhere, or, for VNP46A2, a word of 2^16
-    or more or one with a reserved field; messages leave naming the
-    dataset to the caller.
+    or more or one with a reserved field; then when a config needs a
+    quality or built-fraction file that is absent. Messages leave naming
+    the dataset to the caller.
     """
     radiance_files, quality_files = scan_dataset_dir(dataset)
     reference, source = dataset.expected_grid, "configured grid"
@@ -174,7 +176,7 @@ def load_dataset(dataset, month_lo, month_hi, need_quality, zones):
     radiance = _stack(months, radiance_files, lambda p: as_float(read(p)), monthly_median_composite)
 
     quality = None
-    if need_quality:
+    if any(config.quality_filter for config in configs):
         absent = [str(m) for m in months if m not in quality_files]
         if absent:
             raise ConfigError(
@@ -184,6 +186,8 @@ def load_dataset(dataset, month_lo, month_hi, need_quality, zones):
         quality = _stack(months, quality_files, lambda p: read(p, _check_quality), _majority_quality_composite)
 
     built = as_float(read(dataset.built_path)) if dataset.built_path.is_file() else None
+    if built is None and any(config.built_mask for config in configs):
+        raise ConfigError(f"built masking requested but {dataset.built_path} not found")
     return radiance, quality, built, columns.positions
 
 

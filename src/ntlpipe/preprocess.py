@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError
 from .quality import Dataset, high_quality_mask
 
 __all__ = [
@@ -258,11 +258,10 @@ def run_stage_tree(stack, quality_stack, built_fraction, configs):
     last, each one call on a whole stack. Yields ``(group, processed)``
     per distinct stage combination, in tree order, where ``group`` lists
     the configs asking for it in their given order and ``processed``
-    equals ``run_pipeline`` for each of them; a stage that raises a
-    PipelineError yields ``(group, error)`` for every config below it
-    instead. At most one quality result and one branch below it are alive
-    at a time, and the quality result is dropped after the last config
-    that needs it.
+    equals ``run_pipeline`` for each of them. A stage raises as it does
+    in run_pipeline, when the walk reaches it. At most one quality result
+    and one branch below it are alive at a time, and the quality result is
+    dropped after the last config that needs it.
     """
     tree = {}
     for config in configs:
@@ -270,23 +269,12 @@ def run_stage_tree(stack, quality_stack, built_fraction, configs):
         by_built = tree.setdefault(quality, {}).setdefault(config.threshold_mode, {})
         by_built.setdefault(config.built_mask, []).append(config)
     for quality, by_threshold in tree.items():
-        try:
-            base = stack if quality is None else quality_filter_and_impute(stack, quality_stack, quality)
-        except PipelineError as exc:
-            below = [c for by_built in by_threshold.values() for group in by_built.values() for c in group]
-            yield below, exc
-            continue
+        base = stack if quality is None else quality_filter_and_impute(stack, quality_stack, quality)
         for mode, by_built in by_threshold.items():
             branch = base if mode is ThresholdMode.NONE else threshold(base, mode)
             for built, group in by_built.items():
-                try:
-                    leaf = apply_built_mask(branch, built_fraction) if built else branch
-                except PipelineError as exc:
-                    yield group, exc
-                    continue
-                yield group, leaf
-                # each result goes once served, else it lives on while the next one is built
-                del leaf
+                # yielded unbound: each result goes once served, not kept while the next is built
+                yield group, apply_built_mask(branch, built_fraction) if built else branch
             del branch
         del base
 

@@ -108,6 +108,9 @@ class QualityFlags:
 
 
 _BACKGROUND_BY_CODE = {member.value: member for member in Background}
+# every word is_high_quality_vnp46a2 trusts once decoded: all fields fixed but bits 0 (day/night)
+# and 6 (cloud confidence's low bit), i.e. the words w with (w & 0xFFBE) == 0x32
+_TRUSTED_WORDS = (50, 51, 114, 115)
 # indexed by a word's bits 0-3: whether its background code, bits 1-3, is reserved (4, 6 or 7)
 _RESERVED_BACKGROUND = np.array([low >> 1 not in _BACKGROUND_BY_CODE for low in range(16)])
 
@@ -179,25 +182,30 @@ def high_quality_mask(quality, dataset):
 
 
 def vnp46a2_high_quality(words, valid):
-    """High-quality booleans for an array of VNP46A2 words of any shape, False where not ``valid``.
+    """High-quality booleans for an array of finite VNP46A2 words of any shape, False where not ``valid``.
 
-    Each distinct valid word is decoded once, smallest first, so a
-    reserved word anywhere raises QualityDecodeError for the smallest one.
+    A valid word is high-quality when it is one of _TRUSTED_WORDS (four);
+    a fractional word such as 50.5 never is. No word is decoded but the
+    smallest valid one decode_vnp46a2_quality refuses, raising its error.
     """
-    # sorted distinct words; np.unique would import numpy.ma
-    codes = np.sort(words[valid])
-    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))] if codes.size else codes
-    # int(code): a fractional word such as 50.5 matches no decoded word, so it is low-quality
-    good = [int(code) for code in codes.tolist() if is_high_quality_vnp46a2(decode_vnp46a2_quality(code))]
-    return np.isin(words, good) & valid
+    refused = valid & ((words <= -1) | vnp46a2_reserved(words))
+    if refused.any():
+        decode_vnp46a2_quality(words[refused].min())
+    high = np.zeros_like(valid)
+    for word in _TRUSTED_WORDS:
+        high |= words == word
+    return high & valid
 
 
 def vnp46a2_reserved(words):
     """Whether each word holds a reserved field, as decode_vnp46a2_quality would find.
 
-    ``words`` is an array of values in [0, 2^16), truncated to integers as
-    int() truncates them; a word is reserved when any of bits 11-15 is set
-    or its background code is 4, 6 or 7. Nothing is decoded.
+    ``words`` is an array of finite values, truncated to integers as int()
+    truncates them; a word is reserved when it is 2^11 or more or its
+    background code is 4, 6 or 7, and one below 0 may read either way.
+    Nothing is decoded, and no word is cast whole.
     """
-    words = np.asarray(words).astype(np.int64, copy=False)
-    return (words >= 1 << 11) | _RESERVED_BACKGROUND[words & 0b1111]
+    words = np.asarray(words)
+    # bits 0-3 of each truncated word: fmod's remainder lies in (-16, 16), so its int8 cast is exact
+    low = np.fmod(words, 16, out=np.empty(words.shape, np.int8), casting="unsafe")
+    return (words >= 1 << 11) | _RESERVED_BACKGROUND[low]

@@ -10,6 +10,7 @@ in one call, as it takes a raster; a month of it is a read-only view.
 """
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +118,13 @@ class RasterStack:
 
     def __iter__(self):
         """(month, raster) in month order, each raster a read-only view of the cube."""
-        raster = IntRaster if self.values.dtype == np.int64 else RasterGrid
-        return ((m, raster._view(self.spec, v, x)) for m, v, x in zip(self.months, self.values, self.missing))
+        return ((m, self._month(i)) for i, m in enumerate(self.months))
 
     def get(self, month):
         """The raster at a month, a read-only view of the cube, or None when the month is absent."""
-        return dict(self).get(month)
+        i = bisect_left(self.months, month)
+        return self._month(i) if self.months[i : i + 1] == (month,) else None
+
+    def _month(self, i):
+        raster = IntRaster if self.values.dtype == np.int64 else RasterGrid
+        return raster._view(self.spec, self.values[i], self.missing[i])

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import correlate_method, drop_samples, pearson
-from .errors import ConfigError, PipelineError, StatsError
+from .errors import ConfigError, StatsError
 from .grid import GridSpec, RasterGrid
 from .quality import VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE, Dataset
 from .stack import RasterStack
@@ -174,7 +174,8 @@ class GeneratedScene:
     ``columns`` is zone_columns of the zones on the scene grid: the cells
     some zone covers and each zone's positions among them, in the order of
     ``spec.zones``. generate_scene rasterized each zone once to build it;
-    the oracle cuts the stacks down to those cells with it.
+    the oracle cuts the stacks down to those cells with it. The built
+    fraction is a grid: the spec's map, else every cell fully built.
     """
 
     spec: SceneSpec
@@ -305,9 +306,10 @@ def check_scorable(spec):
 
 
 def recovered_pccs(scene, configs, min_damage=0.01):
-    """An iterator of (config, recovered_pcc) per config, or (config, PipelineError).
+    """An iterator of (config, recovered pcc or StatsError) per config.
 
-    The recovered pcc correlates per-zone event drops with damage ratios.
+    The recovered pcc correlates per-zone event drops with damage ratios,
+    or is correlate_method's StatsError, which names the config.
     The chain runs on the scene's built fraction and two stacks, each cube
     cut down to ``scene.columns`` in one ZoneColumns.cut call, as
     load_dataset cuts what it reads; every stage is pixel-local, so each
@@ -315,7 +317,8 @@ def recovered_pccs(scene, configs, min_damage=0.01):
     this returns, and the iterator holds no reference to the scene, so a
     caller can release the whole cubes before the chain runs; where the
     zones cover every cell, the cut is the scene's own stack, uncopied. A
-    scene check_scorable refuses raises its ConfigError instead.
+    scene check_scorable refuses raises its ConfigError instead, and a
+    stage raises as it does in run_pipeline.
     """
     spec = scene.spec
     check_scorable(spec)
@@ -327,13 +330,12 @@ def recovered_pccs(scene, configs, min_damage=0.01):
 
 
 def _scored(spec, chain, min_damage):
-    for config, result in chain:
-        if not isinstance(result, PipelineError):
-            samples = drop_samples(spec.zones, result[0], spec.months)
-            try:
-                result = correlate_method(samples, spec.dataset, config.label, min_damage).pcc
-            except StatsError as exc:
-                result = exc
+    for config, (table,) in chain:
+        samples = drop_samples(spec.zones, table, spec.months)
+        try:
+            result = correlate_method(samples, spec.dataset, config.label, min_damage).pcc
+        except StatsError as exc:
+            result = exc
         yield config, result
 
 
@@ -348,7 +350,7 @@ def oracle_check(scene, config, min_damage=0.01):
     meaningful.
     """
     [(_, recovered)] = recovered_pccs(scene, (config,), min_damage)
-    if isinstance(recovered, PipelineError):
+    if isinstance(recovered, StatsError):
         raise recovered
     truth = pearson(
         [row.true_drop_percent for row in scene.truth],

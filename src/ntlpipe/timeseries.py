@@ -46,7 +46,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import PipelineError, ReportError
+from .errors import ReportError
 from .grid import RasterGrid
 from .preprocess import run_stage_tree
 from .stack import MonthIndex, month_ordinal
@@ -183,18 +183,17 @@ def series_by_config(radiance, quality, built, zone_cells, configs, windows):
     some zone covers. ``tables[i]`` is a float64 (zones x months) array
     over ``windows[i]``, one row per zone in ``zone_cells`` order, each
     row equal to build_zone_series' values on the config's run_pipeline
-    result over whole grids. A config whose pipeline raises a
-    PipelineError yields ``(config, error)`` and the rest still run. The
-    pipelines run as one run_stage_tree walk; a config finished ahead of
-    its turn waits as its (small) tables, never as a stack.
+    result over whole grids. The pipelines run as one run_stage_tree
+    walk, so a stage whose input is missing raises run_pipeline's error
+    when the walk reaches it; a config finished ahead of its turn waits
+    as its (small) tables, never as a stack.
     """
     indices = tuple(zone_cells.values())
     order = list(configs)
     done = {}
     for group, result in run_stage_tree(radiance, quality, built, order):
-        if not isinstance(result, PipelineError):
-            # rebinding drops this frame's reference to the stack before the next is built
-            result = _series_by_window(result, indices, windows)
+        # rebinding drops this frame's reference to the stack before the next is built
+        result = _series_by_window(result, indices, windows)
         done.update(dict.fromkeys(group, result))
         while order and order[0] in done:
             config = order.pop(0)

@@ -21,7 +21,6 @@ from ntlpipe import (
     MonthIndex,
     RasterGrid,
     build_report,
-    enumerate_configs,
     event_drop,
     percent_change,
     read_grid,
@@ -427,21 +426,29 @@ class TestCaseStudy:
             assert row["percent_change"] == ("" if math.isnan(change) else repr(change))
 
 
-class TestExtractFailures:
-    def test_missing_built_grid_fails_only_the_built_configs(self, tmp_path, capsys):
+class TestMissingBuiltGrid:
+    """validate fails exactly when extract's loading would: a built grid is needed only by a built config."""
+
+    def test_validate_and_extract_fail_the_dataset_in_one_line(self, tmp_path, capsys):
         config = simulated_vsc_run(tmp_path)
-        (tmp_path / "simv" / "VSC-NTL" / "built_fraction.asc").unlink()
+        built_path = tmp_path / "simv" / "VSC-NTL" / "built_fraction.asc"
+        built_path.unlink()
+        expected = f"VSC-NTL: built masking requested but {built_path} not found"
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert f"  problem: {expected}\n" in out and out.count("problem:") == 1
         assert main(["extract", "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        for pipeline in enumerate_configs(Dataset.VSC_NTL):
-            written = sorted(
-                p.name for p in (tmp_path / "out" / "VSC-NTL" / pipeline.label).rglob("*.csv")
-            )
-            if pipeline.built_mask:
-                assert written == []
-                assert f"VSC-NTL/{pipeline.label}: built masking" in err
-            else:
-                assert written == [f"Z0{i}.csv" for i in range(1, 7)]
+        assert err == f"extract: 1 failure(s)\n  failed: {expected}\n"
+        assert not list((tmp_path / "out" / "VSC-NTL").rglob("*.csv"))
+
+    def test_nothing_is_refused_when_no_config_masks_by_built_fraction(self, tmp_path):
+        config = simulated_vsc_run(tmp_path, configs=["raw", "quality"])
+        (tmp_path / "simv" / "VSC-NTL" / "built_fraction.asc").unlink()
+        assert main(["validate", "--config", str(config)]) == 0
+        assert main(["extract", "--config", str(config)]) == 0
+        assert len(list((tmp_path / "out" / "VSC-NTL").rglob("*.csv"))) == 2 * 6
 
 
 class TestGridMismatch:

@@ -19,6 +19,7 @@ from ntlpipe import (
     RasterGrid,
     SceneSpec,
     Zone,
+    config_from_label,
     decode_vnp46a2_quality,
     generate_scene,
     is_high_quality_vnp46a2,
@@ -36,9 +37,10 @@ HEADER = "ncols 6\nnrows 5\nxllcorner 10.0\nyllcorner -3.0\ncellsize 0.5\nNODATA
 WHOLE = (Zone("ALL", (rect_ring(10.0, -3.0, 13.0, -0.5),), 0.1),)
 
 
-def load(dataset, month_lo=WINDOW.start, month_hi=WINDOW.end, need_quality=True):
-    """load_dataset with the whole-grid zone."""
-    radiance, quality_stack, built, positions = load_dataset(dataset, month_lo, month_hi, need_quality, WHOLE)
+def load(dataset, month_lo=WINDOW.start, month_hi=WINDOW.end, labels=("quality",)):
+    """load_dataset with the whole-grid zone, for the configs of ``labels``."""
+    configs = [config_from_label(dataset.kind, label) for label in labels]
+    radiance, quality_stack, built, positions = load_dataset(dataset, month_lo, month_hi, configs, WHOLE)
     assert positions["ALL"].tolist() == list(range(GRID.size))
     return radiance, quality_stack, built
 
@@ -67,6 +69,26 @@ def test_written_scene_loads_back_exactly(tmp_path, kind):
     assert radiance == scene.radiance
     assert quality == scene.quality
     assert built == scene.built_fraction
+
+
+@pytest.mark.parametrize("kind", list(Dataset))
+def test_missing_built_grid_fails_the_load_only_when_a_config_needs_it(tmp_path, kind):
+    scene, dataset = written_scene(tmp_path, kind)
+    dataset.built_path.unlink()
+    with pytest.raises(ConfigError) as raised:
+        load(dataset, labels=("raw", "built", "quality"))
+    assert str(raised.value) == f"built masking requested but {dataset.built_path} not found"
+    radiance, quality, built = load(dataset, labels=("raw", "quality"))
+    assert radiance == scene.radiance and quality == scene.quality and built is None
+
+
+def test_missing_quality_months_are_named_before_a_missing_built_grid(tmp_path):
+    _, dataset = written_scene(tmp_path, Dataset.VSC_NTL)
+    dataset.built_path.unlink()
+    (tmp_path / "2018-09.qf.asc").unlink()
+    with pytest.raises(ConfigError) as raised:
+        load(dataset, labels=("built+quality",))
+    assert str(raised.value) == "quality filtering requested but quality files are missing for months: 2018-09"
 
 
 def test_malformed_grid_is_named(tmp_path):
@@ -138,7 +160,7 @@ def daily_month(directory, radiance_rows, quality_rows):
 
 
 class TestDailyMonth:
-    def test_each_distinct_word_is_decoded_once_per_month(self, tmp_path, monkeypatch):
+    def test_no_word_is_decoded_in_a_month_without_a_refused_word(self, tmp_path, monkeypatch):
         dataset = daily_month(
             tmp_path,
             ["1.5 2.5 3.5 4.5 5.5 6.5"] * 3,
@@ -149,8 +171,8 @@ class TestDailyMonth:
         monkeypatch.setattr(quality, "decode_vnp46a2_quality", lambda qf: decoded.append(qf) or decode(qf))
         monkeypatch.setattr(layout, "read_grid", lambda path: read.append(path.name) or read_grid(path))
         month = MonthIndex(2018, 10)
-        _, quality_stack, _ = load(dataset, month, month, need_quality=True)
-        assert sorted(decoded) == [50, 242]
+        _, quality_stack, _ = load(dataset, month, month)
+        assert decoded == []
         assert sorted(read) == sorted(p.name for p in tmp_path.iterdir())
         assert len(read) == 6
         high, low = VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
@@ -160,7 +182,7 @@ class TestDailyMonth:
         rows = ["3 5 -9999 1 2 -9999", "7 5 2 1 2 -9999", "4 -9999 -9999 1 8 -9999"]
         dataset = daily_month(tmp_path, rows, ["50 50 50 50 50 50"] * 3)
         month = MonthIndex(2018, 10)
-        radiance, _, _ = load(dataset, month, month, need_quality=False)
+        radiance, _, _ = load(dataset, month, month, labels=("raw",))
         composite = radiance.get(month)
         assert composite.values.dtype == np.float64
         assert composite.values[0, :5].tolist() == [4.0, 5.0, 2.0, 1.0, 2.0]
@@ -170,14 +192,14 @@ class TestDailyMonth:
         words = ["50.5 50 50 50 50 50", "50.5 50 50 50 50 50", "50 50 50 50 50 50.5"]
         dataset = daily_month(tmp_path, ["1.5 2.5 3.5 4.5 5.5 6.5"] * 3, words)
         month = MonthIndex(2018, 10)
-        _, quality_stack, _ = load(dataset, month, month, need_quality=True)
+        _, quality_stack, _ = load(dataset, month, month)
         high, low = VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
         assert quality_stack.get(month).values[0].tolist() == [low, high, high, high, high, high]
 
     def test_huge_daily_radiance_composites_to_a_finite_month(self, tmp_path):
         dataset = daily_month(tmp_path, ["1e308 1 1 1 1 1"] * 3, ["50 50 50 50 50 50"] * 3)
         month = MonthIndex(2018, 10)
-        radiance, _, _ = load(dataset, month, month, need_quality=False)
+        radiance, _, _ = load(dataset, month, month, labels=("raw",))
         assert radiance.get(month).values[:, 0].tolist() == [1e308] * 5
 
 
@@ -260,8 +282,9 @@ def test_load_holds_only_the_zone_cells(tmp_path):
     dataset = DatasetConfig("VNP46A2", Dataset.VNP46A2, tmp_path, tmp_path)
     # centres of rows 196-198, columns 100-102
     zone = Zone("Z", (rect_ring(100.0, 1.0, 103.0, 4.0),), 0.1)
+    configs = [config_from_label(Dataset.VNP46A2, "built+quality")]
     radiance, quality_stack, built, positions = load_dataset(
-        dataset, MonthIndex(2018, 9), MonthIndex(2018, 10), True, (zone,)
+        dataset, MonthIndex(2018, 9), MonthIndex(2018, 10), configs, (zone,)
     )
     assert positions["Z"].tolist() == list(range(9))
     for grid in [g for _, g in radiance] + [g for _, g in quality_stack] + [built]:

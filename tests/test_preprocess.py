@@ -406,6 +406,20 @@ def assert_months_equal(stack, want):
                     array.flags.writeable = True
 
 
+class TestStackGet:
+    @settings(max_examples=50, deadline=None)
+    @given(data=stacks_and_grids())
+    def test_get_is_iterations_month_or_none(self, data):
+        stack, _ = data
+        by_month = dict(stack)
+        first, last = stack.months[0], stack.months[-1]
+        # the stack's months are two apart: every other month between them is absent, as are those outside
+        for month in (first + k for k in range(-2, last - first + 3)):
+            got = stack.get(month)
+            assert got is None if month not in by_month else same_bits(got, by_month[month])
+        assert_months_equal(stack, list(by_month.values()))
+
+
 class TestStagesOnStacksEqualStagesMonthByMonth:
     """Each stage on a whole stack equals the same stage on each month's raster, bit for bit."""
 

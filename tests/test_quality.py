@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntlpipe import (
     Background,
@@ -22,7 +24,8 @@ from ntlpipe import (
     is_high_quality_vnp46a2,
     is_high_quality_vscntl,
 )
-from ntlpipe.quality import vnp46a2_reserved
+from ntlpipe import quality
+from ntlpipe.quality import vnp46a2_high_quality, vnp46a2_reserved
 
 
 def all_valid_flag_combinations():
@@ -257,3 +260,83 @@ class TestHighQualityMask:
                 for c in range(spec.ncols):
                     scalar = is_high_quality_vnp46a2(decode_vnp46a2_quality(int(words.values[r, c])))
                     assert mask[r, c] == scalar
+
+
+def distinct_word_high_quality(words, valid):
+    """vnp46a2_high_quality as it was, decoding each distinct valid word, smallest first: the reference."""
+    codes = np.sort(words[valid])
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))] if codes.size else codes
+    good = [int(code) for code in codes.tolist() if is_high_quality_vnp46a2(decode_vnp46a2_quality(code))]
+    return np.isin(words, good) & valid
+
+
+def outcome(function, words, valid):
+    """The mask ``function`` returns, or the type and message of what it raises."""
+    try:
+        return function(words, valid).tolist()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# trusted and valid low-quality words, reserved ones (background codes 4, 6 and 7;
+# bits 11-15), words outside [0, 2^16) (-5 and -6 hold background code 5 in
+# their low bits, as -10 holds 3) and any other
+INT_WORDS = st.one_of(
+    st.sampled_from([50, 51, 114, 115, 0, 242, 370, 1074]),
+    st.sampled_from([8, 12, 14, 2048, 2098, 65535]),
+    st.sampled_from([-1, -2, -5, -6, -10, 1 << 16, (1 << 16) + 50]),
+    st.integers(-40, 2047),
+    st.integers(-(2**63), 2**63 - 1),
+)
+# fractional words truncate as int() does: -0.5 is word 0, 50.5 is 50 but never trusted
+FLOAT_WORDS = st.one_of(
+    INT_WORDS.map(float),
+    st.sampled_from([-0.5, -1.0, -1.5, -5.5, 50.5, 114.25, 8.9, 2047.5, 65535.5, 65536.0, 1e300, -1e300]),
+    st.floats(-40.0, 2050.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def word_arrays(draw):
+    """(words, valid): an int64 or float64 array of 1-3 dimensions, and which of its cells are valid."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    size = int(np.prod(shape))
+    floats = draw(st.booleans())
+    elements = draw(st.lists(FLOAT_WORDS if floats else INT_WORDS, min_size=size, max_size=size))
+    words = np.array(elements, dtype=np.float64 if floats else np.int64).reshape(shape)
+    valid = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(shape)
+    return words, valid
+
+
+class TestTrustedWords:
+    def test_the_trusted_words_are_every_word_the_decoder_trusts(self):
+        trusted = []
+        for word in range(1 << 16):
+            try:
+                flags = decode_vnp46a2_quality(word)
+            except QualityDecodeError:
+                continue
+            if is_high_quality_vnp46a2(flags):
+                trusted.append(word)
+        assert trusted == list(quality._TRUSTED_WORDS)
+        assert trusted == [word for word in range(1 << 16) if word & 0xFFBE == 0x32]
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays=word_arrays())
+    def test_mask_or_error_equals_the_distinct_word_decode(self, arrays):
+        words, valid = arrays
+        assert outcome(vnp46a2_high_quality, words, valid) == outcome(distinct_word_high_quality, words, valid)
+
+    def test_only_the_smallest_refused_word_is_decoded(self, monkeypatch):
+        decoded = []
+        decode = quality.decode_vnp46a2_quality
+        monkeypatch.setattr(quality, "decode_vnp46a2_quality", lambda qf: decoded.append(qf) or decode(qf))
+        words = np.array([[50, 242, 14], [2048, 8, 115]])
+        assert vnp46a2_high_quality(words, words < 8).tolist() == [[False, False, False], [False, False, False]]
+        valid = np.isin(words, [50, 242, 115])
+        assert vnp46a2_high_quality(words, valid).tolist() == [[True, False, False], [False, False, True]]
+        assert decoded == []
+        with pytest.raises(QualityDecodeError) as raised:
+            vnp46a2_high_quality(words, words != 242)
+        assert raised.value.qf == 8 and decoded == [8]

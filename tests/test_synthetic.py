@@ -22,10 +22,10 @@ from ntlpipe import (
     MonthIndex,
     NoiseSpec,
     PipelineConfig,
-    PipelineError,
     RasterGrid,
     RasterStack,
     SceneSpec,
+    StatsError,
     TruthRow,
     Zone,
     build_zone_series,
@@ -309,19 +309,6 @@ class TestOracleCheck:
         with pytest.raises(ConfigError):
             oracle_check(scene, PipelineConfig(Dataset.VSC_NTL))
 
-    def test_recovered_pccs_keep_a_failing_config_to_itself(self):
-        # without a built-fraction grid only the built configs can fail
-        scene = generate_scene(make_spec(seed=3, noise=NoiseSpec(gaussian_sigma=0.05)))
-        scene = dataclasses.replace(scene, built_fraction=None)
-        configs = enumerate_configs(Dataset.VSC_NTL)
-        results = list(recovered_pccs(scene, configs))
-        assert [config for config, _ in results] == list(configs)
-        for config, pcc in results:
-            if config.built_mask:
-                assert isinstance(pcc, ConfigError) and "built" in str(pcc)
-            else:
-                assert pcc == oracle_check(scene, config)[0]
-
     def test_each_zone_is_rasterized_once(self, monkeypatch):
         # generate_scene rasterizes each zone once for its columns; the oracle reuses them
         rasterized = []
@@ -445,7 +432,7 @@ class TestGenerateSceneMatchesExpressionForm:
 
 
 def whole_grid_pccs(scene, configs, min_damage=0.01):
-    """(config, pcc or PipelineError) from the chain on the whole grids, one config at a time."""
+    """(config, pcc or StatsError) from the chain on the whole grids, one config at a time."""
     spec = scene.spec
     masks = [rasterize_zone(zone, spec.grid) for zone in spec.zones]
     for config in configs:
@@ -458,12 +445,12 @@ def whole_grid_pccs(scene, configs, min_damage=0.01):
                 for z, s in zip(spec.zones, series)
             ]
             yield config, correlate_method(samples, spec.dataset, config.label, min_damage).pcc
-        except PipelineError as exc:
+        except StatsError as exc:
             yield config, exc
 
 
 def comparable(result):
-    return (type(result).__name__, str(result)) if isinstance(result, PipelineError) else result.hex()
+    return (type(result).__name__, str(result)) if isinstance(result, StatsError) else result.hex()
 
 
 # each layout is (nx, ny tiles over the grid or None, extra zones as (x0, y0, x1, y1))
@@ -510,13 +497,17 @@ class TestOracleOnZoneColumns:
             assert not any(isinstance(result, tuple) for _, result in got)
 
     @pytest.mark.parametrize("dataset", list(Dataset))
-    def test_without_a_built_fraction_only_the_built_configs_fail(self, dataset):
+    def test_without_a_built_fraction_the_chain_raises_run_pipelines_error(self, dataset):
         scene = generate_scene(layout_spec(dataset, "part-of-the-grid"))
         scene = dataclasses.replace(scene, built_fraction=None)
         configs = enumerate_configs(dataset)
-        got = [(config, comparable(result)) for config, result in recovered_pccs(scene, configs)]
-        assert got == [(config, comparable(result)) for config, result in whole_grid_pccs(scene, configs)]
-        assert [isinstance(result, tuple) for _, result in got] == [config.built_mask for config in configs]
+        built = next(config for config in configs if config.built_mask)
+        with pytest.raises(ConfigError) as expected:
+            run_pipeline(scene.radiance, scene.quality, None, built)
+        results = recovered_pccs(scene, configs)
+        with pytest.raises(ConfigError) as raised:
+            list(results)
+        assert str(raised.value) == str(expected.value)
 
     def test_the_oracle_holds_no_reference_to_the_scene(self):
         scene = generate_scene(layout_spec(Dataset.VNP46A2, "part-of-the-grid"))

@@ -15,12 +15,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ntlpipe import (
+    ConfigError,
     Dataset,
     EventWindow,
     GridSpec,
     MonthIndex,
     NoiseSpec,
-    PipelineError,
     RasterGrid,
     RasterStack,
     ReportError,
@@ -269,7 +269,7 @@ def counted(calls, name, function):
 
 @st.composite
 def chain_inputs(draw, dataset):
-    """A small noisy scene, its zones plus an off-grid one, two windows, built grid or None."""
+    """A small noisy scene, its zones plus an off-grid one, two windows, and the scene's built grid."""
     n = draw(st.integers(3, 8))
     grid = GridSpec(ncols=n, nrows=n, x_origin=0.0, y_origin=0.0, cell_size=1.0)
     nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -298,7 +298,7 @@ def chain_inputs(draw, dataset):
     zones = spec.zones + (Zone("OFF", (rect_ring(50.0, 50.0, 51.0, 51.0),), 0.1),)
     # the second window runs past the stack's end, so some months are absent
     windows = (window, EventWindow(window.end, 1, 2))
-    return scene, zones, windows, draw(st.sampled_from((built_map, None)))
+    return scene, zones, windows, built_map
 
 
 def assert_chain_matches_reference(scene, zones, windows, built, configs, chain=None):
@@ -312,11 +312,7 @@ def assert_chain_matches_reference(scene, zones, windows, built, configs, chain=
     chain = list(chain)
     assert [config for config, _ in chain] == list(configs)
     for config, result in chain:
-        try:
-            processed = run_pipeline(scene.radiance, scene.quality, built, config)
-        except PipelineError as exc:
-            assert type(result) is type(exc) and str(result) == str(exc)
-            continue
+        processed = run_pipeline(scene.radiance, scene.quality, built, config)
         assert len(result) == len(windows)
         for window, table in zip(windows, result):
             expected = [
@@ -340,6 +336,21 @@ class TestSeriesByConfig:
         mixed = st.lists(st.sampled_from(canonical), min_size=1, max_size=len(canonical) + 2)
         configs = data.draw(st.one_of(st.just(canonical), mixed), label="configs")
         assert_chain_matches_reference(scene, zones, windows, built, configs)
+
+    @pytest.mark.parametrize("dataset", list(Dataset))
+    def test_a_built_config_without_a_built_grid_raises_run_pipelines_error(self, dataset):
+        grid = GridSpec(ncols=4, nrows=4, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+        window = EventWindow(MonthIndex(2018, 10), 2, 1)
+        spec = SceneSpec(5, grid, tile_zones(grid, 2, 1, [0.1, 0.5]), window, 20.0, dataset)
+        scene = generate_scene(spec)
+        cells = {zone.zone_id: np.flatnonzero(rasterize_zone(zone, grid).inside) for zone in spec.zones}
+        configs = enumerate_configs(dataset)
+        built = next(config for config in configs if config.built_mask)
+        with pytest.raises(ConfigError) as expected:
+            run_pipeline(scene.radiance, scene.quality, None, built)
+        with pytest.raises(ConfigError) as raised:
+            list(series_by_config(scene.radiance, scene.quality, None, cells, configs, (window,)))
+        assert str(raised.value) == str(expected.value)
 
     def test_labels_out_of_canonical_order(self):
         grid = GridSpec(ncols=6, nrows=6, x_origin=0.0, y_origin=0.0, cell_size=1.0)
@@ -410,7 +421,8 @@ def loaded_chain_inputs(draw, dataset):
     def holed(grid):
         return grid.with_values(grid.values, rng.random(grid.spec.shape) < rate)
 
-    built = holed(built) if built is not None else None
+    # a dataset with no built-fraction file as well
+    built = draw(st.sampled_from((holed(built), None)), label="built")
     radiance = {m: holed(scene.radiance.get(m)) for m in kept}
     quality = {m: holed(scene.quality.get(m)) for m in kept}
     daily = draw(st.sets(st.sampled_from(kept)) if dataset is Dataset.VNP46A2 else st.just(set()), label="daily")
@@ -463,9 +475,13 @@ class TestLoadedColumnsMatchWholeGrids:
             for name, grid in files:
                 write_grid(grid, directory / name)
             months = scene.radiance.months
-            loaded = load_dataset(
-                DatasetConfig(dataset.value, dataset, directory, directory), months[0], months[-1], True, zones
-            )
+            source = DatasetConfig(dataset.value, dataset, directory, directory)
+            if built is None:
+                # the load refuses the built configs, so only the others run
+                with pytest.raises(ConfigError, match="^built masking requested but .* not found$"):
+                    load_dataset(source, months[0], months[-1], configs, zones)
+                configs = [config for config in configs if not config.built_mask]
+            loaded = load_dataset(source, months[0], months[-1], configs, zones)
         radiance, quality, loaded_built, positions = loaded
         assert list(positions) == [zone.zone_id for zone in zones]
         assert radiance.spec.size <= max(sum(p.size for p in positions.values()), 1)
