@@ -189,7 +189,10 @@ class RasterGrid(_RasterMixin):
 
 @dataclass(frozen=True, eq=False)
 class IntRaster(_RasterMixin):
-    """Non-negative integer raster: class labels, counts, or quality words."""
+    """Non-negative integer raster: class labels, counts, or quality words.
+
+    Its values are int64, or uint16 as a month of a stack of VNP46A2 words.
+    """
 
     spec: GridSpec
     values: np.ndarray

@@ -140,12 +140,16 @@ def load_dataset(dataset, month_lo, month_hi, configs, zones):
 
     Daily files aggregate to monthly composites. Radiance grids are
     coerced to real-valued rasters so integer-looking files behave the
-    same as any other radiance. Raises ConfigError naming the file when a
-    grid it reads is malformed or off the dataset's geometry, or a quality
-    grid holds a negative value anywhere, or, for VNP46A2, a word of 2^16
-    or more or one with a reserved field; then when a config needs a
-    quality or built-fraction file that is absent. Messages leave naming
-    the dataset to the caller.
+    same as any other radiance. A quality stack whose months are all
+    integer rasters holds VNP46A2 words as uint16, since a word passes the
+    checks below only under 2^16, and VSC-NTL cloud-free counts as int64;
+    one real-valued month (a word such as 50.5) makes it float64.
+
+    Raises ConfigError naming the file when a grid it reads is malformed
+    or off the dataset's geometry, or a quality grid holds a negative value
+    anywhere, or, for VNP46A2, a word of 2^16 or more or one with a
+    reserved field; then when a config needs a quality or built-fraction
+    file that is absent. Messages leave naming the dataset to the caller.
     """
     radiance_files, quality_files = scan_dataset_dir(dataset)
     reference, source = dataset.expected_grid, "configured grid"
@@ -183,7 +187,9 @@ def load_dataset(dataset, month_lo, month_hi, configs, zones):
                 f"quality filtering requested but quality files are missing "
                 f"for months: {', '.join(absent)}"
             )
-        quality = _stack(months, quality_files, lambda p: read(p, _check_quality), _majority_quality_composite)
+        # _check_quality refuses a VNP46A2 word outside [0, 2^16), so a checked integer month fits in 16 bits
+        integers = np.uint16 if dataset.kind is Dataset.VNP46A2 else np.int64
+        quality = _stack(months, quality_files, lambda p: read(p, _check_quality), _majority_quality_composite, integers)
 
     built = as_float(read(dataset.built_path)) if dataset.built_path.is_file() else None
     if built is None and any(config.built_mask for config in configs):
@@ -191,15 +197,20 @@ def load_dataset(dataset, month_lo, month_hi, configs, zones):
     return radiance, quality, built, columns.positions
 
 
-def _stack(months, files, read, composite):
-    """RasterStack of each month's file or daily composite, copied into one cube (np.stack's type) as read."""
+def _stack(months, files, read, composite, integers=np.int64):
+    """RasterStack of each month's file or daily composite, copied into one cube as read.
+
+    The cube is float64 once any month is a RasterGrid, else of dtype
+    ``integers``, which must hold every IntRaster value ``read`` lets through.
+    """
     for i, month in enumerate(months):
         source = files[month]
         grid = composite([read(p) for p in source]) if isinstance(source, list) else read(source)
+        dtype = integers if isinstance(grid, IntRaster) else grid.values.dtype
         if i == 0:
-            values = np.empty((len(months), *grid.spec.shape), grid.values.dtype)
+            values = np.empty((len(months), *grid.spec.shape), dtype)
             missing = np.empty(values.shape, dtype=bool)
-        values = values.astype(np.promote_types(values.dtype, grid.values.dtype), copy=False)
+        values = values.astype(np.promote_types(values.dtype, dtype), copy=False)
         values[i], missing[i] = grid.values, grid.missing
     return RasterStack.from_cube(months, grid.spec, values, missing)
 

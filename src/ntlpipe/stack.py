@@ -5,8 +5,9 @@ arithmetic, so temporal windows and imputation distances never touch
 day-level calendars. A RasterStack maps strictly increasing months to
 rasters on one shared grid; gaps are allowed and simply read as absent
 months, never as zeros. A stack is one frozen (months x rows x cols) cube
-of ``values`` and one of ``missing`` flags, so each cleanup stage takes it
-in one call, as it takes a raster; a month of it is a read-only view.
+of ``values``, float64, int64 or uint16 (VNP46A2 quality words), and one
+of ``missing`` flags, so each cleanup stage takes it in one call, as it
+takes a raster; a month of it is a read-only view.
 """
 
 import re
@@ -70,7 +71,7 @@ class MonthIndex:
 
 @dataclass(frozen=True, eq=False)
 class RasterStack:
-    """Rasters keyed by strictly increasing months on one grid, as one float64 or int64 cube; equal by value."""
+    """Rasters keyed by strictly increasing months on one grid, as one float64, int64 or uint16 cube; equal by value."""
 
     months: tuple
     spec: GridSpec
@@ -78,7 +79,7 @@ class RasterStack:
     missing: np.ndarray
 
     def __init__(self, months, grids):
-        """Stacks the grids, copying each once; a float64 cube's months are RasterGrids, an int64's IntRasters."""
+        """Stacks the grids, copying each once; a float64 cube's months are RasterGrids, an integer one's IntRasters."""
         grids = tuple(grids)
         if len({g.spec for g in grids}) != 1:
             raise ValueError("stack grids disagree on grid geometry, or there are none")
@@ -99,7 +100,8 @@ class RasterStack:
             raise ValueError(f"{len(months)} months vs values of shape {values.shape}")
         if any(b - a <= 0 for a, b in zip(months, months[1:])):
             raise ValueError("stack months must be strictly increasing")
-        dtype = np.int64 if values.dtype.kind in "iu" else np.float64
+        # a uint16 cube (VNP46A2 quality words) keeps its dtype; any other integer cube becomes int64
+        dtype = values.dtype if values.dtype == np.uint16 else np.int64 if values.dtype.kind in "iu" else np.float64
         values, missing = _normalize_raster(spec, values, missing, dtype)
         self.__dict__.update(months=months, spec=spec, values=values, missing=missing)
         return self
@@ -126,5 +128,5 @@ class RasterStack:
         return self._month(i) if self.months[i : i + 1] == (month,) else None
 
     def _month(self, i):
-        raster = IntRaster if self.values.dtype == np.int64 else RasterGrid
+        raster = RasterGrid if self.values.dtype == np.float64 else IntRaster
         return raster._view(self.spec, self.values[i], self.missing[i])

@@ -27,16 +27,18 @@ failure modes the pre-processing stages exist to handle:
 Determinism contract: all randomness comes from numpy's default generator
 (the PCG64 bit generator) seeded with SceneSpec.seed, drawing in a fixed
 order: sensor-noise normals, then cloud flags, then corruption uniforms,
-then bloom flags, then bloom uniforms, each as one (months, rows, cols)
-block, skipping channels whose rate or scale is zero. Identical specs
-therefore produce bit-identical scenes. Scenes are reproducible across
-versions of this package but not across unrelated implementations.
+then bloom flags, then bloom uniforms, skipping channels whose rate or
+scale is zero. Each channel is drawn month by month, in the same order;
+PCG64 fills an array in sequence, so these are the draws of one
+(months, rows, cols) block per channel. Identical specs therefore produce
+bit-identical scenes. Scenes are reproducible across versions of this
+package but not across unrelated implementations.
 
-Each channel's block is applied to the radiance cube in place and freed
-before the next block is drawn, and the stacks take that cube and one cube
-of quality words over uncopied, so generation peaks at about 1.3 times the
-scene's own arrays. The arithmetic is that of the expression form
-(``values * exp(sigma * Z)``, then ``np.where(flagged, corrupted, values)``), so the bits are too.
+Each month's draws are applied to the radiance cube and the quality words
+in place, and the stacks take both cubes over uncopied. The arithmetic is
+that of the expression form (``values * exp(sigma * Z)``, then
+``np.where(flagged, corrupted, values)``), so the bits are too. VNP46A2
+quality words are uint16, VSC-NTL cloud-free counts int64.
 """
 
 from dataclasses import dataclass, field
@@ -234,8 +236,9 @@ def generate_scene(spec):
 
     columns = zone_columns(spec.zones, grid)
     ambient = float(np.mean(spec.base_radiance))
+    values = np.full(shape, ambient)
     pixel_base = np.full(grid.shape, ambient)
-    event_frame = np.full(grid.shape, ambient)
+    event_frame = values[event_index]  # a view: the event month is built in place
     truth = []
     for zone, base in zip(spec.zones, spec.base_radiance):
         inside = columns.cells[columns.positions[zone.zone_id]]
@@ -251,39 +254,17 @@ def generate_scene(spec):
                 true_drop_percent=100.0 * spec.drop_gain * zone.damage_ratio,
             )
         )
+    values[:event_index] = values[event_index + 1 :] = pixel_base
 
-    values = np.broadcast_to(pixel_base, shape).copy()
-    values[event_index] = event_frame
-
-    # each channel's block is applied in place and freed before the next is drawn
-    rng = np.random.default_rng(spec.seed)
-    if noise.gaussian_sigma > 0:
-        gain = rng.standard_normal(shape)
-        gain *= noise.gaussian_sigma
-        values *= np.exp(gain, out=gain)
-        del gain
-    rates = noise.monthly_cloud_rates(len(months))
-    if np.any(rates > 0):
-        flagged = rng.random(shape) < rates[:, None, None]
-        corrupted = rng.uniform(-1.0, 1.0, shape)
-        corrupted *= noise.corruption_scale
-        corrupted += 1.0
-        corrupted *= pixel_base
-        np.copyto(values, corrupted, where=flagged)
-        del corrupted
-    else:
-        flagged = np.zeros(shape, dtype=bool)
-    if noise.bloom_rate > 0:
-        bloomed = rng.random(shape) < noise.bloom_rate
-        np.copyto(values, rng.uniform(noise.bloom_lo, noise.bloom_hi, shape), where=bloomed)
-        del bloomed
-
-    radiance = RasterStack.from_cube(months, grid, values, np.zeros(shape, dtype=bool))
+    # VNP46A2 words are 16 bits wide; VSC-NTL cloud-free counts may be any int64
     if spec.dataset is Dataset.VNP46A2:
-        good, bad = VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
+        good, bad = np.uint16(VNP46A2_HIGH_QUALITY_CODE), np.uint16(VNP46A2_LOW_QUALITY_CODE)
     else:
-        good, bad = VSCNTL_HIGH_QUALITY_COUNT, 0
-    quality = RasterStack.from_cube(months, grid, np.where(flagged, bad, good), np.zeros(shape, dtype=bool))
+        good, bad = np.int64(VSCNTL_HIGH_QUALITY_COUNT), np.int64(0)
+    words = np.full(shape, good)
+    _add_noise(values, words, bad, pixel_base, noise, spec.seed)
+    radiance = RasterStack.from_cube(months, grid, values, np.zeros(shape, dtype=bool))
+    quality = RasterStack.from_cube(months, grid, words, np.zeros(shape, dtype=bool))
     built = noise.built_fraction_map or RasterGrid(grid, np.ones(grid.shape))
     return GeneratedScene(
         spec=spec,
@@ -293,6 +274,33 @@ def generate_scene(spec):
         built_fraction=built,
         columns=columns,
     )
+
+
+def _add_noise(values, words, bad, pixel_base, noise, seed):
+    """Apply the noise channels in place to a (months, rows, cols) radiance cube and its quality words.
+
+    Each channel is drawn one month at a time, in the module docstring's
+    order; a cloud-corrupted pixel-month's word becomes ``bad``, which
+    no other word equals.
+    """
+    rng = np.random.default_rng(seed)
+    shape = values.shape[1:]
+    if noise.gaussian_sigma > 0:
+        for month in values:
+            month *= np.exp(noise.gaussian_sigma * rng.standard_normal(shape))
+    rates = noise.monthly_cloud_rates(len(values))
+    if np.any(rates > 0):
+        for month_words, rate in zip(words, rates):
+            month_words[rng.random(shape) < rate] = bad
+        for month, month_words in zip(values, words):
+            corrupted = pixel_base * (1.0 + noise.corruption_scale * rng.uniform(-1.0, 1.0, shape))
+            np.copyto(month, corrupted, where=month_words == bad)
+    if noise.bloom_rate > 0:
+        bloomed = np.empty(values.shape, dtype=bool)
+        for month_bloomed in bloomed:
+            np.less(rng.random(shape), noise.bloom_rate, out=month_bloomed)
+        for month, month_bloomed in zip(values, bloomed):
+            np.copyto(month, rng.uniform(noise.bloom_lo, noise.bloom_hi, shape), where=month_bloomed)
 
 
 def check_scorable(spec):

@@ -1,5 +1,8 @@
 """Tests for the dataset-directory layout: the simulate writer and the loader."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from ntlpipe import (
     config_from_label,
     decode_vnp46a2_quality,
     generate_scene,
+    high_quality_mask,
     is_high_quality_vnp46a2,
     rect_ring,
     tile_zones,
@@ -68,6 +72,7 @@ def test_written_scene_loads_back_exactly(tmp_path, kind):
     radiance, quality, built = load(dataset)
     assert radiance == scene.radiance
     assert quality == scene.quality
+    assert quality.values.dtype == (np.uint16 if kind is Dataset.VNP46A2 else np.int64)
     assert built == scene.built_fraction
 
 
@@ -149,6 +154,50 @@ def test_largest_16_bit_word_is_named_as_reserved(tmp_path):
     with pytest.raises(ConfigError) as raised:
         load(dataset)
     assert str(raised.value) == "reserved bits 11-15 are set (raw value 65535) in 2018-09.qf.asc"
+
+
+# words a 16-bit cast would wrap or pass, with the message the load refuses each with (65536 is tested above)
+REFUSED_WORDS = [
+    ("65586", "quality word of 2^16 or more in {}"),  # 2^16 + 50: 50 in 16 bits, a trusted word
+    ("-1", "negative quality value in {}"),
+    ("-65486", "negative quality value in {}"),  # 50 - 2^16
+    ("8", "reserved background code 4 (raw value 8) in {}"),
+    ("2098", "reserved bits 11-15 are set (raw value 2098) in {}"),  # 2^11 + 50
+]
+
+
+@pytest.mark.parametrize("name", ["2018-09.qf.asc", "2018-09-14.qf.asc"])
+@pytest.mark.parametrize("word, message", REFUSED_WORDS)
+def test_no_vnp46a2_word_is_narrowed_before_it_is_checked(tmp_path, word, message, name):
+    _, dataset = written_scene(tmp_path, Dataset.VNP46A2)
+    (tmp_path / "2018-09.qf.asc").unlink()
+    (tmp_path / name).write_text(HEADER + "\n".join([f"50 {word} 50 50 50 50"] * 5) + "\n")
+    with pytest.raises(ConfigError) as raised:
+        load(dataset)
+    assert str(raised.value) == message.format(name)
+
+
+def test_fractional_vnp46a2_word_keeps_a_float_cube_and_is_not_trusted(tmp_path):
+    scene, dataset = written_scene(tmp_path, Dataset.VNP46A2)
+    (tmp_path / "2018-09.qf.asc").write_text(HEADER + "\n".join(["50.5 50 50 50 50 50"] * 5) + "\n")
+    _, quality_stack, _ = load(dataset)
+    # the months before it went into a uint16 cube, which then became float64
+    assert quality_stack.values.dtype == np.float64
+    fractional = quality_stack.months.index(MonthIndex(2018, 9))
+    others = [i for i in range(len(quality_stack.months)) if i != fractional]
+    assert np.array_equal(quality_stack.values[others], scene.quality.values[others])
+    high = high_quality_mask(quality_stack, Dataset.VNP46A2)
+    assert not high[fractional][:, 0].any()
+    assert high[fractional][:, 1:].all()
+
+
+def test_vscntl_counts_of_2_16_or_more_load_as_int64(tmp_path):
+    _, dataset = written_scene(tmp_path, Dataset.VSC_NTL)
+    counts = [65535, 65536, 65586, 1, 0, 2**53]
+    (tmp_path / "2018-09.qf.asc").write_text(HEADER + "\n".join([" ".join(map(str, counts))] * 5) + "\n")
+    _, quality_stack, _ = load(dataset)
+    assert quality_stack.values.dtype == np.int64
+    assert quality_stack.get(MonthIndex(2018, 9)).values.tolist() == [counts] * 5
 
 
 def daily_month(directory, radiance_rows, quality_rows):
@@ -291,3 +340,34 @@ def test_load_holds_only_the_zone_cells(tmp_path):
         assert grid.values.shape == grid.missing.shape == (1, 9)
     flat = [row * 200 + col for row in range(196, 199) for col in range(100, 103)]
     assert radiance.values[0].ravel().tolist() == [float(i) for i in flat]
+
+
+@pytest.mark.parametrize("days", [0, 3])
+def test_vnp46a2_quality_cube_takes_two_bytes_per_kept_cell_month(tmp_path, days):
+    """Monthly files, or three daily files a month: the loaded quality stack holds a 2-byte word per kept cell-month."""
+    spec = GridSpec(ncols=100, nrows=100, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+    months = ["2018-09", "2018-10", "2018-11"]
+    words = np.where(np.arange(spec.size).reshape(spec.shape) % 7, VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE)
+    for month in months:
+        for name in [f"{month}-{day:02d}" for day in range(1, days + 1)] or [month]:
+            write_grid(RasterGrid(spec, np.ones(spec.shape)), tmp_path / f"{name}.asc")
+            write_grid(IntRaster(spec, words), tmp_path / f"{name}.qf.asc")
+    dataset = DatasetConfig("VNP46A2", Dataset.VNP46A2, tmp_path, tmp_path)
+    zone = Zone("Z", (rect_ring(20.0, 20.0, 80.0, 70.0),), 0.1)  # 60 x 50 cells
+    kept = len(months) * 60 * 50
+    configs = [config_from_label(Dataset.VNP46A2, "quality")]
+    lo, hi = MonthIndex(2018, 9), MonthIndex(2018, 11)
+    load_dataset(dataset, lo, hi, configs, (zone,))  # imports and caches are not the stack's cost
+    tracemalloc.start()
+    try:
+        quality_stack = load_dataset(dataset, lo, hi, configs, (zone,))[1]
+        gc.collect()
+        with_stack = tracemalloc.get_traced_memory()[0]
+        assert quality_stack.values.dtype == np.uint16 and quality_stack.values.size == kept
+        del quality_stack
+        gc.collect()
+        held = with_stack - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the word and the missing flag, and 1 KiB for the stack's Python objects; int64 words would hold 9 B
+    assert held <= (2 + 1) * kept + 1024
