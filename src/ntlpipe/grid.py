@@ -25,6 +25,7 @@ used together are assumed co-registered in a single planar frame.
 """
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -162,15 +163,6 @@ class _RasterMixin:
 
     __hash__ = None  # array payload; equality is by value, so not hashable
 
-    def allclose(self, other, atol=1e-9):
-        """True if specs and masks match and valid cells agree within atol."""
-        if type(other) is not type(self) or self.spec != other.spec:
-            return False
-        if not np.array_equal(self.missing, other.missing):
-            return False
-        ok = self.valid
-        return bool(np.all(np.abs(self.values[ok] - other.values[ok]) <= atol))
-
 
 @dataclass(frozen=True, eq=False)
 class RasterGrid(_RasterMixin):
@@ -225,8 +217,10 @@ def read_grid(path):
     Cells equal to the declared NODATA value become missing. The raster is
     an IntRaster when every data token is an integer literal and no valid
     cell is negative or of 2^63 or more (past int64), otherwise a
-    RasterGrid. Raises GridParseError (with a 1-based line number) on any
-    malformed header or data line.
+    RasterGrid. Integer literals read exactly up to 2^63 - 1, and when one
+    is of 2^53 or more, past which float64 rounds, the NODATA value is
+    compared with the cells as an integer too. Raises GridParseError (with
+    a 1-based line number) on any malformed header or data line.
 
     Only the header lines are split into tokens. A well-formed body goes
     through numpy's C text reader in one call; any other body goes to the
@@ -235,6 +229,7 @@ def read_grid(path):
     path = Path(path)
     lines = path.read_text().splitlines()
     header = {}
+    header_tokens = {}
     header_lines = {}
     pos = 0
     while len(header) < len(_HEADER_KEYS):
@@ -257,6 +252,7 @@ def read_grid(path):
             header[key] = _HEADER_KEYS[key](tokens[1])
         except ValueError:
             raise GridParseError(f"malformed value {tokens[1]!r} for header key {tokens[0]!r}", lineno) from None
+        header_tokens[key] = tokens[1]
         header_lines[key] = lineno
 
     try:
@@ -280,13 +276,16 @@ def read_grid(path):
         ]
         body = _parse_body(spec, data_lines)
     values, all_int = body
-    missing = values == header["nodata_value"]
-    if all_int:
-        # an IntRaster's valid cells are non-negative int64s, so a negative cell, or
-        # one astype would wrap, makes the body real-valued
-        valid = values[~missing]
-        all_int = not ((valid < 0) | (valid >= 2.0**63)).any()
-    if all_int:
+    if all_int and (values.max() >= 2.0**53 or values.min() <= -(2.0**53)):
+        # float64 rounds integers from 2^53 on: read the literals again, exactly
+        exact, missing = _exact_integers(spec, body_lines, header_tokens["nodata_value"])
+        if exact is None:  # a valid cell past int64
+            return RasterGrid(spec, values, missing)
+        values = exact
+    else:
+        missing = values == header["nodata_value"]
+    # an IntRaster's valid cells are non-negative int64s, so a negative one makes the body real-valued
+    if all_int and not (values[~missing] < 0).any():
         return IntRaster(spec, values.astype(np.int64), missing)
     return RasterGrid(spec, values, missing)
 
@@ -346,37 +345,91 @@ def _parse_body(spec, data_lines):
     return values, all_int
 
 
+def _exact_integers(spec, body_lines, nodata_token):
+    """(values, missing) of an all-integer body read as Python ints, not through float64.
+
+    values is None when a valid cell is past int64. Python compares an int
+    with a float exactly, so an integer NODATA literal is kept as an int and
+    any other as the float it reads as; a literal of thousands of digits,
+    which float() reads as inf, stays inf.
+    """
+    nodata = float(nodata_token)
+    if _INT_TOKEN.match(nodata_token) and math.isfinite(nodata):
+        nodata = int(nodata_token)
+    cells = [int(tok) for tokens in map(str.split, body_lines) for tok in tokens]
+    missing = np.array([cell == nodata for cell in cells]).reshape(spec.shape)
+    try:
+        values = np.array([0 if cell == nodata else cell for cell in cells], dtype=np.int64)
+    except OverflowError:
+        return None, missing
+    return values.reshape(spec.shape), missing
+
+
+_CHECK_CELLS = 4096  # cells write_grid checks against the sentinel at once
+
+
 def write_grid(grid, path, nodata=-9999.0):
-    """Write a raster to an ASCII grid file.
+    """Write a raster to an ASCII grid file, one row at a time.
 
     Float values are printed with full round-trip precision, so
     read_grid(write_grid(g)) reproduces g exactly. Missing cells are written
     as the NODATA token; a grid holding a valid value equal to ``nodata`` is
-    rejected (pick a different sentinel).
+    rejected (pick a different sentinel) before any file is opened.
+
+    Each row is formatted and written on its own, so the writer never holds
+    more than one row as Python objects. The rows go to a temporary file
+    beside ``path``, which replaces ``path`` only once it is whole: a write
+    that fails leaves ``path`` as it was, or absent, and no temporary file.
     """
     is_int = isinstance(grid, IntRaster)
     if is_int:
         if nodata != int(nodata):
             raise ValueError(f"integer raster needs an integer nodata, got {nodata}")
-        nodata_tok = str(int(nodata))
+        fill = int(nodata)
+        nodata_tok = str(fill)
     else:
-        nodata_tok = repr(float(nodata))
-    if np.any(grid.values[grid.valid] == nodata):
-        raise ValueError(f"grid contains valid cells equal to the nodata sentinel {nodata}")
-
+        fill = float(nodata)
+        nodata_tok = repr(fill)
     spec = grid.spec
-    lines = [
-        f"ncols {spec.ncols}",
-        f"nrows {spec.nrows}",
-        f"xllcorner {float(spec.x_origin)!r}",
-        f"yllcorner {float(spec.y_origin)!r}",
-        f"cellsize {float(spec.cell_size)!r}",
-        f"NODATA_value {nodata_tok}",
-    ]
-    fmt = str if is_int else repr  # on the Python ints and floats tolist gives
-    for values, missing in zip(grid.values.tolist(), grid.missing.tolist()):
-        lines.append(" ".join(nodata_tok if m else fmt(v) for v, m in zip(values, missing)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # a block of rows at a time, so the check never copies the grid's values
+    step = max(1, _CHECK_CELLS // spec.ncols)
+    for lo in range(0, spec.nrows, step):
+        values, missing = grid.values[lo : lo + step], grid.missing[lo : lo + step]
+        if np.any(values[~missing] == nodata):
+            raise ValueError(f"grid contains valid cells equal to the nodata sentinel {nodata}")
+    # np.where needs the sentinel as a numpy scalar, or -9999 would wrap in a uint16 row;
+    # a sentinel past int64 goes into each row's list instead
+    wide = is_int and not -(2**63) <= fill < 2**63
+    if not wide:
+        fill = np.int64(fill) if is_int else np.float64(fill)
+
+    header = (
+        f"ncols {spec.ncols}\n"
+        f"nrows {spec.nrows}\n"
+        f"xllcorner {float(spec.x_origin)!r}\n"
+        f"yllcorner {float(spec.y_origin)!r}\n"
+        f"cellsize {float(spec.cell_size)!r}\n"
+        f"NODATA_value {nodata_tok}\n"
+    )
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    out = open(tmp, "x")  # outside the try: a name that exists already is not this write's to remove
+    try:
+        with out:
+            out.write(header)
+            for values, missing in zip(grid.values, grid.missing):
+                if wide:
+                    row = values.tolist()
+                    for c in np.flatnonzero(missing).tolist():
+                        row[c] = fill
+                else:
+                    row = np.where(missing, fill, values).tolist()
+                # repr of the Python floats and ints tolist gives; on an int it is str
+                out.write(" ".join(map(repr, row)) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def class_fraction_resample(src, target_spec, class_label):
