@@ -155,6 +155,8 @@ def cmd_extract(args):
 
         windows = [h.window for h in run.hurricanes]
         chain = series_by_config(radiance, quality, built, positions, configs, windows)
+        # handed over: the chain frees each cube after its last stage
+        del radiance, quality, built
         for config, tables in chain:
             for hurricane, table in zip(run.hurricanes, tables):
                 series_dir = _series_dir(out_dir, dataset, config.label, hurricane.name)

@@ -84,14 +84,6 @@ class GridSpec:
         y = self.y_origin + (self.nrows - row - 0.5) * self.cell_size
         return x, y
 
-    def cell_at(self, x, y):
-        """(row, col) of the cell containing point (x, y), or None if outside."""
-        col = math.floor((x - self.x_origin) / self.cell_size)
-        row = self.nrows - 1 - math.floor((y - self.y_origin) / self.cell_size)
-        if 0 <= row < self.nrows and 0 <= col < self.ncols:
-            return row, col
-        return None
-
 
 def _normalize_raster(spec, values, missing, dtype):
     """(values, missing) of a raster on ``spec``, or of a stack of rasters (months first), checked and frozen.

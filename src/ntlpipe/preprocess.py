@@ -43,6 +43,7 @@ __all__ = [
     "ThresholdMode",
     "PipelineConfig",
     "threshold",
+    "built_keep",
     "apply_built_mask",
     "impute_pixel",
     "quality_filter_and_impute",
@@ -107,19 +108,29 @@ def threshold(raster, mode, lo=THRESHOLD_LO, hi=THRESHOLD_HI):
     return raster.with_values(raster.values.copy(), raster.missing | out_of_range)
 
 
-def apply_built_mask(raster, built_fraction, built_fraction_threshold=BUILT_FRACTION_MIN):
-    """Keep cells at least threshold-fraction built, in a raster or each month of a stack; others go missing.
+def built_keep(spec, built_fraction, built_fraction_threshold=BUILT_FRACTION_MIN):
+    """The cells of a grid the built mask keeps: a bool array shaped as the built-fraction grid.
 
-    Cells where the built fraction itself is missing are dropped too: with
-    no land-cover evidence the built criterion cannot be met.
+    A cell is kept when its built fraction is valid and at least the
+    threshold: with no land-cover evidence the built criterion cannot be
+    met. Raises as apply_built_mask does, for a raster on ``spec``.
     """
     if built_fraction is None:
         raise ConfigError("built masking is enabled but no built-fraction grid was given")
-    if raster.spec != built_fraction.spec:
+    if spec != built_fraction.spec:
         raise ValueError("raster and built-fraction grids disagree on geometry")
     if not 0.0 <= built_fraction_threshold <= 1.0:
         raise ValueError(f"built fraction threshold {built_fraction_threshold} outside [0, 1]")
-    keep = built_fraction.valid & (built_fraction.values >= built_fraction_threshold)
+    return built_fraction.valid & (built_fraction.values >= built_fraction_threshold)
+
+
+def apply_built_mask(raster, built_fraction, built_fraction_threshold=BUILT_FRACTION_MIN):
+    """Keep cells at least threshold-fraction built, in a raster or each month of a stack; others go missing.
+
+    Cells where the built fraction itself is missing are dropped too (see
+    built_keep).
+    """
+    keep = built_keep(raster.spec, built_fraction, built_fraction_threshold)
     return raster.with_values(raster.values.copy(), raster.missing | ~keep)
 
 
@@ -250,32 +261,48 @@ def run_pipeline(stack, quality_stack, built_fraction, config):
     return out
 
 
-def run_stage_tree(stack, quality_stack, built_fraction, configs):
-    """Run the pipelines of many configs, sharing the stages they have in common.
+def run_stage_tree(stack, quality_stack, configs):
+    """Run the quality and threshold stages of many configs, sharing the stages they have in common.
 
     The canonical stage order makes the configs a tree: each distinct
-    quality pass runs once, each threshold once below it, the built mask
-    last, each one call on a whole stack. Yields ``(group, processed)``
-    per distinct stage combination, in tree order, where ``group`` lists
-    the configs asking for it in their given order and ``processed``
-    equals ``run_pipeline`` for each of them. A stage raises as it does
-    in run_pipeline, when the walk reaches it. At most one quality result
-    and one branch below it are alive at a time, and the quality result is
-    dropped after the last config that needs it.
+    quality pass runs once and each threshold once below it, each one call
+    on a whole stack. Yields ``(group, processed)`` per distinct (quality,
+    threshold) combination, in tree order, where ``group`` lists the
+    configs asking for it in their given order, built or not, and
+    ``processed`` equals ``run_pipeline`` for each of them with the built
+    mask off. The built mask is purely spatial, so series_by_config
+    applies it as a cut of each zone's cells, not as a stack. A stage
+    raises as it does in run_pipeline, when the walk reaches it.
+
+    Each input is dropped after its last reader: the quality stack after
+    the last quality pass, the radiance stack once the last base is built,
+    and a base before the last branch below it is built. A caller that
+    hands the stacks over, keeping no reference, frees each cube there.
     """
     tree = {}
     for config in configs:
         quality = config.dataset if config.quality_filter else None
-        by_built = tree.setdefault(quality, {}).setdefault(config.threshold_mode, {})
-        by_built.setdefault(config.built_mask, []).append(config)
+        tree.setdefault(quality, {}).setdefault(config.threshold_mode, []).append(config)
+    passes_left = sum(quality is not None for quality in tree)
+    bases_left = len(tree)
     for quality, by_threshold in tree.items():
-        base = stack if quality is None else quality_filter_and_impute(stack, quality_stack, quality)
-        for mode, by_built in by_threshold.items():
-            branch = base if mode is ThresholdMode.NONE else threshold(base, mode)
-            for built, group in by_built.items():
-                # yielded unbound: each result goes once served, not kept while the next is built
-                yield group, apply_built_mask(branch, built_fraction) if built else branch
-            del branch
+        if quality is None:
+            base = stack
+        else:
+            base = quality_filter_and_impute(stack, quality_stack, quality)
+            passes_left -= 1
+        bases_left -= 1
+        if not passes_left:
+            quality_stack = None  # after the last quality pass, or at once where none runs
+        if not bases_left:
+            stack = None
+        *first, (last_mode, last_group) = by_threshold.items()
+        for mode, group in first:
+            # yielded unbound: each branch goes once served, not kept while the next is built
+            yield group, base if mode is ThresholdMode.NONE else threshold(base, mode)
+        # the last branch replaces its base, which is then freed as soon as the branch exists
+        base = base if last_mode is ThresholdMode.NONE else threshold(base, last_mode)
+        yield last_group, base
         del base
 
 

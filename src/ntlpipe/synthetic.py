@@ -318,26 +318,32 @@ def recovered_pccs(scene, configs, min_damage=0.01):
 
     The recovered pcc correlates per-zone event drops with damage ratios,
     or is correlate_method's StatsError, which names the config.
-    The chain runs on the scene's built fraction and two stacks, each cube
-    cut down to ``scene.columns`` in one ZoneColumns.cut call, as
-    load_dataset cuts what it reads; every stage is pixel-local, so each
-    pcc equals the chain's on the whole grids. The cuts are made before
-    this returns, and the iterator holds no reference to the scene, so a
-    caller can release the whole cubes before the chain runs; where the
+    The chain runs on the scene's built fraction and two stacks, each cut
+    down to ``scene.columns`` in one ZoneColumns.cut call, as load_dataset
+    cuts what it reads; every stage is pixel-local, so each pcc equals the
+    chain's on the whole grids. A scene check_scorable refuses raises its
+    ConfigError here; the rest runs as the iterator is first advanced.
+
+    The iterator holds the scene's two stacks and built fraction, not the
+    scene. It cuts one cube at a time, radiance, then quality, then the
+    built fraction, releasing each whole cube before the next cut, then
+    hands the cuts over to the chain. So a caller that releases the scene
+    first holds at most one whole cube and its cut at once. Where the
     zones cover every cell, the cut is the scene's own stack, uncopied. A
-    scene check_scorable refuses raises its ConfigError instead, and a
     stage raises as it does in run_pipeline.
     """
-    spec = scene.spec
-    check_scorable(spec)
-    cut = scene.columns.cut
-    radiance, quality = cut(scene.radiance), cut(scene.quality)
-    built = None if scene.built_fraction is None else cut(scene.built_fraction)
-    chain = series_by_config(radiance, quality, built, scene.columns.positions, configs, (spec.months,))
-    return _scored(spec, chain, min_damage)
+    check_scorable(scene.spec)
+    cubes = scene.radiance, scene.quality, scene.built_fraction
+    return _scored(scene.spec, scene.columns, *cubes, configs, min_damage)
 
 
-def _scored(spec, chain, min_damage):
+def _scored(spec, columns, radiance, quality, built, configs, min_damage):
+    # each rebinding releases a whole cube before the next is cut
+    radiance = columns.cut(radiance)
+    quality = columns.cut(quality)
+    built = None if built is None else columns.cut(built)
+    chain = series_by_config(radiance, quality, built, columns.positions, configs, (spec.months,))
+    del radiance, quality, built
     for config, (table,) in chain:
         samples = drop_samples(spec.zones, table, spec.months)
         try:

@@ -20,10 +20,11 @@ positive numbers mean the lights dimmed.
 
 series_by_config is the one "stack -> cleaned stack -> zone series" chain.
 It walks the configs' stage tree, so the quality pass runs once and every
-threshold and built branch below it shares its result, and it gathers
-each zone's pixels by flat index, one sum per zone-month, into one window
-table per event window. It runs as well on the rows of zone cells
-load_dataset returns as on whole grids. The baseline is always the
+threshold branch below it shares its result, and it gathers each zone's
+pixels by flat index, one sum per zone-month, into one window table per
+event window; a built config gathers only the pixels the built mask
+keeps. It runs as well on the rows of zone cells load_dataset returns as
+on whole grids. The baseline is always the
 BASELINE_MONTHS (six) months before the month it judges. percent_changes
 takes the percent changes of every row of a table at once, by a
 sliding-window sum, so the event drops of a window are one negated
@@ -48,7 +49,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ReportError
 from .grid import RasterGrid
-from .preprocess import run_stage_tree
+from .preprocess import built_keep, run_stage_tree
 from .stack import MonthIndex, month_ordinal
 from .zones import zonal_mean, zonal_means
 
@@ -183,21 +184,37 @@ def series_by_config(radiance, quality, built, zone_cells, configs, windows):
     some zone covers. ``tables[i]`` is a float64 (zones x months) array
     over ``windows[i]``, one row per zone in ``zone_cells`` order, each
     row equal to build_zone_series' values on the config's run_pipeline
-    result over whole grids. The pipelines run as one run_stage_tree
-    walk, so a stage whose input is missing raises run_pipeline's error
-    when the walk reaches it; a config finished ahead of its turn waits
-    as its (small) tables, never as a stack.
+    result over whole grids.
+
+    The quality and threshold stages run as one run_stage_tree walk. The
+    built mask is purely spatial, so a built config's tables are its
+    unmasked branch's zonal means over each zone's cells that the mask
+    keeps: the same values in the same order as on the masked stack, so
+    the same sums, and no masked copy of a stack. A stage whose input is
+    missing raises run_pipeline's error when the walk reaches it, the
+    built mask's at the first built config. A config finished ahead of its
+    turn waits as its (small) tables, never as a stack. The stacks are
+    handed to the walk, which drops each after its last stage, so where
+    the caller keeps no reference to them each cube is freed there.
     """
     indices = tuple(zone_cells.values())
+    spec = radiance.spec
     order = list(configs)
+    tree = run_stage_tree(radiance, quality, order)
+    del radiance, quality
+    kept = None  # each zone's cells the built mask keeps, found when the walk first needs them
     done = {}
-    for group, result in run_stage_tree(radiance, quality, built, order):
-        # rebinding drops this frame's reference to the stack before the next is built
-        result = _series_by_window(result, indices, windows)
-        done.update(dict.fromkeys(group, result))
-        while order and order[0] in done:
-            config = order.pop(0)
-            yield config, done[config] if config in order else done.pop(config)
+    for group, branch in tree:
+        for masked in dict.fromkeys(config.built_mask for config in group):
+            if masked and kept is None:
+                keep = built_keep(spec, built).ravel()
+                kept, built = tuple(cells[keep[cells]] for cells in indices), None
+            tables = _series_by_window(branch, kept if masked else indices, windows)
+            done.update((config, tables) for config in group if config.built_mask == masked)
+            while order and order[0] in done:
+                config = order.pop(0)
+                yield config, done[config] if config in order else done.pop(config)
+        del branch  # before the walk builds the next branch
 
 
 def rolling_baseline(series, t):

@@ -261,23 +261,24 @@ class TestSimulateMemory:
         assert uncopied == [True, True, True]
 
     def test_cut_scene_is_released_before_the_oracle_runs(self, tmp_path, monkeypatch):
+        whole = []
         alive = []
-        recovered_pccs = cli.recovered_pccs
+        recovered_pccs, threshold = cli.recovered_pccs, preprocess.threshold
 
         def recording(scene, configs):
-            whole = weakref.ref(scene.radiance.values)  # the scene's radiance cube
-            results = recovered_pccs(scene, configs)
+            whole.extend(weakref.ref(stack.values) for stack in (scene.radiance, scene.quality))  # the scene's cubes
+            return recovered_pccs(scene, configs)
 
-            def checked():
-                alive.append(whole() is not None)
-                yield from results
-
-            return checked()
+        def thresholding(*args):
+            if not alive:  # VSC-NTL's first stage call is the first threshold
+                alive.extend(cube() is not None for cube in whole)
+            return threshold(*args)
 
         monkeypatch.setattr(cli, "recovered_pccs", recording)
+        monkeypatch.setattr(preprocess, "threshold", thresholding)
         scene = write_json(tmp_path / "scene.json", self.PARTIAL_SCENE)
         assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 0
-        assert alive == [False]
+        assert alive == [False, False]
 
 
 class TestSimulateDeterminism:
@@ -406,6 +407,31 @@ class TestExtractDirectories:
         # pathlib itself makes the missing parents, then retries the leaf with parents=False
         asked = [path for path, parents in made if parents and path in series_dirs]
         assert sorted(asked) == sorted(series_dirs)
+
+
+class TestExtractMemory:
+    def test_the_loaded_stacks_are_handed_over_to_the_chain(self, tmp_path, monkeypatch):
+        config = simulated_vsc_run(tmp_path)
+        cubes = []
+        alive = []
+        load_dataset, series_by_config = cli.load_dataset, cli.series_by_config
+
+        def loading(*args):
+            loaded = load_dataset(*args)
+            cubes.extend(weakref.ref(stack.values) for stack in loaded[:2])  # radiance and quality
+            return loaded
+
+        def watched(results):
+            for served in results:
+                alive.append([cube() is not None for cube in cubes])
+                yield served
+
+        monkeypatch.setattr(cli, "load_dataset", loading)
+        # a plain function: its frame, which holds the arguments, is gone once the chain is built
+        monkeypatch.setattr(cli, "series_by_config", lambda *args: watched(series_by_config(*args)))
+        assert main(["extract", "--config", str(config)]) == 0
+        # both cubes live through the configs without quality, and die with the quality pass
+        assert alive == [[True, True]] * 6 + [[False, False]] * 6
 
 
 class TestCaseStudy:

@@ -59,27 +59,6 @@ class TestGridSpec:
             for c in range(spec.ncols):
                 assert (xs[c], ys[r]) == spec.cell_center(r, c)
 
-    def test_cell_at_inverts_cell_center(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            spec = make_spec(
-                ncols=int(rng.integers(1, 12)),
-                nrows=int(rng.integers(1, 12)),
-                x0=float(rng.uniform(-100, 100)),
-                y0=float(rng.uniform(-100, 100)),
-                cs=float(rng.uniform(0.1, 10.0)),
-            )
-            for _ in range(20):
-                r = int(rng.integers(0, spec.nrows))
-                c = int(rng.integers(0, spec.ncols))
-                assert spec.cell_at(*spec.cell_center(r, c)) == (r, c)
-
-    def test_cell_at_outside_returns_none(self):
-        spec = make_spec(ncols=2, nrows=2, x0=0.0, y0=0.0, cs=1.0)
-        assert spec.cell_at(-0.5, 1.0) is None
-        assert spec.cell_at(1.0, 2.5) is None
-        assert spec.cell_at(2.5, 1.0) is None
-
 
 class TestRasterConstruction:
     def test_accepts_flat_row_major_values(self):

@@ -43,6 +43,8 @@ from ntlpipe import (
     tile_zones,
 )
 import ntlpipe.zones
+from ntlpipe import preprocess
+from ntlpipe.zones import ZoneColumns
 
 EVENT = MonthIndex(2018, 10)
 
@@ -512,15 +514,30 @@ class TestOracleOnZoneColumns:
             list(results)
         assert str(raised.value) == str(expected.value)
 
-    def test_the_oracle_holds_no_reference_to_the_scene(self):
+    def test_the_oracle_holds_no_reference_to_the_scene(self, monkeypatch):
         scene = generate_scene(layout_spec(Dataset.VNP46A2, "part-of-the-grid"))
         configs = enumerate_configs(Dataset.VNP46A2)
         want = [comparable(result) for _, result in recovered_pccs(scene, configs)]
-        whole = weakref.ref(scene.radiance.values)  # the scene's radiance cube
+        whole = [weakref.ref(scene.radiance.values), weakref.ref(scene.quality.values)]  # the scene's cubes
+        at_cuts, at_first_stage = [], []
+        cut, impute = ZoneColumns.cut, preprocess.quality_filter_and_impute
+
+        def cutting(columns, raster):
+            at_cuts.append([cube() is not None for cube in whole])
+            return cut(columns, raster)
+
+        def imputing(*args):
+            at_first_stage.append([cube() is not None for cube in whole])  # VNP46A2 has no threshold stage
+            return impute(*args)
+
+        monkeypatch.setattr(ZoneColumns, "cut", cutting)
+        monkeypatch.setattr(preprocess, "quality_filter_and_impute", imputing)
         results = recovered_pccs(scene, configs)
         del scene
-        assert whole() is None
         assert [comparable(result) for _, result in results] == want
+        # radiance, quality, built fraction: each whole cube is released before the next is cut
+        assert at_cuts == [[True, True], [False, True], [False, False]]
+        assert at_first_stage == [[False, False]]
 
 
 def scene_nbytes(scene):

@@ -7,6 +7,8 @@ import io
 import math
 import sys
 import tempfile
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +50,7 @@ from ntlpipe import (
     write_grid,
     write_series_csv,
 )
-from ntlpipe import preprocess
+from ntlpipe import preprocess, timeseries
 from ntlpipe.layout import BUILT_FRACTION_FILENAME, DatasetConfig, _majority_quality_composite, load_dataset
 from ntlpipe.timeseries import BASELINE_MONTHS
 
@@ -325,6 +327,26 @@ def assert_chain_matches_reference(scene, zones, windows, built, configs, chain=
                 assert [v.hex() for v in got] == [v.hex() for v in want.values]
 
 
+def assert_built_mask_raises_as_run_pipeline(dataset, built, error):
+    """series_by_config raises run_pipeline's built-mask error where the walk reaches the first built config."""
+    grid = GridSpec(ncols=4, nrows=4, x_origin=0.0, y_origin=0.0, cell_size=1.0)
+    window = EventWindow(MonthIndex(2018, 10), 2, 1)
+    spec = SceneSpec(5, grid, tile_zones(grid, 2, 1, [0.1, 0.5]), window, 20.0, dataset)
+    scene = generate_scene(spec)
+    cells = {zone.zone_id: np.flatnonzero(rasterize_zone(zone, grid).inside) for zone in spec.zones}
+    configs = enumerate_configs(dataset)
+    first_built = next(config for config in configs if config.built_mask)
+    with pytest.raises(error) as expected:
+        run_pipeline(scene.radiance, scene.quality, built, first_built)
+    served = []
+    with pytest.raises(error) as raised:
+        for config, _ in series_by_config(scene.radiance, scene.quality, built, cells, configs, (window,)):
+            served.append(config)
+    assert str(raised.value) == str(expected.value)
+    # after raw, whose branch the first built config shares
+    assert served == [configs[0]]
+
+
 class TestSeriesByConfig:
     @pytest.mark.parametrize("dataset", list(Dataset))
     @settings(max_examples=25, deadline=None)
@@ -339,18 +361,12 @@ class TestSeriesByConfig:
 
     @pytest.mark.parametrize("dataset", list(Dataset))
     def test_a_built_config_without_a_built_grid_raises_run_pipelines_error(self, dataset):
-        grid = GridSpec(ncols=4, nrows=4, x_origin=0.0, y_origin=0.0, cell_size=1.0)
-        window = EventWindow(MonthIndex(2018, 10), 2, 1)
-        spec = SceneSpec(5, grid, tile_zones(grid, 2, 1, [0.1, 0.5]), window, 20.0, dataset)
-        scene = generate_scene(spec)
-        cells = {zone.zone_id: np.flatnonzero(rasterize_zone(zone, grid).inside) for zone in spec.zones}
-        configs = enumerate_configs(dataset)
-        built = next(config for config in configs if config.built_mask)
-        with pytest.raises(ConfigError) as expected:
-            run_pipeline(scene.radiance, scene.quality, None, built)
-        with pytest.raises(ConfigError) as raised:
-            list(series_by_config(scene.radiance, scene.quality, None, cells, configs, (window,)))
-        assert str(raised.value) == str(expected.value)
+        assert_built_mask_raises_as_run_pipeline(dataset, None, ConfigError)
+
+    @pytest.mark.parametrize("dataset", list(Dataset))
+    def test_a_built_grid_off_the_geometry_raises_run_pipelines_error(self, dataset):
+        built = RasterGrid(GridSpec(ncols=4, nrows=3, x_origin=0.0, y_origin=0.0, cell_size=1.0), np.ones((3, 4)))
+        assert_built_mask_raises_as_run_pipeline(dataset, built, ValueError)
 
     def test_labels_out_of_canonical_order(self):
         grid = GridSpec(ncols=6, nrows=6, x_origin=0.0, y_origin=0.0, cell_size=1.0)
@@ -376,17 +392,94 @@ class TestSeriesByConfig:
         calls = []
         for name in ("quality_filter_and_impute", "threshold", "apply_built_mask", "high_quality_mask"):
             monkeypatch.setattr(preprocess, name, counted(calls, name, getattr(preprocess, name)))
+        monkeypatch.setattr(timeseries, "built_keep", counted(calls, "built_keep", timeseries.built_keep))
         cells = {zone.zone_id: np.flatnonzero(rasterize_zone(zone, grid).inside) for zone in zones}
         configs = enumerate_configs(Dataset.VSC_NTL)
         chain = series_by_config(scene.radiance, scene.quality, scene.built_fraction, cells, configs, (window,))
         assert len(list(chain)) == 12
-        # one call per branch of the stage tree, never one per month: the stack has six
+        # one call per branch of the stage tree, never one per month: the stack has six. The built
+        # mask masks no stack: its kept cells are found once and each built config sums only those
         assert {name: calls.count(name) for name in set(calls)} == {
             "quality_filter_and_impute": 1,
             "threshold": 4,
-            "apply_built_mask": 6,
+            "built_keep": 1,
             "high_quality_mask": 1,
         }
+
+
+def sweep_spec(n):
+    """A noisy VSC-NTL scene on an n x n grid that 64 zones tile, over a 25-month window."""
+    grid = GridSpec(n, n, 0.0, 0.0, 1.0)
+    zones = tile_zones(grid, 8, 8, [0.01 * (k + 1) for k in range(64)])
+    noise = NoiseSpec(gaussian_sigma=0.05, cloud_rate=0.3, corruption_scale=1.5, bloom_rate=0.01)
+    return SceneSpec(5, grid, zones, EventWindow(MonthIndex(2018, 10), 12, 12), 25.0, Dataset.VSC_NTL, noise=noise)
+
+
+def sweep_inputs(spec):
+    """series_by_config's stacks, built grid and zone cells for a scene, referenced by nothing else."""
+    scene = generate_scene(spec)
+    return scene.radiance, scene.quality, scene.built_fraction, scene.columns.positions
+
+
+class TestSweepReleasesEachCube:
+    def test_each_cube_dies_after_its_last_stage(self, monkeypatch):
+        spec = sweep_spec(16)
+        radiance, quality, built, cells = sweep_inputs(spec)
+        inputs = {"radiance": weakref.ref(radiance.values), "quality": weakref.ref(quality.values)}
+        impute = preprocess.quality_filter_and_impute
+
+        def recording(*args):
+            base = impute(*args)
+            inputs["base"] = weakref.ref(base.values)  # the quality pass's result
+            return base
+
+        monkeypatch.setattr(preprocess, "quality_filter_and_impute", recording)
+        chain = series_by_config(radiance, quality, built, cells, enumerate_configs(Dataset.VSC_NTL), (spec.months,))
+        del radiance, quality
+        alive = [(config.label, {name: cube() is not None for name, cube in inputs.items()}) for config, _ in chain]
+        assert alive == [
+            (label, {"radiance": True, "quality": True})
+            for label in ("raw", "clip", "remove", "built", "clip+built", "remove+built")
+        ] + [
+            # the quality pass is the last reader of both stacks; its result dies with the last threshold below it
+            (label, {"radiance": False, "quality": False, "base": label in ("quality", "clip+quality")})
+            for label in (
+                "quality",
+                "clip+quality",
+                "remove+quality",
+                "built+quality",
+                "clip+built+quality",
+                "remove+built+quality",
+            )
+        ]
+
+
+class TestSweepMemoryBudget:
+    @pytest.fixture(autouse=True)
+    def warm(self):
+        # first calls import and cache; they are not the sweep's cost
+        spec = sweep_spec(8)
+        list(series_by_config(*sweep_inputs(spec), enumerate_configs(Dataset.VSC_NTL), (spec.months,)))
+
+    def test_a_twelve_config_sweep_peaks_within_twice_its_inputs(self):
+        # Bound as a multiple of the handed-over inputs (two stacks of 9 bytes per cell-month and the
+        # built grid, 1.88 MB here), the inputs included. Measured with numpy 2.4: 1.78; 2.64 when
+        # each built config masked a copy of its branch and the chain held every input to the end.
+        # The margin is 0.15.
+        spec = sweep_spec(64)
+        configs = enumerate_configs(Dataset.VSC_NTL)
+        tracemalloc.start()
+        try:
+            inputs = sweep_inputs(spec)
+            size = sum(array.nbytes for raster in inputs[:3] for array in (raster.values, raster.missing))
+            tracemalloc.reset_peak()
+            chain = series_by_config(*inputs, configs, (spec.months,))
+            del inputs
+            assert len(list(chain)) == 12
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1.78 + 0.15) * size
 
 
 @st.composite
