@@ -47,7 +47,6 @@ from .preprocess import (
     impute_pixel,
     quality_filter_and_impute,
     run_pipeline,
-    run_stage_tree,
     threshold,
 )
 from .quality import (

@@ -346,7 +346,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PipelineError as exc:
+    except (PipelineError, OSError) as exc:  # an OSError names the path it could not use, such as an --out file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -212,14 +212,20 @@ def read_grid(path):
     RasterGrid. Integer literals read exactly up to 2^63 - 1, and when one
     is of 2^53 or more, past which float64 rounds, the NODATA value is
     compared with the cells as an integer too. Raises GridParseError (with
-    a 1-based line number) on any malformed header or data line.
+    a 1-based line number) on any malformed header or data line, on text
+    that is not UTF-8, and, naming the path, on a file that cannot be read.
 
     Only the header lines are split into tokens. A well-formed body goes
     through numpy's C text reader in one call; any other body goes to the
     line-by-line loop, which finds the first fault and names its line.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as exc:
+        raise GridParseError(f"{exc.strerror}: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise GridParseError(f"not UTF-8 text: byte {exc.start} is {exc.object[exc.start]:#04x}") from None
     header = {}
     header_tokens = {}
     header_lines = {}

@@ -15,8 +15,8 @@ quality/imputation first (it needs each pixel's temporal history before
 anything discards data), then thresholding (it catches blooming, including
 any extreme imputed value), then the purely spatial built mask. The order
 is fixed, not configurable, so every method combination is reproducible.
-It also makes the combinations a tree: run_stage_tree runs each distinct
-stage prefix once and shares it between the configs below it.
+It also makes the combinations a tree: timeseries.series_by_config runs
+each distinct stage prefix once and shares it between the configs below it.
 
 A PipelineConfig names one dataset plus one combination of stages; the
 settings each stage runs at are the fixed constants below, so the paper's
@@ -48,7 +48,6 @@ __all__ = [
     "impute_pixel",
     "quality_filter_and_impute",
     "run_pipeline",
-    "run_stage_tree",
     "enumerate_configs",
     "config_from_label",
 ]
@@ -259,51 +258,6 @@ def run_pipeline(stack, quality_stack, built_fraction, config):
     if config.built_mask:
         out = apply_built_mask(out, built_fraction)
     return out
-
-
-def run_stage_tree(stack, quality_stack, configs):
-    """Run the quality and threshold stages of many configs, sharing the stages they have in common.
-
-    The canonical stage order makes the configs a tree: each distinct
-    quality pass runs once and each threshold once below it, each one call
-    on a whole stack. Yields ``(group, processed)`` per distinct (quality,
-    threshold) combination, in tree order, where ``group`` lists the
-    configs asking for it in their given order, built or not, and
-    ``processed`` equals ``run_pipeline`` for each of them with the built
-    mask off. The built mask is purely spatial, so series_by_config
-    applies it as a cut of each zone's cells, not as a stack. A stage
-    raises as it does in run_pipeline, when the walk reaches it.
-
-    Each input is dropped after its last reader: the quality stack after
-    the last quality pass, the radiance stack once the last base is built,
-    and a base before the last branch below it is built. A caller that
-    hands the stacks over, keeping no reference, frees each cube there.
-    """
-    tree = {}
-    for config in configs:
-        quality = config.dataset if config.quality_filter else None
-        tree.setdefault(quality, {}).setdefault(config.threshold_mode, []).append(config)
-    passes_left = sum(quality is not None for quality in tree)
-    bases_left = len(tree)
-    for quality, by_threshold in tree.items():
-        if quality is None:
-            base = stack
-        else:
-            base = quality_filter_and_impute(stack, quality_stack, quality)
-            passes_left -= 1
-        bases_left -= 1
-        if not passes_left:
-            quality_stack = None  # after the last quality pass, or at once where none runs
-        if not bases_left:
-            stack = None
-        *first, (last_mode, last_group) = by_threshold.items()
-        for mode, group in first:
-            # yielded unbound: each branch goes once served, not kept while the next is built
-            yield group, base if mode is ThresholdMode.NONE else threshold(base, mode)
-        # the last branch replaces its base, which is then freed as soon as the branch exists
-        base = base if last_mode is ThresholdMode.NONE else threshold(base, last_mode)
-        yield last_group, base
-        del base
 
 
 def enumerate_configs(dataset):

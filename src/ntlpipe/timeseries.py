@@ -18,11 +18,12 @@ empty cell in a CSV.
 The event drop is the negated percent change at the single event month:
 positive numbers mean the lights dimmed.
 
-series_by_config is the one "stack -> cleaned stack -> zone series" chain.
-It walks the configs' stage tree, so the quality pass runs once and every
-threshold branch below it shares its result, and it gathers each zone's
-pixels by flat index, one sum per zone-month, into one window table per
-event window; a built config gathers only the pixels the built mask
+series_by_config is the one "stack -> cleaned stack -> zone series" chain,
+and the one place the configs' stage tree is built and walked: the quality
+pass runs once and every threshold branch below it shares its result, and
+each stack and base is released after its last reader. It gathers each
+zone's pixels by flat index, one sum per zone-month, into one window table
+per event window; a built config gathers only the pixels the built mask
 keeps. It runs as well on the rows of zone cells load_dataset returns as
 on whole grids. The baseline is always the
 BASELINE_MONTHS (six) months before the month it judges. percent_changes
@@ -42,14 +43,14 @@ import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ReportError
 from .grid import RasterGrid
-from .preprocess import built_keep, run_stage_tree
+from .preprocess import ThresholdMode, built_keep, quality_filter_and_impute, threshold
 from .stack import MonthIndex, month_ordinal
 from .zones import zonal_mean, zonal_means
 
@@ -186,35 +187,53 @@ def series_by_config(radiance, quality, built, zone_cells, configs, windows):
     row equal to build_zone_series' values on the config's run_pipeline
     result over whole grids.
 
-    The quality and threshold stages run as one run_stage_tree walk. The
-    built mask is purely spatial, so a built config's tables are its
-    unmasked branch's zonal means over each zone's cells that the mask
-    keeps: the same values in the same order as on the masked stack, so
-    the same sums, and no masked copy of a stack. A stage whose input is
-    missing raises run_pipeline's error when the walk reaches it, the
-    built mask's at the first built config. A config finished ahead of its
-    turn waits as its (small) tables, never as a stack. The stacks are
-    handed to the walk, which drops each after its last stage, so where
-    the caller keeps no reference to them each cube is freed there.
+    The canonical stage order makes the configs a tree: each distinct
+    quality pass runs once and each threshold once below it, each one call
+    on a whole stack, and a stage raises run_pipeline's error when the walk
+    reaches it. The built mask is purely spatial, so a built config's
+    tables are its unmasked branch's zonal means over each zone's cells
+    that the mask keeps: the same values in the same order as on the
+    masked stack, so the same sums, and no masked copy of a stack. Its
+    kept cells are found at the first built config, which raises the built
+    mask's error. A config finished ahead of its turn waits as its (small)
+    tables, never as a stack.
+
+    The unfiltered base is walked first, so the last base is the last
+    reader of both stacks in any config order. The stacks are dropped once
+    the last base is built (at once when no config filters by quality), a
+    base once the last branch below it is built, and each branch before
+    the next is built; where the caller keeps no reference to the stacks,
+    each cube is freed there.
     """
     indices = tuple(zone_cells.values())
     spec = radiance.spec
     order = list(configs)
-    tree = run_stage_tree(radiance, quality, order)
-    del radiance, quality
+    tree = {}  # quality pass (None: unfiltered) -> threshold mode -> its configs, in the given order
+    for config in sorted(order, key=attrgetter("quality_filter")):
+        quality_pass = config.dataset if config.quality_filter else None
+        tree.setdefault(quality_pass, {}).setdefault(config.threshold_mode, []).append(config)
     kept = None  # each zone's cells the built mask keeps, found when the walk first needs them
     done = {}
-    for group, branch in tree:
-        for masked in dict.fromkeys(config.built_mask for config in group):
-            if masked and kept is None:
-                keep = built_keep(spec, built).ravel()
-                kept, built = tuple(cells[keep[cells]] for cells in indices), None
-            tables = _series_by_window(branch, kept if masked else indices, windows)
-            done.update((config, tables) for config in group if config.built_mask == masked)
-            while order and order[0] in done:
-                config = order.pop(0)
-                yield config, done[config] if config in order else done.pop(config)
-        del branch  # before the walk builds the next branch
+    for quality_pass in list(tree):
+        branches = tree.pop(quality_pass)
+        base = radiance if quality_pass is None else quality_filter_and_impute(radiance, quality, quality_pass)
+        if not tree:
+            radiance = quality = None  # the last base was their last reader
+        for mode in list(branches):
+            group = branches.pop(mode)
+            branch = base if mode is ThresholdMode.NONE else threshold(base, mode)
+            if not branches:
+                base = None  # the last branch below it is built
+            for masked in dict.fromkeys(config.built_mask for config in group):
+                if masked and kept is None:
+                    keep = built_keep(spec, built).ravel()
+                    kept, built = tuple(cells[keep[cells]] for cells in indices), None
+                tables = _series_by_window(branch, kept if masked else indices, windows)
+                done.update((config, tables) for config in group if config.built_mask == masked)
+                while order and order[0] in done:
+                    config = order.pop(0)
+                    yield config, done[config] if config in order else done.pop(config)
+            del branch  # before the walk builds the next branch
 
 
 def rolling_baseline(series, t):

@@ -17,7 +17,7 @@ with; nothing here knows about projections.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

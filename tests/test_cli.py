@@ -30,7 +30,7 @@ from ntlpipe import (
     write_report_csv,
 )
 import ntlpipe
-from ntlpipe import cli, preprocess
+from ntlpipe import cli, preprocess, timeseries
 from ntlpipe.cli import main
 from ntlpipe.config import parse_run_config
 from ntlpipe.preprocess import IMPUTATION_WINDOW_MONTHS
@@ -275,10 +275,30 @@ class TestSimulateMemory:
             return threshold(*args)
 
         monkeypatch.setattr(cli, "recovered_pccs", recording)
-        monkeypatch.setattr(preprocess, "threshold", thresholding)
+        monkeypatch.setattr(timeseries, "threshold", thresholding)
         scene = write_json(tmp_path / "scene.json", self.PARTIAL_SCENE)
         assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 0
         assert alive == [False, False]
+
+
+class TestOutputPathIsAFile:
+    """An --out that names an existing file is one error line, not a traceback."""
+
+    def assert_one_error_line(self, argv, capsys):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Not a directory" in err
+
+    def test_simulate(self, tmp_path, capsys):
+        scene = write_json(tmp_path / "scene.json", VSC_SCENE)
+        (tmp_path / "taken").write_text("")
+        self.assert_one_error_line(["simulate", "--config", str(scene), "--out", str(tmp_path / "taken")], capsys)
+
+    def test_extract(self, tmp_path, capsys):
+        config = simulated_vsc_run(tmp_path, configs=["raw"])
+        (tmp_path / "taken").write_text("")
+        self.assert_one_error_line(["extract", "--config", str(config), "--out", str(tmp_path / "taken")], capsys)
 
 
 class TestSimulateDeterminism:
@@ -384,7 +404,7 @@ class TestQualityPassRunsOncePerDataset:
             calls.append(dataset)
             return original(stack, quality_stack, dataset, window)
 
-        monkeypatch.setattr(preprocess, "quality_filter_and_impute", counting)
+        monkeypatch.setattr(timeseries, "quality_filter_and_impute", counting)
         assert main(["extract", "--config", str(config)]) == 0
         assert sorted(calls, key=lambda d: d.value) == [Dataset.VNP46A2, Dataset.VSC_NTL]
         assert len(list((tmp_path / "out").rglob("*.csv"))) == (12 + 4) * 6
@@ -739,6 +759,20 @@ class TestWholeGridChecks:
         (tmp_path / "data" / filename).write_text(self.HEADER + "1 1 1 x\n")
         message = f"VSC-NTL: unreadable grid {filename}: line 7: non-numeric cell token 'x'"
         self.assert_one_line_failure(config, message, capsys)
+
+    def test_month_file_not_utf8(self, tmp_path, capsys):
+        config = self.build_run(tmp_path, "VNP46A2")
+        (tmp_path / "data" / "2018-10.asc").write_bytes(self.HEADER.encode() + b"3 5 \xff 9\n")
+        offset = len(self.HEADER) + 4
+        message = f"VNP46A2: unreadable grid 2018-10.asc: not UTF-8 text: byte {offset} is 0xff"
+        self.assert_one_line_failure(config, message, capsys)
+
+    def test_directory_named_as_a_month_file(self, tmp_path, capsys):
+        config = self.build_run(tmp_path, "VNP46A2")
+        path = tmp_path / "data" / "2018-10.asc"
+        path.unlink()
+        path.mkdir()
+        self.assert_one_line_failure(config, f"VNP46A2: unreadable grid 2018-10.asc: Is a directory: {path}", capsys)
 
     @pytest.mark.parametrize("filename", ["2018-10.asc", "2018-10.qf.asc", "built_fraction.asc"])
     def test_file_off_the_geometry(self, tmp_path, capsys, filename):

@@ -103,6 +103,23 @@ def test_malformed_grid_is_named(tmp_path):
         load(dataset)
 
 
+@pytest.mark.parametrize(
+    "spoil, detail",
+    [
+        (lambda path: path.write_bytes(b"ncols 6\xff\n"), "not UTF-8 text: byte 7 is 0xff"),
+        (lambda path: (path.unlink(), path.mkdir()), "Is a directory: {path}"),
+    ],
+    ids=["not-utf8", "directory"],
+)
+def test_unreadable_file_is_named(tmp_path, spoil, detail):
+    _, dataset = written_scene(tmp_path, Dataset.VNP46A2)
+    path = tmp_path / "2018-10.asc"
+    spoil(path)
+    with pytest.raises(ConfigError) as raised:
+        load(dataset)
+    assert str(raised.value) == f"unreadable grid 2018-10.asc: {detail.format(path=path)}"
+
+
 def test_names_outside_the_layout_are_ignored(tmp_path):
     _, dataset = written_scene(tmp_path, Dataset.VSC_NTL)
     for name in ("2018-13.asc", "2018-00.qf.asc", "2018-9.asc", "notes.txt"):

@@ -43,7 +43,7 @@ from ntlpipe import (
     tile_zones,
 )
 import ntlpipe.zones
-from ntlpipe import preprocess
+from ntlpipe import preprocess, timeseries
 from ntlpipe.zones import ZoneColumns
 
 EVENT = MonthIndex(2018, 10)
@@ -531,7 +531,7 @@ class TestOracleOnZoneColumns:
             return impute(*args)
 
         monkeypatch.setattr(ZoneColumns, "cut", cutting)
-        monkeypatch.setattr(preprocess, "quality_filter_and_impute", imputing)
+        monkeypatch.setattr(timeseries, "quality_filter_and_impute", imputing)
         results = recovered_pccs(scene, configs)
         del scene
         assert [comparable(result) for _, result in results] == want

@@ -390,7 +390,9 @@ class TestSeriesByConfig:
         noise = NoiseSpec(cloud_rate=0.3, corruption_scale=1.5, bloom_rate=0.2)
         scene = generate_scene(SceneSpec(seed=5, grid=grid, zones=zones, months=window, base_radiance=20.0, noise=noise))
         calls = []
-        for name in ("quality_filter_and_impute", "threshold", "apply_built_mask", "high_quality_mask"):
+        for name in ("quality_filter_and_impute", "threshold"):
+            monkeypatch.setattr(timeseries, name, counted(calls, name, getattr(timeseries, name)))
+        for name in ("apply_built_mask", "high_quality_mask"):
             monkeypatch.setattr(preprocess, name, counted(calls, name, getattr(preprocess, name)))
         monkeypatch.setattr(timeseries, "built_keep", counted(calls, "built_keep", timeseries.built_keep))
         cells = {zone.zone_id: np.flatnonzero(rasterize_zone(zone, grid).inside) for zone in zones}
@@ -433,7 +435,7 @@ class TestSweepReleasesEachCube:
             inputs["base"] = weakref.ref(base.values)  # the quality pass's result
             return base
 
-        monkeypatch.setattr(preprocess, "quality_filter_and_impute", recording)
+        monkeypatch.setattr(timeseries, "quality_filter_and_impute", recording)
         chain = series_by_config(radiance, quality, built, cells, enumerate_configs(Dataset.VSC_NTL), (spec.months,))
         del radiance, quality
         alive = [(config.label, {name: cube() is not None for name, cube in inputs.items()}) for config, _ in chain]
@@ -452,6 +454,17 @@ class TestSweepReleasesEachCube:
                 "remove+built+quality",
             )
         ]
+
+    def test_any_config_order_serves_every_config_after_both_cubes_die(self):
+        # run.json may list the labels in any order: here the last base is the first to be served
+        spec = sweep_spec(16)
+        radiance, quality, built, cells = sweep_inputs(spec)
+        cubes = [weakref.ref(radiance.values), weakref.ref(quality.values)]
+        configs = enumerate_configs(Dataset.VSC_NTL)[::-1]
+        chain = series_by_config(radiance, quality, built, cells, configs, (spec.months,))
+        del radiance, quality
+        alive = [(config.label, [cube() is not None for cube in cubes]) for config, _ in chain]
+        assert alive == [(config.label, [False, False]) for config in configs]
 
 
 class TestSweepMemoryBudget:
