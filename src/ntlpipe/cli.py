@@ -36,10 +36,11 @@ from .analysis import build_report, drop_samples, select_case_study_zones, write
 from .config import parse_run_config, parse_scene_spec
 from .errors import ConfigError, PipelineError, ReportError, StatsError
 # read_grid is not called here: the bench tracer's test looks it up as ntlpipe.cli.read_grid
-from .grid import read_grid, write_grid  # noqa: F401
-from .layout import dataset_files, load_dataset, scan_dataset_dir
+from .grid import read_grid, replacing, write_grid  # noqa: F401
+from .layout import BUILT_FRACTION_FILENAME, load_dataset, month_paths, scan_dataset_dir
 from .preprocess import enumerate_configs
-from .synthetic import check_scorable, generate_scene, recovered_pccs
+from .stack import StackBuilder
+from .synthetic import check_scorable, scene_months, zone_cell_pccs
 from .timeseries import (
     BASELINE_MONTHS,
     ZoneSeries,
@@ -48,7 +49,7 @@ from .timeseries import (
     series_by_config,
     write_series_csv,
 )
-from .zones import read_zones, write_zones
+from .zones import read_zones, write_zones, zone_columns
 
 __all__ = ["main"]
 
@@ -276,32 +277,45 @@ def _write_case_study_csv(path, run, top, bottom, zones, tables):
 
 
 def cmd_simulate(args):
-    """Generate a synthetic scene, write it out, and score every config."""
+    """Generate a synthetic scene a month at a time, write it out, and score every config."""
     spec = parse_scene_spec(args.config)
     if not args.out:
         raise ConfigError("simulate requires --out <directory>")
     check_scorable(spec)
     out_dir = Path(args.out)
-    scene = generate_scene(spec)
+    months = spec.months.months()
 
     dataset_dir = out_dir / spec.dataset.value
     oracle_path = out_dir / "oracle.csv"
     zones_path = out_dir / "zones.geojson"
-    files = dataset_files(dataset_dir, scene.radiance, scene.quality, scene.built_fraction)
-    for target in [oracle_path, zones_path] + [path for path, _ in files]:
+    built_path = dataset_dir / BUILT_FRACTION_FILENAME
+    radiance_paths, quality_paths = zip(*(month_paths(dataset_dir, month) for month in months))
+    for target in [oracle_path, zones_path, *radiance_paths, *quality_paths, built_path]:
         _guard_overwrite(target, args.force)
 
     dataset_dir.mkdir(parents=True, exist_ok=True)
-    for path, grid in files:
-        write_grid(grid, path)
+    # the oracle runs on the zones' cells: each month is written whole, then only its cut is kept
+    columns = zone_columns(spec.zones, spec.grid)
+    radiance, quality = StackBuilder(months), StackBuilder(months, spec.dataset.word_dtype)
+    for (_, month_radiance, month_quality), radiance_path, quality_path in zip(
+        scene_months(spec, columns), radiance_paths, quality_paths
+    ):
+        write_grid(month_radiance, radiance_path)
+        write_grid(month_quality, quality_path)
+        radiance.add(columns.cut(month_radiance))
+        quality.add(columns.cut(month_quality))
+        del month_radiance, month_quality  # before the next month is drawn
+    built = spec.built_fraction()
+    write_grid(built, built_path)
     write_zones(spec.zones, zones_path)
 
-    n_files = len(files)
-    results = recovered_pccs(scene, enumerate_configs(spec.dataset))
-    # the oracle runs on its own cut to the zones' cells: release the whole grids first
-    del scene, files
+    results = zone_cell_pccs(
+        spec, columns.positions, radiance.stack(), quality.stack(), columns.cut(built), enumerate_configs(spec.dataset)
+    )
+    # handed over: the chain frees each cube after its last stage
+    del radiance, quality, built
     failures = []
-    with open(oracle_path, "w", newline="") as fh:
+    with replacing(oracle_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["config", "recovered_pcc"])
         for config, recovered in results:
@@ -312,7 +326,7 @@ def cmd_simulate(args):
             else:
                 writer.writerow([config.label, repr(recovered)])
 
-    print(f"simulate: wrote {n_files} raster(s) under {dataset_dir}")
+    print(f"simulate: wrote {2 * len(months) + 1} raster(s) under {dataset_dir}")
     print(f"simulate: oracle results -> {oracle_path}")
     if failures:
         for failure in failures:

@@ -24,6 +24,7 @@ No projection or datum handling is done anywhere: all rasters and polygons
 used together are assumed co-registered in a single planar frame.
 """
 
+import contextlib
 import math
 import os
 import re
@@ -40,6 +41,7 @@ __all__ = [
     "IntRaster",
     "read_grid",
     "write_grid",
+    "replacing",
     "as_float",
     "class_fraction_resample",
 ]
@@ -375,9 +377,9 @@ def write_grid(grid, path, nodata=-9999.0):
     rejected (pick a different sentinel) before any file is opened.
 
     Each row is formatted and written on its own, so the writer never holds
-    more than one row as Python objects. The rows go to a temporary file
-    beside ``path``, which replaces ``path`` only once it is whole: a write
-    that fails leaves ``path`` as it was, or absent, and no temporary file.
+    more than one row as Python objects. The rows go through replacing:
+    a write that fails leaves ``path`` as it was, or absent, and no
+    temporary file.
     """
     is_int = isinstance(grid, IntRaster)
     if is_int:
@@ -409,21 +411,33 @@ def write_grid(grid, path, nodata=-9999.0):
         f"cellsize {float(spec.cell_size)!r}\n"
         f"NODATA_value {nodata_tok}\n"
     )
+    with replacing(path) as out:
+        out.write(header)
+        for values, missing in zip(grid.values, grid.missing):
+            if wide:
+                row = values.tolist()
+                for c in np.flatnonzero(missing).tolist():
+                    row[c] = fill
+            else:
+                row = np.where(missing, fill, values).tolist()
+            # repr of the Python floats and ints tolist gives; on an int it is str
+            out.write(" ".join(map(repr, row)) + "\n")
+
+
+@contextlib.contextmanager
+def replacing(path, newline=None):
+    """Open a text file whose contents replace ``path`` once the block ends, whole.
+
+    The file is a temporary one beside ``path``, made as open() makes any
+    file. It replaces ``path`` when the block ends without an error; on
+    an error it is removed, so ``path`` stays as it was, or absent.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    out = open(tmp, "x")  # outside the try: a name that exists already is not this write's to remove
+    out = open(tmp, "x", newline=newline)  # outside the try: a name that exists already is not this write's to remove
     try:
         with out:
-            out.write(header)
-            for values, missing in zip(grid.values, grid.missing):
-                if wide:
-                    row = values.tolist()
-                    for c in np.flatnonzero(missing).tolist():
-                        row[c] = fill
-                else:
-                    row = np.where(missing, fill, values).tolist()
-                # repr of the Python floats and ints tolist gives; on an int it is str
-                out.write(" ".join(map(repr, row)) + "\n")
+            yield out
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -34,11 +34,11 @@ from .quality import (
     vnp46a2_high_quality,
     vnp46a2_reserved,
 )
-from .stack import MonthIndex, RasterStack
+from .stack import MonthIndex, StackBuilder
 from .timeseries import monthly_median_composite
 from .zones import zone_columns
 
-__all__ = ["BUILT_FRACTION_FILENAME", "DatasetConfig", "scan_dataset_dir", "load_dataset", "dataset_files"]
+__all__ = ["BUILT_FRACTION_FILENAME", "DatasetConfig", "scan_dataset_dir", "load_dataset", "month_paths"]
 
 # group 1 is the month; group 2, the day, is present only in a daily file name
 _RADIANCE_RE = re.compile(r"^(\d{4}-(?:0[1-9]|1[0-2]))(-\d{2})?\.asc$")
@@ -188,8 +188,8 @@ def load_dataset(dataset, month_lo, month_hi, configs, zones):
                 f"for months: {', '.join(absent)}"
             )
         # _check_quality refuses a VNP46A2 word outside [0, 2^16), so a checked integer month fits in 16 bits
-        integers = np.uint16 if dataset.kind is Dataset.VNP46A2 else np.int64
-        quality = _stack(months, quality_files, lambda p: read(p, _check_quality), _majority_quality_composite, integers)
+        words = dataset.kind.word_dtype
+        quality = _stack(months, quality_files, lambda p: read(p, _check_quality), _majority_quality_composite, words)
 
     built = as_float(read(dataset.built_path)) if dataset.built_path.is_file() else None
     if built is None and any(config.built_mask for config in configs):
@@ -198,27 +198,14 @@ def load_dataset(dataset, month_lo, month_hi, configs, zones):
 
 
 def _stack(months, files, read, composite, integers=np.int64):
-    """RasterStack of each month's file or daily composite, copied into one cube as read.
-
-    The cube is float64 once any month is a RasterGrid, else of dtype
-    ``integers``, which must hold every IntRaster value ``read`` lets through.
-    """
-    for i, month in enumerate(months):
+    """RasterStack of each month's file or daily composite, copied into one cube as read (see StackBuilder)."""
+    builder = StackBuilder(months, integers)
+    for month in months:
         source = files[month]
-        grid = composite([read(p) for p in source]) if isinstance(source, list) else read(source)
-        dtype = integers if isinstance(grid, IntRaster) else grid.values.dtype
-        if i == 0:
-            values = np.empty((len(months), *grid.spec.shape), dtype)
-            missing = np.empty(values.shape, dtype=bool)
-        values = values.astype(np.promote_types(values.dtype, dtype), copy=False)
-        values[i], missing[i] = grid.values, grid.missing
-    return RasterStack.from_cube(months, grid.spec, values, missing)
+        builder.add(composite([read(p) for p in source]) if isinstance(source, list) else read(source))
+    return builder.stack()
 
 
-def dataset_files(directory, radiance, quality, built):
-    """(path, grid) for every file of a monthly dataset under a directory Path, in write order."""
-    return (
-        [(directory / f"{month}.asc", grid) for month, grid in radiance]
-        + [(directory / f"{month}.qf.asc", grid) for month, grid in quality]
-        + [(directory / BUILT_FRACTION_FILENAME, built)]
-    )
+def month_paths(directory, month):
+    """The (radiance, quality) file paths of a month of a dataset directory Path."""
+    return directory / f"{month}.asc", directory / f"{month}.qf.asc"

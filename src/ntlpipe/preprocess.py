@@ -201,19 +201,23 @@ def quality_filter_and_impute(stack, quality_stack, dataset, window=IMPUTATION_W
         raise ConfigError("quality filtering is enabled but no quality stack was given")
     if (stack.months, stack.spec) != (quality_stack.months, quality_stack.spec):
         raise ValueError("radiance and quality stacks disagree on months or geometry")
-    values = stack.values
     trusted = high_quality_mask(quality_stack, dataset) & ~stack.missing
     if trusted.all():
         return stack
     ordinals = [m.ordinal for m in stack.months]
 
     # every untrusted pixel-month goes missing unless its history refills it
-    new_values, new_missing = values.copy(), ~trusted
-    for i, target in enumerate(new_missing):
-        if not target.any():
+    new_values, new_missing = stack.values.copy(), ~trusted
+    # each month as one row of its cells: a month's untrusted cells are gathered
+    # by flat index, so the month's temporaries scale with them
+    rows = (len(ordinals), -1)
+    values, trusted, refills = stack.values.reshape(rows), trusted.reshape(rows), new_values.reshape(rows)
+    for i, target in enumerate(new_missing.reshape(rows)):
+        cells = np.flatnonzero(target)
+        if not cells.size:
             continue
-        wsum, vsum = np.zeros(stack.spec.shape), np.zeros(stack.spec.shape)
-        lo, hi = np.full(stack.spec.shape, np.inf), np.full(stack.spec.shape, -np.inf)
+        wsum, vsum = np.zeros(cells.size), np.zeros(cells.size)
+        lo, hi = np.full(cells.size, np.inf), np.full(cells.size, -np.inf)
         lookback = []  # (j, dist) in the window; a weight array is rebuilt only where a sum overflows
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(i - 1, -1, -1):
@@ -221,24 +225,27 @@ def quality_filter_and_impute(stack, quality_stack, dataset, window=IMPUTATION_W
                 if dist > window:
                     break
                 lookback.append((j, dist))
-                w = np.where(trusted[j], 1.0 / dist, 0.0)
+                trusted_j, values_j = trusted[j, cells], values[j, cells]
+                w = np.where(trusted_j, 1.0 / dist, 0.0)
                 wsum += w
-                vsum += w * values[j]
-                lo = np.where(trusted[j], np.minimum(lo, values[j]), lo)
-                hi = np.where(trusted[j], np.maximum(hi, values[j]), hi)
-            refillable = target & (wsum > 0.0)
+                vsum += w * values_j
+                lo = np.where(trusted_j, np.minimum(lo, values_j), lo)
+                hi = np.where(trusted_j, np.maximum(hi, values_j), hi)
+            refillable = wsum > 0.0
             mean = vsum[refillable] / wsum[refillable]
             over = ~np.isfinite(mean)
             if over.any():
                 # the weighted sum overflowed at these pixels: sum it again, scaled
                 scaled = sum(
-                    np.where(trusted[j], 1.0 / dist, 0.0) * (values[j] * _SUM_SCALE) for j, dist in lookback
+                    np.where(trusted[j, cells], 1.0 / dist, 0.0) * (values[j, cells] * _SUM_SCALE)
+                    for j, dist in lookback
                 )[refillable]
                 mean[over] = scaled[over] / wsum[refillable][over] / _SUM_SCALE
             # clamp accumulation rounding back into the contributor envelope,
             # matching the scalar impute_pixel contract
-            new_values[i][refillable] = np.clip(mean, lo[refillable], hi[refillable])
-        target[refillable] = False
+            refilled = cells[refillable]
+            refills[i, refilled] = np.clip(mean, lo[refillable], hi[refillable])
+        target[refilled] = False
     return stack.with_values(new_values, new_missing)
 
 

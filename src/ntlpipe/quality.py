@@ -66,6 +66,11 @@ class Dataset(enum.Enum):
     VSC_NTL = "VSC-NTL"
     VNP46A2 = "VNP46A2"
 
+    @property
+    def word_dtype(self):
+        """The dtype of a stack of this product's integer quality: uint16 words, or int64 cloud-free counts."""
+        return np.uint16 if self is Dataset.VNP46A2 else np.int64
+
 
 class DayNight(enum.Enum):
     NIGHT = 0

@@ -7,7 +7,8 @@ rasters on one shared grid; gaps are allowed and simply read as absent
 months, never as zeros. A stack is one frozen (months x rows x cols) cube
 of ``values``, float64, int64 or uint16 (VNP46A2 quality words), and one
 of ``missing`` flags, so each cleanup stage takes it in one call, as it
-takes a raster; a month of it is a read-only view.
+takes a raster; a month of it is a read-only view. A StackBuilder fills
+the cube a month at a time, as each month's raster is read or drawn.
 """
 
 import re
@@ -18,7 +19,7 @@ import numpy as np
 
 from .grid import GridSpec, IntRaster, RasterGrid, _normalize_raster
 
-__all__ = ["MonthIndex", "RasterStack", "month_ordinal"]
+__all__ = ["MonthIndex", "RasterStack", "StackBuilder", "month_ordinal"]
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -130,3 +131,33 @@ class RasterStack:
     def _month(self, i):
         raster = RasterGrid if self.values.dtype == np.float64 else IntRaster
         return raster._view(self.spec, self.values[i], self.missing[i])
+
+
+class StackBuilder:
+    """A RasterStack's cube, filled one month at a time: each raster added is copied into it, then may go.
+
+    The cube is float64 once any month is a RasterGrid, else of dtype
+    ``integers``, which must hold every IntRaster value added.
+    """
+
+    def __init__(self, months, integers=np.int64):
+        self.months = tuple(months)
+        self.integers = integers
+        self.spec = self.values = self.missing = None
+        self.added = 0
+
+    def add(self, raster):
+        """Copy the next month's raster into the cube."""
+        dtype = self.integers if isinstance(raster, IntRaster) else raster.values.dtype
+        if self.values is None:
+            shape = (len(self.months), *raster.spec.shape)
+            self.spec, self.values, self.missing = raster.spec, np.empty(shape, dtype), np.empty(shape, dtype=bool)
+        self.values = self.values.astype(np.promote_types(self.values.dtype, dtype), copy=False)
+        self.values[self.added], self.missing[self.added] = raster.values, raster.missing
+        self.added += 1
+
+    def stack(self):
+        """The RasterStack of the months, taking the cube over: drop the builder with it."""
+        if self.added != len(self.months):
+            raise ValueError(f"{self.added} rasters added for {len(self.months)} months")
+        return RasterStack.from_cube(self.months, self.spec, self.values, self.missing)

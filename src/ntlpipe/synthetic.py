@@ -24,23 +24,34 @@ failure modes the pre-processing stages exist to handle:
   plausible radiance range but flagged high-quality; this is what
   thresholding targets.
 
-Determinism contract: all randomness comes from numpy's default generator
-(the PCG64 bit generator) seeded with SceneSpec.seed, drawing in a fixed
-order: sensor-noise normals, then cloud flags, then corruption uniforms,
-then bloom flags, then bloom uniforms, skipping channels whose rate or
-scale is zero. Each channel is drawn month by month, in the same order;
-PCG64 fills an array in sequence, so these are the draws of one
-(months, rows, cols) block per channel. Identical specs therefore produce
-bit-identical scenes. Scenes are reproducible across versions of this
-package but not across unrelated implementations.
+Determinism contract: all randomness comes from numpy's PCG64 bit
+generator seeded with SceneSpec.seed, as numpy's default generator seeds
+it. Its outputs are laid out in a fixed order of channels: sensor-noise
+normals, then cloud flags, then corruption uniforms, then bloom flags,
+then bloom uniforms. Each channel is one (months, rows, cols) block in
+month order; the normals are drawn only when gaussian_sigma is positive,
+the cloud flags and corruption uniforms only when some month's cloud rate
+is, and the bloom pair only when bloom_rate is. Identical specs therefore
+produce bit-identical scenes. Scenes are reproducible across versions of
+this package but not across unrelated implementations.
 
-Each month's draws are applied to the radiance cube and the quality words
-in place, and the stacks take both cubes over uncopied. The arithmetic is
-that of the expression form (``values * exp(sigma * Z)``, then
-``np.where(flagged, corrupted, values)``), so the bits are too. VNP46A2
-quality words are uint16, VSC-NTL cloud-free counts int64.
+The scene is drawn a month at a time (scene_months), from one generator
+per channel, each positioned at its channel's first draw, so a month is
+finished before the next is drawn. The normals' generator is the seeded
+one. The normals take a varying number of outputs (ziggurat rejection),
+so where they end is found by drawing them once more from a second
+generator seeded alike. Every later channel takes one 64-bit output per
+cell-month, so its start is that end advanced (PCG64.advance) past the
+blocks before it. The draws are therefore those of one generator that
+draws each channel as a whole block, in order.
+
+Each month's draws are applied to its radiance and quality words in
+place, with the arithmetic of the expression form (``values * exp(sigma
+* Z)``, then ``np.where(flagged, corrupted, values)``), so the bits are
+too. VNP46A2 quality words are uint16, VSC-NTL cloud-free counts int64.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +60,7 @@ from .analysis import correlate_method, drop_samples, pearson
 from .errors import ConfigError, StatsError
 from .grid import GridSpec, RasterGrid
 from .quality import VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE, Dataset
-from .stack import RasterStack
+from .stack import RasterStack, StackBuilder
 from .timeseries import EventWindow, series_by_config
 from .zones import Zone, ZoneColumns, rect_ring, zone_columns
 
@@ -60,8 +71,10 @@ __all__ = [
     "GeneratedScene",
     "tile_zones",
     "generate_scene",
+    "scene_months",
     "check_scorable",
     "recovered_pccs",
+    "zone_cell_pccs",
     "oracle_check",
     "VNP46A2_HIGH_QUALITY_CODE",
     "VNP46A2_LOW_QUALITY_CODE",
@@ -69,6 +82,7 @@ __all__ = [
 ]
 
 VSCNTL_HIGH_QUALITY_COUNT = 1
+_DRAW_CELLS = 4096  # cells scene_months draws at once
 
 
 @dataclass(frozen=True)
@@ -157,6 +171,10 @@ class SceneSpec:
         if built is not None and built.spec != self.grid:
             raise ConfigError(f"built_fraction_map grid {built.spec} is not the scene grid {self.grid}")
 
+    def built_fraction(self):
+        """The scene's built-fraction grid: the noise spec's map, else every cell fully built."""
+        return self.noise.built_fraction_map or RasterGrid(self.grid, np.ones(self.grid.shape))
+
 
 @dataclass(frozen=True)
 class TruthRow:
@@ -224,83 +242,141 @@ def tile_zones(grid, nx, ny, damage_ratios, populations=None):
 def generate_scene(spec):
     """Build the radiance and quality stacks plus the ground-truth table.
 
-    See the module docstring for the truth construction, the three noise
-    channels, and the fixed random draw order that makes equal specs
+    The stacks are scene_months' months, each copied into its cube as it
+    is drawn. See the module docstring for the truth construction, the
+    three noise channels, and the fixed random draws that make equal specs
     produce bit-identical scenes.
     """
-    grid = spec.grid
     months = spec.months.months()
-    shape = (len(months), *grid.shape)
-    event_index = spec.months.months_before
-    noise = spec.noise
-
-    columns = zone_columns(spec.zones, grid)
-    ambient = float(np.mean(spec.base_radiance))
-    values = np.full(shape, ambient)
-    pixel_base = np.full(grid.shape, ambient)
-    event_frame = values[event_index]  # a view: the event month is built in place
-    truth = []
-    for zone, base in zip(spec.zones, spec.base_radiance):
-        inside = columns.cells[columns.positions[zone.zone_id]]
-        pixel_base.flat[inside] = base
-        dropped = base * (1.0 - spec.drop_gain * zone.damage_ratio)
-        event_frame.flat[inside] = dropped
-        truth.append(
-            TruthRow(
-                zone_id=zone.zone_id,
-                damage_ratio=zone.damage_ratio,
-                base_radiance=base,
-                event_radiance=dropped,
-                true_drop_percent=100.0 * spec.drop_gain * zone.damage_ratio,
-            )
-        )
-    values[:event_index] = values[event_index + 1 :] = pixel_base
-
-    # VNP46A2 words are 16 bits wide; VSC-NTL cloud-free counts may be any int64
-    if spec.dataset is Dataset.VNP46A2:
-        good, bad = np.uint16(VNP46A2_HIGH_QUALITY_CODE), np.uint16(VNP46A2_LOW_QUALITY_CODE)
-    else:
-        good, bad = np.int64(VSCNTL_HIGH_QUALITY_COUNT), np.int64(0)
-    words = np.full(shape, good)
-    _add_noise(values, words, bad, pixel_base, noise, spec.seed)
-    radiance = RasterStack.from_cube(months, grid, values, np.zeros(shape, dtype=bool))
-    quality = RasterStack.from_cube(months, grid, words, np.zeros(shape, dtype=bool))
-    built = noise.built_fraction_map or RasterGrid(grid, np.ones(grid.shape))
+    columns = zone_columns(spec.zones, spec.grid)
+    radiance, quality = StackBuilder(months), StackBuilder(months, spec.dataset.word_dtype)
+    for _, month_radiance, month_quality in scene_months(spec, columns):
+        radiance.add(month_radiance)
+        quality.add(month_quality)
+        del month_radiance, month_quality  # before the next month is drawn
     return GeneratedScene(
         spec=spec,
-        radiance=radiance,
-        quality=quality,
-        truth=tuple(truth),
-        built_fraction=built,
+        radiance=radiance.stack(),
+        quality=quality.stack(),
+        truth=_truth(spec),
+        built_fraction=spec.built_fraction(),
         columns=columns,
     )
 
 
-def _add_noise(values, words, bad, pixel_base, noise, seed):
-    """Apply the noise channels in place to a (months, rows, cols) radiance cube and its quality words.
+def scene_months(spec, columns):
+    """The scene of a spec a month at a time: an iterator of (month, radiance, quality) in month order.
 
-    Each channel is drawn one month at a time, in the module docstring's
-    order; a cloud-corrupted pixel-month's word becomes ``bad``, which
-    no other word equals.
+    ``columns`` is zone_columns(spec.zones, spec.grid). Each month is drawn
+    when it is asked for, from the positioned per-channel generators of the
+    module docstring, so no cube of the whole scene is ever held, and the
+    months stacked are generate_scene's stacks. A month's RasterGrid and
+    IntRaster (uint16 words for VNP46A2) are read-only views of that
+    month's own arrays, checked and frozen as a stack's month is.
     """
-    rng = np.random.default_rng(seed)
-    shape = values.shape[1:]
-    if noise.gaussian_sigma > 0:
-        for month in values:
-            month *= np.exp(noise.gaussian_sigma * rng.standard_normal(shape))
-    rates = noise.monthly_cloud_rates(len(values))
-    if np.any(rates > 0):
-        for month_words, rate in zip(words, rates):
-            month_words[rng.random(shape) < rate] = bad
-        for month, month_words in zip(values, words):
-            corrupted = pixel_base * (1.0 + noise.corruption_scale * rng.uniform(-1.0, 1.0, shape))
-            np.copyto(month, corrupted, where=month_words == bad)
+    grid = spec.grid
+    months = spec.months.months()
+    noise = spec.noise
+    truth = _truth(spec)
+    pixel_base = np.full(grid.shape, float(np.mean(spec.base_radiance)))
+    for zone, row in zip(spec.zones, truth):
+        pixel_base.flat[columns.cells[columns.positions[zone.zone_id]]] = row.base_radiance
+    word = spec.dataset.word_dtype
+    if spec.dataset is Dataset.VNP46A2:
+        good, bad = word(VNP46A2_HIGH_QUALITY_CODE), word(VNP46A2_LOW_QUALITY_CODE)
+    else:
+        good, bad = word(VSCNTL_HIGH_QUALITY_COUNT), word(0)
+    rates = noise.monthly_cloud_rates(len(months))
+    normals, clouds, corruptions, bloom_flags, bloom_values = _channels(spec, len(months))
+    shape = (1, *grid.shape)  # a one-month cube, which the month's stack takes over
+    no_missing = np.zeros(shape, dtype=bool)  # read-only once taken over, so every month shares it
+
+    # a month is drawn a block of rows at a time, so that the draws' temporaries stay small;
+    # each channel's generator still draws the month's cells in row-major order
+    step = max(1, _DRAW_CELLS // grid.ncols)
+    blocks = [slice(lo, lo + step) for lo in range(0, grid.nrows, step)]
+
+    def draw(i, month):
+        """Month i's radiance and quality rasters; a cloud-corrupted pixel's word is ``bad``, unlike any other."""
+        values = np.array(pixel_base, ndmin=3)
+        if i == spec.months.months_before:
+            for zone, row in zip(spec.zones, truth):
+                values.flat[columns.cells[columns.positions[zone.zone_id]]] = row.event_radiance
+        words = np.full(shape, good)
+        for rows in blocks:
+            block, block_words, base = values[0, rows], words[0, rows], pixel_base[rows]
+            # each step is the expression form's, in place: values * exp(sigma * Z), then
+            # pixel_base * (1 + scale * U) where flagged, then the blooms
+            if normals is not None:
+                factor = normals.standard_normal(block.shape)
+                factor *= noise.gaussian_sigma
+                block *= np.exp(factor, out=factor)
+                del factor
+            if clouds is not None:
+                flagged = clouds.random(block.shape) < rates[i]
+                block_words[flagged] = bad
+                corrupted = corruptions.uniform(-1.0, 1.0, block.shape)
+                corrupted *= noise.corruption_scale
+                corrupted += 1.0
+                corrupted *= base
+                np.copyto(block, corrupted, where=flagged)
+                del flagged, corrupted
+            if bloom_flags is not None:
+                bloomed = bloom_flags.random(block.shape) < noise.bloom_rate
+                np.copyto(block, bloom_values.uniform(noise.bloom_lo, noise.bloom_hi, block.shape), where=bloomed)
+        return month, _month_raster(month, grid, values, no_missing), _month_raster(month, grid, words, no_missing)
+
+    # a month is held only by the caller once yielded, so it can go before the next is drawn
+    for i, month in enumerate(months):
+        yield draw(i, month)
+
+
+def _truth(spec):
+    """The TruthRow of each zone, in zone order."""
+    return tuple(
+        TruthRow(
+            zone_id=zone.zone_id,
+            damage_ratio=zone.damage_ratio,
+            base_radiance=base,
+            event_radiance=base * (1.0 - spec.drop_gain * zone.damage_ratio),
+            true_drop_percent=100.0 * spec.drop_gain * zone.damage_ratio,
+        )
+        for zone, base in zip(spec.zones, spec.base_radiance)
+    )
+
+
+def _channels(spec, n_months):
+    """One generator per noise channel, positioned at the channel's first draw, or None for a channel not drawn.
+
+    In draw order: normals, cloud flags, corruption uniforms, bloom flags
+    and bloom uniforms; see the module docstring.
+    """
+    noise, grid = spec.noise, spec.grid
+    normals = np.random.default_rng(spec.seed) if noise.gaussian_sigma > 0 else None
+    after = np.random.default_rng(spec.seed)
+    if normals is not None:
+        # the normals take a varying number of outputs (ziggurat rejection): draw them once to find where they end
+        for _ in range(n_months):
+            after.standard_normal(grid.shape)
+    block = n_months * grid.size  # the outputs of one later channel: one per cell-month
+
+    def positioned(skip):
+        return np.random.Generator(copy.deepcopy(after.bit_generator).advance(skip))
+
+    clouds = corruptions = bloom_flags = bloom_values = None
+    skip = 0
+    if np.any(noise.monthly_cloud_rates(n_months) > 0):
+        clouds, corruptions = positioned(0), positioned(block)
+        skip = 2 * block
     if noise.bloom_rate > 0:
-        bloomed = np.empty(values.shape, dtype=bool)
-        for month_bloomed in bloomed:
-            np.less(rng.random(shape), noise.bloom_rate, out=month_bloomed)
-        for month, month_bloomed in zip(values, bloomed):
-            np.copyto(month, rng.uniform(noise.bloom_lo, noise.bloom_hi, shape), where=month_bloomed)
+        bloom_flags, bloom_values = positioned(skip), positioned(skip + block)
+    return normals, clouds, corruptions, bloom_flags, bloom_values
+
+
+def _month_raster(month, grid, values, missing):
+    """A one-month cube as its month's raster: a read-only view, the cube checked and frozen as a stack's is."""
+    ((_, raster),) = RasterStack.from_cube((month,), grid, values, missing)
+    return raster
 
 
 def check_scorable(spec):
@@ -317,12 +393,13 @@ def recovered_pccs(scene, configs, min_damage=0.01):
     """An iterator of (config, recovered pcc or StatsError) per config.
 
     The recovered pcc correlates per-zone event drops with damage ratios,
-    or is correlate_method's StatsError, which names the config.
-    The chain runs on the scene's built fraction and two stacks, each cut
-    down to ``scene.columns`` in one ZoneColumns.cut call, as load_dataset
-    cuts what it reads; every stage is pixel-local, so each pcc equals the
-    chain's on the whole grids. A scene check_scorable refuses raises its
-    ConfigError here; the rest runs as the iterator is first advanced.
+    or is correlate_method's StatsError, which names the config. The
+    chain runs, as zone_cell_pccs, on the scene's built fraction and two
+    stacks, each cut down to ``scene.columns`` in one ZoneColumns.cut
+    call, as load_dataset cuts what it reads; every stage is pixel-local,
+    so each pcc equals the chain's on the whole grids. A scene
+    check_scorable refuses raises its ConfigError here; the rest runs as
+    the iterator is first advanced.
 
     The iterator holds the scene's two stacks and built fraction, not the
     scene. It cuts one cube at a time, radiance, then quality, then the
@@ -334,15 +411,28 @@ def recovered_pccs(scene, configs, min_damage=0.01):
     """
     check_scorable(scene.spec)
     cubes = scene.radiance, scene.quality, scene.built_fraction
-    return _scored(scene.spec, scene.columns, *cubes, configs, min_damage)
+    return _cut_and_scored(scene.spec, scene.columns, *cubes, configs, min_damage)
 
 
-def _scored(spec, columns, radiance, quality, built, configs, min_damage):
+def _cut_and_scored(spec, columns, radiance, quality, built, configs, min_damage):
     # each rebinding releases a whole cube before the next is cut
     radiance = columns.cut(radiance)
     quality = columns.cut(quality)
     built = None if built is None else columns.cut(built)
-    chain = series_by_config(radiance, quality, built, columns.positions, configs, (spec.months,))
+    scored = zone_cell_pccs(spec, columns.positions, radiance, quality, built, configs, min_damage)
+    del radiance, quality, built
+    yield from scored
+
+
+def zone_cell_pccs(spec, positions, radiance, quality, built, configs, min_damage=0.01):
+    """recovered_pccs' iterator on a scene's stacks and built fraction already cut to its zones' cells.
+
+    ``positions`` are zone_columns' positions, and the inputs are cut as
+    ZoneColumns.cut cuts them; spec is check_scorable's to refuse first.
+    The inputs are handed over: the chain releases each after its last
+    stage, so a caller keeps no reference to them.
+    """
+    chain = series_by_config(radiance, quality, built, positions, configs, (spec.months,))
     del radiance, quality, built
     for config, (table,) in chain:
         samples = drop_samples(spec.zones, table, spec.months)

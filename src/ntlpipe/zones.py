@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZoneValidationError
-from .grid import GridSpec
+from .grid import GridSpec, replacing
 from .stack import RasterStack
 
 __all__ = [
@@ -388,7 +388,8 @@ def write_zones(zones, path):
 
     Every ring is emitted closed, as one Polygon per ring grouped into a
     MultiPolygon when a zone has several rings. Holes are not re-nested on
-    write; even-odd membership gives the same region either way.
+    write; even-odd membership gives the same region either way. The file
+    is written through grid.replacing: whole, or not at all.
     """
     features = []
     for zone in zones:
@@ -411,6 +412,6 @@ def write_zones(zones, path):
                 },
             }
         )
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         json.dump({"type": "FeatureCollection", "features": features}, fh, indent=2)
         fh.write("\n")

@@ -1,17 +1,24 @@
 """End-to-end tests for the command line: simulate, validate, extract, report."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntlpipe import (
     Dataset,
@@ -20,19 +27,24 @@ from ntlpipe import (
     IntRaster,
     MonthIndex,
     RasterGrid,
+    StatsError,
     build_report,
+    enumerate_configs,
     event_drop,
+    generate_scene,
     percent_change,
     read_grid,
     read_series_csv,
     read_zones,
+    recovered_pccs,
     write_grid,
     write_report_csv,
+    write_zones,
 )
 import ntlpipe
-from ntlpipe import cli, preprocess, timeseries
+from ntlpipe import cli, preprocess, synthetic, timeseries
 from ntlpipe.cli import main
-from ntlpipe.config import parse_run_config
+from ntlpipe.config import parse_run_config, parse_scene_spec
 from ntlpipe.preprocess import IMPUTATION_WINDOW_MONTHS
 
 VSC_SCENE = {
@@ -239,46 +251,73 @@ class TestImportsPerCommand:
 
 
 class TestSimulateMemory:
-    # three zones along the bottom of the 12x12 grid: the oracle cuts the scene down to a third of it
+    # three zones along the bottom of a 60x60 grid: simulate keeps a third of each month
     PARTIAL_SCENE = dict(
         VSC_SCENE,
+        grid=dict(VSC_SCENE["grid"], ncols=60, nrows=60),
         base_radiance=20.0,
-        zones=[{"zone_id": f"P{i}", "damage_ratio": 0.1 * i + 0.1, "rect": [4 * i, 0, 4 * i + 4, 4]} for i in range(3)],
+        zones=[
+            {"zone_id": f"P{i}", "damage_ratio": 0.1 * i + 0.1, "rect": [20 * i, 0, 20 * i + 20, 20]} for i in range(3)
+        ],
     )
 
-    def test_whole_cover_cut_is_the_scene_itself(self, tmp_path, monkeypatch):
-        uncopied = []
-        recovered_pccs = cli.recovered_pccs
+    def simulate(self, tmp_path, doc):
+        scene = write_json(tmp_path / "scene.json", doc)
+        return main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim"), "--force"])
 
-        def recording(scene, configs):
-            whole = (scene.radiance, scene.quality, scene.built_fraction)
-            uncopied.extend(scene.columns.cut(raster) is raster for raster in whole)
-            return recovered_pccs(scene, configs)
+    def test_whole_cover_oracle_runs_on_the_cubes_simulate_filled(self, tmp_path, monkeypatch):
+        handed, chained = [], []
+        zone_cell_pccs, series_by_config = cli.zone_cell_pccs, synthetic.series_by_config
 
-        monkeypatch.setattr(cli, "recovered_pccs", recording)
-        scene = write_json(tmp_path / "scene.json", VSC_SCENE)
-        assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 0
-        assert uncopied == [True, True, True]
+        def scoring(spec, positions, radiance, quality, built, configs):
+            handed.extend((radiance, quality, built))
+            return zone_cell_pccs(spec, positions, radiance, quality, built, configs)
 
-    def test_cut_scene_is_released_before_the_oracle_runs(self, tmp_path, monkeypatch):
-        whole = []
+        def chaining(radiance, quality, built, *args):
+            chained.extend((radiance, quality, built))
+            return series_by_config(radiance, quality, built, *args)
+
+        monkeypatch.setattr(cli, "zone_cell_pccs", scoring)
+        monkeypatch.setattr(synthetic, "series_by_config", chaining)
+        assert self.simulate(tmp_path, VSC_SCENE) == 0
+        # the whole grids, as simulate filled them month by month, and not copied on the way to the chain
+        assert [raster.spec for raster in handed] == [GridSpec(**VSC_SCENE["grid"])] * 3
+        assert len(chained) == 3 and all(got is given for got, given in zip(chained, handed))
+
+    def test_no_whole_month_is_alive_when_the_oracle_runs(self, tmp_path, monkeypatch):
+        drawn = []
         alive = []
-        recovered_pccs, threshold = cli.recovered_pccs, preprocess.threshold
+        scene_months, threshold = cli.scene_months, preprocess.threshold
 
-        def recording(scene, configs):
-            whole.extend(weakref.ref(stack.values) for stack in (scene.radiance, scene.quality))  # the scene's cubes
-            return recovered_pccs(scene, configs)
+        def recording(spec, columns):
+            for month, radiance, quality in scene_months(spec, columns):
+                # a month's raster is a view of the month's own cube
+                drawn.extend(weakref.ref(raster.values.base) for raster in (radiance, quality))
+                yield month, radiance, quality
 
         def thresholding(*args):
             if not alive:  # VSC-NTL's first stage call is the first threshold
-                alive.extend(cube() is not None for cube in whole)
+                alive.extend(cube() is not None for cube in drawn)
             return threshold(*args)
 
-        monkeypatch.setattr(cli, "recovered_pccs", recording)
+        monkeypatch.setattr(cli, "scene_months", recording)
         monkeypatch.setattr(timeseries, "threshold", thresholding)
-        scene = write_json(tmp_path / "scene.json", self.PARTIAL_SCENE)
-        assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 0
-        assert alive == [False, False]
+        assert self.simulate(tmp_path, self.PARTIAL_SCENE) == 0
+        assert alive == [False] * 50  # radiance and quality of 25 months
+
+    def test_peak_is_within_the_zones_cells_and_one_month(self, tmp_path, capsys):
+        # Bound in bytes: 37.3 per zone-cell-month (25 months of 1,200 zone cells) plus one whole month
+        # of 25 per cell (3,600 cells), the month's radiance, words, missing flags and pixel base. Measured
+        # with numpy 2.4 under tracemalloc: 34.3 per zone-cell-month beyond the month; 68.0 when simulate
+        # generated the whole scene before it cut the zones' cells. The margin is 3.
+        assert self.simulate(tmp_path, self.PARTIAL_SCENE) == 0  # first calls import and cache
+        tracemalloc.start()
+        try:
+            assert self.simulate(tmp_path, self.PARTIAL_SCENE) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (34.3 + 3) * 25 * 1200 + 25 * 3600
 
 
 class TestOutputPathIsAFile:
@@ -312,6 +351,104 @@ class TestSimulateDeterminism:
         scene = write_json(tmp_path / "scene.json", VSC_SCENE)
         assert main(["simulate", "--config", str(scene)]) == 1
         assert "out" in capsys.readouterr().err
+
+
+@st.composite
+def stream_scenes(draw):
+    """Scene docs of either dataset, zones over every cell or part of the grid, and each noise channel off in turn."""
+    ncols, nrows = draw(st.integers(3, 9), label="ncols"), draw(st.integers(3, 9), label="nrows")
+    before, after = draw(st.integers(1, 4), label="months before"), draw(st.integers(0, 3), label="months after")
+    if draw(st.booleans(), label="every cell"):
+        zones = {"nx": 3, "ny": 1, "damage_ratios": [0.1, 0.3, 0.5]}
+    else:  # three one-column zones that leave out the top row and every column past the third
+        zones = [
+            {"zone_id": f"P{i}", "damage_ratio": 0.1 + 0.2 * i, "rect": [i, 0, i + 1, nrows - 1]} for i in range(3)
+        ]
+    noise = {"gaussian_sigma": 0.05, "cloud_rate": 0.2, "corruption_scale": 1.0, "bloom_rate": 0.05}
+    off = draw(st.sampled_from([None, "gaussian_sigma", "cloud_rate", "bloom_rate"]), label="off")
+    if off is not None:
+        noise[off] = 0.0
+    elif draw(st.booleans(), label="monthly cloud rates"):
+        rates = st.sampled_from([0.0, 0.4])
+        noise["cloud_rate"] = draw(st.lists(rates, min_size=before + after + 1, max_size=before + after + 1))
+    return {
+        "seed": draw(st.integers(0, 2**32 - 1), label="seed"),
+        "dataset": draw(st.sampled_from(["VSC-NTL", "VNP46A2"]), label="dataset"),
+        "grid": {"ncols": ncols, "nrows": nrows, "x_origin": 0.0, "y_origin": 0.0, "cell_size": 1.0},
+        "event_month": "2018-10",
+        "months_before": before,
+        "months_after": after,
+        "zones": zones,
+        "base_radiance": [15.0, 25.0, 35.0],
+        "noise": noise,
+    }
+
+
+class TestSimulateStreamsTheGeneratedScene:
+    @settings(max_examples=25, deadline=None)
+    @given(doc=stream_scenes())
+    def test_files_and_oracle_equal_generate_scene_and_recovered_pccs(self, doc):
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(root)
+            path = write_json(root / "scene.json", doc)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                main(["simulate", "--config", str(path), "--out", str(root / "sim")])
+            spec = parse_scene_spec(path)
+            scene = generate_scene(spec)
+            want = root / "want" / spec.dataset.value
+            want.mkdir(parents=True)
+            for stack, suffix in ((scene.radiance, ".asc"), (scene.quality, ".qf.asc")):
+                for month, grid in stack:
+                    write_grid(grid, want / f"{month}{suffix}")
+            write_grid(scene.built_fraction, want / "built_fraction.asc")
+            write_zones(spec.zones, root / "want" / "zones.geojson")
+            oracle = io.StringIO(newline="")
+            writer = csv.writer(oracle)
+            writer.writerow(["config", "recovered_pcc"])
+            for config, pcc in recovered_pccs(scene, enumerate_configs(spec.dataset)):
+                writer.writerow([config.label, "" if isinstance(pcc, StatsError) else repr(pcc)])
+            (root / "want" / "oracle.csv").write_bytes(oracle.getvalue().encode())
+            assert tree_digest(root / "sim") == tree_digest(root / "want")
+
+
+class TestSimulateOutputsAreWholeOrAbsent:
+    def fail_mid_write(self, monkeypatch, target):
+        def no_space():
+            raise OSError(28, "No space left on device")
+
+        if target == "zones.geojson":
+
+            def dump(doc, fh, **kwargs):
+                fh.write('{"type": "FeatureCollection", "features": [')
+                no_space()
+
+            monkeypatch.setattr(ntlpipe.zones, "json", types.SimpleNamespace(dump=dump))
+        else:  # the third config fails once two rows of oracle.csv are written
+            scored = []
+            correlate_method = synthetic.correlate_method
+
+            def correlating(*args):
+                scored.append(args)
+                if len(scored) == 3:
+                    no_space()
+                return correlate_method(*args)
+
+            monkeypatch.setattr(synthetic, "correlate_method", correlating)
+
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"])
+    @pytest.mark.parametrize("target", ["zones.geojson", "oracle.csv"])
+    def test_a_failed_write_keeps_the_old_file_or_none(self, tmp_path, monkeypatch, capsys, target, old):
+        out = tmp_path / "sim"
+        path = out / target
+        if old is not None:
+            out.mkdir()
+            path.write_bytes(old)
+        scene = write_json(tmp_path / "scene.json", VSC_SCENE)
+        self.fail_mid_write(monkeypatch, target)
+        assert main(["simulate", "--config", str(scene), "--out", str(out), "--force"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert (path.read_bytes() if path.exists() else None) == old
+        assert not [p.name for p in out.rglob("*") if p.name.endswith(".tmp")]
 
 
 class TestSimulateRefusesUnscorableScene:

@@ -32,7 +32,7 @@ from ntlpipe import (
     write_grid,
 )
 from ntlpipe import layout, quality
-from ntlpipe.layout import DatasetConfig, dataset_files, load_dataset, scan_dataset_dir
+from ntlpipe.layout import BUILT_FRACTION_FILENAME, DatasetConfig, load_dataset, month_paths, scan_dataset_dir
 
 GRID = GridSpec(ncols=6, nrows=5, x_origin=10.0, y_origin=-3.0, cell_size=0.5)
 WINDOW = EventWindow(MonthIndex(2018, 10), 3, 2)
@@ -61,8 +61,10 @@ def written_scene(directory, kind):
             noise=NoiseSpec(gaussian_sigma=0.1, cloud_rate=0.4, corruption_scale=1.0),
         )
     )
-    for path, grid in dataset_files(directory, scene.radiance, scene.quality, scene.built_fraction):
-        write_grid(grid, path)
+    for (month, radiance), (_, quality_grid) in zip(scene.radiance, scene.quality):
+        for grid, path in zip((radiance, quality_grid), month_paths(directory, month)):
+            write_grid(grid, path)
+    write_grid(scene.built_fraction, directory / BUILT_FRACTION_FILENAME)
     return scene, DatasetConfig(kind.value, kind, directory, directory)
 
 
