@@ -20,7 +20,7 @@ workdir = Path(tempfile.mkdtemp(prefix="ntl_grids_"))
 # and the origin names the lower-left corner of the whole extent.
 spec = GridSpec(ncols=4, nrows=3, x_origin=0.0, y_origin=0.0, cell_size=0.5)
 print("grid extent:", spec.ncols, "x", spec.nrows, "cells of", spec.cell_size)
-print("center of cell (0, 0):", spec.cell_center(0, 0))
+print("cell-center xs by column:", spec.center_xs(), "ys by row, row 0 first:", spec.center_ys())
 
 # Values live in a float raster; a boolean mask marks cells with no data.
 values = np.arange(12, dtype=float).reshape(3, 4)

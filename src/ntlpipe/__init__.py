@@ -81,6 +81,7 @@ from .timeseries import (
     EventWindow,
     ZoneSeries,
     build_zone_series,
+    drop_window,
     event_drop,
     monthly_median_composite,
     percent_change,

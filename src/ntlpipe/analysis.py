@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ReportError, StatsError
+from .grid import replacing
 from .preprocess import enumerate_configs
 from .timeseries import percent_changes
 
@@ -202,8 +203,8 @@ def build_report(samples_by_config, datasets, hurricanes=(), min_damage=0.01, co
 
 
 def write_report_csv(report, path):
-    """Write report rows as CSV with columns dataset,methods,pcc,n_samples."""
-    with open(path, "w", newline="") as fh:
+    """Write report rows as CSV with columns dataset,methods,pcc,n_samples, whole or not at all (grid.replacing)."""
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "methods", "pcc", "n_samples"])
         for row in report.rows:

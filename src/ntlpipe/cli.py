@@ -42,8 +42,8 @@ from .preprocess import enumerate_configs
 from .stack import StackBuilder
 from .synthetic import check_scorable, scene_months, zone_cell_pccs
 from .timeseries import (
-    BASELINE_MONTHS,
     ZoneSeries,
+    drop_window,
     percent_changes,
     read_series_csv,
     series_by_config,
@@ -81,8 +81,7 @@ def cmd_validate(args):
         for hurricane in run.hurricanes:
             event_month = hurricane.window.event_month
             # the drop's baseline: the months before the event that its series holds
-            before = min(BASELINE_MONTHS, hurricane.window.months_before)
-            baseline = [event_month - k for k in range(1, before + 1)]
+            baseline = drop_window(hurricane.window).months()[:-1]
             if not available[0] <= event_month <= available[-1]:
                 _print_issue(
                     issues,
@@ -257,11 +256,11 @@ def cmd_report(args):
 
 
 def _write_case_study_csv(path, run, top, bottom, zones, tables):
-    """Percent-change rows for the selected zones, every config and month."""
+    """Percent-change rows for the selected zones, every config and month, written whole or not at all."""
     groups = [("top", zone) for zone in top] + [("bottom", zone) for zone in bottom]
     row_of = {zone.zone_id: i for i, zone in enumerate(zones)}
     rows = [row_of[zone.zone_id] for _, zone in groups]
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["dataset", "methods", "hurricane", "group", "zone_id", "year", "month", "percent_change"]
@@ -277,7 +276,14 @@ def _write_case_study_csv(path, run, top, bottom, zones, tables):
 
 
 def cmd_simulate(args):
-    """Generate a synthetic scene a month at a time, write it out, and score every config."""
+    """Generate a synthetic scene a month at a time, write it out, and score every config.
+
+    Every month's two rasters are written, but the oracle stacks only the
+    months from the window's start through the event month. Every stage
+    looks only back (imputation reads the months before, thresholding one
+    pixel-month, the built mask no month), so no later month can reach a
+    drop; zone_cell_pccs then averages only the drop window's months.
+    """
     spec = parse_scene_spec(args.config)
     if not args.out:
         raise ConfigError("simulate requires --out <directory>")
@@ -294,16 +300,19 @@ def cmd_simulate(args):
         _guard_overwrite(target, args.force)
 
     dataset_dir.mkdir(parents=True, exist_ok=True)
-    # the oracle runs on the zones' cells: each month is written whole, then only its cut is kept
+    # the oracle runs on the zones' cells up to the event month: each month is written whole,
+    # then only its cut is kept, and none after the event
     columns = zone_columns(spec.zones, spec.grid)
-    radiance, quality = StackBuilder(months), StackBuilder(months, spec.dataset.word_dtype)
-    for (_, month_radiance, month_quality), radiance_path, quality_path in zip(
+    stacked = months[: spec.months.months_before + 1]
+    radiance, quality = StackBuilder(stacked), StackBuilder(stacked, spec.dataset.word_dtype)
+    for (month, month_radiance, month_quality), radiance_path, quality_path in zip(
         scene_months(spec, columns), radiance_paths, quality_paths
     ):
         write_grid(month_radiance, radiance_path)
         write_grid(month_quality, quality_path)
-        radiance.add(columns.cut(month_radiance))
-        quality.add(columns.cut(month_quality))
+        if month <= spec.months.event_month:
+            radiance.add(columns.cut(month_radiance))
+            quality.add(columns.cut(month_quality))
         del month_radiance, month_quality  # before the next month is drawn
     built = spec.built_fraction()
     write_grid(built, built_path)

@@ -234,9 +234,30 @@ def _noise(built_fraction, **magnitudes):
     return NoiseSpec(built_fraction_map=built_fraction, **magnitudes)
 
 
+# the months a `YYYY-MM` file name, and so MonthIndex.parse, can express
+_FIRST_MONTH, _LAST_MONTH = MonthIndex(0, 1), MonthIndex(9999, 12)
+
+
+def _event_window(event_month, months_before, months_after, of=""):
+    """The EventWindow of an event; one reaching outside _FIRST_MONTH.._LAST_MONTH is refused, naming its key."""
+    if months_before > event_month - _FIRST_MONTH:
+        raise ConfigError(f"months_before: {months_before} reaches back from {event_month}{of} past {_FIRST_MONTH}")
+    if months_after > _LAST_MONTH - event_month:
+        raise ConfigError(f"months_after: {months_after} reaches on from {event_month}{of} past {_LAST_MONTH}")
+    return EventWindow(event_month, months_before, months_after)
+
+
 _WINDOW = {
-    "months_before": (_integer(0), 12, "non-negative integer, the months of each window before its event"),
-    "months_after": (_integer(0), 12, "non-negative integer, the months of each window after its event"),
+    "months_before": (
+        _integer(0),
+        12,
+        "non-negative integer, the months of each window before its event; the window starts in 0000-01 or later",
+    ),
+    "months_after": (
+        _integer(0),
+        12,
+        "non-negative integer, the months of each window after its event; the window ends in 9999-12 or earlier",
+    ),
 }
 _GRID = {
     "ncols": (_integer(), _REQUIRED, "integer, the grid's columns"),
@@ -348,7 +369,8 @@ def _run_config(datasets, zones, hurricanes, configs, months_before, months_afte
     _check_names([d.kind.value for d in datasets], "dataset kinds")
     _check_names([d.name for d in datasets], "dataset names")
     hurricanes = tuple(
-        Hurricane(h["name"], EventWindow(h["event_month"], months_before, months_after)) for h in hurricanes
+        Hurricane(h["name"], _event_window(h["event_month"], months_before, months_after, f" of {h['name']}"))
+        for h in hurricanes
     )
     if not hurricanes:
         raise ConfigError("at least one hurricane is required")
@@ -374,7 +396,7 @@ def parse_run_config(path):
 
 def _scene_spec(grid, zones, event_month, months_before, months_after, **values):
     zones = _require({"zones": zones}, "zones", lambda z: tile_zones(grid, **z) if isinstance(z, dict) else z)
-    months = EventWindow(event_month, months_before, months_after)
+    months = _event_window(event_month, months_before, months_after)
     return SceneSpec(grid=grid, zones=zones, months=months, **values)
 
 

@@ -80,12 +80,6 @@ class GridSpec:
         """Y coordinates of all pixel-centers, one per row (row 0 north)."""
         return self.y_origin + (self.nrows - np.arange(self.nrows) - 0.5) * self.cell_size
 
-    def cell_center(self, row, col):
-        """Pixel-center (x, y) of the cell at (row, col)."""
-        x = self.x_origin + (col + 0.5) * self.cell_size
-        y = self.y_origin + (self.nrows - row - 0.5) * self.cell_size
-        return x, y
-
 
 def _normalize_raster(spec, values, missing, dtype):
     """(values, missing) of a raster on ``spec``, or of a stack of rasters (months first), checked and frozen.
@@ -139,12 +133,6 @@ class _RasterMixin:
     def valid(self):
         """Boolean array, True where the cell holds a usable observation."""
         return ~self.missing
-
-    def masked_values(self):
-        """Float copy of the values with NaN substituted at missing cells."""
-        out = self.values.astype(np.float64)
-        out[self.missing] = np.nan
-        return out
 
     def __eq__(self, other):
         if type(other) is not type(self):

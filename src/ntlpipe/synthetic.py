@@ -61,7 +61,7 @@ from .errors import ConfigError, StatsError
 from .grid import GridSpec, RasterGrid
 from .quality import VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE, Dataset
 from .stack import RasterStack, StackBuilder
-from .timeseries import EventWindow, series_by_config
+from .timeseries import EventWindow, drop_window, series_by_config
 from .zones import Zone, ZoneColumns, rect_ring, zone_columns
 
 __all__ = [
@@ -397,7 +397,9 @@ def recovered_pccs(scene, configs, min_damage=0.01):
     chain runs, as zone_cell_pccs, on the scene's built fraction and two
     stacks, each cut down to ``scene.columns`` in one ZoneColumns.cut
     call, as load_dataset cuts what it reads; every stage is pixel-local,
-    so each pcc equals the chain's on the whole grids. A scene
+    so each pcc equals the chain's on the whole grids. The stacks keep
+    every window month, but zone means are taken over the drop window
+    only, the months a drop reads (see zone_cell_pccs). A scene
     check_scorable refuses raises its ConfigError here; the rest runs as
     the iterator is first advanced.
 
@@ -431,11 +433,20 @@ def zone_cell_pccs(spec, positions, radiance, quality, built, configs, min_damag
     ZoneColumns.cut cuts them; spec is check_scorable's to refuse first.
     The inputs are handed over: the chain releases each after its last
     stage, so a caller keeps no reference to them.
+
+    Zone means are taken over the scene's drop window only (drop_window:
+    the event month and up to BASELINE_MONTHS before it), the months a
+    drop reads, so each pcc is bit-identical to one over the whole window.
+    Every stage looks only back in time (imputation reads the months
+    before, thresholding one pixel-month, the built mask no month), so the
+    stacks may also end at the event month, as simulate's do; they must
+    start at the window's start, so that imputation sees what it would.
     """
-    chain = series_by_config(radiance, quality, built, positions, configs, (spec.months,))
+    window = drop_window(spec.months)
+    chain = series_by_config(radiance, quality, built, positions, configs, (window,))
     del radiance, quality, built
     for config, (table,) in chain:
-        samples = drop_samples(spec.zones, table, spec.months)
+        samples = drop_samples(spec.zones, table, window)
         try:
             result = correlate_method(samples, spec.dataset, config.label, min_damage).pcc
         except StatsError as exc:

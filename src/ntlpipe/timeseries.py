@@ -56,6 +56,7 @@ from .zones import zonal_mean, zonal_means
 
 __all__ = [
     "EventWindow",
+    "drop_window",
     "ZoneSeries",
     "monthly_median_composite",
     "build_zone_series",
@@ -103,6 +104,17 @@ class EventWindow:
     def months(self):
         """All window months in calendar order."""
         return tuple(self.start + i for i in range(len(self)))
+
+
+def drop_window(window):
+    """The months of a window that its event drop reads: the event month and its baseline.
+
+    The baseline is the BASELINE_MONTHS before the event, clipped at the
+    window's start, as a series over the window holds them. The drop over
+    this window's table equals the drop over the whole window's bit for
+    bit: rolling_baselines sums the same values in the same order.
+    """
+    return EventWindow(window.event_month, min(window.months_before, BASELINE_MONTHS), 0)
 
 
 @dataclass(frozen=True)

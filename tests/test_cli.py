@@ -29,6 +29,8 @@ from ntlpipe import (
     RasterGrid,
     StatsError,
     build_report,
+    correlate_method,
+    drop_samples,
     enumerate_configs,
     event_drop,
     generate_scene,
@@ -36,7 +38,9 @@ from ntlpipe import (
     read_grid,
     read_series_csv,
     read_zones,
+    rasterize_zone,
     recovered_pccs,
+    series_by_config,
     write_grid,
     write_report_csv,
     write_zones,
@@ -306,9 +310,10 @@ class TestSimulateMemory:
         assert alive == [False] * 50  # radiance and quality of 25 months
 
     def test_peak_is_within_the_zones_cells_and_one_month(self, tmp_path, capsys):
-        # Bound in bytes: 37.3 per zone-cell-month (25 months of 1,200 zone cells) plus one whole month
+        # Bound in bytes: 23.3 per zone-cell-month (25 months of 1,200 zone cells) plus one whole month
         # of 25 per cell (3,600 cells), the month's radiance, words, missing flags and pixel base. Measured
-        # with numpy 2.4 under tracemalloc: 34.3 per zone-cell-month beyond the month; 68.0 when simulate
+        # with numpy 2.4 under tracemalloc: 20.0-20.3 per zone-cell-month beyond the month, the oracle
+        # stacking the 13 months through the event; 34.3 when it stacked all 25, and 68.0 when simulate
         # generated the whole scene before it cut the zones' cells. The margin is 3.
         assert self.simulate(tmp_path, self.PARTIAL_SCENE) == 0  # first calls import and cache
         tracemalloc.start()
@@ -317,7 +322,7 @@ class TestSimulateMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (34.3 + 3) * 25 * 1200 + 25 * 3600
+        assert peak <= (20.3 + 3) * 25 * 1200 + 25 * 3600
 
 
 class TestOutputPathIsAFile:
@@ -354,10 +359,10 @@ class TestSimulateDeterminism:
 
 
 @st.composite
-def stream_scenes(draw):
+def stream_scenes(draw, befores=st.integers(1, 4), afters=st.integers(0, 3)):
     """Scene docs of either dataset, zones over every cell or part of the grid, and each noise channel off in turn."""
     ncols, nrows = draw(st.integers(3, 9), label="ncols"), draw(st.integers(3, 9), label="nrows")
-    before, after = draw(st.integers(1, 4), label="months before"), draw(st.integers(0, 3), label="months after")
+    before, after = draw(befores, label="months before"), draw(afters, label="months after")
     if draw(st.booleans(), label="every cell"):
         zones = {"nx": 3, "ny": 1, "damage_ratios": [0.1, 0.3, 0.5]}
     else:  # three one-column zones that leave out the top row and every column past the third
@@ -411,6 +416,70 @@ class TestSimulateStreamsTheGeneratedScene:
             assert tree_digest(root / "sim") == tree_digest(root / "want")
 
 
+def full_window_pccs(scene, configs, min_damage=0.01):
+    """(config, pcc or StatsError): the chain's zone means over every window month of the whole stacks."""
+    spec = scene.spec
+    cells = {zone.zone_id: rasterize_zone(zone, spec.grid).inside.ravel().nonzero()[0] for zone in spec.zones}
+    chain = series_by_config(scene.radiance, scene.quality, scene.built_fraction, cells, configs, (spec.months,))
+    for config, (table,) in chain:
+        samples = drop_samples(spec.zones, table, spec.months)
+        try:
+            yield config, correlate_method(samples, spec.dataset, config.label, min_damage).pcc
+        except StatsError as exc:
+            yield config, exc
+
+
+def shown(result):
+    """A pcc as oracle.csv writes it, or a StatsError as its message."""
+    return str(result) if isinstance(result, StatsError) else repr(result)
+
+
+class TestOracleReadsOnlyTheDropWindow:
+    # windows that start before and after the event's baseline, so the drop window is clipped or not
+    @settings(max_examples=60, deadline=None)
+    @given(doc=stream_scenes(befores=st.integers(0, 14), afters=st.integers(0, 4)))
+    def test_each_pcc_equals_the_full_window_reference(self, doc):
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(root)
+            path = write_json(root / "scene.json", doc)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                main(["simulate", "--config", str(path), "--out", str(root / "sim")])
+            with open(root / "sim" / "oracle.csv", newline="") as fh:
+                oracle = list(csv.reader(fh))
+            scene = generate_scene(parse_scene_spec(path))
+        configs = enumerate_configs(scene.spec.dataset)
+        want = list(full_window_pccs(scene, configs))
+        got = list(recovered_pccs(scene, configs))
+        assert [(config, shown(pcc)) for config, pcc in got] == [(config, shown(pcc)) for config, pcc in want]
+        # simulate writes each pcc, or an empty cell and a failed: line with the error's message
+        failures = [pcc for _, pcc in want if isinstance(pcc, StatsError)]
+        assert oracle[1:] == [[config.label, "" if isinstance(pcc, StatsError) else repr(pcc)] for config, pcc in want]
+        assert err.getvalue().splitlines() == [f"  failed: {failure}" for failure in failures]
+
+    def test_the_oracles_stacks_end_at_the_event(self, tmp_path, monkeypatch):
+        handed, means = [], []
+        zone_cell_pccs, zonal_means = cli.zone_cell_pccs, timeseries.zonal_means
+
+        def scoring(spec, positions, radiance, quality, built, configs):
+            handed.extend((radiance.months, quality.months))
+            return zone_cell_pccs(spec, positions, radiance, quality, built, configs)
+
+        def averaging(*args):
+            means.append(args)
+            return zonal_means(*args)
+
+        monkeypatch.setattr(cli, "zone_cell_pccs", scoring)
+        monkeypatch.setattr(timeseries, "zonal_means", averaging)
+        scene = write_json(tmp_path / "scene.json", VSC_SCENE)
+        assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 0
+        # the window start, 2017-10, through the event month: 13 of 25 months
+        months = tuple(MonthIndex(2017, 10) + i for i in range(13))
+        assert handed == [months, months]
+        # the event month and its 6 baseline months, for each of 12 configs
+        assert len(means) == 12 * 7
+
+
 class TestSimulateOutputsAreWholeOrAbsent:
     def fail_mid_write(self, monkeypatch, target):
         def no_space():
@@ -449,6 +518,74 @@ class TestSimulateOutputsAreWholeOrAbsent:
         assert "No space left on device" in capsys.readouterr().err
         assert (path.read_bytes() if path.exists() else None) == old
         assert not [p.name for p in out.rglob("*") if p.name.endswith(".tmp")]
+
+
+class TestReportOutputsAreWholeOrAbsent:
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"])
+    @pytest.mark.parametrize("target, module", [("report.csv", ntlpipe.analysis), ("case_study.csv", cli)])
+    def test_a_failed_write_keeps_the_old_file_or_none(self, tmp_path, monkeypatch, capsys, target, module, old):
+        config = simulated_vsc_run(tmp_path, configs=["raw", "clip"])
+        assert main(["extract", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        path = out / target
+        if old is not None:
+            path.write_bytes(old)
+        writer = csv.writer
+
+        def failing(fh):
+            # the third row fails once the header and one row are written
+            rows = []
+
+            def writerow(row):
+                rows.append(row)
+                if len(rows) == 3:
+                    raise OSError(28, "No space left on device")
+                return writer(fh).writerow(row)
+
+            return types.SimpleNamespace(writerow=writerow)
+
+        monkeypatch.setattr(module, "csv", types.SimpleNamespace(writer=failing))
+        assert main(["report", "--config", str(config), "--force"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert (path.read_bytes() if path.exists() else None) == old
+        assert not [p.name for p in out.rglob("*") if p.name.endswith(".tmp")]
+
+
+class TestWindowWithinFileNameMonths:
+    """A window must lie within 0000-01..9999-12, the months a YYYY-MM file name can express."""
+
+    REFUSED = [
+        ("months_before", 1000000, "2018-10", "months_before: 1000000 reaches back from 2018-10{of} past 0000-01"),
+        ("months_after", 1000000, "2018-10", "months_after: 1000000 reaches on from 2018-10{of} past 9999-12"),
+        ("months_before", 1, "0000-01", "months_before: 1 reaches back from 0000-01{of} past 0000-01"),
+        ("months_after", 1, "9999-12", "months_after: 1 reaches on from 9999-12{of} past 9999-12"),
+    ]
+
+    @pytest.mark.parametrize("key, value, event, message", REFUSED)
+    def test_run_config_is_refused_by_every_command(self, tmp_path, capsys, key, value, event, message):
+        doc = {**run_config_doc(), key: value, "hurricanes": [{"name": "TestStorm", "event_month": event}]}
+        config = write_json(tmp_path / "run.json", doc)
+        for command in ("validate", "extract", "report"):
+            assert main([command, "--config", str(config)]) == 1
+            assert capsys.readouterr().err == f"error: {config}: {message.format(of=' of TestStorm')}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, event, message", REFUSED)
+    def test_scene_spec_is_refused_and_nothing_written(self, tmp_path, capsys, key, value, event, message):
+        scene = write_json(tmp_path / "scene.json", {**VSC_SCENE, key: value, "event_month": event})
+        assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 1
+        assert capsys.readouterr().err == f"error: {scene}: {message.format(of='')}\n"
+        assert not (tmp_path / "sim").exists()
+
+    def test_windows_reaching_the_first_and_the_last_month_are_read(self, tmp_path):
+        edge_windows = (("0000-07", 6, 0, "0000-01", "0000-07"), ("9999-06", 0, 6, "9999-06", "9999-12"))
+        for event, before, after, first, last in edge_windows:
+            edges = {"months_before": before, "months_after": after}
+            doc = {**run_config_doc(), **edges, "hurricanes": [{"name": "S", "event_month": event}]}
+            (hurricane,) = parse_run_config(write_json(tmp_path / "run.json", doc)).hurricanes
+            spec = parse_scene_spec(write_json(tmp_path / "scene.json", {**VSC_SCENE, **edges, "event_month": event}))
+            for window in (hurricane.window, spec.months):
+                assert (str(window.start), str(window.end)) == (first, last)
 
 
 class TestSimulateRefusesUnscorableScene:

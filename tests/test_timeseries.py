@@ -166,7 +166,7 @@ class TestMonthlyMedianComposite:
                 for _ in range(n)
             ]
             out = monthly_median_composite(days)
-            cube = np.stack([d.masked_values() for d in days])
+            cube = np.stack([np.where(d.missing, np.nan, d.values) for d in days])
             for r in range(2):
                 for c in range(2):
                     column = cube[:, r, c]
@@ -224,7 +224,7 @@ MEDIAN_VALUES = st.one_of(
 
 def nanmedian_composite(days):
     """(median, all-missing) as the composite computed them with np.nanmedian."""
-    cube = np.stack([d.masked_values() for d in days])
+    cube = np.stack([np.where(d.missing, np.nan, d.values) for d in days])
     all_missing = np.all(np.isnan(cube), axis=0)
     with np.errstate(over="ignore"):
         median = np.nanmedian(np.where(all_missing[None, :, :], 0.0, cube), axis=0)
@@ -233,7 +233,7 @@ def nanmedian_composite(days):
 
 def valid_columns(days):
     """Each pixel's sorted valid daily values, in row-major order."""
-    cube = np.stack([d.masked_values() for d in days])
+    cube = np.stack([np.where(d.missing, np.nan, d.values) for d in days])
     return [sorted(v for v in column if not math.isnan(v)) for column in cube.reshape(len(days), -1).T.tolist()]
 
 

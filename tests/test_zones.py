@@ -195,10 +195,10 @@ class TestRasterizeZone:
             ring = random_convex_ring(rng, int(rng.integers(3, 9)))
             zone = Zone("A", (ring,), damage_ratio=0.1)
             mask = rasterize_zone(zone, spec)
+            xs, ys = spec.center_xs().tolist(), spec.center_ys().tolist()
             for r in range(spec.nrows):
                 for c in range(spec.ncols):
-                    x, y = spec.cell_center(r, c)
-                    assert mask.inside[r, c] == point_in_polygon((x, y), zone.rings)
+                    assert mask.inside[r, c] == point_in_polygon((xs[c], ys[r]), zone.rings)
 
     def test_disjoint_rings_mask_is_union_of_parts(self):
         spec = GridSpec(ncols=8, nrows=8, x_origin=0.0, y_origin=0.0, cell_size=1.0)
