@@ -59,11 +59,9 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """All method-combination rows plus the run's pooling metadata."""
+    """All method-combination rows."""
 
     rows: tuple
-    hurricanes: tuple = ()
-    min_damage: float = 0.01
 
 
 def pearson(xs, ys):
@@ -176,7 +174,7 @@ def correlate_method(samples, dataset, label, min_damage=0.01):
     return ReportRow(dataset=dataset, methods=label, pcc=pcc, n_samples=len(kept))
 
 
-def build_report(samples_by_config, datasets, hurricanes=(), min_damage=0.01, configs=None):
+def build_report(samples_by_config, datasets, min_damage=0.01, configs=None):
     """Correlate every configured method combination into one report.
 
     ``samples_by_config`` maps (dataset, canonical label) to that config's
@@ -199,7 +197,7 @@ def build_report(samples_by_config, datasets, hurricanes=(), min_damage=0.01, co
         correlate_method(samples_by_config[key], key[0], key[1], min_damage)
         for key in expected
     )
-    return CorrelationReport(rows=rows, hurricanes=tuple(hurricanes), min_damage=min_damage)
+    return CorrelationReport(rows=rows)
 
 
 def write_report_csv(report, path):

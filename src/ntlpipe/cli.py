@@ -39,8 +39,7 @@ from .errors import ConfigError, PipelineError, ReportError, StatsError
 from .grid import read_grid, replacing, write_grid  # noqa: F401
 from .layout import BUILT_FRACTION_FILENAME, load_dataset, month_paths, scan_dataset_dir
 from .preprocess import enumerate_configs
-from .stack import StackBuilder
-from .synthetic import check_scorable, scene_months, zone_cell_pccs
+from .synthetic import scene_months, scene_pccs
 from .timeseries import (
     ZoneSeries,
     drop_window,
@@ -239,7 +238,7 @@ def cmd_report(args):
         for config in configs
     }
     by_kind = {dataset.kind: configs for dataset, configs in run.datasets}
-    report = build_report(samples, list(by_kind), [h.name for h in run.hurricanes], run.min_damage, by_kind)
+    report = build_report(samples, list(by_kind), run.min_damage, by_kind)
     # select before writing: a failed selection must not leave report.csv behind
     band_lo, band_hi = run.population_band or (None, None)
     top, bottom = select_case_study_zones(
@@ -278,16 +277,16 @@ def _write_case_study_csv(path, run, top, bottom, zones, tables):
 def cmd_simulate(args):
     """Generate a synthetic scene a month at a time, write it out, and score every config.
 
-    Every month's two rasters are written, but the oracle stacks only the
-    months from the window's start through the event month. Every stage
-    looks only back (imputation reads the months before, thresholding one
-    pixel-month, the built mask no month), so no later month can reach a
-    drop; zone_cell_pccs then averages only the drop window's months.
+    The scene streams through synthetic.scene_pccs, which keeps only the
+    zones' cells of the months a drop can read. The stream writes each
+    month's two rasters as the month passes, then drops them, and after
+    the last month writes the built fraction and the zones. A scene the
+    oracle cannot score is refused before the first month is drawn, so
+    nothing is written for it.
     """
     spec = parse_scene_spec(args.config)
     if not args.out:
         raise ConfigError("simulate requires --out <directory>")
-    check_scorable(spec)
     out_dir = Path(args.out)
     months = spec.months.months()
 
@@ -299,30 +298,22 @@ def cmd_simulate(args):
     for target in [oracle_path, zones_path, *radiance_paths, *quality_paths, built_path]:
         _guard_overwrite(target, args.force)
 
-    dataset_dir.mkdir(parents=True, exist_ok=True)
-    # the oracle runs on the zones' cells up to the event month: each month is written whole,
-    # then only its cut is kept, and none after the event
     columns = zone_columns(spec.zones, spec.grid)
-    stacked = months[: spec.months.months_before + 1]
-    radiance, quality = StackBuilder(stacked), StackBuilder(stacked, spec.dataset.word_dtype)
-    for (month, month_radiance, month_quality), radiance_path, quality_path in zip(
-        scene_months(spec, columns), radiance_paths, quality_paths
-    ):
-        write_grid(month_radiance, radiance_path)
-        write_grid(month_quality, quality_path)
-        if month <= spec.months.event_month:
-            radiance.add(columns.cut(month_radiance))
-            quality.add(columns.cut(month_quality))
-        del month_radiance, month_quality  # before the next month is drawn
-    built = spec.built_fraction()
-    write_grid(built, built_path)
-    write_zones(spec.zones, zones_path)
 
-    results = zone_cell_pccs(
-        spec, columns.positions, radiance.stack(), quality.stack(), columns.cut(built), enumerate_configs(spec.dataset)
-    )
-    # handed over: the chain frees each cube after its last stage
-    del radiance, quality, built
+    def written():
+        dataset_dir.mkdir(parents=True, exist_ok=True)  # on the first month's write
+        # not zipped with the paths: zip would hold each month until the next is drawn
+        for month, radiance, quality in scene_months(spec, columns):
+            radiance_path, quality_path = month_paths(dataset_dir, month)
+            write_grid(radiance, radiance_path)
+            write_grid(quality, quality_path)
+            yield month, radiance, quality
+            del radiance, quality  # before the next month is drawn
+        # the default all-ones grid is made after the months, so no whole grid is held through the draw
+        write_grid(spec.built_fraction(), built_path)
+        write_zones(spec.zones, zones_path)
+
+    results = scene_pccs(spec, columns, written(), spec.built_fraction, enumerate_configs(spec.dataset))
     failures = []
     with replacing(oracle_path, newline="") as fh:
         writer = csv.writer(fh)

@@ -73,8 +73,8 @@ __all__ = [
     "generate_scene",
     "scene_months",
     "check_scorable",
+    "scene_pccs",
     "recovered_pccs",
-    "zone_cell_pccs",
     "oracle_check",
     "VNP46A2_HIGH_QUALITY_CODE",
     "VNP46A2_LOW_QUALITY_CODE",
@@ -194,7 +194,7 @@ class GeneratedScene:
     ``columns`` is zone_columns of the zones on the scene grid: the cells
     some zone covers and each zone's positions among them, in the order of
     ``spec.zones``. generate_scene rasterized each zone once to build it;
-    the oracle cuts the stacks down to those cells with it. The built
+    the oracle cuts each month down to those cells with it. The built
     fraction is a grid: the spec's map, else every cell fully built.
     """
 
@@ -253,7 +253,7 @@ def generate_scene(spec):
     for _, month_radiance, month_quality in scene_months(spec, columns):
         radiance.add(month_radiance)
         quality.add(month_quality)
-        del month_radiance, month_quality  # before the next month is drawn
+        del month_radiance, month_quality  # before the next month is read
     return GeneratedScene(
         spec=spec,
         radiance=radiance.stack(),
@@ -389,72 +389,61 @@ def check_scorable(spec):
         raise ConfigError("oracle needs at least 3 distinct damage ratios")
 
 
-def recovered_pccs(scene, configs, min_damage=0.01):
-    """An iterator of (config, recovered pcc or StatsError) per config.
+def scene_pccs(spec, columns, months, built, configs):
+    """An iterator of (config, recovered pcc or StatsError) per config, on a scene read as a stream of months.
 
-    The recovered pcc correlates per-zone event drops with damage ratios,
-    or is correlate_method's StatsError, which names the config. The
-    chain runs, as zone_cell_pccs, on the scene's built fraction and two
-    stacks, each cut down to ``scene.columns`` in one ZoneColumns.cut
-    call, as load_dataset cuts what it reads; every stage is pixel-local,
-    so each pcc equals the chain's on the whole grids. The stacks keep
-    every window month, but zone means are taken over the drop window
-    only, the months a drop reads (see zone_cell_pccs). A scene
-    check_scorable refuses raises its ConfigError here; the rest runs as
-    the iterator is first advanced.
+    ``months`` yields (month, radiance, quality) over the spec's window in
+    month order, as scene_months does, and is read to its end before this
+    returns; ``columns`` is zone_columns(spec.zones, spec.grid). ``built``
+    is called once the months are read, for the built-fraction grid or
+    None. A spec check_scorable refuses raises its ConfigError before the
+    first month is read.
 
-    The iterator holds the scene's two stacks and built fraction, not the
-    scene. It cuts one cube at a time, radiance, then quality, then the
-    built fraction, releasing each whole cube before the next cut, then
-    hands the cuts over to the chain. So a caller that releases the scene
-    first holds at most one whole cube and its cut at once. Where the
-    zones cover every cell, the cut is the scene's own stack, uncopied. A
-    stage raises as it does in run_pipeline.
+    Each month is cut down to the zones' cells (ZoneColumns.cut, as
+    load_dataset cuts what it reads), and only the cuts from the window's
+    start through the event month are kept: every stage is pixel-local
+    and looks only back in time (imputation reads the months before,
+    thresholding one pixel-month, the built mask no month), so no later
+    month can reach a drop, and each pcc equals the chain's on the whole
+    grids. Zone means are taken over the drop window only (drop_window),
+    the months a drop reads, so each pcc is bit-identical to one over the
+    whole window. The recovered pcc correlates per-zone event drops with
+    damage ratios, or is correlate_method's StatsError, which names the
+    config. The cuts are handed over to series_by_config, which frees
+    each after its last stage; a stage raises as it does in run_pipeline
+    when the iterator reaches it.
     """
-    check_scorable(scene.spec)
-    cubes = scene.radiance, scene.quality, scene.built_fraction
-    return _cut_and_scored(scene.spec, scene.columns, *cubes, configs, min_damage)
-
-
-def _cut_and_scored(spec, columns, radiance, quality, built, configs, min_damage):
-    # each rebinding releases a whole cube before the next is cut
-    radiance = columns.cut(radiance)
-    quality = columns.cut(quality)
-    built = None if built is None else columns.cut(built)
-    scored = zone_cell_pccs(spec, columns.positions, radiance, quality, built, configs, min_damage)
-    del radiance, quality, built
-    yield from scored
-
-
-def zone_cell_pccs(spec, positions, radiance, quality, built, configs, min_damage=0.01):
-    """recovered_pccs' iterator on a scene's stacks and built fraction already cut to its zones' cells.
-
-    ``positions`` are zone_columns' positions, and the inputs are cut as
-    ZoneColumns.cut cuts them; spec is check_scorable's to refuse first.
-    The inputs are handed over: the chain releases each after its last
-    stage, so a caller keeps no reference to them.
-
-    Zone means are taken over the scene's drop window only (drop_window:
-    the event month and up to BASELINE_MONTHS before it), the months a
-    drop reads, so each pcc is bit-identical to one over the whole window.
-    Every stage looks only back in time (imputation reads the months
-    before, thresholding one pixel-month, the built mask no month), so the
-    stacks may also end at the event month, as simulate's do; they must
-    start at the window's start, so that imputation sees what it would.
-    """
+    check_scorable(spec)
+    stacked = spec.months.months()[: spec.months.months_before + 1]
+    radiance, quality = StackBuilder(stacked), StackBuilder(stacked, spec.dataset.word_dtype)
+    for month, month_radiance, month_quality in months:
+        if month <= spec.months.event_month:
+            radiance.add(columns.cut(month_radiance))
+            quality.add(columns.cut(month_quality))
+        del month_radiance, month_quality  # before the next month is read
+    fraction = built()
+    fraction = None if fraction is None else columns.cut(fraction)
     window = drop_window(spec.months)
-    chain = series_by_config(radiance, quality, built, positions, configs, (window,))
-    del radiance, quality, built
-    for config, (table,) in chain:
-        samples = drop_samples(spec.zones, table, window)
-        try:
-            result = correlate_method(samples, spec.dataset, config.label, min_damage).pcc
-        except StatsError as exc:
-            result = exc
-        yield config, result
+    chain = series_by_config(radiance.stack(), quality.stack(), fraction, columns.positions, configs, (window,))
+    del radiance, quality, fraction  # handed over: the chain frees each cube after its last stage
+    return ((config, _recovered(spec, table, window, config)) for config, (table,) in chain)
 
 
-def oracle_check(scene, config, min_damage=0.01):
+def _recovered(spec, table, window, config):
+    """The pcc of a config's zone drops against damage ratios, or correlate_method's StatsError."""
+    try:
+        return correlate_method(drop_samples(spec.zones, table, window), spec.dataset, config.label).pcc
+    except StatsError as exc:
+        return exc
+
+
+def recovered_pccs(scene, configs):
+    """scene_pccs on a generated scene's stacks and built fraction: a list of (config, pcc or StatsError)."""
+    months = ((month, radiance, quality) for (month, radiance), (_, quality) in zip(scene.radiance, scene.quality))
+    return list(scene_pccs(scene.spec, scene.columns, months, lambda: scene.built_fraction, configs))
+
+
+def oracle_check(scene, config):
     """Run the full pipeline on a scene and score it against the truth.
 
     Returns (recovered_pcc, truth_pcc): the correlation the pipeline
@@ -464,7 +453,7 @@ def oracle_check(scene, config, min_damage=0.01):
     with three distinct damage ratios, or neither correlation is
     meaningful.
     """
-    [(_, recovered)] = recovered_pccs(scene, (config,), min_damage)
+    [(_, recovered)] = recovered_pccs(scene, (config,))
     if isinstance(recovered, StatsError):
         raise recovered
     truth = pearson(

@@ -275,16 +275,6 @@ class TestBuildReport:
         report = build_report(samples, (Dataset.VNP46A2,), configs={Dataset.VNP46A2: subset[:1]})
         assert [row.methods for row in report.rows] == ["quality"]
 
-    def test_metadata_carried(self):
-        report = build_report(
-            self.pooled_samples(),
-            datasets=(Dataset.VSC_NTL,),
-            hurricanes=("Michael", "Maria"),
-            min_damage=0.02,
-        )
-        assert report.hurricanes == ("Michael", "Maria")
-        assert report.min_damage == 0.02
-
 
 radiances = st.one_of(
     st.just(float("nan")),

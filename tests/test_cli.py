@@ -8,6 +8,8 @@ import itertools
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -270,23 +272,22 @@ class TestSimulateMemory:
         return main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim"), "--force"])
 
     def test_whole_cover_oracle_runs_on_the_cubes_simulate_filled(self, tmp_path, monkeypatch):
-        handed, chained = [], []
-        zone_cell_pccs, series_by_config = cli.zone_cell_pccs, synthetic.series_by_config
-
-        def scoring(spec, positions, radiance, quality, built, configs):
-            handed.extend((radiance, quality, built))
-            return zone_cell_pccs(spec, positions, radiance, quality, built, configs)
+        chained = []
+        series_by_config = synthetic.series_by_config
 
         def chaining(radiance, quality, built, *args):
             chained.extend((radiance, quality, built))
             return series_by_config(radiance, quality, built, *args)
 
-        monkeypatch.setattr(cli, "zone_cell_pccs", scoring)
         monkeypatch.setattr(synthetic, "series_by_config", chaining)
         assert self.simulate(tmp_path, VSC_SCENE) == 0
-        # the whole grids, as simulate filled them month by month, and not copied on the way to the chain
-        assert [raster.spec for raster in handed] == [GridSpec(**VSC_SCENE["grid"])] * 3
-        assert len(chained) == 3 and all(got is given for got, given in zip(chained, handed))
+        # the whole grids, filled month by month as simulate drew them: the zones cover every cell
+        assert [raster.spec for raster in chained] == [GridSpec(**VSC_SCENE["grid"])] * 3
+        radiance, quality, built = chained
+        for stack, suffix in ((radiance, ".asc"), (quality, ".qf.asc")):
+            for month, grid in stack:
+                assert grid == read_grid(tmp_path / "sim" / "VSC-NTL" / f"{month}{suffix}")
+        assert built == read_grid(tmp_path / "sim" / "VSC-NTL" / "built_fraction.asc")
 
     def test_no_whole_month_is_alive_when_the_oracle_runs(self, tmp_path, monkeypatch):
         drawn = []
@@ -308,6 +309,20 @@ class TestSimulateMemory:
         monkeypatch.setattr(timeseries, "threshold", thresholding)
         assert self.simulate(tmp_path, self.PARTIAL_SCENE) == 0
         assert alive == [False] * 50  # radiance and quality of 25 months
+
+    def test_no_earlier_month_is_alive_when_a_month_is_drawn(self, tmp_path, monkeypatch):
+        drawn, alive = [], []
+        month_raster = synthetic._month_raster
+
+        def raster(month, grid, values, missing):
+            alive.append(sum(cube() is not None for cube in drawn))
+            drawn.append(weakref.ref(values))
+            return month_raster(month, grid, values, missing)
+
+        monkeypatch.setattr(synthetic, "_month_raster", raster)
+        assert self.simulate(tmp_path, self.PARTIAL_SCENE) == 0
+        # each month's radiance, then its quality, when only the month's own radiance may be alive
+        assert alive == [0, 1] * 25
 
     def test_peak_is_within_the_zones_cells_and_one_month(self, tmp_path, capsys):
         # Bound in bytes: 23.3 per zone-cell-month (25 months of 1,200 zone cells) plus one whole month
@@ -416,7 +431,7 @@ class TestSimulateStreamsTheGeneratedScene:
             assert tree_digest(root / "sim") == tree_digest(root / "want")
 
 
-def full_window_pccs(scene, configs, min_damage=0.01):
+def full_window_pccs(scene, configs):
     """(config, pcc or StatsError): the chain's zone means over every window month of the whole stacks."""
     spec = scene.spec
     cells = {zone.zone_id: rasterize_zone(zone, spec.grid).inside.ravel().nonzero()[0] for zone in spec.zones}
@@ -424,7 +439,7 @@ def full_window_pccs(scene, configs, min_damage=0.01):
     for config, (table,) in chain:
         samples = drop_samples(spec.zones, table, spec.months)
         try:
-            yield config, correlate_method(samples, spec.dataset, config.label, min_damage).pcc
+            yield config, correlate_method(samples, spec.dataset, config.label).pcc
         except StatsError as exc:
             yield config, exc
 
@@ -450,7 +465,7 @@ class TestOracleReadsOnlyTheDropWindow:
             scene = generate_scene(parse_scene_spec(path))
         configs = enumerate_configs(scene.spec.dataset)
         want = list(full_window_pccs(scene, configs))
-        got = list(recovered_pccs(scene, configs))
+        got = recovered_pccs(scene, configs)
         assert [(config, shown(pcc)) for config, pcc in got] == [(config, shown(pcc)) for config, pcc in want]
         # simulate writes each pcc, or an empty cell and a failed: line with the error's message
         failures = [pcc for _, pcc in want if isinstance(pcc, StatsError)]
@@ -459,17 +474,17 @@ class TestOracleReadsOnlyTheDropWindow:
 
     def test_the_oracles_stacks_end_at_the_event(self, tmp_path, monkeypatch):
         handed, means = [], []
-        zone_cell_pccs, zonal_means = cli.zone_cell_pccs, timeseries.zonal_means
+        series_by_config, zonal_means = synthetic.series_by_config, timeseries.zonal_means
 
-        def scoring(spec, positions, radiance, quality, built, configs):
+        def chaining(radiance, quality, *args):
             handed.extend((radiance.months, quality.months))
-            return zone_cell_pccs(spec, positions, radiance, quality, built, configs)
+            return series_by_config(radiance, quality, *args)
 
         def averaging(*args):
             means.append(args)
             return zonal_means(*args)
 
-        monkeypatch.setattr(cli, "zone_cell_pccs", scoring)
+        monkeypatch.setattr(synthetic, "series_by_config", chaining)
         monkeypatch.setattr(timeseries, "zonal_means", averaging)
         scene = write_json(tmp_path / "scene.json", VSC_SCENE)
         assert main(["simulate", "--config", str(scene), "--out", str(tmp_path / "sim")]) == 0
@@ -586,6 +601,72 @@ class TestWindowWithinFileNameMonths:
             spec = parse_scene_spec(write_json(tmp_path / "scene.json", {**VSC_SCENE, **edges, "event_month": event}))
             for window in (hurricane.window, spec.months):
                 assert (str(window.start), str(window.end)) == (first, last)
+
+
+# one literal per kind of bad cell token: huge, negative, fractional, a non-ASCII digit, NaN and 2^63
+FUZZ_LITERALS = ["1e999", "-3", "0.5", "\u0663", "nan", "9223372036854775808"]
+
+
+@pytest.fixture(scope="class")
+def fuzz_run(tmp_path_factory):
+    """A tiny simulated run of each dataset: 4x3 grids, three zones leaving one column out, four months."""
+    root = tmp_path_factory.mktemp("fuzz")
+    window = {"months_before": 2, "months_after": 1}
+    grid = {"ncols": 4, "nrows": 3, "x_origin": 0.0, "y_origin": 0.0, "cell_size": 1.0}
+    zones = [{"zone_id": f"F{i}", "damage_ratio": 0.1 + 0.2 * i, "rect": [i, 0, i + 1, 3]} for i in range(3)]
+    for name, scene in (("simv", VSC_SCENE), ("simn", VNP_SCENE)):
+        doc = {**scene, **window, "grid": grid, "zones": zones, "base_radiance": 20.0}
+        path = write_json(root / f"{name}.json", doc)
+        assert main(["simulate", "--config", str(path), "--out", str(root / name)]) == 0
+    write_json(root / "run.json", {**run_config_doc(), **window})
+    return root
+
+
+class TestCorruptedGridFile:
+    """One damaged grid file fails validate and extract alike, each fault in one line, never in a traceback."""
+
+    @staticmethod
+    def damage(path, draw):
+        kind = draw(st.sampled_from(["token", "truncated", "not UTF-8"]), label="damage")
+        data = path.read_bytes()
+        if kind == "truncated":
+            path.write_bytes(data[: draw(st.integers(0, len(data) - 1), label="kept bytes")])
+        elif kind == "not UTF-8":
+            at = draw(st.integers(0, len(data) - 1), label="byte")
+            path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        else:  # the grid's six header lines, then its rows of cell tokens
+            rows = [line.split() for line in data.decode().splitlines()]
+            row = rows[draw(st.integers(6, len(rows) - 1), label="row")]
+            row[draw(st.integers(0, len(row) - 1), label="column")] = draw(st.sampled_from(FUZZ_LITERALS))
+            path.write_text("".join(" ".join(tokens) + "\n" for tokens in rows))
+
+    @staticmethod
+    def assert_each_failure_in_one_line(code, out, err):
+        assert code in (0, 1) and "Traceback" not in out + err
+        lines = [line.strip() for line in (out + err).splitlines()]
+        faults = [line for line in lines if line.startswith(("problem:", "failed:", "error:"))]
+        if code == 0:
+            assert faults == []
+        elif err.startswith("error: "):
+            assert faults == err.splitlines()
+        else:  # validate's problems or extract's failures, after or before their count
+            (count,) = re.findall(r"(\d+) (?:problem|failure)\(s\)", out + err)
+            assert len(faults) == int(count) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_validate_and_extract_agree(self, fuzz_run, data):
+        grids = sorted(p.relative_to(fuzz_run) for p in fuzz_run.glob("sim?/*/*.asc"))
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(shutil.copytree(fuzz_run, Path(root) / "run"))
+            self.damage(root / data.draw(st.sampled_from(grids), label="grid"), data.draw)
+            codes = []
+            for command in ("validate", "extract"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    codes.append(main([command, "--config", str(root / "run.json")]))
+                self.assert_each_failure_in_one_line(codes[-1], out.getvalue(), err.getvalue())
+        assert codes[0] == codes[1]
 
 
 class TestSimulateRefusesUnscorableScene:
@@ -1110,9 +1191,7 @@ class TestReportIsBuildReport:
             drop = event_drop(series, h.window)
             sample = DropSample(zone.zone_id, zone.damage_ratio, drop, h.name, zone.population)
             samples.setdefault((dataset.kind, pipeline.label), []).append(sample)
-        expected = build_report(
-            samples, [dataset.kind], [h.name for h in run.hurricanes], run.min_damage, {dataset.kind: configs}
-        )
+        expected = build_report(samples, [dataset.kind], run.min_damage, {dataset.kind: configs})
         write_report_csv(expected, tmp_path / "expected.csv")
         report = (tmp_path / "out" / "report.csv").read_bytes()
         assert report == (tmp_path / "expected.csv").read_bytes()

@@ -1,6 +1,7 @@
-"""Every name a package module imports is used there or re-exported through its __all__."""
+"""Package modules' imports and exports: each import is used or re-exported, each export is defined."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,10 @@ def exported_names(tree):
     return set()
 
 
-@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}), ids=lambda p: p.stem)
+MODULES = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used_or_exported(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -39,3 +43,9 @@ def test_every_import_is_used_or_exported(path):
         if name not in used and name not in exported_names(tree) and (path.stem, name) not in IMPORTED_FOR_OTHERS
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_exported_name_is_defined(path):
+    module = importlib.import_module(f"ntlpipe.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []

@@ -1,8 +1,8 @@
 """Tests for synthetic scene generation and the ground-truth oracle."""
 
 import dataclasses
+import itertools
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -43,8 +43,7 @@ from ntlpipe import (
     tile_zones,
 )
 import ntlpipe.zones
-from ntlpipe import preprocess, timeseries
-from ntlpipe.zones import ZoneColumns
+from ntlpipe import synthetic
 
 EVENT = MonthIndex(2018, 10)
 
@@ -321,7 +320,7 @@ class TestOracleCheck:
 
         monkeypatch.setattr(ntlpipe.zones, "rasterize_zone", counted)
         spec = make_spec(seed=4)
-        list(recovered_pccs(generate_scene(spec), enumerate_configs(Dataset.VSC_NTL)))
+        recovered_pccs(generate_scene(spec), enumerate_configs(Dataset.VSC_NTL))
         assert rasterized == [zone.zone_id for zone in spec.zones]
 
 
@@ -436,7 +435,7 @@ class TestGenerateSceneMatchesExpressionForm:
         assert scene.truth == truth
 
 
-def whole_grid_pccs(scene, configs, min_damage=0.01):
+def whole_grid_pccs(scene, configs):
     """(config, pcc or StatsError) from the chain on the whole grids, one config at a time."""
     spec = scene.spec
     masks = [rasterize_zone(zone, spec.grid) for zone in spec.zones]
@@ -449,7 +448,7 @@ def whole_grid_pccs(scene, configs, min_damage=0.01):
                 DropSample(z.zone_id, z.damage_ratio, event_drop(s, spec.months), "", z.population)
                 for z, s in zip(spec.zones, series)
             ]
-            yield config, correlate_method(samples, spec.dataset, config.label, min_damage).pcc
+            yield config, correlate_method(samples, spec.dataset, config.label).pcc
         except StatsError as exc:
             yield config, exc
 
@@ -509,35 +508,29 @@ class TestOracleOnZoneColumns:
         built = next(config for config in configs if config.built_mask)
         with pytest.raises(ConfigError) as expected:
             run_pipeline(scene.radiance, scene.quality, None, built)
-        results = recovered_pccs(scene, configs)
         with pytest.raises(ConfigError) as raised:
-            list(results)
+            recovered_pccs(scene, configs)
         assert str(raised.value) == str(expected.value)
 
     def test_the_oracle_holds_no_reference_to_the_scene(self, monkeypatch):
         scene = generate_scene(layout_spec(Dataset.VNP46A2, "part-of-the-grid"))
-        configs = enumerate_configs(Dataset.VNP46A2)
-        want = [comparable(result) for _, result in recovered_pccs(scene, configs)]
-        whole = [weakref.ref(scene.radiance.values), weakref.ref(scene.quality.values)]  # the scene's cubes
-        at_cuts, at_first_stage = [], []
-        cut, impute = ZoneColumns.cut, preprocess.quality_filter_and_impute
+        chained = []
+        series_by_config = synthetic.series_by_config
 
-        def cutting(columns, raster):
-            at_cuts.append([cube() is not None for cube in whole])
-            return cut(columns, raster)
+        def chaining(radiance, quality, built, *args):
+            chained.extend((radiance, quality, built))
+            return series_by_config(radiance, quality, built, *args)
 
-        def imputing(*args):
-            at_first_stage.append([cube() is not None for cube in whole])  # VNP46A2 has no threshold stage
-            return impute(*args)
-
-        monkeypatch.setattr(ZoneColumns, "cut", cutting)
-        monkeypatch.setattr(timeseries, "quality_filter_and_impute", imputing)
-        results = recovered_pccs(scene, configs)
-        del scene
-        assert [comparable(result) for _, result in results] == want
-        # radiance, quality, built fraction: each whole cube is released before the next is cut
-        assert at_cuts == [[True, True], [False, True], [False, False]]
-        assert at_first_stage == [[False, False]]
+        monkeypatch.setattr(synthetic, "series_by_config", chaining)
+        recovered_pccs(scene, enumerate_configs(Dataset.VNP46A2))
+        # the chain runs on cuts of the zones' cells, of the window's start through the event month,
+        # each in arrays of its own: none is a view of the scene's cubes or its built fraction
+        assert [raster.spec for raster in chained] == [scene.columns.row] * 3
+        months = scene.spec.months.months()[: scene.spec.months.months_before + 1]
+        assert chained[0].months == chained[1].months == months
+        wholes = [(whole.values, whole.missing) for whole in (scene.radiance, scene.quality, scene.built_fraction)]
+        for cut, whole in itertools.product(chained, wholes):
+            assert not any(np.shares_memory(a, b) for a, b in itertools.product((cut.values, cut.missing), whole))
 
 
 def scene_nbytes(scene):
@@ -577,7 +570,7 @@ class TestMemoryBudget:
     def warm(self):
         # first calls import and cache; they are not the scene's cost
         scene = generate_scene(budget_spec(n=6))
-        list(recovered_pccs(scene, enumerate_configs(Dataset.VNP46A2)))
+        recovered_pccs(scene, enumerate_configs(Dataset.VNP46A2))
 
     # Bounds in bytes per cell-month of the scene, whose own arrays take 12: radiance 8, quality word 2,
     # and a missing flag for each. Each bound is the peak measured with numpy 2.4 plus a margin of 1.5.
@@ -591,9 +584,10 @@ class TestMemoryBudget:
         assert peak <= (14.9 + 1.5) * cell_months(spec)
 
     def test_the_oracle_works_within_the_zones_cells(self):
-        # measured 9.5, each month's refill gathered to its untrusted cells; 10.5 with the refill's temporaries
-        # over whole months, 29.1 for the chain on the whole grids, and 13.8 on int64 words
+        # measured 7.05, each month cut to the zones' cells as it is read, through the event month; 9.5 when the
+        # scene's whole stacks were cut, 10.5 with the refill's temporaries over whole months, 29.1 for the chain
+        # on the whole grids, and 13.8 on int64 words
         spec = budget_spec()
         scene = generate_scene(spec)
-        _, peak = traced_peak(lambda: list(recovered_pccs(scene, enumerate_configs(Dataset.VNP46A2))))
-        assert peak <= (9.5 + 1.5) * cell_months(spec)
+        _, peak = traced_peak(lambda: recovered_pccs(scene, enumerate_configs(Dataset.VNP46A2)))
+        assert peak <= (7.05 + 1.5) * cell_months(spec)
