@@ -71,7 +71,6 @@ from .synthetic import (
     NoiseSpec,
     SceneSpec,
     TruthRow,
-    check_scorable,
     generate_scene,
     oracle_check,
     recovered_pccs,

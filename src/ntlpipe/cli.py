@@ -48,7 +48,7 @@ from .timeseries import (
     series_by_config,
     write_series_csv,
 )
-from .zones import read_zones, write_zones, zone_columns
+from .zones import read_zones, write_zones
 
 __all__ = ["main"]
 
@@ -277,10 +277,11 @@ def _write_case_study_csv(path, run, top, bottom, zones, tables):
 def cmd_simulate(args):
     """Generate a synthetic scene a month at a time, write it out, and score every config.
 
-    The scene streams through synthetic.scene_pccs, which keeps only the
-    zones' cells of the months a drop can read. The stream writes each
-    month's two rasters as the month passes, then drops them, and after
-    the last month writes the built fraction and the zones. A scene the
+    scene_months(spec) streams the scene through scene_pccs(spec, months,
+    configs), which keeps only the zones' cells (spec.columns) of the
+    months a drop can read. The stream writes each month's two rasters as
+    the month passes, then drops them, and after the last month writes
+    the built fraction and the zones. A scene the
     oracle cannot score is refused before the first month is drawn, so
     nothing is written for it.
     """
@@ -298,12 +299,10 @@ def cmd_simulate(args):
     for target in [oracle_path, zones_path, *radiance_paths, *quality_paths, built_path]:
         _guard_overwrite(target, args.force)
 
-    columns = zone_columns(spec.zones, spec.grid)
-
     def written():
         dataset_dir.mkdir(parents=True, exist_ok=True)  # on the first month's write
         # not zipped with the paths: zip would hold each month until the next is drawn
-        for month, radiance, quality in scene_months(spec, columns):
+        for month, radiance, quality in scene_months(spec):
             radiance_path, quality_path = month_paths(dataset_dir, month)
             write_grid(radiance, radiance_path)
             write_grid(quality, quality_path)
@@ -313,7 +312,7 @@ def cmd_simulate(args):
         write_grid(spec.built_fraction(), built_path)
         write_zones(spec.zones, zones_path)
 
-    results = scene_pccs(spec, columns, written(), spec.built_fraction, enumerate_configs(spec.dataset))
+    results = scene_pccs(spec, written(), enumerate_configs(spec.dataset))
     failures = []
     with replacing(oracle_path, newline="") as fh:
         writer = csv.writer(fh)

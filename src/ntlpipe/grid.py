@@ -315,22 +315,25 @@ def _parse_body(spec, data_lines):
             f"expected {spec.nrows} data rows, found {len(data_lines)}",
             data_lines[spec.nrows][0] if len(data_lines) > spec.nrows else None,
         )
-    values = np.empty(spec.shape, dtype=np.float64)
+    # no array is sized from the header before the rows are read: a huge ncols is a row fault, not an allocation
+    rows = []
     all_int = True
-    for r, (lineno, tokens) in enumerate(data_lines):
+    for lineno, tokens in data_lines:
         if len(tokens) != spec.ncols:
             raise GridParseError(f"expected {spec.ncols} cell tokens, got {len(tokens)}", lineno)
-        for c, tok in enumerate(tokens):
+        row = []
+        for tok in tokens:
             try:
                 v = float(tok)
             except ValueError:
                 raise GridParseError(f"non-numeric cell token {tok!r}", lineno) from None
             if not math.isfinite(v):
                 raise GridParseError(f"non-finite cell value {tok!r}", lineno)
-            values[r, c] = v
+            row.append(v)
             if all_int and not _INT_TOKEN.match(tok):
                 all_int = False
-    return values, all_int
+        rows.append(row)
+    return np.array(rows, dtype=np.float64), all_int
 
 
 def _exact_integers(spec, body_lines, nodata_token):

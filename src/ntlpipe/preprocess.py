@@ -293,33 +293,19 @@ def enumerate_configs(dataset):
 
 
 def config_from_label(dataset, label):
-    """Build the PipelineConfig for a method-combination label.
+    """The config of enumerate_configs(dataset) whose label has the parts of ``label``, in any order.
 
-    Accepts parts in any order (``quality+clip`` equals ``clip+quality``);
-    the config's own ``label`` is always canonical.
+    ``quality+clip`` names the config labelled ``clip+quality``; the
+    config's own ``label`` is always canonical.
     """
-    parts = label.split("+") if label != "raw" else []
-    mode = ThresholdMode.NONE
-    built = False
-    quality = False
-    seen = set()
+    parts = sorted(label.split("+"))
+    known = {part for kind in Dataset for config in enumerate_configs(kind) for part in config.label.split("+")}
     for part in parts:
-        if part in seen:
-            raise ConfigError(f"duplicate method {part!r} in label {label!r}")
-        seen.add(part)
-        if part in ("clip", "remove"):
-            if mode is not ThresholdMode.NONE:
-                raise ConfigError(f"label {label!r} names two threshold modes")
-            mode = ThresholdMode(part)
-        elif part == "built":
-            built = True
-        elif part == "quality":
-            quality = True
-        else:
+        if part not in known:
             raise ConfigError(f"unknown method {part!r} in label {label!r}")
-    return PipelineConfig(
-        dataset=dataset,
-        threshold_mode=mode,
-        built_mask=built,
-        quality_filter=quality,
-    )
+    configs = enumerate_configs(dataset)
+    for config in configs:
+        if sorted(config.label.split("+")) == parts:
+            return config
+    valid = ", ".join(config.label for config in configs)
+    raise ConfigError(f"label {label!r} names no {dataset.value} method combination; valid labels: {valid}")

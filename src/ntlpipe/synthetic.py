@@ -53,6 +53,7 @@ too. VNP46A2 quality words are uint16, VSC-NTL cloud-free counts int64.
 
 import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from .grid import GridSpec, RasterGrid
 from .quality import VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE, Dataset
 from .stack import RasterStack, StackBuilder
 from .timeseries import EventWindow, drop_window, series_by_config
-from .zones import Zone, ZoneColumns, rect_ring, zone_columns
+from .zones import Zone, rect_ring, zone_columns
 
 __all__ = [
     "NoiseSpec",
@@ -72,7 +73,6 @@ __all__ = [
     "tile_zones",
     "generate_scene",
     "scene_months",
-    "check_scorable",
     "scene_pccs",
     "recovered_pccs",
     "oracle_check",
@@ -175,6 +175,11 @@ class SceneSpec:
         """The scene's built-fraction grid: the noise spec's map, else every cell fully built."""
         return self.noise.built_fraction_map or RasterGrid(self.grid, np.ones(self.grid.shape))
 
+    @cached_property
+    def columns(self):
+        """zone_columns of the zones on the scene grid, each zone rasterized once per spec."""
+        return zone_columns(self.zones, self.grid)
+
 
 @dataclass(frozen=True)
 class TruthRow:
@@ -191,11 +196,7 @@ class TruthRow:
 class GeneratedScene:
     """A generated scene: stacks, per-zone truth, and its originating spec.
 
-    ``columns`` is zone_columns of the zones on the scene grid: the cells
-    some zone covers and each zone's positions among them, in the order of
-    ``spec.zones``. generate_scene rasterized each zone once to build it;
-    the oracle cuts each month down to those cells with it. The built
-    fraction is a grid: the spec's map, else every cell fully built.
+    The built fraction is a grid: the spec's map, else every cell fully built.
     """
 
     spec: SceneSpec
@@ -203,7 +204,6 @@ class GeneratedScene:
     quality: RasterStack
     truth: tuple
     built_fraction: RasterGrid
-    columns: ZoneColumns
 
 
 def tile_zones(grid, nx, ny, damage_ratios, populations=None):
@@ -248,9 +248,8 @@ def generate_scene(spec):
     produce bit-identical scenes.
     """
     months = spec.months.months()
-    columns = zone_columns(spec.zones, spec.grid)
     radiance, quality = StackBuilder(months), StackBuilder(months, spec.dataset.word_dtype)
-    for _, month_radiance, month_quality in scene_months(spec, columns):
+    for _, month_radiance, month_quality in scene_months(spec):
         radiance.add(month_radiance)
         quality.add(month_quality)
         del month_radiance, month_quality  # before the next month is read
@@ -260,21 +259,20 @@ def generate_scene(spec):
         quality=quality.stack(),
         truth=_truth(spec),
         built_fraction=spec.built_fraction(),
-        columns=columns,
     )
 
 
-def scene_months(spec, columns):
+def scene_months(spec):
     """The scene of a spec a month at a time: an iterator of (month, radiance, quality) in month order.
 
-    ``columns`` is zone_columns(spec.zones, spec.grid). Each month is drawn
-    when it is asked for, from the positioned per-channel generators of the
-    module docstring, so no cube of the whole scene is ever held, and the
-    months stacked are generate_scene's stacks. A month's RasterGrid and
-    IntRaster (uint16 words for VNP46A2) are read-only views of that
-    month's own arrays, checked and frozen as a stack's month is.
+    Each month is drawn when it is asked for, from the positioned
+    per-channel generators of the module docstring, so no cube of the
+    whole scene is ever held, and the months stacked are generate_scene's
+    stacks. A month's RasterGrid and IntRaster (uint16 words for VNP46A2)
+    are read-only views of that month's own arrays, checked and frozen as
+    a stack's month is.
     """
-    grid = spec.grid
+    grid, columns = spec.grid, spec.columns
     months = spec.months.months()
     noise = spec.noise
     truth = _truth(spec)
@@ -379,27 +377,16 @@ def _month_raster(month, grid, values, missing):
     return raster
 
 
-def check_scorable(spec):
-    """Raise ConfigError unless the oracle can score a scene of this spec.
-
-    The recovered pcc correlates per-zone event drops with damage ratios;
-    with fewer than three distinct damage ratios it is not meaningful.
-    """
-    if len({z.damage_ratio for z in spec.zones}) < 3:
-        raise ConfigError("oracle needs at least 3 distinct damage ratios")
-
-
-def scene_pccs(spec, columns, months, built, configs):
+def scene_pccs(spec, months, configs):
     """An iterator of (config, recovered pcc or StatsError) per config, on a scene read as a stream of months.
 
     ``months`` yields (month, radiance, quality) over the spec's window in
     month order, as scene_months does, and is read to its end before this
-    returns; ``columns`` is zone_columns(spec.zones, spec.grid). ``built``
-    is called once the months are read, for the built-fraction grid or
-    None. A spec check_scorable refuses raises its ConfigError before the
-    first month is read.
+    returns; the spec's built fraction is made only then. A spec with
+    fewer than three distinct damage ratios, against which no pcc is
+    meaningful, raises ConfigError before the first month is read.
 
-    Each month is cut down to the zones' cells (ZoneColumns.cut, as
+    Each month is cut down to the zones' cells (spec.columns, as
     load_dataset cuts what it reads), and only the cuts from the window's
     start through the event month are kept: every stage is pixel-local
     and looks only back in time (imputation reads the months before,
@@ -413,7 +400,9 @@ def scene_pccs(spec, columns, months, built, configs):
     each after its last stage; a stage raises as it does in run_pipeline
     when the iterator reaches it.
     """
-    check_scorable(spec)
+    if len({z.damage_ratio for z in spec.zones}) < 3:
+        raise ConfigError("oracle needs at least 3 distinct damage ratios")
+    columns = spec.columns
     stacked = spec.months.months()[: spec.months.months_before + 1]
     radiance, quality = StackBuilder(stacked), StackBuilder(stacked, spec.dataset.word_dtype)
     for month, month_radiance, month_quality in months:
@@ -421,8 +410,7 @@ def scene_pccs(spec, columns, months, built, configs):
             radiance.add(columns.cut(month_radiance))
             quality.add(columns.cut(month_quality))
         del month_radiance, month_quality  # before the next month is read
-    fraction = built()
-    fraction = None if fraction is None else columns.cut(fraction)
+    fraction = columns.cut(spec.built_fraction())
     window = drop_window(spec.months)
     chain = series_by_config(radiance.stack(), quality.stack(), fraction, columns.positions, configs, (window,))
     del radiance, quality, fraction  # handed over: the chain frees each cube after its last stage
@@ -438,9 +426,9 @@ def _recovered(spec, table, window, config):
 
 
 def recovered_pccs(scene, configs):
-    """scene_pccs on a generated scene's stacks and built fraction: a list of (config, pcc or StatsError)."""
+    """scene_pccs on a generated scene's stacks: a list of (config, pcc or StatsError)."""
     months = ((month, radiance, quality) for (month, radiance), (_, quality) in zip(scene.radiance, scene.quality))
-    return list(scene_pccs(scene.spec, scene.columns, months, lambda: scene.built_fraction, configs))
+    return list(scene_pccs(scene.spec, months, configs))
 
 
 def oracle_check(scene, config):

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import ZoneValidationError
 from .grid import GridSpec, replacing
-from .stack import RasterStack
 
 __all__ = [
     "Zone",
@@ -97,9 +96,6 @@ class Zone:
             )
         if self.population < 0:
             raise ZoneValidationError(f"zone {self.zone_id!r}: population must be non-negative")
-
-    def contains(self, x, y):
-        return point_in_polygon((x, y), self.rings)
 
 
 @dataclass(frozen=True)
@@ -231,21 +227,15 @@ class ZoneColumns:
     positions: dict
 
     def cut(self, raster):
-        """A raster or a stack on the zones' grid, cut down to ``cells``: one of the same type on ``row``.
+        """A raster on the zones' grid, cut down to ``cells``: one of the same type on ``row``.
 
-        A stack is cut in one call, every month to the same cells. When
-        ``cells`` is every cell of the grid, the cut is ``raster`` itself,
-        not a copy: its row-major flat indices are then the positions.
+        When ``cells`` is every cell of the grid, the cut is ``raster``
+        itself, not a copy: its row-major flat indices are then the positions.
         """
         if self.cells.size == raster.spec.size:
             return raster
-        # take gives each month its one row, in an array of its own
-        values, missing = (
-            np.take(a.reshape(*a.shape[:-2], -1), self.cells[None, :], axis=-1)
-            for a in (raster.values, raster.missing)
-        )
-        if isinstance(raster, RasterStack):
-            return RasterStack.from_cube(raster.months, self.row, values, missing)
+        # take gives the cut its one row, in an array of its own
+        values, missing = (np.take(a.reshape(-1), self.cells[None, :]) for a in (raster.values, raster.missing))
         return type(raster)(self.row, values, missing)
 
 
@@ -257,7 +247,7 @@ def zone_columns(zones, spec):
     rasterize_zone. ``positions`` maps each zone_id, in zone order, to the
     zone's inside cells as ascending positions within ``cells``. ``row``
     is the one-row GridSpec of ``cells``, at the grid's origin and cell
-    size, and ``cut`` takes a raster or a stack on ``spec`` down to it, or
+    size, and ``cut`` takes a raster on ``spec`` down to it, or
     leaves it whole when ``cells`` is every cell. Taking
     ``cells`` keeps row-major order, so zonal_means on a cut raster sums
     each zone's values in zonal_mean's order. When no zone covers a

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from ntlpipe import (
     Dataset,
     DropSample,
+    GridParseError,
     GridSpec,
     IntRaster,
     MonthIndex,
@@ -294,8 +295,8 @@ class TestSimulateMemory:
         alive = []
         scene_months, threshold = cli.scene_months, preprocess.threshold
 
-        def recording(spec, columns):
-            for month, radiance, quality in scene_months(spec, columns):
+        def recording(spec):
+            for month, radiance, quality in scene_months(spec):
                 # a month's raster is a view of the month's own cube
                 drawn.extend(weakref.ref(raster.values.base) for raster in (radiance, quality))
                 yield month, radiance, quality
@@ -605,6 +606,9 @@ class TestWindowWithinFileNameMonths:
 
 # one literal per kind of bad cell token: huge, negative, fractional, a non-ASCII digit, NaN and 2^63
 FUZZ_LITERALS = ["1e999", "-3", "0.5", "\u0663", "nan", "9223372036854775808"]
+# one literal per kind of bad header value: zero, negative, fractional, NaN, infinite, too large to
+# allocate, past int64, and a non-ASCII digit
+HEADER_LITERALS = ["0", "-1", "2.5", "nan", "inf", "1000000000000", "99999999999999999999", "\u0663"]
 
 
 @pytest.fixture(scope="class")
@@ -627,17 +631,20 @@ class TestCorruptedGridFile:
 
     @staticmethod
     def damage(path, draw):
-        kind = draw(st.sampled_from(["token", "truncated", "not UTF-8"]), label="damage")
+        kind = draw(st.sampled_from(["token", "header", "truncated", "not UTF-8"]), label="damage")
         data = path.read_bytes()
         if kind == "truncated":
             path.write_bytes(data[: draw(st.integers(0, len(data) - 1), label="kept bytes")])
         elif kind == "not UTF-8":
             at = draw(st.integers(0, len(data) - 1), label="byte")
             path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
-        else:  # the grid's six header lines, then its rows of cell tokens
+        else:  # the grid's six header lines of key and value, then its rows of cell tokens
             rows = [line.split() for line in data.decode().splitlines()]
-            row = rows[draw(st.integers(6, len(rows) - 1), label="row")]
-            row[draw(st.integers(0, len(row) - 1), label="column")] = draw(st.sampled_from(FUZZ_LITERALS))
+            if kind == "header":
+                rows[draw(st.integers(0, 5), label="header line")][1] = draw(st.sampled_from(HEADER_LITERALS))
+            else:
+                row = rows[draw(st.integers(6, len(rows) - 1), label="row")]
+                row[draw(st.integers(0, len(row) - 1), label="column")] = draw(st.sampled_from(FUZZ_LITERALS))
             path.write_text("".join(" ".join(tokens) + "\n" for tokens in rows))
 
     @staticmethod
@@ -667,6 +674,67 @@ class TestCorruptedGridFile:
                     codes.append(main([command, "--config", str(root / "run.json")]))
                 self.assert_each_failure_in_one_line(codes[-1], out.getvalue(), err.getvalue())
         assert codes[0] == codes[1]
+
+    @pytest.mark.parametrize("ncols", ["99999999999999999999", "1000000000000"])
+    def test_a_header_too_large_to_allocate_is_one_fault(self, fuzz_run, tmp_path, capsys, ncols):
+        root = Path(shutil.copytree(fuzz_run, tmp_path / "run"))
+        path = root / "simv" / "VSC-NTL" / "2018-09.asc"
+        path.write_text(path.read_text().replace("ncols 4\n", f"ncols {ncols}\n"))
+        fault = f"line 7: expected {ncols} cell tokens, got 4"
+        with pytest.raises(GridParseError, match=f"^{fault}$"):
+            read_grid(path)
+        for command in ("validate", "extract"):
+            code = main([command, "--config", str(root / "run.json")])
+            out, err = capsys.readouterr()
+            self.assert_each_failure_in_one_line(code, out, err)
+            assert code == 1
+            assert [line for line in (out + err).splitlines() if fault in line and path.name in line]
+
+
+@pytest.fixture(scope="class")
+def extracted_run(fuzz_run):
+    """fuzz_run with its series extracted, three zones' series CSVs for each config of each dataset, and reportable."""
+    config = fuzz_run / "run.json"
+    write_json(config, {**json.loads(config.read_text()), "case_study_k": 1})  # the top and bottom of three zones
+    assert main(["extract", "--config", str(config)]) == 0
+    return fuzz_run
+
+
+class TestCorruptedSeriesFile:
+    """One damaged series CSV row makes report succeed or fail in one error line, never in a traceback."""
+
+    @staticmethod
+    def damage(path, draw):
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        row = rows[draw(st.integers(1, len(rows) - 1), label="row")]  # zone_id, year, month, radiance, change
+        kind = draw(st.sampled_from(["radiance", "month", "year", "short", "zone"]), label="damage")
+        if kind == "radiance":
+            row[3] = draw(st.sampled_from(["x", "inf", "nan"]))
+        elif kind == "month":
+            row[2] = "13"
+        elif kind == "year":
+            row[1] = "-5"
+        elif kind == "short":
+            del row[draw(st.integers(0, len(row) - 1), label="kept fields") :]
+        else:
+            row[0] = draw(st.sampled_from([f"F{i}" for i in range(3) if f"F{i}" != row[0]]))
+        path.write_text("".join(",".join(fields) + "\r\n" for fields in rows))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_report_fails_in_one_line_or_not_at_all(self, extracted_run, data):
+        series = sorted(p.relative_to(extracted_run) for p in extracted_run.glob("out/*/*/*/*.csv"))
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(shutil.copytree(extracted_run, Path(root) / "run"))
+            self.damage(root / data.draw(st.sampled_from(series), label="series"), data.draw)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["report", "--config", str(root / "run.json")])
+        assert code in (0, 1) and "Traceback" not in out.getvalue() + err.getvalue()
+        faults = [line for line in (out.getvalue() + err.getvalue()).splitlines() if "error:" in line]
+        assert len(faults) == code
+        if code:
+            assert err.getvalue() == faults[0] + "\n" and faults[0].startswith("error: ")
 
 
 class TestSimulateRefusesUnscorableScene:
@@ -1704,7 +1772,9 @@ class TestConfigErrors:
         doc["configs"] = ["clip"]
         config = write_json(tmp_path / "run.json", doc)
         assert main(["validate", "--config", str(config)]) == 1
-        assert "threshold" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "label 'clip' names no VNP46A2 method combination; valid labels: raw, built, quality, built+quality\n"
+        )
 
     def test_report_without_extraction_names_missing_files(self, tmp_path, capsys):
         scene = write_json(tmp_path / "scene.json", VSC_SCENE)

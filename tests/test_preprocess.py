@@ -489,11 +489,15 @@ class TestStagesOnStacksEqualStagesMonthByMonth:
         x0, y0 = corners.draw(st.integers(0, spec.ncols - 1)), corners.draw(st.integers(0, spec.nrows - 1))
         x1, y1 = corners.draw(st.integers(x0 + 1, spec.ncols)), corners.draw(st.integers(y0 + 1, spec.nrows))
         part = zone_columns([Zone("P", (rect_ring(x0, y0, x1, y1),), 0.1)], spec)
-        cut = part.cut(stack)
-        assert cut.months == stack.months
-        assert_months_equal(cut, [part.cut(grid) for grid in grids])
         whole = zone_columns([Zone("W", (rect_ring(0, 0, spec.ncols, spec.nrows),), 0.1)], spec)
-        assert whole.cut(stack) is stack
+        # each month is cut alone, to the rectangle's cells in row-major order (row 0 is north)
+        rows, cols = slice(spec.nrows - y1, spec.nrows - y0), slice(x0, x1)
+        for grid in grids:
+            cut = part.cut(grid)
+            assert type(cut) is type(grid) and cut.values.dtype == grid.values.dtype
+            assert cut.values.tobytes() == grid.values[rows, cols].tobytes()
+            assert cut.missing.tobytes() == grid.missing[rows, cols].tobytes()
+            assert whole.cut(grid) is grid
 
 
 class TestPipelineConfig:
@@ -551,14 +555,14 @@ class TestPipelineConfig:
         assert a.label == "clip+built+quality"
 
     def test_bad_labels_rejected(self):
-        with pytest.raises(ConfigError):
-            config_from_label(Dataset.VSC_NTL, "clip+clip")
-        with pytest.raises(ConfigError):
-            config_from_label(Dataset.VSC_NTL, "clip+remove")
-        with pytest.raises(ConfigError):
-            config_from_label(Dataset.VSC_NTL, "sparkle")
-        with pytest.raises(ConfigError):
-            config_from_label(Dataset.VNP46A2, "clip")
+        with pytest.raises(ConfigError, match="^unknown method 'sparkle' in label 'clip\\+sparkle'$"):
+            config_from_label(Dataset.VSC_NTL, "clip+sparkle")
+        # a duplicate part, two threshold modes, a threshold on VNP46A2: a label no config of the dataset has
+        for dataset, label in ((Dataset.VSC_NTL, "clip+clip"), (Dataset.VSC_NTL, "clip+remove"), (Dataset.VNP46A2, "clip")):
+            valid = ", ".join(config.label for config in enumerate_configs(dataset))
+            with pytest.raises(ConfigError) as raised:
+                config_from_label(dataset, label)
+            assert str(raised.value) == f"label {label!r} names no {dataset.value} method combination; valid labels: {valid}"
 
 
 class TestRunPipeline:

@@ -420,7 +420,7 @@ def sweep_spec(n):
 def sweep_inputs(spec):
     """series_by_config's stacks, built grid and zone cells for a scene, referenced by nothing else."""
     scene = generate_scene(spec)
-    return scene.radiance, scene.quality, scene.built_fraction, scene.columns.positions
+    return scene.radiance, scene.quality, scene.built_fraction, spec.columns.positions
 
 
 class TestSweepReleasesEachCube:
