@@ -8,7 +8,6 @@ rendered. Relative paths resolve against the config file's directory.
 """
 
 import json
-import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,7 @@ from .quality import Dataset
 from .stack import MonthIndex
 from .synthetic import NoiseSpec, SceneSpec, tile_zones
 from .timeseries import EventWindow
-from .zones import Zone, _is_path_component, rect_ring
+from .zones import Zone, _integer, _is_path_component, _number, _string, rect_ring
 
 __all__ = ["Hurricane", "RunConfig", "parse_run_config", "parse_scene_spec"]
 
@@ -135,37 +134,6 @@ def _each(convert):
         return tuple(_require(items, i, convert) for i in range(len(items)))
 
     return convert_items
-
-
-def _integer(minimum=None):
-    """Converter for an integer >= minimum; a bool, a string or a fraction is refused, not truncated."""
-
-    def convert(value):
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"must be an integer, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ValueError(f"must be at least {minimum}, got {value}")
-        return value
-
-    return convert
-
-
-def _number(value):
-    """Converter for a finite number; a bool, a string, NaN or an infinity is refused, not converted."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _string(value):
-    """Converter for a string; any other value is refused, not converted."""
-    if not isinstance(value, str):
-        raise ValueError(f"must be a string, got {value!r}")
-    return value
 
 
 def _numbers(value):

@@ -185,18 +185,16 @@ def impute_pixel(history, t, window=IMPUTATION_WINDOW_MONTHS):
     return min(max(mean, lo), hi)
 
 
-def quality_filter_and_impute(stack, quality_stack, dataset, window=IMPUTATION_WINDOW_MONTHS):
+def quality_filter_and_impute(stack, quality_stack, dataset):
     """Mask untrusted pixels in a monthly stack and impute them from history.
 
     Trusted pixels (high-quality flag and an actual observation) pass
     through bit-exact, and a stack with no other pixel comes back as
     itself. Every other pixel-month is re-estimated from that pixel's
-    trusted observations in the preceding ``window`` calendar months,
+    trusted observations in the preceding IMPUTATION_WINDOW_MONTHS calendar months,
     weighted by inverse month distance; with no usable history it becomes
     missing. The quality stack must cover the same months on the same grid.
     """
-    if window < 1:
-        raise ValueError(f"imputation window must be positive, got {window}")
     if quality_stack is None:
         raise ConfigError("quality filtering is enabled but no quality stack was given")
     if (stack.months, stack.spec) != (quality_stack.months, quality_stack.spec):
@@ -222,7 +220,7 @@ def quality_filter_and_impute(stack, quality_stack, dataset, window=IMPUTATION_W
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(i - 1, -1, -1):
                 dist = ordinals[i] - ordinals[j]
-                if dist > window:
+                if dist > IMPUTATION_WINDOW_MONTHS:
                     break
                 lookback.append((j, dist))
                 trusted_j, values_j = trusted[j, cells], values[j, cells]

@@ -17,6 +17,7 @@ with; nothing here knows about projections.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,38 @@ def _normalize_ring(ring, where):
 def _is_path_component(name):
     """Whether name can be one output path component: not empty, ``.`` or ``..``, no separator or NUL."""
     return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
+# The value rules of every JSON input: run.json and scene.json (see config) and zones.geojson.
+def _integer(minimum=None):
+    """Converter for an integer >= minimum; a bool, a string or a fraction is refused, not truncated."""
+
+    def convert(value):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return convert
+
+
+def _number(value):
+    """Converter for a finite number; a bool, a string, NaN, an infinity or an int past the float range is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN compares false; an int compares exactly
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _string(value):
+    """Converter for a string; any other value is refused, not converted."""
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -291,10 +324,13 @@ def zonal_means(raster, indices):
 
 
 def _ring_from_geojson(ring, where):
-    pts = np.asarray(ring, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
+    if not (isinstance(ring, list) and len(ring) >= 4 and all(isinstance(p, list) and len(p) == 2 for p in ring)):
         raise ZoneValidationError(f"{where}: ring must hold at least 4 closed (x, y) positions")
-    if not np.array_equal(pts[0], pts[-1]):
+    try:
+        pts = [(_number(x), _number(y)) for x, y in ring]
+    except ValueError as exc:
+        raise ZoneValidationError(f"{where}: coordinate {exc}") from None
+    if pts[0] != pts[-1]:  # compared as floats: -0.0 closes a ring opened at 0.0
         raise ZoneValidationError(f"{where}: ring is not closed (first position != last)")
     return pts
 
@@ -309,14 +345,25 @@ def _member(feature, key, where):
     return value
 
 
+def _property(props, key, convert, where):
+    """``props[key]`` through a value rule such as _number; errors name the feature."""
+    if key not in props:
+        raise ZoneValidationError(f"{where}: missing property {key!r}")
+    try:
+        return convert(props[key])
+    except ValueError as exc:
+        raise ZoneValidationError(f"{where}: {key} {exc}") from None
+
+
 def read_zones(path):
     """Read zones from a GeoJSON FeatureCollection.
 
     Each feature must be a Polygon or MultiPolygon carrying properties
     ``zone_id`` (a string, one path component, see Zone), ``damage_ratio``
-    (in [0, 1]) and ``population`` (integer >= 0); a value of another type,
-    such as a zone_id that is a number or null, a boolean, a string or a
-    fractional population, is refused rather than converted. Zone ids must
+    (in [0, 1]) and ``population`` (integer >= 0). They and every
+    coordinate are read by the value rules of run.json and scene.json: a
+    zone_id that is a number or null, a boolean, a string, a non-finite
+    number or a fractional population is refused, not converted. Zone ids must
     be unique. MultiPolygon parts merge into one polygon set. Every
     malformed feature, including a value of the wrong type, raises
     ZoneValidationError naming the feature by zone_id when that is a
@@ -335,42 +382,29 @@ def read_zones(path):
     features = doc.get("features", [])
     if not isinstance(features, list):
         raise ZoneValidationError(f"{path}: features must be an array, got {type(features).__name__}")
-    zones = []
-    seen = set()
+    zones = {}
     for i, feature in enumerate(features):
         props = _member(feature, "properties", f"feature #{i}")
-        zone_id = props.get("zone_id")
-        where = f"feature {zone_id!r}" if isinstance(zone_id, str) else f"feature #{i}"
-        for key in ("zone_id", "damage_ratio", "population"):
-            if key not in props:
-                raise ZoneValidationError(f"{where}: missing property {key!r}")
-        if not isinstance(zone_id, str):
-            raise ZoneValidationError(f"{where}: zone_id must be a string, got {zone_id!r}")
-        if zone_id in seen:
+        zone_id = _property(props, "zone_id", _string, f"feature #{i}")
+        where = f"feature {zone_id!r}"
+        if zone_id in zones:
             raise ZoneValidationError(f"{where}: duplicate zone_id")
-        seen.add(zone_id)
+        damage_ratio = _property(props, "damage_ratio", _number, where)
+        population = _property(props, "population", _integer(), where)
         geom = _member(feature, "geometry", where)
         gtype = geom.get("type")
         if gtype not in ("Polygon", "MultiPolygon"):
             raise ZoneValidationError(f"{where}: geometry must be Polygon or MultiPolygon, got {gtype!r}")
-        coords = geom.get("coordinates")
-        try:
-            rings = tuple(
-                _ring_from_geojson(ring, f"{where}, part {p}, ring {r}")
-                for p, part in enumerate([coords] if gtype == "Polygon" else coords)
-                for r, ring in enumerate(part)
-            )
-        except (TypeError, ValueError) as exc:
-            raise ZoneValidationError(f"{where}: coordinates: {exc}") from None
-        damage_ratio, population = props["damage_ratio"], props["population"]
-        if isinstance(damage_ratio, bool) or not isinstance(damage_ratio, (int, float)):
-            raise ZoneValidationError(f"{where}: damage_ratio must be a number, got {damage_ratio!r}")
-        if isinstance(population, float) and population.is_integer():
-            population = int(population)
-        if isinstance(population, bool) or not isinstance(population, int):
-            raise ZoneValidationError(f"{where}: population must be an integer, got {population!r}")
-        zones.append(Zone(zone_id, rings, float(damage_ratio), population))
-    return zones
+        parts = [geom.get("coordinates")] if gtype == "Polygon" else geom.get("coordinates")
+        if not (isinstance(parts, list) and all(isinstance(part, list) for part in parts)):
+            raise ZoneValidationError(f"{where}: coordinates: not a {gtype} coordinate array")
+        rings = tuple(
+            _ring_from_geojson(ring, f"{where}, part {p}, ring {r}")
+            for p, part in enumerate(parts)
+            for r, ring in enumerate(part)
+        )
+        zones[zone_id] = Zone(zone_id, rings, damage_ratio, population)
+    return list(zones.values())
 
 
 def write_zones(zones, path):

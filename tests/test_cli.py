@@ -691,6 +691,49 @@ class TestCorruptedGridFile:
             assert [line for line in (out + err).splitlines() if fault in line and path.name in line]
 
 
+# what one value of zones.geojson is retyped to: a string, a bool, null, a list, NaN and an integer past the float range
+ZONES_RETYPES = ["1", True, None, [1], math.nan, 10**400]
+
+
+class TestCorruptedZonesFile:
+    """A retyped value of zones.geojson fails validate and extract in one line naming the feature, never a traceback."""
+
+    @staticmethod
+    def retype(path, draw):
+        """Retype a coordinate or a property of one feature; returns the names the feature's fault may go by."""
+        doc = json.loads(path.read_text())
+        i = draw(st.integers(0, len(doc["features"]) - 1), label="feature")
+        feature = doc["features"][i]
+        names = (f"feature {feature['properties']['zone_id']!r}", f"feature #{i}")
+        key = draw(st.sampled_from(["zone_id", "damage_ratio", "population", "coordinate"]), label="value")
+        # a string is a zone_id and 10**400 a population, so those two are no retypes of them
+        wrong = [v for v in ZONES_RETYPES if (key, v) not in (("zone_id", "1"), ("population", 10**400))]
+        value = draw(st.sampled_from(wrong), label="retyped to")
+        if key == "coordinate":
+            (ring,) = feature["geometry"]["coordinates"]
+            position = ring[draw(st.integers(0, len(ring) - 1), label="position")]
+            position[draw(st.integers(0, 1), label="axis")] = value
+        else:
+            feature["properties"][key] = value
+        path.write_text(json.dumps(doc))
+        return names
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_validate_and_extract_name_the_feature(self, fuzz_run, data):
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(shutil.copytree(fuzz_run, Path(root) / "run"))
+            names = self.retype(root / "simv" / "zones.geojson", data.draw)
+            for command in ("validate", "extract"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, "--config", str(root / "run.json")])
+                TestCorruptedGridFile.assert_each_failure_in_one_line(code, out.getvalue(), err.getvalue())
+                assert code == 1
+                (fault,) = [line for line in (out.getvalue() + err.getvalue()).splitlines() if "feature" in line]
+                assert any(f"{name}:" in fault or f"{name}," in fault for name in names)
+
+
 @pytest.fixture(scope="class")
 def extracted_run(fuzz_run):
     """fuzz_run with its series extracted, three zones' series CSVs for each config of each dataset, and reportable."""
@@ -823,9 +866,9 @@ class TestQualityPassRunsOncePerDataset:
         calls = []
         original = preprocess.quality_filter_and_impute
 
-        def counting(stack, quality_stack, dataset, window=12):
+        def counting(stack, quality_stack, dataset):
             calls.append(dataset)
-            return original(stack, quality_stack, dataset, window)
+            return original(stack, quality_stack, dataset)
 
         monkeypatch.setattr(timeseries, "quality_filter_and_impute", counting)
         assert main(["extract", "--config", str(config)]) == 0
@@ -1485,6 +1528,7 @@ class TestMalformedValues:
             ("min_damage", -math.inf, "min_damage"),
             ("hurricanes", [{"name": 7, "event_month": "2018-10"}], "hurricanes[0]: name"),
             ("datasets", [{"kind": "VSC-NTL", "raster_dir": "simv/VSC-NTL", "name": None}], "datasets[0]: name"),
+            pytest.param("min_damage", 10**400, "min_damage", id="min_damage-10**400"),
         ],
     )
     def test_run_config_value(self, tmp_path, capsys, key, value, named):
@@ -1538,6 +1582,7 @@ class TestMalformedValues:
             ("zones", [{**ZONE_A, "rect": [0, 0, 4, 4, 5]}], "zones[0]: rect"),
             ("zones", [{**ZONE_A, "rect": "abcd"}], "zones[0]: rect"),
             ("zones", [{**ZONE_A, "rect": {"x0": 0}}], "zones[0]: rect"),
+            pytest.param("grid", {**VSC_SCENE["grid"], "x_origin": 10**400}, "grid: x_origin", id="x_origin-10**400"),
         ],
     )
     def test_scene_spec_value_writes_nothing(self, tmp_path, capsys, key, value, named):
@@ -1627,17 +1672,27 @@ class TestUnreadableZonesFile:
     def test_malformed_feature_value_is_a_problem(self, tmp_path, capsys):
         config = simulated_vsc_run(tmp_path)
         path = tmp_path / "simv" / "zones.geojson"
-        doc = json.loads(path.read_text())
-        doc["features"][0]["properties"]["damage_ratio"] = "x"
-        path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(["validate", "--config", str(config)]) == 1
-        message = "feature 'Z01': damage_ratio must be a number, got 'x'"
-        assert f"  problem: zones file invalid: {message}" in capsys.readouterr().out
-        for command in ("extract", "report"):
-            assert main([command, "--config", str(config)]) == 1
-            assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "out").exists()
+        original = path.read_text()
+        ratio, position = ("properties", "damage_ratio"), ("geometry", "coordinates", 0, 1)  # a ring position
+        for keys, value, message in [
+            (ratio, "x", "feature 'Z01': damage_ratio must be a number, got 'x'"),
+            (ratio, 10**400, f"feature 'Z01': damage_ratio must be a finite number, got {10**400}"),
+            (position, ["1", 0], "feature 'Z01', part 0, ring 0: coordinate must be a number, got '1'"),
+            (position, [True, 0], "feature 'Z01', part 0, ring 0: coordinate must be a number, got True"),
+        ]:
+            doc = json.loads(original)
+            target = doc["features"][0]
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["validate", "--config", str(config)]) == 1
+            assert f"  problem: zones file invalid: {message}" in capsys.readouterr().out
+            for command in ("extract", "report"):
+                assert main([command, "--config", str(config)]) == 1
+                assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "out").exists()
 
 
     def test_zones_file_without_features_is_an_error(self, tmp_path, capsys, monkeypatch):

@@ -33,7 +33,7 @@ from ntlpipe import (
     threshold,
     zone_columns,
 )
-from ntlpipe.preprocess import THRESHOLD_HI
+from ntlpipe.preprocess import IMPUTATION_WINDOW_MONTHS, THRESHOLD_HI
 
 SPEC = GridSpec(ncols=2, nrows=2, x_origin=0.0, y_origin=0.0, cell_size=1.0)
 
@@ -279,10 +279,12 @@ class TestQualityFilterAndImpute:
         stack = make_stack(SPEC, start, frames)
         quality = vsc_quality_stack(SPEC, start, counts)
         # distance from month 14 back to month 0 is 14 > 12: nothing usable
-        out = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL, window=12)
+        out = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL)
         assert out.missing[-1, 0, 0]
-        wide = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL, window=14)
-        assert wide.values[-1, 0, 0] == 10.0
+        # IMPUTATION_WINDOW_MONTHS is the edge: month 12 still reaches month 0, month 13 does not
+        assert IMPUTATION_WINDOW_MONTHS == 12
+        assert out.values[12, 0, 0] == 10.0 and not out.missing[12, 0, 0]
+        assert out.missing[13, 0, 0]
 
     def test_matches_scalar_impute_on_random_stacks(self):
         rng = np.random.default_rng(79)
@@ -325,17 +327,17 @@ class TestQualityFilterAndImpute:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_scalar_impute_near_the_float_limit(self, data):
-        n, k = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+        # up to 16 months, so the 12-month imputation window cuts some histories short
+        n, k = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 4))
         spec = GridSpec(ncols=k, nrows=1, x_origin=0.0, y_origin=0.0, cell_size=1.0)
         limit = 1.7976931348623157e308
         low = data.draw(st.sampled_from([0.0, -limit]))
         frames = [data.draw(st.lists(st.floats(low, limit), min_size=k, max_size=k)) for _ in range(n)]
         counts = [data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)) for _ in range(n)]
-        window = data.draw(st.integers(1, 8))
+        window = IMPUTATION_WINDOW_MONTHS
         start = MonthIndex(2019, 1)
-        out = quality_filter_and_impute(
-            make_stack(spec, start, frames), vsc_quality_stack(spec, start, counts), Dataset.VSC_NTL, window
-        )
+        stack, quality = make_stack(spec, start, frames), vsc_quality_stack(spec, start, counts)
+        out = quality_filter_and_impute(stack, quality, Dataset.VSC_NTL)
         for i in range(n):
             for c in range(k):
                 if counts[i][c]:

@@ -566,6 +566,42 @@ class TestZoneFileRoundTrip:
                 [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "zone_id": 7}}],
                 "feature #0: zone_id must be a string, got 7",
             ),
+            pytest.param(
+                [{"type": "Feature", "geometry": SQUARE, "properties": {**PROPS, "damage_ratio": 10**400}}],
+                f"feature 'Z1': damage_ratio must be a finite number, got {10**400}",
+                id="damage_ratio-10**400",
+            ),
+            *(
+                pytest.param(
+                    [{"type": "Feature", "geometry": geometry, "properties": PROPS}],
+                    f"feature 'Z1', part {part}, ring 0: coordinate must be {reason}",
+                    id=f"{geometry['type']}-{name}",
+                )
+                for name, position, reason in [
+                    ("string", ["1", 0], "a number, got '1'"),
+                    ("bool", [True, 0], "a number, got True"),
+                    ("null", [0, None], "a number, got None"),
+                    ("inf", [math.inf, 0], "a finite number, got inf"),
+                    ("nan", [0, math.nan], "a finite number, got nan"),
+                    ("10**400", [10**400, 0], f"a finite number, got {10**400}"),
+                ]
+                for ring in [[[0, 0], position, [1, 1], [0, 0]]]
+                for part, geometry in [
+                    (0, {"type": "Polygon", "coordinates": [ring]}),
+                    (1, {"type": "MultiPolygon", "coordinates": [SQUARE["coordinates"], [ring]]}),
+                ]
+            ),
+            *(
+                (
+                    [{"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [ring]}, "properties": PROPS}],
+                    "feature 'Z1', part 0, ring 0: ring must hold at least 4 closed (x, y) positions",
+                )
+                for ring in ([[0, 0], None, [1, 1], [0, 0]], [[0, 0], [1, 0, 2], [1, 1], [0, 0]], {"x": 0})
+            ),
+            (
+                [{"type": "Feature", "geometry": {"type": "MultiPolygon", "coordinates": [5]}, "properties": PROPS}],
+                "feature 'Z1': coordinates: not a MultiPolygon coordinate array",
+            ),
         ],
     )
     def test_malformed_value_names_the_feature(self, tmp_path, features, message):
