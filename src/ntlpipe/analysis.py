@@ -35,6 +35,8 @@ __all__ = [
     "write_report_csv",
 ]
 
+MIN_DAMAGE = 0.01  # the default damage ratio below which a zone is left out of a correlation
+
 
 @dataclass(frozen=True)
 class DropSample:
@@ -98,7 +100,7 @@ def pearson(xs, ys):
     return min(1.0, max(-1.0, r))
 
 
-def filter_zones(samples, min_damage=0.01):
+def filter_zones(samples, min_damage=MIN_DAMAGE):
     """Split samples into (kept, excluded-with-reason) for correlation.
 
     Kept samples have damage_ratio at or above the cutoff and a defined
@@ -164,7 +166,7 @@ def select_case_study_zones(zones, k=3, population_lo=None, population_hi=None):
     return top, bottom
 
 
-def correlate_method(samples, dataset, label, min_damage=0.01):
+def correlate_method(samples, dataset, label, min_damage=MIN_DAMAGE):
     """One report row: pooled correlation for one method combination."""
     kept, _ = filter_zones(samples, min_damage)
     try:
@@ -174,7 +176,7 @@ def correlate_method(samples, dataset, label, min_damage=0.01):
     return ReportRow(dataset=dataset, methods=label, pcc=pcc, n_samples=len(kept))
 
 
-def build_report(samples_by_config, datasets, min_damage=0.01, configs=None):
+def build_report(samples_by_config, datasets, min_damage=MIN_DAMAGE, configs=None):
     """Correlate every configured method combination into one report.
 
     ``samples_by_config`` maps (dataset, canonical label) to that config's

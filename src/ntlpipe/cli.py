@@ -64,12 +64,10 @@ def cmd_validate(args):
     issues = []
 
     try:
-        zones = read_zones(run.zones_path)
-        if not zones:
-            _print_issue(issues, f"zones file has no features: {run.zones_path}")
+        zones = _read_run_zones(run)
     except PipelineError as exc:
         zones = None
-        _print_issue(issues, f"zones file invalid: {exc}")
+        _print_issue(issues, str(exc))
 
     for dataset, configs in run.datasets:
         radiance_files, quality_files = scan_dataset_dir(dataset)
@@ -122,10 +120,10 @@ def cmd_validate(args):
 
 
 def _read_run_zones(run):
-    """The run's zones; a zones file with no features is an error, as in validate."""
+    """The run's zones, for every command; a zones file with no features is an error."""
     zones = read_zones(run.zones_path)
     if not zones:
-        raise ConfigError(f"zones file has no features: {run.zones_path}")
+        raise ConfigError(f"{run.zones_path}: the zones file has no features")
     return zones
 
 
@@ -184,20 +182,16 @@ def _guard_overwrite(path, force):
 
 
 def _place_series(series, path, zone, hurricane, row):
-    """Copy a series read from path into its zone's row of the hurricane's window table."""
+    """Copy a series read from path into its zone's row of the hurricane's window table, which it must span exactly."""
     if series.zone_id != zone.zone_id:
         raise ReportError(f"{path}: rows name zone {series.zone_id!r}, expected {zone.zone_id!r}")
     window = hurricane.window
-    first = series.start - window.start
-    end = first + len(series.values)
-    if first < 0 or end > len(window):
-        # a file from a wider window: its drops and changes would differ from a fresh extract's
-        month = series.start if first < 0 else window.start + (end - 1)
+    if series.start != window.start or len(series.values) != len(window):
         raise ReportError(
-            f"{path}: month {month} is outside the window {window.start}..{window.end} "
-            f"of {hurricane.name}; re-run extract"
+            f"{path}: months {series.start}..{series.start + (len(series.values) - 1)} are not the window "
+            f"{window.start}..{window.end} of {hurricane.name}; re-run extract"
         )
-    row[first:end] = series.values
+    row[:] = series.values
 
 
 def cmd_report(args):
@@ -210,7 +204,7 @@ def cmd_report(args):
     _guard_overwrite(report_path, args.force)
     _guard_overwrite(case_path, args.force)
 
-    # one window table per (dataset, config, hurricane); a zone's months its file skips stay NaN
+    # one window table per (dataset, config, hurricane), one row per zone's series file
     tables = {}
     absent = []
     for dataset, configs in run.datasets:

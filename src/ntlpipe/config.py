@@ -12,6 +12,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
+from .analysis import MIN_DAMAGE
 from .errors import ConfigError, PipelineError
 from .grid import GridSpec, as_float, read_grid
 from .layout import DatasetConfig
@@ -251,7 +252,7 @@ _RUN = {
     "hurricanes": (_each(_object(_HURRICANE, dict)), _REQUIRED, "array of objects, at least one"),
     "configs": (_labels, "all", '`"all"` or a non-empty array of label strings'),
     "output_dir": (_path, "out", "path string"),
-    "min_damage": (_number, 0.01, "number, the damage ratio below which a zone is left out"),
+    "min_damage": (_number, MIN_DAMAGE, "number, the damage ratio below which a zone is left out"),
     "case_study_k": (_integer(1), 3, "integer, at least 1, the zones at each end of the case study"),
     **_WINDOW,
     "population_band": (_population_band, None, "two integers `[lo, hi]`, `lo <= hi`, the case study's filter"),

@@ -33,9 +33,8 @@ column of it (analysis.drop_samples). ZoneSeries, zonal_mean,
 build_zone_series, rolling_baseline, percent_change and event_drop stay
 as the scalar definitions the batch paths equal bit for bit.
 
-The series CSV is written as one string per file and read with
-csv.reader and integer month ordinals; tests hold the bytes to
-csv.writer's and the rows and errors to csv.DictReader's.
+The series CSV is written as one string per file, in bytes tests hold
+to csv.writer's, and read back only in exactly that form.
 """
 
 import csv
@@ -43,7 +42,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -321,8 +320,8 @@ def event_drop(series, window):
     return -change if not np.isnan(change) else float("nan")
 
 
-_SERIES_HEADER = "zone_id,year,month,mean_radiance,percent_change\r\n"
-_READ_COLUMNS = ("zone_id", "year", "month", "mean_radiance")
+_SERIES_COLUMNS = ["zone_id", "year", "month", "mean_radiance", "percent_change"]
+_SERIES_HEADER = ",".join(_SERIES_COLUMNS) + "\r\n"
 
 
 def _field(value):
@@ -365,48 +364,34 @@ def write_series_csv(series, path, changes):
 
 
 def read_series_csv(path):
-    """Read a series CSV back into a ZoneSeries (radiance column only).
+    """Read a file in write_series_csv's form back into a ZoneSeries (radiance column only).
 
-    Each row lands at its month's offset from the earliest month, so a
-    month the file skips reads back as NaN. A file that is empty, holds
-    several zones, lacks a column or has a short row or a bad field raises
-    ReportError naming the path, as does a field longer than
-    csv.field_size_limit() (131,072 characters by default).
-
-    Reads as csv.DictReader would: the first line is the header (a
-    repeated name means its last column), blank lines are skipped, a row
-    longer than the header is accepted, and within a row the checks run
-    in the order short row, year, month, month range, radiance.
+    That form is its header, then a row of five fields per month, each of
+    the same zone and a month after the row before; a missing month is an
+    empty radiance. Any other file, or a field over csv.field_size_limit(),
+    raises ReportError naming the path and, for a row fault, the line; a
+    row is checked for field count, year, month, radiance, zone, sequence.
     """
-    zone_ids = set()
-    ordinals = []
-    radiances = []
+    values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, [])
-            position = {name: i for i, name in enumerate(header)}
-            absent = next((key for key in _READ_COLUMNS if key not in position), None)
-            pick = None if absent else itemgetter(*(position[key] for key in _READ_COLUMNS))
+            if next(reader, None) != _SERIES_COLUMNS:
+                raise ReportError(f"{path}: the first line is not the header {_SERIES_HEADER.rstrip()}")
             for row in reader:
-                if not row:
-                    continue
-                if pick is None:
-                    raise ReportError(f"{path}: missing column {absent!r}")
-                if len(row) < len(header):
-                    raise ValueError("short row")
-                zone_id, year, month, field = pick(row)
-                ordinals.append(month_ordinal(int(year), int(month)))
-                radiances.append(float(field) if field else float("nan"))
-                zone_ids.add(zone_id)
+                if len(row) != len(_SERIES_COLUMNS):
+                    raise ValueError(f"expected {len(_SERIES_COLUMNS)} fields, got {len(row)}")
+                zone_id, year, month, field, _ = row
+                ordinal = month_ordinal(int(year), int(month))
+                values.append(float(field) if field else float("nan"))
+                if len(values) == 1:
+                    first, zone = ordinal, zone_id
+                elif zone_id != zone:
+                    raise ValueError(f"zone {zone_id!r} after zone {zone!r}; one zone per file")
+                elif ordinal != first + len(values) - 1:
+                    raise ValueError(f"month {MonthIndex.from_ordinal(ordinal)} does not follow the row before")
         except (ValueError, csv.Error) as exc:  # csv.Error: say, a field over csv.field_size_limit()
             raise ReportError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not ordinals:
+    if not values:
         raise ReportError(f"{path}: empty series file")
-    if len(zone_ids) != 1:
-        raise ReportError(f"{path}: expected one zone per file, found {sorted(zone_ids)}")
-    first = min(ordinals)
-    values = [float("nan")] * (max(ordinals) - first + 1)
-    for ordinal, value in zip(ordinals, radiances):
-        values[ordinal - first] = value
-    return ZoneSeries(zone_ids.pop(), MonthIndex.from_ordinal(first), values)
+    return ZoneSeries(zone, MonthIndex.from_ordinal(first), values)

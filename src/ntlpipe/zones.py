@@ -324,10 +324,11 @@ def zonal_means(raster, indices):
 
 
 def _ring_from_geojson(ring, where):
-    if not (isinstance(ring, list) and len(ring) >= 4 and all(isinstance(p, list) and len(p) == 2 for p in ring)):
-        raise ZoneValidationError(f"{where}: ring must hold at least 4 closed (x, y) positions")
+    positions = isinstance(ring, list) and all(isinstance(p, list) and len(p) in (2, 3) for p in ring)
+    if not (positions and len(ring) >= 4):
+        raise ZoneValidationError(f"{where}: ring must hold at least 4 closed (x, y) or (x, y, z) positions")
     try:
-        pts = [(_number(x), _number(y)) for x, y in ring]
+        pts = [tuple(map(_number, position))[:2] for position in ring]  # an altitude is checked, then dropped
     except ValueError as exc:
         raise ZoneValidationError(f"{where}: coordinate {exc}") from None
     if pts[0] != pts[-1]:  # compared as floats: -0.0 closes a ring opened at 0.0
@@ -363,12 +364,11 @@ def read_zones(path):
     (in [0, 1]) and ``population`` (integer >= 0). They and every
     coordinate are read by the value rules of run.json and scene.json: a
     zone_id that is a number or null, a boolean, a string, a non-finite
-    number or a fractional population is refused, not converted. Zone ids must
-    be unique. MultiPolygon parts merge into one polygon set. Every
-    malformed feature, including a value of the wrong type, raises
-    ZoneValidationError naming the feature by zone_id when that is a
-    string, by index otherwise; a file that cannot be read, is not JSON or
-    whose ``features`` is not an array names the path.
+    number or a fractional population is refused, not converted. Zone ids
+    must be unique. MultiPolygon parts merge into one polygon set; an
+    altitude is checked as a number, then dropped. Every fault raises
+    ZoneValidationError naming the path, and a feature's fault the feature:
+    by zone_id when that is a string, by index otherwise.
     """
     try:
         with open(path) as fh:
@@ -383,27 +383,30 @@ def read_zones(path):
     if not isinstance(features, list):
         raise ZoneValidationError(f"{path}: features must be an array, got {type(features).__name__}")
     zones = {}
-    for i, feature in enumerate(features):
-        props = _member(feature, "properties", f"feature #{i}")
-        zone_id = _property(props, "zone_id", _string, f"feature #{i}")
-        where = f"feature {zone_id!r}"
-        if zone_id in zones:
-            raise ZoneValidationError(f"{where}: duplicate zone_id")
-        damage_ratio = _property(props, "damage_ratio", _number, where)
-        population = _property(props, "population", _integer(), where)
-        geom = _member(feature, "geometry", where)
-        gtype = geom.get("type")
-        if gtype not in ("Polygon", "MultiPolygon"):
-            raise ZoneValidationError(f"{where}: geometry must be Polygon or MultiPolygon, got {gtype!r}")
-        parts = [geom.get("coordinates")] if gtype == "Polygon" else geom.get("coordinates")
-        if not (isinstance(parts, list) and all(isinstance(part, list) for part in parts)):
-            raise ZoneValidationError(f"{where}: coordinates: not a {gtype} coordinate array")
-        rings = tuple(
-            _ring_from_geojson(ring, f"{where}, part {p}, ring {r}")
-            for p, part in enumerate(parts)
-            for r, ring in enumerate(part)
-        )
-        zones[zone_id] = Zone(zone_id, rings, damage_ratio, population)
+    try:  # a feature's fault, or its Zone's, names the file too
+        for i, feature in enumerate(features):
+            props = _member(feature, "properties", f"feature #{i}")
+            zone_id = _property(props, "zone_id", _string, f"feature #{i}")
+            where = f"feature {zone_id!r}"
+            if zone_id in zones:
+                raise ZoneValidationError(f"{where}: duplicate zone_id")
+            damage_ratio = _property(props, "damage_ratio", _number, where)
+            population = _property(props, "population", _integer(), where)
+            geom = _member(feature, "geometry", where)
+            gtype = geom.get("type")
+            if gtype not in ("Polygon", "MultiPolygon"):
+                raise ZoneValidationError(f"{where}: geometry must be Polygon or MultiPolygon, got {gtype!r}")
+            parts = [geom.get("coordinates")] if gtype == "Polygon" else geom.get("coordinates")
+            if not (isinstance(parts, list) and all(isinstance(part, list) for part in parts)):
+                raise ZoneValidationError(f"{where}: coordinates: not a {gtype} coordinate array")
+            rings = tuple(
+                _ring_from_geojson(ring, f"{where}, part {p}, ring {r}")
+                for p, part in enumerate(parts)
+                for r, ring in enumerate(part)
+            )
+            zones[zone_id] = Zone(zone_id, rings, damage_ratio, population)
+    except ZoneValidationError as exc:
+        raise ZoneValidationError(f"{path}: {exc}") from None
     return list(zones.values())
 
 

@@ -744,14 +744,27 @@ def extracted_run(fuzz_run):
 
 
 class TestCorruptedSeriesFile:
-    """One damaged series CSV row makes report succeed or fail in one error line, never in a traceback."""
+    """One damaged series CSV makes report succeed or fail in one error line, never in a traceback."""
+
+    DAMAGES = ["radiance", "month", "year", "short", "zone", "emptied", "deleted", "header", "duplicated"]
 
     @staticmethod
     def damage(path, draw):
         rows = [line.split(",") for line in path.read_text().splitlines()]
-        row = rows[draw(st.integers(1, len(rows) - 1), label="row")]  # zone_id, year, month, radiance, change
-        kind = draw(st.sampled_from(["radiance", "month", "year", "short", "zone"]), label="damage")
-        if kind == "radiance":
+        at = draw(st.integers(1, len(rows) - 1), label="row")
+        row = rows[at]  # zone_id, year, month, radiance, change
+        kind = draw(st.sampled_from(TestCorruptedSeriesFile.DAMAGES), label="damage")
+        if kind == "emptied":
+            rows = []
+        elif kind == "deleted":  # neither the first month nor the last
+            del rows[draw(st.integers(2, len(rows) - 2), label="middle row")]
+        elif kind == "header":
+            names = st.lists(st.integers(0, len(rows[0]) - 1), min_size=2, max_size=2, unique=True)
+            i, j = draw(names, label="swapped names")
+            rows[0][i], rows[0][j] = rows[0][j], rows[0][i]
+        elif kind == "duplicated":
+            rows.insert(at, list(row))
+        elif kind == "radiance":
             row[3] = draw(st.sampled_from(["x", "inf", "nan"]))
         elif kind == "month":
             row[2] = "13"
@@ -924,10 +937,12 @@ class TestCaseStudy:
     def test_changes_equal_the_scalar_percent_change(self, tmp_path):
         config = simulated_vsc_run(tmp_path)
         assert main(["extract", "--config", str(config)]) == 0
-        # a series file that starts late and ends early: the window months outside it have no change
+        # a series file whose first 3 and last 2 months are missing: those months have no change
         path = tmp_path / "out" / "VSC-NTL" / "clip+quality" / "TestStorm" / "Z01.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:1] + lines[4:-2]))
+        lines = [line.split(",") for line in path.read_text().splitlines(keepends=True)]
+        for fields in lines[1:4] + lines[-2:]:
+            fields[3] = ""
+        path.write_text("".join(",".join(fields) for fields in lines))
         assert main(["report", "--config", str(config)]) == 0
         with open(tmp_path / "out" / "case_study.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -1000,20 +1015,27 @@ class TestGridMismatch:
         assert f"failed: {expected}" in capsys.readouterr().err
 
 
+SERIES_HEADER = "zone_id,year,month,mean_radiance,percent_change"
+
+
 class TestReportUnreadableSeries:
     @pytest.mark.parametrize(
         "content, detail",
         [
-            ("", "empty series file"),
-            ("zone_id,year,month,mean_radiance,percent_change\n", "empty series file"),
-            ("zone,year,month\nZ01,2018,1\n", "missing column 'zone_id'"),
-            ("zone_id,year,month,mean_radiance,percent_change\nZ03,2018\n", "line 2: short row"),
+            ("", f"the first line is not the header {SERIES_HEADER}"),
+            (f"{SERIES_HEADER}\n", "empty series file"),
+            ("zone,year,month\nZ01,2018,1\n", f"the first line is not the header {SERIES_HEADER}"),
+            (f"{SERIES_HEADER}\nZ03,2018\n", "line 2: expected 5 fields, got 2"),
             (
-                "zone_id,year,month,mean_radiance,percent_change\nZ03,2018,1,bright,\n",
+                f"{SERIES_HEADER}\nZ03,2018,1,1.0,\nZ03,2018,3,1.0,\n",
+                "line 3: month 2018-03 does not follow the row before",
+            ),
+            (
+                f"{SERIES_HEADER}\nZ03,2018,1,bright,\n",
                 "line 2: could not convert string to float: 'bright'",
             ),
             pytest.param(
-                f"zone_id,year,month,mean_radiance,percent_change\nZ03,2018,1,{'1' * 131_073},\n",
+                f"{SERIES_HEADER}\nZ03,2018,1,{'1' * 131_073},\n",
                 "line 2: field larger than field limit (131072)",
                 id="field-over-the-csv-limit",
             ),
@@ -1311,25 +1333,31 @@ class TestReportIsBuildReport:
 
 
 class TestReportRefusesStaleSeries:
-    """A series file holding a month outside its hurricane's window comes from another extract."""
+    """A series file over any other months than its hurricane's window comes from another extract."""
 
     @pytest.mark.parametrize(
-        "before, after, month, window",
-        [(3, 2, "2017-10", "2018-07..2018-12"), (12, 2, "2019-10", "2017-10..2018-12")],
+        "extracted, reported, months, window",
+        [
+            ({}, {"months_before": 3, "months_after": 2}, "2017-10..2019-10", "2018-07..2018-12"),
+            ({}, {"months_before": 12, "months_after": 2}, "2017-10..2019-10", "2017-10..2018-12"),
+            ({"months_before": 3}, {}, "2018-07..2019-10", "2017-10..2019-10"),
+        ],
     )
-    def test_month_outside_the_window_writes_nothing(self, tmp_path, capsys, before, after, month, window):
+    def test_series_of_another_window_writes_nothing(self, tmp_path, capsys, extracted, reported, months, window):
         config = simulated_vsc_run(tmp_path, configs=["raw"])
+        doc = json.loads(config.read_text())
+        write_json(config, {**doc, **extracted})
         assert main(["extract", "--config", str(config)]) == 0
-        write_json(config, {**json.loads(config.read_text()), "months_before": before, "months_after": after})
+        write_json(config, {**doc, **reported})
         capsys.readouterr()
         assert main(["report", "--config", str(config)]) == 1
         path = tmp_path / "out" / "VSC-NTL" / "raw" / "TestStorm" / "Z01.csv"
         assert capsys.readouterr().err == (
-            f"error: {path}: month {month} is outside the window {window} of TestStorm; re-run extract\n"
+            f"error: {path}: months {months} are not the window {window} of TestStorm; re-run extract\n"
         )
         assert not (tmp_path / "out" / "report.csv").exists()
         assert not (tmp_path / "out" / "case_study.csv").exists()
-        # a fresh extract at the narrower window reports
+        # a fresh extract at the reported window reports
         assert main(["extract", "--config", str(config), "--force"]) == 0
         assert main(["report", "--config", str(config)]) == 0
 
@@ -1662,10 +1690,10 @@ class TestUnreadableZonesFile:
         (tmp_path / "simv" / "zones.geojson").write_text("{not json")
         capsys.readouterr()
         assert main(["validate", "--config", str(config)]) == 1
-        assert "zones file invalid" in capsys.readouterr().out
+        assert f"  problem: {tmp_path / 'simv' / 'zones.geojson'}: invalid JSON" in capsys.readouterr().out
         for command in ("extract", "report"):
             assert main([command, "--config", str(config)]) == 1
-            assert "zones.geojson: invalid JSON" in capsys.readouterr().err
+            assert f"error: {tmp_path / 'simv' / 'zones.geojson'}: invalid JSON" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -1688,10 +1716,10 @@ class TestUnreadableZonesFile:
             path.write_text(json.dumps(doc))
             capsys.readouterr()
             assert main(["validate", "--config", str(config)]) == 1
-            assert f"  problem: zones file invalid: {message}" in capsys.readouterr().out
+            assert f"  problem: {path}: {message}\n" in capsys.readouterr().out
             for command in ("extract", "report"):
                 assert main([command, "--config", str(config)]) == 1
-                assert capsys.readouterr().err == f"error: {message}\n"
+                assert capsys.readouterr().err == f"error: {path}: {message}\n"
             assert not (tmp_path / "out").exists()
 
 
@@ -1701,12 +1729,12 @@ class TestUnreadableZonesFile:
         path.write_text(json.dumps({"type": "FeatureCollection", "features": []}))
         capsys.readouterr()
         assert main(["validate", "--config", str(config)]) == 1
-        assert f"  problem: zones file has no features: {path}" in capsys.readouterr().out
+        assert f"  problem: {path}: the zones file has no features\n" in capsys.readouterr().out
         loaded = []
         monkeypatch.setattr(cli, "load_dataset", lambda *args: loaded.append(args))
         for command in ("extract", "report"):
             assert main([command, "--config", str(config)]) == 1
-            assert capsys.readouterr().err == f"error: zones file has no features: {path}\n"
+            assert capsys.readouterr().err == f"error: {path}: the zones file has no features\n"
         assert loaded == []
         assert not (tmp_path / "out").exists()
 

@@ -584,6 +584,7 @@ class TestZoneFileRoundTrip:
                     ("inf", [math.inf, 0], "a finite number, got inf"),
                     ("nan", [0, math.nan], "a finite number, got nan"),
                     ("10**400", [10**400, 0], f"a finite number, got {10**400}"),
+                    ("altitude", [1, 0, "2"], "a number, got '2'"),
                 ]
                 for ring in [[[0, 0], position, [1, 1], [0, 0]]]
                 for part, geometry in [
@@ -594,9 +595,9 @@ class TestZoneFileRoundTrip:
             *(
                 (
                     [{"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [ring]}, "properties": PROPS}],
-                    "feature 'Z1', part 0, ring 0: ring must hold at least 4 closed (x, y) positions",
+                    "feature 'Z1', part 0, ring 0: ring must hold at least 4 closed (x, y) or (x, y, z) positions",
                 )
-                for ring in ([[0, 0], None, [1, 1], [0, 0]], [[0, 0], [1, 0, 2], [1, 1], [0, 0]], {"x": 0})
+                for ring in ([[0, 0], None, [1, 1], [0, 0]], [[0, 0], [1, 0, 2, 3], [1, 1], [0, 0]], {"x": 0})
             ),
             (
                 [{"type": "Feature", "geometry": {"type": "MultiPolygon", "coordinates": [5]}, "properties": PROPS}],
@@ -607,8 +608,28 @@ class TestZoneFileRoundTrip:
     def test_malformed_value_names_the_feature(self, tmp_path, features, message):
         path = tmp_path / "zones.geojson"
         path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
-        with pytest.raises(ZoneValidationError, match=re.escape(message)):
+        with pytest.raises(ZoneValidationError, match=f"^{re.escape(f'{path}: {message}')}"):
             read_zones(path)
+
+    def test_altitudes_read_as_the_same_zones(self, tmp_path):
+        def lifted(value):
+            """Coordinates with an altitude appended to every position."""
+            if all(isinstance(v, float) for v in value):
+                return [*value, 12.5]
+            return [lifted(v) for v in value]
+
+        zones = self.make_zones()
+        flat, raised = tmp_path / "flat.geojson", tmp_path / "raised.geojson"
+        write_zones(zones, flat)
+        doc = json.loads(flat.read_text())
+        for feature in doc["features"]:
+            feature["geometry"]["coordinates"] = lifted(feature["geometry"]["coordinates"])
+        raised.write_text(json.dumps(doc))
+        assert "12.5" in raised.read_text()
+        for a, b in zip(read_zones(flat), read_zones(raised), strict=True):
+            assert (a.zone_id, a.damage_ratio, a.population) == (b.zone_id, b.damage_ratio, b.population)
+            assert len(a.rings) == len(b.rings)
+            assert all(np.array_equal(x, y) for x, y in zip(a.rings, b.rings))
 
     def test_duplicate_zone_id_rejected(self, tmp_path):
         zones = self.make_zones()
