@@ -30,7 +30,7 @@ from .synthetic import NoiseSpec, SceneSpec, tile_zones
 from .timeseries import EventWindow
 from .zones import Zone, _integer, _is_path_component, _number, _string, rect_ring
 
-__all__ = ["Hurricane", "RunConfig", "parse_run_config", "parse_scene_spec"]
+__all__ = ["SCENE_MAX_CELLS", "Hurricane", "RunConfig", "parse_run_config", "parse_scene_spec"]
 
 
 @dataclass(frozen=True)
@@ -235,6 +235,19 @@ _GRID = {
     "y_origin": (_number, _REQUIRED, "number, the y of the grid's lower-left corner"),
     "cell_size": (_number, _REQUIRED, "number, the side of a cell"),
 }
+# the most cells a scene grid may have: 2^25, which holds a 2x2 block of 2400x2400 VNP46A2 tiles, or
+# nearly twelve times Florida's 2,845,440 cells at 15"; a larger grid is refused before any size is
+# computed in float or allocated, so before simulate writes anything
+SCENE_MAX_CELLS = 2**25
+
+
+def _scene_grid(**geometry):
+    grid = GridSpec(**geometry)
+    if grid.size > SCENE_MAX_CELLS:
+        raise ValueError(f"{grid.nrows} rows of {grid.ncols} cells are more than a scene's {SCENE_MAX_CELLS} cells")
+    return grid
+
+
 _DATASET = {
     "kind": (_dataset_kind, _REQUIRED, '`"VSC-NTL"` or `"VNP46A2"`'),
     "raster_dir": (_path, _REQUIRED, "path string"),
@@ -284,7 +297,7 @@ _NOISE = {
 _SCENE = {
     "seed": (_integer(0), _REQUIRED, "non-negative integer"),
     "dataset": (_dataset_kind, "VSC-NTL", '`"VSC-NTL"` or `"VNP46A2"`'),
-    "grid": (_object(_GRID, GridSpec), _REQUIRED, "object, the scene's geometry"),
+    "grid": (_object(_GRID, _scene_grid), _REQUIRED, "object, the scene's geometry, of at most 2^25 cells"),
     "event_month": (MonthIndex.parse, _REQUIRED, '`"YYYY-MM"`'),
     **_WINDOW,
     "zones": (_zones, _REQUIRED, "object, an `nx` by `ny` tiling, or an array of zone objects"),

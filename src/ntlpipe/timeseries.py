@@ -363,14 +363,24 @@ def write_series_csv(series, path, changes):
         fh.write("".join(lines))
 
 
+def _plain_int(text, name):
+    """int(text) for text spelled as str spells a non-negative int: ASCII digits, without a leading zero."""
+    value = int(text)  # its error names text that is no integer at all
+    if not (text.isdigit() and text.isascii()) or (text[0] == "0" and text != "0"):
+        raise ValueError(f"{name} {text!r} is not plain digits")
+    return value
+
+
 def read_series_csv(path):
     """Read a file in write_series_csv's form back into a ZoneSeries (radiance column only).
 
     That form is its header, then a row of five fields per month, each of
-    the same zone and a month after the row before; a missing month is an
-    empty radiance. Any other file, or a field over csv.field_size_limit(),
-    raises ReportError naming the path and, for a row fault, the line; a
-    row is checked for field count, year, month, radiance, zone, sequence.
+    the same zone and a month after the row before; a year and a month are
+    ASCII digits without a leading zero, and a radiance is finite, or empty
+    for a missing month. Any other file, or a field over
+    csv.field_size_limit(), raises ReportError naming the path and, for a
+    row fault, the line; a row is checked for field count, year, month,
+    radiance, zone, sequence.
     """
     values = []
     with open(path, newline="") as fh:
@@ -382,8 +392,11 @@ def read_series_csv(path):
                 if len(row) != len(_SERIES_COLUMNS):
                     raise ValueError(f"expected {len(_SERIES_COLUMNS)} fields, got {len(row)}")
                 zone_id, year, month, field, _ = row
-                ordinal = month_ordinal(int(year), int(month))
-                values.append(float(field) if field else float("nan"))
+                ordinal = month_ordinal(_plain_int(year, "year"), _plain_int(month, "month"))
+                value = float(field) if field else math.nan  # an empty field is a missing month
+                if field and not math.isfinite(value):
+                    raise ValueError(f"radiance {field!r} is not finite")
+                values.append(value)
                 if len(values) == 1:
                     first, zone = ordinal, zone_id
                 elif zone_id != zone:

@@ -212,12 +212,14 @@ class TestWriteIsWholeOrAbsent:
         return RasterGrid(make_spec(ncols=3, nrows=4), [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.25, 8.5, 9.5, 10.5, 11.5])
 
     def write_failing_at_row_2(self, grid, path):
-        def repr_refusing_7_25(value):
-            if value == 7.25:
-                raise RuntimeError("formatting failed")
-            return repr(value)
+        format_row = grid_module._format_row
 
-        with mock.patch.object(grid_module, "repr", repr_refusing_7_25, create=True):
+        def format_row_refusing_7_25(row):
+            if 7.25 in row:
+                raise RuntimeError("formatting failed")
+            return format_row(row)
+
+        with mock.patch.object(grid_module, "_format_row", format_row_refusing_7_25):
             with pytest.raises(RuntimeError, match="formatting failed"):
                 write_grid(grid, path)
 
@@ -252,8 +254,9 @@ class TestWriteIsWholeOrAbsent:
 
 class TestWriteMemoryBudget:
     # The peak of one write, under tracemalloc, of a float raster 400 cells wide with a fifth of its cells missing.
-    # Measured with numpy 2.4: 64.0 KB at 50 rows and at 400 rows, a row's Python objects and text. The
-    # whole-grid writer this one replaced peaked at 2.36 MB on a 200x200 raster and 9.07 MB on 400x400.
+    # Measured with numpy 2.4 and orjson 3.8: 42.2 KB at 50 rows and at 400 rows, a row's arrays and text
+    # (64.0 KB when each row went through repr). The whole-grid writer this one replaced peaked at 2.36 MB on
+    # a 200x200 raster and 9.07 MB on 400x400.
 
     def peak(self, tmp_path, nrows):
         rng = np.random.default_rng(nrows)
@@ -768,6 +771,66 @@ class TestWriterMatchesCellByCell:
         # a check block of a few cells reaches every row split of the sentinel check
         with mock.patch.object(grid_module, "_CHECK_CELLS", check_cells):
             assert write_outcome(write_grid, grid, folder / "g.asc", nodata) == expected
+
+
+# the edges of the range in which orjson spells a float as repr does: 0 or of magnitude in [1e-4, 1e16)
+RYU_EDGES = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16]
+# cells of one row: a float row draws all its cells from any finite double (subnormals and both zeros
+# included), or from the range's inside and its edges, so that a whole row can sit next to an edge
+FORMATTED_CELLS = {
+    "float": st.sampled_from(
+        [
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.one_of(
+                st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v])),
+                st.sampled_from([0.0, -0.0, *RYU_EDGES, *(-v for v in RYU_EDGES)]),
+            ),
+        ]
+    ),
+    "int64": st.just(st.one_of(st.integers(0, 2**16), st.integers(0, 2**63 - 1))),
+    "uint16": st.just(st.integers(0, 2**16 - 1)),
+}
+# in range and out of it, and nan and inf, which write_grid takes as a sentinel and read_grid refuses
+FORMATTED_SENTINELS = {
+    "float": st.sampled_from([-9999.0, 0.25, -0.0, -1e30, 1e-5, *RYU_EDGES, float("nan"), float("inf")]),
+    "int64": st.sampled_from([-9999, 0, -(2**63), 2**63 - 1]),
+    "uint16": st.just(-9999),
+}
+
+
+class TestRowFormatterMatchesRepr:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(list(FORMATTED_CELLS)), width=st.integers(1, 80))
+    def test_same_text_as_repr(self, data, kind, width):
+        # a row as write_grid builds it: the sentinel in the missing cells, through np.where
+        dtype = {"float": np.float64, "int64": np.int64, "uint16": np.uint16}[kind]
+        cells = data.draw(FORMATTED_CELLS[kind])
+        values = np.array(data.draw(st.lists(cells, min_size=width, max_size=width)), dtype=dtype)
+        missing = np.array(data.draw(st.lists(st.booleans(), min_size=width, max_size=width)))
+        fill = data.draw(FORMATTED_SENTINELS[kind])
+        row = np.where(missing, np.float64(fill) if kind == "float" else np.int64(fill), values)
+        assert grid_module._format_row(row) == " ".join(map(repr, row.tolist()))
+
+    @pytest.mark.parametrize(
+        "row, fast",
+        [
+            (np.array([0.0, -0.0, 1e-4, -np.nextafter(1e16, 0), 7.25]), True),
+            (np.array([1.5, np.nextafter(1e-4, 0)]), False),
+            (np.array([1.5, -1e16]), False),
+            (np.array([1.5, 5e-324]), False),
+            (np.array([1.5, float("nan")]), False),
+            (np.array([1.5, float("-inf")]), False),
+            (np.array([0, 2**63 - 1, -9999]), True),
+            (np.where([True, False], np.int64(-9999), np.uint16([7, 65535])), True),
+        ],
+    )
+    def test_only_rows_in_range_reach_orjson(self, row, fast):
+        with mock.patch.dict("sys.modules", {"orjson": None}):  # import orjson now raises ImportError
+            if fast:
+                with pytest.raises(ImportError):
+                    grid_module._format_row(row)
+            else:
+                assert grid_module._format_row(row) == " ".join(map(repr, row.tolist()))
 
 
 class TestIntegerRoundTrip:

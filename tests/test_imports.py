@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,10 @@ def test_every_import_is_used_or_exported(path):
 def test_every_exported_name_is_defined(path):
     module = importlib.import_module(f"ntlpipe.{path.stem}")
     assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+def test_importing_the_cli_does_not_load_orjson():
+    # only simulate writes grids, so orjson loads on its first row; every command pays the CLI's import
+    code = "import sys, ntlpipe.cli; print('orjson' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -913,6 +913,19 @@ class TestSeriesCsvRowChecks:
             ("Z,2018,13,bright,", "month must be 1-12, got 13"),
             ("Z,2018,0,bright,", "month must be 1-12, got 0"),
             ("Z,2018,12,bright,", "could not convert string to float: 'bright'"),
+            # spellings int() and float() take but write_series_csv never writes
+            ("Z, +2018,1,1.0,", "year ' +2018' is not plain digits"),
+            ("Z,02018,1,1.0,", "year '02018' is not plain digits"),
+            ("Z,2018,07,1.0,", "month '07' is not plain digits"),
+            ("Z,2018,+7,1.0,", "month '+7' is not plain digits"),
+            ("Z,2018,7 ,1.0,", "month '7 ' is not plain digits"),
+            ("Z,2018,\u0667,1.0,", "month '\u0667' is not plain digits"),
+            ("Z,-5,13,1.0,", "year '-5' is not plain digits"),
+            ("Z,2018,13,nan,", "month must be 1-12, got 13"),
+            ("Z,2018,2,nan,", "radiance 'nan' is not finite"),
+            ("Z,2018,2,inf,", "radiance 'inf' is not finite"),
+            ("Z,2018,2,-Infinity,", "radiance '-Infinity' is not finite"),
+            ("Z,2018,2,1e999,", "radiance '1e999' is not finite"),
         ],
     )
     def test_checks_within_a_row_keep_their_order(self, tmp_path, row, detail):
@@ -935,6 +948,13 @@ class TestSeriesCsvRowChecks:
         path.write_text(text)
         expected = f"{path}: the first line is not the header zone_id,year,month,mean_radiance,percent_change"
         assert read_outcome(read_series_csv, path) == (ReportError, expected)
+
+
+class TestSeriesCsvPlainSpellings:
+    def test_year_zero_and_the_last_month_read(self, tmp_path):
+        path = tmp_path / "Z.csv"
+        path.write_text("zone_id,year,month,mean_radiance,percent_change\nZ,0,12,1.5,\nZ,1,1,,\n")
+        assert read_outcome(read_series_csv, path) == ("Z", MonthIndex(0, 12), [(1.5).hex(), "nan"])
 
 
 class TestOverlongField:
