@@ -33,7 +33,6 @@ from .grid import (
     GridSpec,
     IntRaster,
     RasterGrid,
-    as_float,
     class_fraction_resample,
     read_grid,
     write_grid,

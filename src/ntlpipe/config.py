@@ -8,13 +8,14 @@ rendered. Relative paths resolve against the config file's directory.
 """
 
 import json
+import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import MIN_DAMAGE
 from .errors import ConfigError, PipelineError
-from .grid import GridSpec, as_float, read_grid
+from .grid import GridSpec, read_grid
 from .layout import DatasetConfig
 from .preprocess import (
     BUILT_FRACTION_MIN,
@@ -245,6 +246,9 @@ def _scene_grid(**geometry):
     grid = GridSpec(**geometry)
     if grid.size > SCENE_MAX_CELLS:
         raise ValueError(f"{grid.nrows} rows of {grid.ncols} cells are more than a scene's {SCENE_MAX_CELLS} cells")
+    far = (grid.x_origin + grid.ncols * grid.cell_size, grid.y_origin + grid.nrows * grid.cell_size)
+    if not all(map(math.isfinite, far)):
+        raise ValueError(f"far corner {far} is past the float range")
     return grid
 
 
@@ -292,7 +296,7 @@ _NOISE = {
     "bloom_rate": (_number, 0.0, "number, the share of unflagged blooming cells"),
     "bloom_lo": (_number, 60.0, "number, a bloom's least radiance"),
     "bloom_hi": (_number, 500.0, "number, a bloom's greatest radiance"),
-    "built_fraction": (lambda path: as_float(read_grid(_path(path))), None, "path of a grid on the scene's grid"),
+    "built_fraction": (lambda path: read_grid(_path(path)), None, "path of a grid on the scene's grid"),
 }
 _SCENE = {
     "seed": (_integer(0), _REQUIRED, "non-negative integer"),

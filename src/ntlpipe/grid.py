@@ -14,10 +14,10 @@ bit-identically.
 File interchange uses the ASCII grid layout: six header lines (``ncols``,
 ``nrows``, ``xllcorner``, ``yllcorner``, ``cellsize``, ``NODATA_value``,
 case-insensitive, any order) followed by ``nrows`` lines of ``ncols``
-whitespace-separated tokens, northernmost row first. Grids whose data tokens
-are all integer literals, with no valid cell negative or of 2^63 or more,
-read back as :class:`IntRaster`, everything else as :class:`RasterGrid`.
-Only square cells are supported; headers describing rectangular cells
+whitespace-separated tokens, northernmost row first. Every grid reads back
+as a :class:`RasterGrid` of the floats its tokens spell; a quality band
+becomes an :class:`IntRaster` only where the loader checks it. Only
+square cells are supported; headers describing rectangular cells
 (``dx``/``dy`` variants) are rejected at parse time.
 
 No projection or datum handling is done anywhere: all rasters and polygons
@@ -27,7 +27,6 @@ used together are assumed co-registered in a single planar frame.
 import contextlib
 import math
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +41,6 @@ __all__ = [
     "read_grid",
     "write_grid",
     "replacing",
-    "as_float",
     "class_fraction_resample",
 ]
 
@@ -174,13 +172,6 @@ class IntRaster(_RasterMixin):
     _dtype = np.int64
 
 
-def as_float(grid):
-    """Coerce an IntRaster to a RasterGrid; RasterGrids pass through unchanged."""
-    if isinstance(grid, RasterGrid):
-        return grid
-    return RasterGrid(grid.spec, grid.values.astype(np.float64), grid.missing)
-
-
 _HEADER_KEYS = {
     "ncols": int,
     "nrows": int,
@@ -190,20 +181,15 @@ _HEADER_KEYS = {
     "nodata_value": float,
 }
 
-_INT_TOKEN = re.compile(r"^[+-]?\d+$")
-
 
 def read_grid(path):
-    """Parse an ASCII grid file into a RasterGrid or IntRaster.
+    """Parse an ASCII grid file into a RasterGrid.
 
-    Cells equal to the declared NODATA value become missing. The raster is
-    an IntRaster when every data token is an integer literal and no valid
-    cell is negative or of 2^63 or more (past int64), otherwise a
-    RasterGrid. Integer literals read exactly up to 2^63 - 1, and when one
-    is of 2^53 or more, past which float64 rounds, the NODATA value is
-    compared with the cells as an integer too. Raises GridParseError (with
-    a 1-based line number) on any malformed header or data line, on text
-    that is not UTF-8, and, naming the path, on a file that cannot be read.
+    Each cell is the float64 its token reads as, as float() reads it, and
+    cells equal to the declared NODATA value, compared as floats, become
+    missing. Raises GridParseError (with a 1-based line number) on any
+    malformed header or data line, on text that is not UTF-8, and, naming
+    the path, on a file that cannot be read.
 
     Only the header lines are split into tokens. A well-formed body goes
     through numpy's C text reader in one call; any other body goes to the
@@ -217,7 +203,6 @@ def read_grid(path):
     except UnicodeDecodeError as exc:
         raise GridParseError(f"not UTF-8 text: byte {exc.start} is {exc.object[exc.start]:#04x}") from None
     header = {}
-    header_tokens = {}
     header_lines = {}
     pos = 0
     while len(header) < len(_HEADER_KEYS):
@@ -240,7 +225,6 @@ def read_grid(path):
             header[key] = _HEADER_KEYS[key](tokens[1])
         except ValueError:
             raise GridParseError(f"malformed value {tokens[1]!r} for header key {tokens[0]!r}", lineno) from None
-        header_tokens[key] = tokens[1]
         header_lines[key] = lineno
 
     try:
@@ -255,31 +239,19 @@ def read_grid(path):
         raise GridParseError(str(exc), header_lines["cellsize"]) from None
 
     body_lines = lines[pos:]
-    body = _convert_body(spec, body_lines)
-    if body is None:
+    values = _convert_body(spec, body_lines)
+    if values is None:
         data_lines = [
             (lineno, tokens)
             for lineno, tokens in enumerate(map(str.split, body_lines), start=pos + 1)
             if tokens
         ]
-        body = _parse_body(spec, data_lines)
-    values, all_int = body
-    if all_int and (values.max() >= 2.0**53 or values.min() <= -(2.0**53)):
-        # float64 rounds integers from 2^53 on: read the literals again, exactly
-        exact, missing = _exact_integers(spec, body_lines, header_tokens["nodata_value"])
-        if exact is None:  # a valid cell past int64
-            return RasterGrid(spec, values, missing)
-        values = exact
-    else:
-        missing = values == header["nodata_value"]
-    # an IntRaster's valid cells are non-negative int64s, so a negative one makes the body real-valued
-    if all_int and not (values[~missing] < 0).any():
-        return IntRaster(spec, values.astype(np.int64), missing)
-    return RasterGrid(spec, values, missing)
+        values = _parse_body(spec, data_lines)
+    return RasterGrid(spec, values, values == header["nodata_value"])
 
 
 def _convert_body(spec, body_lines):
-    """(values, all_int) of a well-formed body in one np.loadtxt call; None if any check fails.
+    """The values of a well-formed body in one np.loadtxt call; None if any check fails.
 
     body_lines come from str.splitlines, so rows end where they end for
     _parse_body. loadtxt splits a line where str.split does and converts
@@ -296,16 +268,11 @@ def _convert_body(spec, body_lines):
         return None
     if values.shape != spec.shape or not np.isfinite(values).all():
         return None
-    if (values != np.floor(values)).any():
-        return values, False  # an integer literal converts to an integral value
-    # loadtxt's tokens are [+-]digits, with a fraction or exponent or both, or
-    # inf and nan spelled out, which the finite check refused
-    text = "".join(body_lines)
-    return values, not ("." in text or "e" in text or "E" in text)
+    return values
 
 
 def _parse_body(spec, data_lines):
-    """(values, all_int) of the data lines, token by token; raises GridParseError at the first fault.
+    """The values of the data lines, token by token; raises GridParseError at the first fault.
 
     The reference for _convert_body, and the path that names a malformed
     body's line.
@@ -317,7 +284,6 @@ def _parse_body(spec, data_lines):
         )
     # no array is sized from the header before the rows are read: a huge ncols is a row fault, not an allocation
     rows = []
-    all_int = True
     for lineno, tokens in data_lines:
         if len(tokens) != spec.ncols:
             raise GridParseError(f"expected {spec.ncols} cell tokens, got {len(tokens)}", lineno)
@@ -330,69 +296,36 @@ def _parse_body(spec, data_lines):
             if not math.isfinite(v):
                 raise GridParseError(f"non-finite cell value {tok!r}", lineno)
             row.append(v)
-            if all_int and not _INT_TOKEN.match(tok):
-                all_int = False
         rows.append(row)
-    return np.array(rows, dtype=np.float64), all_int
+    return np.array(rows, dtype=np.float64)
 
 
-def _exact_integers(spec, body_lines, nodata_token):
-    """(values, missing) of an all-integer body read as Python ints, not through float64.
-
-    values is None when a valid cell is past int64. Python compares an int
-    with a float exactly, so an integer NODATA literal is kept as an int and
-    any other as the float it reads as; a literal of thousands of digits,
-    which float() reads as inf, stays inf.
-    """
-    nodata = float(nodata_token)
-    if _INT_TOKEN.match(nodata_token) and math.isfinite(nodata):
-        nodata = int(nodata_token)
-    cells = [int(tok) for tokens in map(str.split, body_lines) for tok in tokens]
-    missing = np.array([cell == nodata for cell in cells]).reshape(spec.shape)
-    try:
-        values = np.array([0 if cell == nodata else cell for cell in cells], dtype=np.int64)
-    except OverflowError:
-        return None, missing
-    return values.reshape(spec.shape), missing
-
-
+NODATA = -9999  # the sentinel write_grid writes in missing cells: -9999 in an IntRaster, -9999.0 in a RasterGrid
 _CHECK_CELLS = 4096  # cells write_grid checks against the sentinel at once
 
 
-def write_grid(grid, path, nodata=-9999.0):
+def write_grid(grid, path):
     """Write a raster to an ASCII grid file, one row at a time.
 
     Float values are printed with full round-trip precision, so
-    read_grid(write_grid(g)) reproduces g exactly. Missing cells are written
-    as the NODATA token; a grid holding a valid value equal to ``nodata`` is
-    rejected (pick a different sentinel) before any file is opened.
+    read_grid(write_grid(g)) reproduces g's values exactly, as floats.
+    Missing cells are written as NODATA; a grid holding a valid value
+    equal to NODATA is rejected before any file is opened.
 
     Each row is formatted and written on its own, so the writer never holds
     more than one row as Python objects. The rows go through replacing:
     a write that fails leaves ``path`` as it was, or absent, and no
     temporary file.
     """
-    is_int = isinstance(grid, IntRaster)
-    if is_int:
-        if nodata != int(nodata):
-            raise ValueError(f"integer raster needs an integer nodata, got {nodata}")
-        fill = int(nodata)
-        nodata_tok = str(fill)
-    else:
-        fill = float(nodata)
-        nodata_tok = repr(fill)
+    # np.where needs the sentinel as a numpy scalar, or -9999 would wrap in a uint16 row
+    fill = np.int64(NODATA) if isinstance(grid, IntRaster) else np.float64(NODATA)
     spec = grid.spec
     # a block of rows at a time, so the check never copies the grid's values
     step = max(1, _CHECK_CELLS // spec.ncols)
     for lo in range(0, spec.nrows, step):
         values, missing = grid.values[lo : lo + step], grid.missing[lo : lo + step]
-        if np.any(values[~missing] == nodata):
-            raise ValueError(f"grid contains valid cells equal to the nodata sentinel {nodata}")
-    # np.where needs the sentinel as a numpy scalar, or -9999 would wrap in a uint16 row;
-    # a sentinel past int64 goes into each row's list instead
-    wide = is_int and not -(2**63) <= fill < 2**63
-    if not wide:
-        fill = np.int64(fill) if is_int else np.float64(fill)
+        if np.any(values[~missing] == NODATA):
+            raise ValueError(f"grid contains valid cells equal to the nodata sentinel {fill}")
 
     header = (
         f"ncols {spec.ncols}\n"
@@ -400,39 +333,30 @@ def write_grid(grid, path, nodata=-9999.0):
         f"xllcorner {float(spec.x_origin)!r}\n"
         f"yllcorner {float(spec.y_origin)!r}\n"
         f"cellsize {float(spec.cell_size)!r}\n"
-        f"NODATA_value {nodata_tok}\n"
+        f"NODATA_value {fill}\n"
     )
     with replacing(path) as out:
         out.write(header)
         for values, missing in zip(grid.values, grid.missing):
-            if wide:
-                row = values.tolist()
-                for c in np.flatnonzero(missing).tolist():
-                    row[c] = fill
-            else:
-                row = np.where(missing, fill, values)
-            out.write(_format_row(row) + "\n")
+            out.write(_format_row(np.where(missing, fill, values)) + "\n")
 
 
 def _format_row(row):
-    """The cells of one row as text, each spelled as repr spells it, separated by spaces.
+    """The cells of one numpy row as text, each spelled as repr spells it, separated by spaces.
 
-    ``row`` is a numpy row, or a list of Python ints where the sentinel is past int64. repr is the
-    reference, at about 0.6 us a float64. orjson spells a whole numpy row with Ryu's shortest
+    repr is the reference, at about 0.6 us a float64. orjson spells a whole numpy row with Ryu's shortest
     round-trip digits, about ten times faster, and spells it as repr does for any integer and for a
     float that is 0 or of magnitude in [1e-4, 1e16). Outside that range it writes 1e16 and 0.00001
     where repr writes 1e+16 and 1e-05, and null for nan and inf, so a row holding such a value keeps
     repr. tests/test_grid.py holds the two spellings together.
     """
-    if isinstance(row, np.ndarray):
-        if row.dtype.kind == "f":
-            size = np.abs(row)  # nan fails both comparisons, so a row holding one keeps repr
-            if not ((size < 1e16) & ((size >= 1e-4) | (size == 0))).all():
-                return " ".join(map(repr, row.tolist()))
-        import orjson  # here, not at the top: only simulate writes grids, and the other commands need not load it
+    if row.dtype.kind == "f":
+        size = np.abs(row)  # nan fails both comparisons, so a row holding one keeps repr
+        if not ((size < 1e16) & ((size >= 1e-4) | (size == 0))).all():
+            return " ".join(map(repr, row.tolist()))
+    import orjson  # here, not at the top: only simulate writes grids, and the other commands need not load it
 
-        return orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b",", b" ").decode()
-    return " ".join(map(repr, row))  # on the Python ints of a row whose sentinel is past int64, repr is str
+    return orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b",", b" ").decode()
 
 
 @contextlib.contextmanager

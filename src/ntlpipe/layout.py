@@ -8,6 +8,12 @@ aggregates by majority vote over the observed days (a pixel is
 monthly-high-quality when more than half of its observed days are). An
 explicit monthly file always wins over daily files for the same month.
 
+Every grid reads as floats. A quality grid is where a grid turns into
+integers: each valid cell must be an integer in [0, 2^16), a VNP46A2
+quality word or a VSC-NTL cloud-free count, and a VNP46A2 word must hold
+no reserved field. _quality_words checks that on the whole grid and
+returns the IntRaster the quality stack is built from.
+
 Every grid one load reads shares one geometry: the dataset's configured
 grid when it has one, else that of the first radiance file read. The
 loader checks each file whole, then keeps only the cells some zone
@@ -25,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GridParseError, QualityDecodeError
-from .grid import GridSpec, IntRaster, as_float, read_grid
+from .grid import GridSpec, IntRaster, read_grid
 from .quality import (
     VNP46A2_HIGH_QUALITY_CODE,
     VNP46A2_LOW_QUALITY_CODE,
@@ -105,21 +111,28 @@ def _majority_quality_composite(daily_quality_grids):
     return IntRaster(daily_quality_grids[0].spec, monthly, observed == 0)
 
 
-def _check_quality(grid, name, kind):
-    """Raise ConfigError naming the file unless every valid cell of a whole quality grid is usable."""
+def _quality_words(grid, name, kind):
+    """The IntRaster of a whole quality grid; ConfigError naming the file unless every valid cell is usable.
+
+    A usable cell is an integer in [0, 2^16): a VNP46A2 word, which must
+    also hold no reserved field, or a VSC-NTL cloud-free count.
+    """
     values = grid.values[grid.valid]
-    # quality words and cloud-free counts are never negative
     if (values < 0).any():
         raise ConfigError(f"negative quality value in {name}")
+    if (values >= 1 << 16).any():
+        raise ConfigError(f"quality {'word' if kind is Dataset.VNP46A2 else 'value'} of 2^16 or more in {name}")
+    if (values != np.floor(values)).any():
+        raise ConfigError(f"fractional quality value in {name}")
+    words = IntRaster(grid.spec, grid.values, grid.missing)
     if kind is Dataset.VNP46A2:
-        if (values >= 1 << 16).any():
-            raise ConfigError(f"quality word of 2^16 or more in {name}")
-        reserved = vnp46a2_reserved(values)
+        reserved = vnp46a2_reserved(words.values)  # a missing cell's word is 0, which is not
         if reserved.any():
             try:
-                decode_vnp46a2_quality(values[reserved].min())  # only the smallest is decoded
+                decode_vnp46a2_quality(words.values[reserved].min())  # only the smallest is decoded
             except QualityDecodeError as exc:
                 raise ConfigError(f"{exc} in {name}") from None
+    return words
 
 
 def load_dataset(dataset, month_lo, month_hi, configs, zones):
@@ -138,25 +151,24 @@ def load_dataset(dataset, month_lo, month_hi, configs, zones):
     pixel-local, so the cells no zone covers are never needed. The
     quality stack is loaded only when one of ``configs`` filters by quality.
 
-    Daily files aggregate to monthly composites. Radiance grids are
-    coerced to real-valued rasters so integer-looking files behave the
-    same as any other radiance. A quality stack whose months are all
-    integer rasters holds VNP46A2 words as uint16, since a word passes the
-    checks below only under 2^16, and VSC-NTL cloud-free counts as int64;
-    one real-valued month (a word such as 50.5) makes it float64.
+    Daily files aggregate to monthly composites. Radiance and built
+    fraction are float64, as every grid reads. A quality stack holds
+    VNP46A2 words as uint16 and VSC-NTL cloud-free counts as int64
+    (Dataset.word_dtype), each month checked by _quality_words first.
 
     Raises ConfigError naming the file when a grid it reads is malformed
-    or off the dataset's geometry, or a quality grid holds a negative value
-    anywhere, or, for VNP46A2, a word of 2^16 or more or one with a
-    reserved field; then when a config needs a quality or built-fraction
-    file that is absent. Messages leave naming the dataset to the caller.
+    or off the dataset's geometry, or a quality grid holds a valid cell
+    that is negative, of 2^16 or more or fractional, or, for VNP46A2, a
+    word with a reserved field; then when a config needs a quality or
+    built-fraction file that is absent. Messages leave naming the dataset
+    to the caller.
     """
     radiance_files, quality_files = scan_dataset_dir(dataset)
     reference, source = dataset.expected_grid, "configured grid"
     columns = None  # zone_columns on the reference grid, once that is known
 
     def read(path, check=None):
-        """The file's grid, checked whole, then cut down to the cells some zone covers."""
+        """The file's grid, checked whole (and as ``check`` returns it), then cut down to the cells some zone covers."""
         nonlocal reference, source, columns
         try:
             grid = read_grid(path)
@@ -167,7 +179,7 @@ def load_dataset(dataset, month_lo, month_hi, configs, zones):
         elif grid.spec != reference:
             raise ConfigError(f"grid of {path.name} does not match {source}")
         if check is not None:
-            check(grid, path.name, dataset.kind)
+            grid = check(grid, path.name, dataset.kind)
         if columns is None:
             columns = zone_columns(zones, reference)
         return columns.cut(grid)
@@ -177,7 +189,7 @@ def load_dataset(dataset, month_lo, month_hi, configs, zones):
         raise ConfigError(
             f"no radiance months found in {dataset.raster_dir} within {month_lo}..{month_hi}"
         )
-    radiance = _stack(months, radiance_files, lambda p: as_float(read(p)), monthly_median_composite)
+    radiance = _stack(months, radiance_files, read, monthly_median_composite, np.float64)
 
     quality = None
     if any(config.quality_filter for config in configs):
@@ -187,19 +199,19 @@ def load_dataset(dataset, month_lo, month_hi, configs, zones):
                 f"quality filtering requested but quality files are missing "
                 f"for months: {', '.join(absent)}"
             )
-        # _check_quality refuses a VNP46A2 word outside [0, 2^16), so a checked integer month fits in 16 bits
+        # _quality_words refuses a value outside [0, 2^16), so a checked month fits in word_dtype
         words = dataset.kind.word_dtype
-        quality = _stack(months, quality_files, lambda p: read(p, _check_quality), _majority_quality_composite, words)
+        quality = _stack(months, quality_files, lambda p: read(p, _quality_words), _majority_quality_composite, words)
 
-    built = as_float(read(dataset.built_path)) if dataset.built_path.is_file() else None
+    built = read(dataset.built_path) if dataset.built_path.is_file() else None
     if built is None and any(config.built_mask for config in configs):
         raise ConfigError(f"built masking requested but {dataset.built_path} not found")
     return radiance, quality, built, columns.positions
 
 
-def _stack(months, files, read, composite, integers=np.int64):
+def _stack(months, files, read, composite, dtype):
     """RasterStack of each month's file or daily composite, copied into one cube as read (see StackBuilder)."""
-    builder = StackBuilder(months, integers)
+    builder = StackBuilder(months, dtype)
     for month in months:
         source = files[month]
         builder.add(composite([read(p) for p in source]) if isinstance(source, list) else read(source))

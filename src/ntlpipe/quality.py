@@ -187,13 +187,13 @@ def high_quality_mask(quality, dataset):
 
 
 def vnp46a2_high_quality(words, valid):
-    """High-quality booleans for an array of finite VNP46A2 words of any shape, False where not ``valid``.
+    """High-quality booleans for an integer array of non-negative VNP46A2 words of any shape, False where not ``valid``.
 
-    A valid word is high-quality when it is one of _TRUSTED_WORDS (four);
-    a fractional word such as 50.5 never is. No word is decoded but the
-    smallest valid one decode_vnp46a2_quality refuses, raising its error.
+    A valid word is high-quality when it is one of _TRUSTED_WORDS (four).
+    No word is decoded but the smallest valid one decode_vnp46a2_quality
+    refuses, raising its error.
     """
-    refused = valid & ((words <= -1) | vnp46a2_reserved(words))
+    refused = valid & vnp46a2_reserved(words)
     if refused.any():
         decode_vnp46a2_quality(words[refused].min())
     high = np.zeros_like(valid)
@@ -205,12 +205,11 @@ def vnp46a2_high_quality(words, valid):
 def vnp46a2_reserved(words):
     """Whether each word holds a reserved field, as decode_vnp46a2_quality would find.
 
-    ``words`` is an array of finite values, truncated to integers as int()
-    truncates them; a word is reserved when it is 2^11 or more or its
-    background code is 4, 6 or 7, and one below 0 may read either way.
-    Nothing is decoded, and no word is cast whole.
+    ``words`` is an integer array of non-negative words; a word is reserved
+    when it is 2^11 or more or its background code is 4, 6 or 7. Nothing
+    is decoded, and no word is cast whole.
     """
     words = np.asarray(words)
-    # bits 0-3 of each truncated word: fmod's remainder lies in (-16, 16), so its int8 cast is exact
-    low = np.fmod(words, 16, out=np.empty(words.shape, np.int8), casting="unsafe")
+    # bits 0-3 of each word, written straight into uint8: masked to 4 bits, the unsafe cast is exact
+    low = np.bitwise_and(words, 15, out=np.empty(words.shape, np.uint8), casting="unsafe")
     return (words >= 1 << 11) | _RESERVED_BACKGROUND[low]

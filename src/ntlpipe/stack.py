@@ -134,25 +134,24 @@ class RasterStack:
 
 
 class StackBuilder:
-    """A RasterStack's cube, filled one month at a time: each raster added is copied into it, then may go.
+    """A RasterStack's cube of ``dtype``, filled one month at a time: each raster added is copied into it, then may go.
 
-    The cube is float64 once any month is a RasterGrid, else of dtype
-    ``integers``, which must hold every IntRaster value added.
+    The dtype is float64 for radiance, or Dataset.word_dtype for quality,
+    and must hold every value added: a value is cast to it as numpy
+    assignment casts, unchecked.
     """
 
-    def __init__(self, months, integers=np.int64):
+    def __init__(self, months, dtype):
         self.months = tuple(months)
-        self.integers = integers
+        self.dtype = dtype
         self.spec = self.values = self.missing = None
         self.added = 0
 
     def add(self, raster):
         """Copy the next month's raster into the cube."""
-        dtype = self.integers if isinstance(raster, IntRaster) else raster.values.dtype
         if self.values is None:
             shape = (len(self.months), *raster.spec.shape)
-            self.spec, self.values, self.missing = raster.spec, np.empty(shape, dtype), np.empty(shape, dtype=bool)
-        self.values = self.values.astype(np.promote_types(self.values.dtype, dtype), copy=False)
+            self.spec, self.values, self.missing = raster.spec, np.empty(shape, self.dtype), np.empty(shape, bool)
         self.values[self.added], self.missing[self.added] = raster.values, raster.missing
         self.added += 1
 

@@ -248,7 +248,7 @@ def generate_scene(spec):
     produce bit-identical scenes.
     """
     months = spec.months.months()
-    radiance, quality = StackBuilder(months), StackBuilder(months, spec.dataset.word_dtype)
+    radiance, quality = StackBuilder(months, np.float64), StackBuilder(months, spec.dataset.word_dtype)
     for _, month_radiance, month_quality in scene_months(spec):
         radiance.add(month_radiance)
         quality.add(month_quality)
@@ -404,7 +404,7 @@ def scene_pccs(spec, months, configs):
         raise ConfigError("oracle needs at least 3 distinct damage ratios")
     columns = spec.columns
     stacked = spec.months.months()[: spec.months.months_before + 1]
-    radiance, quality = StackBuilder(stacked), StackBuilder(stacked, spec.dataset.word_dtype)
+    radiance, quality = StackBuilder(stacked, np.float64), StackBuilder(stacked, spec.dataset.word_dtype)
     for month, month_radiance, month_quality in months:
         if month <= spec.months.event_month:
             radiance.add(columns.cut(month_radiance))

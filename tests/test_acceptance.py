@@ -641,7 +641,7 @@ def test_criterion_1_operator_fixtures(tmp_path, capsys):
 
     bad_dir = tmp_path / "sim_mismatch"
     shutil.copytree(sim / "VSC-NTL", bad_dir)
-    write_grid(RasterGrid(spec1, [[1.0]]), bad_dir / "2017-12.asc", nodata=-9999.0)
+    write_grid(RasterGrid(spec1, [[1.0]]), bad_dir / "2017-12.asc")
     mismatch_doc = dict(run_doc, datasets=[{"kind": "VSC-NTL", "raster_dir": str(bad_dir)}])
     mismatch_path = write_json(tmp_path / "run_mismatch.json", mismatch_doc)
     assert main(["validate", "--config", str(mismatch_path)]) == 1

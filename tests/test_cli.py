@@ -289,7 +289,9 @@ class TestSimulateMemory:
         radiance, quality, built = chained
         for stack, suffix in ((radiance, ".asc"), (quality, ".qf.asc")):
             for month, grid in stack:
-                assert grid == read_grid(tmp_path / "sim" / "VSC-NTL" / f"{month}{suffix}")
+                # a file reads as floats, and a cloud-free count as the float of the same value
+                back = read_grid(tmp_path / "sim" / "VSC-NTL" / f"{month}{suffix}")
+                assert (grid.values.tolist(), grid.missing.tolist()) == (back.values.tolist(), back.missing.tolist())
         assert built == read_grid(tmp_path / "sim" / "VSC-NTL" / "built_fraction.asc")
 
     def test_no_whole_month_is_alive_when_the_oracle_runs(self, tmp_path, monkeypatch):
@@ -608,6 +610,8 @@ class TestWindowWithinFileNameMonths:
 
 # one literal per kind of bad cell token: huge, negative, fractional, a non-ASCII digit, NaN and 2^63
 FUZZ_LITERALS = ["1e999", "-3", "0.5", "\u0663", "nan", "9223372036854775808"]
+# and, for daily VNP46A2 files, a fractional word and words of 2^16 or more
+DAILY_LITERALS = [*FUZZ_LITERALS, "50.5", "65536", "1e5"]
 # one literal per kind of bad header value: zero, negative, fractional, NaN, infinite, too large to
 # allocate, past int64, and a non-ASCII digit
 HEADER_LITERALS = ["0", "-1", "2.5", "nan", "inf", "1000000000000", "99999999999999999999", "\u0663"]
@@ -632,10 +636,12 @@ class TestCorruptedGridFile:
     """One damaged grid file fails validate and extract alike, each fault in one line, never in a traceback."""
 
     @staticmethod
-    def damage(path, draw):
-        kind = draw(st.sampled_from(["token", "header", "truncated", "not UTF-8"]), label="damage")
+    def damage(path, draw, literals=FUZZ_LITERALS):
+        kind = draw(st.sampled_from(["token", "header", "truncated", "emptied", "not UTF-8"]), label="damage")
         data = path.read_bytes()
-        if kind == "truncated":
+        if kind == "emptied":
+            path.write_bytes(b"")
+        elif kind == "truncated":
             path.write_bytes(data[: draw(st.integers(0, len(data) - 1), label="kept bytes")])
         elif kind == "not UTF-8":
             at = draw(st.integers(0, len(data) - 1), label="byte")
@@ -646,7 +652,7 @@ class TestCorruptedGridFile:
                 rows[draw(st.integers(0, 5), label="header line")][1] = draw(st.sampled_from(HEADER_LITERALS))
             else:
                 row = rows[draw(st.integers(6, len(rows) - 1), label="row")]
-                row[draw(st.integers(0, len(row) - 1), label="column")] = draw(st.sampled_from(FUZZ_LITERALS))
+                row[draw(st.integers(0, len(row) - 1), label="column")] = draw(st.sampled_from(literals))
             path.write_text("".join(" ".join(tokens) + "\n" for tokens in rows))
 
     @staticmethod
@@ -662,20 +668,25 @@ class TestCorruptedGridFile:
             (count,) = re.findall(r"(\d+) (?:problem|failure)\(s\)", out + err)
             assert len(faults) == int(count) > 0
 
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_validate_and_extract_agree(self, fuzz_run, data):
-        grids = sorted(p.relative_to(fuzz_run) for p in fuzz_run.glob("sim?/*/*.asc"))
+    @classmethod
+    def assert_a_damaged_file_agrees(cls, run, pattern, data, literals=FUZZ_LITERALS):
+        """Damage one file of a copy of ``run`` matching ``pattern``: validate and extract agree, in one-line faults."""
+        grids = sorted(p.relative_to(run) for p in run.glob(pattern))
         with tempfile.TemporaryDirectory() as root:
-            root = Path(shutil.copytree(fuzz_run, Path(root) / "run"))
-            self.damage(root / data.draw(st.sampled_from(grids), label="grid"), data.draw)
+            root = Path(shutil.copytree(run, Path(root) / "run"))
+            cls.damage(root / data.draw(st.sampled_from(grids), label="grid"), data.draw, literals)
             codes = []
             for command in ("validate", "extract"):
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     codes.append(main([command, "--config", str(root / "run.json")]))
-                self.assert_each_failure_in_one_line(codes[-1], out.getvalue(), err.getvalue())
+                cls.assert_each_failure_in_one_line(codes[-1], out.getvalue(), err.getvalue())
         assert codes[0] == codes[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_validate_and_extract_agree(self, fuzz_run, data):
+        self.assert_a_damaged_file_agrees(fuzz_run, "sim?/*/*.asc", data)
 
     @pytest.mark.parametrize("ncols", ["99999999999999999999", "1000000000000"])
     def test_a_header_too_large_to_allocate_is_one_fault(self, fuzz_run, tmp_path, capsys, ncols):
@@ -691,6 +702,38 @@ class TestCorruptedGridFile:
             self.assert_each_failure_in_one_line(code, out, err)
             assert code == 1
             assert [line for line in (out + err).splitlines() if fault in line and path.name in line]
+
+
+@pytest.fixture(scope="class")
+def daily_fuzz_run(fuzz_run, tmp_path_factory):
+    """fuzz_run's VNP46A2 dataset alone, each month's radiance and quality files split into two equal days."""
+    root = Path(shutil.copytree(fuzz_run / "simn", tmp_path_factory.mktemp("daily") / "simn"))
+    for path in sorted((root / "VNP46A2").glob("????-??.*")):
+        month, suffix = path.name.split(".", 1)
+        for day in ("01", "02"):
+            shutil.copyfile(path, path.with_name(f"{month}-{day}.{suffix}"))
+        path.unlink()
+    doc = json.loads((fuzz_run / "run.json").read_text())
+    doc["datasets"] = [{"kind": "VNP46A2", "raster_dir": "simn/VNP46A2"}]
+    doc["zones"] = "simn/zones.geojson"
+    write_json(root.parent / "run.json", doc)
+    return root.parent
+
+
+class TestCorruptedDailyFile:
+    """One damaged daily VNP46A2 file fails validate and extract alike, each fault in one line, never in a traceback."""
+
+    def test_the_undamaged_run_is_daily_files_and_extracts(self, daily_fuzz_run, tmp_path):
+        names = sorted(p.name for p in (daily_fuzz_run / "simn" / "VNP46A2").glob("*.asc"))
+        assert names[-1] == "built_fraction.asc"
+        assert len(names) == 17 and all(re.fullmatch(r"2018-\d\d-0[12](\.qf)?\.asc", name) for name in names[:-1])
+        root = Path(shutil.copytree(daily_fuzz_run, tmp_path / "run"))
+        assert main(["extract", "--config", str(root / "run.json")]) == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_validate_and_extract_agree(self, daily_fuzz_run, data):
+        TestCorruptedGridFile.assert_a_damaged_file_agrees(daily_fuzz_run, "simn/*/????-??-??.*", data, DAILY_LITERALS)
 
 
 # what one value of zones.geojson is retyped to: a string, a bool, null, a list, NaN and an integer past the float range
@@ -1220,15 +1263,41 @@ class TestWholeGridChecks:
         "word, detail",
         [
             ("8", "reserved background code 4 (raw value 8)"),
-            ("12.5", "reserved background code 6 (raw value 12)"),
+            ("12.5", "fractional quality value"),
             ("2098", "reserved bits 11-15 are set (raw value 2098)"),
         ],
     )
     def test_reserved_quality_word(self, tmp_path, capsys, word, detail):
         config = self.build_run(tmp_path, "VNP46A2")
         (tmp_path / "data" / "2018-09.qf.asc").write_text(self.HEADER + f"50 50 {word} 30000\n")
-        # the smallest reserved word of the file is named
+        # the smallest reserved word of the file is named; a fractional word is refused before any is decoded
         self.assert_one_line_failure(config, f"VNP46A2: {detail} in 2018-09.qf.asc", capsys)
+
+    @pytest.mark.parametrize("kind, daily", [("VSC-NTL", False), ("VNP46A2", False), ("VNP46A2", True)])
+    @pytest.mark.parametrize(
+        "value, fault",
+        [
+            ("0.5", "fractional quality value"),
+            ("65535.5", "fractional quality value"),
+            ("-1", "negative quality value"),
+            ("65536", "quality {} of 2^16 or more"),
+            ("1e5", "quality {} of 2^16 or more"),
+        ],
+        ids=["0.5", "65535.5", "-1", "65536", "1e5"],
+    )
+    def test_quality_cell_outside_16_bit_integers(self, tmp_path, capsys, kind, daily, value, fault):
+        config = self.build_run(tmp_path, kind)
+        name = "2018-10.qf.asc"
+        if daily:  # the month as two days, the second holding the bad cell; no monthly file shadows them
+            for path in (tmp_path / "data").glob("2018-10.*"):
+                path.unlink()
+            for day in ("01", "02"):
+                (tmp_path / "data" / f"2018-10-{day}.asc").write_text(self.HEADER + "3 5 7 9\n")
+                (tmp_path / "data" / f"2018-10-{day}.qf.asc").write_text(self.HEADER + "50 50 50 50\n")
+            name = "2018-10-02.qf.asc"
+        (tmp_path / "data" / name).write_text(self.HEADER + f"50 50 {value} 50\n")
+        fault = fault.format("word" if kind == "VNP46A2" else "value")
+        self.assert_one_line_failure(config, f"{kind}: {fault} in {name}", capsys)
 
     def test_reserved_daily_quality_word(self, tmp_path, capsys):
         config = self.build_run(tmp_path, "VNP46A2")
@@ -1615,6 +1684,10 @@ class TestMalformedValues:
             # past the scene cell cap: a width that overflows a float, and a grid too large to allocate
             pytest.param("grid", {**VSC_SCENE["grid"], "ncols": 10**400}, "grid", id="ncols-10**400"),
             pytest.param("grid", {**VSC_SCENE["grid"], "ncols": 10**5, "nrows": 10**5}, "grid", id="10**10-cells"),
+            # within the cap, but its far corner is past the float range
+            pytest.param(
+                "grid", {**VSC_SCENE["grid"], "ncols": 5000, "nrows": 2, "cell_size": 1e308}, "grid", id="extent"
+            ),
         ],
     )
     def test_scene_spec_value_writes_nothing(self, tmp_path, capsys, key, value, named):

@@ -25,7 +25,6 @@ from ntlpipe import (
     config_from_label,
     decode_vnp46a2_quality,
     generate_scene,
-    high_quality_mask,
     is_high_quality_vnp46a2,
     rect_ring,
     tile_zones,
@@ -175,13 +174,17 @@ def test_largest_16_bit_word_is_named_as_reserved(tmp_path):
     assert str(raised.value) == "reserved bits 11-15 are set (raw value 65535) in 2018-09.qf.asc"
 
 
-# words a 16-bit cast would wrap or pass, with the message the load refuses each with (65536 is tested above)
+# words a 16-bit cast would wrap, pass or truncate, with the message the load refuses each with (65536 is tested above)
 REFUSED_WORDS = [
     ("65586", "quality word of 2^16 or more in {}"),  # 2^16 + 50: 50 in 16 bits, a trusted word
     ("-1", "negative quality value in {}"),
     ("-65486", "negative quality value in {}"),  # 50 - 2^16
     ("8", "reserved background code 4 (raw value 8) in {}"),
     ("2098", "reserved bits 11-15 are set (raw value 2098) in {}"),  # 2^11 + 50
+    ("12.5", "fractional quality value in {}"),
+    ("50.5", "fractional quality value in {}"),
+    ("-0.5", "negative quality value in {}"),
+    ("65535.5", "fractional quality value in {}"),
 ]
 
 
@@ -196,27 +199,42 @@ def test_no_vnp46a2_word_is_narrowed_before_it_is_checked(tmp_path, word, messag
     assert str(raised.value) == message.format(name)
 
 
-def test_fractional_vnp46a2_word_keeps_a_float_cube_and_is_not_trusted(tmp_path):
-    scene, dataset = written_scene(tmp_path, Dataset.VNP46A2)
-    (tmp_path / "2018-09.qf.asc").write_text(HEADER + "\n".join(["50.5 50 50 50 50 50"] * 5) + "\n")
-    _, quality_stack, _ = load(dataset)
-    # the months before it went into a uint16 cube, which then became float64
-    assert quality_stack.values.dtype == np.float64
-    fractional = quality_stack.months.index(MonthIndex(2018, 9))
-    others = [i for i in range(len(quality_stack.months)) if i != fractional]
-    assert np.array_equal(quality_stack.values[others], scene.quality.values[others])
-    high = high_quality_mask(quality_stack, Dataset.VNP46A2)
-    assert not high[fractional][:, 0].any()
-    assert high[fractional][:, 1:].all()
-
-
-def test_vscntl_counts_of_2_16_or_more_load_as_int64(tmp_path):
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ("0.5 1 1 1 1 1", "fractional quality value in 2018-09.qf.asc"),
+        ("65536 1 1 1 1 1", "quality value of 2^16 or more in 2018-09.qf.asc"),
+        ("1 1 1 1 1 9007199254740992", "quality value of 2^16 or more in 2018-09.qf.asc"),
+    ],
+)
+def test_vscntl_count_outside_16_bit_integers_is_named(tmp_path, counts, message):
     _, dataset = written_scene(tmp_path, Dataset.VSC_NTL)
-    counts = [65535, 65536, 65586, 1, 0, 2**53]
+    (tmp_path / "2018-09.qf.asc").write_text(HEADER + "\n".join([counts] * 5) + "\n")
+    with pytest.raises(ConfigError) as raised:
+        load(dataset)
+    assert str(raised.value) == message
+
+
+def test_vscntl_counts_up_to_65535_load_as_int64(tmp_path):
+    _, dataset = written_scene(tmp_path, Dataset.VSC_NTL)
+    counts = [65535, 65534, 2, 1, 0, 31]
     (tmp_path / "2018-09.qf.asc").write_text(HEADER + "\n".join([" ".join(map(str, counts))] * 5) + "\n")
     _, quality_stack, _ = load(dataset)
     assert quality_stack.values.dtype == np.int64
     assert quality_stack.get(MonthIndex(2018, 9)).values.tolist() == [counts] * 5
+
+
+@pytest.mark.parametrize("kind", list(Dataset))
+def test_quality_spelled_as_reals_loads_the_same_cube(tmp_path, kind):
+    # 50.0 and 50 read as one float, and the check turns either into one integer word
+    _, dataset = written_scene(tmp_path, kind)
+    integers = load(dataset)[1]
+    for path in tmp_path.glob("*.qf.asc"):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:6] + [" ".join(f"{tok}.0" for tok in line.split()) for line in lines[6:]]))
+    reals = load(dataset)[1]
+    assert reals.values.dtype == integers.values.dtype == kind.word_dtype
+    assert reals == integers
 
 
 def daily_month(directory, radiance_rows, quality_rows):
@@ -256,13 +274,12 @@ class TestDailyMonth:
         assert composite.values[0, :5].tolist() == [4.0, 5.0, 2.0, 1.0, 2.0]
         assert composite.missing[0].tolist() == [False] * 5 + [True]
 
-    def test_fractional_daily_quality_word_is_low_quality(self, tmp_path):
-        words = ["50.5 50 50 50 50 50", "50.5 50 50 50 50 50", "50 50 50 50 50 50.5"]
+    def test_fractional_daily_quality_word_is_named(self, tmp_path):
+        words = ["50 50 50 50 50 50", "50 50 50 50 50 50", "50 50 50 50 50 50.5"]
         dataset = daily_month(tmp_path, ["1.5 2.5 3.5 4.5 5.5 6.5"] * 3, words)
         month = MonthIndex(2018, 10)
-        _, quality_stack, _ = load(dataset, month, month)
-        high, low = VNP46A2_HIGH_QUALITY_CODE, VNP46A2_LOW_QUALITY_CODE
-        assert quality_stack.get(month).values[0].tolist() == [low, high, high, high, high, high]
+        with pytest.raises(ConfigError, match=r"^fractional quality value in 2018-10-03\.qf\.asc$"):
+            load(dataset, month, month)
 
     def test_huge_daily_radiance_composites_to_a_finite_month(self, tmp_path):
         dataset = daily_month(tmp_path, ["1e308 1 1 1 1 1"] * 3, ["50 50 50 50 50 50"] * 3)

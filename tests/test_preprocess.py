@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ntlpipe import (
@@ -54,6 +54,20 @@ def make_stack(spec, start, frames, missing=None):
 def vsc_quality_stack(spec, start, counts):
     months = month_range(start, len(counts))
     return RasterStack(tuple(months), tuple(IntRaster(spec, c) for c in counts))
+
+
+@st.composite
+def near_limit_histories(draw):
+    """(frames, counts): 1-16 months of 1-4 pixels' values, anywhere in the float range, and their cloud-free counts.
+
+    Up to 16 months, so the 12-month imputation window cuts some histories short.
+    """
+    n, k = draw(st.integers(1, 16)), draw(st.integers(1, 4))
+    limit = 1.7976931348623157e308
+    low = draw(st.sampled_from([0.0, -limit]))
+    frames = [draw(st.lists(st.floats(low, limit), min_size=k, max_size=k)) for _ in range(n)]
+    counts = [draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)) for _ in range(n)]
+    return frames, counts
 
 
 class TestThreshold:
@@ -325,15 +339,14 @@ class TestQualityFilterAndImpute:
         assert out[0, 1] == (0.5 * 1.0 + 1.0 * 2.0) / 1.5
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_matches_scalar_impute_near_the_float_limit(self, data):
-        # up to 16 months, so the 12-month imputation window cuts some histories short
-        n, k = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 4))
+    @given(history=near_limit_histories())
+    # all subnormal: the exact means are 5/3 and 24/5 of the least subnormal, and impute_pixel gives 1 and 2
+    @example(history=([[5e-324], [1e-323], [1e-323]], [[1], [1], [0]]))
+    @example(history=([[4.4e-323], [0.0], [1e-323], [0.0], [0.0], [0.0], [0.0]], [[1], [0], [1], [0], [0], [0], [0]]))
+    def test_matches_scalar_impute_near_the_float_limit(self, history):
+        frames, counts = history
+        n, k = len(frames), len(frames[0])
         spec = GridSpec(ncols=k, nrows=1, x_origin=0.0, y_origin=0.0, cell_size=1.0)
-        limit = 1.7976931348623157e308
-        low = data.draw(st.sampled_from([0.0, -limit]))
-        frames = [data.draw(st.lists(st.floats(low, limit), min_size=k, max_size=k)) for _ in range(n)]
-        counts = [data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)) for _ in range(n)]
         window = IMPUTATION_WINDOW_MONTHS
         start = MonthIndex(2019, 1)
         stack, quality = make_stack(spec, start, frames), vsc_quality_stack(spec, start, counts)
@@ -350,10 +363,15 @@ class TestQualityFilterAndImpute:
                 got = out.values[i, 0, c]
                 contributors = [(Fraction(1.0 / (i - j)), v) for j, v, hq in history if hq and i - j <= window]
                 exact = sum(w * Fraction(v) for w, v in contributors) / sum(w for w, _ in contributors)
-                scale = max(abs(v) for _, v in contributors)
+                # Among subnormals 1e-12 * scale rounds to 0, finer than the floats' spacing there, math.ulp(0.0),
+                # so no float could meet it. There each weighted term rounds by up to half that spacing, which the
+                # division by the total weight magnifies, and the division and float(exact) round once each.
+                total = float(sum(w for w, _ in contributors))
+                floor = (len(contributors) / (2 * total) + 1) * math.ulp(0.0)
+                bound = max(1e-12 * max(abs(v) for _, v in contributors), floor)
                 for value in (expected, got):
                     assert min(v for _, v in contributors) <= value <= max(v for _, v in contributors)
-                    assert abs(value - float(exact)) <= 1e-12 * scale
+                    assert abs(value - float(exact)) <= bound
 
     def test_misaligned_stacks_rejected(self):
         start = MonthIndex(2018, 1)

@@ -1,6 +1,7 @@
 """Tests for quality-word decoding and high-quality pixel classification."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from ntlpipe import (
     IntRaster,
     QualityDecodeError,
     QualityFlags,
-    RasterGrid,
     decode_vnp46a2_quality,
     encode_vnp46a2_quality,
     high_quality_mask,
@@ -88,8 +88,19 @@ class TestDecode:
             except QualityDecodeError:
                 reserved.append(word)
         assert np.flatnonzero(vnp46a2_reserved(np.arange(1 << 16))).tolist() == reserved
-        # fractional words truncate as int() does
-        assert vnp46a2_reserved(np.array([8.9, 50.5, 12.0])).tolist() == [True, False, True]
+        assert np.flatnonzero(vnp46a2_reserved(np.arange(1 << 16, dtype=np.uint16))).tolist() == reserved
+
+    def test_reserved_check_makes_no_word_sized_temporary(self):
+        # bits 0-3 go straight into uint8, so an int64 array of words is never copied whole as int64
+        words = np.arange(1 << 18, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            vnp46a2_reserved(words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the uint8 bits and three boolean arrays are four bytes a word; an int64 temporary would add eight
+        assert peak < 6 * words.size
 
     def test_reserved_high_bits_rejected(self):
         for bit in range(11, 16):
@@ -212,11 +223,6 @@ class TestHighQualityMask:
         mask = high_quality_mask(words, Dataset.VNP46A2)
         assert np.array_equal(mask, [[True, False], [True, False]])
 
-    def test_fractional_word_is_low_quality(self, spec):
-        words = RasterGrid(spec, [114.0, 114.5, 50.0, 50.25])
-        mask = high_quality_mask(words, Dataset.VNP46A2)
-        assert np.array_equal(mask, [[True, False], [True, False]])
-
     def test_reserved_code_in_raster_surfaces_decode_error(self, spec):
         words = IntRaster(spec, [114, 8, 114, 114])  # 8 = background code 4
         with pytest.raises(QualityDecodeError):
@@ -279,32 +285,25 @@ def outcome(function, words, valid):
 
 
 # trusted and valid low-quality words, reserved ones (background codes 4, 6 and 7;
-# bits 11-15), words outside [0, 2^16) (-5 and -6 hold background code 5 in
-# their low bits, as -10 holds 3) and any other
-INT_WORDS = st.one_of(
+# bits 11-15) and any other 16-bit word
+UINT16_WORDS = st.one_of(
     st.sampled_from([50, 51, 114, 115, 0, 242, 370, 1074]),
     st.sampled_from([8, 12, 14, 2048, 2098, 65535]),
-    st.sampled_from([-1, -2, -5, -6, -10, 1 << 16, (1 << 16) + 50]),
-    st.integers(-40, 2047),
-    st.integers(-(2**63), 2**63 - 1),
+    st.integers(0, 2047),
+    st.integers(0, 2**16 - 1),
 )
-# fractional words truncate as int() does: -0.5 is word 0, 50.5 is 50 but never trusted
-FLOAT_WORDS = st.one_of(
-    INT_WORDS.map(float),
-    st.sampled_from([-0.5, -1.0, -1.5, -5.5, 50.5, 114.25, 8.9, 2047.5, 65535.5, 65536.0, 1e300, -1e300]),
-    st.floats(-40.0, 2050.0),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
+# and, in an int64 array, words of 2^16 or more (2^16 + 50 holds a trusted word in its low 16 bits)
+INT_WORDS = st.one_of(UINT16_WORDS, st.sampled_from([1 << 16, (1 << 16) + 50]), st.integers(0, 2**63 - 1))
 
 
 @st.composite
 def word_arrays(draw):
-    """(words, valid): an int64 or float64 array of 1-3 dimensions, and which of its cells are valid."""
+    """(words, valid): an int64 or uint16 array of 1-3 dimensions of non-negative words, and which are valid."""
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
     size = int(np.prod(shape))
-    floats = draw(st.booleans())
-    elements = draw(st.lists(FLOAT_WORDS if floats else INT_WORDS, min_size=size, max_size=size))
-    words = np.array(elements, dtype=np.float64 if floats else np.int64).reshape(shape)
+    narrow = draw(st.booleans())
+    elements = draw(st.lists(UINT16_WORDS if narrow else INT_WORDS, min_size=size, max_size=size))
+    words = np.array(elements, dtype=np.uint16 if narrow else np.int64).reshape(shape)
     valid = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(shape)
     return words, valid
 

@@ -29,7 +29,6 @@ from ntlpipe import (
     Zone,
     ZoneMask,
     ZoneSeries,
-    as_float,
     build_zone_series,
     config_from_label,
     enumerate_configs,
@@ -550,7 +549,7 @@ def loaded_chain_inputs(draw, dataset):
         ]
         for day, (day_radiance, day_words) in enumerate(zip(days, words), start=1):
             files += [(f"{month}-{day:02d}.asc", day_radiance), (f"{month}-{day:02d}.qf.asc", day_words)]
-        radiance[month] = as_float(monthly_median_composite(days))
+        radiance[month] = monthly_median_composite(days)
         quality[month] = _majority_quality_composite(words)
     monthly = [month for month in kept if month not in daily]
     files += [(f"{month}.asc", radiance[month]) for month in monthly]
