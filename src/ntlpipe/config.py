@@ -8,7 +8,6 @@ rendered. Relative paths resolve against the config file's directory.
 """
 
 import json
-import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
@@ -237,8 +236,8 @@ _GRID = {
     "cell_size": (_number, _REQUIRED, "number, the side of a cell"),
 }
 # the most cells a scene grid may have: 2^25, which holds a 2x2 block of 2400x2400 VNP46A2 tiles, or
-# nearly twelve times Florida's 2,845,440 cells at 15"; a larger grid is refused before any size is
-# computed in float or allocated, so before simulate writes anything
+# nearly twelve times Florida's 2,845,440 cells at 15"; a larger grid is refused before any array is
+# allocated, so before simulate writes anything
 SCENE_MAX_CELLS = 2**25
 
 
@@ -246,9 +245,6 @@ def _scene_grid(**geometry):
     grid = GridSpec(**geometry)
     if grid.size > SCENE_MAX_CELLS:
         raise ValueError(f"{grid.nrows} rows of {grid.ncols} cells are more than a scene's {SCENE_MAX_CELLS} cells")
-    far = (grid.x_origin + grid.ncols * grid.cell_size, grid.y_origin + grid.nrows * grid.cell_size)
-    if not all(map(math.isfinite, far)):
-        raise ValueError(f"far corner {far} is past the float range")
     return grid
 
 

@@ -60,6 +60,12 @@ class GridSpec:
             raise ValueError(f"grid must be at least 1x1, got {self.nrows}x{self.ncols}")
         if not self.cell_size > 0:
             raise ValueError(f"cell_size must be positive, got {self.cell_size}")
+        try:
+            far = (self.x_origin + self.ncols * self.cell_size, self.y_origin + self.nrows * self.cell_size)
+        except OverflowError:  # a count past the float range
+            far = (math.inf, math.inf)
+        if not all(map(math.isfinite, far)):
+            raise ValueError(f"far corner {far} is past the float range")
 
     @property
     def shape(self):
@@ -172,6 +178,8 @@ class IntRaster(_RasterMixin):
     _dtype = np.int64
 
 
+_CHECK_CELLS = 4096  # cells read_grid converts, and write_grid checks against the sentinel, at once
+
 _HEADER_KEYS = {
     "ncols": int,
     "nrows": int,
@@ -191,9 +199,11 @@ def read_grid(path):
     malformed header or data line, on text that is not UTF-8, and, naming
     the path, on a file that cannot be read.
 
-    Only the header lines are split into tokens. A well-formed body goes
-    through numpy's C text reader in one call; any other body goes to the
-    line-by-line loop, which finds the first fault and names its line.
+    Only the header lines are split into tokens. A well-formed body is
+    read by np.loadtxt in one call when its cells are spelled short, and
+    by orjson a block of rows per call when they are spelled long; any
+    other body goes to the line-by-line loop, which finds the first fault
+    and names its line.
     """
     path = Path(path)
     try:
@@ -251,24 +261,92 @@ def read_grid(path):
 
 
 def _convert_body(spec, body_lines):
-    """The values of a well-formed body in one np.loadtxt call; None if any check fails.
+    """The values of a well-formed body, by np.loadtxt or by orjson; None if any check fails.
 
     body_lines come from str.splitlines, so rows end where they end for
-    _parse_body. loadtxt splits a line where str.split does and converts
-    each token with PyOS_string_to_double, as float() does, but only plain
-    ASCII tokens: no '_', non-ASCII digit or surrounding junk. So a body
+    _parse_body. The reader is chosen by how long the cells are spelled
+    (see _JSON_CHARS): short tokens go to np.loadtxt in one call, long
+    ones to orjson a block of rows per call (see _json_cells). Both read
+    a token as float() does, bit for bit, where they read it at all;
+    neither takes every token float() takes, and such a body, or one
+    with a value past the float range, goes to _parse_body. So a body
     that passes every check here gets the same bits as from _parse_body;
-    the differential tests in tests/test_grid.py hold the two together.
+    the differential tests in tests/test_grid.py hold the three together.
     """
-    if not any(map(str.strip, body_lines)):
-        return None  # no data row; loadtxt would warn, and _parse_body names the fault
-    try:
-        values = np.loadtxt(body_lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
+    rows = [row for row in map(str.strip, body_lines) if row]
+    chars = sum(map(len, rows))
+    # each cell takes a character at least, so the header alone never sizes an array
+    if len(rows) != spec.nrows or chars < spec.size:
         return None
-    if values.shape != spec.shape or not np.isfinite(values).all():
+    if chars < _JSON_CHARS * spec.size:
+        try:
+            # loadtxt splits a line where str.split does and converts a token with
+            # PyOS_string_to_double, as float() does, but only plain ASCII tokens
+            values = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            return None
+    else:
+        values = _json_cells(spec, rows)
+    if values is None or values.shape != spec.shape or not np.isfinite(values).all():
         return None
     return values
+
+
+# the mean characters a cell takes, its separator counted, from which orjson reads a body faster than np.loadtxt.
+# loadtxt converts a token of 16 or 17 digits, as write_grid and the repr of a float32 value spell them, four to six
+# times slower than a short one, while orjson takes about as long on either. Up to about 8 characters a cell, as
+# 23.4 or 65535 take, loadtxt is the faster, the more so on integers, which orjson makes Python ints; from 9 to 15
+# the two are about even.
+_JSON_CHARS = 12
+
+
+def _json_cells(spec, rows):
+    """The values of stripped rows read by orjson, a block of rows per call; None if a block cannot be read."""
+    values = np.empty(spec.shape)
+    # a block of rows at a time, so only a block's cells are ever Python floats
+    step = max(1, _CHECK_CELLS // spec.ncols)
+    for lo in range(0, spec.nrows, step):
+        cells = _block_cells(rows[lo : lo + step])
+        if cells is None or cells.shape != values[lo : lo + step].shape:
+            return None
+        values[lo : lo + step] = cells
+    return values
+
+
+# JSON strings, arrays, objects and the literals true, false and null; and the comma, which would split a token in two
+_NOT_CELLS = '"[]{},tfn'
+
+
+def _block_cells(rows):
+    """The cells of a block of stripped rows, as orjson reads them; None where it cannot, or could read them wrong.
+
+    Rows whose cells are one space apart are read as ``[[a,b],[c,d]]``
+    made with two replaces; rows spaced any other way are rebuilt from
+    their str.split tokens. Either way each cell is followed by ``,`` or
+    ``]``, so a ``-0`` token, which orjson reads as the integer 0 where
+    float() reads -0.0, shows as ``-0,`` or ``-0]``.
+    """
+    block = "\n".join(rows)
+    if any(char in block for char in _NOT_CELLS):
+        return None
+    import orjson  # here, not at the top: a command that reads no long-spelled grid need not load it
+
+    for text in _json_forms(block, rows):
+        try:
+            cells = np.array(orjson.loads(text), dtype=np.float64)
+        except ValueError:  # not JSON numbers, or rows of unequal length
+            continue
+        if "-" in block and not cells.all() and ("-0," in text or "-0]" in text):
+            return None
+        return cells
+    return None
+
+
+def _json_forms(block, rows):
+    """The JSON texts of a block to try, fastest first."""
+    if "\t" not in block:  # a tab is JSON whitespace: "-0\t 1" would become "-0\t,1"
+        yield "[[" + block.replace(" ", ",").replace("\n", "],[") + "]]"
+    yield "[[" + "],[".join(",".join(row.split()) for row in rows) + "]]"
 
 
 def _parse_body(spec, data_lines):
@@ -301,7 +379,6 @@ def _parse_body(spec, data_lines):
 
 
 NODATA = -9999  # the sentinel write_grid writes in missing cells: -9999 in an IntRaster, -9999.0 in a RasterGrid
-_CHECK_CELLS = 4096  # cells write_grid checks against the sentinel at once
 
 
 def write_grid(grid, path):
@@ -354,7 +431,7 @@ def _format_row(row):
         size = np.abs(row)  # nan fails both comparisons, so a row holding one keeps repr
         if not ((size < 1e16) & ((size >= 1e-4) | (size == 0))).all():
             return " ".join(map(repr, row.tolist()))
-    import orjson  # here, not at the top: only simulate writes grids, and the other commands need not load it
+    import orjson  # here, not at the top: only simulate writes grids, and report touches none
 
     return orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b",", b" ").decode()
 

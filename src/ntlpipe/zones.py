@@ -212,8 +212,9 @@ def rasterize_zone(zone, spec):
     xs = spec.center_xs()
     ys = spec.center_ys()
     vertices = np.concatenate(zone.rings)
-    x_lo, y_lo = vertices.min(axis=0) - spec.cell_size
-    x_hi, y_hi = vertices.max(axis=0) + spec.cell_size
+    with np.errstate(over="ignore"):  # a box padded past the float range is bounded by an infinity, as it should be
+        x_lo, y_lo = vertices.min(axis=0) - spec.cell_size
+        x_hi, y_hi = vertices.max(axis=0) + spec.cell_size
     cols = np.flatnonzero((x_lo <= xs) & (xs <= x_hi))
     rows = np.flatnonzero((y_lo <= ys) & (ys <= y_hi))
     inside = np.zeros(spec.shape, dtype=bool)
@@ -279,11 +280,13 @@ def zone_columns(zones, spec):
     row-major flat indices on ``spec``, the inside cells of
     rasterize_zone. ``positions`` maps each zone_id, in zone order, to the
     zone's inside cells as ascending positions within ``cells``. ``row``
-    is the one-row GridSpec of ``cells``, at the grid's origin and cell
-    size, and ``cut`` takes a raster on ``spec`` down to it, or
-    leaves it whole when ``cells`` is every cell. Taking
-    ``cells`` keeps row-major order, so zonal_means on a cut raster sums
-    each zone's values in zonal_mean's order. When no zone covers a
+    is the one-row GridSpec of ``cells``, at the grid's origin, of unit
+    cells: no cell of a cut sits where the row would put it anyway, and
+    a row of unit cells ends inside the float range at any length, where
+    a row of the grid's cells might not. ``cut`` takes a raster on
+    ``spec`` down to it, or leaves it whole when ``cells`` is every cell.
+    Taking ``cells`` keeps row-major order, so zonal_means on a cut raster
+    sums each zone's values in zonal_mean's order. When no zone covers a
     pixel-centre, ``cells`` is cell 0 alone, named by no zone, so a cut
     raster still has a cell.
 
@@ -295,7 +298,7 @@ def zone_columns(zones, spec):
         inside[zone.zone_id] = index = np.flatnonzero(rasterize_zone(zone, spec).inside)
         covered[index] = True
     cells = np.flatnonzero(covered) if covered.any() else np.zeros(1, dtype=np.intp)
-    row = GridSpec(cells.size, 1, spec.x_origin, spec.y_origin, spec.cell_size)
+    row = GridSpec(cells.size, 1, spec.x_origin, spec.y_origin, 1.0)
     return ZoneColumns(row, cells, {zone_id: np.searchsorted(cells, index) for zone_id, index in inside.items()})
 
 

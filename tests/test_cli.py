@@ -248,15 +248,17 @@ class TestImportsPerCommand:
         return done.stdout.splitlines()[-1].split()
 
     def test_only_simulate_draws_and_no_command_loads_numpy_ma(self, tmp_path):
-        # numpy.ma costs each process 10-14 ms and 1.3 MiB; np.unique would import it. Only simulate
-        # writes grids, so only simulate loads their row formatter's orjson
+        # numpy.ma costs each process 10-14 ms and 1.3 MiB; np.unique would import it. orjson writes grid
+        # rows and reads long-spelled ones, as simulate spells radiance, so validate and extract load it
+        # here (2-5 ms); report reads no grid
         for name, scene in (("simv", VSC_SCENE), ("simn", VNP_SCENE)):
             path = write_json(tmp_path / f"{name}.json", scene)
             loaded = self.run_command(tmp_path, "simulate", "--config", str(path), "--out", str(tmp_path / name))
             assert loaded == ["0", "numpy.random", "orjson"]
         config = str(write_json(tmp_path / "run.json", run_config_doc()))
-        for command in ("validate", "extract", "report"):
-            assert self.run_command(tmp_path, command, "--config", config) == ["0"]
+        for command in ("validate", "extract"):
+            assert self.run_command(tmp_path, command, "--config", config) == ["0", "orjson"]
+        assert self.run_command(tmp_path, "report", "--config", config) == ["0"]
 
 
 class TestSimulateMemory:
@@ -1369,6 +1371,52 @@ class TestOverflowingChange:
         assert main(["report", "--config", str(config)]) == 0
         for name in ("case_study.csv", "report.csv"):
             assert "inf" not in (tmp_path / "out" / name).read_text()
+
+
+class TestExtentPastTheFloatRange:
+    """Grids and zones whose coordinates pass the float range: a clean refusal or a clean run, never a numpy warning.
+
+    pytest turns every warning into an error, so a warning from the chain fails extract here.
+    """
+
+    def build_run(self, root, ncols, nrows, cellsize, corner):
+        (root / "data").mkdir()
+        header = f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\ncellsize {cellsize}\nNODATA_value -9999\n"
+        body = "\n".join(" ".join(["1"] * ncols) for _ in range(nrows))
+        for month in ("2018-09", "2018-10", "2018-11"):
+            (root / "data" / f"{month}.asc").write_text(f"{header}{body}\n")
+        ring = [[0, 0], [corner, 0], [corner, corner], [0, corner], [0, 0]]
+        zone = {
+            "type": "Feature",
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+            "properties": {"zone_id": "Z1", "damage_ratio": 0.5, "population": 10},
+        }
+        write_json(root / "zones.geojson", {"type": "FeatureCollection", "features": [zone]})
+        doc = {**run_config_doc(), "datasets": [{"kind": "VSC-NTL", "raster_dir": "data"}], "configs": ["raw"]}
+        return write_json(root / "run.json", {**doc, "zones": "zones.geojson", "months_before": 1, "months_after": 1})
+
+    def test_grid_whose_far_corner_overflows_is_refused_at_its_cellsize_line(self, tmp_path, capsys):
+        config = self.build_run(tmp_path, 3, 1, "1e308", 1e308)
+        message = "VSC-NTL: unreadable grid 2018-09.asc: line 5: far corner (inf, 1e+308) is past the float range"
+        assert main(["validate", "--config", str(config)]) == 1
+        assert [line for line in capsys.readouterr().out.splitlines() if "problem:" in line] == [f"  problem: {message}"]
+        assert main(["extract", "--config", str(config)]) == 1
+        assert [line for line in capsys.readouterr().err.splitlines() if "failed:" in line] == [f"  failed: {message}"]
+
+    @pytest.mark.parametrize(
+        "ncols, cellsize, corner",
+        [
+            pytest.param(1, "1e308", 1e308, id="padded-box"),  # the zone's box, padded by a cell, reaches infinity
+            pytest.param(2, "6e307", 1.2e308, id="cut-row"),  # a row of four of the grid's cells passes the float range
+        ],
+    )
+    def test_zone_box_past_the_float_range_extracts(self, tmp_path, capsys, ncols, cellsize, corner):
+        config = self.build_run(tmp_path, ncols, ncols, cellsize, corner)
+        assert main(["validate", "--config", str(config)]) == 0
+        assert main(["extract", "--config", str(config)]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        series = read_series_csv(tmp_path / "out" / "VSC-NTL" / "raw" / "TestStorm" / "Z1.csv")
+        assert series.values == (1.0, 1.0, 1.0)
 
 
 class TestReportIsBuildReport:

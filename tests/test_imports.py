@@ -54,7 +54,8 @@ def test_every_exported_name_is_defined(path):
 
 
 def test_importing_the_cli_does_not_load_orjson():
-    # only simulate writes grids, so orjson loads on its first row; every command pays the CLI's import
+    # orjson loads on the first grid row written or long-spelled body read, so report, which touches no grid, never
+    # pays for it, nor does a command whose grids are all spelled short
     code = "import sys, ntlpipe.cli; print('orjson' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent, capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"

@@ -393,17 +393,25 @@ def test_vnp46a2_quality_cube_takes_two_bytes_per_kept_cell_month(tmp_path, days
     kept = len(months) * 60 * 50
     configs = [config_from_label(Dataset.VNP46A2, "quality")]
     lo, hi = MonthIndex(2018, 9), MonthIndex(2018, 11)
-    load_dataset(dataset, lo, hi, configs, (zone,))  # imports and caches are not the stack's cost
     tracemalloc.start()
     try:
         quality_stack = load_dataset(dataset, lo, hi, configs, (zone,))[1]
         gc.collect()
-        with_stack = tracemalloc.get_traced_memory()[0]
+        with_stack = array_bytes(tracemalloc.take_snapshot())
         assert quality_stack.values.dtype == np.uint16 and quality_stack.values.size == kept
         del quality_stack
         gc.collect()
-        held = with_stack - tracemalloc.get_traced_memory()[0]
+        held = with_stack - array_bytes(tracemalloc.take_snapshot())
     finally:
         tracemalloc.stop()
-    # the word and the missing flag, and 1 KiB for the stack's Python objects; int64 words would hold 9 B
+    # the word and the missing flag, and 1 KiB to spare; int64 words would hold 9 B
     assert held <= (2 + 1) * kept + 1024
+
+
+def array_bytes(snapshot):
+    """The bytes of numpy array data in a tracemalloc snapshot, which numpy traces in a domain of its own.
+
+    Only the arrays: the Python objects a load leaves, such as its months' ints, vary in size with what ran before.
+    """
+    arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(trace.size for trace in arrays.traces)
