@@ -88,6 +88,7 @@ from .timeseries import (
     rolling_baseline,
     rolling_baselines,
     series_by_config,
+    spell_table,
     write_series_csv,
 )
 from .zones import (

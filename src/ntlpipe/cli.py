@@ -46,6 +46,7 @@ from .timeseries import (
     percent_changes,
     read_series_csv,
     series_by_config,
+    spell_table,
     write_series_csv,
 )
 from .zones import read_zones, write_zones
@@ -158,13 +159,14 @@ def cmd_extract(args):
             for hurricane, table in zip(run.hurricanes, tables):
                 series_dir = _series_dir(out_dir, dataset, config.label, hurricane.name)
                 series_dir.mkdir(parents=True, exist_ok=True)
-                rows = zip(positions, table.tolist(), percent_changes(table).tolist())
-                for zone_id, values, changes in rows:
+                start = hurricane.window.start
+                rows = zip(positions, table.tolist(), spell_table(table, percent_changes(table)))
+                for zone_id, values, fields in rows:
                     path = series_dir / f"{zone_id}.csv"
                     if path.exists() and not args.force:
                         failures.append(f"{path}: exists (use --force to overwrite)")
                         continue
-                    write_series_csv(ZoneSeries(zone_id, hurricane.window.start, values), path, changes)
+                    write_series_csv(ZoneSeries(zone_id, start, values), path, fields)
                     written += 1
 
     print(f"extract: wrote {written} series file(s) under {out_dir}")
@@ -261,9 +263,10 @@ def _write_case_study_csv(path, run, top, bottom, zones, tables):
         for dataset, configs in run.datasets:
             for config, hurricane in product(configs, run.hurricanes):
                 changes = percent_changes(tables[dataset.name, config.label, hurricane.name][rows]).tolist()
+                months = hurricane.window.months()
                 for (group, zone), zone_changes in zip(groups, changes):
                     columns = [dataset.name, config.label, hurricane.name, group, zone.zone_id]
-                    for month, change in zip(hurricane.window.months(), zone_changes):
+                    for month, change in zip(months, zone_changes):
                         text = "" if np.isnan(change) else repr(change)
                         writer.writerow(columns + [month.year, month.month, text])
 

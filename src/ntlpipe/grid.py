@@ -207,7 +207,7 @@ def read_grid(path):
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        lines = _lines(path.read_text())
     except OSError as exc:
         raise GridParseError(f"{exc.strerror}: {path}") from None
     except UnicodeDecodeError as exc:
@@ -260,18 +260,38 @@ def read_grid(path):
     return RasterGrid(spec, values, values == header["nodata_value"])
 
 
+# str.splitlines' line boundaries in ASCII text besides "\n"
+_OTHER_ASCII_BOUNDARIES = "\r\v\f\x1c\x1d\x1e"
+
+
+def _lines(text):
+    """text.splitlines(): split at "\n" alone where the text holds no other line boundary.
+
+    splitlines checks every character against its eleven boundaries; ASCII
+    text (isascii is O(1)) can hold only the six "\n" and these, each
+    looked for by one fast scan.
+    """
+    if not text.isascii() or any(boundary in text for boundary in _OTHER_ASCII_BOUNDARIES):
+        return text.splitlines()
+    lines = text.split("\n")
+    if lines[-1] == "":  # a final "\n" ends the last line, and starts none
+        lines.pop()
+    return lines
+
+
 def _convert_body(spec, body_lines):
     """The values of a well-formed body, by np.loadtxt or by orjson; None if any check fails.
 
-    body_lines come from str.splitlines, so rows end where they end for
-    _parse_body. The reader is chosen by how long the cells are spelled
-    (see _JSON_CHARS): short tokens go to np.loadtxt in one call, long
-    ones to orjson a block of rows per call (see _json_cells). Both read
-    a token as float() does, bit for bit, where they read it at all;
-    neither takes every token float() takes, and such a body, or one
-    with a value past the float range, goes to _parse_body. So a body
-    that passes every check here gets the same bits as from _parse_body;
-    the differential tests in tests/test_grid.py hold the three together.
+    body_lines come from _lines, which splits as str.splitlines does, so
+    rows end where they end for _parse_body. The reader is chosen by how
+    long the cells are spelled (see _JSON_CHARS): short tokens go to
+    np.loadtxt in one call, long ones to orjson a block of rows per call
+    (see _json_cells). Both read a token as float() does, bit for bit,
+    where they read it at all; neither takes every token float() takes,
+    and such a body, or one with a value past the float range, goes to
+    _parse_body. So a body that passes every check here gets the same
+    bits as from _parse_body; the differential tests in
+    tests/test_grid.py hold the three together.
     """
     rows = [row for row in map(str.strip, body_lines) if row]
     chars = sum(map(len, rows))
@@ -427,13 +447,17 @@ def _format_row(row):
     where repr writes 1e+16 and 1e-05, and null for nan and inf, so a row holding such a value keeps
     repr. tests/test_grid.py holds the two spellings together.
     """
-    if row.dtype.kind == "f":
-        size = np.abs(row)  # nan fails both comparisons, so a row holding one keeps repr
-        if not ((size < 1e16) & ((size >= 1e-4) | (size == 0))).all():
-            return " ".join(map(repr, row.tolist()))
-    import orjson  # here, not at the top: only simulate writes grids, and report touches none
+    if row.dtype.kind == "f" and not _orjson_spells_as_repr(row).all():
+        return " ".join(map(repr, row.tolist()))
+    import orjson  # here, not at the top: report, which touches no grid, need not load it
 
     return orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b",", b" ").decode()
+
+
+def _orjson_spells_as_repr(values):
+    """Where orjson spells a float as repr does: 0, and magnitudes in [1e-4, 1e16); nan fails both comparisons."""
+    size = np.abs(values)
+    return (size < 1e16) & ((size >= 1e-4) | (size == 0))
 
 
 @contextlib.contextmanager

@@ -33,22 +33,25 @@ column of it (analysis.drop_samples). ZoneSeries, zonal_mean,
 build_zone_series, rolling_baseline, percent_change and event_drop stay
 as the scalar definitions the batch paths equal bit for bit.
 
-The series CSV is written as one string per file, in bytes tests hold
-to csv.writer's, and read back only in exactly that form.
+The series CSV is written as one string per file, its radiance and
+change fields spelled a window table at once (spell_table), in bytes
+tests hold to csv.writer's. It is read back only in exactly that form:
+by a few whole-string operations where the text is exactly as written,
+row by row through csv.reader otherwise.
 """
 
 import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ReportError
-from .grid import RasterGrid
+from .grid import RasterGrid, _orjson_spells_as_repr
 from .preprocess import ThresholdMode, built_keep, quality_filter_and_impute, threshold
 from .stack import MonthIndex, month_ordinal
 from .zones import zonal_mean, zonal_means
@@ -65,6 +68,7 @@ __all__ = [
     "percent_change",
     "percent_changes",
     "event_drop",
+    "spell_table",
     "write_series_csv",
     "read_series_csv",
 ]
@@ -89,11 +93,12 @@ class EventWindow:
         if self.months_before < 0 or self.months_after < 0:
             raise ValueError("window extents must be non-negative")
 
-    @property
+    # worked out once per window, however many series files and zones read them
+    @cached_property
     def start(self):
         return self.event_month - self.months_before
 
-    @property
+    @cached_property
     def end(self):
         return self.event_month + self.months_after
 
@@ -102,6 +107,10 @@ class EventWindow:
 
     def months(self):
         """All window months in calendar order."""
+        return self._months
+
+    @cached_property
+    def _months(self):
         return tuple(self.start + i for i in range(len(self)))
 
 
@@ -125,7 +134,7 @@ class ZoneSeries:
     values: tuple
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         if not values:
             raise ValueError("series needs at least one month")
         object.__setattr__(self, "values", values)
@@ -328,6 +337,31 @@ def _field(value):
     return "" if math.isnan(value) else repr(value)
 
 
+def spell_table(table, changes):
+    """The ``radiance,change`` text of every month of every zone of a window table, spelled a table at once.
+
+    ``changes`` is the table's percent_changes. The result holds one list
+    per zone, one text per month, each field as _field spells it: what
+    write_series_csv writes after a row's year and month.
+
+    orjson spells the whole table in one call. Its text stands where it
+    spells a value as _field does: 0 and magnitudes in [1e-4, 1e16), as
+    for grid's _format_row, and NaN, whose null is made empty here. A
+    month holding any other value, such as 1e-05 or inf, is spelled by
+    _field.
+    """
+    import orjson  # here, not at the top, as in grid: report writes no series file
+
+    n_zones, n_months = np.shape(table)
+    pairs = np.stack([table, changes], axis=-1, dtype=np.float64).reshape(-1, 2)
+    text = orjson.dumps(pairs, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    texts = text[2:-2].replace("null", "").split("],[") if pairs.size else []
+    as_repr = _orjson_spells_as_repr(pairs) | np.isnan(pairs)
+    for i in np.flatnonzero(~as_repr.all(axis=1)).tolist():
+        texts[i] = ",".join(map(_field, pairs[i].tolist()))
+    return [texts[z * n_months : (z + 1) * n_months] for z in range(n_zones)]
+
+
 def _csv_field(text):
     """``text`` as csv.writer writes it inside a row: quoted, quotes doubled, only when it must be."""
     buffer = io.StringIO()
@@ -337,30 +371,31 @@ def _csv_field(text):
 
 
 @lru_cache(maxsize=16)
-def _month_fields(ordinal, n):
-    """The ``year,month`` text of n months from an ordinal; every series of a window shares it."""
-    return tuple(f"{m // 12},{m % 12 + 1}" for m in range(ordinal, ordinal + n))
+def _month_columns(ordinal, n):
+    """The year and the month fields of n months from an ordinal, as lists; every series of a window shares them."""
+    ordinals = range(ordinal, ordinal + n)
+    return [str(m // 12) for m in ordinals], [str(m % 12 + 1) for m in ordinals]
 
 
 def write_series_csv(series, path, changes):
     """Write a series as CSV rows of zone_id, year, month, radiance, change.
 
-    ``changes`` is the series' row of percent_changes, as Python floats.
-    Missing and undefined entries are empty fields, so early rows with no
-    history have an empty change.
+    ``changes`` is the series' row of percent_changes, as Python floats,
+    or, as extract passes it, the series' row of spell_table, which
+    already holds each month's radiance and change fields. Missing and
+    undefined entries are empty fields, so early rows with no history
+    have an empty change.
 
     The bytes are csv.writer's (excel dialect: CRLF rows, the zone id
-    quoted only when it must be), built as one string.
+    quoted only when it must be) in UTF-8, built as one string.
     """
+    if not isinstance(changes[0], str):
+        (changes,) = spell_table([series.values], [changes])
     zone = _csv_field(series.zone_id)
-    months = _month_fields(series.start.ordinal, len(series.values))
-    lines = [_SERIES_HEADER]
-    lines += [
-        f"{zone},{month},{_field(value)},{_field(change)}\r\n"
-        for month, value, change in zip(months, series.values, changes)
-    ]
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+    years, months = _month_columns(series.start.ordinal, len(series.values))
+    rows = [f"{zone},{year},{month},{fields}\r\n" for year, month, fields in zip(years, months, changes)]
+    with open(path, "wb") as fh:
+        fh.write((_SERIES_HEADER + "".join(rows)).encode())
 
 
 def _plain_int(text, name):
@@ -376,35 +411,103 @@ def read_series_csv(path):
 
     That form is its header, then a row of five fields per month, each of
     the same zone and a month after the row before; a year and a month are
-    ASCII digits without a leading zero, and a radiance is finite, or empty
-    for a missing month. Any other file, or a field over
+    ASCII digits without a leading zero, and a radiance is empty for a
+    missing month, or finite and spelled as repr spells it. Any other
+    file, one that is not UTF-8 text, or a field over
     csv.field_size_limit(), raises ReportError naming the path and, for a
     row fault, the line; a row is checked for field count, year, month,
     radiance, zone, sequence.
+
+    The text is read once. Text exactly as write_series_csv writes it is
+    read by a few whole-string operations (_read_written_form); any other
+    goes to csv.reader row by row (_read_rows), which finds the first
+    fault and names its line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"{path}: not UTF-8 text: byte {exc.start} is {exc.object[exc.start]:#04x}") from None
+    return _read_written_form(text) or _read_rows(path, text)
+
+
+_NOT_RADIANCE = {"nan", "inf", "-inf"}  # the texts repr gives a float that is not finite
+
+
+def _read_written_form(text):
+    """The ZoneSeries of text exactly as write_series_csv writes it, or None for any other text.
+
+    That is the header, then one or more CRLF rows of five fields: an
+    unquoted zone, the same on every row; years and months that run on
+    from the first row's, as _month_columns spells them; and each radiance
+    empty or finite, spelled as repr spells it. Where the text passes
+    these checks, _read_rows reads it to the same series bit for bit;
+    the differential tests in tests/test_timeseries.py hold the two
+    together.
+    """
+    # a quote would need csv's unquoting; a field over the limit, csv's error
+    if not text.startswith(_SERIES_HEADER) or '"' in text or len(text) > csv.field_size_limit():
+        return None
+    body = text[len(_SERIES_HEADER) :]
+    n = body.count("\r\n")
+    # every \r and \n ends a row: a line break inside a field, even in the change, which is not read, is refused
+    if body.count("\r") != n or body.count("\n") != n:
+        return None
+    # every row after the first starts with "\n" and the last ends with one: n rows of five fields,
+    # and nothing after them, put these at field indices 5, 10, ..., 5n and no other "\n" anywhere
+    fields = body.replace("\r\n", ",\n").split(",")
+    zone = fields[0]
+    if len(fields) != 5 * n + 1 or fields[5::5] != [f"\n{zone}"] * (n - 1) + ["\n"]:
+        return None
+    try:
+        first = month_ordinal(_plain_int(fields[1], "year"), _plain_int(fields[2], "month"))
+    except ValueError:
+        return None
+    years, months = _month_columns(first, n)
+    if fields[1::5] != years or fields[2::5] != months:
+        return None
+    radiance = fields[3::5]
+    spelled = [field or "nan" for field in radiance]  # an empty field is a missing month
+    try:
+        values = list(map(float, spelled))
+    except ValueError:
+        return None
+    if list(map(repr, values)) != spelled or not _NOT_RADIANCE.isdisjoint(radiance):
+        return None
+    return ZoneSeries(zone, MonthIndex.from_ordinal(first), values)
+
+
+def _read_rows(path, text):
+    """The ZoneSeries of a series file's text, row by row through csv.reader; raises ReportError at the first fault.
+
+    The reference for _read_written_form, and the path that names a
+    faulty file's line.
     """
     values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != _SERIES_COLUMNS:
-                raise ReportError(f"{path}: the first line is not the header {_SERIES_HEADER.rstrip()}")
-            for row in reader:
-                if len(row) != len(_SERIES_COLUMNS):
-                    raise ValueError(f"expected {len(_SERIES_COLUMNS)} fields, got {len(row)}")
-                zone_id, year, month, field, _ = row
-                ordinal = month_ordinal(_plain_int(year, "year"), _plain_int(month, "month"))
-                value = float(field) if field else math.nan  # an empty field is a missing month
-                if field and not math.isfinite(value):
-                    raise ValueError(f"radiance {field!r} is not finite")
-                values.append(value)
-                if len(values) == 1:
-                    first, zone = ordinal, zone_id
-                elif zone_id != zone:
-                    raise ValueError(f"zone {zone_id!r} after zone {zone!r}; one zone per file")
-                elif ordinal != first + len(values) - 1:
-                    raise ValueError(f"month {MonthIndex.from_ordinal(ordinal)} does not follow the row before")
-        except (ValueError, csv.Error) as exc:  # csv.Error: say, a field over csv.field_size_limit()
-            raise ReportError(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        if next(reader, None) != _SERIES_COLUMNS:
+            raise ReportError(f"{path}: the first line is not the header {_SERIES_HEADER.rstrip()}")
+        for row in reader:
+            if len(row) != len(_SERIES_COLUMNS):
+                raise ValueError(f"expected {len(_SERIES_COLUMNS)} fields, got {len(row)}")
+            zone_id, year, month, field, _ = row
+            ordinal = month_ordinal(_plain_int(year, "year"), _plain_int(month, "month"))
+            value = float(field) if field else math.nan  # an empty field is a missing month
+            if field and not math.isfinite(value):
+                raise ValueError(f"radiance {field!r} is not finite")
+            if field and repr(value) != field:
+                raise ValueError(f"radiance {field!r} is not spelled as repr spells it: {value!r}")
+            values.append(value)
+            if len(values) == 1:
+                first, zone = ordinal, zone_id
+            elif zone_id != zone:
+                raise ValueError(f"zone {zone_id!r} after zone {zone!r}; one zone per file")
+            elif ordinal != first + len(values) - 1:
+                raise ValueError(f"month {MonthIndex.from_ordinal(ordinal)} does not follow the row before")
+    except (ValueError, csv.Error) as exc:  # csv.Error: say, a field over csv.field_size_limit()
+        raise ReportError(f"{path}: line {reader.line_num}: {exc}") from None
     if not values:
         raise ReportError(f"{path}: empty series file")
     return ZoneSeries(zone, MonthIndex.from_ordinal(first), values)

@@ -793,7 +793,10 @@ def extracted_run(fuzz_run):
 class TestCorruptedSeriesFile:
     """One damaged series CSV makes report fail in one error line, never in a traceback."""
 
-    DAMAGES = ["radiance", "month", "year", "short", "zone", "emptied", "deleted", "header", "duplicated"]
+    DAMAGES = [
+        "radiance", "month", "year", "short", "zone",
+        "emptied", "deleted", "header", "duplicated", "undecodable",
+    ]
 
     @staticmethod
     def damage(path, draw):
@@ -812,16 +815,20 @@ class TestCorruptedSeriesFile:
         elif kind == "duplicated":
             rows.insert(at, list(row))
         elif kind == "radiance":
-            row[3] = draw(st.sampled_from(["x", "inf", "nan", "-Infinity"]))
+            # spellings float() takes but write_series_csv, which writes repr, never writes
+            spellings = ["1_5.0", f"+{row[3]}", f" {row[3]}", f"{row[3]}0"]
+            row[3] = draw(st.sampled_from(["x", "inf", "nan", "-Infinity"] + spellings))
         elif kind == "month":
             row[2] = draw(st.sampled_from(["13", f"0{row[2]}", f"+{row[2]}", f" {row[2]}"]))
         elif kind == "year":
             row[1] = draw(st.sampled_from(["-5", f"0{row[1]}", f"+{row[1]}", f" {row[1]}"]))
         elif kind == "short":
             del row[draw(st.integers(0, len(row) - 1), label="kept fields") :]
+        elif kind == "undecodable":
+            row[draw(st.integers(0, len(row) - 1), label="field")] += "\udcff"  # the byte 0xff
         else:
             row[0] = draw(st.sampled_from([f"F{i}" for i in range(3) if f"F{i}" != row[0]]))
-        path.write_text("".join(",".join(fields) + "\r\n" for fields in rows))
+        path.write_bytes("".join(",".join(fields) + "\r\n" for fields in rows).encode(errors="surrogateescape"))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -1085,18 +1092,59 @@ class TestReportUnreadableSeries:
                 "line 2: field larger than field limit (131072)",
                 id="field-over-the-csv-limit",
             ),
+            (
+                f"{SERIES_HEADER}\nZ03,2018,1,+1.0,\n",
+                "line 2: radiance '+1.0' is not spelled as repr spells it: 1.0",
+            ),
+            pytest.param(
+                f"{SERIES_HEADER}\r\nZ03,2018,10,\udcff,\r\n",
+                "not UTF-8 text: byte 61 is 0xff",
+                id="not-utf-8",
+            ),
         ],
     )
     def test_unparsable_csv_is_an_error_naming_the_file(self, tmp_path, capsys, content, detail):
         config = simulated_vsc_run(tmp_path, configs=["raw"])
         assert main(["extract", "--config", str(config)]) == 0
         path = tmp_path / "out" / "VSC-NTL" / "raw" / "TestStorm" / "Z03.csv"
-        path.write_text(content)
+        path.write_bytes(content.encode(errors="surrogateescape"))
         capsys.readouterr()
         assert main(["report", "--config", str(config)]) == 1
         assert f"error: {path}: {detail}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.csv").exists()
         assert not (tmp_path / "out" / "case_study.csv").exists()
+
+
+class TestMonthArithmeticIsPerWindow:
+    """extract and report work out each window's months once, however many zones and series files there are."""
+
+    def month_arithmetic(self, root, nx, monkeypatch):
+        """The MonthIndex additions and subtractions of extract, then of report, on an nx by nx tiling of the scene."""
+        zones = {"nx": nx, "ny": nx, "damage_ratios": [0.05 + 0.9 * i / nx**2 for i in range(nx**2)]}
+        scene = write_json(root / "scene.json", {**VSC_SCENE, "zones": zones, "base_radiance": 20.0})
+        assert main(["simulate", "--config", str(scene), "--out", str(root / "simv")]) == 0
+        doc = run_config_doc()
+        config = write_json(root / "run.json", {**doc, "datasets": doc["datasets"][:1], "case_study_k": 1})
+        calls = []
+        with monkeypatch.context() as patched:
+            for name in ("__add__", "__sub__"):
+                original = getattr(MonthIndex, name)
+
+                def counting(month, other, original=original):
+                    calls.append(month)
+                    return original(month, other)
+
+                patched.setattr(MonthIndex, name, counting)
+            assert main(["extract", "--config", str(config)]) == 0
+            extract = len(calls)
+            assert main(["report", "--config", str(config)]) == 0
+        assert len(list((root / "out").rglob("Z*.csv"))) == 12 * nx**2
+        return extract, len(calls) - extract
+
+    def test_same_count_for_4_and_16_zones(self, tmp_path, monkeypatch):
+        four = self.month_arithmetic(tmp_path / "four", 2, monkeypatch)
+        sixteen = self.month_arithmetic(tmp_path / "sixteen", 4, monkeypatch)
+        assert four == sixteen
 
 
 class TestReportZoneMismatch:

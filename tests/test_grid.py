@@ -681,6 +681,46 @@ class TestOneConversionMatchesLineByLine:
         assert expected[2][row.index("-0")] == "-0x0.0p+0"
 
 
+def read_grid_by_splitlines(path):
+    """read_grid with its text split into lines by str.splitlines alone: the reference for _lines."""
+    with mock.patch.object(grid_module, "_lines", str.splitlines):
+        return read_grid(path)
+
+
+class TestLinesAreSplitlines:
+    """_lines ends lines where str.splitlines does, so read_grid reads the same values and names the same lines."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.sampled_from(list("1 -.e\n\r\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029\xa0\t"))))
+    def test_same_lines(self, text):
+        assert grid_module._lines(text) == text.splitlines()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_outcome(self, tmp_path_factory, data):
+        header, rows = data.draw(grid_files())
+        r = data.draw(st.integers(0, len(rows) - 1))
+        if data.draw(st.booleans(), label="break a row"):
+            c = data.draw(st.integers(0, len(rows[r])))
+            rows[r : r + 1] = [rows[r][:c], rows[r][c:]]
+        path = tmp_path_factory.mktemp("grid") / "grid.asc"
+        path.write_text(grid_text(data.draw, header, rows), newline="")
+        assert parse_outcome(read_grid, path) == parse_outcome(read_grid_by_splitlines, path)
+
+    HEADER_1X4 = TestOneConversionMatchesLineByLine.HEADER_1X4
+
+    @pytest.mark.parametrize("boundary", ["\r\n", "\v", "\x1c", "\x85", "\u2028"])
+    def test_each_boundary_ends_a_line(self, tmp_path, boundary):
+        path = tmp_path / "grid.asc"
+        path.write_text(self.HEADER_1X4.replace("\n", boundary) + "1 2 3 4" + boundary, newline="")
+        assert parse_outcome(read_grid, path) == parse_outcome(read_grid_by_splitlines, path)
+        assert parse_outcome(read_grid, path)[2] == [(1.0).hex(), (2.0).hex(), (3.0).hex(), (4.0).hex()]
+        # inside a row it ends the row, and the line numbers count it
+        path.write_text(f"{self.HEADER_1X4}1 2{boundary}3 4\n", newline="")
+        expected = (GridParseError, "line 8: expected 1 data rows, found 2", 8)
+        assert parse_outcome(read_grid, path) == parse_outcome(read_grid_by_splitlines, path) == expected
+
+
 def fast_path_outcomes(path):
     """read_grid_by each body reader, with the line-by-line loop made to fail, so a body that would fall back raises."""
     with mock.patch.object(grid_module, "_parse_body", side_effect=AssertionError("fell back to _parse_body")):

@@ -44,13 +44,14 @@ from ntlpipe import (
     rolling_baselines,
     run_pipeline,
     series_by_config,
+    spell_table,
     tile_zones,
     write_grid,
     write_series_csv,
 )
 from ntlpipe import preprocess, timeseries
 from ntlpipe.layout import BUILT_FRACTION_FILENAME, DatasetConfig, _majority_quality_composite, load_dataset
-from ntlpipe.timeseries import BASELINE_MONTHS
+from ntlpipe.timeseries import BASELINE_MONTHS, _csv_field, _field, _read_rows, _read_written_form
 
 SPEC = GridSpec(ncols=2, nrows=2, x_origin=0.0, y_origin=0.0, cell_size=1.0)
 
@@ -112,6 +113,15 @@ class TestEventWindow:
     def test_negative_extent_rejected(self):
         with pytest.raises(ValueError):
             EventWindow(MonthIndex(2018, 10), months_before=-1)
+
+    def test_months_are_worked_out_once_per_window(self):
+        window = EventWindow(MonthIndex(2018, 10), months_before=2, months_after=1)
+        assert window.months() is window.months()
+        assert window.start is window.start and window.end is window.end
+        assert (window.months()[0], window.months()[-1]) == (window.start, window.end)
+        # the cache is no field: equal windows stay equal, and hash alike, whatever each has worked out
+        assert window == EventWindow(MonthIndex(2018, 10), months_before=2, months_after=1)
+        assert hash(window) == hash(EventWindow(MonthIndex(2018, 10), months_before=2, months_after=1))
 
 
 class TestZoneSeries:
@@ -925,6 +935,16 @@ class TestSeriesCsvRowChecks:
             ("Z,2018,2,inf,", "radiance 'inf' is not finite"),
             ("Z,2018,2,-Infinity,", "radiance '-Infinity' is not finite"),
             ("Z,2018,2,1e999,", "radiance '1e999' is not finite"),
+            # radiance spellings float() takes but write_series_csv, which writes repr, never writes
+            ("Z,2018,2,1_5.0,", "radiance '1_5.0' is not spelled as repr spells it: 15.0"),
+            ("Z,2018,2,+1.5,", "radiance '+1.5' is not spelled as repr spells it: 1.5"),
+            ("Z,2018,2, 1.5,", "radiance ' 1.5' is not spelled as repr spells it: 1.5"),
+            ("Z,2018,2,15,", "radiance '15' is not spelled as repr spells it: 15.0"),
+            ("Z,2018,2,1.50,", "radiance '1.50' is not spelled as repr spells it: 1.5"),
+            ("Z,2018,2,1e-5,", "radiance '1e-5' is not spelled as repr spells it: 1e-05"),
+            ("Z,2018,2,-0,", "radiance '-0' is not spelled as repr spells it: -0.0"),
+            ("Z,2018,13,1_5.0,", "month must be 1-12, got 13"),
+            ("X,2018,2,+1.5,", "radiance '+1.5' is not spelled as repr spells it: 1.5"),
         ],
     )
     def test_checks_within_a_row_keep_their_order(self, tmp_path, row, detail):
@@ -956,6 +976,13 @@ class TestSeriesCsvPlainSpellings:
         assert read_outcome(read_series_csv, path) == ("Z", MonthIndex(0, 12), [(1.5).hex(), "nan"])
 
 
+class TestUndecodableSeriesFile:
+    def test_names_the_first_byte_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "Z.csv"
+        path.write_bytes(b"zone_id,year,month,mean_radiance,percent_change\r\nZ03,2018,1,\xff,\r\n")
+        assert read_outcome(read_series_csv, path) == (ReportError, f"{path}: not UTF-8 text: byte 60 is 0xff")
+
+
 class TestOverlongField:
     def test_field_over_the_csv_limit_is_a_report_error(self, tmp_path):
         path = tmp_path / "Z.csv"
@@ -963,3 +990,165 @@ class TestOverlongField:
         with pytest.raises(ReportError) as raised:
             read_series_csv(path)
         assert str(raised.value) == f"{path}: line 2: field larger than field limit (131072)"
+
+
+# zone ids csv.writer writes as they are, and ones it quotes, which only the row-by-row reader reads
+ZONE_IDS = st.one_of(
+    st.sampled_from(["Z01", "", " edge ", "\tz\t", "\x00", "\x85 ", 'a,"b', "\r", "\n", "a\r\nb", '"', "q,"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+# radiances as a window table holds them, with the values whose repr takes an exponent
+WRITTEN_RADIANCES = st.one_of(radiances, st.sampled_from([-0.0, 5e-324, 1e-05, 1e16, 1.5e300]))
+
+
+SERIES_HEADER = "zone_id,year,month,mean_radiance,percent_change\r\n"
+
+
+def text_of(path):
+    """A series file's text, read as read_series_csv reads it."""
+    return path.read_bytes().decode()
+
+
+def outcomes_by_reader(path):
+    """What the reference makes of a file, and what read_series_csv and the whole-text reader do, where it reads."""
+    text = text_of(path)
+    reference = read_outcome(lambda p: _read_rows(p, text), path)
+    fast = _read_written_form(text)
+    fast_outcome = reference if fast is None else read_outcome(lambda p: fast, path)
+    return reference, read_outcome(read_series_csv, path), fast_outcome
+
+
+class TestWrittenFormMatchesRowByRow:
+    """The whole-text reader reads every file write_series_csv writes as csv.reader does, and declines the rest."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        zone_id=ZONE_IDS,
+        values=st.lists(WRITTEN_RADIANCES, min_size=1, max_size=30),
+        start=st.builds(MonthIndex, st.integers(0, 9999), st.integers(1, 12)),
+    )
+    def test_written_files_read_the_same(self, tmp_path_factory, zone_id, values, start):
+        path = tmp_path_factory.mktemp("csv") / "Z.csv"
+        series = series_from(start, values, zone_id)
+        write_series_csv(series, path, percent_changes(series.values).tolist())
+        written = (zone_id, start, [v.hex() for v in series.values])
+        assert outcomes_by_reader(path) == (written,) * 3
+        # a zone csv.writer leaves unquoted is read without csv.reader
+        assert (_read_written_form(text_of(path)) is None) == (_csv_field(zone_id) != zone_id)
+
+    DAMAGES = [
+        "LF rows", "CR rows", "line break", "quoted", "over the limit", "radiance", "month", "year", "short",
+        "long", "zone", "emptied", "deleted", "header", "duplicated", "undecodable",
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(WRITTEN_RADIANCES, min_size=3, max_size=8),
+        start=st.builds(MonthIndex, st.integers(0, 9999), st.integers(1, 12)),
+        data=st.data(),
+    )
+    def test_damaged_texts_read_the_same(self, tmp_path_factory, values, start, data):
+        path = tmp_path_factory.mktemp("csv") / "Z.csv"
+        series = series_from(start, values, "Z01")
+        write_series_csv(series, path, percent_changes(series.values).tolist())
+        rows = [line.split(",") for line in text_of(path).split("\r\n")[:-1]]
+        at = data.draw(st.integers(1, len(rows) - 1), label="row")
+        row = rows[at]  # zone_id, year, month, radiance, change
+        kind = data.draw(st.sampled_from(self.DAMAGES), label="damage")
+        ending = "\r\n"
+        if kind in ("LF rows", "CR rows"):
+            ending = {"LF rows": "\n", "CR rows": "\r"}[kind]
+        elif kind == "line break":  # in a field, the change included, which the written form does not read
+            field = data.draw(st.integers(0, 4), label="field")
+            row[field] = data.draw(st.sampled_from(["{}\n", "\n{}", "{}\r", "{}\r\n"])).format(row[field])
+        elif kind == "quoted":  # csv.reader reads a quoted field as its text
+            field = data.draw(st.integers(0, 4), label="field")
+            row[field] = f'"{row[field]}"'
+        elif kind == "over the limit":
+            row[data.draw(st.integers(0, 4), label="field")] = "1" * 131_073
+        elif kind == "radiance":
+            spellings = ["1_5.0", f"+{row[3]}", f" {row[3]}", f"{row[3]}0"]
+            row[3] = data.draw(st.sampled_from(["x", "inf", "-inf", "nan"] + spellings))
+        elif kind == "month":
+            row[2] = data.draw(st.sampled_from(["13", "0", f"0{row[2]}", f"+{row[2]}", f" {row[2]}"]))
+        elif kind == "year":
+            row[1] = data.draw(st.sampled_from(["-5", f"0{row[1]}", f"+{row[1]}", f"{row[1]} "]))
+        elif kind == "short":
+            del row[data.draw(st.integers(0, 4), label="kept fields") :]
+        elif kind == "long":
+            row.append(data.draw(st.sampled_from(["", "1.0", "Z01"])))
+        elif kind == "zone":
+            row[0] = data.draw(st.sampled_from(["Z02", "Z01 ", ""]))
+        elif kind == "emptied":
+            rows = rows[:1]
+        elif kind == "deleted":
+            del rows[at]
+        elif kind == "header":
+            rows[0] = rows[0][::-1]
+        elif kind == "duplicated":
+            rows.insert(at, list(row))
+        else:
+            row[data.draw(st.integers(0, 4), label="field")] += "\udcff"  # the byte 0xff
+        text = "".join(",".join(fields) + ending for fields in rows)
+        path.write_bytes(text.encode(errors="surrogateescape"))
+        if kind == "undecodable":
+            byte = text.encode(errors="surrogateescape").index(b"\xff")
+            assert read_outcome(read_series_csv, path) == (ReportError, f"{path}: not UTF-8 text: byte {byte} is 0xff")
+        else:
+            reference, read, fast = outcomes_by_reader(path)
+            assert read == fast == reference
+
+
+    @pytest.mark.parametrize("change", ["5\n", "\n5", "5\r", "\r5", "\r", "\n", "5\r\n"])
+    def test_line_break_in_a_change_field_reads_the_same(self, tmp_path, change):
+        # the written form never reads the change field, so its line breaks are found by counting them
+        path = tmp_path / "Z.csv"
+        path.write_bytes(f"{SERIES_HEADER}Z,2018,1,1.5,{change}\r\nZ,2018,2,2.5,\r\n".encode())
+        reference, read, fast = outcomes_by_reader(path)
+        assert read == fast == reference and reference[0] is ReportError
+
+
+def csv_writer_series(series, changes, path):
+    """The series CSV as csv.writer writes it, each radiance and change spelled by _field one value at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["zone_id", "year", "month", "mean_radiance", "percent_change"])
+        for month, value, change in zip(series.months, series.values, changes):
+            writer.writerow([series.zone_id, month.year, month.month, _field(value), _field(change)])
+
+
+class TestTableSpellingMatchesCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        zone_ids=st.lists(ZONE_IDS, min_size=1, max_size=4, unique=True),
+        n_months=st.integers(1, 30),
+        start=st.builds(MonthIndex, st.integers(0, 9999), st.integers(1, 12)),
+        data=st.data(),
+    )
+    def test_same_bytes(self, tmp_path_factory, zone_ids, n_months, start, data):
+        root = tmp_path_factory.mktemp("csv")
+        cells = st.one_of(WRITTEN_RADIANCES, extreme_radiances, st.sampled_from([1e-4, -1e-4, 9.999e15, 1e15]))
+        table = np.array([data.draw(st.lists(cells, min_size=n_months, max_size=n_months)) for _ in zone_ids])
+        changes = percent_changes(table)
+        spelled = spell_table(table, changes)
+        assert [len(fields) for fields in spelled] == [n_months] * len(zone_ids)
+        for zone_id, values, zone_changes, fields in zip(zone_ids, table.tolist(), changes.tolist(), spelled):
+            series = series_from(start, values, zone_id)
+            assert fields == [f"{_field(v)},{_field(c)}" for v, c in zip(values, zone_changes)]
+            write_series_csv(series, root / "table.csv", fields)
+            write_series_csv(series, root / "floats.csv", zone_changes)
+            csv_writer_series(series, zone_changes, root / "rows.csv")
+            written = [(root / name).read_bytes() for name in ("table.csv", "floats.csv", "rows.csv")]
+            assert written == [written[2]] * 3
+
+    def test_values_orjson_spells_otherwise_keep_repr(self):
+        table = [[math.inf, 1e-05, 1e16, 0.0001, 1e15], [-0.0, math.nan, 5e-324, -1e-05, 9.999e15]]
+        changes = [[-math.inf, math.nan, -1e16, 1e-4, 12.5], [math.nan, 0.0, -5e-324, 1.5e300, -0.0]]
+        assert spell_table(np.array(table), np.array(changes)) == [
+            ["inf,-inf", "1e-05,", "1e+16,-1e+16", "0.0001,0.0001", "1000000000000000.0,12.5"],
+            ["-0.0,", ",0.0", "5e-324,-5e-324", "-1e-05,1.5e+300", "9999000000000000.0,-0.0"],
+        ]
+
+    def test_a_table_without_zones_or_months_has_no_texts(self):
+        assert spell_table(np.empty((0, 3)), np.empty((0, 3))) == []
+        assert spell_table(np.empty((2, 0)), np.empty((2, 0))) == [[], []]
