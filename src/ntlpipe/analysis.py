@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, ReportError, StatsError
 from .grid import replacing
 from .preprocess import enumerate_configs
-from .timeseries import percent_changes
+from .timeseries import change_at
 
 __all__ = [
     "DropSample",
@@ -121,18 +121,20 @@ def filter_zones(samples, min_damage=MIN_DAMAGE):
 def drop_samples(zones, table, window, hurricane=""):
     """One DropSample per zone, from its row of the window table over window.
 
-    ``table`` is a (zones x window months) table, as series_by_config
-    yields it, with one row per zone in ``zones`` order. Each drop is the
-    negated percent change at the event month, equal bit for bit to
-    event_drop on the row's series.
+    ``table`` holds one row of radiance per zone in ``zones`` order, each
+    over the window's months: a (zones x window months) ndarray, as
+    series_by_config yields it, or a list of each zone's series values.
+    Each drop is the negated change_at the event month, equal bit for bit
+    to event_drop on the row's series.
     """
-    changes = percent_changes(table)
-    if changes.shape != (len(zones), len(window)):
-        raise ValueError(f"table of shape {changes.shape} for {len(zones)} zones over {len(window)} months")
-    drops = (-changes[:, window.months_before]).tolist()
+    rows = table.tolist() if hasattr(table, "tolist") else table  # an ndarray's rows as Python floats
+    widths = sorted({len(row) for row in rows})
+    if len(rows) != len(zones) or widths not in ([], [len(window)]):
+        raise ValueError(f"table of shape {len(rows)} x {widths} for {len(zones)} zones over {len(window)} months")
+    event = window.months_before  # the event month's index in the window
     return [
-        DropSample(zone.zone_id, zone.damage_ratio, drop, hurricane, zone.population)
-        for zone, drop in zip(zones, drops)
+        DropSample(zone.zone_id, zone.damage_ratio, -change_at(row, event), hurricane, zone.population)
+        for zone, row in zip(zones, rows)
     ]
 
 

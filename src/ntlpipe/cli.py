@@ -26,11 +26,11 @@ identical files.
 
 import argparse
 import csv
+import math
+import os
 import sys
 from itertools import product
 from pathlib import Path
-
-import numpy as np
 
 from .analysis import build_report, drop_samples, select_case_study_zones, write_report_csv
 from .config import parse_run_config, parse_scene_spec
@@ -42,6 +42,7 @@ from .preprocess import enumerate_configs
 from .synthetic import scene_months, scene_pccs
 from .timeseries import (
     ZoneSeries,
+    change_at,
     drop_window,
     percent_changes,
     read_series_csv,
@@ -183,8 +184,8 @@ def _guard_overwrite(path, force):
         raise ConfigError(f"{path}: exists (use --force to overwrite)")
 
 
-def _place_series(series, path, zone, hurricane, row):
-    """Copy a series read from path into its zone's row of the hurricane's window table, which it must span exactly."""
+def _check_window(series, path, zone, hurricane):
+    """Refuse a series read from path unless it is its zone's, over the hurricane's window exactly."""
     if series.zone_id != zone.zone_id:
         raise ReportError(f"{path}: rows name zone {series.zone_id!r}, expected {zone.zone_id!r}")
     window = hurricane.window
@@ -193,7 +194,6 @@ def _place_series(series, path, zone, hurricane, row):
             f"{path}: months {series.start}..{series.start + (len(series.values) - 1)} are not the window "
             f"{window.start}..{window.end} of {hurricane.name}; re-run extract"
         )
-    row[:] = series.values
 
 
 def cmd_report(args):
@@ -206,20 +206,25 @@ def cmd_report(args):
     _guard_overwrite(report_path, args.force)
     _guard_overwrite(case_path, args.force)
 
-    # one window table per (dataset, config, hurricane), one row per zone's series file
+    # one table per (dataset, config, hurricane): a row per zone, its series values read from its file
     tables = {}
     absent = []
     for dataset, configs in run.datasets:
         for config, hurricane in product(configs, run.hurricanes):
             series_dir = _series_dir(out_dir, dataset, config.label, hurricane.name)
-            table = np.full((len(zones), len(hurricane.window)), np.nan)
-            for zone, row in zip(zones, table):
-                path = series_dir / f"{zone.zone_id}.csv"
-                if path.is_file():
-                    _place_series(read_series_csv(path), path, zone, hurricane, row)
-                else:
-                    absent.append(str(path.relative_to(out_dir)))
-            tables[dataset.name, config.label, hurricane.name] = table
+            # each file's path is a string on its directory's, joined once
+            where, relative = f"{series_dir}{os.sep}", f"{series_dir.relative_to(out_dir)}{os.sep}"
+            found = []
+            for zone in zones:
+                path = f"{where}{zone.zone_id}.csv"
+                try:
+                    zone_series = read_series_csv(path)
+                except (FileNotFoundError, NotADirectoryError):  # no regular file at path
+                    absent.append(f"{relative}{zone.zone_id}.csv")
+                    continue
+                _check_window(zone_series, path, zone, hurricane)
+                found.append(zone_series.values)
+            tables[dataset.name, config.label, hurricane.name] = found
     if absent:
         shown = ", ".join(absent[:8]) + (" ..." if len(absent) > 8 else "")
         raise ConfigError(f"missing extraction outputs ({len(absent)}): {shown}")
@@ -262,12 +267,14 @@ def _write_case_study_csv(path, run, top, bottom, zones, tables):
         )
         for dataset, configs in run.datasets:
             for config, hurricane in product(configs, run.hurricanes):
-                changes = percent_changes(tables[dataset.name, config.label, hurricane.name][rows]).tolist()
+                table = tables[dataset.name, config.label, hurricane.name]
                 months = hurricane.window.months()
-                for (group, zone), zone_changes in zip(groups, changes):
+                for (group, zone), row in zip(groups, rows):
                     columns = [dataset.name, config.label, hurricane.name, group, zone.zone_id]
-                    for month, change in zip(months, zone_changes):
-                        text = "" if np.isnan(change) else repr(change)
+                    values = table[row]
+                    for i, month in enumerate(months):
+                        change = change_at(values, i)
+                        text = "" if math.isnan(change) else repr(change)
                         writer.writerow(columns + [month.year, month.month, text])
 
 

@@ -30,8 +30,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .errors import GridParseError
 
 __all__ = [
@@ -93,6 +92,7 @@ def _normalize_raster(spec, values, missing, dtype):
     """
     if values.shape[-2:] != spec.shape or values.ndim > 3:
         raise ValueError(f"values shape {values.shape} does not match grid {spec.shape}")
+    dtype = np.dtype(dtype)  # a raster class names its dtype, as it is made before numpy loads
     if missing is None:
         missing = np.zeros(values.shape, dtype=bool)
     if missing.shape != values.shape:
@@ -160,9 +160,9 @@ class RasterGrid(_RasterMixin):
     """
 
     spec: GridSpec
-    values: np.ndarray
-    missing: np.ndarray = None
-    _dtype = np.float64
+    values: "np.ndarray"
+    missing: "np.ndarray" = None
+    _dtype = "float64"
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,9 +173,9 @@ class IntRaster(_RasterMixin):
     """
 
     spec: GridSpec
-    values: np.ndarray
-    missing: np.ndarray = None
-    _dtype = np.int64
+    values: "np.ndarray"
+    missing: "np.ndarray" = None
+    _dtype = "int64"
 
 
 _CHECK_CELLS = 4096  # cells read_grid converts, and write_grid checks against the sentinel, at once

@@ -28,8 +28,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigError, GridParseError, QualityDecodeError
 from .grid import GridSpec, IntRaster, read_grid
 from .quality import (

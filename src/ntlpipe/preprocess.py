@@ -30,8 +30,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigError
 from .quality import Dataset, high_quality_mask
 

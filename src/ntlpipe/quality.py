@@ -32,8 +32,7 @@ day/night flag plays no part: the product is a nighttime composite.
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import QualityDecodeError
 
 __all__ = [
@@ -116,8 +115,9 @@ _BACKGROUND_BY_CODE = {member.value: member for member in Background}
 # every word is_high_quality_vnp46a2 trusts once decoded: all fields fixed but bits 0 (day/night)
 # and 6 (cloud confidence's low bit), i.e. the words w with (w & 0xFFBE) == 0x32
 _TRUSTED_WORDS = (50, 51, 114, 115)
-# indexed by a word's bits 0-3: whether its background code, bits 1-3, is reserved (4, 6 or 7)
-_RESERVED_BACKGROUND = np.array([low >> 1 not in _BACKGROUND_BY_CODE for low in range(16)])
+# indexed by a word's bits 0-3: whether its background code, bits 1-3, is reserved (4, 6 or 7); a tuple, not an
+# array, so importing the module loads no numpy
+_RESERVED_BACKGROUND = tuple(low >> 1 not in _BACKGROUND_BY_CODE for low in range(16))
 
 
 def decode_vnp46a2_quality(qf):
@@ -212,4 +212,4 @@ def vnp46a2_reserved(words):
     words = np.asarray(words)
     # bits 0-3 of each word, written straight into uint8: masked to 4 bits, the unsafe cast is exact
     low = np.bitwise_and(words, 15, out=np.empty(words.shape, np.uint8), casting="unsafe")
-    return (words >= 1 << 11) | _RESERVED_BACKGROUND[low]
+    return (words >= 1 << 11) | np.array(_RESERVED_BACKGROUND)[low]

@@ -15,8 +15,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .grid import GridSpec, IntRaster, RasterGrid, _normalize_raster
 
 __all__ = ["MonthIndex", "RasterStack", "StackBuilder", "month_ordinal"]
@@ -76,8 +75,8 @@ class RasterStack:
 
     months: tuple
     spec: GridSpec
-    values: np.ndarray
-    missing: np.ndarray
+    values: "np.ndarray"
+    missing: "np.ndarray"
 
     def __init__(self, months, grids):
         """Stacks the grids, copying each once; a float64 cube's months are RasterGrids, an integer one's IntRasters."""

@@ -55,8 +55,7 @@ import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
+from ._numpy import np
 from .analysis import correlate_method, drop_samples, pearson
 from .errors import ConfigError, StatsError
 from .grid import GridSpec, RasterGrid

@@ -28,10 +28,12 @@ keeps. It runs as well on the rows of zone cells load_dataset returns as
 on whole grids. The baseline is always the
 BASELINE_MONTHS (six) months before the month it judges. percent_changes
 takes the percent changes of every row of a table at once, by a
-sliding-window sum, so the event drops of a window are one negated
-column of it (analysis.drop_samples). ZoneSeries, zonal_mean,
+sliding-window sum, for extract's series files. ZoneSeries, zonal_mean,
 build_zone_series, rolling_baseline, percent_change and event_drop stay
-as the scalar definitions the batch paths equal bit for bit.
+as the scalar definitions the batch paths equal bit for bit. The last
+three share change_at, a core in Python floats alone, which takes the
+event drops a row at a time (analysis.drop_samples) and report's case
+study a series at a time, so report loads no numpy.
 
 The series CSV is written as one string per file, its radiance and
 change fields spelled a window table at once (spell_table), in bytes
@@ -43,13 +45,13 @@ row by row through csv.reader otherwise.
 import csv
 import io
 import math
+import os
+import stat
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
+from ._numpy import np
 from .errors import ReportError
 from .grid import RasterGrid, _orjson_spells_as_repr
 from .preprocess import ThresholdMode, built_keep, quality_filter_and_impute, threshold
@@ -67,6 +69,7 @@ __all__ = [
     "rolling_baselines",
     "percent_change",
     "percent_changes",
+    "change_at",
     "event_drop",
     "spell_table",
     "write_series_csv",
@@ -263,14 +266,7 @@ def rolling_baseline(series, t):
     the event month it is judging. The mean is np.mean's, so a sum past
     the float range makes it inf, without a warning.
     """
-    i = t - series.start
-    # values[i - BASELINE_MONTHS:i], oldest first, clamped at 0: a negative bound would wrap round
-    window = series.values[max(i - BASELINE_MONTHS, 0) : max(i, 0)]
-    usable = [v for v in window if not np.isnan(v)]
-    if not usable:
-        return float("nan")
-    with np.errstate(over="ignore"):  # a sum past the float range is inf, its change undefined
-        return float(np.mean(usable))
+    return _baseline_at(series.values, t - series.start)
 
 
 def percent_change(series, t):
@@ -281,12 +277,37 @@ def percent_change(series, t):
     A change that is not finite, as when radiance near the float limit
     overflows it or the baseline's sum, is undefined too: NaN.
     """
-    x = series.get(t)
-    baseline = rolling_baseline(series, t)
-    if np.isnan(x) or np.isnan(baseline) or baseline <= BASELINE_EPSILON:
-        return float("nan")
+    return change_at(series.values, t - series.start)
+
+
+def _baseline_at(values, i):
+    """rolling_baseline at index i of a series' values, in Python floats.
+
+    The sum runs left to right from +0.0, as np.mean's does on fewer than
+    8 values, and never through sum(), which compensates from Python 3.12.
+    """
+    # values[i - BASELINE_MONTHS:i], oldest first, clamped at 0: a negative bound would wrap round
+    total, count = 0.0, 0
+    for v in values[max(i - BASELINE_MONTHS, 0) : max(i, 0)]:
+        if v == v:  # not NaN
+            total += v  # past the float range it is inf, without an error
+            count += 1
+    return total / count if count else math.nan
+
+
+def change_at(values, i):
+    """percent_change at index i of a series' values (month ``start + i``), in Python floats alone.
+
+    drop_samples takes each drop from it, and report its case study, a
+    series at a time, without loading numpy. Its baseline is np.mean's bit for bit,
+    as tests/test_timeseries.py holds it.
+    """
+    x = values[i] if 0 <= i < len(values) else math.nan
+    baseline = _baseline_at(values, i)
+    if math.isnan(x) or math.isnan(baseline) or baseline <= BASELINE_EPSILON:
+        return math.nan
     change = 100.0 * (x - baseline) / baseline
-    return change if math.isfinite(change) else float("nan")
+    return change if math.isfinite(change) else math.nan
 
 
 def rolling_baselines(values):
@@ -302,9 +323,9 @@ def rolling_baselines(values):
     w = BASELINE_MONTHS
     padded = np.concatenate((np.full(values.shape[:-1] + (w,), np.nan), values), axis=-1)
     # windows[..., i, :] is values[..., i - w:i], oldest first
-    windows = sliding_window_view(padded, w, axis=-1)[..., :-1, :]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=-1)[..., :-1, :]
     usable = ~np.isnan(windows)
-    with np.errstate(over="ignore"):  # as in rolling_baseline
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, as in rolling_baseline
         sums = np.where(usable, windows, -0.0).sum(axis=-1)
     counts = usable.sum(axis=-1)
     return np.divide(sums, counts, out=np.full(values.shape, np.nan), where=counts > 0)
@@ -326,7 +347,7 @@ def percent_changes(values):
 def event_drop(series, window):
     """Negated percent change at the event month: positive = lights dimmed."""
     change = percent_change(series, window.event_month)
-    return -change if not np.isnan(change) else float("nan")
+    return -change if not math.isnan(change) else math.nan
 
 
 _SERIES_COLUMNS = ["zone_id", "year", "month", "mean_radiance", "percent_change"]
@@ -422,9 +443,19 @@ def read_series_csv(path):
     read by a few whole-string operations (_read_written_form); any other
     goes to csv.reader row by row (_read_rows), which finds the first
     fault and names its line.
+
+    A path that is not a regular file, such as a directory or a FIFO, is
+    FileNotFoundError: a FIFO is opened without waiting for a writer, and
+    nothing is read from it.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise FileNotFoundError(f"{path}: not a regular file")
+        with open(fd, "rb", closefd=False) as fh:
+            data = fh.read()
+    finally:
+        os.close(fd)
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:

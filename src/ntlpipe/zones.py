@@ -17,11 +17,12 @@ with; nothing here knows about projections.
 
 import json
 import math
+import struct
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ZoneValidationError
 from .grid import GridSpec, replacing
 
@@ -48,18 +49,29 @@ def rect_ring(x0, y0, x1, y1):
 
 
 def _normalize_ring(ring, where):
-    pts = np.asarray(ring, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
+    """A ring's (x, y) points as float64 pairs, stored open, in a read-only (n, 2) memoryview; or ZoneValidationError.
+
+    Checked in Python alone, so reading zones loads no numpy. np.asarray
+    views the ring without a copy; len gives its vertex count.
+    """
+    if isinstance(ring, memoryview):  # a stored ring, which iterates only as a list
+        ring = ring.tolist()
+    try:
+        pts = [(float(x), float(y)) for x, y in ring]
+    except (TypeError, ValueError):  # not a sequence of pairs of numbers
+        pts = []
+    if len(pts) < 3:
         raise ZoneValidationError(f"{where}: ring must be a sequence of at least 3 (x, y) points")
-    if not np.all(np.isfinite(pts)):
+    if not all(map(math.isfinite, chain.from_iterable(pts))):
         raise ZoneValidationError(f"{where}: ring contains a non-finite coordinate")
-    if np.array_equal(pts[0], pts[-1]):
-        pts = pts[:-1]  # store rings open; closure is implicit
+    if pts[0] == pts[-1]:  # compared as floats: -0.0 closes a ring opened at 0.0
+        pts.pop()  # store rings open; closure is implicit
     # a set of coordinate tuples counts -0.0 and 0.0 as one, as == does
-    if len(set(map(tuple, pts.tolist()))) < 3:
+    if len(set(pts)) < 3:
         raise ZoneValidationError(f"{where}: ring needs at least 3 distinct vertices")
-    pts.flags.writeable = False
-    return pts
+    # bytes, which hold exactly 16 bytes a vertex, where an array.array would hold some spare
+    packed = struct.pack(f"{2 * len(pts)}d", *chain.from_iterable(pts))
+    return memoryview(packed).cast("d", (len(pts), 2))
 
 
 def _is_path_component(name):
@@ -105,7 +117,8 @@ class Zone:
 
     ``rings`` may be given closed (first point repeated last) or open.
     All rings of all polygon parts live in one flat tuple; even-odd
-    membership makes the outer/hole distinction unnecessary.
+    membership makes the outer/hole distinction unnecessary. Each is
+    stored open, as a read-only (n, 2) memoryview of float64 pairs.
     """
 
     zone_id: str
@@ -130,13 +143,24 @@ class Zone:
         if self.population < 0:
             raise ZoneValidationError(f"zone {self.zone_id!r}: population must be non-negative")
 
+    def _arguments(self):
+        """Zone's arguments, each ring as a list of [x, y] lists: a memoryview neither pickles nor shows its values."""
+        return self.zone_id, tuple(ring.tolist() for ring in self.rings), self.damage_ratio, self.population
+
+    def __reduce__(self):
+        # pickle and copy rebuild the zone through __post_init__'s checks
+        return type(self), self._arguments()
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._arguments()!r}"
+
 
 @dataclass(frozen=True)
 class ZoneMask:
     """Boolean pixel-membership raster for one zone on one grid."""
 
     spec: GridSpec
-    inside: np.ndarray
+    inside: "np.ndarray"
 
     def __post_init__(self):
         arr = np.array(self.inside, dtype=bool, copy=True)
@@ -188,7 +212,7 @@ def _scanline_parity(rings, xs, ys):
     -1 at column k per pair.
     """
     ends = np.zeros((len(ys), len(xs) + 1), dtype=np.int64)
-    for ring in rings:
+    for ring in map(np.asarray, rings):
         x1, y1 = ring[:, 0], ring[:, 1]
         x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
         e, r = np.nonzero((y1[:, None] < ys) != (y2[:, None] < ys))
@@ -257,7 +281,7 @@ class ZoneColumns:
     """The cells some zone covers on a grid, as one row (a row per month of a stack); see zone_columns."""
 
     row: GridSpec
-    cells: np.ndarray
+    cells: "np.ndarray"
     positions: dict
 
     def cut(self, raster):
@@ -423,10 +447,7 @@ def write_zones(zones, path):
     """
     features = []
     for zone in zones:
-        closed = [
-            [[float(x), float(y)] for x, y in ring] + [[float(ring[0][0]), float(ring[0][1])]]
-            for ring in zone.rings
-        ]
+        closed = [points + points[:1] for points in (ring.tolist() for ring in zone.rings)]
         if len(closed) == 1:
             geometry = {"type": "Polygon", "coordinates": closed}
         else:

@@ -322,6 +322,9 @@ class TestDropSamplesMatchScalar:
             (z.zone_id, 0.5, "H", 100) for z in zones
         ]
         assert [d.drop.hex() for d in samples] == [event_drop(s, window).hex() for s in series]
+        # report's form: each zone's series values, as read back from its file
+        listed = drop_samples(zones, [tuple(row) for row in table.tolist()], window, "H")
+        assert [(d.zone_id, d.drop.hex()) for d in listed] == [(d.zone_id, d.drop.hex()) for d in samples]
 
     def test_table_off_the_window_is_refused(self):
         window = EventWindow(MonthIndex(2018, 10), 2, 1)
@@ -330,6 +333,10 @@ class TestDropSamplesMatchScalar:
             drop_samples(zones, np.ones((1, 5)), window)
         with pytest.raises(ValueError, match="shape"):
             drop_samples(zones, np.ones((2, 4)), window)
+        with pytest.raises(ValueError, match="shape"):
+            drop_samples(zones, [[1.0] * 5], window)
+        with pytest.raises(ValueError, match="shape"):
+            drop_samples(zones + zones, [[1.0] * 4, [1.0] * 3], window)
 
 
 class TestReportCsv:

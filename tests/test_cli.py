@@ -10,6 +10,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -1115,6 +1116,58 @@ class TestReportUnreadableSeries:
         assert not (tmp_path / "out" / "case_study.csv").exists()
 
 
+class TestReportMissingSeries:
+    def test_absent_file_and_directory_in_its_place_are_both_missing(self, tmp_path, capsys):
+        config = simulated_vsc_run(tmp_path, configs=["raw", "clip"])
+        assert main(["extract", "--config", str(config)]) == 0
+        (tmp_path / "out" / "VSC-NTL" / "raw" / "TestStorm" / "Z02.csv").unlink()
+        path = tmp_path / "out" / "VSC-NTL" / "clip" / "TestStorm" / "Z05.csv"
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        assert main(["report", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "error: missing extraction outputs (2): VSC-NTL/raw/TestStorm/Z02.csv, VSC-NTL/clip/TestStorm/Z05.csv\n"
+        )
+        assert not (tmp_path / "out" / "report.csv").exists()
+        assert not (tmp_path / "out" / "case_study.csv").exists()
+
+    def test_fifo_and_device_in_a_files_place_are_missing_without_a_wait(self, tmp_path, capsys):
+        config = simulated_vsc_run(tmp_path, configs=["raw"])
+        assert main(["extract", "--config", str(config)]) == 0
+        series_dir = tmp_path / "out" / "VSC-NTL" / "raw" / "TestStorm"
+        (series_dir / "Z01.csv").unlink()
+        os.mkfifo(series_dir / "Z01.csv")  # no writer: an open that waits for one never returns
+        (series_dir / "Z04.csv").unlink()
+        (series_dir / "Z04.csv").symlink_to(os.devnull)  # a device, read as a file it would read as empty
+        capsys.readouterr()
+
+        def waited(signum, frame):
+            raise TimeoutError("report waited on a FIFO for a writer")
+
+        previous = signal.signal(signal.SIGALRM, waited)
+        signal.alarm(20)  # a failure, not a hang, if report blocks on the FIFO
+        try:
+            assert main(["report", "--config", str(config)]) == 1
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert capsys.readouterr().err == (
+            "error: missing extraction outputs (2): VSC-NTL/raw/TestStorm/Z01.csv, VSC-NTL/raw/TestStorm/Z04.csv\n"
+        )
+
+    def test_series_directory_that_is_a_file_is_missing_every_zone(self, tmp_path, capsys):
+        config = simulated_vsc_run(tmp_path, configs=["raw"])
+        assert main(["extract", "--config", str(config)]) == 0
+        series_dir = tmp_path / "out" / "VSC-NTL" / "raw" / "TestStorm"
+        shutil.rmtree(series_dir)
+        series_dir.write_text("")
+        capsys.readouterr()
+        assert main(["report", "--config", str(config)]) == 1
+        names = ", ".join(f"VSC-NTL/raw/TestStorm/Z0{i}.csv" for i in range(1, 7))
+        assert capsys.readouterr().err == f"error: missing extraction outputs (6): {names}\n"
+
+
 class TestMonthArithmeticIsPerWindow:
     """extract and report work out each window's months once, however many zones and series files there are."""
 
@@ -1183,7 +1236,7 @@ class TestSeriesFileCalls:
         assert len(series_files) == 2 * 6
         assert sorted(written) == series_files
         assert main(["report", "--config", str(config)]) == 0
-        assert sorted(read) == series_files
+        assert sorted(map(Path, read)) == series_files  # report joins each path as a string on its directory's
 
 
 class TestNegativeCells:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ntlpipe import (
@@ -687,6 +687,75 @@ class TestPositionalSliceMatchesMonthKeyedDefinition:
         t = start + data.draw(st.integers(-w - 3, n + w + 3), label="offset")
         assert rolling_baseline(series, t).hex() == month_keyed_baseline(series, t).hex()
         assert percent_change(series, t).hex() == month_keyed_percent_change(series, t).hex()
+
+
+def np_mean_baseline(series, t):
+    """rolling_baseline as np.mean defined it: the reference for its core in Python floats."""
+    i = t - series.start
+    window = series.values[max(i - BASELINE_MONTHS, 0) : max(i, 0)]
+    usable = [v for v in window if not np.isnan(v)]
+    if not usable:
+        return float("nan")
+    with np.errstate(over="ignore"):
+        return float(np.mean(usable))
+
+
+def np_mean_percent_change(series, t):
+    """percent_change on np_mean_baseline."""
+    x = series.get(t)
+    baseline = np_mean_baseline(series, t)
+    if np.isnan(x) or np.isnan(baseline) or baseline <= 1e-6:
+        return float("nan")
+    change = 100.0 * (x - baseline) / baseline
+    return change if math.isfinite(change) else float("nan")
+
+
+def np_mean_event_drop(series, window):
+    change = np_mean_percent_change(series, window.event_month)
+    return -change if not np.isnan(change) else float("nan")
+
+
+# NaN for windows of 0 to 6 usable months; both zeros, subnormals, and magnitudes whose sums overflow
+core_values = st.one_of(
+    st.just(float("nan")),
+    st.sampled_from([0.0, -0.0, 1.0, 1e16, 1e-6, 5e-324, -5e-324]),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1e307, max_value=sys.float_info.max),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestScalarCoreMatchesNpMean:
+    """rolling_baseline, percent_change and event_drop, in Python floats alone, equal their np.mean forms."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        values=st.lists(core_values, min_size=1, max_size=12),
+        start=st.builds(MonthIndex, st.integers(2000, 2030), st.integers(1, 12)),
+        data=st.data(),
+    )
+    @example(values=[1e16, 1.0, 1.0, 5.0], start=MonthIndex(2018, 1), data=None)  # a compensated sum() differs
+    @example(values=[-0.0, -0.0, 1.0], start=MonthIndex(2018, 1), data=None)  # np.mean's sum starts from +0.0
+    @example(values=[1e308, 1e308, float("nan"), 1.0], start=MonthIndex(2018, 1), data=None)  # the sum overflows
+    def test_bit_identical(self, values, start, data):
+        series = series_from(start, values)
+        n, w = len(values), BASELINE_MONTHS
+        offsets = range(-2, n + w + 2) if data is None else [data.draw(st.integers(-w - 2, n + w + 2), label="t")]
+        for offset in offsets:
+            t = start + offset
+            assert rolling_baseline(series, t).hex() == np_mean_baseline(series, t).hex()
+            assert percent_change(series, t).hex() == np_mean_percent_change(series, t).hex()
+            assert timeseries.change_at(series.values, offset).hex() == np_mean_percent_change(series, t).hex()
+            window = EventWindow(t, months_before=max(offset, 0), months_after=0)
+            assert event_drop(series, window).hex() == np_mean_event_drop(series, window).hex()
+
+    def test_the_1e16_window_tells_a_compensated_sum_from_np_mean(self):
+        # 1e16 + 1.0 rounds back to 1e16, so summing in order drops both ones; math.fsum, as sum() does from
+        # Python 3.12, keeps them
+        series = series_from(MonthIndex(2018, 1), [1e16, 1.0, 1.0, 5.0])
+        t = MonthIndex(2018, 4)
+        assert rolling_baseline(series, t) == np_mean_baseline(series, t) == (1e16 + 1.0 + 1.0) / 3
+        assert rolling_baseline(series, t) != math.fsum([1e16, 1.0, 1.0]) / 3
 
 
 class TestBatchMatchesScalar:

@@ -1,7 +1,9 @@
 """Tests for zone geometry: membership, rasterization, zonal means, GeoJSON I/O."""
 
+import copy
 import json
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from ntlpipe import (
     zonal_means,
     zone_columns,
 )
-from ntlpipe.zones import _crossing_parity
+from ntlpipe.zones import _crossing_parity, _normalize_ring
 
 UNIT_SQUARE = rect_ring(0.0, 0.0, 1.0, 1.0)
 SQUARE = {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]}
@@ -123,6 +125,114 @@ class TestZoneValidation:
     def test_negative_population_rejected(self):
         with pytest.raises(ZoneValidationError):
             Zone("A", (UNIT_SQUARE,), damage_ratio=0.1, population=-1)
+
+
+def numpy_normalize_ring(ring, where):
+    """The ring check as np.asarray made it: the reference for _normalize_ring, which checks in Python alone."""
+    pts = np.asarray(ring, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
+        raise ZoneValidationError(f"{where}: ring must be a sequence of at least 3 (x, y) points")
+    if not np.all(np.isfinite(pts)):
+        raise ZoneValidationError(f"{where}: ring contains a non-finite coordinate")
+    if np.array_equal(pts[0], pts[-1]):
+        pts = pts[:-1]  # store rings open; closure is implicit
+    if len(set(map(tuple, pts.tolist()))) < 3:
+        raise ZoneValidationError(f"{where}: ring needs at least 3 distinct vertices")
+    pts.flags.writeable = False
+    return pts
+
+
+def ring_outcome(normalize, ring):
+    """("stored", each coordinate's hex) or ("refused", the ZoneValidationError's message, or None for another error)."""
+    try:
+        stored = normalize(ring, "ring 0")
+    except ZoneValidationError as exc:
+        return "refused", str(exc)
+    except (ValueError, OverflowError):  # numpy's refusal of a ragged ring, or an int past the float range
+        return "refused", None
+    return "stored", [[c.hex() for c in point] for point in np.asarray(stored).tolist()]
+
+
+# few distinct values, so that rings close and repeat vertices; both zeros, so that -0.0 is seen to be kept
+ring_coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 0, 3, -1]),
+    st.floats(),
+    st.integers(-(2**64), 2**64),
+    st.integers(2**1024, 2**1030),  # past the float range
+)
+ring_points = st.one_of(
+    st.tuples(ring_coordinates, ring_coordinates),
+    st.lists(ring_coordinates, min_size=2, max_size=2),
+    st.lists(ring_coordinates, min_size=1, max_size=3),  # ragged, or all of one wrong length
+)
+
+
+@st.composite
+def rings(draw):
+    points = draw(st.lists(ring_points, max_size=7))
+    if points and draw(st.booleans()):
+        points.append(points[0])  # closed
+    container = draw(st.sampled_from(["list", "tuple", "ndarray"]))
+    if container == "ndarray":
+        try:
+            return np.array(points, dtype=draw(st.sampled_from([np.float64, np.int64])))
+        except (ValueError, OverflowError, TypeError):
+            assume(False)
+    return list(points) if container == "list" else tuple(points)
+
+
+class TestRingCheckMatchesNumpy:
+    @settings(max_examples=1000, deadline=None)
+    @given(ring=rings())
+    @example(ring=[(0, 0), (1, 0, 2), (1, 1)])  # ragged: numpy raises its own ValueError
+    @example(ring=((0.0, 0.0), (1.0, 1.0), (-0.0, 0.0), (0.0, -0.0)))  # signed zeros are one vertex
+    @example(ring=[(-0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, -0.0)])  # closed across signed zeros, stored from -0.0
+    @example(ring=[(0, 0), (2**1024, 0), (1, 1)])  # an int past the float range
+    def test_same_refusals_and_coordinates(self, ring):
+        reference, ours = ring_outcome(numpy_normalize_ring, ring), ring_outcome(_normalize_ring, ring)
+        if reference == ("refused", None):
+            # numpy's ValueError for a ragged ring is now the message of any ring that is not of (x, y) pairs
+            assert ours in (reference, ("refused", "ring 0: ring must be a sequence of at least 3 (x, y) points"))
+        else:
+            assert ours == reference
+
+    def test_stored_ring_is_a_read_only_view_of_16_bytes_a_vertex(self):
+        ring = _normalize_ring([(0, 0), (1, 0), (1, 1), (0, 0)], "ring 0")
+        assert isinstance(ring, memoryview) and ring.readonly and ring.format == "d"
+        assert ring.shape == (3, 2) and len(ring) == 3 and ring.nbytes == 3 * 16
+        array = np.asarray(ring)
+        assert array.dtype == np.float64 and not array.flags.writeable and np.shares_memory(array, np.asarray(ring))
+        assert array.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
+
+    def test_a_stored_ring_is_checked_again_as_its_points(self):
+        zone = Zone("A", ([(0, 0), (1, 0), (1, 1), (0, 0), (0, 0)],), damage_ratio=0.1)
+        assert np.asarray(zone.rings[0]).tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]
+        again = Zone("A", zone.rings, damage_ratio=0.1)  # closed once more: dropped again, as numpy's check did
+        assert np.asarray(again.rings[0]).tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
+
+
+class TestZoneCopies:
+    """Rings are memoryviews, which do not pickle: a zone pickles, copies and shows itself by its coordinates."""
+
+    zone = Zone("A", ([(0.0, -0.0), (3, 0), (0, 3)], rect_ring(1.0, 1.0, 1.5, 1.5)), 0.25, 7)
+
+    def coordinates(self, zone):
+        return [[[c.hex() for c in point] for point in ring.tolist()] for ring in zone.rings]
+
+    @pytest.mark.parametrize("copied", [lambda z: pickle.loads(pickle.dumps(z)), copy.deepcopy, copy.copy])
+    def test_round_trip_keeps_every_coordinate(self, copied):
+        again = copied(self.zone)
+        assert type(again) is Zone and again == self.zone
+        assert (again.zone_id, again.damage_ratio, again.population) == ("A", 0.25, 7)
+        assert self.coordinates(again) == self.coordinates(self.zone)
+        assert all(isinstance(ring, memoryview) and ring.readonly for ring in again.rings)
+
+    def test_repr_shows_the_coordinates_and_evaluates_back(self):
+        text = repr(self.zone)
+        assert text.startswith("Zone('A', ([[0.0, -0.0], [3.0, 0.0], [0.0, 3.0]], [[1.0, 1.0], ")
+        assert "memory" not in text
+        again = eval(text, {"Zone": Zone})
+        assert again == self.zone and self.coordinates(again) == self.coordinates(self.zone)
 
 
 class TestPointInPolygon:
