@@ -11,9 +11,10 @@ statement runs it too, because the import machinery reads its
 
 Python 3.11's LazyLoader takes no lock on that first load: a thread that
 reads ``np`` while another thread's first read is still running numpy's
-code sees a half-made numpy, and can fail with AttributeError. The package
-starts no threads. A caller that uses it from several threads imports
-numpy first.
+code sees a half-made numpy, and can fail with AttributeError. The package's
+one set of threads, extract's series writers (cli.cmd_extract), starts
+after numpy has run and runs no numpy code. A caller that uses the
+package from several threads imports numpy first.
 """
 
 import importlib.util

@@ -29,6 +29,7 @@ import csv
 import math
 import os
 import sys
+from collections import deque
 from itertools import product
 from pathlib import Path
 
@@ -134,41 +135,82 @@ def _series_dir(out_dir, dataset, label, hurricane):
     return out_dir / dataset.name / label / hurricane
 
 
+# Threads that create and write the series files while the chain runs on the main thread. On 2 vCPUs one
+# gained nothing, each of its syscalls waiting for the main thread to let go of the GIL, and three to six did
+# no better than two.
+SERIES_WRITERS = 2
+# Directories handed to the writers and not yet taken back, at most: the chain waits for the oldest beyond it
+SERIES_DIRS_PENDING = 2 * SERIES_WRITERS
+
+
 def cmd_extract(args):
-    """Write one processed series CSV per (dataset, config, hurricane, zone)."""
+    """Write one processed series CSV per (dataset, config, hurricane, zone).
+
+    The chain (series_by_config, percent_changes, spell_table) runs on this
+    thread. Each (dataset, config, hurricane) directory's spelled rows go
+    to one of SERIES_WRITERS threads, which only make the directory and
+    create and write its files. Directories are taken back in the order
+    they were handed over, so refusals and errors come out in dataset,
+    config, hurricane, zone order, as they would if this thread wrote
+    every file. Every writer has ended when this returns.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # here, not at the top: no other command starts a thread
+
     run = parse_run_config(args.config)
     out_dir = Path(args.out) if args.out else run.output_dir
     zones = _read_run_zones(run)
     failures = []
     written = 0
+    pending = deque()  # futures of the directories handed over, oldest first
 
-    for dataset, configs in run.datasets:
+    def take_back(keep):
+        """Add the oldest directories' counts and refusals until at most ``keep`` are pending.
+
+        A writer's error is raised here, and the directories handed over
+        after it that no writer has started are cancelled: written in
+        turn, none of them would be.
+        """
+        nonlocal written
+        while len(pending) > keep:
+            future = pending.popleft()
+            try:
+                count, refusals = future.result()
+            except BaseException:
+                for later in pending:
+                    later.cancel()
+                pending.clear()
+                raise
+            written += count
+            failures.extend(refusals)
+
+    with ThreadPoolExecutor(SERIES_WRITERS) as writers:
         try:
-            radiance, quality, built, positions = load_dataset(dataset, *run.load_range, configs, zones)
-        except PipelineError as exc:
-            failures.append(f"{dataset.name}: {exc}")
-            continue
-        for zone_id, zone_positions in positions.items():
-            if not zone_positions.size:
-                print(f"warning: zone {zone_id} covers no {dataset.name} pixel-centers", file=sys.stderr)
+            for dataset, configs in run.datasets:
+                try:
+                    radiance, quality, built, positions = load_dataset(dataset, *run.load_range, configs, zones)
+                except PipelineError as exc:
+                    take_back(0)  # an earlier dataset's refusals come first
+                    failures.append(f"{dataset.name}: {exc}")
+                    continue
+                for zone_id, zone_positions in positions.items():
+                    if not zone_positions.size:
+                        print(f"warning: zone {zone_id} covers no {dataset.name} pixel-centers", file=sys.stderr)
 
-        windows = [h.window for h in run.hurricanes]
-        chain = series_by_config(radiance, quality, built, positions, configs, windows)
-        # handed over: the chain frees each cube after its last stage
-        del radiance, quality, built
-        for config, tables in chain:
-            for hurricane, table in zip(run.hurricanes, tables):
-                series_dir = _series_dir(out_dir, dataset, config.label, hurricane.name)
-                series_dir.mkdir(parents=True, exist_ok=True)
-                start = hurricane.window.start
-                rows = zip(positions, table.tolist(), spell_table(table, percent_changes(table)))
-                for zone_id, values, fields in rows:
-                    path = series_dir / f"{zone_id}.csv"
-                    if path.exists() and not args.force:
-                        failures.append(f"{path}: exists (use --force to overwrite)")
-                        continue
-                    write_series_csv(ZoneSeries(zone_id, start, values), path, fields)
-                    written += 1
+                windows = [h.window for h in run.hurricanes]
+                chain = series_by_config(radiance, quality, built, positions, configs, windows)
+                # handed over: the chain frees each cube after its last stage
+                del radiance, quality, built
+                for config, tables in chain:
+                    for hurricane, table in zip(run.hurricanes, tables):
+                        series_dir = _series_dir(out_dir, dataset, config.label, hurricane.name)
+                        # str and float lists only, and numpy has run by now: a writer runs no numpy code
+                        rows = list(zip(positions, table.tolist(), spell_table(table, percent_changes(table))))
+                        start = hurricane.window.start
+                        pending.append(writers.submit(_write_series_dir, series_dir, start, rows, args.force))
+                        take_back(SERIES_DIRS_PENDING)
+        finally:
+            # also when this thread raised: an error of a directory handed over before it comes first
+            take_back(0)
 
     print(f"extract: wrote {written} series file(s) under {out_dir}")
     if failures:
@@ -177,6 +219,24 @@ def cmd_extract(args):
             print(f"  failed: {failure}", file=sys.stderr)
         return 1
     return 0
+
+
+def _write_series_dir(series_dir, start, rows, force):
+    """Make one series directory and write a file per (zone_id, values, fields) row; return (written, refusals).
+
+    Without ``force``, a file that exists is refused, not written, and its
+    refusal is listed in row order.
+    """
+    series_dir.mkdir(parents=True, exist_ok=True)
+    written, refusals = 0, []
+    for zone_id, values, fields in rows:
+        path = series_dir / f"{zone_id}.csv"
+        if path.exists() and not force:
+            refusals.append(f"{path}: exists (use --force to overwrite)")
+            continue
+        write_series_csv(ZoneSeries(zone_id, start, values), path, fields)
+        written += 1
+    return written, refusals
 
 
 def _guard_overwrite(path, force):

@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import types
 import weakref
@@ -508,13 +509,23 @@ class TestSimulateOutputsAreWholeOrAbsent:
         def no_space():
             raise OSError(28, "No space left on device")
 
-        if target == "zones.geojson":
+        if target == "zones.geojson":  # the file's first write lands, its second fails, by json or by orjson
+            replacing = ntlpipe.zones.replacing
 
-            def dump(doc, fh, **kwargs):
-                fh.write('{"type": "FeatureCollection", "features": [')
-                no_space()
+            @contextlib.contextmanager
+            def failing(path, **kwargs):
+                with replacing(path, **kwargs) as fh:
+                    writes = []
 
-            monkeypatch.setattr(ntlpipe.zones, "json", types.SimpleNamespace(dump=dump))
+                    def write(text):
+                        writes.append(text)
+                        if len(writes) == 2:
+                            no_space()
+                        return fh.write(text)
+
+                    yield types.SimpleNamespace(write=write)
+
+            monkeypatch.setattr(ntlpipe.zones, "replacing", failing)
         else:  # the third config fails once two rows of oracle.csv are written
             scored = []
             correlate_method = synthetic.correlate_method
@@ -960,6 +971,84 @@ class TestExtractDirectories:
         # pathlib itself makes the missing parents, then retries the leaf with parents=False
         asked = [path for path, parents in made if parents and path in series_dirs]
         assert sorted(asked) == sorted(series_dirs)
+
+
+class TestExtractWriterThreads:
+    """extract's writer threads: refusals and errors as one thread writing every file would give them, none left."""
+
+    HURRICANES = [{"name": "STORM_A", "event_month": "2018-10"}, {"name": "STORM_B", "event_month": "2018-09"}]
+
+    def extracted_run(self, root, **overrides):
+        config = simulated_vsc_run(root, hurricanes=self.HURRICANES, **overrides)
+        assert main(["extract", "--config", str(config)]) == 0
+        return config
+
+    def test_refusals_come_in_dataset_config_hurricane_zone_order(self, tmp_path, capsys):
+        # VNP46A2 is listed second and fails to load: its line follows every VSC-NTL refusal
+        datasets = [run_config_doc()["datasets"][0], {"kind": "VNP46A2", "raster_dir": "absent"}]
+        config = self.extracted_run(tmp_path, datasets=datasets[:1])
+        write_json(config, {**json.loads(config.read_text()), "datasets": datasets})
+        run = parse_run_config(config)
+        (dataset, configs), _ = run.datasets
+        zone_ids = [zone.zone_id for zone in read_zones(run.zones_path)]
+        paths = [
+            run.output_dir / dataset.name / c.label / h.name / f"{zone_id}.csv"
+            for c, h, zone_id in itertools.product(configs, run.hurricanes, zone_ids)
+        ]
+        assert len(paths) == 12 * 2 * 6  # 24 directories: more than the writers hold at once
+        paths[100].unlink()
+        capsys.readouterr()
+        assert main(["extract", "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert out == f"extract: wrote 1 series file(s) under {run.output_dir}\n"
+        failed = [line.removeprefix("  failed: ") for line in err.splitlines()[1:]]
+        refusals = [f"{path}: exists (use --force to overwrite)" for path in paths[:100] + paths[101:]]
+        assert failed[:-1] == refusals
+        assert failed[-1].startswith("VNP46A2: ")
+
+    @pytest.mark.parametrize("where", ["dataset", "config", "hurricane"])
+    def test_a_file_where_a_series_directory_goes_is_one_error_line(self, tmp_path, capsys, where):
+        config = simulated_vsc_run(tmp_path, hurricanes=self.HURRICANES)
+        taken = {
+            "dataset": tmp_path / "out" / "VSC-NTL",
+            "config": tmp_path / "out" / "VSC-NTL" / "clip+built+quality",
+            "hurricane": tmp_path / "out" / "VSC-NTL" / "built+quality" / "STORM_B",
+        }[where]
+        taken.parent.mkdir(parents=True, exist_ok=True)
+        taken.write_text("")
+        capsys.readouterr()
+        assert main(["extract", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(taken) in err
+
+    def test_a_directory_where_a_forced_file_goes_is_one_error_line(self, tmp_path, capsys):
+        config = self.extracted_run(tmp_path)
+        taken = tmp_path / "out" / "VSC-NTL" / "clip" / "STORM_A" / "Z03.csv"
+        taken.unlink()
+        taken.mkdir()
+        capsys.readouterr()
+        before = threading.enumerate()
+        assert main(["extract", "--config", str(config), "--force"]) == 1
+        assert threading.enumerate() == before  # the writers that raised and those cancelled have ended
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Is a directory" in err
+
+    def test_no_writer_thread_outlives_main(self, tmp_path):
+        config = simulated_vsc_run(tmp_path, hurricanes=self.HURRICANES)
+        before = threading.enumerate()
+        assert main(["extract", "--config", str(config)]) == 0
+        assert threading.enumerate() == before
+        assert main(["extract", "--config", str(config)]) == 1  # every file refused
+        assert threading.enumerate() == before
+
+    def test_force_rewrites_every_file_byte_identically(self, tmp_path):
+        config = self.extracted_run(tmp_path)
+        before = tree_digest(tmp_path / "out")
+        changed = tmp_path / "out" / "VSC-NTL" / "remove+built" / "STORM_B" / "Z06.csv"
+        changed.write_bytes(changed.read_bytes() * 2)
+        (tmp_path / "out" / "VSC-NTL" / "raw" / "STORM_A" / "Z02.csv").write_text("")
+        assert main(["extract", "--config", str(config), "--force"]) == 0
+        assert tree_digest(tmp_path / "out") == before
 
 
 class TestExtractMemory:

@@ -112,6 +112,21 @@ def test_report_runs_no_numpy_and_the_other_commands_load_it(tmp_path):
     assert (tmp_path / "out" / "report.csv").read_text().count("\n") == 3  # the header and both configs
 
 
+# extract alone starts threads, its series writers, from concurrent.futures (about 5 ms to import); each has ended
+# when main returns
+POOL = "import sys, threading; {statement}; print({code}'concurrent.futures' in sys.modules, threading.active_count())"
+
+
+def test_only_extract_loads_the_pool_and_no_thread_outlives_a_command(tmp_path):
+    assert fresh(POOL.format(statement="import ntlpipe.cli", code="")) == "False 1\n"
+    (tmp_path / "scene.json").write_text(json.dumps(SCENE))
+    (tmp_path / "run.json").write_text(json.dumps(RUN))
+    command = POOL.format(statement="from ntlpipe.cli import main; code = main(sys.argv[1:])", code="code, ")
+    assert fresh(command, "simulate", "--config", "scene.json", "--out", "sim", cwd=tmp_path).endswith("0 False 1\n")
+    assert fresh(command, "extract", "--config", "run.json", cwd=tmp_path).endswith("0 True 1\n")
+    assert fresh(command, "report", "--config", "run.json", cwd=tmp_path).endswith("0 False 1\n")
+
+
 def test_numpy_imported_first_is_the_module_every_module_binds():
     code = "import numpy, ntlpipe.grid, ntlpipe.zones; print(ntlpipe.grid.np is numpy is ntlpipe.zones.np)"
     assert fresh(code) == "True\n"

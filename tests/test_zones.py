@@ -5,7 +5,9 @@ import json
 import math
 import pickle
 import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -539,6 +541,70 @@ class TestZoneColumns:
         assert [p.size for p in columns.positions.values()] == [0] * len(zones)
 
 
+# values orjson spells as json does (printable ASCII, 0 and magnitudes in [1e-4, 1e16), ints of 64 bits), and others
+ALIKE = {
+    "zone_id": st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1),
+    "ratio": st.floats(1e-4, 1.0) | st.sampled_from([0.0, -0.0, 0, 1]),
+    "population": st.integers(0, 2**64 - 1),
+    "coordinate": st.floats(1e-4, 1e16, exclude_max=True)
+    | st.floats(-1e16, -1e-4, exclude_min=True)
+    | st.sampled_from([0.0, -0.0, 123456789012345.6]),
+}
+UNALIKE = {
+    "zone_id": st.sampled_from(["\u00e9", "Z\u2028", "a\x7fb", "t\tab", "\U0001f600"]) | st.text(min_size=1),
+    "ratio": st.sampled_from([9.9e-05, 5e-324, 1e-5]) | st.floats(0.0, 1.0),
+    "population": st.sampled_from([2**64, 10**30, 1e16, 2.5]) | st.integers(0, 2**70),
+    "coordinate": st.sampled_from([1e16, 9.9e-05, 5e-324, -1e300]) | st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def written_zones(draw):
+    """1 to 3 zones whose values orjson spells as json does, but for one kind of value in one zone at most."""
+    odd = draw(st.sampled_from([None, *UNALIKE]), label="drawn past")
+    n = draw(st.integers(1, 3), label="zones")
+    odd_zone = draw(st.integers(0, n - 1), label="odd zone")
+    zones = []
+    for i in range(n):
+        values = {name: (UNALIKE if (name, i) == (odd, odd_zone) else ALIKE)[name] for name in ALIKE}
+        points = st.tuples(values["coordinate"], values["coordinate"])
+        rings = draw(st.lists(st.lists(points, min_size=3, max_size=5), min_size=1, max_size=2))
+        zone_id, ratio, population = draw(values["zone_id"]), draw(values["ratio"]), draw(values["population"])
+        try:
+            zones.append(Zone(zone_id, tuple(rings), damage_ratio=ratio, population=population))
+        except ZoneValidationError:  # a name that is no path component, or too few distinct vertices
+            assume(False)
+    return zones
+
+
+# one value each that orjson spells otherwise than json, or refuses, and -0.0 and 2**63, which it spells alike
+SPELLED_APART = [
+    Zone("Z\u2028", (UNIT_SQUARE,), damage_ratio=0.5, population=1),
+    Zone("\u00e9", (UNIT_SQUARE,), damage_ratio=0.5, population=1),
+    Zone("a\x7fb", (UNIT_SQUARE,), damage_ratio=0.5, population=1),
+    Zone("Z1", ([(-0.0, 1e16), (9.9e-05, 5e-324), (1e-4, 1.5), (123456789012345.6, 0.1)],), damage_ratio=0.5),
+    Zone("Z1", (UNIT_SQUARE,), damage_ratio=9.9e-05, population=1),
+    Zone("Z1", (UNIT_SQUARE,), damage_ratio=5e-324, population=1),
+    Zone("Z1", (UNIT_SQUARE,), damage_ratio=0.5, population=2**64),
+    Zone("Z1", (UNIT_SQUARE,), damage_ratio=0.5, population=1e16),
+    Zone("Z1", (UNIT_SQUARE,), damage_ratio=-0.0, population=2**63),
+]
+
+
+def zones_document(zones):
+    """The GeoJSON document of zones, built here from the stored rings."""
+    features = []
+    for zone in zones:
+        closed = [ring.tolist() + ring.tolist()[:1] for ring in zone.rings]
+        if len(closed) == 1:
+            geometry = {"type": "Polygon", "coordinates": closed}
+        else:
+            geometry = {"type": "MultiPolygon", "coordinates": [[ring] for ring in closed]}
+        properties = {"zone_id": zone.zone_id, "damage_ratio": zone.damage_ratio, "population": zone.population}
+        features.append({"type": "Feature", "geometry": geometry, "properties": properties})
+    return {"type": "FeatureCollection", "features": features}
+
+
 class TestZoneFileRoundTrip:
     def make_zones(self):
         return [
@@ -740,6 +806,21 @@ class TestZoneFileRoundTrip:
             assert (a.zone_id, a.damage_ratio, a.population) == (b.zone_id, b.damage_ratio, b.population)
             assert len(a.rings) == len(b.rings)
             assert all(np.array_equal(x, y) for x, y in zip(a.rings, b.rings))
+
+    def assert_json_dumps_text(self, zones):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "zones.geojson"
+            write_zones(zones, path)
+            assert path.read_text() == json.dumps(zones_document(zones), indent=2) + "\n"
+
+    @given(zones=written_zones())
+    @settings(max_examples=60, deadline=None)
+    def test_text_is_json_dumps_with_indent_2(self, zones):
+        self.assert_json_dumps_text(zones)
+
+    @pytest.mark.parametrize("zone", SPELLED_APART)
+    def test_text_is_json_dumps_where_orjson_spells_apart(self, zone):
+        self.assert_json_dumps_text([Zone("Z0", (UNIT_SQUARE,), damage_ratio=0.25, population=3), zone])
 
     def test_duplicate_zone_id_rejected(self, tmp_path):
         zones = self.make_zones()
